@@ -1,13 +1,14 @@
-//! Allocation micro-bench for the IVF hot path.
+//! Allocation micro-bench for the IVF and HNSW hot paths.
 //!
 //! `IvfIndex::search_counted` ranks every centroid and walks the probed
 //! lists through per-index scratch buffers (hoisted behind a mutex), so
 //! the only allocation a search performs is the returned hit vector —
-//! independent of corpus size and probe depth. This bench *proves* that
-//! with a counting global allocator: it measures allocations per search at
-//! shallow and deep probe settings and fails if the count is not the same
-//! small constant, then times the search under the vendored criterion
-//! harness.
+//! independent of corpus size and probe depth. `HnswIndex` keeps its
+//! visited stamps, frontier and scored pool in a per-thread scratch, so
+//! the same holds at any `ef`. This bench *proves* both with a counting
+//! global allocator: it measures allocations per search at shallow and
+//! deep settings and fails if the count is not the same small constant,
+//! then times the IVF search under the vendored criterion harness.
 //!
 //! Runs in its own bench binary because a `#[global_allocator]` is
 //! process-wide; the timing numbers are wall-clock and stay out of the CI
@@ -21,7 +22,7 @@ use criterion::{black_box, Criterion};
 use metis_bench::{bench_queries, emit, new_report, DATASET_SEED, RUN_SEED};
 use metis_datasets::{AnnConfig, AnnCorpus};
 use metis_metrics::CellReport;
-use metis_vectordb::{IvfConfig, IvfIndex, VectorIndex};
+use metis_vectordb::{HnswConfig, HnswIndex, IvfConfig, IvfIndex, Quantization, VectorIndex};
 
 /// [`System`] plus a relaxed allocation counter.
 struct CountingAlloc;
@@ -47,20 +48,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocations across `searches` queries against `index`, after a warm-up
-/// search has populated the scratch buffers to steady-state capacity.
-fn allocs_per_search(index: &IvfIndex, queries: &[Vec<f32>], k: usize) -> f64 {
-    black_box(index.search(&queries[0], k));
+/// Allocations per call of `search` across `queries`, after a warm-up
+/// pass has grown the scratch buffers to steady-state capacity.
+fn allocs_per_search<T>(queries: &[Vec<f32>], search: impl Fn(&[f32]) -> T) -> f64 {
+    for q in queries {
+        black_box(search(q));
+    }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for q in queries {
-        black_box(index.search(q, k));
+        black_box(search(q));
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     (after - before) as f64 / queries.len() as f64
 }
 
 fn main() {
-    println!("=== micro_ivf_alloc — IVF search performs no per-probe allocation ===");
+    println!("=== micro_ivf_alloc — IVF and HNSW searches allocate only what they return ===");
     let corpus = AnnCorpus::generate(AnnConfig {
         num_queries: bench_queries(64).max(2),
         ..AnnConfig::at_scale(20_000, DATASET_SEED)
@@ -83,8 +86,8 @@ fn main() {
     // reused, and only the returned hit vector is allocated per call.
     let shallow = build(2);
     let deep = build(32);
-    let shallow_allocs = allocs_per_search(&shallow, &queries, k);
-    let deep_allocs = allocs_per_search(&deep, &queries, k);
+    let shallow_allocs = allocs_per_search(&queries, |q| shallow.search(q, k));
+    let deep_allocs = allocs_per_search(&queries, |q| deep.search(q, k));
     println!("  allocations/search: nprobe=2 → {shallow_allocs:.2}, nprobe=32 → {deep_allocs:.2}");
     assert!(
         shallow_allocs <= 2.0 && deep_allocs <= 2.0,
@@ -95,6 +98,24 @@ fn main() {
         (shallow_allocs - deep_allocs).abs() < 0.5,
         "allocations per search must not scale with probe depth \
          (nprobe=2 → {shallow_allocs:.2}, nprobe=32 → {deep_allocs:.2})"
+    );
+
+    // Same contract for the HNSW beam: visited stamps, frontier and scored
+    // pool are per-thread scratch, so the budget `ef` moves the work and
+    // not the allocation count.
+    let hnsw = HnswIndex::build(
+        corpus.config.dim,
+        HnswConfig::default(),
+        Quantization::sq8(),
+        &corpus.items[..corpus.items.len().min(4_000)],
+    );
+    let narrow_allocs = allocs_per_search(&queries, |q| hnsw.search_with_ef(q, k, 16));
+    let wide_allocs = allocs_per_search(&queries, |q| hnsw.search_with_ef(q, k, 192));
+    println!("  allocations/search: hnsw ef=16 → {narrow_allocs:.2}, ef=192 → {wide_allocs:.2}");
+    assert!(
+        narrow_allocs == wide_allocs && wide_allocs <= 3.0,
+        "HNSW search must allocate the returned hit vector plus O(1), at any ef \
+         (ef=16 → {narrow_allocs:.2}, ef=192 → {wide_allocs:.2})"
     );
 
     let mut c = Criterion::default().sample_size(40);
@@ -113,7 +134,9 @@ fn main() {
     );
     let mut cell = CellReport::new("ivf_search_20k", RUN_SEED)
         .metric("allocs_per_search_nprobe2", shallow_allocs)
-        .metric("allocs_per_search_nprobe32", deep_allocs);
+        .metric("allocs_per_search_nprobe32", deep_allocs)
+        .metric("hnsw_allocs_per_search_ef16", narrow_allocs)
+        .metric("hnsw_allocs_per_search_ef192", wide_allocs);
     for (name, median_ns) in c.results() {
         println!("  {name}: median {median_ns:.0} ns/iter");
         cell = cell.metric(format!("{name}/median_ns"), *median_ns);

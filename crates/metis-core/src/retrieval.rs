@@ -23,8 +23,9 @@ pub struct RetrievalModel {
     /// Cost per corpus vector scored exactly (f32).
     pub vector_nanos: Nanos,
     /// Cost per corpus vector scored in the quantized (sq8) domain — a
-    /// handful of table lookups instead of a full f32 distance, so several
-    /// times cheaper than [`RetrievalModel::vector_nanos`].
+    /// 1-byte-per-dim code row decoded in registers instead of a 4× wider
+    /// f32 row, priced several times cheaper than
+    /// [`RetrievalModel::vector_nanos`].
     pub quantized_nanos: Nanos,
     /// Cost per coarse-quantizer centroid scored (IVF only).
     pub centroid_nanos: Nanos,
@@ -109,7 +110,7 @@ mod tests {
     #[test]
     fn hnsw_with_sq8_undercuts_the_ivf_frontier() {
         // Representative work at a 10⁶-vector corpus: IVF probes 16 of 256
-        // lists (~62k exact evals); HNSW expands ~80 nodes, LUT-scores
+        // lists (~62k exact evals); HNSW expands ~80 nodes, sq8-scores
         // ~2.5k candidates, and exact-reranks 40.
         let m = RetrievalModel::default();
         let ivf = m.nanos(

@@ -5,7 +5,7 @@ use std::collections::BinaryHeap;
 
 use metis_text::ChunkId;
 
-use crate::{Hit, SearchOutcome, SearchWork, VectorIndex};
+use crate::{squared_l2, Hit, SearchOutcome, SearchWork, VectorIndex};
 
 /// Candidate ordered so that the *worst* (largest-distance) hit is at the top
 /// of a max-heap, letting us keep only the best `k`.
@@ -102,18 +102,6 @@ impl FlatIndex {
         let start = row * self.dim;
         self.data.get(start..start + self.dim)
     }
-
-    fn squared_l2(&self, row: usize, query: &[f32]) -> f32 {
-        let start = row * self.dim;
-        self.data[start..start + self.dim]
-            .iter()
-            .zip(query)
-            .map(|(x, y)| {
-                let d = x - y;
-                d * d
-            })
-            .sum()
-    }
 }
 
 impl VectorIndex for FlatIndex {
@@ -131,7 +119,7 @@ impl VectorIndex for FlatIndex {
         }
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
         for row in 0..self.ids.len() {
-            let d2 = self.squared_l2(row, query);
+            let d2 = squared_l2(&self.data[row * self.dim..][..self.dim], query);
             if heap.len() < k {
                 heap.push(HeapEntry {
                     distance: d2,

@@ -17,17 +17,22 @@
 //! while behaving like the classic ef-bounded beam in practice.
 //!
 //! Vectors are stored exactly ([`Quantization::F32`]) or as sq8 codes
-//! scored through a per-query LUT with optional exact re-rank
+//! decoded on the fly, with optional exact re-rank
 //! ([`Quantization::Sq8`]); graph construction always runs at full
 //! precision.
+//!
+//! Adjacency is one flat `u32` array, and a traversal's working memory is a
+//! `SearchScratch` that `build` owns and searches reuse per thread, so a
+//! steady-state search allocates only the hits it returns.
 
+use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use metis_text::ChunkId;
 
-use crate::quant::{sq_l2, Quantization, QueryLut, ScalarQuantizer};
-use crate::{Hit, SearchOutcome, SearchWork, VectorIndex};
+use crate::quant::{keep_for, sort_hits, Quantization, QueryLut, ScalarQuantizer};
+use crate::{squared_l2, Hit, SearchOutcome, SearchWork, VectorIndex};
 
 /// HNSW build/search parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,6 +84,79 @@ impl PartialOrd for Scored {
     }
 }
 
+/// What a traversal measures distances from: the raw query against exact
+/// rows, or the query prepared against sq8 code rows.
+enum Scorer<'a> {
+    Exact(&'a [f32]),
+    Sq8(QueryLut<'a>),
+}
+
+/// Working memory of one traversal, reused by the next: `build` owns one
+/// outright, searches share one per thread.
+#[derive(Debug, Default)]
+struct SearchScratch {
+    /// `stamps[node] == epoch` ⇔ the current traversal has visited `node`;
+    /// bumping `epoch` un-visits everything at once.
+    stamps: Vec<u32>,
+    epoch: u32,
+    /// Layer-0 candidates that can still be expanded within the budget,
+    /// worst first (the best pops off the end).
+    frontier: Vec<Scored>,
+    /// Every node the traversal scored — the pool the final top-k is
+    /// selected from.
+    scored: Vec<Scored>,
+}
+
+impl SearchScratch {
+    /// Starts a traversal over `n` nodes with nothing visited.
+    fn begin(&mut self, n: usize) {
+        if self.stamps.len() < n {
+            self.stamps.resize(n, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: stamps left by the traversal 2³² ago would read as
+            // visited, so forget them all.
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        self.frontier.clear();
+        self.scored.clear();
+    }
+
+    /// Marks `node` visited; `true` the first time in this traversal.
+    fn visit(&mut self, node: u32) -> bool {
+        let stamp = &mut self.stamps[node as usize];
+        let fresh = *stamp != self.epoch;
+        *stamp = self.epoch;
+        fresh
+    }
+
+    /// Offers `s` to the frontier when only `room` more expansions remain:
+    /// a candidate outside the best `room` can never be popped (later
+    /// arrivals only push it further back), so it is dropped now and the
+    /// expansion order is exactly the unbounded frontier's.
+    fn admit(&mut self, s: Scored, room: usize) {
+        let frontier = &mut self.frontier;
+        let full = frontier.len() == room;
+        if full && (room == 0 || s > frontier[0]) {
+            return;
+        }
+        let at = frontier.partition_point(|c| *c > s);
+        if full {
+            frontier.copy_within(1..at, 0);
+            frontier[at - 1] = s;
+        } else {
+            frontier.insert(at, s);
+        }
+    }
+}
+
+thread_local! {
+    /// The searching thread's scratch: no lock, no cross-thread sharing.
+    static SCRATCH: RefCell<SearchScratch> = RefCell::default();
+}
+
 /// The layered-graph index.
 #[derive(Clone, Debug)]
 pub struct HnswIndex {
@@ -92,8 +170,14 @@ pub struct HnswIndex {
     /// sq8 code rows (empty under f32).
     codes: Vec<u8>,
     sq: Option<ScalarQuantizer>,
-    /// `links[node][level]` — neighbor ids, insertion-ordered.
-    links: Vec<Vec<Vec<u32>>>,
+    /// Every neighbor list, as `[len, slot…]` blocks in insertion order.
+    /// Layer 0 comes first at a fixed stride — node `i` owns `2m` slots at
+    /// `i · (2m + 1)` — then each promoted node's upper layers, one
+    /// `m`-slot block per level from 1 up.
+    links: Vec<u32>,
+    /// `(node, offset of its level-1 block in links)` for the ~1/m nodes
+    /// promoted above layer 0, ascending by node.
+    upper_at: Vec<(u32, usize)>,
     entry: u32,
     max_level: usize,
 }
@@ -137,22 +221,24 @@ impl HnswIndex {
             rows: Vec::with_capacity(n * dim),
             codes: Vec::new(),
             sq: None,
-            links: Vec::with_capacity(n),
+            links: vec![0; n * (2 * config.m + 1)],
+            upper_at: Vec::new(),
             entry: 0,
             max_level: 0,
         };
         let ml = 1.0 / (config.m as f64).ln();
+        let mut scratch = SearchScratch::default();
         for (i, (id, v)) in items.iter().enumerate() {
             let level = Self::level_for(i as u64, ml);
-            index.insert(*id, v, level);
+            index.insert(*id, v, level, &mut scratch);
         }
         if let Quantization::Sq8 { rerank } = quant {
             let sq = ScalarQuantizer::train(dim, items.iter().map(|(_, v)| v.as_slice()));
             let mut codes = Vec::with_capacity(n * dim);
-            let mut scratch = Vec::with_capacity(dim);
+            let mut row = Vec::with_capacity(dim);
             for (_, v) in items {
-                sq.encode_into(v, &mut scratch);
-                codes.extend_from_slice(&scratch);
+                sq.encode_into(v, &mut row);
+                codes.extend_from_slice(&row);
             }
             index.codes = codes;
             index.sq = Some(sq);
@@ -174,52 +260,67 @@ impl HnswIndex {
     }
 
     fn exact_row(&self, node: u32) -> &[f32] {
-        let i = node as usize;
-        &self.rows[i * self.dim..(i + 1) * self.dim]
+        &self.rows[node as usize * self.dim..][..self.dim]
     }
 
-    fn code_row(&self, node: u32) -> &[u8] {
-        let i = node as usize;
-        &self.codes[i * self.dim..(i + 1) * self.dim]
+    /// `node`'s distance from the scorer's query, in the scorer's domain.
+    #[inline]
+    fn score(&self, q: &Scorer<'_>, node: u32) -> Scored {
+        let d = match q {
+            Scorer::Exact(q) => squared_l2(q, self.exact_row(node)),
+            Scorer::Sq8(lut) => lut.dist2(&self.codes[node as usize * self.dim..][..self.dim]),
+        };
+        Scored { d, node }
     }
 
-    /// Build-time distance — always exact (rows are retained during build).
-    fn build_dist2(&self, q: &[f32], node: u32) -> f32 {
-        sq_l2(q, self.exact_row(node))
+    /// Where `node`'s level-`lvl` block starts in `links`, and how many
+    /// slots follow its length word.
+    fn block(&self, node: u32, lvl: usize) -> (usize, usize) {
+        let m = self.config.m;
+        if lvl == 0 {
+            return (node as usize * (2 * m + 1), 2 * m);
+        }
+        let i = self
+            .upper_at
+            .binary_search_by_key(&node, |&(n, _)| n)
+            .expect("a node linked above layer 0 was promoted");
+        (self.upper_at[i].1 + (lvl - 1) * (m + 1), m)
     }
 
-    fn insert(&mut self, id: ChunkId, v: &[f32], level: usize) {
+    fn neighbors(&self, node: u32, lvl: usize) -> &[u32] {
+        let (at, _) = self.block(node, lvl);
+        &self.links[at + 1..][..self.links[at] as usize]
+    }
+
+    fn insert(&mut self, id: ChunkId, v: &[f32], level: usize, scratch: &mut SearchScratch) {
         let node = self.ids.len() as u32;
         self.ids.push(id);
         self.rows.extend_from_slice(v);
-        self.links.push(vec![Vec::new(); level + 1]);
+        if level > 0 {
+            self.upper_at.push((node, self.links.len()));
+            let slots = level * (self.config.m + 1);
+            self.links.resize(self.links.len() + slots, 0);
+        }
         if node == 0 {
-            self.entry = 0;
             self.max_level = level;
             return;
         }
         // Greedy-descend the layers above the new node's top level.
-        let mut cur = Scored {
-            d: self.build_dist2(v, self.entry),
-            node: self.entry,
-        };
-        let mut lvl = self.max_level;
-        while lvl > level {
-            cur = self.greedy_step(v, cur, lvl);
-            lvl -= 1;
+        let q = Scorer::Exact(v);
+        let mut cur = self.score(&q, self.entry);
+        for lvl in (level + 1..=self.max_level).rev() {
+            cur = self.greedy_step(&q, cur, lvl, &mut scratch.scored).0;
         }
         // Beam-search each level the node joins, linking to a diverse
         // neighbor set (not simply the closest m — see `select_neighbors`).
         let mut entries = vec![cur];
         for lvl in (0..=level.min(self.max_level)).rev() {
-            let found = self.search_layer(v, &entries, self.config.ef_construction, lvl);
+            let found = self.search_layer(&q, &entries, lvl, scratch);
             for nb in self.select_neighbors(&found, self.config.m) {
-                self.links[node as usize][lvl].push(nb);
-                self.links[nb as usize][lvl].push(node);
-                self.prune(nb, lvl);
+                self.link(node, lvl, nb);
+                self.link(nb, lvl, node);
             }
             entries = found;
-            entries.truncate(self.config.ef_construction);
         }
         if level > self.max_level {
             self.max_level = level;
@@ -237,7 +338,7 @@ impl HnswIndex {
     /// diversity test keeps those outbound bridges alive.
     /// `cand` carries each node's distance to the anchor in `Scored::d`.
     fn select_neighbors(&self, cand: &[Scored], cap: usize) -> Vec<u32> {
-        let mut kept: Vec<Scored> = Vec::with_capacity(cap);
+        let mut kept: Vec<u32> = Vec::with_capacity(cap);
         let mut rejected: Vec<u32> = Vec::new();
         for &c in cand {
             if kept.len() == cap {
@@ -246,65 +347,80 @@ impl HnswIndex {
             let row = self.exact_row(c.node);
             let diverse = kept
                 .iter()
-                .all(|k| sq_l2(row, self.exact_row(k.node)) > c.d);
+                .all(|&k| squared_l2(row, self.exact_row(k)) > c.d);
             if diverse {
-                kept.push(c);
+                kept.push(c.node);
             } else {
                 rejected.push(c.node);
             }
         }
-        let mut out: Vec<u32> = kept.into_iter().map(|s| s.node).collect();
-        let spare = cap.saturating_sub(out.len());
-        out.extend(rejected.into_iter().take(spare));
-        out
+        let spare = cap - kept.len();
+        kept.extend(rejected.into_iter().take(spare));
+        kept
     }
 
-    /// Caps `node`'s neighbor list at level `lvl` to the allowed count
-    /// (`m` above layer 0, `2m` on it) via the diversity heuristic.
-    fn prune(&mut self, node: u32, lvl: usize) {
-        let cap = if lvl == 0 {
-            self.config.m * 2
-        } else {
-            self.config.m
-        };
-        if self.links[node as usize][lvl].len() <= cap {
+    /// Appends `new` to `node`'s level-`lvl` list; a full list is instead
+    /// re-selected from its slots plus `new` by the diversity heuristic and
+    /// rewritten in place.
+    fn link(&mut self, node: u32, lvl: usize, new: u32) {
+        let (at, cap) = self.block(node, lvl);
+        let len = self.links[at] as usize;
+        if len < cap {
+            self.links[at] += 1;
+            self.links[at + 1 + len] = new;
             return;
         }
-        let anchor = self.exact_row(node).to_vec();
-        let mut scored: Vec<Scored> = self.links[node as usize][lvl]
-            .iter()
-            .map(|&nb| Scored {
-                d: sq_l2(&anchor, self.exact_row(nb)),
-                node: nb,
-            })
-            .collect();
-        scored.sort();
-        scored.dedup_by_key(|s| s.node);
-        self.links[node as usize][lvl] = self.select_neighbors(&scored, cap);
+        let anchor = Scorer::Exact(self.exact_row(node));
+        let slots = self.links[at + 1..=at + cap].iter().chain([&new]);
+        let mut scored: Vec<Scored> = slots.map(|&nb| self.score(&anchor, nb)).collect();
+        scored.sort_unstable();
+        let picked = self.select_neighbors(&scored, cap);
+        self.links[at] = picked.len() as u32;
+        self.links[at + 1..][..picked.len()].copy_from_slice(&picked);
     }
 
     /// One greedy descent through level `lvl`: walk to strictly closer
-    /// neighbors until a local minimum.
-    fn greedy_step(&self, q: &[f32], mut cur: Scored, lvl: usize) -> Scored {
+    /// neighbors until a local minimum. Every node scored on the way is
+    /// pushed onto `scored`; also returns the nodes expanded.
+    fn greedy_step(
+        &self,
+        q: &Scorer<'_>,
+        mut cur: Scored,
+        lvl: usize,
+        scored: &mut Vec<Scored>,
+    ) -> (Scored, usize) {
+        let mut hops = 0;
         loop {
+            hops += 1;
             let mut improved = false;
-            for &nb in &self.links[cur.node as usize][lvl] {
-                let d = self.build_dist2(q, nb);
-                if d < cur.d {
-                    cur = Scored { d, node: nb };
+            for &nb in self.neighbors(cur.node, lvl) {
+                let s = self.score(q, nb);
+                scored.push(s);
+                if s.d < cur.d {
+                    cur = s;
                     improved = true;
                 }
             }
             if !improved {
-                return cur;
+                return (cur, hops);
             }
         }
     }
 
     /// Classic ef-bounded beam at one level (build-time only), returning
-    /// up to `ef` closest nodes in ascending order.
-    fn search_layer(&self, q: &[f32], entries: &[Scored], ef: usize, lvl: usize) -> Vec<Scored> {
-        let mut visited: HashSet<u32> = entries.iter().map(|s| s.node).collect();
+    /// up to `ef_construction` closest nodes in ascending order.
+    fn search_layer(
+        &self,
+        q: &Scorer<'_>,
+        entries: &[Scored],
+        lvl: usize,
+        scratch: &mut SearchScratch,
+    ) -> Vec<Scored> {
+        let ef = self.config.ef_construction;
+        scratch.begin(self.ids.len());
+        for e in entries {
+            scratch.visit(e.node);
+        }
         let mut cand: BinaryHeap<Reverse<Scored>> = entries.iter().map(|&s| Reverse(s)).collect();
         let mut best: BinaryHeap<Scored> = entries.iter().copied().collect();
         while let Some(Reverse(c)) = cand.pop() {
@@ -312,14 +428,13 @@ impl HnswIndex {
             if best.len() >= ef && c.d > worst {
                 break;
             }
-            for &nb in &self.links[c.node as usize][lvl] {
-                if !visited.insert(nb) {
+            for &nb in self.neighbors(c.node, lvl) {
+                if !scratch.visit(nb) {
                     continue;
                 }
-                let d = self.build_dist2(q, nb);
+                let s = self.score(q, nb);
                 let worst = best.peek().map_or(f32::INFINITY, |w| w.d);
-                if best.len() < ef || d < worst {
-                    let s = Scored { d, node: nb };
+                if best.len() < ef || s.d < worst {
                     cand.push(Reverse(s));
                     best.push(s);
                     if best.len() > ef {
@@ -328,29 +443,7 @@ impl HnswIndex {
                 }
             }
         }
-        let mut out = best.into_vec();
-        out.sort();
-        out
-    }
-
-    /// Query-time distance in the storage domain, counted into `work`.
-    fn query_dist2(
-        &self,
-        q: &[f32],
-        lut: Option<&QueryLut>,
-        node: u32,
-        work: &mut SearchWork,
-    ) -> f32 {
-        match lut {
-            Some(lut) => {
-                work.quantized_scored += 1;
-                lut.dist2(self.code_row(node))
-            }
-            None => {
-                work.vectors_scored += 1;
-                sq_l2(q, self.exact_row(node))
-            }
-        }
+        best.into_sorted_vec()
     }
 
     /// The build/search configuration.
@@ -373,100 +466,85 @@ impl HnswIndex {
     /// property tests and sweeps turn.
     pub fn search_with_ef(&self, query: &[f32], k: usize, ef: usize) -> SearchOutcome {
         assert_eq!(query.len(), self.dim, "dimension mismatch");
-        let mut work = SearchWork::default();
         if k == 0 || self.ids.is_empty() || ef == 0 {
             return SearchOutcome {
                 hits: Vec::new(),
-                work,
+                work: SearchWork::default(),
             };
         }
-        let lut = self.sq.as_ref().map(|sq| sq.lut(query));
-        // Every node scored anywhere during the search is a candidate for
-        // the final top-k: the set only grows with `ef`.
-        let mut scored: Vec<Scored> = Vec::new();
-        let mut cur = Scored {
-            d: self.query_dist2(query, lut.as_ref(), self.entry, &mut work),
-            node: self.entry,
-        };
-        scored.push(cur);
-        // Greedy descent over the upper layers (budget-independent).
-        for lvl in (1..=self.max_level).rev() {
-            loop {
-                let mut improved = false;
-                work.graph_hops += 1;
-                for &nb in &self.links[cur.node as usize][lvl] {
-                    let d = self.query_dist2(query, lut.as_ref(), nb, &mut work);
-                    scored.push(Scored { d, node: nb });
-                    if d < cur.d {
-                        cur = Scored { d, node: nb };
-                        improved = true;
-                    }
-                }
-                if !improved {
+        SCRATCH.with_borrow_mut(|scratch| {
+            let q = match &self.sq {
+                Some(sq) => Scorer::Sq8(sq.lut(query)),
+                None => Scorer::Exact(query),
+            };
+            let mut work = SearchWork::default();
+            scratch.begin(self.ids.len());
+            // Greedy descent over the upper layers (budget-independent).
+            let mut cur = self.score(&q, self.entry);
+            scratch.scored.push(cur);
+            for lvl in (1..=self.max_level).rev() {
+                let (at, hops) = self.greedy_step(&q, cur, lvl, &mut scratch.scored);
+                cur = at;
+                work.graph_hops += hops;
+            }
+            // Only an upper-layer eval can score a node a second time.
+            let rescorable = scratch.scored.len();
+            // Budgeted best-first expansion on layer 0. The frontier evolves
+            // identically for every `ef`; the budget only decides how many
+            // nodes get expanded, so visited sets nest as `ef` grows.
+            scratch.visit(cur.node);
+            scratch.frontier.push(cur);
+            for expanded in 1..=ef {
+                let Some(c) = scratch.frontier.pop() else {
                     break;
-                }
-            }
-        }
-        // Budgeted best-first expansion on layer 0. The frontier evolves
-        // identically for every `ef`; the budget only decides how many
-        // nodes get expanded, so visited sets nest as `ef` grows.
-        let mut visited: HashSet<u32> = HashSet::new();
-        visited.insert(cur.node);
-        let mut frontier: BinaryHeap<Reverse<Scored>> = BinaryHeap::new();
-        frontier.push(Reverse(cur));
-        let mut expanded = 0usize;
-        while let Some(Reverse(c)) = frontier.pop() {
-            if expanded >= ef {
-                break;
-            }
-            expanded += 1;
-            work.graph_hops += 1;
-            for &nb in &self.links[c.node as usize][0] {
-                if !visited.insert(nb) {
-                    continue;
-                }
-                let d = self.query_dist2(query, lut.as_ref(), nb, &mut work);
-                let s = Scored { d, node: nb };
-                scored.push(s);
-                frontier.push(Reverse(s));
-            }
-        }
-        // Rank and deduplicate (upper-layer evals can rescore a node; a
-        // rescore produces the identical distance, so duplicates sort
-        // adjacent).
-        scored.sort();
-        scored.dedup_by_key(|s| s.node);
-        let rerank = self.quant.rerank();
-        let hits = if lut.is_some() && rerank > 0 {
-            let keep = rerank.saturating_mul(k).max(k).min(scored.len());
-            let mut exact: Vec<Hit> = scored[..keep]
-                .iter()
-                .map(|s| {
-                    work.vectors_scored += 1;
-                    Hit {
-                        chunk: self.ids[s.node as usize],
-                        distance: sq_l2(query, self.exact_row(s.node)).sqrt(),
+                };
+                work.graph_hops += 1;
+                for &nb in self.neighbors(c.node, 0) {
+                    if scratch.visit(nb) {
+                        let s = self.score(&q, nb);
+                        scratch.scored.push(s);
+                        scratch.admit(s, ef - expanded);
                     }
-                })
-                .collect();
-            exact.sort_by(|a, b| {
-                a.distance
-                    .total_cmp(&b.distance)
-                    .then_with(|| a.chunk.cmp(&b.chunk))
-            });
-            exact.truncate(k);
-            exact
-        } else {
-            scored
+                }
+            }
+            // Every node scored anywhere is a candidate for the final top-k
+            // (the set only grows with `ef`). The best are selected, not the
+            // pool sorted: a rescore repeats the identical distance, so
+            // duplicates sort adjacent, and fewer than `rescorable` exist.
+            let scored = &mut scratch.scored;
+            let evals = scored.len();
+            let rerank = self.quant.rerank();
+            let keep = keep_for(rerank, k);
+            let cut = keep.saturating_add(rescorable);
+            if cut < scored.len() {
+                scored.select_nth_unstable(cut);
+                scored.truncate(cut);
+            }
+            scored.sort_unstable();
+            scored.dedup_by_key(|s| s.node);
+            scored.truncate(keep);
+            let mut hits: Vec<Hit> = scored
                 .iter()
-                .take(k)
                 .map(|s| Hit {
                     chunk: self.ids[s.node as usize],
-                    distance: s.d.sqrt(),
+                    distance: if rerank > 0 {
+                        squared_l2(query, self.exact_row(s.node)).sqrt()
+                    } else {
+                        s.d.sqrt()
+                    },
                 })
-                .collect()
-        };
-        SearchOutcome { hits, work }
+                .collect();
+            if rerank > 0 {
+                work.vectors_scored = hits.len();
+                sort_hits(&mut hits);
+                hits.truncate(k);
+            }
+            match q {
+                Scorer::Exact(_) => work.vectors_scored += evals,
+                Scorer::Sq8(_) => work.quantized_scored += evals,
+            }
+            SearchOutcome { hits, work }
+        })
     }
 }
 
@@ -528,7 +606,10 @@ mod tests {
         let out = idx.search_counted(&[1.0, 2.0, 3.0, 4.0], 3);
         assert!(out.work.graph_hops > 0, "no hops recorded");
         assert!(out.work.vectors_scored > 0);
-        assert_eq!(out.work.quantized_scored, 0, "f32 storage never LUT-scores");
+        assert_eq!(
+            out.work.quantized_scored, 0,
+            "f32 storage never scores codes"
+        );
         assert!(
             out.work.vectors_scored < items.len(),
             "HNSW should not scan the corpus: {:?}",
@@ -537,7 +618,7 @@ mod tests {
 
         let sq = HnswIndex::build(4, HnswConfig::default(), Quantization::sq8(), &items);
         let out = sq.search_counted(&[1.0, 2.0, 3.0, 4.0], 3);
-        assert!(out.work.quantized_scored > 0, "sq8 storage LUT-scores");
+        assert!(out.work.quantized_scored > 0, "sq8 storage scores codes");
         assert_eq!(
             out.work.vectors_scored, 12,
             "exact evals are exactly the rerank * k repair: {:?}",
@@ -586,6 +667,42 @@ mod tests {
         assert_eq!(out.hits.len(), 5);
         assert_eq!(out.work.vectors_scored, 0, "no exact path remains");
         assert!(out.work.quantized_scored > 0);
+    }
+
+    #[test]
+    fn epoch_wrap_forgets_stale_stamps_and_changes_no_answer() {
+        let mut scratch = SearchScratch::default();
+        scratch.begin(4);
+        assert!(scratch.visit(2));
+        assert!(!scratch.visit(2), "second visit in one traversal");
+        // Node 2 now carries stamp 1. Run the epoch up to the wrap: the
+        // traversal after it is numbered 1 again, and must not inherit it.
+        scratch.epoch = u32::MAX - 1;
+        scratch.begin(4);
+        assert!(scratch.visit(3));
+        scratch.begin(4);
+        assert_eq!(
+            scratch.epoch, 1,
+            "epoch 0 is skipped: it is the cleared stamp"
+        );
+        assert!(
+            scratch.visit(2),
+            "a stamp from before the wrap reads unvisited"
+        );
+        assert!(scratch.visit(3));
+
+        // End to end, on this thread's own scratch: searches straddling the
+        // wrap return what they returned before it.
+        let items = ring_items(300, 4);
+        let idx = HnswIndex::build(4, HnswConfig::default(), Quantization::sq8(), &items);
+        let q = [2.0, 7.0, 1.0, 8.0];
+        let before = idx.search_counted(&q, 6);
+        SCRATCH.with_borrow_mut(|s| s.epoch = u32::MAX - 1);
+        for _ in 0..3 {
+            let after = idx.search_counted(&q, 6);
+            assert_eq!(after.hits, before.hits);
+            assert_eq!(after.work, before.work);
+        }
     }
 
     #[test]

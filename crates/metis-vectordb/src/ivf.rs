@@ -13,7 +13,7 @@ use std::sync::Mutex;
 
 use metis_text::ChunkId;
 
-use crate::{Hit, SearchOutcome, SearchWork, VectorIndex};
+use crate::{squared_l2, Hit, SearchOutcome, SearchWork, VectorIndex};
 
 /// K-means trains on at most this many vectors (deterministically strided
 /// from the corpus); the final list assignment still covers every vector.
@@ -80,16 +80,6 @@ impl Clone for IvfIndex {
             scratch: Mutex::new(IvfScratch::default()),
         }
     }
-}
-
-fn sq_l2(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| {
-            let d = x - y;
-            d * d
-        })
-        .sum()
 }
 
 /// Deterministic strided seeds, skipping vectors identical to an
@@ -185,8 +175,8 @@ impl IvfIndex {
                 let far = (0..train.len())
                     .filter(|&p| assign[p] == donor && !stolen[p])
                     .max_by(|&a, &b| {
-                        sq_l2(&items[train[a]].1, &centroids[donor])
-                            .total_cmp(&sq_l2(&items[train[b]].1, &centroids[donor]))
+                        squared_l2(&items[train[a]].1, &centroids[donor])
+                            .total_cmp(&squared_l2(&items[train[b]].1, &centroids[donor]))
                     });
                 if let Some(p) = far {
                     centroids[c] = items[train[p]].1.clone();
@@ -213,8 +203,8 @@ impl IvfIndex {
             };
             let far = (0..lists[donor].len())
                 .max_by(|&a, &b| {
-                    sq_l2(&lists[donor][a].1, &centroids[donor])
-                        .total_cmp(&sq_l2(&lists[donor][b].1, &centroids[donor]))
+                    squared_l2(&lists[donor][a].1, &centroids[donor])
+                        .total_cmp(&squared_l2(&lists[donor][b].1, &centroids[donor]))
                 })
                 .expect("donor list is non-empty");
             let (id, v) = lists[donor].swap_remove(far);
@@ -239,7 +229,7 @@ impl IvfIndex {
         let mut best = 0;
         let mut best_d = f32::INFINITY;
         for (i, c) in centroids.iter().enumerate() {
-            let d = sq_l2(c, v);
+            let d = squared_l2(c, v);
             if d < best_d {
                 best_d = d;
                 best = i;
@@ -288,7 +278,7 @@ impl VectorIndex for IvfIndex {
             self.centroids
                 .iter()
                 .enumerate()
-                .map(|(i, c)| (sq_l2(c, query), i)),
+                .map(|(i, c)| (squared_l2(c, query), i)),
         );
         order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         hits.clear();
@@ -302,7 +292,7 @@ impl VectorIndex for IvfIndex {
             for (id, v) in &self.lists[list] {
                 hits.push(Hit {
                     chunk: *id,
-                    distance: sq_l2(v, query).sqrt(),
+                    distance: squared_l2(v, query).sqrt(),
                 });
             }
         }

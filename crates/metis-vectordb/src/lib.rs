@@ -22,6 +22,19 @@ pub use store::{ChunkStore, StoreStats};
 
 use metis_text::ChunkId;
 
+/// Squared L2 distance, summed sequentially in index order — the one exact
+/// kernel behind every index, so equal inputs give equal bits everywhere.
+#[inline]
+pub(crate) fn squared_l2(a: &[f32], b: &[f32]) -> f32 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| {
+            let d = x - y;
+            d * d
+        })
+        .sum()
+}
+
 /// A search hit: chunk id plus L2 distance (smaller is more similar).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Hit {
@@ -39,8 +52,9 @@ pub struct SearchWork {
     /// corpus for a flat scan, the members of the probed lists for IVF,
     /// the re-rank candidates under sq8.
     pub vectors_scored: usize,
-    /// Corpus vectors scored in the quantized (sq8) domain via the per-query
-    /// lookup table; cheaper per eval than an exact f32 distance.
+    /// Corpus vectors scored in the quantized (sq8) domain — each 1-byte
+    /// code decoded on the fly against the f32 query; counted apart from
+    /// exact f32 evals because the retrieval model prices them apart.
     pub quantized_scored: usize,
     /// Coarse-quantizer centroids scored (IVF ranks every centroid before
     /// probing; 0 for flat).

@@ -1,19 +1,21 @@
 //! Scalar quantization (sq8): one `u8` per dimension against a trained
-//! per-dim `[min, max]` range, searched through a per-query lookup table.
+//! per-dim `[min, max]` range, scored by decoding each code on the fly.
 //!
-//! A quantized index stores 4× less per vector and scores candidates by
-//! summing 256-entry per-dim LUT values instead of computing exact f32
-//! distances — the precompute-for-query-time trade the related LUT-based
-//! systems make. The approximation is optionally repaired by an exact
-//! re-rank of the top candidates (the `rerank` knob, a multiple of `k`),
-//! for which the original f32 rows are retained. Every quantized eval is
+//! A quantized index stores 4× less per vector and scores a candidate
+//! asymmetrically: the query stays f32, each code is decoded in registers
+//! (`min[d] + step[d] · code[d]`) and the squared deltas are summed in index
+//! order. Nothing is precomputed per query — a 64-dim code row is one cache
+//! line and the query and ranges stay in L1, where a `dim × 256` table of
+//! the same values would not. The approximation is optionally repaired by
+//! an exact re-rank of the top candidates (the `rerank` knob, a multiple of
+//! `k`), for which the original f32 rows are retained. Every quantized eval is
 //! reported separately from exact evals through
 //! [`SearchWork::quantized_scored`](crate::SearchWork), so the retrieval
 //! latency model prices the two domains differently.
 
 use metis_text::ChunkId;
 
-use crate::{ivf::IvfIndex, Hit, IvfConfig, SearchOutcome, SearchWork, VectorIndex};
+use crate::{ivf::IvfIndex, squared_l2, Hit, IvfConfig, SearchOutcome, SearchWork, VectorIndex};
 
 /// How vectors are stored and scored inside an index.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -142,55 +144,61 @@ impl ScalarQuantizer {
             .collect()
     }
 
-    /// Builds the per-query asymmetric-distance lookup table:
-    /// `lut[d][c] = (query[d] - decode(c)[d])²`, so a candidate's squared
-    /// distance is `dim` table lookups plus adds.
-    pub fn lut(&self, query: &[f32]) -> QueryLut {
+    /// Prepares `query` for asymmetric scoring against code rows. Free: the
+    /// prepared query only borrows the query and the trained ranges.
+    pub fn lut<'a>(&'a self, query: &'a [f32]) -> QueryLut<'a> {
         assert_eq!(query.len(), self.dim(), "dimension mismatch");
-        let dim = self.dim();
-        let mut table = vec![0.0f32; dim * 256];
-        for d in 0..dim {
-            let row = &mut table[d * 256..(d + 1) * 256];
-            for (c, slot) in row.iter_mut().enumerate() {
-                let delta = query[d] - (self.min[d] + self.step[d] * c as f32);
-                *slot = delta * delta;
+        QueryLut {
+            query,
+            min: &self.min,
+            step: &self.step,
+        }
+    }
+}
+
+/// One query prepared for scoring sq8 code rows (see
+/// [`ScalarQuantizer::lut`]); despite the name, no table is built.
+#[derive(Clone, Copy, Debug)]
+pub struct QueryLut<'a> {
+    query: &'a [f32],
+    min: &'a [f32],
+    step: &'a [f32],
+}
+
+impl QueryLut<'_> {
+    /// Squared distance between the query and the vector a code row
+    /// decodes to, summed sequentially in index order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes` is not exactly one row of the quantizer's
+    /// dimension.
+    #[inline]
+    pub fn dist2(&self, codes: &[u8]) -> f32 {
+        assert_eq!(codes.len(), self.query.len(), "code row length mismatch");
+        // Decoding and squaring is element-wise, so a chunk of it
+        // vectorizes; only the adds are order-sensitive, and they stay one
+        // sequential chain.
+        const CHUNK: usize = 16;
+        let mut squares = [0.0f32; CHUNK];
+        let mut sum = 0.0;
+        let ranges = self.min.chunks(CHUNK).zip(self.step.chunks(CHUNK));
+        let rows = codes.chunks(CHUNK).zip(self.query.chunks(CHUNK));
+        for ((cs, qs), (los, steps)) in rows.zip(ranges) {
+            let dims = cs.iter().zip(qs).zip(los.iter().zip(steps));
+            for (sq, ((&c, q), (lo, step))) in squares.iter_mut().zip(dims) {
+                let delta = q - (lo + step * f32::from(c));
+                *sq = delta * delta;
+            }
+            for sq in &squares[..cs.len()] {
+                sum += sq;
             }
         }
-        QueryLut { dim, table }
+        sum
     }
 }
 
-/// Precomputed asymmetric-distance table for one query (see
-/// [`ScalarQuantizer::lut`]).
-#[derive(Clone, Debug)]
-pub struct QueryLut {
-    dim: usize,
-    table: Vec<f32>,
-}
-
-impl QueryLut {
-    /// Squared distance between the query and a code row.
-    pub fn dist2(&self, codes: &[u8]) -> f32 {
-        debug_assert_eq!(codes.len(), self.dim);
-        codes
-            .iter()
-            .enumerate()
-            .map(|(d, &c)| self.table[d * 256 + usize::from(c)])
-            .sum()
-    }
-}
-
-pub(crate) fn sq_l2(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| {
-            let d = x - y;
-            d * d
-        })
-        .sum()
-}
-
-fn sort_hits(hits: &mut [Hit]) {
+pub(crate) fn sort_hits(hits: &mut [Hit]) {
     hits.sort_by(|a, b| {
         a.distance
             .total_cmp(&b.distance)
@@ -198,14 +206,26 @@ fn sort_hits(hits: &mut [Hit]) {
     });
 }
 
-/// Keeps the `keep` smallest `(dist2, slot)` candidates in ascending order.
-fn take_top(cands: &mut Vec<(f32, usize)>, keep: usize) {
-    cands.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    cands.truncate(keep);
+/// Keeps the `keep` smallest `(dist2, position)` candidates in ascending
+/// order: a selection, then a sort of the survivors only. The order is
+/// strict and total, so the result equals sorting everything.
+fn take_top<P: Ord + Copy>(cands: &mut Vec<(f32, P)>, keep: usize) {
+    let by_rank = |a: &(f32, P), b: &(f32, P)| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1));
+    if keep < cands.len() {
+        cands.select_nth_unstable_by(keep, by_rank);
+        cands.truncate(keep);
+    }
+    cands.sort_unstable_by(by_rank);
+}
+
+/// Candidates a quantized search carries into ranking: `rerank · k` when an
+/// exact repair pass follows, else just `k`.
+pub(crate) fn keep_for(rerank: usize, k: usize) -> usize {
+    rerank.saturating_mul(k).max(k)
 }
 
 /// Exact-storage flat scan's quantized sibling: scores the whole corpus
-/// through the LUT, then re-ranks the top `rerank * k` exactly.
+/// in the quantized domain, then re-ranks the top `rerank * k` exactly.
 #[derive(Clone, Debug)]
 pub struct SqFlatIndex {
     dim: usize,
@@ -278,18 +298,13 @@ impl VectorIndex for SqFlatIndex {
         let mut cands: Vec<(f32, usize)> = (0..self.ids.len())
             .map(|i| (lut.dist2(self.code_row(i)), i))
             .collect();
-        let keep = if self.rerank > 0 {
-            self.rerank.saturating_mul(k).max(k)
-        } else {
-            k
-        };
-        take_top(&mut cands, keep);
+        take_top(&mut cands, keep_for(self.rerank, k));
         let mut hits: Vec<Hit> = cands
             .into_iter()
             .map(|(d2, i)| {
                 let d2 = if self.rerank > 0 {
                     work.vectors_scored += 1;
-                    sq_l2(self.exact_row(i), query)
+                    squared_l2(self.exact_row(i), query)
                 } else {
                     d2
                 };
@@ -310,7 +325,7 @@ impl VectorIndex for SqFlatIndex {
 type SqListEntry = (ChunkId, Vec<u8>, Vec<f32>);
 
 /// IVF with quantized inverted lists: centroids are ranked exactly, probed
-/// list members are scored through the LUT, and the best `rerank * k`
+/// list members are scored in the quantized domain, and the best `rerank * k`
 /// candidates are re-scored exactly.
 ///
 /// Built by converting a trained [`IvfIndex`] — k-means runs at full
@@ -387,7 +402,7 @@ impl VectorIndex for SqIvfIndex {
             .centroids
             .iter()
             .enumerate()
-            .map(|(i, c)| (sq_l2(c, query), i))
+            .map(|(i, c)| (squared_l2(c, query), i))
             .collect();
         order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let lut = self.sq.lut(query);
@@ -395,32 +410,23 @@ impl VectorIndex for SqIvfIndex {
             centroids_scored: self.centroids.len(),
             ..SearchWork::default()
         };
-        // (dist2, list, slot) candidates from the probed lists.
-        let mut cands: Vec<(f32, usize, usize)> = Vec::new();
+        // (dist2, (list, slot)) candidates from the probed lists.
+        let mut cands: Vec<(f32, (usize, usize))> = Vec::new();
         for &(_, list) in order.iter().take(self.config.nprobe) {
             work.lists_probed += 1;
             work.quantized_scored += self.lists[list].len();
             for (slot, (_, codes, _)) in self.lists[list].iter().enumerate() {
-                cands.push((lut.dist2(codes), list, slot));
+                cands.push((lut.dist2(codes), (list, slot)));
             }
         }
-        cands.sort_by(|a, b| {
-            a.0.total_cmp(&b.0)
-                .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
-        });
-        let keep = if self.rerank > 0 {
-            self.rerank.saturating_mul(k).max(k)
-        } else {
-            k
-        };
-        cands.truncate(keep);
+        take_top(&mut cands, keep_for(self.rerank, k));
         let mut hits: Vec<Hit> = cands
             .into_iter()
-            .map(|(d2, list, slot)| {
+            .map(|(d2, (list, slot))| {
                 let (id, _, exact) = &self.lists[list][slot];
                 let d2 = if self.rerank > 0 {
                     work.vectors_scored += 1;
-                    sq_l2(exact, query)
+                    squared_l2(exact, query)
                 } else {
                     d2
                 };
@@ -503,6 +509,48 @@ mod tests {
         assert_eq!(sq.decode(&sq.encode(&[3.0, 1.5]))[0], 3.0);
     }
 
+    /// The chunked scorer is the plain decode-square-sum loop, bit for bit,
+    /// at every row length around its chunk size.
+    #[test]
+    fn dist2_equals_the_sequential_reference_bitwise() {
+        for dim in (1..=40).chain([64, 100]) {
+            let items = grid_items(50, dim);
+            let sq = ScalarQuantizer::train(dim, items.iter().map(|(_, v)| v.as_slice()));
+            let q: Vec<f32> = (0..dim).map(|d| (d as f32 * 0.37).sin() * 6.0).collect();
+            let lut = sq.lut(&q);
+            for (_, v) in &items {
+                let codes = sq.encode(v);
+                let reference: f32 = (0..dim)
+                    .map(|d| {
+                        let delta = q[d] - (sq.min[d] + sq.step[d] * f32::from(codes[d]));
+                        delta * delta
+                    })
+                    .sum();
+                assert_eq!(
+                    lut.dist2(&codes).to_bits(),
+                    reference.to_bits(),
+                    "dim {dim}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "code row length mismatch")]
+    fn dist2_rejects_a_short_code_row() {
+        let items = grid_items(8, 4);
+        let sq = ScalarQuantizer::train(4, items.iter().map(|(_, v)| v.as_slice()));
+        sq.lut(&[0.0; 4]).dist2(&[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "code row length mismatch")]
+    fn dist2_rejects_a_long_code_row() {
+        let items = grid_items(8, 4);
+        let sq = ScalarQuantizer::train(4, items.iter().map(|(_, v)| v.as_slice()));
+        sq.lut(&[0.0; 4]).dist2(&[1, 2, 3, 4, 5]);
+    }
+
     #[test]
     fn lut_distance_matches_decoded_distance() {
         let items = grid_items(32, 4);
@@ -512,7 +560,7 @@ mod tests {
         for (_, v) in &items {
             let codes = sq.encode(v);
             let via_lut = lut.dist2(&codes);
-            let via_decode = sq_l2(&sq.decode(&codes), &q);
+            let via_decode = squared_l2(&sq.decode(&codes), &q);
             assert!(
                 (via_lut - via_decode).abs() < 1e-3,
                 "{via_lut} vs {via_decode}"
