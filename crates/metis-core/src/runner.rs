@@ -14,18 +14,29 @@
 //! the event loop only ever talks to the pump interface, so the same
 //! controller and engine code serves both.
 //!
-//! The runner interleaves four event kinds on one virtual timeline —
+//! The runner interleaves four event kinds on one virtual `Timeline` —
 //! per query: **Profile** (API call, off-GPU) → **Decide** (read the routed
 //! replica's free KV memory *at decision time* — the joint part of joint
 //! scheduling — and pick the configuration) → **Retrieve** (execute the
 //! index search the decided `num_chunks` asks for, charged by measured
 //! search work via [`RetrievalModel`]) → submit the synthesis calls to the
-//! driver's replicas. Retrieval deliberately follows the decision: the
-//! real `index.search(query, top_k)` cannot run before `top_k` exists.
-//! Between events the driver is pumped for completions; under the
-//! simulator that advances replicas in deterministic most-lagging order,
-//! under the realtime driver it waits for the scaled wall clock — which is
-//! exactly where arrival pacing physically happens.
+//! driver's replicas; plus a periodic **Autoscale** tick when the fleet is
+//! elastic. Retrieval deliberately follows the decision: the real
+//! `index.search(query, top_k)` cannot run before `top_k` exists.
+//!
+//! [`Runner::run`] is only the loop: let the driver catch up to the next
+//! event, hand it any completions, fire the event. Each event kind is one
+//! `&mut self` handler on the run's state (`on_profile`, `on_decide`,
+//! `on_retrieve`, `on_autoscale`, and `on_completions` for what the driver
+//! returns), which is the seam tracing and fault injection hook into. A
+//! query is carried by two records — `Staged` until its calls are
+//! submitted, `InFlight` while the driver has them — and its
+//! [`QueryResult`] is assembled in one place for provider-served and
+//! engine-served runs alike. Between events the driver is pumped for
+//! completions; under the simulator that advances replicas in
+//! deterministic most-lagging order, under the realtime driver it waits
+//! for the scaled wall clock — which is exactly where arrival pacing
+//! physically happens.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -40,7 +51,9 @@ use metis_llm::{
     LatencyModel, ModelKind, ModelSpec, Nanos, ReplicaSpec,
 };
 use metis_metrics::{f1_score, CellReport, LatencySummary, SummaryStats, ThroughputSummary};
-use metis_vectordb::{IndexSpec, Quantization, RetrievalOutcome, RetrievalResult, SearchWork};
+use metis_vectordb::{
+    IndexSpec, Quantization, RetrievalOutcome, RetrievalResult, SearchWork, StoreStats,
+};
 
 use crate::autoscaler::{Autoscaler, AutoscalerState, ScaleAction};
 use crate::config::{RagConfig, SynthesisMethod};
@@ -537,7 +550,7 @@ impl RunResult {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 enum EventKind {
     /// Run the profiler (or skip straight to deciding for fixed systems).
     Profile(usize),
@@ -552,72 +565,108 @@ enum EventKind {
     Autoscale,
 }
 
-struct PendingQuery {
-    /// When the query logically arrived (its Profile event time).
-    arrival: Nanos,
-    outcome: ProfileOutcome,
+/// The run's one event container. Events pop in (time, insertion) order;
+/// the insertion stamp is unique, so the event kind never decides.
+#[derive(Default)]
+struct Timeline {
+    heap: BinaryHeap<Reverse<(Nanos, u64, EventKind)>>,
+    seq: u64,
 }
 
-/// A query between its Decide and Retrieve events: the decision is made and
-/// the index search is in flight.
-struct StagedQuery {
+impl Timeline {
+    fn push(&mut self, t: Nanos, event: EventKind) {
+        self.heap.push(Reverse((t, self.seq, event)));
+        self.seq += 1;
+    }
+
+    /// When the next event is due.
+    fn next_time(&self) -> Option<Nanos> {
+        self.heap.peek().map(|Reverse((t, ..))| *t)
+    }
+
+    fn pop(&mut self) -> Option<(Nanos, EventKind)> {
+        self.heap.pop().map(|Reverse((t, _, event))| (t, event))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+}
+
+/// What is settled about a query once its configuration is decided and its
+/// retrieval executed. It rides unchanged from the pre-submit record into
+/// the in-flight one, and [`QueryResult`] is assembled from it alone.
+struct Query {
+    query_index: usize,
+    /// When the query logically arrived (its Profile event time).
     arrival: Nanos,
-    profiler_nanos: Nanos,
-    retrieval_nanos: Nanos,
-    retrieval_recall: f64,
-    work: SearchWork,
     priority: Priority,
     config: RagConfig,
     fallback: bool,
     replica: ReplicaId,
-    retrieved: Vec<RetrievalResult>,
-}
-
-struct ActiveQuery {
-    query_index: usize,
-    arrival: Nanos,
-    profiler_nanos: Nanos,
-    retrieval_nanos: Nanos,
     retrieval_recall: f64,
     work: SearchWork,
-    plan: SynthesisPlan,
-    replica: ReplicaId,
-    remaining: usize,
-    reduce_submitted: bool,
-    fallback: bool,
-    synthetic: bool,
-    priority: Priority,
     /// Worst (submit → admission) delay seen across the query's calls.
     queue_wait: Nanos,
-    /// Per-stage accounting: profile/retrieve filled at submission, engine
+    /// Per-stage accounting: profile/retrieve filled at decide time, engine
     /// stages accumulated from the completion that gates each wave.
     stages: StageBreakdown,
 }
 
-/// Mutable bookkeeping shared by the event handlers: the set of in-flight
-/// queries and the finished records.
-#[derive(Default)]
-struct Flight {
-    active: Vec<ActiveQuery>,
-    req_to_active: BTreeMap<RequestId, usize>,
-    next_req: u64,
-    next_group: u64,
-    results: Vec<QueryResult>,
-    api_cost: f64,
+impl Query {
+    /// The per-query record of a query whose last call finished at `finish`
+    /// on `served_by` — for provider-served and engine-served runs alike.
+    fn result(
+        &self,
+        dataset: &Dataset,
+        plan: &SynthesisPlan,
+        finish: Nanos,
+        served_by: ReplicaId,
+    ) -> QueryResult {
+        let gold = dataset.queries[self.query_index].gold_answer();
+        QueryResult {
+            query_index: self.query_index,
+            f1: f1_score(&plan.answer, &gold),
+            delay_secs: nanos_to_secs(finish.saturating_sub(self.arrival)),
+            profiler_secs: nanos_to_secs(self.stages.profile),
+            retrieval_secs: nanos_to_secs(self.stages.retrieve),
+            retrieval_recall: self.retrieval_recall,
+            work: self.work,
+            config: self.config,
+            fallback: self.fallback,
+            replica: served_by.0,
+            arrival_secs: nanos_to_secs(self.arrival),
+            finish_secs: nanos_to_secs(finish),
+            queue_wait_secs: nanos_to_secs(self.queue_wait),
+            priority: self.priority,
+            stages: self.stages,
+        }
+    }
 }
 
-impl Flight {
-    fn fresh_request(&mut self) -> RequestId {
-        let id = RequestId(self.next_req);
-        self.next_req += 1;
-        id
-    }
+/// A query that has not reached the serving substrate yet.
+enum Staged {
+    /// Profile → Decide: waiting out the profiler's API latency.
+    Profiled {
+        arrival: Nanos,
+        outcome: ProfileOutcome,
+    },
+    /// Decide → Retrieve: configured and routed, its index search in flight.
+    Searching {
+        query: Query,
+        retrieved: Vec<RetrievalResult>,
+    },
+}
 
-    fn fresh_group(&mut self) -> GroupId {
-        let id = GroupId(self.next_group);
-        self.next_group += 1;
-        id
-    }
+/// A query whose calls are with the driver.
+struct InFlight {
+    query: Query,
+    plan: SynthesisPlan,
+    /// Calls of the current wave still outstanding.
+    remaining: usize,
+    reduce_submitted: bool,
+    /// A golden-configuration feedback run, not a user query.
+    synthetic: bool,
 }
 
 /// The workload runner: a system- and driver-agnostic event loop over one
@@ -654,28 +703,90 @@ impl<'a> Runner<'a> {
         Self { dataset, cfg }
     }
 
-    /// Executes the run to completion.
+    /// Executes the run to completion: a loop that lets the driver catch up
+    /// to the next timeline event, fires it, and finally drains.
     pub fn run(self) -> RunResult {
-        let api_mode = self.cfg.model.kind == ModelKind::Api;
-        let latency = LatencyModel::new(self.cfg.model.clone(), self.cfg.cluster);
-        let gen = GenerationModel::new(&self.cfg.model, self.cfg.gen);
-        let mut controller = self.cfg.system.controller();
+        let mut run = Run::new(self.dataset, &self.cfg);
+        loop {
+            // Let the driver make progress (and collect completions) until
+            // the next event is due: the simulator steps the most-lagging
+            // replica up to it, the realtime driver waits for the wall to
+            // reach it. With no events left, drain. API serving has no
+            // engine to pump. Completions are handled batch by batch so
+            // follow-up submissions (a query's reduce) chain off each batch
+            // before the driver runs any further.
+            let next = run.timeline.next_time();
+            let done = match next {
+                _ if run.api_mode => None,
+                Some(t) => run.driver.pump_before(t),
+                None => run.driver.pump_idle(),
+            };
+            match (done, next) {
+                (Some(done), _) => run.on_completions(&done),
+                (None, Some(_)) => match run.timeline.pop().expect("an event was due") {
+                    (t, EventKind::Profile(q)) => run.on_profile(q, t),
+                    (t, EventKind::Decide(q)) => run.on_decide(q, t),
+                    (t, EventKind::Retrieve(q)) => run.on_retrieve(q, t),
+                    (t, EventKind::Autoscale) => run.on_autoscale(t),
+                },
+                // Every event fired and every submitted request complete.
+                (None, None) => break,
+            }
+        }
+        run.finish()
+    }
+}
+
+/// The state of one run in progress; the event handlers are its methods.
+struct Run<'a> {
+    dataset: &'a Dataset,
+    cfg: &'a RunConfig,
+    /// API serving (Fig. 13's GPT-4o comparison): no local engine runs.
+    api_mode: bool,
+    latency: LatencyModel,
+    gen: GenerationModel,
+    controller: Box<dyn ConfigController>,
+    driver_spec: DriverSpec,
+    driver: Box<dyn Driver>,
+    /// The initial fleet; replicas the autoscaler adds cycle through it.
+    fleet: FleetSpec,
+    engine_cfg: EngineConfig,
+    timeline: Timeline,
+    /// Per-replica prefix-cache capacity in tokens, when KV reuse is on.
+    prefix_tokens: Option<u64>,
+    /// One prefix cache per replica: chunk KV materialized on one backend
+    /// is invisible to the others.
+    prefix_caches: Option<Vec<PrefixCache>>,
+    autoscale: Option<Autoscaler>,
+    scaler_state: AutoscalerState,
+    staged: BTreeMap<usize, Staged>,
+    in_flight: Vec<InFlight>,
+    /// Outstanding engine request → index into `in_flight`.
+    owner: BTreeMap<RequestId, usize>,
+    next_req: u64,
+    next_group: u64,
+    results: Vec<QueryResult>,
+    api_cost: f64,
+    /// The chunk store's tier counters at the start, so the report can
+    /// attribute hot/cold traffic to this run alone (they are cumulative
+    /// across runs sharing a dataset).
+    store_stats_at_start: StoreStats,
+}
+
+impl<'a> Run<'a> {
+    fn new(dataset: &'a Dataset, cfg: &'a RunConfig) -> Self {
+        let api_mode = cfg.model.kind == ModelKind::Api;
+        let controller = cfg.system.controller();
         // API serving has no local replicas: collapse to one engine (never
         // stepped) so the run report doesn't invent idle backends.
-        let replica_count = if api_mode {
-            1
-        } else {
-            self.cfg.replicas.max(1)
-        };
-        let fleet = match &self.cfg.replica_specs {
-            Some(specs) if !api_mode => {
-                FleetSpec::heterogeneous(self.cfg.model.clone(), specs.clone())
-            }
-            _ => FleetSpec::new(self.cfg.model.clone(), self.cfg.cluster, replica_count),
+        let replica_count = if api_mode { 1 } else { cfg.replicas.max(1) };
+        let fleet = match &cfg.replica_specs {
+            Some(specs) if !api_mode => FleetSpec::heterogeneous(cfg.model.clone(), specs.clone()),
+            _ => FleetSpec::new(cfg.model.clone(), cfg.cluster, replica_count),
         };
         let engine_cfg = EngineConfig {
             policy: controller.sched_policy(),
-            ..self.cfg.engine
+            ..cfg.engine
         };
         let engines: Vec<Engine> = fleet
             .latency_models()
@@ -684,661 +795,357 @@ impl<'a> Runner<'a> {
             .collect();
         // API serving never steps an engine, so the driver choice is moot
         // there; force the simulator rather than spawning idle workers.
-        let spec = if api_mode {
+        let driver_spec = if api_mode {
             DriverSpec::Sim
         } else {
-            self.cfg.driver
+            cfg.driver
         };
-        let mut driver: Box<dyn Driver> = spec.build(engines, self.cfg.router);
-        let metadata = self.dataset.db.metadata().clone();
-        // Snapshot the chunk store's tier counters so the run report can
-        // attribute hot/cold traffic to this run alone (the store's counters
-        // are cumulative across runs sharing a dataset).
-        let store_stats_at_start = self.dataset.db.store().stats();
+        let driver = driver_spec.build(engines, cfg.router);
 
-        // Event queue: (time, seq) → event.
-        let mut heap: BinaryHeap<Reverse<(Nanos, u64)>> = BinaryHeap::new();
-        let mut events: BTreeMap<u64, EventKind> = BTreeMap::new();
-        let mut seq: u64 = 0;
-        let push = |heap: &mut BinaryHeap<Reverse<(Nanos, u64)>>,
-                    events: &mut BTreeMap<u64, EventKind>,
-                    seq: &mut u64,
-                    t: Nanos,
-                    e: EventKind| {
-            heap.push(Reverse((t, *seq)));
-            events.insert(*seq, e);
-            *seq += 1;
-        };
-
-        if self.cfg.closed_loop {
-            push(
-                &mut heap,
-                &mut events,
-                &mut seq,
-                self.cfg.arrivals[0],
-                EventKind::Profile(0),
-            );
+        let mut timeline = Timeline::default();
+        if cfg.closed_loop {
+            timeline.push(cfg.arrivals[0], EventKind::Profile(0));
         } else {
-            for (i, &t) in self.cfg.arrivals.iter().enumerate() {
-                push(&mut heap, &mut events, &mut seq, t, EventKind::Profile(i));
+            for (q, &t) in cfg.arrivals.iter().enumerate() {
+                timeline.push(t, EventKind::Profile(q));
             }
         }
-
-        // One prefix cache per replica: chunk KV materialized on one backend
-        // is invisible to the others. Replicas added by the autoscaler get
-        // their own (cold) cache of the same size.
-        let prefix_tokens = self
-            .cfg
+        // Fleet elasticity: the first autoscaler tick fires one interval
+        // after the first arrival; each tick reschedules the next.
+        let autoscale = if api_mode { None } else { cfg.autoscale };
+        if let (Some(policy), Some(&first)) = (&autoscale, cfg.arrivals.iter().min()) {
+            timeline.push(first + policy.eval_interval_nanos, EventKind::Autoscale);
+        }
+        // Replicas added by the autoscaler get their own (cold) cache of
+        // the same size.
+        let prefix_tokens = cfg
             .prefix_cache_bytes
-            .map(|bytes| bytes / self.cfg.model.kv_bytes_per_token().max(1));
-        let mut prefix_caches: Option<Vec<PrefixCache>> = prefix_tokens.map(|tokens| {
+            .map(|bytes| bytes / cfg.model.kv_bytes_per_token().max(1));
+        let prefix_caches = prefix_tokens.map(|tokens| {
             (0..driver.replicas())
                 .map(|_| PrefixCache::new(tokens))
                 .collect()
         });
-
-        // Fleet elasticity: schedule the first autoscaler tick one interval
-        // after the first arrival; each tick reschedules the next while
-        // external events remain.
-        let autoscale = if api_mode { None } else { self.cfg.autoscale };
-        let mut scaler_state = AutoscalerState::default();
-        if let Some(policy) = &autoscale {
-            if let Some(&first) = self.cfg.arrivals.iter().min() {
-                push(
-                    &mut heap,
-                    &mut events,
-                    &mut seq,
-                    first + policy.eval_interval_nanos,
-                    EventKind::Autoscale,
-                );
-            }
-        }
-        let mut pending: BTreeMap<usize, PendingQuery> = BTreeMap::new();
-        let mut staged: BTreeMap<usize, StagedQuery> = BTreeMap::new();
-        let mut flight = Flight::default();
-
-        loop {
-            let next_event = heap.peek().map(|Reverse((t, s))| (*t, *s));
-            match next_event {
-                Some((t, s)) => {
-                    // Let the driver make progress (and collect completions)
-                    // until the event at `t` is due: the simulator steps the
-                    // most-lagging replica up to `t`, the realtime driver
-                    // waits for the wall to reach `t`. Completions are
-                    // processed batch by batch so follow-up submissions (a
-                    // query's reduce) chain off each batch before the driver
-                    // runs any further.
-                    if !api_mode {
-                        while let Some(done) = driver.pump_before(t) {
-                            self.process_completions(
-                                &done,
-                                &mut flight,
-                                driver.as_mut(),
-                                controller.as_mut(),
-                                |t, e| push(&mut heap, &mut events, &mut seq, t, e),
-                            );
-                        }
-                    }
-                    heap.pop();
-                    let event = events.remove(&s).expect("event for popped seq");
-                    match event {
-                        EventKind::Profile(q) => {
-                            let outcome = controller.on_profile(
-                                &self.dataset.queries[q],
-                                &metadata,
-                                self.cfg.seed ^ 0xF0F1,
-                            );
-                            flight.api_cost += outcome.cost_usd;
-                            let decide_at = t + outcome.profiler_nanos;
-                            pending.insert(
-                                q,
-                                PendingQuery {
-                                    arrival: t,
-                                    outcome,
-                                },
-                            );
-                            push(
-                                &mut heap,
-                                &mut events,
-                                &mut seq,
-                                decide_at,
-                                EventKind::Decide(q),
-                            );
-                        }
-                        EventKind::Decide(q) => {
-                            let p = pending.remove(&q).expect("profiled before decide");
-                            let (stage, retrieve_at) = self.decide_and_retrieve(
-                                q,
-                                t,
-                                p,
-                                &latency,
-                                driver.as_mut(),
-                                api_mode,
-                                controller.as_mut(),
-                            );
-                            staged.insert(q, stage);
-                            push(
-                                &mut heap,
-                                &mut events,
-                                &mut seq,
-                                retrieve_at,
-                                EventKind::Retrieve(q),
-                            );
-                        }
-                        EventKind::Retrieve(q) => {
-                            let stage = staged.remove(&q).expect("decided before retrieve");
-                            self.submit_after_retrieval(
-                                q,
-                                t,
-                                stage,
-                                &gen,
-                                &latency,
-                                driver.as_mut(),
-                                api_mode,
-                                &mut flight,
-                                controller.as_mut(),
-                                &mut prefix_caches,
-                                |t, e| push(&mut heap, &mut events, &mut seq, t, e),
-                            );
-                        }
-                        EventKind::Autoscale => {
-                            let policy =
-                                autoscale.as_ref().expect("autoscale event without policy");
-                            let active = driver.active_replicas(t);
-                            let queue_depth = driver.queue_depth();
-                            // Worst pressure over the replicas still taking
-                            // routes: retired slots keep their (frozen)
-                            // stats and must not gate future decisions.
-                            let pressure = (0..driver.replicas())
-                                .map(|i| ReplicaId(i as u32))
-                                .filter(|&id| driver.is_routable(id, t))
-                                .map(|id| driver.preemption_pressure(id))
-                                .fold(0.0_f64, f64::max);
-                            match policy.evaluate(
-                                t,
-                                active,
-                                queue_depth,
-                                pressure,
-                                &mut scaler_state,
-                            ) {
-                                ScaleAction::Up => {
-                                    // New slots cycle through the fleet's
-                                    // replica specs, so a heterogeneous mix
-                                    // grows in kind.
-                                    let slot = driver.replicas();
-                                    let spec = fleet.replicas[slot % fleet.replicas.len()];
-                                    let lat =
-                                        LatencyModel::new(self.cfg.model.clone(), spec.cluster);
-                                    let warmup = spec.warmup_nanos.max(policy.warmup_nanos);
-                                    driver.add_replica(Engine::new(lat, engine_cfg), t, warmup);
-                                    if let (Some(caches), Some(tokens)) =
-                                        (prefix_caches.as_mut(), prefix_tokens)
-                                    {
-                                        caches.push(PrefixCache::new(tokens));
-                                    }
-                                }
-                                ScaleAction::Down => {
-                                    // Drain the newest routable slot; the
-                                    // driver refuses the last one.
-                                    for i in (0..driver.replicas()).rev() {
-                                        let id = ReplicaId(i as u32);
-                                        if driver.is_routable(id, t) && driver.drain_replica(id, t)
-                                        {
-                                            break;
-                                        }
-                                    }
-                                }
-                                ScaleAction::Hold => {}
-                            }
-                            // Keep ticking while external events remain;
-                            // once only the drain is left the fleet is
-                            // frozen and the run can empty its heap.
-                            if !events.is_empty() {
-                                push(
-                                    &mut heap,
-                                    &mut events,
-                                    &mut seq,
-                                    t + policy.eval_interval_nanos,
-                                    EventKind::Autoscale,
-                                );
-                            }
-                        }
-                    }
-                }
-                None => {
-                    // No external events left: drain. Keep pumping (and
-                    // chaining reduce submissions) until the driver reports
-                    // every submitted request complete.
-                    if api_mode {
-                        break;
-                    }
-                    match driver.pump_idle() {
-                        Some(done) => self.process_completions(
-                            &done,
-                            &mut flight,
-                            driver.as_mut(),
-                            controller.as_mut(),
-                            |t, e| push(&mut heap, &mut events, &mut seq, t, e),
-                        ),
-                        None => break,
-                    }
-                }
-            }
-        }
-
-        // Tear the driver down (joining worker threads for realtime) and
-        // collect run totals.
-        let driver_stats = driver.finish();
-
-        let Flight {
-            mut results,
-            api_cost,
-            ..
-        } = flight;
-        results.sort_by_key(|r| r.query_index);
-        let makespan_secs = {
-            let first = results
-                .iter()
-                .map(|r| r.arrival_secs)
-                .fold(f64::MAX, f64::min);
-            let last = results.iter().map(|r| r.finish_secs).fold(0.0, f64::max);
-            if results.is_empty() {
-                0.0
-            } else {
-                (last - first).max(0.0)
-            }
-        };
-        let mut index_work = SearchWork::default();
-        for r in &results {
-            index_work.add(&r.work);
-        }
-        let store_delta = self.dataset.db.store().stats().since(&store_stats_at_start);
-        RunResult {
-            per_query: results,
-            replicas: driver_stats.replicas,
-            gpu_busy_secs: driver_stats.busy_secs(),
-            api_cost_usd: api_cost,
-            makespan_secs,
-            preemptions: driver_stats.preemptions,
-            preempted_tokens: driver_stats.preempted_tokens,
-            migrations: driver_stats.migrations,
-            migrated_tokens: driver_stats.migrated_tokens,
-            peak_replicas: driver_stats.peak_replicas,
-            replica_seconds: driver_stats.replica_seconds,
-            driver: spec.kind(),
-            time_scale: spec.time_scale(),
-            index_spec: self.cfg.index,
-            quant: self.cfg.quant,
-            index_work,
-            store_bytes_hot: store_delta.bytes_hot_touched,
-            store_bytes_cold: store_delta.bytes_cold_touched,
-            prefix_hit_rate: prefix_caches.map_or(0.0, |caches| {
-                let (hits, lookups) = caches
-                    .iter()
-                    .fold((0u64, 0u64), |(h, l), c| (h + c.hits(), l + c.lookups()));
-                if lookups == 0 {
-                    0.0
-                } else {
-                    hits as f64 / lookups as f64
-                }
-            }),
+        Self {
+            dataset,
+            cfg,
+            api_mode,
+            latency: LatencyModel::new(cfg.model.clone(), cfg.cluster),
+            gen: GenerationModel::new(&cfg.model, cfg.gen),
+            controller,
+            driver_spec,
+            driver,
+            fleet,
+            engine_cfg,
+            timeline,
+            prefix_tokens,
+            prefix_caches,
+            autoscale,
+            scaler_state: AutoscalerState::default(),
+            staged: BTreeMap::new(),
+            in_flight: Vec::new(),
+            owner: BTreeMap::new(),
+            next_req: 0,
+            next_group: 0,
+            results: Vec::new(),
+            api_cost: 0.0,
+            store_stats_at_start: dataset.db.store().stats(),
         }
     }
 
-    /// Chooses the configuration for `q` at decision time `t` (against the
-    /// routed replica's memory snapshot), executes the index search the
-    /// decided `num_chunks` asks for, and returns the staged query plus the
-    /// timeline instant its retrieval completes — the measured search work
-    /// converted by the run's [`RetrievalModel`].
-    #[allow(clippy::too_many_arguments)]
-    fn decide_and_retrieve(
-        &self,
-        q: usize,
-        t: Nanos,
-        pending: PendingQuery,
-        latency: &LatencyModel,
-        driver: &mut dyn Driver,
-        api_mode: bool,
-        controller: &mut dyn ConfigController,
-    ) -> (StagedQuery, Nanos) {
-        let query = &self.dataset.queries[q];
-        let chunk_size = self.dataset.db.metadata().chunk_size as u64;
-        // Route first, then let the controller size its configuration
-        // against that replica's free memory: per-backend joint
-        // configuration/scheduling.
-        let replica = if api_mode {
-            ReplicaId(0)
-        } else {
-            driver.route(t)
-        };
-        let decision = controller.decide(&DecisionContext {
-            space: pending.outcome.space.as_ref(),
-            estimate: pending.outcome.estimate.as_ref(),
-            free_kv_tokens: driver.free_kv_tokens(replica),
-            preemption_pressure: if api_mode {
-                0.0
-            } else {
-                driver.preemption_pressure(replica)
-            },
-            chunk_size,
-            query_tokens: query.tokens.len() as u64,
-            index: self.dataset.db.index_meta(),
-            latency,
-        });
-        let (config, fallback) = (decision.config, decision.fallback);
-
-        // The real index search, sized by the decision's top-k through the
-        // one shared clamp, with per-search work accounting.
-        let top_k = config.effective_chunks(self.dataset.db.len());
-        let RetrievalOutcome {
-            results: retrieved,
-            work,
-            embed_units,
-        } = self.dataset.db.retrieve_counted(&query.tokens, top_k);
-        let retrieval_nanos = self.cfg.retrieval.nanos(&work, embed_units);
-        let retrieval_recall = fact_recall(query, &retrieved);
-        (
-            StagedQuery {
-                arrival: pending.arrival,
-                profiler_nanos: pending.outcome.profiler_nanos,
-                retrieval_nanos,
-                retrieval_recall,
-                work,
-                priority: pending.outcome.priority,
-                config,
-                fallback,
-                replica,
-                retrieved,
-            },
-            t + retrieval_nanos,
-        )
+    fn fresh_request(&mut self) -> RequestId {
+        let id = RequestId(self.next_req);
+        self.next_req += 1;
+        id
     }
 
-    /// Retrieval for `q` finished at `t`: plan synthesis over the fetched
-    /// chunks and submit the calls to the replica routed at decide time.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_after_retrieval(
+    /// Plans synthesis for query `q` under `config` over `retrieved`.
+    fn plan(
         &self,
         q: usize,
-        t: Nanos,
-        stage: StagedQuery,
-        gen: &GenerationModel,
-        latency: &LatencyModel,
-        driver: &mut dyn Driver,
-        api_mode: bool,
-        flight: &mut Flight,
-        controller: &mut dyn ConfigController,
-        prefix_caches: &mut Option<Vec<PrefixCache>>,
-        mut push_event: impl FnMut(Nanos, EventKind),
-    ) {
+        config: &RagConfig,
+        retrieved: &[RetrievalResult],
+        seed: u64,
+    ) -> SynthesisPlan {
         let query = &self.dataset.queries[q];
-        let StagedQuery {
-            arrival,
-            profiler_nanos,
-            retrieval_nanos,
-            retrieval_recall,
-            work,
-            priority,
-            config,
-            fallback,
-            replica,
-            retrieved,
-        } = stage;
         let inputs = SynthesisInputs {
-            gen,
+            gen: &self.gen,
             truth: &query.truth,
             query_tokens: &query.tokens,
             boilerplate: &self.dataset.boilerplate,
         };
-        let plan = plan_synthesis(
-            &inputs,
-            &config,
-            &retrieved,
-            self.cfg.seed ^ (q as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
+        plan_synthesis(&inputs, config, retrieved, seed)
+    }
 
-        if api_mode {
-            // API serving (Fig. 13's GPT-4o comparison): map calls run
-            // concurrently against the provider; the reduce (if any) follows.
-            let map_nanos = plan
-                .map_calls
-                .iter()
-                .map(|c| latency.api_call(c.prompt_tokens, c.output_tokens))
-                .max()
-                .unwrap_or(0);
-            for c in &plan.map_calls {
-                flight.api_cost += latency.api_cost_usd(c.prompt_tokens, c.output_tokens);
-            }
-            let reduce_nanos = plan.reduce_call.map_or(0, |c| {
-                flight.api_cost += latency.api_cost_usd(c.prompt_tokens, c.output_tokens);
-                latency.api_call(c.prompt_tokens, c.output_tokens)
-            });
-            let finish = t + map_nanos + reduce_nanos;
-            flight.results.push(QueryResult {
-                query_index: q,
-                f1: f1_score(&plan.answer, &query.gold_answer()),
-                delay_secs: nanos_to_secs(finish.saturating_sub(arrival)),
-                profiler_secs: nanos_to_secs(profiler_nanos),
-                retrieval_secs: nanos_to_secs(retrieval_nanos),
-                retrieval_recall,
-                work,
-                config,
-                fallback,
-                replica: 0,
-                arrival_secs: nanos_to_secs(arrival),
-                finish_secs: nanos_to_secs(finish),
-                queue_wait_secs: 0.0,
-                priority,
-                // No local queue or prefill accounting against a provider:
-                // the whole API call lands in `decode`.
-                stages: StageBreakdown {
-                    profile: profiler_nanos,
-                    retrieve: retrieval_nanos,
-                    decode: map_nanos + reduce_nanos,
-                    ..StageBreakdown::default()
-                },
-            });
-            if self.cfg.closed_loop && q + 1 < self.dataset.queries.len() {
-                push_event(finish, EventKind::Profile(q + 1));
-            }
-            return;
+    /// Query `q` arrives at `t`: run the profiler (an API call, off-GPU)
+    /// and schedule the decision for when it returns.
+    fn on_profile(&mut self, q: usize, t: Nanos) {
+        let outcome = self.controller.on_profile(
+            &self.dataset.queries[q],
+            self.dataset.db.metadata(),
+            self.cfg.seed ^ 0xF0F1,
+        );
+        self.api_cost += outcome.cost_usd;
+        self.timeline
+            .push(t + outcome.profiler_nanos, EventKind::Decide(q));
+        self.staged.insert(
+            q,
+            Staged::Profiled {
+                arrival: t,
+                outcome,
+            },
+        );
+    }
+
+    /// Chooses the configuration for `q` at decision time `t` (against the
+    /// routed replica's memory snapshot), executes the index search the
+    /// decided `num_chunks` asks for, and schedules its completion — the
+    /// measured search work converted by the run's [`RetrievalModel`].
+    fn on_decide(&mut self, q: usize, t: Nanos) {
+        let Some(Staged::Profiled { arrival, outcome }) = self.staged.remove(&q) else {
+            unreachable!("query {q} is decided once, after its profile");
+        };
+        let query = &self.dataset.queries[q];
+        let db = &self.dataset.db;
+        // Route first, then let the controller size its configuration
+        // against that replica's free memory: per-backend joint
+        // configuration/scheduling.
+        let replica = if self.api_mode {
+            ReplicaId(0)
+        } else {
+            self.driver.route(t)
+        };
+        let decision = self.controller.decide(&DecisionContext {
+            space: outcome.space.as_ref(),
+            estimate: outcome.estimate.as_ref(),
+            free_kv_tokens: self.driver.free_kv_tokens(replica),
+            preemption_pressure: if self.api_mode {
+                0.0
+            } else {
+                self.driver.preemption_pressure(replica)
+            },
+            chunk_size: db.metadata().chunk_size as u64,
+            query_tokens: query.tokens.len() as u64,
+            index: db.index_meta(),
+            latency: &self.latency,
+        });
+        // The real index search, sized by the decision's top-k through the
+        // one shared clamp, with per-search work accounting.
+        let top_k = decision.config.effective_chunks(db.len());
+        let RetrievalOutcome {
+            results: retrieved,
+            work,
+            embed_units,
+        } = db.retrieve_counted(&query.tokens, top_k);
+        let retrieval_nanos = self.cfg.retrieval.nanos(&work, embed_units);
+        self.timeline
+            .push(t + retrieval_nanos, EventKind::Retrieve(q));
+        let query = Query {
+            query_index: q,
+            arrival,
+            priority: outcome.priority,
+            config: decision.config,
+            fallback: decision.fallback,
+            replica,
+            retrieval_recall: fact_recall(query, &retrieved),
+            work,
+            queue_wait: 0,
+            stages: StageBreakdown {
+                profile: outcome.profiler_nanos,
+                retrieve: retrieval_nanos,
+                ..StageBreakdown::default()
+            },
+        };
+        self.staged
+            .insert(q, Staged::Searching { query, retrieved });
+    }
+
+    /// Retrieval for `q` finished at `t`: plan synthesis over the fetched
+    /// chunks and submit the calls to the replica routed at decide time.
+    fn on_retrieve(&mut self, q: usize, t: Nanos) {
+        let Some(Staged::Searching {
+            mut query,
+            retrieved,
+        }) = self.staged.remove(&q)
+        else {
+            unreachable!("query {q} is submitted once, after its decision");
+        };
+        let seed = self.cfg.seed ^ (q as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let plan = self.plan(q, &query.config, &retrieved, seed);
+        if self.api_mode {
+            return self.serve_by_api(query, &plan, t);
         }
 
         // Chunk-level KV reuse (§8): consult the prefix cache for every
-        // chunk this plan reads; cached chunks skip prefill compute.
-        let k_used = plan
-            .map_calls
-            .len()
-            .min(retrieved.len())
-            .max(usize::from(!retrieved.is_empty()));
-        // Prefix-aware routing: the decide-time route was a least-KV
-        // fallback (the retrieved chunks were unknown). Now they are known,
-        // so re-route to the routable replica whose cache already holds the
-        // most of their KV — and only switch when some cache actually
-        // overlaps, otherwise the memory-sized fallback stands.
-        let replica = match (&self.cfg.router, prefix_caches.as_ref()) {
-            (RouterPolicy::PrefixAware, Some(caches)) if !api_mode => {
-                let considered = match config.synthesis {
-                    SynthesisMethod::Stuff => config.effective_chunks(retrieved.len()),
-                    _ => k_used,
-                };
-                let overlap_of = |cache: &PrefixCache| -> u64 {
-                    retrieved
-                        .iter()
-                        .take(considered)
-                        .map(|r| cache.peek_tokens(r.hit.chunk, r.text.len() as u64))
-                        .sum()
-                };
-                caches
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| {
-                        driver.is_routable(ReplicaId(*i as u32), t) || *i == replica.0 as usize
-                    })
-                    .map(|(i, cache)| (overlap_of(cache), i))
-                    .max_by_key(|&(overlap, i)| (overlap, std::cmp::Reverse(i)))
-                    .filter(|&(overlap, _)| overlap > 0)
-                    .map_or(replica, |(_, i)| ReplicaId(i as u32))
-            }
-            _ => replica,
-        };
-        // The routed replica's own cache: KV cached elsewhere doesn't help.
-        let prefix_cache = prefix_caches
-            .as_mut()
-            .map(|caches| &mut caches[replica.0 as usize]);
-        let cached_per_call: Vec<u64> = match prefix_cache {
-            None => vec![0; plan.map_calls.len()],
-            Some(pc) => match config.synthesis {
-                SynthesisMethod::Stuff => {
-                    let total: u64 = retrieved
-                        .iter()
-                        .take(config.effective_chunks(retrieved.len()))
-                        .map(|r| pc.lookup_or_insert(r.hit.chunk, r.text.len() as u64))
-                        .sum();
-                    vec![total]
-                }
-                _ => retrieved
-                    .iter()
-                    .take(k_used)
-                    .map(|r| pc.lookup_or_insert(r.hit.chunk, r.text.len() as u64))
-                    .collect(),
-            },
-        };
-
-        // Submit the first wave (maps / the single stuff call).
-        let wave_stage = if plan.reduce_call.is_some() {
-            Stage::Map
+        // chunk this plan reads; cached chunks skip prefill compute. A
+        // `stuff` plan reads its chunks in one call, the others one each.
+        let stuffed = query.config.synthesis == SynthesisMethod::Stuff;
+        let read = if stuffed {
+            query.config.effective_chunks(retrieved.len())
         } else {
-            Stage::Single
+            let calls = plan.map_calls.len().min(retrieved.len());
+            calls.max(usize::from(!retrieved.is_empty()))
         };
-        self.submit_wave(
-            driver,
-            flight,
-            SubmitWave {
-                query_index: q,
-                arrival,
-                profiler_nanos,
-                retrieval_nanos,
-                retrieval_recall,
-                work,
-                plan,
-                replica,
-                stage: wave_stage,
-                cached_per_call: &cached_per_call,
-                now: t,
-                fallback,
-                synthetic: false,
-                priority,
-            },
-        );
+        let read = &retrieved[..read];
+        query.replica = self.reroute_by_prefix(query.replica, read, t);
+        // The routed replica's own cache: KV cached elsewhere doesn't help.
+        let cached_per_call: Vec<u64> = match &mut self.prefix_caches {
+            None => Vec::new(),
+            Some(caches) => {
+                let cache = &mut caches[query.replica.0 as usize];
+                let per_chunk = read
+                    .iter()
+                    .map(|r| cache.lookup_or_insert(r.hit.chunk, r.text.len() as u64));
+                if stuffed {
+                    vec![per_chunk.sum()]
+                } else {
+                    per_chunk.collect()
+                }
+            }
+        };
+        self.submit_wave(query, plan, false, &cached_per_call, t);
 
         // §5 feedback: the controller may ask for one golden-configuration
         // run whose completion grounds the profiler. Its retrieval is
         // background measurement and is not charged to the timeline.
-        if controller.feedback_due() {
+        if self.controller.feedback_due() {
             let golden = RagConfig::golden();
-            let retrieved = self.dataset.db.retrieve(
-                &query.tokens,
-                golden.effective_chunks(self.dataset.db.len()),
+            let db = &self.dataset.db;
+            let retrieved = db.retrieve(
+                &self.dataset.queries[q].tokens,
+                golden.effective_chunks(db.len()),
             );
-            let plan = plan_synthesis(
-                &inputs,
-                &golden,
-                &retrieved,
-                self.cfg.seed ^ 0x601D ^ q as u64,
-            );
-            let replica = driver.route(t);
-            self.submit_wave(
-                driver,
-                flight,
-                SubmitWave {
-                    query_index: q,
-                    arrival: t,
-                    profiler_nanos: 0,
-                    retrieval_nanos: 0,
-                    retrieval_recall: 0.0,
-                    work: SearchWork::default(),
-                    plan,
-                    replica,
-                    stage: Stage::Map,
-                    cached_per_call: &[],
-                    now: t,
-                    fallback: false,
-                    synthetic: true,
-                    // Golden feedback runs are background measurement: they
-                    // yield to real traffic under a preemptive scheduler.
-                    priority: Priority::Batch,
-                },
-            );
+            let plan = self.plan(q, &golden, &retrieved, self.cfg.seed ^ 0x601D ^ q as u64);
+            let synthetic = Query {
+                query_index: q,
+                arrival: t,
+                // Golden feedback runs are background measurement: they
+                // yield to real traffic under a preemptive scheduler.
+                priority: Priority::Batch,
+                config: golden,
+                fallback: false,
+                replica: self.driver.route(t),
+                retrieval_recall: 0.0,
+                work: SearchWork::default(),
+                queue_wait: 0,
+                stages: StageBreakdown::default(),
+            };
+            self.submit_wave(synthetic, plan, true, &[], t);
         }
     }
 
-    /// Submits one query's first wave of calls to its routed replica and
-    /// records it as active.
-    fn submit_wave(&self, driver: &mut dyn Driver, flight: &mut Flight, wave: SubmitWave<'_>) {
-        let group = flight.fresh_group();
-        let idx = flight.active.len();
-        let call_count = wave.plan.map_calls.len();
-        for (ci, c) in wave.plan.map_calls.iter().enumerate() {
-            let id = flight.fresh_request();
-            driver.submit(
-                wave.replica,
+    /// Prefix-aware routing: the decide-time route was a least-KV fallback
+    /// (the retrieved chunks were unknown). Now the chunks the plan `read`s
+    /// are known, so re-route to the routable replica whose cache already
+    /// holds the most of their KV — and only switch when some cache
+    /// actually overlaps, otherwise the memory-sized fallback stands.
+    fn reroute_by_prefix(
+        &self,
+        routed: ReplicaId,
+        read: &[RetrievalResult],
+        t: Nanos,
+    ) -> ReplicaId {
+        let (RouterPolicy::PrefixAware, Some(caches)) = (self.cfg.router, &self.prefix_caches)
+        else {
+            return routed;
+        };
+        let overlap_of = |cache: &PrefixCache| -> u64 {
+            read.iter()
+                .map(|r| cache.peek_tokens(r.hit.chunk, r.text.len() as u64))
+                .sum()
+        };
+        caches
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| {
+                self.driver.is_routable(ReplicaId(i as u32), t) || i == routed.0 as usize
+            })
+            .map(|(i, cache)| (overlap_of(cache), i))
+            .max_by_key(|&(overlap, i)| (overlap, Reverse(i)))
+            .filter(|&(overlap, _)| overlap > 0)
+            .map_or(routed, |(_, i)| ReplicaId(i as u32))
+    }
+
+    /// API serving (Fig. 13's GPT-4o comparison): map calls run concurrently
+    /// against the provider; the reduce (if any) follows. There is no local
+    /// queue or prefill accounting, so the whole call lands in `decode`.
+    fn serve_by_api(&mut self, mut query: Query, plan: &SynthesisPlan, t: Nanos) {
+        let map_nanos = plan
+            .map_calls
+            .iter()
+            .map(|c| self.latency.api_call(c.prompt_tokens, c.output_tokens))
+            .max()
+            .unwrap_or(0);
+        let reduce_nanos = plan.reduce_call.map_or(0, |c| {
+            self.latency.api_call(c.prompt_tokens, c.output_tokens)
+        });
+        for c in plan.map_calls.iter().chain(&plan.reduce_call) {
+            self.api_cost += self.latency.api_cost_usd(c.prompt_tokens, c.output_tokens);
+        }
+        query.stages.decode = map_nanos + reduce_nanos;
+        let finish = t + query.stages.decode;
+        self.record(
+            query.result(self.dataset, plan, finish, ReplicaId(0)),
+            finish,
+        );
+    }
+
+    /// Submits a query's first wave — its map calls, or the single `stuff`
+    /// call — to its routed replica and records it as in flight.
+    fn submit_wave(
+        &mut self,
+        query: Query,
+        plan: SynthesisPlan,
+        synthetic: bool,
+        cached_per_call: &[u64],
+        now: Nanos,
+    ) {
+        let group = GroupId(self.next_group);
+        self.next_group += 1;
+        let stage = if plan.reduce_call.is_some() {
+            Stage::Map
+        } else {
+            Stage::Single
+        };
+        for (ci, c) in plan.map_calls.iter().enumerate() {
+            let id = self.fresh_request();
+            self.driver.submit(
+                query.replica,
                 LlmRequest {
                     id,
                     group,
-                    stage: wave.stage,
+                    stage,
                     prompt_tokens: c.prompt_tokens,
                     output_tokens: c.output_tokens,
-                    cached_prompt_tokens: wave.cached_per_call.get(ci).copied().unwrap_or(0),
-                    arrival: wave.now,
-                    priority: wave.priority,
+                    cached_prompt_tokens: cached_per_call.get(ci).copied().unwrap_or(0),
+                    arrival: now,
+                    priority: query.priority,
                 },
             );
-            flight.req_to_active.insert(id, idx);
+            self.owner.insert(id, self.in_flight.len());
         }
-        flight.active.push(ActiveQuery {
-            query_index: wave.query_index,
-            arrival: wave.arrival,
-            profiler_nanos: wave.profiler_nanos,
-            retrieval_nanos: wave.retrieval_nanos,
-            retrieval_recall: wave.retrieval_recall,
-            work: wave.work,
-            plan: wave.plan,
-            replica: wave.replica,
-            remaining: call_count,
+        self.in_flight.push(InFlight {
+            remaining: plan.map_calls.len(),
+            query,
+            plan,
             reduce_submitted: false,
-            fallback: wave.fallback,
-            synthetic: wave.synthetic,
-            priority: wave.priority,
-            queue_wait: 0,
-            stages: StageBreakdown {
-                profile: wave.profiler_nanos,
-                retrieve: wave.retrieval_nanos,
-                ..StageBreakdown::default()
-            },
+            synthetic,
         });
     }
 
     /// Handles engine completions: map → reduce chaining and finalization.
-    fn process_completions(
-        &self,
-        completions: &[Completion],
-        flight: &mut Flight,
-        driver: &mut dyn Driver,
-        controller: &mut dyn ConfigController,
-        mut push_event: impl FnMut(Nanos, EventKind),
-    ) {
+    fn on_completions(&mut self, completions: &[Completion]) {
         for c in completions {
-            let Some(&idx) = flight.req_to_active.get(&c.id) else {
+            let Some(idx) = self.owner.remove(&c.id) else {
                 continue;
             };
-            flight.req_to_active.remove(&c.id);
-            let a = &mut flight.active[idx];
+            let a = &mut self.in_flight[idx];
             a.remaining = a.remaining.saturating_sub(1);
             // The query's queueing delay is its worst call's wait
             // (submit → last admission; re-admissions after preemption
             // count — that wait is real).
-            a.queue_wait = a.queue_wait.max(c.admitted.saturating_sub(c.arrival));
+            let waited = c.admitted.saturating_sub(c.arrival);
+            a.query.queue_wait = a.query.queue_wait.max(waited);
             if a.remaining > 0 {
                 continue;
             }
@@ -1347,18 +1154,17 @@ impl<'a> Runner<'a> {
             // critical chain's — within one engine iteration all finishes
             // coincide, and the reduce's arrival equals this finish, so the
             // chain sums telescope to the query's end-to-end delay.
-            a.stages.queue_wait += c.admitted.saturating_sub(c.arrival);
-            a.stages.prefill += c.prefill_done.saturating_sub(c.admitted);
-            a.stages.decode += c.finish.saturating_sub(c.prefill_done);
+            a.query.stages.queue_wait += waited;
+            a.query.stages.prefill += c.prefill_done.saturating_sub(c.admitted);
+            a.query.stages.decode += c.finish.saturating_sub(c.prefill_done);
             if let (Some(reduce), false) = (a.plan.reduce_call, a.reduce_submitted) {
                 // All maps done: submit the reduce call now, to the same
                 // replica (the query's KV and gang stay on one backend).
-                let replica = a.replica;
-                let priority = a.priority;
                 a.reduce_submitted = true;
                 a.remaining = 1;
-                let id = flight.fresh_request();
-                driver.submit(
+                let (replica, priority) = (a.query.replica, a.query.priority);
+                let id = self.fresh_request();
+                self.driver.submit(
                     replica,
                     LlmRequest {
                         id,
@@ -1371,60 +1177,129 @@ impl<'a> Runner<'a> {
                         priority,
                     },
                 );
-                flight.req_to_active.insert(id, idx);
+                self.owner.insert(id, idx);
                 continue;
             }
             // Query complete.
-            let a = &flight.active[idx];
-            controller.on_query_complete(a.synthetic);
-            if a.synthetic {
-                continue;
-            }
-            let query = &self.dataset.queries[a.query_index];
-            flight.results.push(QueryResult {
-                query_index: a.query_index,
-                f1: f1_score(&a.plan.answer, &query.gold_answer()),
-                delay_secs: nanos_to_secs(c.finish.saturating_sub(a.arrival)),
-                profiler_secs: nanos_to_secs(a.profiler_nanos),
-                retrieval_secs: nanos_to_secs(a.retrieval_nanos),
-                retrieval_recall: a.retrieval_recall,
-                work: a.work,
-                config: a.plan.config,
-                fallback: a.fallback,
-                replica: c.replica.0,
-                arrival_secs: nanos_to_secs(a.arrival),
-                finish_secs: nanos_to_secs(c.finish),
-                queue_wait_secs: nanos_to_secs(a.queue_wait),
-                priority: a.priority,
-                stages: a.stages,
-            });
-            if self.cfg.closed_loop {
-                let next = flight.results.len();
-                if next < self.dataset.queries.len() {
-                    push_event(c.finish, EventKind::Profile(next));
-                }
+            self.controller.on_query_complete(a.synthetic);
+            if !a.synthetic {
+                let result = a.query.result(self.dataset, &a.plan, c.finish, c.replica);
+                self.record(result, c.finish);
             }
         }
     }
-}
 
-/// One wave of submissions: a query's map calls (or single stuff call)
-/// bound for one replica.
-struct SubmitWave<'a> {
-    query_index: usize,
-    arrival: Nanos,
-    profiler_nanos: Nanos,
-    retrieval_nanos: Nanos,
-    retrieval_recall: f64,
-    work: SearchWork,
-    plan: SynthesisPlan,
-    replica: ReplicaId,
-    stage: Stage,
-    cached_per_call: &'a [u64],
-    now: Nanos,
-    fallback: bool,
-    synthetic: bool,
-    priority: Priority,
+    /// Files a finished query; in closed-loop mode its completion is the
+    /// next query's arrival.
+    fn record(&mut self, result: QueryResult, finish: Nanos) {
+        self.results.push(result);
+        let next = self.results.len();
+        if self.cfg.closed_loop && next < self.dataset.queries.len() {
+            self.timeline.push(finish, EventKind::Profile(next));
+        }
+    }
+
+    /// Periodic autoscaler evaluation at `t`: read the fleet's load through
+    /// the driver and add or drain one replica.
+    fn on_autoscale(&mut self, t: Nanos) {
+        let policy = self.autoscale.expect("autoscale event without policy");
+        let active = self.driver.active_replicas(t);
+        let queue_depth = self.driver.queue_depth();
+        // Worst pressure over the replicas still taking routes: retired
+        // slots keep their (frozen) stats and must not gate future
+        // decisions.
+        let pressure = (0..self.driver.replicas())
+            .map(|i| ReplicaId(i as u32))
+            .filter(|&id| self.driver.is_routable(id, t))
+            .map(|id| self.driver.preemption_pressure(id))
+            .fold(0.0_f64, f64::max);
+        match policy.evaluate(t, active, queue_depth, pressure, &mut self.scaler_state) {
+            ScaleAction::Up => {
+                // New slots cycle through the fleet's replica specs, so a
+                // heterogeneous mix grows in kind.
+                let slot = self.driver.replicas();
+                let spec = self.fleet.replicas[slot % self.fleet.replicas.len()];
+                let lat = LatencyModel::new(self.cfg.model.clone(), spec.cluster);
+                let warmup = spec.warmup_nanos.max(policy.warmup_nanos);
+                self.driver
+                    .add_replica(Engine::new(lat, self.engine_cfg), t, warmup);
+                if let (Some(caches), Some(tokens)) = (&mut self.prefix_caches, self.prefix_tokens)
+                {
+                    caches.push(PrefixCache::new(tokens));
+                }
+            }
+            ScaleAction::Down => {
+                // Drain the newest routable slot; the driver refuses the
+                // last one.
+                for i in (0..self.driver.replicas()).rev() {
+                    let id = ReplicaId(i as u32);
+                    if self.driver.is_routable(id, t) && self.driver.drain_replica(id, t) {
+                        break;
+                    }
+                }
+            }
+            ScaleAction::Hold => {}
+        }
+        // Keep ticking while external events remain; once only the drain is
+        // left the fleet is frozen and the run can empty its timeline.
+        if !self.timeline.is_empty() {
+            self.timeline
+                .push(t + policy.eval_interval_nanos, EventKind::Autoscale);
+        }
+    }
+
+    /// Tears the driver down (joining worker threads for realtime) and
+    /// assembles the run's totals.
+    fn finish(self) -> RunResult {
+        let driver_stats = self.driver.finish();
+        let mut results = self.results;
+        results.sort_by_key(|r| r.query_index);
+        let first = results
+            .iter()
+            .map(|r| r.arrival_secs)
+            .fold(f64::MAX, f64::min);
+        let last = results.iter().map(|r| r.finish_secs).fold(0.0, f64::max);
+        let mut index_work = SearchWork::default();
+        for r in &results {
+            index_work.add(&r.work);
+        }
+        let store = self.dataset.db.store().stats();
+        let store_delta = store.since(&self.store_stats_at_start);
+        let (hits, lookups) = self
+            .prefix_caches
+            .iter()
+            .flatten()
+            .fold((0u64, 0u64), |(h, l), c| (h + c.hits(), l + c.lookups()));
+        RunResult {
+            makespan_secs: if results.is_empty() {
+                0.0
+            } else {
+                (last - first).max(0.0)
+            },
+            per_query: results,
+            replicas: driver_stats.replicas,
+            gpu_busy_secs: driver_stats.busy_secs(),
+            api_cost_usd: self.api_cost,
+            preemptions: driver_stats.preemptions,
+            preempted_tokens: driver_stats.preempted_tokens,
+            migrations: driver_stats.migrations,
+            migrated_tokens: driver_stats.migrated_tokens,
+            peak_replicas: driver_stats.peak_replicas,
+            replica_seconds: driver_stats.replica_seconds,
+            driver: self.driver_spec.kind(),
+            time_scale: self.driver_spec.time_scale(),
+            index_spec: self.cfg.index,
+            quant: self.cfg.quant,
+            index_work,
+            store_bytes_hot: store_delta.bytes_hot_touched,
+            store_bytes_cold: store_delta.bytes_cold_touched,
+            prefix_hit_rate: if lookups == 0 {
+                0.0
+            } else {
+                hits as f64 / lookups as f64
+            },
+        }
+    }
 }
 
 /// Fraction of the query's needed base facts present in `retrieved` —

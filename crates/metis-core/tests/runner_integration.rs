@@ -637,18 +637,17 @@ fn autoscaler_grows_under_load_and_bills_fewer_replica_seconds_than_fixed() {
         warmup_nanos: 1_000_000_000,
         ..metis_core::Autoscaler::default()
     };
-    let cfg = RunConfig::standard(
-        SystemKind::Metis(MetisOptions::full()),
-        arrivals.clone(),
-        99,
-    )
-    .with_autoscale(policy);
-    let r = Runner::new(&d, cfg).run();
-    assert_eq!(r.per_query.len(), n, "every query completes exactly once");
-    let mut seen: Vec<usize> = r.per_query.iter().map(|q| q.query_index).collect();
-    seen.sort_unstable();
-    seen.dedup();
-    assert_eq!(seen.len(), n, "no query completed twice");
+    let autoscaled = |driver: metis_core::DriverSpec| {
+        let cfg = RunConfig::standard(
+            SystemKind::Metis(MetisOptions::full()),
+            arrivals.clone(),
+            99,
+        )
+        .with_autoscale(policy)
+        .with_driver(driver);
+        Runner::new(&d, cfg).run()
+    };
+    let r = autoscaled(metis_core::DriverSpec::Sim);
     assert!(
         r.peak_replicas > 1,
         "the peak load must trigger scale-up (peak {})",
@@ -658,8 +657,12 @@ fn autoscaler_grows_under_load_and_bills_fewer_replica_seconds_than_fixed() {
     // A fixed fleet at the cap bills cap × makespan.
     let fixed = Runner::new(
         &d,
-        RunConfig::standard(SystemKind::Metis(MetisOptions::full()), arrivals, 99)
-            .replicated(4, RouterPolicy::RoundRobin),
+        RunConfig::standard(
+            SystemKind::Metis(MetisOptions::full()),
+            arrivals.clone(),
+            99,
+        )
+        .replicated(4, RouterPolicy::RoundRobin),
     )
     .run();
     assert!(
@@ -668,16 +671,27 @@ fn autoscaler_grows_under_load_and_bills_fewer_replica_seconds_than_fixed() {
         r.replica_seconds,
         fixed.replica_seconds
     );
-    // The stage identity survives elastic routing and drains.
-    for q in &r.per_query {
-        let total = metis_llm::nanos_to_secs(q.stages.total());
-        assert!(
-            (total - q.delay_secs).abs() < 1e-9,
-            "q{}: stages {:.9}s != delay {:.9}s",
-            q.query_index,
-            total,
-            q.delay_secs
+    // The same elastic run on live worker threads: one ledger decides under
+    // both drivers, so the same queries complete, exactly once, and the
+    // stage identity survives elastic routing and drains under either.
+    let live = autoscaled(metis_core::DriverSpec::Realtime { time_scale: 500.0 });
+    for (driver, run) in [("sim", &r), ("realtime", &live)] {
+        let seen: Vec<usize> = run.per_query.iter().map(|q| q.query_index).collect();
+        assert_eq!(
+            seen,
+            (0..n).collect::<Vec<_>>(),
+            "{driver}: every query completes exactly once"
         );
+        for q in &run.per_query {
+            // Exact, not approximate: both sides are one integer nanosecond
+            // count put through the same conversion.
+            assert_eq!(
+                metis_llm::nanos_to_secs(q.stages.total()),
+                q.delay_secs,
+                "{driver} q{}: stages do not partition the delay",
+                q.query_index
+            );
+        }
     }
 }
 

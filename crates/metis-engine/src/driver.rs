@@ -6,14 +6,20 @@
 //! completions, and know when everything has drained. [`Driver`] is exactly
 //! that surface. Two implementations exist:
 //!
-//! * [`SimDriver`] — wraps a [`Cluster`] and advances it with the same
-//!   most-lagging-replica discrete-event stepping the runner used to inline.
-//!   Deterministic and bit-for-bit reproducible (a golden-report test in
-//!   `metis-core` pins this).
+//! * [`SimDriver`] — wraps a [`Cluster`] and advances it with
+//!   most-lagging-replica discrete-event stepping. Deterministic and
+//!   bit-for-bit reproducible (a golden-report test in `metis-core` pins
+//!   this).
 //! * [`RealtimeDriver`](crate::realtime::RealtimeDriver) — one worker
 //!   thread per replica, paced against a scaled wall clock. Same engines,
 //!   same latency models, same virtual timestamps; only the passage of time
 //!   is real.
+//!
+//! A driver is only *how time passes*. Everything the fleet decides —
+//! which replica is routed to, when a slot is warm, drained or retired,
+//! what it has cost — is the [`fleet`](crate::fleet) ledger's, and both
+//! drivers delegate to the same one: the simulator feeds it direct engine
+//! reads, the realtime driver its workers' published snapshots.
 //!
 //! The pump interface is deliberately incremental: `pump_before`/`pump_idle`
 //! return one batch of completions at a time so the caller can chain new
@@ -25,7 +31,9 @@ use metis_llm::{nanos_to_secs, Nanos};
 
 use crate::cluster::Cluster;
 use crate::engine::Completion;
+use crate::fleet::{Fleet, RouterPolicy};
 use crate::request::{LlmRequest, ReplicaId};
+use crate::stats::EngineStats;
 
 /// Which driver implementation served a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,7 +98,7 @@ impl DriverSpec {
     pub fn build(
         self,
         engines: Vec<crate::engine::Engine>,
-        router: crate::cluster::RouterPolicy,
+        router: RouterPolicy,
     ) -> Box<dyn Driver> {
         match self {
             DriverSpec::Sim => Box::new(SimDriver::new(Cluster::new(engines, router))),
@@ -132,6 +140,29 @@ impl DriverStats {
     pub fn busy_secs(&self) -> f64 {
         nanos_to_secs(self.busy)
     }
+
+    /// Run totals of a fleet torn down at virtual time `end`: the ledger's
+    /// capacity figures plus every replica's engine counters.
+    pub(crate) fn collect<'a>(
+        fleet: &Fleet,
+        end: Nanos,
+        replicas: impl IntoIterator<Item = &'a EngineStats>,
+    ) -> Self {
+        let mut total = Self {
+            replicas: fleet.len(),
+            peak_replicas: fleet.peak_live(),
+            replica_seconds: fleet.replica_seconds(end),
+            ..Self::default()
+        };
+        for s in replicas {
+            total.busy += s.busy;
+            total.preemptions += s.preemptions;
+            total.preempted_tokens += s.preempted_tokens;
+            total.migrations += s.migrations;
+            total.migrated_tokens += s.migrated_tokens;
+        }
+        total
+    }
 }
 
 /// The serving substrate behind the runner's event loop: routing,
@@ -169,7 +200,8 @@ pub trait Driver {
     /// One route call per query — all of a query's calls stay on one
     /// replica so gang scheduling keeps working. `now` is the virtual
     /// decision time: replicas still warming up at `now`, draining, or
-    /// retired are not routed to.
+    /// retired are not routed to. (The realtime driver evaluates this and
+    /// every other `now` at the later of `now` and its wall clock.)
     fn route(&mut self, now: Nanos) -> ReplicaId;
 
     /// Whether `id` accepts routed work at virtual time `now`.
@@ -196,9 +228,9 @@ pub trait Driver {
         warmup: Nanos,
     ) -> ReplicaId;
 
-    /// Begins draining `id` at `now`: routing stops immediately and the
-    /// slot stops billing replica-seconds once idle; in-flight work (and
-    /// follow-on calls of groups already placed there) still completes.
+    /// Begins draining `id` at `now`: routing stops immediately; in-flight
+    /// work (and follow-on calls of groups already placed there) still
+    /// completes, and the slot is live — counted and billed — until it has.
     /// Returns `false` without draining when `id` is the last routable
     /// replica.
     fn drain_replica(&mut self, id: ReplicaId, now: Nanos) -> bool;
@@ -236,7 +268,7 @@ pub trait Driver {
 }
 
 /// The deterministic discrete-event driver: a [`Cluster`] advanced with
-/// most-lagging-replica stepping, exactly as the runner's loop always did.
+/// most-lagging-replica stepping.
 pub struct SimDriver {
     cluster: Cluster,
 }
@@ -263,7 +295,6 @@ impl Driver for SimDriver {
     }
 
     fn route(&mut self, now: Nanos) -> ReplicaId {
-        self.cluster.reap(now);
         self.cluster.route(now)
     }
 
@@ -304,49 +335,26 @@ impl Driver for SimDriver {
         // Always step the most-lagging replica so cross-replica event
         // order stays deterministic.
         let rid = self.cluster.steppable_before(t)?;
-        let before = self.cluster.replica(rid).now();
-        let done = self.cluster.step_replica(rid);
-        assert!(
-            self.cluster.replica(rid).now() > before || !done.is_empty(),
-            "replica stuck while advancing to event"
-        );
-        Some(done)
+        Some(self.cluster.step_replica(rid))
     }
 
     fn pump_idle(&mut self) -> Option<Vec<Completion>> {
-        if self.cluster.is_idle() {
-            return None;
-        }
         let rid = self.cluster.next_steppable()?;
-        let before = self.cluster.replica(rid).now();
-        let done = self.cluster.step_replica(rid);
-        assert!(
-            self.cluster.replica(rid).now() > before || !done.is_empty() || self.cluster.is_idle(),
-            "replica stuck while draining"
-        );
-        Some(done)
+        Some(self.cluster.step_replica(rid))
     }
 
     fn finish(self: Box<Self>) -> DriverStats {
-        let end = self.cluster.latest_now();
-        let stats = self.cluster.stats();
-        DriverStats {
-            replicas: self.cluster.len(),
-            peak_replicas: self.cluster.peak_live(),
-            busy: self.cluster.busy_nanos(),
-            preemptions: self.cluster.total_preemptions(),
-            preempted_tokens: stats.iter().map(|s| s.preempted_tokens).sum(),
-            migrations: stats.iter().map(|s| s.migrations).sum(),
-            migrated_tokens: stats.iter().map(|s| s.migrated_tokens).sum(),
-            replica_seconds: self.cluster.replica_seconds(end),
-        }
+        DriverStats::collect(
+            self.cluster.fleet(),
+            self.cluster.latest_now(),
+            self.cluster.replicas().map(|e| e.stats()),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::RouterPolicy;
     use crate::engine::{Engine, EngineConfig};
     use crate::request::{GroupId, Priority, RequestId, Stage};
     use metis_llm::{GpuCluster, LatencyModel, ModelSpec};

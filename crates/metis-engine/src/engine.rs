@@ -266,6 +266,12 @@ impl Engine {
         self.alloc.free_tokens()
     }
 
+    /// Free KV-cache bytes right now — what the `LeastKvLoad` router ranks,
+    /// so a heterogeneous fleet compares memory, not token counts.
+    pub fn free_kv_bytes(&self) -> u64 {
+        self.free_kv_tokens() * self.latency.model().kv_bytes_per_token()
+    }
+
     /// Total KV-cache capacity in tokens.
     pub fn kv_capacity_tokens(&self) -> u64 {
         self.alloc.capacity_tokens()
@@ -660,7 +666,7 @@ impl Engine {
             // happen now that a zero chunk budget means unlimited, but kept
             // against future budget policies). Advance by overhead only —
             // with the same iteration/busy accounting as a productive
-            // iteration, so utilization and `busy_nanos()` stay truthful.
+            // iteration, so utilization and `EngineStats::busy` stay truthful.
             let dt = self.latency.iteration_time(0, 0, 0, batch_kv);
             self.clock.advance_by(dt);
             self.stats.iterations += 1;
@@ -742,27 +748,35 @@ impl Engine {
     /// bug beats spinning forever.
     pub fn run_until_idle(&mut self) -> Vec<Completion> {
         let mut all = Vec::new();
-        let mut stuck = 0u32;
         while !self.is_idle() {
             let before = self.clock.now();
             let done = self.step();
-            let progressed = self.clock.now() > before || !done.is_empty();
+            self.assert_progressed(before, done.len());
             all.extend(done);
-            if progressed {
-                stuck = 0;
-            } else {
-                stuck += 1;
-                assert!(
-                    stuck < 3,
-                    "engine stuck: queued={} running={} free_kv={} — an \
-                     unadmittable request?",
-                    self.queue.len(),
-                    self.running.len(),
-                    self.alloc.free_tokens()
-                );
-            }
         }
         all
+    }
+
+    /// Checks that the [`Self::step`] which started at `before` and
+    /// completed `completed` requests made progress: it advanced the clock,
+    /// finished something, or left the engine idle. Every loop that steps
+    /// an engine — here, the cluster, the realtime worker — calls this.
+    ///
+    /// # Panics
+    ///
+    /// Panics, reporting the queue and KV state, when the step did none of
+    /// those: a request that can never be admitted would otherwise spin
+    /// its driver forever.
+    pub fn assert_progressed(&self, before: Nanos, completed: usize) {
+        assert!(
+            self.now() > before || completed > 0 || self.is_idle(),
+            "replica {} stuck: queued={} running={} free_kv={} — an \
+             unadmittable request?",
+            self.replica.0,
+            self.queued_len(),
+            self.running_len(),
+            self.free_kv_tokens()
+        );
     }
 }
 
@@ -1231,7 +1245,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "engine stuck")]
+    #[should_panic(expected = "stuck: queued=1 running=0")]
     fn unadmittable_request_is_detected() {
         let mut e = engine(SchedPolicy::Fcfs);
         let cap = e.kv_capacity_tokens();

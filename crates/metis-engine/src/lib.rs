@@ -32,20 +32,25 @@
 //! abstraction: [`SimDriver`] advances the cluster deterministically on
 //! virtual time (the paper's evaluation mode and the oracle for the live
 //! path), while [`RealtimeDriver`] serves the same engines from one worker
-//! thread per replica, paced against a scaled wall clock.
+//! thread per replica, paced against a scaled wall clock. Both answer the
+//! fleet questions — which replica is routed to, which slots are warm,
+//! draining or retired, what the fleet has cost — from the one [`fleet`]
+//! ledger.
 
 pub mod cluster;
 pub mod driver;
 pub mod engine;
+pub mod fleet;
 pub mod kvcache;
 pub mod prefixcache;
 pub mod realtime;
 pub mod request;
 pub mod stats;
 
-pub use cluster::{Cluster, ReplicaState, RouterPolicy, MIGRATION_BW_BYTES_PER_SEC};
+pub use cluster::{Cluster, MIGRATION_BW_BYTES_PER_SEC};
 pub use driver::{Driver, DriverKind, DriverSpec, DriverStats, SimDriver};
 pub use engine::{Completion, Engine, EngineConfig, EvictedSeq, PreemptMode, SchedPolicy};
+pub use fleet::{ReplicaState, RouterPolicy};
 pub use kvcache::{KvAllocator, KvError};
 pub use prefixcache::PrefixCache;
 pub use realtime::RealtimeDriver;

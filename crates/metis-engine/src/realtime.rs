@@ -12,18 +12,23 @@
 //! took. That is what keeps realtime timestamps directly comparable to the
 //! simulator's — the property the `fig_realtime_parity` bench asserts.
 //!
+//! This file is only about time and threads. Which slot takes the next
+//! query, when a slot is warm, drained or retired, and what it has cost are
+//! decided by the same [`fleet`](crate::fleet) ledger the simulator's
+//! `Cluster` uses; the driver feeds it a per-replica load view. Free KV
+//! and queue length come from lock-free snapshots each worker publishes
+//! after every iteration — the realtime analogue of the paper reading
+//! backend memory through `pynvml` rather than pausing the engine. Idleness
+//! does not: a request still sitting in a worker's channel would make a
+//! published flag stale, so the driver counts what it submitted against
+//! what came back, per replica.
+//!
 //! Communication is plain std mpsc: the driver sends requests down a
 //! per-replica submission queue, workers send completion batches back on
-//! one shared channel. Routing and the controller's decision-time reads
-//! (free KV, preemption pressure) use lock-free snapshots each worker
-//! publishes after every iteration — the realtime analogue of the paper
-//! reading backend memory through `pynvml` rather than pausing the engine.
-//!
-//! Shutdown is by hangup: [`RealtimeDriver::finish`] drops the submission
-//! senders; each worker drains its remaining work, then exits when its
-//! queue disconnects, and `finish` joins them all and sums their stats.
+//! one shared channel. Shutdown is by hangup: [`RealtimeDriver::finish`]
+//! drops the submission senders; each worker drains its remaining work,
+//! then exits when its queue disconnects, and `finish` joins them all.
 
-use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
@@ -32,32 +37,61 @@ use std::time::Duration;
 
 use metis_llm::{Clock, Nanos, WallClock};
 
-use crate::cluster::RouterPolicy;
 use crate::driver::{Driver, DriverKind, DriverStats};
 use crate::engine::{Completion, Engine};
+use crate::fleet::{Fleet, Load, RouterPolicy};
 use crate::request::{LlmRequest, ReplicaId};
 use crate::stats::EngineStats;
 
 /// Lock-free per-replica state the worker publishes after every iteration,
-/// read by the driver for routing and controller decisions.
+/// read by the driver for routing and controller decisions. Each value is
+/// an independent reading (no value guards another), hence `Relaxed`.
 #[derive(Default)]
 struct ReplicaShared {
     free_kv_tokens: AtomicU64,
-    preemptions: AtomicU64,
-    submitted: AtomicU64,
+    free_kv_bytes: AtomicU64,
     queued: AtomicU64,
+    /// `EngineStats::preemption_pressure`, as `f64` bits.
+    pressure_bits: AtomicU64,
 }
 
 impl ReplicaShared {
     fn publish(&self, engine: &Engine) {
         self.free_kv_tokens
             .store(engine.free_kv_tokens(), Ordering::Relaxed);
-        self.preemptions
-            .store(engine.stats().preemptions, Ordering::Relaxed);
-        self.submitted
-            .store(engine.stats().submitted, Ordering::Relaxed);
+        self.free_kv_bytes
+            .store(engine.free_kv_bytes(), Ordering::Relaxed);
         self.queued
             .store(engine.queued_len() as u64, Ordering::Relaxed);
+        self.pressure_bits.store(
+            engine.stats().preemption_pressure().to_bits(),
+            Ordering::Relaxed,
+        );
+    }
+}
+
+/// The driver's handle on one replica: its channels, its thread, and the
+/// two facts about it the driver knows better than any snapshot.
+struct Replica {
+    submit: Sender<LlmRequest>,
+    shared: Arc<ReplicaShared>,
+    /// Returns the engine's stats and the last virtual instant it reached.
+    worker: JoinHandle<(EngineStats, Nanos)>,
+    /// Requests submitted to this replica and not yet returned.
+    in_flight: u64,
+    /// Latest virtual instant this replica is known to have reached: its
+    /// ready time, then the finish of its last returned completion.
+    reached: Nanos,
+}
+
+impl Replica {
+    fn load(&self) -> Load {
+        Load {
+            free_kv_bytes: self.shared.free_kv_bytes.load(Ordering::Relaxed),
+            queued: self.shared.queued.load(Ordering::Relaxed),
+            idle: self.in_flight == 0,
+            now: self.reached,
+        }
     }
 }
 
@@ -72,45 +106,33 @@ const IDLE_WAIT_WALL: Duration = Duration::from_millis(10);
 const EVENT_SPIN_WALL_NANOS: u64 = 2_000_000;
 
 /// `pump_idle` panics after this long with work in flight but no
-/// completions — a deadlocked or died worker should fail the run loudly
+/// completion — a deadlocked or died worker should fail the run loudly
 /// (and well inside any CI timeout), not hang it.
 const STALL_WATCHDOG_WALL: Duration = Duration::from_secs(30);
 
 /// The live serving driver: per-replica worker threads on scaled wall time.
 ///
-/// Elasticity under realtime is routing-level: [`Driver::add_replica`]
-/// spawns a new worker thread (routable only after its warm-up virtual
-/// time), and [`Driver::drain_replica`] stops routing to a slot and stops
-/// billing it replica-seconds — but its thread idles until
+/// Elasticity has the simulator's semantics, because the same ledger
+/// decides it: [`Driver::add_replica`] spawns a new worker thread (routable
+/// only after its warm-up virtual time), and [`Driver::drain_replica`] stops
+/// routing to a slot, which keeps serving — and billing — until its last
+/// in-flight request has come back, then retires. Its thread idles until
 /// [`Driver::finish`] so late gang follow-ons can still be served, exactly
-/// once, on the replica their group was pinned to. KV migration is not
+/// once, on the replica their group was pinned to. Every decision is
+/// evaluated at the later of the caller's virtual `now` and the wall: a
+/// replica cannot warm up, or be drained, in the past. KV migration is not
 /// supported here (victims would have to cross threads mid-run);
 /// construction rejects engines configured with
 /// [`PreemptMode::Migrate`](crate::engine::PreemptMode).
 pub struct RealtimeDriver {
     clock: WallClock,
-    router: RouterPolicy,
-    rr_next: usize,
-    submitters: Vec<Sender<LlmRequest>>,
+    fleet: Fleet,
+    replicas: Vec<Replica>,
     completions: Receiver<Vec<Completion>>,
     /// Kept so replicas added at runtime can report completions on the
     /// same channel. Worker death is caught by the pump watchdog rather
     /// than channel disconnection.
     done_tx: Sender<Vec<Completion>>,
-    shared: Vec<Arc<ReplicaShared>>,
-    /// Per-replica KV bytes per token, so `LeastKvLoad` ranks bytes (not
-    /// tokens) even over a heterogeneous fleet — same as `Cluster::route`.
-    kv_bytes_per_token: Vec<u64>,
-    /// Virtual instant each slot starts accepting routed work (0 for the
-    /// initial fleet; spawn + warm-up for runtime additions).
-    ready_at: Vec<Nanos>,
-    /// Virtual spawn instant of each slot, for replica-second billing.
-    spawned_at: Vec<Nanos>,
-    /// Virtual instant a slot was drained (stops routing and billing).
-    drained_at: Vec<Option<Nanos>>,
-    peak_live: usize,
-    workers: Vec<JoinHandle<EngineStats>>,
-    in_flight: u64,
 }
 
 impl RealtimeDriver {
@@ -122,70 +144,54 @@ impl RealtimeDriver {
     ///
     /// Panics if `engines` is empty or `time_scale` is not finite-positive.
     pub fn new(engines: Vec<Engine>, router: RouterPolicy, time_scale: f64) -> Self {
-        assert!(!engines.is_empty(), "a cluster needs at least one replica");
-        let clock = WallClock::new(time_scale);
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<Vec<Completion>>();
-        let n = engines.len();
+        let (done_tx, completions) = std::sync::mpsc::channel::<Vec<Completion>>();
         let mut this = Self {
-            clock,
-            router,
-            rr_next: 0,
-            submitters: Vec::with_capacity(n),
-            completions: done_rx,
+            clock: WallClock::new(time_scale),
+            fleet: Fleet::new(engines.len(), router),
+            replicas: Vec::with_capacity(engines.len()),
+            completions,
             done_tx,
-            shared: Vec::with_capacity(n),
-            kv_bytes_per_token: Vec::with_capacity(n),
-            ready_at: Vec::with_capacity(n),
-            spawned_at: Vec::with_capacity(n),
-            drained_at: Vec::with_capacity(n),
-            peak_live: n,
-            workers: Vec::with_capacity(n),
-            in_flight: 0,
         };
         for engine in engines {
-            this.spawn_worker(engine, 0, 0);
+            this.spawn_worker(engine, 0);
         }
         this
     }
 
-    /// Spawns a worker thread for `engine` as the next replica slot.
-    fn spawn_worker(&mut self, mut engine: Engine, now: Nanos, warmup: Nanos) -> ReplicaId {
+    /// Spawns a worker thread for `engine` as the next replica slot, its
+    /// virtual clock starting at `ready`.
+    fn spawn_worker(&mut self, mut engine: Engine, ready: Nanos) {
         assert!(
             engine.preempt_mode() == crate::engine::PreemptMode::Recompute,
             "KV migration is only supported by the sim driver: realtime \
              replicas own their engines on separate threads and cannot move \
              a victim's KV mid-run"
         );
-        let i = self.submitters.len();
+        let i = self.replicas.len();
         engine.set_replica(ReplicaId(i as u32));
-        let ready = now.saturating_add(warmup);
         // Starting the new replica's virtual clock at its ready time makes
         // the warm-up physical: even a force-submitted request cannot be
         // admitted before `ready`, and the worker's pacing sleep holds the
         // thread until the wall catches up.
         engine.advance_clock_to(ready);
-        self.kv_bytes_per_token
-            .push(engine.latency_model().model().kv_bytes_per_token());
-        let state = Arc::new(ReplicaShared::default());
-        state.publish(&engine);
-        let (req_tx, req_rx) = std::sync::mpsc::channel::<LlmRequest>();
-        let worker_state = Arc::clone(&state);
+        let shared = Arc::new(ReplicaShared::default());
+        shared.publish(&engine);
+        let (submit, req_rx) = std::sync::mpsc::channel::<LlmRequest>();
+        let worker_state = Arc::clone(&shared);
         let worker_tx = self.done_tx.clone();
         let clock = self.clock;
-        let handle = std::thread::Builder::new()
+        let worker = std::thread::Builder::new()
             .name(format!("metis-replica-{i}"))
             .spawn(move || replica_worker(engine, req_rx, worker_tx, worker_state, clock))
             // metis-lint: allow(no-panic-in-worker) reason="driver thread at construction: failing to spawn a replica thread is unrecoverable setup"
             .expect("spawn replica worker");
-        self.submitters.push(req_tx);
-        self.shared.push(state);
-        self.ready_at.push(ready);
-        self.spawned_at.push(now);
-        self.drained_at.push(None);
-        self.workers.push(handle);
-        let live = self.drained_at.iter().filter(|d| d.is_none()).count();
-        self.peak_live = self.peak_live.max(live);
-        ReplicaId(i as u32)
+        self.replicas.push(Replica {
+            submit,
+            shared,
+            worker,
+            in_flight: 0,
+            reached: ready,
+        });
     }
 
     /// The shared wall clock (tests read the driver's timeline).
@@ -193,25 +199,34 @@ impl RealtimeDriver {
         self.clock
     }
 
-    fn account(&mut self, done: Vec<Completion>) -> Vec<Completion> {
-        let n = done.len() as u64;
-        assert!(
-            self.in_flight >= n,
-            "worker returned {n} completions with only {} in flight — a \
-             request completed twice",
-            self.in_flight
-        );
-        self.in_flight -= n;
-        done
+    /// The virtual instant a decision the caller stamps `now` is evaluated
+    /// at: the wall is the ground truth here, so never earlier than it.
+    fn at(&self, now: Nanos) -> Nanos {
+        now.max(self.clock.now())
     }
 
-    /// Wall duration until virtual instant `t` (zero if already reached).
-    fn wall_until(&self, t: Nanos) -> Duration {
-        let now = self.clock.now();
-        if now >= t {
-            return Duration::ZERO;
+    fn in_flight(&self) -> u64 {
+        self.replicas.iter().map(|r| r.in_flight).sum()
+    }
+
+    /// Books a batch of completions against the replicas that sent them,
+    /// then lets the ledger retire any drained slot that just went idle.
+    fn account(&mut self, done: Vec<Completion>) -> Vec<Completion> {
+        for c in &done {
+            let r = &mut self.replicas[c.replica.0 as usize];
+            assert!(
+                r.in_flight > 0,
+                "replica {} returned request {} with nothing in flight — a \
+                 request completed twice",
+                c.replica.0,
+                c.id.0
+            );
+            r.in_flight -= 1;
+            r.reached = r.reached.max(c.finish);
         }
-        Duration::from_nanos(((t - now) as f64 / self.clock.time_scale()).ceil() as u64)
+        self.fleet
+            .reap(self.clock.now(), |i| self.replicas[i].load());
+        done
     }
 }
 
@@ -221,207 +236,122 @@ impl Driver for RealtimeDriver {
     }
 
     fn replicas(&self) -> usize {
-        self.submitters.len()
+        self.replicas.len()
     }
 
-    fn route(&mut self, _now: Nanos) -> ReplicaId {
-        // The realtime driver routes on its own clock reading (the wall is
-        // the ground truth here), not the caller's event timestamp.
-        let now = self.clock.now();
-        let mut candidates: Vec<usize> = (0..self.submitters.len())
-            .filter(|&i| self.drained_at[i].is_none() && now >= self.ready_at[i])
-            .collect();
-        if candidates.is_empty() {
-            candidates = (0..self.submitters.len())
-                .filter(|&i| self.drained_at[i].is_none())
-                .collect();
-        }
-        assert!(!candidates.is_empty(), "no live replica to route to");
-        match self.router {
-            RouterPolicy::RoundRobin => {
-                let id = candidates[self.rr_next % candidates.len()];
-                self.rr_next = (self.rr_next + 1) % candidates.len().max(1);
-                ReplicaId(id as u32)
-            }
-            RouterPolicy::LeastKvLoad | RouterPolicy::PrefixAware => {
-                // Most free KV bytes, stable tie-break on lowest id — the
-                // same ranking as `Cluster::route`, over the workers'
-                // published snapshots instead of direct engine reads.
-                // PrefixAware falls back to this ranking at driver level;
-                // cache-overlap re-routing happens in the runner.
-                let best = candidates
-                    .into_iter()
-                    .max_by_key(|&i| {
-                        let s = &self.shared[i];
-                        let bytes =
-                            s.free_kv_tokens.load(Ordering::Relaxed) * self.kv_bytes_per_token[i];
-                        (bytes, Reverse(i))
-                    })
-                    // metis-lint: allow(no-panic-in-worker) reason="driver thread: routing is only called with at least one replica configured"
-                    .expect("non-empty replica list");
-                ReplicaId(best as u32)
-            }
-        }
+    fn route(&mut self, now: Nanos) -> ReplicaId {
+        self.fleet.route(self.at(now), |i| self.replicas[i].load())
     }
 
     fn is_routable(&self, id: ReplicaId, now: Nanos) -> bool {
-        let i = id.0 as usize;
-        self.drained_at[i].is_none() && now.max(self.clock.now()) >= self.ready_at[i]
+        self.fleet.is_routable(id, self.at(now))
     }
 
     fn queue_depth(&self) -> u64 {
-        self.shared
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.drained_at[*i].is_none())
-            .map(|(_, s)| s.queued.load(Ordering::Relaxed))
-            .sum()
+        self.fleet.queue_depth(|i| self.replicas[i].load())
     }
 
     fn add_replica(&mut self, engine: Engine, now: Nanos, warmup: Nanos) -> ReplicaId {
-        // Spawn at the wall's current virtual instant if the caller's
-        // event timestamp lags it — a replica cannot exist in the past.
-        let now = now.max(self.clock.now());
-        self.spawn_worker(engine, now, warmup)
+        let (id, ready) = self.fleet.add(self.at(now), warmup);
+        self.spawn_worker(engine, ready);
+        id
     }
 
     fn drain_replica(&mut self, id: ReplicaId, now: Nanos) -> bool {
-        let i = id.0 as usize;
-        if self.drained_at[i].is_some() {
-            return false;
-        }
-        let now = now.max(self.clock.now());
-        let routable = (0..self.submitters.len())
-            .filter(|&j| self.drained_at[j].is_none() && now >= self.ready_at[j])
-            .count();
-        if now >= self.ready_at[i] && routable <= 1 {
-            return false;
-        }
-        // Routing-level drain: the slot stops taking routes and stops
-        // billing replica-seconds now, but its thread keeps serving
-        // whatever is already (or late-gang) submitted until `finish`.
-        self.drained_at[i] = Some(now);
-        true
+        self.fleet
+            .drain(id, self.at(now), |i| self.replicas[i].load())
     }
 
     fn free_kv_tokens(&self, id: ReplicaId) -> u64 {
-        self.shared[id.0 as usize]
-            .free_kv_tokens
-            .load(Ordering::Relaxed)
+        let shared = &self.replicas[id.0 as usize].shared;
+        shared.free_kv_tokens.load(Ordering::Relaxed)
     }
 
     fn preemption_pressure(&self, id: ReplicaId) -> f64 {
-        let s = &self.shared[id.0 as usize];
-        let submitted = s.submitted.load(Ordering::Relaxed);
-        if submitted == 0 {
-            0.0
-        } else {
-            s.preemptions.load(Ordering::Relaxed) as f64 / submitted as f64
-        }
+        let shared = &self.replicas[id.0 as usize].shared;
+        f64::from_bits(shared.pressure_bits.load(Ordering::Relaxed))
     }
 
     fn submit(&mut self, id: ReplicaId, req: LlmRequest) {
-        self.in_flight += 1;
-        self.submitters[id.0 as usize]
+        self.fleet.on_submit(id);
+        let replica = &mut self.replicas[id.0 as usize];
+        replica.in_flight += 1;
+        replica
+            .submit
             // metis-lint: allow(channel-unwrap) reason="driver thread: a closed channel means a worker died, which is already fatal"
             .send(req)
             .expect("replica worker exited with the run still active");
     }
 
     fn pump_before(&mut self, t: Nanos) -> Option<Vec<Completion>> {
+        let spin = Duration::from_nanos(EVENT_SPIN_WALL_NANOS);
         loop {
-            // Deliver any already-finished completions first so the caller
-            // can chain reduces off them before the event at `t` fires.
-            match self.completions.try_recv() {
+            // Either way an already-finished batch comes back at once, so
+            // the caller can chain reduces off it before the event at `t`
+            // fires. Far from `t`, block for the next one; on the final
+            // approach, poll, so the event fires tightly at `t`.
+            let wait = self.clock.wall_until(t);
+            let received = if wait > spin {
+                self.completions.recv_timeout(wait - spin / 2)
+            } else {
+                self.completions.try_recv().map_err(|e| match e {
+                    TryRecvError::Empty => RecvTimeoutError::Timeout,
+                    TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
+                })
+            };
+            match received {
                 Ok(done) => return Some(self.account(done)),
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => {
+                // The wall has reached `t`: the event is due. This return
+                // is where arrival pacing physically happens.
+                Err(RecvTimeoutError::Timeout) if wait.is_zero() => return None,
+                Err(RecvTimeoutError::Timeout) => std::hint::spin_loop(),
+                Err(RecvTimeoutError::Disconnected) => {
                     // metis-lint: allow(no-panic-in-worker) reason="driver thread: surfaces a dead worker instead of hanging the pump"
                     panic!("realtime replica worker died before the run drained")
                 }
             }
-            let wait = self.wall_until(t);
-            if wait.is_zero() {
-                // The wall has reached `t`: the event is due. This return
-                // is where arrival pacing physically happens.
-                return None;
-            }
-            if wait > Duration::from_nanos(EVENT_SPIN_WALL_NANOS) {
-                match self
-                    .completions
-                    .recv_timeout(wait - Duration::from_nanos(EVENT_SPIN_WALL_NANOS / 2))
-                {
-                    Ok(done) => return Some(self.account(done)),
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        // metis-lint: allow(no-panic-in-worker) reason="driver thread: surfaces a dead worker instead of hanging the pump"
-                        panic!("realtime replica worker died before the run drained")
-                    }
-                }
-            }
-            // Final approach: spin so the event fires tightly at `t`.
-            std::hint::spin_loop();
         }
     }
 
     fn pump_idle(&mut self) -> Option<Vec<Completion>> {
-        if self.in_flight == 0 {
+        if self.in_flight() == 0 {
             return None;
         }
-        let mut waited = Duration::ZERO;
-        loop {
-            match self.completions.recv_timeout(Duration::from_millis(100)) {
-                Ok(done) => return Some(self.account(done)),
-                Err(RecvTimeoutError::Timeout) => {
-                    waited += Duration::from_millis(100);
-                    assert!(
-                        waited < STALL_WATCHDOG_WALL,
-                        "realtime driver stalled: {} requests in flight but no \
-                         completions for {:?}",
-                        self.in_flight,
-                        STALL_WATCHDOG_WALL
-                    );
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // metis-lint: allow(no-panic-in-worker) reason="driver thread: surfaces a dead worker instead of hanging the idle drain"
-                    panic!(
-                        "realtime replica worker died with {} requests in flight",
-                        self.in_flight
-                    )
-                }
+        match self.completions.recv_timeout(STALL_WATCHDOG_WALL) {
+            Ok(done) => Some(self.account(done)),
+            Err(e) => {
+                // metis-lint: allow(no-panic-in-worker) reason="driver thread: surfaces a deadlocked or dead worker instead of hanging the idle drain"
+                panic!(
+                    "realtime driver stalled: {} requests in flight but no \
+                     completion within {STALL_WATCHDOG_WALL:?} ({e})",
+                    self.in_flight()
+                )
             }
         }
     }
 
     fn finish(self: Box<Self>) -> DriverStats {
-        let this = *self;
         assert_eq!(
-            this.in_flight, 0,
+            self.in_flight(),
+            0,
             "realtime driver torn down with work in flight — pump_idle \
              must run to None first"
         );
-        // Hang up the submission queues; each worker drains and exits.
-        drop(this.submitters);
-        drop(this.done_tx);
-        let end = this.clock.now();
-        let mut stats = DriverStats {
-            replicas: this.workers.len(),
-            peak_replicas: this.peak_live,
-            ..DriverStats::default()
-        };
-        for (i, handle) in this.workers.into_iter().enumerate() {
+        let Self {
+            fleet, replicas, ..
+        } = *self;
+        // Hang up the submission queues by dropping every replica's sender;
+        // each worker drains and exits.
+        let workers: Vec<_> = replicas.into_iter().map(|r| r.worker).collect();
+        let joined: Vec<(EngineStats, Nanos)> = workers
+            .into_iter()
             // metis-lint: allow(no-panic-in-worker) reason="driver thread at shutdown: re-raises a worker panic so it cannot be lost"
-            let s = handle.join().expect("replica worker panicked");
-            stats.busy += s.busy;
-            stats.preemptions += s.preemptions;
-            stats.preempted_tokens += s.preempted_tokens;
-            stats.migrations += s.migrations;
-            stats.migrated_tokens += s.migrated_tokens;
-            let spawned = this.spawned_at[i];
-            let until = this.drained_at[i].unwrap_or(end).max(spawned);
-            stats.replica_seconds += metis_llm::nanos_to_secs(until - spawned);
-        }
-        stats
+            .map(|worker| worker.join().expect("replica worker panicked"))
+            .collect();
+        // Bill to the latest virtual instant any replica reached, as the
+        // simulator does — not to wherever the wall happens to be.
+        let end = joined.iter().map(|&(_, now)| now).max().unwrap_or(0);
+        DriverStats::collect(&fleet, end, joined.iter().map(|(stats, _)| stats))
     }
 }
 
@@ -433,13 +363,12 @@ fn replica_worker(
     completions: Sender<Vec<Completion>>,
     shared: Arc<ReplicaShared>,
     mut clock: WallClock,
-) -> EngineStats {
+) -> (EngineStats, Nanos) {
     // Bound on a pending-arrival wait, in virtual nanos, so freshly
     // submitted work is still drained within ~one idle quantum of wall time.
     let pending_chunk: Nanos =
         (IDLE_WAIT_WALL.as_nanos() as f64 * clock.time_scale()).ceil() as Nanos;
     let mut disconnected = false;
-    let mut stuck = 0u32;
     loop {
         // Drain every submission that has arrived, without blocking.
         while !disconnected {
@@ -463,20 +392,7 @@ fn replica_worker(
             let before = engine.now();
             let done = engine.step();
             shared.publish(&engine);
-            if engine.now() > before || !done.is_empty() {
-                stuck = 0;
-            } else {
-                stuck += 1;
-                assert!(
-                    stuck < 3,
-                    "replica {} stuck: queued={} running={} free_kv={} — an \
-                     unadmittable request?",
-                    engine.replica().0,
-                    engine.queued_len(),
-                    engine.running_len(),
-                    engine.free_kv_tokens()
-                );
-            }
+            engine.assert_progressed(before, done.len());
             if !done.is_empty() && completions.send(done).is_err() {
                 // Driver gone (teardown without drain): stop serving.
                 break;
@@ -507,7 +423,7 @@ fn replica_worker(
             Err(RecvTimeoutError::Disconnected) => disconnected = true,
         }
     }
-    engine.stats().clone()
+    (engine.stats().clone(), engine.now())
 }
 
 #[cfg(test)]
@@ -582,17 +498,20 @@ mod tests {
     #[test]
     #[allow(clippy::disallowed_methods)] // wall-clock deadline guards a cross-thread test
     fn least_kv_routing_follows_published_snapshots() {
-        let mut d = RealtimeDriver::new(engines(2), RouterPolicy::LeastKvLoad, SCALE);
+        // A gentler scale than the other tests: the decode below has to
+        // still be running when this thread gets to look, even on a host
+        // that schedules the worker and this thread on one core.
+        let mut d = RealtimeDriver::new(engines(2), RouterPolicy::LeastKvLoad, SCALE / 50.0);
         // Idle fleet: tie broken by lowest id.
         assert_eq!(d.route(0), ReplicaId(0));
         // Occupy replica 0 with a long decode (thousands of iterations =
-        // milliseconds of wall time at this scale); once its worker
-        // publishes the admission, routing prefers replica 1 for as long
-        // as the request runs.
+        // tens of wall milliseconds at this scale); once its worker publishes the
+        // admission, routing prefers replica 1 for as long as the request
+        // runs.
         d.submit(
             ReplicaId(0),
             LlmRequest {
-                output_tokens: 20_000,
+                output_tokens: 4_000,
                 ..req(1, 0)
             },
         );

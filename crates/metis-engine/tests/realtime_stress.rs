@@ -9,7 +9,10 @@
 //!   double-count — checked per request id);
 //! * completion timestamps are well-formed virtual instants
 //!   (`arrival <= admitted <= finish`);
-//! * driver teardown joins every worker and reports consistent totals.
+//! * driver teardown joins every worker and reports consistent totals;
+//! * elasticity on live threads has the ledger's semantics: a replica
+//!   drained with maps in flight is served, counted and billed until its
+//!   last request — a late gang reduce included — has come back.
 //!
 //! The repeated spawn/join is the point (a loom-style schedule explorer
 //! without loom, which the container doesn't carry): each round runs the
@@ -19,10 +22,12 @@
 use std::collections::HashMap;
 
 use metis_engine::{
-    Driver, DriverSpec, Engine, EngineConfig, GroupId, LlmRequest, Priority, RequestId,
-    RouterPolicy, SchedPolicy, Stage,
+    Completion, Driver, DriverSpec, Engine, EngineConfig, GroupId, LlmRequest, Priority, ReplicaId,
+    RequestId, RouterPolicy, SchedPolicy, Stage,
 };
-use metis_llm::{Clock, GpuCluster, LatencyModel, ModelSpec, Nanos, WallClock};
+use metis_llm::{
+    nanos_to_secs, secs_to_nanos, Clock, GpuCluster, LatencyModel, ModelSpec, Nanos, WallClock,
+};
 
 /// Virtual time runs 200 000× faster than the wall: a multi-minute virtual
 /// workload costs milliseconds of test time, while wakeup jitter is
@@ -57,7 +62,7 @@ fn priority_of(i: u64) -> Priority {
 /// One short realtime run: `n_reqs` bursty requests over `replicas`
 /// replicas, driven to drain through the `Driver` interface. Returns the
 /// completions the driver delivered.
-fn one_run(round: u64, replicas: usize, n_reqs: u64) -> Vec<metis_engine::Completion> {
+fn one_run(round: u64, replicas: usize, n_reqs: u64) -> Vec<Completion> {
     let mut driver: Box<dyn Driver> = DriverSpec::Realtime {
         time_scale: TIME_SCALE,
     }
@@ -231,4 +236,104 @@ fn wall_clock_pacing_is_real() {
     // The last arrival really happened at (or after) its virtual stamp.
     let last = done.iter().map(|c| c.finish).max().unwrap();
     assert!(last >= span_virtual);
+}
+
+/// Pumps the driver until nothing is in flight.
+fn drain(driver: &mut dyn Driver) -> Vec<Completion> {
+    let mut done = Vec::new();
+    while let Some(batch) = driver.pump_idle() {
+        done.extend(batch);
+    }
+    done
+}
+
+/// Fleet elasticity across real threads: drain a replica that has maps in
+/// flight, add a replica with warm-up, deliver the drained replica's gang
+/// reduce after it went idle, route onto the warmed replica. Every decision
+/// is stamped ahead of the wall (the driver evaluates at the later of the
+/// two), so the expected ledger is exact, not approximate.
+#[test]
+fn elasticity_on_live_threads_bills_and_counts_like_the_ledger() {
+    // 1 virtual s = 0.5 ms of wall: slow enough that a stamp a few hundred
+    // virtual seconds out stays ahead of the wall across the calls below.
+    let scale = 2_000.0;
+    let maps_at = secs_to_nanos(300.0);
+    let added_at = secs_to_nanos(400.0);
+    let warmup = secs_to_nanos(100.0);
+    let ready_at = added_at + warmup;
+    let request = |id: u64, stage: Stage, arrival: Nanos| LlmRequest {
+        id: RequestId(id),
+        group: GroupId(7),
+        stage,
+        prompt_tokens: 1_500,
+        output_tokens: 40,
+        cached_prompt_tokens: 0,
+        arrival,
+        priority: Priority::Standard,
+    };
+    for round in 0..3 {
+        let mut driver: Box<dyn Driver> = DriverSpec::Realtime { time_scale: scale }
+            .build(engines(2, 65_536), RouterPolicy::RoundRobin);
+        // A gang's maps land on replica 1, which is then drained at the
+        // very instant they arrive: in flight, by the driver's own count.
+        for id in 0..3 {
+            driver.submit(ReplicaId(1), request(id, Stage::Map, maps_at));
+        }
+        assert!(driver.drain_replica(ReplicaId(1), maps_at));
+        assert!(!driver.is_routable(ReplicaId(1), maps_at));
+        // A third replica joins while slot 1 is still draining: all three
+        // are live at once. It takes routes from `ready_at`, not before.
+        let engine = engines(1, 65_536).remove(0);
+        let added = driver.add_replica(engine, added_at, warmup);
+        assert_eq!(added, ReplicaId(2));
+        assert!(!driver.is_routable(added, ready_at - 1));
+        assert!(driver.is_routable(added, ready_at));
+        assert!(
+            !driver.drain_replica(ReplicaId(0), added_at),
+            "round {round}: the last routable replica never drains"
+        );
+        // The drained replica still serves its maps, then goes idle…
+        let maps = drain(driver.as_mut());
+        assert_eq!(maps.len(), 3, "round {round}: every map completes");
+        assert!(maps.iter().all(|c| c.replica == ReplicaId(1)));
+        // …and the gang's reduce, chasing them onto the retired slot, is
+        // still served there exactly once.
+        let reduce_at = maps.iter().map(|c| c.finish).max().unwrap();
+        driver.submit(ReplicaId(1), request(3, Stage::Reduce, reduce_at));
+        let reduce = drain(driver.as_mut());
+        assert_eq!(reduce.len(), 1, "round {round}: one reduce completion");
+        assert_eq!(reduce[0].replica, ReplicaId(1));
+        // Once warm, the new replica shares routes with replica 0.
+        let mut routed: Vec<ReplicaId> = (0..2).map(|_| driver.route(ready_at)).collect();
+        for (id, &replica) in (4..).zip(&routed) {
+            driver.submit(replica, request(id, Stage::Single, ready_at));
+        }
+        let tail = drain(driver.as_mut());
+        routed.sort();
+        assert_eq!(routed, vec![ReplicaId(0), added]);
+
+        let all: Vec<&Completion> = maps.iter().chain(&reduce).chain(&tail).collect();
+        let mut ids: Vec<u64> = all.iter().map(|c| c.id.0).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5], "round {round}: exactly once");
+        let stats = driver.finish();
+        assert_eq!(stats.replicas, 3);
+        assert_eq!(
+            stats.peak_replicas, 3,
+            "round {round}: a draining replica is live until it retires"
+        );
+        // Slot 0 bills the whole run, slot 2 from its spawn, and the drained
+        // slot 1 to the finish of its last request — the late reduce, long
+        // after the instant it was drained at.
+        let last_on_drained = reduce[0].finish;
+        assert!(last_on_drained > maps_at);
+        let end = all.iter().map(|c| c.finish).max().unwrap().max(ready_at);
+        let expected =
+            nanos_to_secs(end) + nanos_to_secs(last_on_drained) + nanos_to_secs(end - added_at);
+        assert!(
+            (stats.replica_seconds - expected).abs() < 1e-6,
+            "round {round}: billed {} replica-seconds, the ledger says {expected}",
+            stats.replica_seconds
+        );
+    }
 }

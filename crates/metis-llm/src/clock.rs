@@ -136,6 +136,13 @@ impl WallClock {
     fn wall_nanos(&self, virtual_nanos: Nanos) -> u64 {
         (virtual_nanos as f64 / self.time_scale).ceil() as u64
     }
+
+    /// Wall time until this clock reads virtual instant `t` (zero once it
+    /// does) — how long a caller that cannot simply sleep may block on
+    /// something else before `t` is due.
+    pub fn wall_until(&self, t: Nanos) -> Duration {
+        Duration::from_nanos(self.wall_nanos(t.saturating_sub(self.now())))
+    }
 }
 
 impl Clock for WallClock {
@@ -194,8 +201,10 @@ mod tests {
         c.advance_to(t0 + 60_000_000_000_000);
         assert!(c.now() < t0 + 60_000_000_000_000);
         let target = c.now() + 5_000_000_000; // 5 virtual s = 5 wall µs.
+        assert!(!c.wall_until(target).is_zero(), "the target is ahead");
         let reached = c.sleep_until(target);
         assert!(reached >= target);
+        assert!(c.wall_until(target).is_zero(), "and now it is not");
         // Clones share the epoch and therefore the timeline.
         let c2 = c;
         let (a, b) = (c.now(), c2.now());
