@@ -17,8 +17,6 @@
 //! retrieval, so a chunk stuffed with one repeated topic word does not
 //! dominate chunks with diverse query-relevant words.
 
-use std::collections::HashMap;
-
 use metis_text::TokenId;
 
 use crate::hashers::{bucket_and_sign, mix2, splitmix64};
@@ -75,22 +73,18 @@ impl EmbedderKind {
     }
 }
 
-/// Computes sublinearly damped term frequencies.
-fn tf_weights(tokens: &[TokenId]) -> HashMap<TokenId, f32> {
-    let mut counts: HashMap<TokenId, u32> = HashMap::new();
-    for &t in tokens {
-        *counts.entry(t).or_insert(0) += 1;
-    }
-    counts
-        .into_iter()
-        .map(|(t, c)| (t, 1.0 + (c as f32).ln()))
-        .collect()
-}
-
+/// Adds every distinct token's hashed feature to `out`, weighted by its
+/// sublinearly damped term frequency (`1 + ln tf`). Tokens are counted as
+/// runs of a sorted copy and visited in ascending token id: the order is
+/// part of the embedding, because colliding features add into a shared
+/// bucket and f32 addition rounds differently in another order.
 fn hash_unigrams(tokens: &[TokenId], dim: usize, seed: u64, probes: u32, out: &mut [f32]) {
-    for (t, w) in tf_weights(tokens) {
+    let mut sorted = tokens.to_vec();
+    sorted.sort_unstable();
+    for run in sorted.chunk_by(|a, b| a == b) {
+        let w = 1.0 + (run.len() as f32).ln();
         for p in 0..probes {
-            let h = mix2(seed ^ u64::from(p) << 32, u64::from(t.0));
+            let h = mix2(seed ^ u64::from(p) << 32, u64::from(run[0].0));
             let (b, s) = bucket_and_sign(splitmix64(h), dim);
             out[b] += s * w / (probes as f32);
         }
@@ -264,6 +258,65 @@ mod tests {
     fn embedding_is_deterministic() {
         let e = HashEmbed::default();
         assert_eq!(e.embed(&toks(&[9, 8, 7])), e.embed(&toks(&[9, 8, 7])));
+    }
+
+    /// 200 seeded 400-token texts over a 300-word vocabulary: repeated
+    /// tokens (non-dyadic `1 + ln tf` weights) colliding three and more to a
+    /// bucket at dim 64 — the inputs whose sum depends on the order of
+    /// accumulation.
+    fn colliding_texts() -> Vec<Vec<TokenId>> {
+        let mut state = 0x5EED_u64;
+        (0..200)
+            .map(|_| {
+                (0..400)
+                    .map(|_| {
+                        state = splitmix64(state);
+                        TokenId((state % 300) as u32)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Embeddings are a function of the tokens alone: accumulating in the
+    /// iteration order of a randomly keyed hash table would make the low
+    /// bits differ per process. This digest pins the ascending-token-id
+    /// order across processes and hosts.
+    #[test]
+    fn embedding_bits_do_not_depend_on_the_process() {
+        let e = HashEmbed::new(64, 7);
+        let mut fnv = 0xcbf2_9ce4_8422_2325_u64;
+        for text in colliding_texts() {
+            for x in e.embed(&text) {
+                for b in x.to_bits().to_le_bytes() {
+                    fnv = (fnv ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(fnv, 0x7fa7_6ac1_b500_6742, "embedding bits moved");
+    }
+
+    #[test]
+    fn unigram_features_accumulate_in_ascending_token_order() {
+        use std::collections::BTreeMap;
+        let (dim, seed, probes) = (64, 7, 2u32);
+        for text in colliding_texts() {
+            let mut counts: BTreeMap<TokenId, u32> = BTreeMap::new();
+            for &t in &text {
+                *counts.entry(t).or_insert(0) += 1;
+            }
+            let mut want = vec![0.0f32; dim];
+            for (t, c) in counts {
+                let w = 1.0 + (c as f32).ln();
+                for p in 0..probes {
+                    let h = mix2(seed ^ u64::from(p) << 32, u64::from(t.0));
+                    let (b, s) = bucket_and_sign(splitmix64(h), dim);
+                    want[b] += s * w / (probes as f32);
+                }
+            }
+            l2_normalize(&mut want);
+            assert_eq!(HashEmbed::new(dim, seed).embed(&text), want);
+        }
     }
 
     #[test]

@@ -40,8 +40,12 @@ impl Ord for HeapEntry {
 /// Exact (brute-force) L2 nearest-neighbour index.
 ///
 /// Vectors are stored contiguously; search scans all of them and keeps the
-/// best `k` in a bounded max-heap — `O(n · d + n · log k)`, identical in
-/// results to FAISS `IndexFlatL2`.
+/// best `k` in a bounded max-heap — `O(n · d)` distance work plus
+/// `O(log k)` per row that beats the current worst (one compare per row
+/// that does not), identical in results to FAISS `IndexFlatL2`. With the
+/// lane-parallel distance kernel the scan runs within ~1.5× of
+/// streaming the rows from memory, so the rows stay one contiguous array
+/// read front to back — blocking or prefetching measured slower.
 ///
 /// # Examples
 ///
@@ -117,22 +121,31 @@ impl VectorIndex for FlatIndex {
                 work: SearchWork::default(),
             };
         }
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
-        for row in 0..self.ids.len() {
-            let d2 = squared_l2(&self.data[row * self.dim..][..self.dim], query);
-            if heap.len() < k {
+        let mut rows = self.data.chunks_exact(self.dim).zip(&self.ids);
+        let mut heap: BinaryHeap<HeapEntry> = rows
+            .by_ref()
+            .take(k)
+            .map(|(row, &chunk)| HeapEntry {
+                distance: squared_l2(row, query),
+                chunk,
+            })
+            .collect();
+        // The full heap's largest squared distance, kept in a local so a
+        // rejected row costs one compare (a NaN distance neither displaces
+        // an entry nor is displaced).
+        let worst_of = |heap: &BinaryHeap<HeapEntry>| {
+            heap.peek().expect("k > 0 over a non-empty index").distance
+        };
+        let mut worst = worst_of(&heap);
+        for (row, &chunk) in rows {
+            let d2 = squared_l2(row, query);
+            if d2 < worst {
+                heap.pop();
                 heap.push(HeapEntry {
                     distance: d2,
-                    chunk: self.ids[row],
+                    chunk,
                 });
-            } else if let Some(top) = heap.peek() {
-                if d2 < top.distance {
-                    heap.pop();
-                    heap.push(HeapEntry {
-                        distance: d2,
-                        chunk: self.ids[row],
-                    });
-                }
+                worst = worst_of(&heap);
             }
         }
         let mut hits: Vec<Hit> = heap

@@ -364,6 +364,48 @@ mod tests {
         assert_eq!(ids_a, ids_b);
     }
 
+    /// The kernel's summation order must not decide a ranking: centroid
+    /// probe order and the top-k inside the probed lists, recomputed with
+    /// the plain sequential sum over the same built lists, name the same
+    /// chunks in the same order.
+    #[test]
+    fn rankings_match_the_sequential_sum_oracle() {
+        use crate::test_oracle::{sequential_l2, values};
+        let dim = 32;
+        let items: Vec<(ChunkId, Vec<f32>)> = (0..600u32)
+            .map(|i| (ChunkId(i), values(dim, u64::from(i))))
+            .collect();
+        let idx = IvfIndex::build(dim, IvfConfig::default(), &items);
+        let (_, centroids, lists) = idx.raw();
+        for q in 0..64u64 {
+            let query = values(dim, 10_000 + q);
+            let mut order: Vec<(f32, usize)> = centroids
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (sequential_l2(c, &query), i))
+                .collect();
+            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mut oracle: Vec<(f32, ChunkId)> = order
+                .iter()
+                .take(idx.config().nprobe)
+                .flat_map(|&(_, list)| &lists[list])
+                .map(|(id, v)| (sequential_l2(v, &query), *id))
+                .collect();
+            oracle.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let hits = idx.search(&query, 10);
+            assert_eq!(hits.len(), 10);
+            for (rank, (hit, (d2, id))) in hits.iter().zip(&oracle).enumerate() {
+                assert_eq!(
+                    hit.chunk,
+                    *id,
+                    "query {q} rank {rank}: library {:e}, sequential oracle {:e}",
+                    hit.distance,
+                    d2.sqrt()
+                );
+            }
+        }
+    }
+
     #[test]
     fn empty_index_returns_nothing() {
         let idx = IvfIndex::build(3, IvfConfig::default(), &[]);

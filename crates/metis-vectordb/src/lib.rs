@@ -22,17 +22,60 @@ pub use store::{ChunkStore, StoreStats};
 
 use metis_text::ChunkId;
 
-/// Squared L2 distance, summed sequentially in index order — the one exact
-/// kernel behind every index, so equal inputs give equal bits everywhere.
+/// Accumulator lanes of [`squared_l2`]. A constant, not a parameter: the
+/// lane count is part of the rounding, and the search goldens pin the bits.
+const LANES: usize = 16;
+
+/// Squared L2 distance — the one exact kernel behind every index, so equal
+/// inputs give equal bits everywhere.
+///
+/// The order of additions is fixed by this source, not by the host:
+///
+/// 1. `LANES` independent accumulators run over `chunks_exact(LANES)`: lane
+///    `l` sums `(a[i] - b[i])²` for `i ≡ l (mod LANES)`, in index order;
+/// 2. a pairwise tree folds them 16 → 8 → 4 → 2 → 1 (`lane[l] += lane[l +
+///    half]`);
+/// 3. the fewer-than-`LANES` tail elements are added to that sum
+///    sequentially.
+///
+/// Independent lanes break the single add chain that made the sequential
+/// sum latency-bound, and the compiler may run them in whatever vector
+/// width the target has — each lane still sees the same operands in the
+/// same order, so the result is bit-identical on every host. That is why
+/// `mul_add`/FMA (one rounding instead of two, and only where the hardware
+/// has it), `std::arch` and `target-cpu` flags are banned here: they would
+/// make the pinned bits depend on where the code was built.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length — scoring the common prefix would
+/// silently rank on a truncated vector.
 #[inline]
 pub(crate) fn squared_l2(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| {
+    assert_eq!(a.len(), b.len(), "dimension mismatch");
+    let mut lanes = [0.0f32; LANES];
+    let (a_chunks, b_chunks) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let (a_tail, b_tail) = (a_chunks.remainder(), b_chunks.remainder());
+    for (ca, cb) in a_chunks.zip(b_chunks) {
+        for ((lane, x), y) in lanes.iter_mut().zip(ca).zip(cb) {
             let d = x - y;
-            d * d
-        })
-        .sum()
+            *lane += d * d;
+        }
+    }
+    let mut half = LANES / 2;
+    while half > 0 {
+        let (lo, hi) = lanes.split_at_mut(half);
+        for (l, h) in lo.iter_mut().zip(hi) {
+            *l += *h;
+        }
+        half /= 2;
+    }
+    let mut sum = lanes[0];
+    for (x, y) in a_tail.iter().zip(b_tail) {
+        let d = x - y;
+        sum += d * d;
+    }
+    sum
 }
 
 /// A search hit: chunk id plus L2 distance (smaller is more similar).
@@ -134,5 +177,111 @@ pub trait VectorIndex: Send + Sync {
     /// order (for callers that don't need work accounting).
     fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
         self.search_counted(query, k).hits
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod test_oracle {
+    //! Reference sums and inputs the unit tests compare the kernel against.
+
+    /// The plain sequential sum the library used before the lane kernel:
+    /// same values, different rounding — the ranking oracle.
+    pub(crate) fn sequential_l2(a: &[f32], b: &[f32]) -> f32 {
+        a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+    }
+
+    /// `n` deterministic values in `[-1, 1)`, a different stream per `seed`.
+    pub(crate) fn values(n: usize, seed: u64) -> Vec<f32> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 33) as f32 / (1u64 << 31) as f32) * 2.0 - 1.0
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::test_oracle::values;
+    use super::*;
+
+    fn lengths() -> impl Iterator<Item = usize> {
+        (0..=70).chain([1_023, 1_024, 1_025])
+    }
+
+    /// The documented order, spelled out with indexes: lane `i % 16` over
+    /// the whole 16-blocks, the 16 → 8 → 4 → 2 → 1 fold, then the tail.
+    fn documented_order(a: &[f32], b: &[f32]) -> f32 {
+        let sq = |i: usize| (a[i] - b[i]) * (a[i] - b[i]);
+        let blocked = a.len() / 16 * 16;
+        let mut lane = [0.0f32; 16];
+        for i in 0..blocked {
+            lane[i % 16] += sq(i);
+        }
+        for half in [8, 4, 2, 1] {
+            for l in 0..half {
+                lane[l] += lane[l + half];
+            }
+        }
+        (blocked..a.len()).fold(lane[0], |sum, i| sum + sq(i))
+    }
+
+    #[test]
+    fn kernel_follows_the_documented_order_bit_for_bit() {
+        for n in lengths() {
+            let (a, b) = (values(n, 1), values(n, 2));
+            assert_eq!(
+                squared_l2(&a, &b).to_bits(),
+                documented_order(&a, &b).to_bits(),
+                "length {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn kernel_is_within_rounding_of_an_f64_sum() {
+        for n in lengths() {
+            let (a, b) = (values(n, 3), values(n, 4));
+            let exact: f64 = a
+                .iter()
+                .zip(&b)
+                .map(|(x, y)| (f64::from(*x) - f64::from(*y)).powi(2))
+                .sum();
+            let got = f64::from(squared_l2(&a, &b));
+            assert!(
+                (got - exact).abs() <= 1e-5 * exact,
+                "length {n}: {got} vs {exact}"
+            );
+        }
+    }
+
+    /// Same values at another slice offset give the same bits: nothing in
+    /// the kernel may peel an alignment prologue off the front.
+    #[test]
+    fn kernel_does_not_depend_on_slice_alignment() {
+        for n in lengths() {
+            let (a, b) = (values(n, 5), values(n, 6));
+            let want = squared_l2(&a, &b).to_bits();
+            for (off_a, off_b) in [(1, 0), (0, 3), (5, 7)] {
+                let (mut pa, mut pb) = (vec![9.0; off_a], vec![-9.0; off_b]);
+                pa.extend_from_slice(&a);
+                pb.extend_from_slice(&b);
+                assert_eq!(
+                    squared_l2(&pa[off_a..], &pb[off_b..]).to_bits(),
+                    want,
+                    "length {n}, offsets {off_a}/{off_b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn kernel_refuses_slices_of_different_lengths() {
+        squared_l2(&[1.0, 2.0, 3.0], &[1.0, 2.0]);
     }
 }

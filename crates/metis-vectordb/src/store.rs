@@ -14,7 +14,7 @@
 //! in each tier, so retrieval benchmarks can report tier locality the same
 //! way [`crate::SearchWork`] reports distance evals.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -39,13 +39,25 @@ pub struct ChunkStore {
     bytes_cold_touched: AtomicU64,
 }
 
-/// LRU state: decoded chunks keyed by index, recency order kept in a
-/// stamp → index map (the smallest stamp is the eviction victim).
+/// LRU state. Chunk ids are dense, so a decoded chunk lives in the slot at
+/// its own index (one slot per blob, `None` while cold) next to its recency
+/// stamp; recency order is a stamp → index map with one entry per occupied
+/// slot, whose smallest stamp is the eviction victim.
 #[derive(Debug, Default)]
 struct HotTier {
-    decoded: HashMap<u32, (AnnotatedText, u64)>,
+    decoded: Vec<Option<(AnnotatedText, u64)>>,
     recency: BTreeMap<u64, u32>,
     clock: u64,
+}
+
+impl HotTier {
+    /// An empty tier over `chunks` cold blobs.
+    fn cold(chunks: usize) -> Self {
+        Self {
+            decoded: vec![None; chunks],
+            ..Self::default()
+        }
+    }
 }
 
 /// A point-in-time snapshot of the store's tier counters. Obtained from
@@ -103,7 +115,7 @@ impl Clone for ChunkStore {
             blobs: self.blobs.clone(),
             spans: self.spans.clone(),
             hot_capacity: self.hot_capacity,
-            hot: Mutex::new(HotTier::default()),
+            hot: Mutex::new(HotTier::cold(self.blobs.len())),
             accesses: AtomicU64::new(0),
             hot_hits: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
@@ -163,6 +175,11 @@ impl ChunkStore {
         let id = ChunkId(self.blobs.len() as u32);
         self.blobs.push(buf.freeze());
         self.spans.push(text.spans().to_vec());
+        self.hot
+            .get_mut()
+            .expect("hot tier lock")
+            .decoded
+            .push(None);
         id
     }
 
@@ -192,18 +209,20 @@ impl ChunkStore {
     pub fn get(&self, id: ChunkId) -> Option<AnnotatedText> {
         let blob = self.blobs.get(id.index())?;
         self.accesses.fetch_add(1, Ordering::Relaxed);
-        let key = id.0;
         let blob_len = blob.len() as u64;
         if self.hot_capacity > 0 {
             let mut hot = self.hot.lock().expect("hot tier lock");
-            if let Some((text, stamp)) = hot.decoded.get(&key) {
+            let HotTier {
+                decoded,
+                recency,
+                clock,
+            } = &mut *hot;
+            if let Some((text, stamp)) = &mut decoded[id.index()] {
+                recency.remove(stamp);
+                *clock += 1;
+                *stamp = *clock;
+                recency.insert(*clock, id.0);
                 let text = text.clone();
-                let old = *stamp;
-                hot.recency.remove(&old);
-                hot.clock += 1;
-                let now = hot.clock;
-                hot.recency.insert(now, key);
-                hot.decoded.get_mut(&key).expect("present").1 = now;
                 self.hot_hits.fetch_add(1, Ordering::Relaxed);
                 self.bytes_hot_touched
                     .fetch_add(blob_len, Ordering::Relaxed);
@@ -222,18 +241,18 @@ impl ChunkStore {
             let mut hot = self.hot.lock().expect("hot tier lock");
             // A racing promoter may have beaten us; re-inserting just
             // refreshes the entry either way.
-            if hot.decoded.len() >= self.hot_capacity && !hot.decoded.contains_key(&key) {
+            if hot.recency.len() >= self.hot_capacity && hot.decoded[id.index()].is_none() {
                 if let Some((_, victim)) = hot.recency.pop_first() {
-                    hot.decoded.remove(&victim);
+                    hot.decoded[victim as usize] = None;
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
             }
             hot.clock += 1;
             let now = hot.clock;
-            if let Some((_, old)) = hot.decoded.insert(key, (text.clone(), now)) {
+            if let Some((_, old)) = hot.decoded[id.index()].replace((text.clone(), now)) {
                 hot.recency.remove(&old);
             }
-            hot.recency.insert(now, key);
+            hot.recency.insert(now, id.0);
             self.promotions.fetch_add(1, Ordering::Relaxed);
         }
         Some(text)
@@ -251,7 +270,7 @@ impl ChunkStore {
 
     /// Snapshots the tier counters and occupancy.
     pub fn stats(&self) -> StoreStats {
-        let hot_chunks = self.hot.lock().expect("hot tier lock").decoded.len();
+        let hot_chunks = self.hot.lock().expect("hot tier lock").recency.len();
         StoreStats {
             accesses: self.accesses.load(Ordering::Relaxed),
             hot_hits: self.hot_hits.load(Ordering::Relaxed),
