@@ -1,7 +1,7 @@
 //! The continuous-batching engine.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use metis_llm::{Clock, LatencyModel, Nanos, VirtualClock};
 
@@ -195,7 +195,8 @@ pub struct Engine {
     /// Requests with future arrival times, keyed by (arrival, submit order).
     pending: BTreeMap<(Nanos, u64), LlmRequest>,
     /// Arrived requests awaiting admission, in arrival order (preempted
-    /// requests re-enter at the back; admission order re-ranks them).
+    /// requests re-enter at the back; admission picks by rank, see
+    /// [`Engine::head`], and position only breaks ties).
     queue: VecDeque<Queued>,
     running: Vec<Running>,
     alloc: KvAllocator,
@@ -204,6 +205,18 @@ pub struct Engine {
     /// Victims evicted under [`PreemptMode::Migrate`], awaiting placement
     /// by the cluster (always empty under [`PreemptMode::Recompute`]).
     evicted: Vec<EvictedSeq>,
+    /// Change stamp of the admission inputs: bumped by [`Engine::touch`],
+    /// and only there, at every mutation of the queue, the running set or
+    /// the allocator. Admission is a function of exactly those three and
+    /// reads no clock, so an answer found at one stamp holds until the next.
+    stamp: u64,
+    /// The stamp at which the admission head was last found blocked;
+    /// [`Engine::try_admit`] returns at once while it is still current.
+    blocked_at: Option<u64>,
+    /// Scratch for [`Engine::head`]: the groups of the running set, sorted.
+    /// Refilled in place on every ranking pass, so it allocates only while
+    /// the running set is still growing past its previous peak.
+    active_groups: Vec<GroupId>,
 }
 
 impl Engine {
@@ -227,6 +240,9 @@ impl Engine {
             stats: EngineStats::default(),
             submit_seq: 0,
             evicted: Vec::new(),
+            stamp: 0,
+            blocked_at: None,
+            active_groups: Vec::new(),
         }
     }
 
@@ -348,6 +364,7 @@ impl Engine {
         if ready_at <= self.clock.now() {
             let enqueued = ready_at;
             self.queue.push_back(Queued { req, enqueued });
+            self.touch();
         } else {
             let key = (ready_at, self.submit_seq);
             self.submit_seq += 1;
@@ -364,6 +381,7 @@ impl Engine {
             req: seq.recompute_req,
             enqueued: seq.evicted_at,
         });
+        self.touch();
     }
 
     /// Records a successful migration *off* this replica (called by the
@@ -388,6 +406,7 @@ impl Engine {
         if req.arrival <= self.clock.now() {
             let enqueued = req.arrival;
             self.queue.push_back(Queued { req, enqueued });
+            self.touch();
         } else {
             let key = (req.arrival, self.submit_seq);
             self.submit_seq += 1;
@@ -395,74 +414,88 @@ impl Engine {
         }
     }
 
+    /// Records a mutation of the queue, the running set or the allocator —
+    /// the inputs of admission. Every such mutation calls this, and nothing
+    /// else moves the stamp.
+    fn touch(&mut self) {
+        self.stamp += 1;
+    }
+
     fn absorb_arrivals(&mut self) {
-        let due: Vec<(Nanos, u64)> = self
-            .pending
-            .range(..=(self.clock.now(), u64::MAX))
-            .map(|(k, _)| *k)
-            .collect();
-        for k in due {
-            let req = self.pending.remove(&k).expect("key just enumerated");
+        let now = self.clock.now();
+        while let Some(due) = self.pending.first_entry() {
+            if due.key().0 > now {
+                break;
+            }
             // The key time, not `req.arrival`: identical for ordinary
             // future arrivals, but a migrated-in sequence keeps its
             // original arrival stamp while its local wait starts when the
             // KV transfer lands (see [`Engine::submit_in_transit`]).
-            let enqueued = k.0;
+            let ((enqueued, _), req) = due.remove_entry();
             self.queue.push_back(Queued { req, enqueued });
+            self.touch();
         }
     }
 
-    /// Admission order under the configured policy; returns indices into the
-    /// queue, highest priority first.
-    fn admission_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.queue.len()).collect();
-        match self.config.policy {
-            SchedPolicy::Fcfs => {}
-            SchedPolicy::GangByGroup => {
-                let active: HashSet<GroupId> = self.running.iter().map(|r| r.req.group).collect();
-                // DAG-aware application scheduling (Parrot*): reduce calls
-                // jump the queue — they unblock a whole query whose map work
-                // is already sunk — then calls whose group is already
-                // running, then FIFO. The sort is stable, so FIFO order is
-                // kept within a class.
-                order.sort_by_key(|&i| {
-                    let req = &self.queue[i].req;
-                    if req.stage == Stage::Reduce {
-                        0u8
-                    } else if active.contains(&req.group) {
-                        1
-                    } else {
-                        2
-                    }
-                });
-            }
-            SchedPolicy::Preemptive => {
-                let active: HashSet<GroupId> = self.running.iter().map(|r| r.req.group).collect();
-                // SLO class first, then the Parrot* DAG/gang keys inside a
-                // class, then arrival — so preempted requests that re-enter
-                // at the back of the deque still rank by their original
-                // arrival within their class.
-                order.sort_by_key(|&i| {
-                    let req = &self.queue[i].req;
-                    (
-                        req.priority,
-                        req.stage != Stage::Reduce,
-                        !active.contains(&req.group),
-                        req.arrival,
-                    )
-                });
-            }
+    /// Index of the queue entry admission tries next (`None` on an empty
+    /// queue): the minimum of the configured policy's rank key, ties broken
+    /// by queue position (`min_by_key` keeps the first minimum — the head
+    /// of a stable sort under the same key). One pass, no allocation in
+    /// steady state.
+    fn head(&mut self) -> Option<usize> {
+        let policy = self.config.policy;
+        if policy != SchedPolicy::Fcfs && !self.queue.is_empty() {
+            self.active_groups.clear();
+            self.active_groups
+                .extend(self.running.iter().map(|r| r.req.group));
+            self.active_groups.sort_unstable();
         }
-        order
+        let foreign = |req: &LlmRequest| self.active_groups.binary_search(&req.group).is_err();
+        let mut ranked = self.queue.iter().enumerate();
+        let head = match policy {
+            SchedPolicy::Fcfs => ranked.next(),
+            // DAG-aware application scheduling (Parrot*): reduce calls jump
+            // the queue — they unblock a whole query whose map work is
+            // already sunk — then calls whose group is already running,
+            // then FIFO.
+            SchedPolicy::GangByGroup => ranked.min_by_key(|(_, q)| {
+                if q.req.stage == Stage::Reduce {
+                    0u8
+                } else if foreign(&q.req) {
+                    2
+                } else {
+                    1
+                }
+            }),
+            // SLO class first, then the Parrot* DAG/gang keys inside a
+            // class, then arrival — so preempted requests that re-enter at
+            // the back of the deque still rank by their original arrival
+            // within their class.
+            SchedPolicy::Preemptive => ranked.min_by_key(|(_, q)| {
+                (
+                    q.req.priority,
+                    q.req.stage != Stage::Reduce,
+                    foreign(&q.req),
+                    q.req.arrival,
+                )
+            }),
+        };
+        let head = head.map(|(i, _)| i);
+        // Under test, every admission attempt of every test in this crate
+        // is checked against the full stable-sort ranking.
+        #[cfg(test)]
+        assert_eq!(head, tests::admission_order_oracle(self).first().copied());
+        head
     }
 
     fn try_admit(&mut self) {
         loop {
-            if self.queue.is_empty() {
+            if self.blocked_at == Some(self.stamp) {
                 return;
             }
-            let order = self.admission_order();
-            let head = order[0];
+            let Some(head) = self.head() else {
+                return;
+            };
             let demand = self.queue[head].req.kv_demand_tokens();
             let slot_blocked = self.running.len() >= self.config.max_batch_seqs;
             let kv_blocked = !self.alloc.fits(demand);
@@ -477,11 +510,13 @@ impl Engine {
                     || !kv_blocked
                     || !self.preempt_for(head, demand)
                 {
+                    // Recorded after `preempt_for` returns: whatever it
+                    // did, this is the state a fresh attempt would see.
+                    self.blocked_at = Some(self.stamp);
                     return;
                 }
             }
-            let Queued { req, enqueued } =
-                self.queue.remove(head).expect("index from admission_order");
+            let Queued { req, enqueued } = self.queue.remove(head).expect("index from head()");
             self.alloc
                 .alloc(req.id, demand)
                 .expect("fits() checked above");
@@ -502,6 +537,7 @@ impl Engine {
                 prefill_done: self.clock.now(),
                 req,
             });
+            self.touch();
         }
     }
 
@@ -552,6 +588,7 @@ impl Engine {
                 .expect("victim still running");
             let r = self.running.swap_remove(idx);
             self.alloc.free(r.req.id).expect("running seq held KV");
+            self.touch();
             // Tokens computed past the cached prefix: what recompute
             // discards, and exactly what a migration must move.
             let (lost, computed_through) = match r.state {
@@ -624,55 +661,28 @@ impl Engine {
 
         // Assemble the iteration: one decode token per decoding sequence,
         // chunked prefill across prefilling sequences in admission order.
-        // A zero chunk budget means unlimited (no chunking): a literal zero
-        // would starve every prefilling sequence while the clock kept
-        // advancing — a livelock.
-        let mut prefill_budget = match self.config.prefill_chunk_tokens {
-            0 => u64::MAX,
-            n => n,
-        };
+        let mut prefill_budget = self.prefill_budget();
         let mut prefill_tokens: u64 = 0;
         let mut prefill_ctx_weighted: f64 = 0.0;
         let mut decode_seqs: u64 = 0;
+        let mut finishing: usize = 0;
         let mut batch_kv: u64 = 0;
-        let mut plan: Vec<(usize, u64)> = Vec::new(); // (running index, prefill tokens)
-        let mut decoding: Vec<usize> = Vec::new(); // Sequences decoding *this* iteration.
 
-        for (i, r) in self.running.iter().enumerate() {
+        for r in &self.running {
             match r.state {
                 RequestState::Prefilling { done } => {
                     batch_kv += done;
-                    if prefill_budget > 0 {
-                        let n = (r.req.prompt_tokens - done).min(prefill_budget);
-                        if n > 0 {
-                            prefill_budget -= n;
-                            prefill_tokens += n;
-                            prefill_ctx_weighted += (n * (done + n)) as f64;
-                            plan.push((i, n));
-                        }
-                    }
+                    let n = take_prefill(&mut prefill_budget, r.req.prompt_tokens - done);
+                    prefill_tokens += n;
+                    prefill_ctx_weighted += (n * (done + n)) as f64;
                 }
                 RequestState::Decoding { emitted } => {
                     decode_seqs += 1;
-                    decoding.push(i);
+                    finishing += usize::from(emitted + 1 >= r.req.output_tokens);
                     batch_kv += r.req.prompt_tokens + emitted;
                 }
                 _ => {}
             }
-        }
-
-        if prefill_tokens == 0 && decode_seqs == 0 {
-            // Defensive: no sequence made progress this iteration (cannot
-            // happen now that a zero chunk budget means unlimited, but kept
-            // against future budget policies). Advance by overhead only —
-            // with the same iteration/busy accounting as a productive
-            // iteration, so utilization and `EngineStats::busy` stay truthful.
-            let dt = self.latency.iteration_time(0, 0, 0, batch_kv);
-            self.clock.advance_by(dt);
-            self.stats.iterations += 1;
-            self.stats.busy += dt;
-            self.stats.peak_kv_tokens = self.stats.peak_kv_tokens.max(self.alloc.used_tokens());
-            return Vec::new();
         }
 
         let avg_ctx = if prefill_tokens > 0 {
@@ -680,6 +690,10 @@ impl Engine {
         } else {
             0
         };
+        // An iteration in which no sequence progresses (cannot happen now
+        // that a zero chunk budget means unlimited) takes this same path:
+        // it advances by overhead only and is counted like any other, so
+        // utilization and `EngineStats::busy` stay truthful.
         let dt = self
             .latency
             .iteration_time(prefill_tokens, avg_ctx, decode_seqs, batch_kv);
@@ -690,39 +704,45 @@ impl Engine {
         self.stats.decode_tokens += decode_seqs;
         self.stats.peak_kv_tokens = self.stats.peak_kv_tokens.max(self.alloc.used_tokens());
 
-        // Apply progress.
-        for (i, n) in plan {
-            if let RequestState::Prefilling { done } = self.running[i].state {
-                let done = done + n;
-                self.running[i].state = if done >= self.running[i].req.prompt_tokens {
-                    self.running[i].prefill_done = self.clock.now();
-                    RequestState::Decoding { emitted: 0 }
-                } else {
-                    RequestState::Prefilling { done }
-                };
-            }
-        }
-        let mut completions = Vec::new();
+        // Apply progress in a second pass that re-derives each prefill
+        // share from a fresh budget. Every sequence is visited once, still
+        // in its start-of-iteration state, so one that finishes prefill
+        // here emits its first token next iteration, not this one. The
+        // completions are sized exactly: an iteration that finishes nothing
+        // allocates nothing, one that does allocates once.
         let clock = self.clock.now();
-        for &i in &decoding {
-            let r = &mut self.running[i];
-            if let RequestState::Decoding { emitted } = r.state {
-                let emitted = emitted + 1;
-                if emitted >= r.req.output_tokens {
-                    r.state = RequestState::Finished { at: clock };
-                    completions.push(Completion {
-                        id: r.req.id,
-                        group: r.req.group,
-                        stage: r.req.stage,
-                        replica: self.replica,
-                        arrival: r.req.arrival,
-                        admitted: r.admitted,
-                        prefill_done: r.prefill_done,
-                        finish: clock,
-                    });
-                } else {
-                    r.state = RequestState::Decoding { emitted };
+        let mut prefill_budget = self.prefill_budget();
+        let mut completions = Vec::with_capacity(finishing);
+        for r in &mut self.running {
+            match r.state {
+                RequestState::Prefilling { done } => {
+                    let done = done + take_prefill(&mut prefill_budget, r.req.prompt_tokens - done);
+                    r.state = if done >= r.req.prompt_tokens {
+                        r.prefill_done = clock;
+                        RequestState::Decoding { emitted: 0 }
+                    } else {
+                        RequestState::Prefilling { done }
+                    };
                 }
+                RequestState::Decoding { emitted } => {
+                    let emitted = emitted + 1;
+                    if emitted >= r.req.output_tokens {
+                        r.state = RequestState::Finished { at: clock };
+                        completions.push(Completion {
+                            id: r.req.id,
+                            group: r.req.group,
+                            stage: r.req.stage,
+                            replica: self.replica,
+                            arrival: r.req.arrival,
+                            admitted: r.admitted,
+                            prefill_done: r.prefill_done,
+                            finish: clock,
+                        });
+                    } else {
+                        r.state = RequestState::Decoding { emitted };
+                    }
+                }
+                _ => {}
             }
         }
         // Retire finished sequences and free their KV.
@@ -734,8 +754,20 @@ impl Engine {
             }
             self.running
                 .retain(|r| !matches!(r.state, RequestState::Finished { .. }));
+            self.touch();
         }
         completions
+    }
+
+    /// The chunked-prefill token budget of one iteration. A zero chunk
+    /// budget means unlimited (no chunking): a literal zero would starve
+    /// every prefilling sequence while the clock kept advancing — a
+    /// livelock.
+    fn prefill_budget(&self) -> u64 {
+        match self.config.prefill_chunk_tokens {
+            0 => u64::MAX,
+            n => n,
+        }
     }
 
     /// Runs until every submitted request has completed; returns all
@@ -778,6 +810,14 @@ impl Engine {
             self.free_kv_tokens()
         );
     }
+}
+
+/// Takes one prefilling sequence's share — up to `remaining` tokens — out
+/// of what is left of the iteration's prefill budget.
+fn take_prefill(budget: &mut u64, remaining: u64) -> u64 {
+    let n = remaining.min(*budget);
+    *budget -= n;
+    n
 }
 
 #[cfg(test)]
@@ -830,6 +870,226 @@ mod tests {
                 ..EngineConfig::default()
             },
         )
+    }
+
+    /// The ranking admission used to do on every attempt, kept as the
+    /// oracle of [`Engine::head`]: a full stable sort of the queue under
+    /// the policy's key, with gang membership read straight off the running
+    /// set. `head()` asserts itself equal to `[0]` of this on every call
+    /// made under test.
+    pub(super) fn admission_order_oracle(e: &Engine) -> Vec<usize> {
+        let active = |g: GroupId| e.running.iter().any(|r| r.req.group == g);
+        let mut order: Vec<usize> = (0..e.queue.len()).collect();
+        match e.config.policy {
+            SchedPolicy::Fcfs => {}
+            SchedPolicy::GangByGroup => order.sort_by_key(|&i| {
+                let req = &e.queue[i].req;
+                if req.stage == Stage::Reduce {
+                    0u8
+                } else if active(req.group) {
+                    1
+                } else {
+                    2
+                }
+            }),
+            SchedPolicy::Preemptive => order.sort_by_key(|&i| {
+                let req = &e.queue[i].req;
+                (
+                    req.priority,
+                    req.stage != Stage::Reduce,
+                    !active(req.group),
+                    req.arrival,
+                )
+            }),
+        }
+        order
+    }
+
+    /// Seeded contended traffic with ties on every rank-key component:
+    /// arrivals on forty instants 40 ms apart, three classes, singles, maps
+    /// and reduces over eight groups. Sizes are bimodal, so a large head
+    /// often sits blocked while small calls that outrank it keep arriving —
+    /// the case a stale blocked-head memo would get wrong.
+    fn contended(seed: u64, n: u64) -> Vec<LlmRequest> {
+        let mut x = seed;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            x >> 33
+        };
+        (0..n)
+            .map(|i| LlmRequest {
+                id: RequestId(i),
+                group: GroupId(next() % 8),
+                stage: match next() % 3 {
+                    0 => Stage::Single,
+                    1 => Stage::Map,
+                    _ => Stage::Reduce,
+                },
+                prompt_tokens: if next() % 2 == 0 {
+                    40 + next() % 200
+                } else {
+                    1_200 + next() % 1_800
+                },
+                output_tokens: 4 + next() % 40,
+                cached_prompt_tokens: 0,
+                arrival: (next() % 40) * 40_000_000,
+                priority: Priority::all()[(next() % 3) as usize],
+            })
+            .collect()
+    }
+
+    const POLICIES: [(SchedPolicy, PreemptMode); 4] = [
+        (SchedPolicy::Fcfs, PreemptMode::Recompute),
+        (SchedPolicy::GangByGroup, PreemptMode::Recompute),
+        (SchedPolicy::Preemptive, PreemptMode::Recompute),
+        (SchedPolicy::Preemptive, PreemptMode::Migrate),
+    ];
+
+    /// Drives `contended` traffic through a 4 096-token engine: two thirds
+    /// submitted up front (pending → absorbed), the rest late with a stale
+    /// arrival (straight into the queue); migrate victims alternate between
+    /// both re-entry points. `before_step` runs ahead of every step.
+    /// Returns everything observable, as text, and the deepest queue seen.
+    fn drive(
+        policy: SchedPolicy,
+        mode: PreemptMode,
+        seed: u64,
+        before_step: impl Fn(&mut Engine),
+    ) -> (String, usize) {
+        let mut e = capped_engine(policy, 4_096);
+        e.config.preempt_mode = mode;
+        let mut reqs = contended(seed, 150);
+        let late = reqs.split_off(100);
+        for r in reqs {
+            e.submit(r);
+        }
+        let mut late = late.into_iter();
+        let (mut done, mut deepest, mut flip) = (Vec::new(), 0, false);
+        while !e.is_idle() {
+            before_step(&mut e);
+            let before = e.now();
+            let batch = e.step();
+            e.assert_progressed(before, batch.len());
+            done.extend(batch);
+            for seq in e.take_evicted() {
+                flip = !flip;
+                if flip {
+                    let ready_at = seq.evicted_at + 5_000_000;
+                    e.record_migration(seq.kv_tokens);
+                    e.submit_in_transit(seq.migrate_req, ready_at);
+                } else {
+                    e.requeue_recompute(seq);
+                }
+            }
+            if e.stats().iterations.is_multiple_of(7) {
+                if let Some(r) = late.next() {
+                    e.submit(r);
+                }
+            }
+            deepest = deepest.max(e.queued_len());
+            if e.is_idle() {
+                late.by_ref().for_each(|r| e.submit(r));
+            }
+        }
+        assert_eq!(
+            done.len(),
+            150,
+            "{policy:?}/{mode:?}: every request completes"
+        );
+        (format!("{done:?} {:?}", e.stats()), deepest)
+    }
+
+    #[test]
+    fn one_pass_head_equals_the_stable_sort_head_at_every_attempt() {
+        // The comparison itself lives in `Engine::head` (under
+        // `cfg(test)`); this run makes sure it sees deep, tie-ridden queues
+        // under every policy.
+        for (policy, mode) in POLICIES {
+            for seed in [7, 11] {
+                let (_, deepest) = drive(policy, mode, seed, |_| {});
+                assert!(
+                    deepest >= 30,
+                    "{policy:?}/{mode:?}: queue peaked at {deepest}"
+                );
+            }
+        }
+        // And the oracle is not vacuous: it does rank.
+        let mut e = capped_engine(SchedPolicy::Preemptive, 4_096);
+        e.submit(preq(0, 4_000, 10, 0, Priority::Standard));
+        e.step();
+        e.submit(preq(1, 1_000, 10, 0, Priority::Batch));
+        e.submit(preq(2, 1_000, 10, 0, Priority::Standard));
+        e.submit(preq(3, 1_000, 10, 0, Priority::Standard));
+        assert_eq!(admission_order_oracle(&e), vec![1, 2, 0]);
+        assert_eq!(e.head(), Some(1), "ties keep queue order");
+    }
+
+    #[test]
+    fn a_spurious_stamp_bump_changes_nothing() {
+        // Change-stamp soundness: a twin that forgets, before every step,
+        // that its head was blocked must behave identically. Any admission
+        // input the stamp fails to observe — a mutation that does not go
+        // through `touch` — shows up as a diff between the two.
+        for (policy, mode) in POLICIES {
+            let (memo, _) = drive(policy, mode, 7, |_| {});
+            let (fresh, _) = drive(policy, mode, 7, Engine::touch);
+            assert_eq!(memo, fresh, "{policy:?}/{mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_blocked_head_is_re_examined_only_after_a_change() {
+        // One running sequence fills the pool; the head behind it is blocked.
+        let blocked_engine = || {
+            let mut e = capped_engine(SchedPolicy::Preemptive, 4_096);
+            e.config.preempt_mode = PreemptMode::Migrate;
+            e.submit(req(1, 1, 3_000, 50, 0));
+            e.submit(req(2, 2, 3_000, 5, 0));
+            // Far future, and of a class that outranks the blocked head.
+            e.submit(preq(3, 100, 5, 60_000_000_000, Priority::Interactive));
+            e.step();
+            assert_eq!((e.running_len(), e.queued_len()), (1, 1));
+            assert_eq!(e.blocked_at, Some(e.stamp), "found blocked at this stamp");
+            e
+        };
+        // Decode-only steps change no admission input: the memo holds.
+        let mut e = blocked_engine();
+        let memo = e.blocked_at;
+        for _ in 0..10 {
+            assert!(e.step().is_empty());
+        }
+        assert_eq!(e.blocked_at, memo);
+        // Every way a request can enter the queue from outside is a change.
+        let victim = || EvictedSeq {
+            migrate_req: preq(9, 100, 5, 0, Priority::Interactive),
+            recompute_req: preq(9, 100, 5, 0, Priority::Interactive),
+            kv_tokens: 0,
+            lost_tokens: 0,
+            evicted_at: 0,
+        };
+        type Entry = fn(&mut Engine, EvictedSeq);
+        let entries: [(&str, Entry); 4] = [
+            ("submit", |e, v| e.submit(v.recompute_req)),
+            ("submit_in_transit", |e, v| {
+                e.submit_in_transit(v.migrate_req, 0)
+            }),
+            ("requeue_recompute", |e, v| e.requeue_recompute(v)),
+            ("absorb_arrivals", |e, _| e.advance_clock_to(60_000_000_000)),
+        ];
+        for (name, enter) in entries {
+            let mut e = blocked_engine();
+            enter(&mut e, victim());
+            assert_eq!(e.queued_len(), 2, "{name} queued a request");
+            assert_ne!(e.blocked_at, Some(e.stamp), "{name} went unobserved");
+            // The newcomer outranks the blocked head and fits.
+            e.step();
+            assert_eq!(e.running_len(), 2, "{name}: newcomer admitted");
+        }
+        // And so is a retirement: the blocked head gets in once KV frees.
+        let mut e = blocked_engine();
+        assert_eq!(e.run_until_idle().len(), 3);
     }
 
     #[test]

@@ -272,24 +272,24 @@ impl Fleet {
     /// promotes for good.
     pub fn route(&mut self, now: Nanos, load: impl Fn(usize) -> Load) -> ReplicaId {
         self.reap(now, &load);
-        let candidates: Vec<usize> = (0..self.slots.len())
-            .filter(|&i| self.is_routable(ReplicaId(i as u32), now))
-            .collect();
-        assert!(!candidates.is_empty(), "no routable replica");
+        let mut routable =
+            (0..self.slots.len()).filter(|&i| self.is_routable(ReplicaId(i as u32), now));
         let picked = match self.router {
             RouterPolicy::RoundRobin => {
-                let picked = candidates[self.rr_next % candidates.len()];
-                self.rr_next = (self.rr_next + 1) % candidates.len();
+                let count = routable.clone().count();
+                assert!(count > 0, "no routable replica");
+                let picked = routable.nth(self.rr_next % count);
+                self.rr_next = (self.rr_next + 1) % count;
                 picked
             }
             // PrefixAware ranks like LeastKvLoad here: cache-overlap
             // re-routing happens in the runner, which owns the caches.
-            RouterPolicy::LeastKvLoad | RouterPolicy::PrefixAware => candidates
-                .into_iter()
+            RouterPolicy::LeastKvLoad | RouterPolicy::PrefixAware => {
                 // Most free KV bytes; stable tie-break on lowest id.
-                .max_by_key(|&i| (load(i).free_kv_bytes, std::cmp::Reverse(i)))
-                .expect("non-empty candidate list"),
-        };
+                routable.max_by_key(|&i| (load(i).free_kv_bytes, std::cmp::Reverse(i)))
+            }
+        }
+        .expect("no routable replica");
         ReplicaId(picked as u32)
     }
 
