@@ -180,6 +180,8 @@ pub struct HnswIndex {
     upper_at: Vec<(u32, usize)>,
     entry: u32,
     max_level: usize,
+    /// Exact distance evaluations `build` performed.
+    build_evals: u64,
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -225,13 +227,16 @@ impl HnswIndex {
             upper_at: Vec::new(),
             entry: 0,
             max_level: 0,
+            build_evals: 0,
         };
         let ml = 1.0 / (config.m as f64).ln();
         let mut scratch = SearchScratch::default();
+        let mut evals = 0;
         for (i, (id, v)) in items.iter().enumerate() {
             let level = Self::level_for(i as u64, ml);
-            index.insert(*id, v, level, &mut scratch);
+            index.insert(*id, v, level, &mut scratch, &mut evals);
         }
+        index.build_evals = evals;
         if let Quantization::Sq8 { rerank } = quant {
             let sq = ScalarQuantizer::train(dim, items.iter().map(|(_, v)| v.as_slice()));
             let mut codes = Vec::with_capacity(n * dim);
@@ -292,7 +297,14 @@ impl HnswIndex {
         &self.links[at + 1..][..self.links[at] as usize]
     }
 
-    fn insert(&mut self, id: ChunkId, v: &[f32], level: usize, scratch: &mut SearchScratch) {
+    fn insert(
+        &mut self,
+        id: ChunkId,
+        v: &[f32],
+        level: usize,
+        scratch: &mut SearchScratch,
+        evals: &mut u64,
+    ) {
         let node = self.ids.len() as u32;
         self.ids.push(id);
         self.rows.extend_from_slice(v);
@@ -308,17 +320,19 @@ impl HnswIndex {
         // Greedy-descend the layers above the new node's top level.
         let q = Scorer::Exact(v);
         let mut cur = self.score(&q, self.entry);
+        scratch.scored.clear();
         for lvl in (level + 1..=self.max_level).rev() {
             cur = self.greedy_step(&q, cur, lvl, &mut scratch.scored).0;
         }
+        *evals += 1 + scratch.scored.len() as u64;
         // Beam-search each level the node joins, linking to a diverse
         // neighbor set (not simply the closest m — see `select_neighbors`).
         let mut entries = vec![cur];
         for lvl in (0..=level.min(self.max_level)).rev() {
-            let found = self.search_layer(&q, &entries, lvl, scratch);
-            for nb in self.select_neighbors(&found, self.config.m) {
-                self.link(node, lvl, nb);
-                self.link(nb, lvl, node);
+            let found = self.search_layer(&q, &entries, lvl, scratch, evals);
+            for nb in self.select_neighbors(&found, self.config.m, evals) {
+                self.link(node, lvl, nb, evals);
+                self.link(nb, lvl, node, evals);
             }
             entries = found;
         }
@@ -337,7 +351,7 @@ impl HnswIndex {
     /// edge, leaving the cluster unreachable by a bounded search beam. The
     /// diversity test keeps those outbound bridges alive.
     /// `cand` carries each node's distance to the anchor in `Scored::d`.
-    fn select_neighbors(&self, cand: &[Scored], cap: usize) -> Vec<u32> {
+    fn select_neighbors(&self, cand: &[Scored], cap: usize, evals: &mut u64) -> Vec<u32> {
         let mut kept: Vec<u32> = Vec::with_capacity(cap);
         let mut rejected: Vec<u32> = Vec::new();
         for &c in cand {
@@ -345,9 +359,10 @@ impl HnswIndex {
                 break;
             }
             let row = self.exact_row(c.node);
-            let diverse = kept
-                .iter()
-                .all(|&k| squared_l2(row, self.exact_row(k)) > c.d);
+            let diverse = kept.iter().all(|&k| {
+                *evals += 1;
+                squared_l2(row, self.exact_row(k)) > c.d
+            });
             if diverse {
                 kept.push(c.node);
             } else {
@@ -362,7 +377,7 @@ impl HnswIndex {
     /// Appends `new` to `node`'s level-`lvl` list; a full list is instead
     /// re-selected from its slots plus `new` by the diversity heuristic and
     /// rewritten in place.
-    fn link(&mut self, node: u32, lvl: usize, new: u32) {
+    fn link(&mut self, node: u32, lvl: usize, new: u32, evals: &mut u64) {
         let (at, cap) = self.block(node, lvl);
         let len = self.links[at] as usize;
         if len < cap {
@@ -373,8 +388,9 @@ impl HnswIndex {
         let anchor = Scorer::Exact(self.exact_row(node));
         let slots = self.links[at + 1..=at + cap].iter().chain([&new]);
         let mut scored: Vec<Scored> = slots.map(|&nb| self.score(&anchor, nb)).collect();
+        *evals += scored.len() as u64;
         scored.sort_unstable();
-        let picked = self.select_neighbors(&scored, cap);
+        let picked = self.select_neighbors(&scored, cap, evals);
         self.links[at] = picked.len() as u32;
         self.links[at + 1..][..picked.len()].copy_from_slice(&picked);
     }
@@ -415,6 +431,7 @@ impl HnswIndex {
         entries: &[Scored],
         lvl: usize,
         scratch: &mut SearchScratch,
+        evals: &mut u64,
     ) -> Vec<Scored> {
         let ef = self.config.ef_construction;
         scratch.begin(self.ids.len());
@@ -433,6 +450,7 @@ impl HnswIndex {
                     continue;
                 }
                 let s = self.score(q, nb);
+                *evals += 1;
                 let worst = best.peek().map_or(f32::INFINITY, |w| w.d);
                 if best.len() < ef || s.d < worst {
                     cand.push(Reverse(s));
@@ -459,6 +477,36 @@ impl HnswIndex {
     /// Height of the tallest layer currently in the graph.
     pub fn max_level(&self) -> usize {
         self.max_level
+    }
+
+    /// Exact distance evaluations `build` performed — the write path's
+    /// deterministic cost, fixed by the data and the configuration.
+    pub fn build_evals(&self) -> u64 {
+        self.build_evals
+    }
+
+    /// FNV-1a over the graph — `links`, `upper_at`, `entry`, `max_level`, as
+    /// little-endian bytes in that order. The graph is a pure function of
+    /// the data and the configuration; the search goldens pin this digest so
+    /// a faster build must produce the same bytes.
+    #[doc(hidden)]
+    pub fn graph_digest(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for w in &self.links {
+            fold(&w.to_le_bytes());
+        }
+        for &(node, at) in &self.upper_at {
+            fold(&node.to_le_bytes());
+            fold(&(at as u64).to_le_bytes());
+        }
+        fold(&self.entry.to_le_bytes());
+        fold(&(self.max_level as u64).to_le_bytes());
+        h
     }
 
     /// Searches with an explicit layer-0 expansion budget instead of the

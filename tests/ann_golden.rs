@@ -10,6 +10,15 @@
 //! which chunks in which order, must stay where the sequential kernel put
 //! them.
 //!
+//! The `hnsw-graph/…` rows pin the *write* path instead: the FNV-1a digest
+//! of the built graph itself (`HnswIndex::graph_digest`) and the exact
+//! distance evaluations the build spent on it (`HnswIndex::build_evals`).
+//! The graph is a pure function of the data and the configuration, so a
+//! faster build may move the second column, never the first. Beside the
+//! search corpus they cover two integer-grid corpora, where most distances
+//! tie and every tie-break in the construction beam and the neighbour
+//! re-selection decides an edge.
+//!
 //! On an *intentional* behavior change, regenerate with
 //! `METIS_REGEN_GOLDEN=1 cargo test --test ann_golden`, review which rows
 //! and which columns moved, and say why in the PR.
@@ -99,7 +108,29 @@ fn flat_index(corpus: &AnnCorpus) -> FlatIndex {
     flat
 }
 
-/// One `name ids work bits` line per index variant, in a fixed order.
+/// `n` vectors on the integer grid `{0, …, side - 1}^dim`, drawn by an LCG:
+/// far more vectors than grid points, so duplicates and tied distances are
+/// the common case.
+fn grid_items(n: u32, dim: usize, side: u64, seed: u64) -> Vec<(ChunkId, Vec<f32>)> {
+    let mut state = seed;
+    (0..n)
+        .map(|i| {
+            let v = (0..dim)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ((state >> 33) % side) as f32
+                })
+                .collect();
+            (ChunkId(i), v)
+        })
+        .collect()
+}
+
+/// One `name ids work bits` line per index variant, then one
+/// `hnsw-graph/name digest build_evals` line per pinned build, in a fixed
+/// order.
 fn rendered() -> String {
     let (corpus, queries) = corpus_and_queries();
     let mut out = String::new();
@@ -107,12 +138,14 @@ fn rendered() -> String {
         writeln!(out, "{name} {ids:016x} {work:016x} {bits:016x}").expect("write to String")
     };
 
+    let mut graphs = Vec::new();
     for (label, quant) in [
         ("f32", Quantization::F32),
         ("sq8r0", Quantization::Sq8 { rerank: 0 }),
         ("sq8r4", Quantization::Sq8 { rerank: 4 }),
     ] {
         let hnsw = HnswIndex::build(DIM, HnswConfig::default(), quant, &corpus.items);
+        graphs.push((hnsw.graph_digest(), hnsw.build_evals()));
         for ef in [16usize, 64, 192] {
             row(
                 &format!("hnsw/{label}/ef{ef}"),
@@ -150,6 +183,30 @@ fn rendered() -> String {
     row("ivf/f32", digest(&queries, |q| ivf.search_counted(q, K)));
     let flat = flat_index(&corpus);
     row("flat/f32", digest(&queries, |q| flat.search_counted(q, K)));
+
+    // Construction always runs at full precision: one graph, whatever the
+    // storage scheme.
+    assert!(
+        graphs.iter().all(|g| *g == graphs[0]),
+        "the storage scheme changed the graph or its build cost: {graphs:x?}"
+    );
+    let mut graph_row = |name: &str, (digest, evals): (u64, u64)| {
+        writeln!(out, "hnsw-graph/{name} {digest:016x} {evals}").expect("write to String")
+    };
+    graph_row("search-corpus", graphs[0]);
+    let tight = HnswConfig {
+        m: 6,
+        ef_construction: 10,
+        ..HnswConfig::default()
+    };
+    for (name, dim, side, n, config) in [
+        ("grid4-1500x3-m6-efc10", 3, 4, 1_500, tight),
+        ("grid2-1000x8", 8, 2, 1_000, HnswConfig::default()),
+    ] {
+        let items = grid_items(n, dim, side, 0x6A1D);
+        let hnsw = HnswIndex::build(dim, config, Quantization::F32, &items);
+        graph_row(name, (hnsw.graph_digest(), hnsw.build_evals()));
+    }
     out
 }
 
@@ -163,9 +220,9 @@ fn every_index_reproduces_its_golden_search_digest() {
     assert_eq!(
         rendered, GOLDEN,
         "search output drift: an index no longer returns the pinned hits, \
-         distance bits or SearchWork (tests/golden/ann_search_digest.txt). \
-         If intentional, rerun with METIS_REGEN_GOLDEN=1 and justify the \
-         moved rows in the PR."
+         distance bits or SearchWork, or HNSW no longer builds the pinned \
+         graph (tests/golden/ann_search_digest.txt). If intentional, rerun \
+         with METIS_REGEN_GOLDEN=1 and justify the moved rows in the PR."
     );
 }
 
