@@ -24,10 +24,31 @@
 //! Adjacency is one flat `u32` array, and a traversal's working memory is a
 //! `SearchScratch` that `build` owns and searches reuse per thread, so a
 //! steady-state search allocates only the hits it returns.
+//!
+//! The graph is a pure function of the data and the configuration —
+//! [`HnswIndex::graph_digest`] is pinned in the search goldens — and `build`
+//! reaches it without re-deriving what it already knows, in a working set
+//! (`Builder`) that is gone when it returns:
+//!
+//! * **The reuse rule.** In the neighbor-selection heuristic a candidate's
+//!   verdict depends only on the kept members *closer* than it. A selected
+//!   list is therefore stored as `K ascending ++ R ascending` (kept, then
+//!   backfilling rejects) with each slot's squared distance to the owner
+//!   cached, and a full list taking one more neighbor walks the merged
+//!   order re-testing only what the newcomer can have changed: nothing
+//!   before it, one test against it for a stored keep after it, the full
+//!   test only from the first stored keep it evicts (`Reuse`, `select`,
+//!   `link`).
+//! * **The tie corner.** The construction beam is one ascending array with a
+//!   cursor instead of a candidate heap beside a result heap. The heaps'
+//!   one observable corner is kept: a candidate pushed off the end of the
+//!   beam unexpanded is still expanded later if its distance *equals* the
+//!   beam's worst, because the classic stop rule is strict (`search_layer`).
+//!
+//! The build it replaced survives as the test oracle (`classic`).
 
 use std::cell::RefCell;
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 
 use metis_text::ChunkId;
 
@@ -60,7 +81,7 @@ impl Default for HnswConfig {
 /// corpora far below it.
 const MAX_LEVEL: usize = 24;
 
-/// A scored node with a total order (distance, then id) so heap behavior
+/// A scored node with a total order (distance, then id) so every ranking
 /// is deterministic.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Scored {
@@ -197,49 +218,18 @@ impl HnswIndex {
     /// # Panics
     ///
     /// Panics if `dim` is zero, `m < 2`, `ef_construction` or `ef_search`
-    /// is zero, or any vector disagrees on dimension.
+    /// is zero, or any vector disagrees on dimension or has a non-finite
+    /// component.
     pub fn build(
         dim: usize,
         config: HnswConfig,
         quant: Quantization,
         items: &[(ChunkId, Vec<f32>)],
     ) -> Self {
-        assert!(dim > 0, "dimension must be positive");
-        assert!(config.m >= 2, "m must be at least 2");
-        assert!(
-            config.ef_construction > 0,
-            "ef_construction must be positive"
-        );
-        assert!(config.ef_search > 0, "ef_search must be positive");
-        for (_, v) in items {
-            assert_eq!(v.len(), dim, "dimension mismatch");
-        }
-        let n = items.len();
-        let mut index = Self {
-            dim,
-            config,
-            quant,
-            ids: Vec::with_capacity(n),
-            rows: Vec::with_capacity(n * dim),
-            codes: Vec::new(),
-            sq: None,
-            links: vec![0; n * (2 * config.m + 1)],
-            upper_at: Vec::new(),
-            entry: 0,
-            max_level: 0,
-            build_evals: 0,
-        };
-        let ml = 1.0 / (config.m as f64).ln();
-        let mut scratch = SearchScratch::default();
-        let mut evals = 0;
-        for (i, (id, v)) in items.iter().enumerate() {
-            let level = Self::level_for(i as u64, ml);
-            index.insert(*id, v, level, &mut scratch, &mut evals);
-        }
-        index.build_evals = evals;
+        let mut index = Builder::run(Self::empty(dim, config, quant, items), items).finish();
         if let Quantization::Sq8 { rerank } = quant {
             let sq = ScalarQuantizer::train(dim, items.iter().map(|(_, v)| v.as_slice()));
-            let mut codes = Vec::with_capacity(n * dim);
+            let mut codes = Vec::with_capacity(items.len() * dim);
             let mut row = Vec::with_capacity(dim);
             for (_, v) in items {
                 sq.encode_into(v, &mut row);
@@ -254,6 +244,47 @@ impl HnswIndex {
             }
         }
         index
+    }
+
+    /// The validated, still edgeless index `items` will be inserted into.
+    fn empty(
+        dim: usize,
+        config: HnswConfig,
+        quant: Quantization,
+        items: &[(ChunkId, Vec<f32>)],
+    ) -> Self {
+        assert!(dim > 0, "dimension must be positive");
+        assert!(config.m >= 2, "m must be at least 2");
+        assert!(
+            config.ef_construction > 0,
+            "ef_construction must be positive"
+        );
+        assert!(config.ef_search > 0, "ef_search must be positive");
+        for (_, v) in items {
+            assert_eq!(v.len(), dim, "dimension mismatch");
+            // A NaN row would score NaN against everything: linked
+            // arbitrarily, never returned — and the build reuses verdicts on
+            // the strength of distances being totally ordered.
+            assert!(
+                v.iter().all(|x| x.is_finite()),
+                "non-finite embedding component"
+            );
+        }
+        let n = items.len();
+        Self {
+            dim,
+            config,
+            quant,
+            ids: Vec::with_capacity(n),
+            rows: Vec::with_capacity(n * dim),
+            codes: Vec::new(),
+            sq: None,
+            links: vec![0; n * (2 * config.m + 1)],
+            upper_at: Vec::new(),
+            entry: 0,
+            max_level: 0,
+            build_evals: 0,
+        }
     }
 
     /// Deterministic layer draw: geometric with mean `ml`, hashed from the
@@ -297,104 +328,6 @@ impl HnswIndex {
         &self.links[at + 1..][..self.links[at] as usize]
     }
 
-    fn insert(
-        &mut self,
-        id: ChunkId,
-        v: &[f32],
-        level: usize,
-        scratch: &mut SearchScratch,
-        evals: &mut u64,
-    ) {
-        let node = self.ids.len() as u32;
-        self.ids.push(id);
-        self.rows.extend_from_slice(v);
-        if level > 0 {
-            self.upper_at.push((node, self.links.len()));
-            let slots = level * (self.config.m + 1);
-            self.links.resize(self.links.len() + slots, 0);
-        }
-        if node == 0 {
-            self.max_level = level;
-            return;
-        }
-        // Greedy-descend the layers above the new node's top level.
-        let q = Scorer::Exact(v);
-        let mut cur = self.score(&q, self.entry);
-        scratch.scored.clear();
-        for lvl in (level + 1..=self.max_level).rev() {
-            cur = self.greedy_step(&q, cur, lvl, &mut scratch.scored).0;
-        }
-        *evals += 1 + scratch.scored.len() as u64;
-        // Beam-search each level the node joins, linking to a diverse
-        // neighbor set (not simply the closest m — see `select_neighbors`).
-        let mut entries = vec![cur];
-        for lvl in (0..=level.min(self.max_level)).rev() {
-            let found = self.search_layer(&q, &entries, lvl, scratch, evals);
-            for nb in self.select_neighbors(&found, self.config.m, evals) {
-                self.link(node, lvl, nb, evals);
-                self.link(nb, lvl, node, evals);
-            }
-            entries = found;
-        }
-        if level > self.max_level {
-            self.max_level = level;
-            self.entry = node;
-        }
-    }
-
-    /// The HNSW paper's neighbor-selection heuristic (Algorithm 4): walk
-    /// `cand` (sorted ascending by distance to `anchor`) and keep a node
-    /// only if it is closer to the anchor than to every neighbor already
-    /// kept, then backfill spare slots with the closest rejects. Plain
-    /// closest-`cap` selection collapses tight clusters into cliques —
-    /// their members fill each other's lists and evict every long-range
-    /// edge, leaving the cluster unreachable by a bounded search beam. The
-    /// diversity test keeps those outbound bridges alive.
-    /// `cand` carries each node's distance to the anchor in `Scored::d`.
-    fn select_neighbors(&self, cand: &[Scored], cap: usize, evals: &mut u64) -> Vec<u32> {
-        let mut kept: Vec<u32> = Vec::with_capacity(cap);
-        let mut rejected: Vec<u32> = Vec::new();
-        for &c in cand {
-            if kept.len() == cap {
-                break;
-            }
-            let row = self.exact_row(c.node);
-            let diverse = kept.iter().all(|&k| {
-                *evals += 1;
-                squared_l2(row, self.exact_row(k)) > c.d
-            });
-            if diverse {
-                kept.push(c.node);
-            } else {
-                rejected.push(c.node);
-            }
-        }
-        let spare = cap - kept.len();
-        kept.extend(rejected.into_iter().take(spare));
-        kept
-    }
-
-    /// Appends `new` to `node`'s level-`lvl` list; a full list is instead
-    /// re-selected from its slots plus `new` by the diversity heuristic and
-    /// rewritten in place.
-    fn link(&mut self, node: u32, lvl: usize, new: u32, evals: &mut u64) {
-        let (at, cap) = self.block(node, lvl);
-        let len = self.links[at] as usize;
-        if len < cap {
-            self.links[at] += 1;
-            self.links[at + 1 + len] = new;
-            return;
-        }
-        let anchor = Scorer::Exact(self.exact_row(node));
-        let slots = self.links[at + 1..=at + cap].iter().chain([&new]);
-        let mut scored: Vec<Scored> = slots.map(|&nb| self.score(&anchor, nb)).collect();
-        *evals += scored.len() as u64;
-        scored.sort_unstable();
-        let picked = self.select_neighbors(&scored, cap, evals);
-        self.links[at] = picked.len() as u32;
-        self.links[at + 1..][..picked.len()].copy_from_slice(&picked);
-    }
-
     /// One greedy descent through level `lvl`: walk to strictly closer
     /// neighbors until a local minimum. Every node scored on the way is
     /// pushed onto `scored`; also returns the nodes expanded.
@@ -421,47 +354,6 @@ impl HnswIndex {
                 return (cur, hops);
             }
         }
-    }
-
-    /// Classic ef-bounded beam at one level (build-time only), returning
-    /// up to `ef_construction` closest nodes in ascending order.
-    fn search_layer(
-        &self,
-        q: &Scorer<'_>,
-        entries: &[Scored],
-        lvl: usize,
-        scratch: &mut SearchScratch,
-        evals: &mut u64,
-    ) -> Vec<Scored> {
-        let ef = self.config.ef_construction;
-        scratch.begin(self.ids.len());
-        for e in entries {
-            scratch.visit(e.node);
-        }
-        let mut cand: BinaryHeap<Reverse<Scored>> = entries.iter().map(|&s| Reverse(s)).collect();
-        let mut best: BinaryHeap<Scored> = entries.iter().copied().collect();
-        while let Some(Reverse(c)) = cand.pop() {
-            let worst = best.peek().map_or(f32::INFINITY, |w| w.d);
-            if best.len() >= ef && c.d > worst {
-                break;
-            }
-            for &nb in self.neighbors(c.node, lvl) {
-                if !scratch.visit(nb) {
-                    continue;
-                }
-                let s = self.score(q, nb);
-                *evals += 1;
-                let worst = best.peek().map_or(f32::INFINITY, |w| w.d);
-                if best.len() < ef || s.d < worst {
-                    cand.push(Reverse(s));
-                    best.push(s);
-                    if best.len() > ef {
-                        best.pop();
-                    }
-                }
-            }
-        }
-        best.into_sorted_vec()
     }
 
     /// The build/search configuration.
@@ -596,6 +488,380 @@ impl HnswIndex {
     }
 }
 
+/// One entry of the construction beam.
+#[derive(Clone, Copy, Debug)]
+struct BeamEntry {
+    s: Scored,
+    /// Its neighbor list has been scanned.
+    expanded: bool,
+}
+
+/// What a selection walk may take from the block's stored state instead of
+/// evaluating it — the reuse rule. A candidate's verdict depends only on
+/// the kept members *closer* than it, so a verdict stands for as long as
+/// that set is what it was.
+#[derive(Clone, Copy, Debug)]
+enum Reuse {
+    /// Nothing is stored, or a stored keep has been evicted: every
+    /// candidate takes the full test against the kept set.
+    Nothing,
+    /// The newcomer is not behind the walk (or was rejected, and a reject
+    /// influences nobody): stored verdicts stand; the newcomer itself takes
+    /// the full test.
+    Verdicts(Scored),
+    /// The newcomer was kept and has evicted nobody yet, so the kept set is
+    /// the stored one plus the newcomer: a stored keep needs the one test
+    /// against the newcomer, a stored reject is still rejected by whoever
+    /// rejected it.
+    VersusNew(Scored),
+}
+
+/// How often a build met the corners its exactness argument turns on; the
+/// oracle test refuses to pass on a run that exercised none of them.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default)]
+struct Corners {
+    /// Evicted, unexpanded beam candidates expanded from the side list
+    /// because they tied the beam's worst distance.
+    tie_expansions: u64,
+    /// Re-selections in which a kept newcomer evicted a stored keep.
+    flips: u64,
+    /// Full blocks selected for the first time, with no stored state.
+    first_selections: u64,
+}
+
+/// `build`'s working set: the index under construction plus everything only
+/// construction needs, dropped when `build` returns.
+///
+/// A selected block is always `K ascending ++ R ascending` — the members
+/// the diversity heuristic kept, then the rejects that backfilled the spare
+/// slots — with each slot's squared distance to the block's owner cached
+/// beside it, so a full block taking one more neighbor re-derives only the
+/// verdicts that neighbor can have changed (see [`Reuse`]).
+struct Builder {
+    index: HnswIndex,
+    /// One word per word of `index.links`. Beside a slot: the bits of that
+    /// neighbor's squared distance to the block's owner. Beside a length
+    /// word: `|K|`, how many leading slots the heuristic kept — 0 while the
+    /// block has only ever been appended to (a selection keeps at least its
+    /// closest candidate).
+    state: Vec<u32>,
+    scratch: SearchScratch,
+    /// The construction beam: the closest `≤ ef_construction` nodes found
+    /// so far, ascending.
+    beam: Vec<BeamEntry>,
+    /// Unexpanded candidates pushed off the beam's end at the very distance
+    /// of the entry that became its worst, farthest first.
+    ties: Vec<Scored>,
+    /// Selection input, ascending: each candidate with its stored verdict.
+    cands: Vec<(Scored, bool)>,
+    /// Selection output: kept and (once truncated to the spare slots)
+    /// backfilling candidates, each ascending.
+    kept: Vec<Scored>,
+    rejected: Vec<Scored>,
+    /// The new node's chosen neighbors at the level being linked.
+    picks: Vec<Scored>,
+    evals: u64,
+    #[cfg(test)]
+    corners: Corners,
+}
+
+impl Builder {
+    /// Inserts every item into `index`, in order.
+    fn run(index: HnswIndex, items: &[(ChunkId, Vec<f32>)]) -> Self {
+        let ml = 1.0 / (index.config.m as f64).ln();
+        let mut builder = Self {
+            state: vec![0; index.links.len()],
+            index,
+            scratch: SearchScratch::default(),
+            beam: Vec::new(),
+            ties: Vec::new(),
+            cands: Vec::new(),
+            kept: Vec::new(),
+            rejected: Vec::new(),
+            picks: Vec::new(),
+            evals: 0,
+            #[cfg(test)]
+            corners: Corners::default(),
+        };
+        for (i, (id, v)) in items.iter().enumerate() {
+            builder.insert(*id, v, HnswIndex::level_for(i as u64, ml));
+        }
+        builder
+    }
+
+    /// The finished index; the working set ends here.
+    fn finish(self) -> HnswIndex {
+        let mut index = self.index;
+        index.build_evals = self.evals;
+        index
+    }
+
+    fn insert(&mut self, id: ChunkId, v: &[f32], level: usize) {
+        let index = &mut self.index;
+        let node = index.ids.len() as u32;
+        index.ids.push(id);
+        index.rows.extend_from_slice(v);
+        if level > 0 {
+            index.upper_at.push((node, index.links.len()));
+            let slots = level * (index.config.m + 1);
+            index.links.resize(index.links.len() + slots, 0);
+            self.state.resize(index.links.len(), 0);
+        }
+        if node == 0 {
+            index.max_level = level;
+            return;
+        }
+        // Greedy-descend the layers above the new node's top level.
+        let q = Scorer::Exact(v);
+        let mut cur = index.score(&q, index.entry);
+        self.scratch.scored.clear();
+        for lvl in (level + 1..=index.max_level).rev() {
+            cur = index.greedy_step(&q, cur, lvl, &mut self.scratch.scored).0;
+        }
+        self.evals += 1 + self.scratch.scored.len() as u64;
+        // Beam-search each level the node joins — every level's result is
+        // the next one's entry set — linking to a diverse neighbor set (not
+        // simply the closest m — see `select`).
+        self.beam.clear();
+        self.beam.push(BeamEntry {
+            s: cur,
+            expanded: false,
+        });
+        let (m, top) = (self.index.config.m, self.index.max_level);
+        for lvl in (0..=level.min(top)).rev() {
+            self.search_layer(&q, lvl);
+            self.cands.clear();
+            self.cands.extend(self.beam.iter().map(|e| (e.s, false)));
+            self.select(m, Reuse::Nothing);
+            let mut picks = std::mem::take(&mut self.picks);
+            picks.clear();
+            picks.extend(self.kept.iter().chain(&self.rejected));
+            // The beam measured `d(v, nb)` and `squared_l2` is bitwise
+            // symmetric, so both directions take the distance as given.
+            for &nb in &picks {
+                self.link(node, lvl, nb);
+                self.link(nb.node, lvl, Scored { d: nb.d, node });
+            }
+            self.picks = picks;
+        }
+        if level > top {
+            self.index.max_level = level;
+            self.index.entry = node;
+        }
+    }
+
+    /// The ef-bounded beam at one level: on entry `beam` holds the entry
+    /// set, on return the up to `ef_construction` closest nodes found, both
+    /// ascending.
+    ///
+    /// This is the classic two-heap loop (a min-heap of candidates, a
+    /// max-heap of the best `ef`) in one array: every unexpanded entry of
+    /// the beam is a candidate, and `cursor` — nothing before it is
+    /// unexpanded — finds the closest. What the candidate heap held beyond
+    /// that are entries since pushed off the beam's end. Each was the worst
+    /// of a full beam and everything admitted later is strictly closer than
+    /// the worst of its time, so such an entry sorts after the whole beam:
+    /// it comes up only once the beam has nothing left to expand, and then
+    /// the classic stop rule (`candidate > worst`, *strictly*) ends the
+    /// search — unless its distance equals the current worst's. The worst
+    /// only improves, so that needs a tie already at the moment it was
+    /// pushed off; exactly those entries go to `ties`, which successive
+    /// evictions fill farthest-first: the closest is always the last.
+    fn search_layer(&mut self, q: &Scorer<'_>, lvl: usize) {
+        let Self {
+            index,
+            scratch,
+            beam,
+            ties,
+            evals,
+            ..
+        } = self;
+        let ef = index.config.ef_construction;
+        scratch.begin(index.ids.len());
+        for e in beam.iter_mut() {
+            e.expanded = false;
+            scratch.visit(e.s.node);
+        }
+        ties.clear();
+        let mut cursor = 0;
+        loop {
+            while beam.get(cursor).is_some_and(|e| e.expanded) {
+                cursor += 1;
+            }
+            let c = if let Some(e) = beam.get_mut(cursor) {
+                e.expanded = true;
+                e.s
+            } else {
+                match (ties.pop(), beam.last()) {
+                    (Some(t), Some(worst)) if t.d <= worst.s.d => {
+                        #[cfg(test)]
+                        {
+                            self.corners.tie_expansions += 1;
+                        }
+                        t
+                    }
+                    _ => break,
+                }
+            };
+            for &nb in index.neighbors(c.node, lvl) {
+                if !scratch.visit(nb) {
+                    continue;
+                }
+                let s = index.score(q, nb);
+                *evals += 1;
+                let entry = BeamEntry { s, expanded: false };
+                let at = if beam.len() < ef {
+                    let at = beam.partition_point(|e| e.s < s);
+                    beam.insert(at, entry);
+                    at
+                } else {
+                    let out = beam[ef - 1];
+                    if s.d >= out.s.d {
+                        continue;
+                    }
+                    let at = beam.partition_point(|e| e.s < s);
+                    beam.copy_within(at..ef - 1, at + 1);
+                    beam[at] = entry;
+                    if !out.expanded && out.s.d == beam[ef - 1].s.d {
+                        ties.push(out.s);
+                    }
+                    at
+                };
+                cursor = cursor.min(at);
+            }
+        }
+    }
+
+    /// The HNSW paper's neighbor-selection heuristic (Algorithm 4): walk
+    /// `cands` (ascending by distance to the anchor, carried in
+    /// `Scored::d`) and keep a node only if it is closer to the anchor than
+    /// to every neighbor already kept, then backfill spare slots with the
+    /// closest rejects. Plain closest-`cap` selection collapses tight
+    /// clusters into cliques — their members fill each other's lists and
+    /// evict every long-range edge, leaving the cluster unreachable by a
+    /// bounded search beam. The diversity test keeps those outbound bridges
+    /// alive.
+    ///
+    /// Leaves the selection in `kept` and `rejected`; `reuse` says which
+    /// verdicts are read off `cands` instead of evaluated.
+    fn select(&mut self, cap: usize, mut reuse: Reuse) {
+        let Self {
+            index,
+            cands,
+            kept,
+            rejected,
+            evals,
+            ..
+        } = self;
+        let mut diverse = |c: Scored, kept: &[Scored]| {
+            let row = index.exact_row(c.node);
+            kept.iter().all(|k| {
+                *evals += 1;
+                squared_l2(row, index.exact_row(k.node)) > c.d
+            })
+        };
+        kept.clear();
+        rejected.clear();
+        for &(c, stored) in cands.iter() {
+            if kept.len() == cap {
+                break;
+            }
+            let keep = match reuse {
+                Reuse::Nothing => diverse(c, kept),
+                Reuse::Verdicts(new) if c.node == new.node => {
+                    let keep = diverse(c, kept);
+                    if keep {
+                        reuse = Reuse::VersusNew(new);
+                    }
+                    keep
+                }
+                Reuse::Verdicts(_) => stored,
+                Reuse::VersusNew(new) => {
+                    let keep = stored && diverse(c, &[new]);
+                    if keep != stored {
+                        // Evicted by the newcomer: whoever it alone
+                        // rejected may now pass.
+                        reuse = Reuse::Nothing;
+                        #[cfg(test)]
+                        {
+                            self.corners.flips += 1;
+                        }
+                    }
+                    keep
+                }
+            };
+            if keep {
+                kept.push(c);
+            } else {
+                rejected.push(c);
+            }
+        }
+        rejected.truncate(cap - kept.len());
+    }
+
+    /// Appends `new` (scored against `node`) to `node`'s level-`lvl` list;
+    /// a full list is instead re-selected from its slots plus `new` by the
+    /// diversity heuristic and rewritten in place. Whichever slot that
+    /// drops — the farthest reject, else the farthest candidate —
+    /// influenced no verdict, so the stored state stays exact.
+    fn link(&mut self, node: u32, lvl: usize, new: Scored) {
+        let (at, cap) = self.index.block(node, lvl);
+        let (links, state) = (&mut self.index.links, &mut self.state);
+        let len = links[at] as usize;
+        if len < cap {
+            links[at] += 1;
+            links[at + 1 + len] = new.node;
+            state[at + 1 + len] = new.d.to_bits();
+            return;
+        }
+        let slot = |i: usize| Scored {
+            d: f32::from_bits(state[at + 1 + i]),
+            node: links[at + 1 + i],
+        };
+        let cands = &mut self.cands;
+        cands.clear();
+        let k = state[at] as usize;
+        let reuse = if k == 0 {
+            // Filled by appends, in arrival order: today's full selection,
+            // once.
+            #[cfg(test)]
+            {
+                self.corners.first_selections += 1;
+            }
+            cands.extend((0..cap).map(|i| (slot(i), false)));
+            cands.push((new, false));
+            cands.sort_unstable_by_key(|c| c.0);
+            Reuse::Nothing
+        } else {
+            // Merge the K run, the R run and the newcomer.
+            let (mut i, mut j) = (0, k);
+            let mut pending = Some(new);
+            while i < k || j < cap {
+                let from_kept = j == cap || (i < k && slot(i) < slot(j));
+                let next = if from_kept { &mut i } else { &mut j };
+                let s = slot(*next);
+                *next += 1;
+                if let Some(n) = pending.take_if(|n| *n < s) {
+                    cands.push((n, false));
+                }
+                cands.push((s, from_kept));
+            }
+            cands.extend(pending.map(|n| (n, false)));
+            Reuse::Verdicts(new)
+        };
+        self.select(cap, reuse);
+        let picked = self.kept.iter().chain(&self.rejected);
+        let (links, state) = (&mut self.index.links, &mut self.state);
+        links[at] = (self.kept.len() + self.rejected.len()) as u32;
+        state[at] = self.kept.len() as u32;
+        for (i, s) in picked.enumerate() {
+            links[at + 1 + i] = s.node;
+            state[at + 1 + i] = s.d.to_bits();
+        }
+    }
+}
+
 impl VectorIndex for HnswIndex {
     fn len(&self) -> usize {
         self.ids.len()
@@ -603,6 +869,176 @@ impl VectorIndex for HnswIndex {
 
     fn search_counted(&self, query: &[f32], k: usize) -> SearchOutcome {
         self.search_with_ef(query, k, self.config.ef_search)
+    }
+}
+
+/// The build this module had before it reused anything — a min-heap and a
+/// max-heap in the beam, every full list re-scored and re-selected from
+/// scratch on every link — kept verbatim as the oracle `build` must equal
+/// graph for graph.
+#[cfg(test)]
+mod classic {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use super::*;
+
+    /// Exact distance evaluations of a classic build: all of them, and the
+    /// share spent inside `link`.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub(super) struct ClassicEvals {
+        pub(super) total: u64,
+        pub(super) link: u64,
+    }
+
+    impl HnswIndex {
+        /// The f32 index `build` must reproduce, with what it cost.
+        pub(super) fn build_classic(
+            dim: usize,
+            config: HnswConfig,
+            items: &[(ChunkId, Vec<f32>)],
+        ) -> (Self, ClassicEvals) {
+            let mut index = Self::empty(dim, config, Quantization::F32, items);
+            let ml = 1.0 / (config.m as f64).ln();
+            let mut scratch = SearchScratch::default();
+            let mut evals = ClassicEvals::default();
+            for (i, (id, v)) in items.iter().enumerate() {
+                let level = Self::level_for(i as u64, ml);
+                index.insert_classic(*id, v, level, &mut scratch, &mut evals);
+            }
+            index.build_evals = evals.total;
+            (index, evals)
+        }
+
+        fn insert_classic(
+            &mut self,
+            id: ChunkId,
+            v: &[f32],
+            level: usize,
+            scratch: &mut SearchScratch,
+            evals: &mut ClassicEvals,
+        ) {
+            let node = self.ids.len() as u32;
+            self.ids.push(id);
+            self.rows.extend_from_slice(v);
+            if level > 0 {
+                self.upper_at.push((node, self.links.len()));
+                let slots = level * (self.config.m + 1);
+                self.links.resize(self.links.len() + slots, 0);
+            }
+            if node == 0 {
+                self.max_level = level;
+                return;
+            }
+            let q = Scorer::Exact(v);
+            let mut cur = self.score(&q, self.entry);
+            scratch.scored.clear();
+            for lvl in (level + 1..=self.max_level).rev() {
+                cur = self.greedy_step(&q, cur, lvl, &mut scratch.scored).0;
+            }
+            evals.total += 1 + scratch.scored.len() as u64;
+            let mut entries = vec![cur];
+            for lvl in (0..=level.min(self.max_level)).rev() {
+                let found = self.search_layer_classic(&q, &entries, lvl, scratch, &mut evals.total);
+                for nb in self.select_neighbors_classic(&found, self.config.m, &mut evals.total) {
+                    let before = evals.total;
+                    self.link_classic(node, lvl, nb, &mut evals.total);
+                    self.link_classic(nb, lvl, node, &mut evals.total);
+                    evals.link += evals.total - before;
+                }
+                entries = found;
+            }
+            if level > self.max_level {
+                self.max_level = level;
+                self.entry = node;
+            }
+        }
+
+        fn select_neighbors_classic(
+            &self,
+            cand: &[Scored],
+            cap: usize,
+            evals: &mut u64,
+        ) -> Vec<u32> {
+            let mut kept: Vec<u32> = Vec::with_capacity(cap);
+            let mut rejected: Vec<u32> = Vec::new();
+            for &c in cand {
+                if kept.len() == cap {
+                    break;
+                }
+                let row = self.exact_row(c.node);
+                let diverse = kept.iter().all(|&k| {
+                    *evals += 1;
+                    squared_l2(row, self.exact_row(k)) > c.d
+                });
+                if diverse {
+                    kept.push(c.node);
+                } else {
+                    rejected.push(c.node);
+                }
+            }
+            let spare = cap - kept.len();
+            kept.extend(rejected.into_iter().take(spare));
+            kept
+        }
+
+        fn link_classic(&mut self, node: u32, lvl: usize, new: u32, evals: &mut u64) {
+            let (at, cap) = self.block(node, lvl);
+            let len = self.links[at] as usize;
+            if len < cap {
+                self.links[at] += 1;
+                self.links[at + 1 + len] = new;
+                return;
+            }
+            let anchor = Scorer::Exact(self.exact_row(node));
+            let slots = self.links[at + 1..=at + cap].iter().chain([&new]);
+            let mut scored: Vec<Scored> = slots.map(|&nb| self.score(&anchor, nb)).collect();
+            *evals += scored.len() as u64;
+            scored.sort_unstable();
+            let picked = self.select_neighbors_classic(&scored, cap, evals);
+            self.links[at] = picked.len() as u32;
+            self.links[at + 1..][..picked.len()].copy_from_slice(&picked);
+        }
+
+        fn search_layer_classic(
+            &self,
+            q: &Scorer<'_>,
+            entries: &[Scored],
+            lvl: usize,
+            scratch: &mut SearchScratch,
+            evals: &mut u64,
+        ) -> Vec<Scored> {
+            let ef = self.config.ef_construction;
+            scratch.begin(self.ids.len());
+            for e in entries {
+                scratch.visit(e.node);
+            }
+            let mut cand: BinaryHeap<Reverse<Scored>> =
+                entries.iter().map(|&s| Reverse(s)).collect();
+            let mut best: BinaryHeap<Scored> = entries.iter().copied().collect();
+            while let Some(Reverse(c)) = cand.pop() {
+                let worst = best.peek().map_or(f32::INFINITY, |w| w.d);
+                if best.len() >= ef && c.d > worst {
+                    break;
+                }
+                for &nb in self.neighbors(c.node, lvl) {
+                    if !scratch.visit(nb) {
+                        continue;
+                    }
+                    let s = self.score(q, nb);
+                    *evals += 1;
+                    let worst = best.peek().map_or(f32::INFINITY, |w| w.d);
+                    if best.len() < ef || s.d < worst {
+                        cand.push(Reverse(s));
+                        best.push(s);
+                        if best.len() > ef {
+                            best.pop();
+                        }
+                    }
+                }
+            }
+            best.into_sorted_vec()
+        }
     }
 }
 
@@ -625,6 +1061,143 @@ mod tests {
                 (ChunkId(i), v)
             })
             .collect()
+    }
+
+    type Items = Vec<(ChunkId, Vec<f32>)>;
+
+    /// `n` points drawn from `seed` on the integer grid `{0, …, side - 1}^dim`.
+    /// A small `side` leaves far more vectors than grid points, so duplicates
+    /// and tied distances are the common case; [`UNIFORM`] is as good as
+    /// continuous.
+    fn grid_items(n: usize, dim: usize, side: u64, seed: u64) -> Items {
+        let mut state = seed;
+        (0..n as u32)
+            .map(|i| {
+                let v = (0..dim)
+                    .map(|_| {
+                        state = splitmix64(state);
+                        (state % side) as f32
+                    })
+                    .collect();
+                (ChunkId(i), v)
+            })
+            .collect()
+    }
+
+    /// Grid side at which [`grid_items`] is a uniform draw from a cube.
+    const UNIFORM: u64 = 1 << 20;
+
+    /// A corpus and a configuration drawn from `seed`: m 2..=16,
+    /// ef_construction 3..=80, n 100..=`max_n` (skewed small: half the draws
+    /// stay in the lowest eighth of the log range, one in ten reaches the
+    /// top quarter). Four seeds in five put 1–8 dims on a grid 2–5 points a
+    /// side, every fifth spreads 16–64 dims uniformly. Either way some
+    /// nodes are promoted, so `cap = m` blocks re-select too.
+    fn shape(seed: u64, max_n: usize) -> (usize, HnswConfig, Items) {
+        let mut state = seed;
+        let mut draw = |lo: usize, hi: usize| {
+            state = splitmix64(state);
+            lo + (state % (hi - lo + 1) as u64) as usize
+        };
+        let config = HnswConfig {
+            m: draw(2, 16),
+            ef_construction: draw(3, 80),
+            ..HnswConfig::default()
+        };
+        let u = draw(0, 999) as f64 / 1e3;
+        let n = (100.0 * (max_n as f64 / 100.0).powf(u * u * u)) as usize;
+        let (dim, side) = if seed.is_multiple_of(5) {
+            (draw(16, 64), UNIFORM)
+        } else {
+            (draw(1, 8), draw(2, 5) as u64)
+        };
+        (dim, config, grid_items(n, dim, side, !seed))
+    }
+
+    /// Builds `shape(seed, max_n)` both ways, demands the same graph, and
+    /// returns the corners the fast build met with both eval counts.
+    fn matches_classic(
+        (dim, config, items): (usize, HnswConfig, Items),
+    ) -> (Corners, u64, classic::ClassicEvals) {
+        let builder = Builder::run(
+            HnswIndex::empty(dim, config, Quantization::F32, &items),
+            &items,
+        );
+        let corners = builder.corners;
+        let fast = builder.finish();
+        let (classic, evals) = HnswIndex::build_classic(dim, config, &items);
+        // The digest is what the goldens pin; the fields are what it folds.
+        fn graph(i: &HnswIndex) -> (&[u32], &[(u32, usize)], u32, usize) {
+            (&i.links, &i.upper_at, i.entry, i.max_level)
+        }
+        assert!(
+            graph(&fast) == graph(&classic) && fast.graph_digest() == classic.graph_digest(),
+            "another graph at {} x {dim}, {config:?}",
+            items.len()
+        );
+        (corners, fast.build_evals, evals)
+    }
+
+    /// Sweeps `seeds` through [`matches_classic`] and insists the sweep
+    /// exercised every corner the exactness argument turns on: a test that
+    /// never met a tie would pass without the side list.
+    fn sweep_matches_classic(seeds: std::ops::Range<u64>, max_n: usize) {
+        let mut met = Corners::default();
+        for seed in seeds {
+            let (corners, _, _) = matches_classic(shape(seed, max_n));
+            met.tie_expansions += corners.tie_expansions;
+            met.flips += corners.flips;
+            met.first_selections += corners.first_selections;
+        }
+        assert!(
+            met.tie_expansions > 0 && met.flips > 0 && met.first_selections > 0,
+            "the sweep skipped a corner: {met:?}"
+        );
+    }
+
+    #[test]
+    fn build_matches_classic_on_random_shapes() {
+        sweep_matches_classic(0..200, 2_000);
+    }
+
+    /// The long sweep, for a release build (CI runs it with `--ignored`):
+    /// deeper corpora, then the benchmark's own shape.
+    #[test]
+    #[ignore = "minutes in a debug build; CI runs it in release"]
+    fn build_matches_classic_long_sweep() {
+        sweep_matches_classic(1_000..2_000, 10_000);
+        let items = grid_items(8_192, 64, UNIFORM, 7);
+        let (_, fast, classic) = matches_classic((64, HnswConfig::default(), items));
+        // Everything outside `link` is the same work in both builds, and
+        // `link` is where the reuse is: it keeps under a quarter of its.
+        let link = fast - (classic.total - classic.link);
+        assert!(
+            link * 4 <= classic.link,
+            "link spends {link} evals, the classic build's {}",
+            classic.link
+        );
+    }
+
+    /// The deterministic side of the build-time claim, on the search
+    /// golden's shape: at least 40 % of the classic build's distance
+    /// evaluations are gone, on any host.
+    #[test]
+    fn build_spends_at_most_six_tenths_of_the_classic_evals() {
+        let items = grid_items(2_000, 32, UNIFORM, 7);
+        let (_, fast, classic) = matches_classic((32, HnswConfig::default(), items));
+        assert!(
+            fast * 10 <= classic.total * 6,
+            "{fast} evals against the classic build's {}",
+            classic.total
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite")]
+    fn non_finite_row_is_refused_at_build() {
+        let mut items = ring_items(10, 3);
+        items[7].1[1] = f32::NAN;
+        HnswIndex::build(3, HnswConfig::default(), Quantization::F32, &items);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use std::sync::Mutex;
 
 use metis_text::ChunkId;
 
+use crate::quant::{hit_rank, sort_hits};
 use crate::{squared_l2, Hit, SearchOutcome, SearchWork, VectorIndex};
 
 /// K-means trains on at most this many vectors (deterministically strided
@@ -296,13 +297,17 @@ impl VectorIndex for IvfIndex {
                 });
             }
         }
-        hits.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then_with(|| a.chunk.cmp(&b.chunk))
-        });
-        let hits = hits.iter().take(k).copied().collect();
-        SearchOutcome { hits, work }
+        // Select the best `k`, then sort only those: the order is strict and
+        // total, so the hits are the ones sorting every member would give.
+        if k < hits.len() {
+            hits.select_nth_unstable_by(k, hit_rank);
+            hits.truncate(k);
+        }
+        sort_hits(hits);
+        SearchOutcome {
+            hits: hits.clone(),
+            work,
+        }
     }
 }
 

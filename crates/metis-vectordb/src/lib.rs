@@ -279,6 +279,20 @@ mod tests {
         }
     }
 
+    /// `(x - y)²` and `(y - x)²` are the same float, term by term, so the
+    /// sum is too: the HNSW build caches `d(a, b)` and reads it as `d(b, a)`.
+    #[test]
+    fn kernel_is_bitwise_symmetric() {
+        for n in 1..=1_100 {
+            let (a, b) = (values(n, 7 + n as u64), values(n, 7_000 + n as u64));
+            assert_eq!(
+                squared_l2(&a, &b).to_bits(),
+                squared_l2(&b, &a).to_bits(),
+                "length {n}"
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn kernel_refuses_slices_of_different_lengths() {

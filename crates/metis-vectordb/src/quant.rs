@@ -198,12 +198,16 @@ impl QueryLut<'_> {
     }
 }
 
+/// The order hits are returned in: ascending distance (NaN last), ties on
+/// chunk id — strict and total over distinct chunks.
+pub(crate) fn hit_rank(a: &Hit, b: &Hit) -> std::cmp::Ordering {
+    a.distance
+        .total_cmp(&b.distance)
+        .then_with(|| a.chunk.cmp(&b.chunk))
+}
+
 pub(crate) fn sort_hits(hits: &mut [Hit]) {
-    hits.sort_by(|a, b| {
-        a.distance
-            .total_cmp(&b.distance)
-            .then_with(|| a.chunk.cmp(&b.chunk))
-    });
+    hits.sort_by(hit_rank);
 }
 
 /// Keeps the `keep` smallest `(dist2, position)` candidates in ascending

@@ -41,6 +41,12 @@ const GOLDEN_PATH: &str = concat!(
 const DIM: usize = 32;
 const K: usize = 10;
 
+/// Exact distance evaluations the classic build — two heaps in the beam,
+/// every full neighbour list re-scored and re-selected from scratch; today
+/// the test oracle in `hnsw.rs` — spent on the search corpus: the
+/// `hnsw-graph/search-corpus` row as first generated.
+const CLASSIC_BUILD_EVALS: u64 = 4_063_188;
+
 /// FNV-1a over little-endian words.
 struct Fnv(u64);
 
@@ -194,6 +200,11 @@ fn rendered() -> String {
         writeln!(out, "hnsw-graph/{name} {digest:016x} {evals}").expect("write to String")
     };
     graph_row("search-corpus", graphs[0]);
+    assert!(
+        graphs[0].1 * 10 <= CLASSIC_BUILD_EVALS * 6,
+        "the build spends {} evals, over 0.6 of the classic build's {CLASSIC_BUILD_EVALS}",
+        graphs[0].1
+    );
     let tight = HnswConfig {
         m: 6,
         ef_construction: 10,
