@@ -94,9 +94,9 @@ fn main() {
     let mut rewrite_found = 0usize;
     let mut total = 0usize;
     for q in &d.queries {
-        let needed: std::collections::HashSet<_> = q.truth.base.iter().map(|b| b.id).collect();
+        let needed: std::collections::BTreeSet<_> = q.truth.base.iter().map(|b| b.id).collect();
         let count = |hits: &[metis_vectordb::RetrievalResult]| {
-            let mut found = std::collections::HashSet::new();
+            let mut found = std::collections::BTreeSet::new();
             for r in hits {
                 for f in r.text.fact_ids() {
                     if needed.contains(&f) {

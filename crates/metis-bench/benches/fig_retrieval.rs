@@ -29,7 +29,7 @@ const RECALL_K: usize = 8;
 fn chunk_recall_vs_flat(d: &Dataset, flat: &Dataset) -> f64 {
     let mut sum = 0.0;
     for q in &d.queries {
-        let gold: std::collections::HashSet<_> = flat
+        let gold: std::collections::BTreeSet<_> = flat
             .db
             .retrieve(&q.tokens, RECALL_K)
             .iter()

@@ -55,8 +55,8 @@ pub struct RunArgs {
     pub big_model: bool,
     /// Optional per-query latency SLO in seconds.
     pub slo: Option<f64>,
-    /// Optional chunk-KV prefix cache in GiB.
-    pub prefix_cache_gib: Option<u64>,
+    /// Optional chunk-KV prefix cache, in bytes (the flag takes GiB).
+    pub prefix_cache_bytes: Option<u64>,
     /// Number of engine replicas to serve across.
     pub replicas: usize,
     /// Heterogeneous fleet: one replica per listed GPU class (replaces
@@ -121,7 +121,7 @@ impl Default for RunArgs {
             seed: 7,
             big_model: false,
             slo: None,
-            prefix_cache_gib: None,
+            prefix_cache_bytes: None,
             replicas: 1,
             replica_mix: None,
             router: RouterPolicy::RoundRobin,
@@ -324,7 +324,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             "--qps" => {
                 run.qps = next(&mut i)?
                     .parse()
-                    .map_err(|e| format!("bad --qps: {e}"))?
+                    .map_err(|e| format!("bad --qps: {e}"))?;
+                // `<= 0` means closed loop; NaN and inf mean nothing, and
+                // the arrival generators assert on them.
+                if !run.qps.is_finite() {
+                    return Err(format!("--qps must be finite, got {}", run.qps));
+                }
             }
             "--seed" => {
                 run.seed = next(&mut i)?
@@ -333,18 +338,24 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             }
             "--big-model" => run.big_model = true,
             "--slo" => {
-                run.slo = Some(
-                    next(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("bad --slo: {e}"))?,
-                )
+                let secs: f64 = next(&mut i)?
+                    .parse()
+                    .map_err(|e| format!("bad --slo: {e}"))?;
+                // A NaN or non-positive budget admits no estimate, so every
+                // decision would silently take the infeasible-SLO fallback.
+                if !secs.is_finite() || secs <= 0.0 {
+                    return Err(format!("--slo must be finite and positive, got {secs}"));
+                }
+                run.slo = Some(secs);
             }
             "--prefix-cache-gb" => {
-                run.prefix_cache_gib = Some(
-                    next(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("bad --prefix-cache-gb: {e}"))?,
-                )
+                let gib: u64 = next(&mut i)?
+                    .parse()
+                    .map_err(|e| format!("bad --prefix-cache-gb: {e}"))?;
+                let bytes = gib.checked_mul(1 << 30);
+                run.prefix_cache_bytes = Some(bytes.ok_or_else(|| {
+                    format!("--prefix-cache-gb {gib} does not fit in a 64-bit byte count")
+                })?);
             }
             "--replicas" => {
                 let n: usize = next(&mut i)?
@@ -558,7 +569,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     // Prefix-aware routing compares the replicas' chunk-KV caches; without
     // a cache every replica looks identical and the router silently
     // degrades to least-kv, so the dependency is made explicit.
-    if run.router == RouterPolicy::PrefixAware && run.prefix_cache_gib.is_none() {
+    if run.router == RouterPolicy::PrefixAware && run.prefix_cache_bytes.is_none() {
         return Err("--router prefix-aware requires --prefix-cache-gb".into());
     }
     match sub.as_str() {
@@ -709,7 +720,7 @@ mod tests {
         assert_eq!(a.seed, 42);
         assert!(a.big_model);
         assert_eq!(a.slo, Some(2.5));
-        assert_eq!(a.prefix_cache_gib, Some(4));
+        assert_eq!(a.prefix_cache_bytes, Some(4 << 30));
         assert_eq!(a.replicas, 2);
         assert_eq!(a.router, RouterPolicy::LeastKvLoad);
         Ok(())
@@ -756,6 +767,119 @@ mod tests {
         // The check applies to every subcommand that takes the flag.
         let err = parse(&sv(&["sweep", "--replicas", "0"])).unwrap_err();
         assert!(err.contains("--replicas must be positive"), "got: {err}");
+    }
+
+    #[test]
+    fn non_finite_qps_is_rejected() -> Result<(), String> {
+        // These used to reach the arrival generator's "rate must be
+        // positive" assert and panic there.
+        for bad in ["nan", "inf", "-inf", "1e400"] {
+            let err = parse_run(&sv(&["run", "--qps", bad])).unwrap_err();
+            assert!(err.contains("--qps must be finite"), "{bad}: {err}");
+        }
+        // Zero and below still select the closed loop.
+        assert_eq!(parse_run(&sv(&["run", "--qps", "-1"]))?.qps, -1.0);
+        Ok(())
+    }
+
+    #[test]
+    fn slo_must_be_a_finite_positive_budget() -> Result<(), String> {
+        // A budget no estimate can meet used to be accepted and silently
+        // turned every decision into the infeasible-SLO fallback.
+        for bad in ["nan", "inf", "0", "-3"] {
+            let err = parse_run(&sv(&["run", "--slo", bad])).unwrap_err();
+            assert!(
+                err.contains("--slo must be finite and positive"),
+                "{bad}: {err}"
+            );
+        }
+        assert_eq!(parse_run(&sv(&["run", "--slo", "0.25"]))?.slo, Some(0.25));
+        Ok(())
+    }
+
+    #[test]
+    fn prefix_cache_size_must_fit_a_byte_count() -> Result<(), String> {
+        // 2^34 GiB = 2^64 bytes: the multiplication used to wrap to 0 in
+        // release builds and panic in debug ones.
+        let err = parse_run(&sv(&["run", "--prefix-cache-gb", "17179869184"])).unwrap_err();
+        assert!(
+            err.contains("--prefix-cache-gb 17179869184 does not fit"),
+            "{err}"
+        );
+        let a = parse_run(&sv(&["run", "--prefix-cache-gb", "17179869183"]))?;
+        assert_eq!(a.prefix_cache_bytes, Some(17_179_869_183 << 30));
+        Ok(())
+    }
+
+    /// The parser is total: whatever the argv, it returns — never panics —
+    /// and what it accepts is safe to hand to the simulator.
+    #[test]
+    fn parse_is_total_and_every_accepted_argv_is_runnable() {
+        const SUBS: [&str; 7] = [
+            "run", "sweep", "profile", "serve", "replay", "help", "launch",
+        ];
+        // Valid openings, so the cross-flag rules are reached too.
+        const OPENINGS: [&[&str]; 4] = [
+            &[],
+            &["--index", "ivf"],
+            &["--driver", "realtime"],
+            &["--arrivals", "burst"],
+        ];
+        #[rustfmt::skip]
+        const VALUES: [&str; 20] = [
+            "0", "1", "2", "7", "64", "-1", "0.5", "1e-9", "4096", "17179869184",
+            "18446744073709551616", "nan", "inf", "-inf", "1e400", "", ",", "a40,,h100", "sq8", "☃",
+        ];
+        let flags: Vec<String> = flags_in(USAGE).into_iter().collect();
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut pick = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % n
+        };
+        let mut accepted = 0;
+        for _ in 0..20_000 {
+            let mut argv = vec![SUBS[pick(SUBS.len())].to_string()];
+            argv.extend(OPENINGS[pick(OPENINGS.len())].iter().map(|s| s.to_string()));
+            for _ in 0..pick(4) {
+                argv.push(flags[pick(flags.len())].clone());
+                if pick(4) > 0 {
+                    argv.push(VALUES[pick(VALUES.len())].to_string());
+                }
+            }
+            let parsed = std::panic::catch_unwind(|| parse(&argv))
+                .unwrap_or_else(|_| panic!("parse panicked on {argv:?}"));
+            let a = match parsed {
+                Ok(Command::Run(a) | Command::Sweep(a) | Command::Profile(a)) => a,
+                Ok(Command::Serve(a) | Command::Replay(a)) => a,
+                Ok(Command::Help) | Err(_) => continue,
+            };
+            accepted += 1;
+            assert!(a.queries >= 1 && a.replicas >= 1, "{argv:?} -> {a:?}");
+            assert!(a.qps.is_finite(), "{argv:?} -> qps {}", a.qps);
+            assert!(
+                a.slo.is_none_or(|s| s.is_finite() && s > 0.0),
+                "{argv:?} -> slo {:?}",
+                a.slo
+            );
+            if let IndexSpec::Ivf { nlist, nprobe, .. } = a.index {
+                assert!(
+                    nprobe <= nlist,
+                    "{argv:?} -> nprobe {nprobe} > nlist {nlist}"
+                );
+            }
+            if let DriverSpec::Realtime { time_scale } = a.driver {
+                assert!(
+                    time_scale.is_finite() && time_scale > 0.0,
+                    "{argv:?} -> {time_scale}"
+                );
+            }
+        }
+        assert!(
+            accepted >= 2_000,
+            "only {accepted} of 20 000 argvs parsed: the pool has gone stale"
+        );
     }
 
     #[test]

@@ -26,33 +26,31 @@ use args::{parse, Command, GpuClass, RunArgs, SystemChoice, USAGE};
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&argv) {
+    let outcome = match parse(&argv) {
         Ok(Command::Help) => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            Ok(())
         }
-        Ok(Command::Run(a)) => {
-            cmd_run(&a);
-            ExitCode::SUCCESS
-        }
+        Ok(Command::Run(a)) => cmd_run(&a),
         Ok(Command::Sweep(a)) => {
             cmd_sweep(&a);
-            ExitCode::SUCCESS
+            Ok(())
         }
         Ok(Command::Profile(a)) => {
             cmd_profile(&a);
-            ExitCode::SUCCESS
+            Ok(())
         }
         Ok(Command::Serve(a)) => {
             cmd_serve(&a);
-            ExitCode::SUCCESS
+            Ok(())
         }
-        Ok(Command::Replay(a)) => {
-            cmd_replay(&a);
-            ExitCode::SUCCESS
-        }
+        Ok(Command::Replay(a)) => cmd_replay(&a),
+        Err(e) => Err(format!("{e}\n\n{USAGE}")),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -114,9 +112,7 @@ fn run_once(a: &RunArgs, system: SystemKind) -> RunResult {
         cfg.model = ModelSpec::llama31_70b_awq();
         cfg.cluster = GpuCluster::dual_a40();
     }
-    if let Some(gib) = a.prefix_cache_gib {
-        cfg.prefix_cache_bytes = Some(gib * (1 << 30));
-    }
+    cfg.prefix_cache_bytes = a.prefix_cache_bytes;
     cfg.driver = a.driver;
     Runner::new(&dataset, cfg).run()
 }
@@ -133,7 +129,7 @@ fn print_result(label: &str, r: &RunResult) {
     );
 }
 
-fn cmd_run(a: &RunArgs) {
+fn cmd_run(a: &RunArgs) -> Result<(), String> {
     println!(
         "dataset {:?}, {} queries, {}{}",
         a.dataset,
@@ -175,7 +171,7 @@ fn cmd_run(a: &RunArgs) {
         retrieval.p99() * 1e3,
         r.mean_retrieval_recall()
     );
-    if a.prefix_cache_gib.is_some() {
+    if a.prefix_cache_bytes.is_some() {
         println!("prefix-cache hit rate: {:.1}%", r.prefix_hit_rate * 100.0);
     }
     if r.preemptions > 0 {
@@ -219,8 +215,9 @@ fn cmd_run(a: &RunArgs) {
             .collect();
         println!("per-replica completions: {}", parts.join(" "));
     }
-    if let Some(path) = &a.json {
-        write_report(a, &r, path);
+    match &a.json {
+        Some(path) => write_report_to(&build_report("cli_run", "metis run", a, &r), path),
+        None => Ok(()),
     }
 }
 
@@ -272,23 +269,16 @@ fn build_report(name: &str, title: &str, a: &RunArgs, r: &RunResult) -> BenchRep
 }
 
 /// Writes a report to `path`, creating parent directories as needed.
-fn write_report_to(report: &BenchReport, path: &str) {
+fn write_report_to(report: &BenchReport, path: &str) -> Result<(), String> {
     if let Some(parent) = std::path::Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("error: cannot create {}: {e}", parent.display());
-                return;
-            }
+            std::fs::create_dir_all(parent)
+                .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
         }
     }
-    match std::fs::write(path, report.render()) {
-        Ok(()) => println!("report: {path}"),
-        Err(e) => eprintln!("error: cannot write {path}: {e}"),
-    }
-}
-
-fn write_report(a: &RunArgs, r: &RunResult, path: &str) {
-    write_report_to(&build_report("cli_run", "metis run", a, r), path);
+    std::fs::write(path, report.render()).map_err(|e| format!("cannot write {path}: {e}"))?;
+    println!("report: {path}");
+    Ok(())
 }
 
 /// `metis serve`: the `run` workload on a chosen driver, with wall-clock
@@ -342,7 +332,7 @@ fn cmd_serve(a: &RunArgs) {
 /// `metis replay`: push the generated workload through the chosen driver and
 /// emit the machine-readable report — to `--json <PATH>` if given, else to
 /// stdout. The progress line goes to stderr so stdout stays pure JSON.
-fn cmd_replay(a: &RunArgs) {
+fn cmd_replay(a: &RunArgs) -> Result<(), String> {
     eprintln!(
         "replaying {:?} ({} queries) on the {} driver",
         a.dataset,
@@ -353,7 +343,10 @@ fn cmd_replay(a: &RunArgs) {
     let report = build_report("cli_replay", "metis replay", a, &r);
     match &a.json {
         Some(path) => write_report_to(&report, path),
-        None => print!("{}", report.render()),
+        None => {
+            print!("{}", report.render());
+            Ok(())
+        }
     }
 }
 
@@ -393,5 +386,22 @@ fn cmd_profile(a: &RunArgs) {
             space.intermediate_length.0,
             space.intermediate_length.1,
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_report_that_cannot_be_written_is_an_error() {
+        // A path whose parent is a regular file: neither creatable nor writable.
+        let file = std::env::temp_dir().join(format!("metis-cli-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, "").expect("temp file");
+        let path = file.join("report.json");
+        let result = write_report_to(&BenchReport::new("t", "t"), &path.to_string_lossy());
+        std::fs::remove_file(&file).expect("remove temp file");
+        let err = result.expect_err("the write cannot have succeeded");
+        assert!(err.starts_with("cannot create "), "{err}");
     }
 }

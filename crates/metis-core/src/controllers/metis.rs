@@ -310,6 +310,7 @@ mod tests {
         let mut opts = MetisOptions::full();
         opts.priority_from_slo = true;
         let mut c = MetisController::new(opts);
+        #[expect(clippy::disallowed_types, reason = "membership and len() only")]
         let mut seen = std::collections::HashSet::new();
         for q in &d.queries {
             let outcome = c.on_profile(q, &metadata(), 7);

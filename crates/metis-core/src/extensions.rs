@@ -19,6 +19,11 @@
 //!   expansion), improving retrieval of weakly-mentioned facts for complex
 //!   queries.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "token-count maps here are only looked up by key, never iterated"
+)]
+
 use std::collections::HashMap;
 
 use metis_datasets::Complexity;

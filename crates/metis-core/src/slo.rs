@@ -250,6 +250,7 @@ mod tests {
     #[test]
     fn slo_tiers_track_query_scale() {
         let d = metis_datasets::build_dataset(metis_datasets::DatasetKind::Musique, 24, 3);
+        #[expect(clippy::disallowed_types, reason = "membership and len() only")]
         let mut seen = std::collections::HashSet::new();
         for q in &d.queries {
             let tier = SloTier::for_query(q);

@@ -58,6 +58,7 @@ fn metis_completes_with_profiler_cost_and_adapted_configs() {
     assert!(r.api_cost_usd > 0.0, "profiler must cost dollars");
     assert!(r.per_query.iter().all(|q| q.profiler_secs > 0.0));
     // Configurations vary across queries (per-query adaptation).
+    #[expect(clippy::disallowed_types, reason = "len() only")]
     let distinct: std::collections::HashSet<_> =
         r.per_query.iter().map(|q| q.config.label()).collect();
     assert!(
@@ -453,6 +454,7 @@ fn cell_report_mirrors_the_run_result() {
     assert_eq!(cell.retrieval.p50(), r.retrieval().p50());
     assert_eq!(cell.throughput_qps, r.throughput().qps());
     assert_eq!(cell.retrieval_recall, r.mean_retrieval_recall());
+    #[expect(clippy::disallowed_types, reason = "lookup by key and len() only")]
     let stages: std::collections::HashMap<&str, f64> =
         cell.stages.iter().map(|(k, v)| (k.as_str(), *v)).collect();
     let means = r.stage_breakdown();

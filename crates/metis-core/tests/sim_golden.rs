@@ -11,6 +11,11 @@
 //! `METIS_REGEN_GOLDEN=1 cargo test -p metis-core --test sim_golden`,
 //! review the numeric diff, and say why in the PR.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "METIS_REGEN_GOLDEN=1 rewrites the golden file; nothing else here touches a file"
+)]
+
 use metis_core::{MetisOptions, RunConfig, Runner, SystemKind};
 use metis_datasets::{build_dataset, poisson_arrivals, DatasetKind};
 use metis_engine::RouterPolicy;

@@ -56,6 +56,15 @@ struct ReplicaShared {
 }
 
 impl ReplicaShared {
+    // Runs on the replica thread: same no-panic rule as `replica_worker`.
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     fn publish(&self, engine: &Engine) {
         self.free_kv_tokens
             .store(engine.free_kv_tokens(), Ordering::Relaxed);
@@ -183,7 +192,6 @@ impl RealtimeDriver {
         let worker = std::thread::Builder::new()
             .name(format!("metis-replica-{i}"))
             .spawn(move || replica_worker(engine, req_rx, worker_tx, worker_state, clock))
-            // metis-lint: allow(no-panic-in-worker) reason="driver thread at construction: failing to spawn a replica thread is unrecoverable setup"
             .expect("spawn replica worker");
         self.replicas.push(Replica {
             submit,
@@ -278,7 +286,6 @@ impl Driver for RealtimeDriver {
         replica.in_flight += 1;
         replica
             .submit
-            // metis-lint: allow(channel-unwrap) reason="driver thread: a closed channel means a worker died, which is already fatal"
             .send(req)
             .expect("replica worker exited with the run still active");
     }
@@ -306,7 +313,6 @@ impl Driver for RealtimeDriver {
                 Err(RecvTimeoutError::Timeout) if wait.is_zero() => return None,
                 Err(RecvTimeoutError::Timeout) => std::hint::spin_loop(),
                 Err(RecvTimeoutError::Disconnected) => {
-                    // metis-lint: allow(no-panic-in-worker) reason="driver thread: surfaces a dead worker instead of hanging the pump"
                     panic!("realtime replica worker died before the run drained")
                 }
             }
@@ -320,7 +326,6 @@ impl Driver for RealtimeDriver {
         match self.completions.recv_timeout(STALL_WATCHDOG_WALL) {
             Ok(done) => Some(self.account(done)),
             Err(e) => {
-                // metis-lint: allow(no-panic-in-worker) reason="driver thread: surfaces a deadlocked or dead worker instead of hanging the idle drain"
                 panic!(
                     "realtime driver stalled: {} requests in flight but no \
                      completion within {STALL_WATCHDOG_WALL:?} ({e})",
@@ -345,7 +350,6 @@ impl Driver for RealtimeDriver {
         let workers: Vec<_> = replicas.into_iter().map(|r| r.worker).collect();
         let joined: Vec<(EngineStats, Nanos)> = workers
             .into_iter()
-            // metis-lint: allow(no-panic-in-worker) reason="driver thread at shutdown: re-raises a worker panic so it cannot be lost"
             .map(|worker| worker.join().expect("replica worker panicked"))
             .collect();
         // Bill to the latest virtual instant any replica reached, as the
@@ -357,6 +361,18 @@ impl Driver for RealtimeDriver {
 
 /// The per-replica worker loop: drain submissions, run engine iterations,
 /// pace the wall against the engine's virtual clock, report completions.
+///
+/// A panic here kills a replica mid-run and strands its in-flight requests,
+/// so nothing in the body may unwrap or panic: a hung-up channel is a
+/// `match` arm, never an `expect`.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 fn replica_worker(
     mut engine: Engine,
     requests: Receiver<LlmRequest>,
@@ -496,7 +512,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)] // wall-clock deadline guards a cross-thread test
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "a wall deadline bounds how long the test waits on the worker thread"
+    )]
     fn least_kv_routing_follows_published_snapshots() {
         // A gentler scale than the other tests: the decode below has to
         // still be running when this thread gets to look, even on a host

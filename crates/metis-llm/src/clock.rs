@@ -18,6 +18,12 @@
 //! under either are directly comparable — the property the realtime-parity
 //! benches rely on.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "WallClock is the workspace's one sanctioned reader of the wall clock \
+              (module-wide: its derives repeat the `Instant` field type)"
+)]
+
 use std::time::{Duration, Instant};
 
 use crate::time::Nanos;
@@ -115,7 +121,7 @@ impl WallClock {
     /// # Panics
     ///
     /// Panics unless `time_scale` is finite and positive.
-    #[allow(clippy::disallowed_methods)] // the Clock impl is the sanctioned wall-clock site
+    #[expect(clippy::disallowed_methods, reason = "the sanctioned wall-clock site")]
     pub fn new(time_scale: f64) -> Self {
         assert!(
             time_scale.is_finite() && time_scale > 0.0,
@@ -164,8 +170,7 @@ impl Clock for WallClock {
             let wall = self.wall_nanos(t - now);
             if wall > SPIN_THRESHOLD_WALL_NANOS {
                 // Sleep most of the way, finish with a tighter pass.
-                #[allow(clippy::disallowed_methods)]
-                // the Clock impl is the sanctioned wall-clock site
+                #[expect(clippy::disallowed_methods, reason = "the sanctioned wall-clock site")]
                 std::thread::sleep(Duration::from_nanos(wall - SPIN_THRESHOLD_WALL_NANOS / 2));
             } else {
                 std::hint::spin_loop();

@@ -9,9 +9,9 @@ use std::collections::BTreeMap;
 
 use metis_text::TokenId;
 
-// BTreeMap (not HashMap): this crate feeds reports, and the lint's
-// nondeterministic-iteration rule requires ordered containers so every
-// iteration order — and thus every emitted artifact — is reproducible.
+// BTreeMap (not HashMap): this crate feeds reports, and its clippy.toml
+// bans the hash containers so every iteration order — and thus every
+// emitted artifact — is reproducible.
 fn counts(tokens: &[TokenId]) -> BTreeMap<TokenId, u32> {
     let mut m = BTreeMap::new();
     for &t in tokens {

@@ -1,0 +1,117 @@
+//! Allocation pin for the IVF and HNSW read paths: a search allocates the
+//! hit vector it returns plus O(1), however deep it probes. IVF keeps its
+//! centroid ranking and list walk in per-index scratch, HNSW its visited
+//! stamps, frontier and scored pool in per-thread scratch, so effort
+//! (`nprobe`, `ef`) moves the work and not the allocation count.
+//!
+//! Counted with this binary's own `#[global_allocator]` (which is why the
+//! tests live alone in their file), per thread, so the test harness's own
+//! threads cannot disturb the count.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+use metis_text::ChunkId;
+use metis_vectordb::{HnswConfig, HnswIndex, IvfConfig, IvfIndex, Quantization, VectorIndex};
+
+thread_local! {
+    /// Allocations and reallocations made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// [`System`] plus a per-thread allocation counter.
+struct CountingAlloc;
+
+fn count_one() {
+    // `try_with`: an allocation made while the thread is being torn down
+    // finds the slot gone, and is nobody's to count.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only addition bumps a
+// const-initialised, destructor-free thread-local `Cell`, which cannot
+// allocate, unwind, or touch the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's obligations are exactly `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this type, same layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from `System` through this type, same layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const DIM: usize = 16;
+const K: usize = 10;
+
+/// `n` vectors of an LCG's uniform noise: small enough for a debug build,
+/// spread enough that deep settings really do visit more than shallow ones.
+fn vectors(n: usize, seed: u64) -> Vec<(ChunkId, Vec<f32>)> {
+    let mut state = seed;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 40) as f32 / (1u64 << 24) as f32
+    };
+    (0..n as u32)
+        .map(|id| (ChunkId(id), (0..DIM).map(|_| next()).collect()))
+        .collect()
+}
+
+/// Allocations per call of `search` over `queries`, after a warm-up pass
+/// has grown the scratch buffers to their steady-state capacity.
+fn allocs_per_search<T>(queries: &[(ChunkId, Vec<f32>)], search: impl Fn(&[f32]) -> T) -> f64 {
+    for (_, q) in queries {
+        black_box(search(q));
+    }
+    let before = ALLOCATIONS.with(Cell::get);
+    for (_, q) in queries {
+        black_box(search(q));
+    }
+    (ALLOCATIONS.with(Cell::get) - before) as f64 / queries.len() as f64
+}
+
+#[test]
+fn ivf_search_allocations_do_not_scale_with_probe_depth() {
+    let items = vectors(2_000, 7);
+    let queries = vectors(32, 11);
+    let build = |nprobe| {
+        let config = IvfConfig {
+            nlist: 64,
+            nprobe,
+            train_iters: 4,
+        };
+        IvfIndex::build(DIM, config, &items)
+    };
+    let (shallow, deep) = (build(2), build(32));
+    let at_2 = allocs_per_search(&queries, |q| shallow.search(q, K));
+    let at_32 = allocs_per_search(&queries, |q| deep.search(q, K));
+    assert_eq!(at_2, at_32, "allocations per search at nprobe 2 and 32");
+    assert!(at_32 <= 2.0, "an IVF search made {at_32} allocations");
+}
+
+#[test]
+fn hnsw_search_allocations_do_not_scale_with_ef() {
+    let items = vectors(1_500, 7);
+    let queries = vectors(32, 11);
+    let index = HnswIndex::build(DIM, HnswConfig::default(), Quantization::sq8(), &items);
+    let at_16 = allocs_per_search(&queries, |q| index.search_with_ef(q, K, 16));
+    let at_192 = allocs_per_search(&queries, |q| index.search_with_ef(q, K, 192));
+    assert_eq!(at_16, at_192, "allocations per search at ef 16 and 192");
+    assert!(at_192 <= 3.0, "an HNSW search made {at_192} allocations");
+}

@@ -23,6 +23,11 @@
 //! `METIS_REGEN_GOLDEN=1 cargo test --test ann_golden`, review which rows
 //! and which columns moved, and say why in the PR.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "METIS_REGEN_GOLDEN=1 rewrites the golden file; nothing else here touches a file"
+)]
+
 use std::fmt::Write as _;
 
 use metis::datasets::{AnnConfig, AnnCorpus};
