@@ -6,8 +6,8 @@
 //! testbed-specific.
 //!
 //! Scale knob: `METIS_BENCH_QUERIES` (CI smoke runs set it low). Emits
-//! `bench-reports/fig11_throughput.json` — one of the three reports the CI
-//! perf gate diffs against `baselines/`.
+//! `bench-reports/fig11_throughput.json` — one of the five reports CI
+//! requires to equal their `baselines/` file byte for byte.
 
 use metis_bench::{
     base_qps, bench_queries, best_quality_fixed, dataset, emit, fixed_menu, header, metis,

@@ -104,7 +104,7 @@ fn main() {
             );
         }
         // Only the winning fixed config joins the report (the full menu
-        // would drown the gate in near-duplicate cells).
+        // would drown the report in near-duplicate cells).
         let best_cell = cells[2..]
             .iter()
             .find(|c| c.value.0 == Some(*qc))

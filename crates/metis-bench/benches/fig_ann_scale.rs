@@ -13,8 +13,8 @@
 //! Scale knob: `METIS_BENCH_QUERIES` — when set (CI smoke), the corpus
 //! sizes shrink to {2·10³, 10⁴} so the sweep completes in seconds; unset,
 //! the full {10⁴, 10⁵, 10⁶} ladder runs. Emits
-//! `bench-reports/fig_ann_scale.json`, diffed by the CI perf gate against
-//! `baselines/fig_ann_scale.json` (smoke shape).
+//! `bench-reports/fig_ann_scale.json`, which CI requires to equal
+//! `baselines/fig_ann_scale.json` (smoke shape) byte for byte.
 
 use metis_bench::{bench_queries, emit, header, new_report, Sweep, DATASET_SEED, RUN_SEED};
 use metis_core::RetrievalModel;

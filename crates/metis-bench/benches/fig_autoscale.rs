@@ -20,8 +20,8 @@
 //!
 //! Scale knob: `METIS_BENCH_QUERIES` (CI smoke runs set it low; the
 //! expectations above are asserted at every scale). Emits
-//! `bench-reports/fig_autoscale.json`, diffed against `baselines/` by the
-//! CI perf gate.
+//! `bench-reports/fig_autoscale.json`, which CI requires to equal
+//! `baselines/fig_autoscale.json` byte for byte.
 
 use metis_bench::{base_qps, bench_queries, dataset, emit, header, new_report, Sweep, RUN_SEED};
 use metis_core::{Autoscaler, MetisOptions, RunConfig, RunResult, Runner, SystemKind};
@@ -176,8 +176,9 @@ fn main() {
     }
 
     // The headline claims, asserted at every scale the bench runs at. The
-    // CI perf gate only diffs the standard per-cell metrics, so the
-    // elasticity acceptance lives here, next to the numbers it is about.
+    // baseline pins each number at smoke scale only and says nothing of
+    // how they relate, so the elasticity acceptance lives here, next to
+    // the numbers it is about.
     let auto = find("day/autoscale");
     let fixed8 = find("day/fixed-8");
     assert!(

@@ -15,13 +15,11 @@
 //! actually contend on KV.
 //!
 //! Scale knob: `METIS_BENCH_QUERIES` (CI smoke runs set it low). Emits
-//! `bench-reports/fig_preempt.json` — one of the three reports the CI perf
-//! gate diffs against `baselines/`.
+//! `bench-reports/fig_preempt.json` — one of the five reports CI requires
+//! to equal their `baselines/` file byte for byte.
 
-use metis_bench::{
-    base_qps, bench_queries, dataset, emit, header, new_report, run_with_arrivals, Sweep, RUN_SEED,
-};
-use metis_core::{MetisOptions, RunResult, SystemKind};
+use metis_bench::{base_qps, bench_queries, dataset, emit, header, new_report, Sweep, RUN_SEED};
+use metis_core::{MetisOptions, RunConfig, RunResult, Runner, SystemKind};
 use metis_datasets::{burst_arrivals, DatasetKind};
 use metis_engine::{Priority, RouterPolicy};
 
@@ -74,15 +72,10 @@ fn main() {
                         // per-replica contention regime stays comparable.
                         let arrivals =
                             burst_arrivals(seed, base * replicas as f64 * 1.5, factor, n);
-                        run_with_arrivals(
-                            d,
-                            system(preemptive),
-                            arrivals,
-                            seed,
-                            replicas,
-                            RouterPolicy::LeastKvLoad,
-                            Some(KV_CAP_BYTES),
-                        )
+                        let mut cfg = RunConfig::standard(system(preemptive), arrivals, seed)
+                            .replicated(replicas, RouterPolicy::LeastKvLoad);
+                        cfg.engine.kv_pool_bytes_cap = Some(KV_CAP_BYTES);
+                        Runner::new(d, cfg).run()
                     },
                 );
             }
@@ -122,8 +115,8 @@ fn main() {
     .knob("kv_cap_gib", KV_CAP_BYTES >> 30);
     for cell in &cells {
         let r = &cell.value;
-        // The gate watches the interactive class specifically: that tail is
-        // the whole point of the preemptive scheduler.
+        // The interactive tail is the whole point of the preemptive
+        // scheduler, so it is in the report and the baseline pins it.
         report.cells.push(
             r.cell_report(&cell.id, cell.seed)
                 .knob("dataset", kind.name())

@@ -16,14 +16,13 @@
 //!
 //! Scale knobs: `METIS_BENCH_QUERIES` (default 16) and `METIS_TIME_SCALE`
 //! (default 200). Emits `bench-reports/fig_realtime_parity.json`; the
-//! realtime cell carries the `driver = realtime` marker, which the perf
-//! gate uses to exclude it from baseline comparison.
+//! realtime cell carries the `driver = realtime` marker. Its numbers move
+//! with the host, so this report has no baseline: the bounds asserted
+//! here are what holds it.
 
-use metis_bench::{
-    base_qps, bench_queries, dataset, emit, header, metis, new_report, run_with_driver, RUN_SEED,
-};
-use metis_core::{DriverSpec, RunResult, StageMeans};
-use metis_datasets::DatasetKind;
+use metis_bench::{base_qps, bench_queries, dataset, emit, header, metis, new_report, RUN_SEED};
+use metis_core::{DriverSpec, RunConfig, RunResult, Runner, StageMeans};
+use metis_datasets::{poisson_arrivals, DatasetKind};
 use metis_engine::RouterPolicy;
 use metis_llm::Clock;
 
@@ -71,15 +70,11 @@ fn main() {
     );
 
     let run = |driver: DriverSpec| -> RunResult {
-        run_with_driver(
-            &d,
-            metis(),
-            qps,
-            RUN_SEED,
-            2,
-            RouterPolicy::RoundRobin,
-            driver,
-        )
+        let arrivals = poisson_arrivals(RUN_SEED ^ 0xA11, qps, n);
+        let cfg = RunConfig::standard(metis(), arrivals, RUN_SEED)
+            .replicated(2, RouterPolicy::RoundRobin)
+            .with_driver(driver);
+        Runner::new(&d, cfg).run()
     };
     let sim = run(DriverSpec::Sim);
     // The parity bench measures how much wall time the realtime driver

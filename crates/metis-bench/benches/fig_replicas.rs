@@ -11,10 +11,10 @@
 //! Scale knob: `METIS_BENCH_QUERIES`. Emits `bench-reports/fig_replicas.json`.
 
 use metis_bench::{
-    base_qps, bench_queries, dataset, emit, header, metis, new_report, run_replicated, Sweep,
-    RUN_SEED,
+    base_qps, bench_queries, dataset, emit, header, metis, new_report, Sweep, RUN_SEED,
 };
-use metis_datasets::DatasetKind;
+use metis_core::{RunConfig, Runner};
+use metis_datasets::{poisson_arrivals, DatasetKind};
 use metis_engine::RouterPolicy;
 
 const REPLICAS: [usize; 3] = [1, 2, 4];
@@ -54,7 +54,12 @@ fn main() {
                 sweep = sweep.cell_with_seed(
                     format!("{mult:.0}x/{replicas}r/{tag}"),
                     RUN_SEED,
-                    move |seed| run_replicated(d, metis(), base * mult, seed, replicas, router),
+                    move |seed| {
+                        let arrivals = poisson_arrivals(seed ^ 0xA11, base * mult, n);
+                        let cfg = RunConfig::standard(metis(), arrivals, seed)
+                            .replicated(replicas, router);
+                        Runner::new(d, cfg).run()
+                    },
                 );
             }
         }

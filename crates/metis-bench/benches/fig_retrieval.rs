@@ -10,8 +10,8 @@
 //! ground-truth fact recall, end-to-end F1, and mean delay.
 //!
 //! Scale knob: `METIS_BENCH_QUERIES` (CI smoke runs set it low). Emits
-//! `bench-reports/fig_retrieval.json` — one of the three reports the CI
-//! perf gate diffs against `baselines/`.
+//! `bench-reports/fig_retrieval.json` — one of the five reports CI
+//! requires to equal their `baselines/` file byte for byte.
 
 use metis_bench::{
     base_qps, bench_queries, emit, header, metis, new_report, Sweep, DATASET_SEED, RUN_SEED,

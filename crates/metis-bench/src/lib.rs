@@ -14,21 +14,17 @@
 //! contention regime, which is what the relative results depend on. The
 //! rates are printed with every experiment.
 
-pub mod gate;
 pub mod reportio;
 pub mod sweep;
 
-pub use gate::{check as gate_check, GateFinding, GateOutcome, Tolerances};
 pub use reportio::{emit, new_report, report_dir, REPORT_DIR_ENV};
 pub use sweep::{cell_seed, Sweep, SweepCell};
 
 use metis_core::{
-    DriverSpec, MetisOptions, RagConfig, RunConfig, RunResult, Runner, SynthesisPlan, SystemKind,
+    MetisOptions, RagConfig, RunConfig, RunResult, Runner, SynthesisPlan, SystemKind,
 };
 use metis_datasets::{build_dataset, poisson_arrivals, Dataset, DatasetKind};
-use metis_engine::{
-    Engine, EngineConfig, GroupId, LlmRequest, Priority, RequestId, RouterPolicy, Stage,
-};
+use metis_engine::{Engine, EngineConfig, GroupId, LlmRequest, Priority, RequestId, Stage};
 use metis_llm::{nanos_to_secs, GpuCluster, LatencyModel, ModelSpec, Nanos};
 use metis_profiler::ProfilerKind;
 
@@ -53,72 +49,41 @@ pub fn dataset(kind: DatasetKind, n: usize) -> Dataset {
     build_dataset(kind, n, DATASET_SEED)
 }
 
-/// Runs `system` over `dataset` with Poisson arrivals at `qps`.
+/// Runs `system` over `dataset` on one replica with Poisson arrivals at
+/// `qps`.
 pub fn run(dataset: &Dataset, system: SystemKind, qps: f64, seed: u64) -> RunResult {
-    run_replicated(dataset, system, qps, seed, 1, RouterPolicy::RoundRobin)
-}
-
-/// Runs `system` across `replicas` engine replicas behind `router`.
-pub fn run_replicated(
-    dataset: &Dataset,
-    system: SystemKind,
-    qps: f64,
-    seed: u64,
-    replicas: usize,
-    router: RouterPolicy,
-) -> RunResult {
     let arrivals = poisson_arrivals(seed ^ 0xA11, qps, dataset.queries.len());
-    run_with_arrivals(dataset, system, arrivals, seed, replicas, router, None)
+    Runner::new(dataset, RunConfig::standard(system, arrivals, seed)).run()
 }
 
-/// Runs `system` over explicit arrival times across `replicas` replicas,
-/// with an optional per-replica KV working-memory cap in bytes — the
-/// driver for arrival-process sweeps (bursty/heavy-tailed workloads) where
-/// the process, not a Poisson rate, defines the load.
-pub fn run_with_arrivals(
-    dataset: &Dataset,
-    system: SystemKind,
-    arrivals: Vec<Nanos>,
-    seed: u64,
-    replicas: usize,
-    router: RouterPolicy,
-    kv_cap_bytes: Option<u64>,
-) -> RunResult {
-    let mut cfg = RunConfig::standard(system, arrivals, seed).replicated(replicas, router);
-    if kv_cap_bytes.is_some() {
-        cfg.engine.kv_pool_bytes_cap = kv_cap_bytes;
+/// Parses a `METIS_BENCH_QUERIES` value; `None` is the variable unset. A
+/// value that is set but not a positive integer is an error, never the
+/// default: that would run full scale, for minutes, under a smoke label.
+fn parse_bench_queries(raw: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(v) = raw else { return Ok(None) };
+    match v.parse() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(format!(
+            "METIS_BENCH_QUERIES must be a positive integer, got '{v}'"
+        )),
     }
-    Runner::new(dataset, cfg).run()
 }
 
-/// Runs `system` over `dataset` with Poisson arrivals at `qps` on an
-/// explicit execution driver — the same workload [`run_replicated`] builds,
-/// but served by either the deterministic simulator or the live realtime
-/// driver (the parity bench runs both and compares).
-pub fn run_with_driver(
-    dataset: &Dataset,
-    system: SystemKind,
-    qps: f64,
-    seed: u64,
-    replicas: usize,
-    router: RouterPolicy,
-    driver: DriverSpec,
-) -> RunResult {
-    let arrivals = poisson_arrivals(seed ^ 0xA11, qps, dataset.queries.len());
-    let cfg = RunConfig::standard(system, arrivals, seed)
-        .replicated(replicas, router)
-        .with_driver(driver);
-    Runner::new(dataset, cfg).run()
+/// The validated `METIS_BENCH_QUERIES` override, `None` when unset.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when it is set but invalid.
+pub(crate) fn bench_queries_override() -> Option<usize> {
+    let raw = std::env::var_os("METIS_BENCH_QUERIES");
+    parse_bench_queries(raw.as_ref().map(|v| v.to_string_lossy()).as_deref())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Bench scale override for CI smoke runs: `METIS_BENCH_QUERIES` caps the
 /// per-experiment query count (default: the target's full size).
 pub fn bench_queries(default: usize) -> usize {
-    std::env::var("METIS_BENCH_QUERIES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
+    bench_queries_override().unwrap_or(default)
 }
 
 /// Runs with explicit arrivals and model/cluster overrides.
@@ -345,6 +310,20 @@ mod tests {
         assert!(front.contains(&1));
         assert!(!front.contains(&2)); // Dominated by (2.0, 0.6).
         assert!(front.contains(&3));
+    }
+
+    #[test]
+    fn bench_queries_accepts_unset_or_a_positive_integer() {
+        assert_eq!(parse_bench_queries(None), Ok(None));
+        assert_eq!(parse_bench_queries(Some("8")), Ok(Some(8)));
+        for bad in ["8x", "abc", "0", "", "-3", " 8"] {
+            let msg = parse_bench_queries(Some(bad))
+                .expect_err("set-but-invalid must not fall back to the default");
+            assert!(
+                msg.contains("METIS_BENCH_QUERIES") && msg.contains(&format!("'{bad}'")),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

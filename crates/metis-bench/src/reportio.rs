@@ -3,14 +3,14 @@
 //! Every bench target ends with [`emit`]: the human-readable table it
 //! already printed is joined by a machine-readable JSON artifact under
 //! `target/bench-reports/<experiment>.json` (override the directory with
-//! `METIS_BENCH_REPORT_DIR`). CI uploads these artifacts and the perf gate
-//! diffs a pinned subset against `baselines/`.
+//! `METIS_BENCH_REPORT_DIR`). CI uploads these artifacts and requires the
+//! five that have a file in `baselines/` to equal it byte for byte.
 
 use std::path::PathBuf;
 
 use metis_metrics::BenchReport;
 
-use crate::{DATASET_SEED, RUN_SEED};
+use crate::{bench_queries_override, DATASET_SEED, RUN_SEED};
 
 /// Environment variable overriding the report output directory.
 pub const REPORT_DIR_ENV: &str = "METIS_BENCH_REPORT_DIR";
@@ -36,7 +36,7 @@ pub fn new_report(experiment: &str, title: &str) -> BenchReport {
     let mut report = BenchReport::new(experiment, title);
     report.dataset_seed = DATASET_SEED;
     report.run_seed = RUN_SEED;
-    if let Ok(q) = std::env::var("METIS_BENCH_QUERIES") {
+    if let Some(q) = bench_queries_override() {
         report = report.knob("METIS_BENCH_QUERIES", q);
     }
     report
@@ -48,7 +48,7 @@ pub fn new_report(experiment: &str, title: &str) -> BenchReport {
 /// # Panics
 ///
 /// Panics when the directory or file cannot be written — a bench that
-/// silently loses its artifact would defeat the CI gate.
+/// silently loses its artifact would defeat CI's baseline comparison.
 pub fn emit(report: &BenchReport) -> PathBuf {
     let dir = report_dir();
     std::fs::create_dir_all(&dir)

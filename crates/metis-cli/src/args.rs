@@ -255,6 +255,13 @@ pub fn parse_arrivals(s: &str) -> Result<ArrivalProcess, String> {
 /// Parses a system choice.
 pub fn parse_system(s: &str) -> Result<SystemChoice, String> {
     let lower = s.to_ascii_lowercase();
+    // Zero is refused rather than served as one chunk (the runner clamps):
+    // the summary line and the report's `system` knob echo what was typed.
+    let at_least_one = |field: &str, what: &str| match field.parse::<u32>() {
+        Ok(0) => Err(format!("{what} must be at least 1 in system '{s}'")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("bad {what} '{field}' in system '{s}'")),
+    };
     if lower == "metis" {
         return Ok(SystemChoice::Metis);
     }
@@ -262,23 +269,19 @@ pub fn parse_system(s: &str) -> Result<SystemChoice, String> {
         return Ok(SystemChoice::AdaptiveRag);
     }
     if let Some(rest) = lower.strip_prefix("stuff:") {
-        let k: u32 = rest
-            .parse()
-            .map_err(|_| format!("bad chunk count '{rest}'"))?;
-        return Ok(SystemChoice::FixedStuff(k));
+        return Ok(SystemChoice::FixedStuff(at_least_one(rest, "chunk count")?));
     }
     if let Some(rest) = lower.strip_prefix("map_reduce:") {
         let mut it = rest.split(':');
-        let k: u32 = it
+        let k = at_least_one(it.next().unwrap_or_default(), "chunk count")?;
+        let l = it
             .next()
-            .unwrap_or_default()
-            .parse()
-            .map_err(|_| format!("bad map_reduce spec '{rest}'"))?;
-        let l: u32 = it
-            .next()
-            .unwrap_or("100")
-            .parse()
-            .map_err(|_| format!("bad map_reduce spec '{rest}'"))?;
+            .map_or(Ok(100), |f| at_least_one(f, "intermediate length"))?;
+        if let Some(extra) = it.next() {
+            return Err(format!(
+                "unexpected field '{extra}' in system '{s}' (map_reduce:K[:L])"
+            ));
+        }
         return Ok(SystemChoice::FixedMapReduce(k, l));
     }
     Err(format!("unknown system '{s}'"))
@@ -826,9 +829,10 @@ mod tests {
             &["--arrivals", "burst"],
         ];
         #[rustfmt::skip]
-        const VALUES: [&str; 20] = [
+        const VALUES: [&str; 24] = [
             "0", "1", "2", "7", "64", "-1", "0.5", "1e-9", "4096", "17179869184",
             "18446744073709551616", "nan", "inf", "-inf", "1e400", "", ",", "a40,,h100", "sq8", "☃",
+            "stuff:0", "stuff:3", "map_reduce:4:0", "map_reduce:2:9",
         ];
         let flags: Vec<String> = flags_in(USAGE).into_iter().collect();
         let mut state = 0x2545_F491_4F6C_DD1D_u64;
@@ -858,6 +862,13 @@ mod tests {
             accepted += 1;
             assert!(a.queries >= 1 && a.replicas >= 1, "{argv:?} -> {a:?}");
             assert!(a.qps.is_finite(), "{argv:?} -> qps {}", a.qps);
+            match a.system {
+                SystemChoice::FixedStuff(k) => assert!(k >= 1, "{argv:?} -> {k} chunks"),
+                SystemChoice::FixedMapReduce(k, l) => {
+                    assert!(k >= 1 && l >= 1, "{argv:?} -> map_reduce {k}:{l}");
+                }
+                SystemChoice::Metis | SystemChoice::AdaptiveRag => {}
+            }
             assert!(
                 a.slo.is_none_or(|s| s.is_finite() && s > 0.0),
                 "{argv:?} -> slo {:?}",
@@ -1209,5 +1220,21 @@ mod tests {
             parse_system("map_reduce:6").unwrap(),
             SystemChoice::FixedMapReduce(6, 100)
         );
+        assert_eq!(
+            parse_system("map_reduce:6:250").unwrap(),
+            SystemChoice::FixedMapReduce(6, 250)
+        );
+        // Specs the runner would quietly serve as something else.
+        for (spec, why) in [
+            ("stuff:0", "chunk count must be at least 1"),
+            ("map_reduce:0", "chunk count must be at least 1"),
+            ("map_reduce:4:0", "intermediate length must be at least 1"),
+            ("map_reduce:4:100:zzz", "unexpected field 'zzz'"),
+            ("map_reduce:4:", "bad intermediate length ''"),
+            ("stuff:4:9", "bad chunk count '4:9'"),
+        ] {
+            let err = parse_system(spec).unwrap_err();
+            assert!(err.contains(why) && err.contains(spec), "{spec}: {err}");
+        }
     }
 }

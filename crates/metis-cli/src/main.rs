@@ -222,7 +222,7 @@ fn cmd_run(a: &RunArgs) -> Result<(), String> {
 }
 
 /// Builds the run's single-cell [`BenchReport`] — the same schema the bench
-/// harness emits, so CLI runs slot into the same tooling (`perf_check`,
+/// harness emits, so CLI runs slot into the same tooling (`cmp`/`diff`,
 /// plotting) as figure reproductions. Realtime cells additionally carry the
 /// `driver`/`time_scale` markers `cell_report` stamps on them.
 fn build_report(name: &str, title: &str, a: &RunArgs, r: &RunResult) -> BenchReport {

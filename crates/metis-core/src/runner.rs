@@ -457,15 +457,15 @@ impl RunResult {
     }
 
     /// Lowers the run into one report cell — the uniform currency of the
-    /// bench harness and the CI perf gate (see
+    /// bench harness and the committed baselines (see
     /// [`metis_metrics::report`]).
     ///
     /// Realtime runs are marked with a `driver = realtime` knob and a
-    /// `time_scale` extra metric so they are distinguishable in committed
-    /// baselines (and so the perf gate can skip them — wall-paced numbers
-    /// are machine-dependent). Simulated cells deliberately carry *no*
-    /// driver marker: the simulator is the default and has always been, and
-    /// pre-refactor golden reports must stay byte-for-byte valid. For the
+    /// `time_scale` extra metric so a reader can tell them apart: their
+    /// wall-paced numbers are machine-dependent, so no baseline holds one
+    /// and nothing skips on the marker. Simulated cells deliberately carry
+    /// *no* driver marker: the simulator is the default and has always been,
+    /// and pre-refactor golden reports must stay byte-for-byte valid. For the
     /// same reason, index-work extras (`index_*`, `store_bytes_*`) are
     /// emitted only when the run used a non-default index or vector storage
     /// — a flat/f32 cell renders exactly as it did before the ANN subsystem

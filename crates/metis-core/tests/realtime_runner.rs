@@ -10,7 +10,7 @@
 //!   end-to-end delay — engine timestamps stay virtual under the realtime
 //!   driver, so the partition identity is not merely approximate;
 //! * the run is stamped as realtime-served (`DriverKind`, `time_scale`,
-//!   and the report-cell `driver` knob the perf gate keys on).
+//!   and the report-cell `driver` knob that marks the cell for readers).
 
 use metis_core::{DriverKind, DriverSpec, MetisOptions, RunConfig, Runner, SystemKind};
 use metis_datasets::{build_dataset, poisson_arrivals, DatasetKind};
@@ -51,8 +51,8 @@ fn realtime_driver_serves_a_full_metis_workload() {
         assert!(q.finish_secs >= q.arrival_secs, "time flows forward");
     }
 
-    // The report cell carries the marker the perf gate skips on; a sim run
-    // of the same workload stays unmarked (golden/baseline compatibility).
+    // The report cell carries the realtime marker; a sim run of the same
+    // workload stays unmarked (golden/baseline compatibility).
     let cell = r.cell_report("rt", 99);
     assert_eq!(cell.knob_value("driver"), Some("realtime"));
     assert_eq!(cell.extra_metric("time_scale"), Some(TIME_SCALE));

@@ -5,7 +5,8 @@
 //! * The dollar-cost model behind the paper's Fig. 13.
 //! * Machine-readable benchmark reports ([`report`]) over a hand-rolled,
 //!   dependency-free JSON writer/parser ([`json`]) — the schema the bench
-//!   harness emits and the CI perf gate diffs against baselines.
+//!   harness emits; CI compares five of those files byte-for-byte with
+//!   `baselines/`.
 
 pub mod cost;
 pub mod f1;

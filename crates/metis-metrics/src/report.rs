@@ -4,8 +4,8 @@
 //! document per experiment holding a [`CellReport`] per (config × seed ×
 //! load) cell — experiment knobs, per-cell F1, full latency / queue-wait /
 //! retrieval percentile vectors, per-stage delay breakdown, throughput,
-//! preemptions, and cost. CI diffs these against committed baselines, so
-//! the schema is deliberately explicit:
+//! preemptions, and cost. CI compares these byte-for-byte against committed
+//! baselines, so the schema is deliberately explicit:
 //!
 //! * [`SCHEMA_VERSION`] is bumped on breaking field changes, and
 //!   [`BenchReport::from_json`] fails loudly (naming the field) on any
@@ -21,8 +21,7 @@
 //! All percentile vectors come from [`LatencySummary`]'s *nearest-rank*
 //! estimator (see its docs): with `n` samples, every percentile above
 //! `100·(n−1)/n` equals the maximum. Reports therefore always carry the
-//! sample `count` next to each summary — a p99 over 8 samples *is* the max,
-//! and the gate tooling treats it with the tolerance that deserves.
+//! sample `count` next to each summary — a p99 over 8 samples *is* the max.
 
 use crate::json::{Json, JsonError};
 use crate::latency::LatencySummary;
@@ -322,11 +321,6 @@ impl BenchReport {
     pub fn knob(mut self, name: impl Into<String>, value: impl ToString) -> Self {
         self.knobs.push((name.into(), value.to_string()));
         self
-    }
-
-    /// Finds a cell by id.
-    pub fn cell(&self, id: &str) -> Option<&CellReport> {
-        self.cells.iter().find(|c| c.id == id)
     }
 
     /// Renders the full report as pretty-printed JSON.

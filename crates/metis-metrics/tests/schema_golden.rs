@@ -1,8 +1,8 @@
 //! Golden-file schema stability: the rendered form of a fixed report is
 //! pinned byte-for-byte in `tests/golden/report_v1.json`. Renaming a
 //! field, changing the percentile grid, reordering keys, or touching the
-//! pretty-printer all fail this test loudly — which is the point: the CI
-//! perf gate diffs these documents against committed baselines, so the
+//! pretty-printer all fail this test loudly — which is the point: CI
+//! compares these documents byte-for-byte with committed baselines, so the
 //! schema must never drift silently. On an *intentional* schema change,
 //! bump `SCHEMA_VERSION`, regenerate the golden (the failure message says
 //! how), and refresh `baselines/`.

@@ -1,8 +1,9 @@
 //! The workspace invariants no compiler lint can express, checked from the
-//! tree itself: crate layering, NaN-safe ordering, and that the per-crate
-//! `clippy.toml` files still say what the root one says. The invariants
-//! clippy *can* express live in `clippy.toml`; docs/architecture.md
-//! § "Invariants" maps every invariant to its guard.
+//! tree itself: crate layering, NaN-safe ordering, that the per-crate
+//! `clippy.toml` files still say what the root one says, and that every
+//! committed baseline is a smoke-scale report of a registered bench. The
+//! invariants clippy *can* express live in `clippy.toml`;
+//! docs/architecture.md § "Invariants" maps every invariant to its guard.
 
 #![expect(
     clippy::disallowed_methods,
@@ -146,5 +147,43 @@ fn crate_clippy_configs_repeat_the_root_entries() {
                 conf.display()
             );
         }
+    }
+}
+
+/// CI compares each `baselines/<bench>.json` with that bench's fresh report
+/// by bytes, and bytes can only say "differ". This says why before any
+/// bench runs: a baseline that is not a report, is filed under another
+/// experiment's name, names no bench target, or was regenerated at a scale
+/// other than the `METIS_BENCH_QUERIES=8` CI's smoke step runs at.
+#[test]
+fn baselines_are_smoke_scale_reports_of_registered_benches() {
+    let benches = read(Path::new("crates/metis-bench/Cargo.toml"));
+    let is_json = |p: &PathBuf| p.extension().is_some_and(|e| e == "json");
+    for path in walk("baselines").into_iter().filter(is_json) {
+        let at = path.display();
+        let report = metis::metrics::BenchReport::parse(&read(&path))
+            .unwrap_or_else(|e| panic!("{at}: not a bench report: {e}"));
+        let stem = path
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .expect("utf-8 stem");
+        assert_eq!(
+            report.experiment, stem,
+            "{at}: holds experiment '{}'; CI compares it with target/bench-reports/{stem}.json",
+            report.experiment
+        );
+        assert!(
+            benches.contains(&format!("[[bench]]\nname = \"{stem}\"\n")),
+            "{at}: '{stem}' is not a [[bench]] target of crates/metis-bench/Cargo.toml"
+        );
+        let scale = report
+            .knobs
+            .iter()
+            .find(|(k, _)| k == "METIS_BENCH_QUERIES");
+        assert_eq!(
+            scale.map(|(_, v)| v.as_str()),
+            Some("8"),
+            "{at}: regenerate with METIS_BENCH_QUERIES=8, the scale CI's smoke step runs at"
+        );
     }
 }
