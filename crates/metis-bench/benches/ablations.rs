@@ -1,15 +1,12 @@
-//! Ablations of the reproduction's design choices (DESIGN.md §6): the
-//! confidence fallback, the gang scheduler, the streaming-window fit, the
-//! KV-pool cap, and the §4.2 extension knobs (re-ranker / query re-writer).
+//! Ablations of the reproduction's design choices: the confidence fallback,
+//! the gang scheduler, the KV-pool cap and the chunk-KV prefix cache.
 //!
 //! Scale knob: `METIS_BENCH_QUERIES`. Emits `bench-reports/ablations.json`.
 
 use metis_bench::{
     base_qps, bench_queries, dataset, emit, header, new_report, run, Row, Sweep, RUN_SEED,
 };
-use metis_core::{
-    rerank_hits, rewrite_query, MetisOptions, RunConfig, RunResult, Runner, SystemKind,
-};
+use metis_core::{MetisOptions, RunConfig, RunResult, Runner, SystemKind};
 use metis_datasets::{poisson_arrivals, DatasetKind};
 use metis_profiler::ProfilerKind;
 
@@ -86,44 +83,6 @@ fn main() {
     ];
     metis_bench::print_rows(&rows);
 
-    // 5. Extension knobs: does the lexical re-ranker recover weakly-embedded
-    //    facts, and does query re-writing sharpen retrieval?
-    println!("\n  extension knobs (retrieval recall of needed facts @ 8):");
-    let mut plain_found = 0usize;
-    let mut rerank_found = 0usize;
-    let mut rewrite_found = 0usize;
-    let mut total = 0usize;
-    for q in &d.queries {
-        let needed: std::collections::BTreeSet<_> = q.truth.base.iter().map(|b| b.id).collect();
-        let count = |hits: &[metis_vectordb::RetrievalResult]| {
-            let mut found = std::collections::BTreeSet::new();
-            for r in hits {
-                for f in r.text.fact_ids() {
-                    if needed.contains(&f) {
-                        found.insert(f);
-                    }
-                }
-            }
-            found.len()
-        };
-        total += needed.len();
-        let deep = d.db.retrieve(&q.tokens, 24);
-        plain_found += count(&deep[..8.min(deep.len())]);
-        let reranked = rerank_hits(&q.tokens, deep.clone());
-        rerank_found += count(&reranked[..8.min(reranked.len())]);
-        let rewritten = d.db.retrieve(&rewrite_query(&q.tokens), 8);
-        rewrite_found += count(&rewritten);
-    }
-    let (plain, rerank, rewrite) = (
-        plain_found as f64 / total as f64,
-        rerank_found as f64 / total as f64,
-        rewrite_found as f64 / total as f64,
-    );
-    println!(
-        "    plain top-8: {plain:.3} | re-ranked top-8 of 24: {rerank:.3} | \
-         rewritten query top-8: {rewrite:.3}"
-    );
-
     let mut report = new_report("ablations", "design-choice ablations on KG RAG FinSec")
         .knob("queries", n)
         .knob("dataset", kind.name());
@@ -137,12 +96,5 @@ fn main() {
         }
         report.cells.push(cr);
     }
-    let mut ext = metis_metrics::CellReport::new("extension_knobs", cells[0].seed);
-    ext.queries = n as u64;
-    report.cells.push(
-        ext.metric("fact_recall_plain_top8", plain)
-            .metric("fact_recall_rerank_top8of24", rerank)
-            .metric("fact_recall_rewrite_top8", rewrite),
-    );
     emit(&report);
 }

@@ -102,8 +102,7 @@ fn main() {
                 .iter()
                 .map(|&mult| {
                     let arrivals = poisson_arrivals(seed ^ 0xA11, base * mult, n);
-                    let mut cfg = RunConfig::standard(metis(), arrivals, seed);
-                    cfg.index = spec;
+                    let cfg = RunConfig::standard(metis(), arrivals, seed);
                     (mult, Runner::new(d, cfg).run())
                 })
                 .collect();

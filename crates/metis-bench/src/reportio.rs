@@ -6,7 +6,7 @@
 //! `METIS_BENCH_REPORT_DIR`). CI uploads these artifacts and requires the
 //! five that have a file in `baselines/` to equal it byte for byte.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use metis_metrics::BenchReport;
 
@@ -15,18 +15,29 @@ use crate::{bench_queries_override, DATASET_SEED, RUN_SEED};
 /// Environment variable overriding the report output directory.
 pub const REPORT_DIR_ENV: &str = "METIS_BENCH_REPORT_DIR";
 
-/// Where reports land: `$METIS_BENCH_REPORT_DIR`, else
-/// `$CARGO_TARGET_DIR/bench-reports`, else the workspace
-/// `target/bench-reports` (resolved from this crate's manifest dir, so it
-/// works regardless of the cwd cargo gives bench binaries).
+/// Where reports land: `$METIS_BENCH_REPORT_DIR`, else `bench-reports`
+/// under `$CARGO_TARGET_DIR`, else under the workspace `target`.
 pub fn report_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var(REPORT_DIR_ENV) {
+    let var = |name| std::env::var(name).ok();
+    resolve_report_dir(
+        var(REPORT_DIR_ENV).as_deref(),
+        var("CARGO_TARGET_DIR").as_deref(),
+    )
+}
+
+/// [`report_dir`] as a function of its two variables. A relative target dir
+/// is anchored at the workspace root (found from this crate's manifest dir),
+/// not at the cwd: cargo builds into it relative to where it was invoked but
+/// runs a bench binary from the package root, so the cwd is the one place a
+/// `CARGO_TARGET_DIR=tgt` build never wrote to.
+fn resolve_report_dir(report_dir: Option<&str>, target_dir: Option<&str>) -> PathBuf {
+    if let Some(dir) = report_dir {
         return PathBuf::from(dir);
     }
-    if let Ok(target) = std::env::var("CARGO_TARGET_DIR") {
-        return PathBuf::from(target).join("bench-reports");
-    }
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-reports")
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(target_dir.unwrap_or("target"))
+        .join("bench-reports")
 }
 
 /// Starts a report for one bench target, stamped with the bench-standard
@@ -68,6 +79,28 @@ pub fn emit(report: &BenchReport) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn report_dir_follows_the_override_then_the_target_dir() {
+        let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert_eq!(
+            resolve_report_dir(None, None),
+            workspace.join("target/bench-reports")
+        );
+        // Cargo built into `<workspace>/tgt`; the cwd is `crates/metis-bench`.
+        assert_eq!(
+            resolve_report_dir(None, Some("tgt")),
+            workspace.join("tgt/bench-reports")
+        );
+        assert_eq!(
+            resolve_report_dir(None, Some("/abs/tgt")),
+            Path::new("/abs/tgt/bench-reports")
+        );
+        assert_eq!(
+            resolve_report_dir(Some("out"), Some("tgt")),
+            Path::new("out")
+        );
+    }
 
     #[test]
     fn emitted_reports_parse_back() {

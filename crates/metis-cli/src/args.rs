@@ -28,12 +28,6 @@ pub enum Command {
     Sweep(RunArgs),
     /// `metis profile ...` — show profiles and pruned spaces per query.
     Profile(RunArgs),
-    /// `metis serve ...` — serve a workload on a chosen driver and print
-    /// the summary plus wall-clock accounting.
-    Serve(RunArgs),
-    /// `metis replay ...` — push a generated workload through a driver and
-    /// emit the run's `CellReport` JSON (stdout, or `--json <PATH>`).
-    Replay(RunArgs),
     /// `metis help`.
     Help,
 }
@@ -82,8 +76,8 @@ pub struct RunArgs {
     /// Optional path to write the run's machine-readable report to — the
     /// same `BenchReport` JSON schema the bench harness emits.
     pub json: Option<String>,
-    /// Who executes the engine work and on whose time (serve/replay only;
-    /// `run`/`sweep`/`profile` always simulate).
+    /// Who executes the engine work and on whose time (`run` only;
+    /// `sweep`/`profile` always simulate).
     pub driver: DriverSpec,
 }
 
@@ -145,8 +139,6 @@ USAGE:
   metis run     [OPTIONS]   serve a workload and print per-system results
   metis sweep   [OPTIONS]   sweep the fixed-configuration menu
   metis profile [OPTIONS]   show profiler output and pruned spaces per query
-  metis serve   [OPTIONS]   serve on a chosen driver; print summary + wall time
-  metis replay  [OPTIONS]   run a workload on a driver; emit the report JSON
   metis help
 
 OPTIONS:
@@ -184,11 +176,12 @@ OPTIONS:
                            (default 64; needs --index hnsw)
   --quantize <f32|sq8>     vector storage: exact f32 (default) or 8-bit
                            scalar quantization with exact re-ranking
-  --json <PATH>            also write the run report as JSON (run/replay;
+  --json <PATH>            also write the run report as JSON (run only;
                            same schema as the bench harness emits)
-  --driver <sim|realtime>  serve/replay execution driver (default sim):
-                           sim replays the deterministic simulator; realtime
-                           serves live from one worker thread per replica
+  --driver <sim|realtime>  execution driver of run (default sim): sim is the
+                           deterministic simulator; realtime serves live from
+                           one worker thread per replica and also prints the
+                           wall time beside the virtual makespan
   --time-scale <F>         virtual-per-wall speedup for --driver realtime
                            (default 1 = true wall pace; e.g. 1000 compresses
                            1000 virtual seconds into one wall second)
@@ -289,8 +282,17 @@ pub fn parse_system(s: &str) -> Result<SystemChoice, String> {
 
 /// Parses the full command line (without the binary name).
 pub fn parse(args: &[String]) -> Result<Command, String> {
+    // The subcommand is settled before any flag is read, so a mistyped one
+    // is reported as such and `help` is help whatever follows it.
     let Some(sub) = args.first() else {
         return Ok(Command::Help);
+    };
+    let command: fn(RunArgs) -> Command = match sub.as_str() {
+        "run" => Command::Run,
+        "sweep" => Command::Sweep,
+        "profile" => Command::Profile,
+        "help" | "--help" | "-h" => return Ok(Command::Help),
+        other => return Err(format!("unknown subcommand '{other}'")),
     };
     #[derive(Clone, Copy, PartialEq, Eq)]
     enum IndexFamily {
@@ -542,18 +544,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     if run.priority_from_slo && run.system != SystemChoice::Metis {
         return Err("--priority-from-slo requires --system metis".into());
     }
-    // Only `run` and `replay` emit a report; elsewhere the flag would be
-    // silently inert, so it is rejected like the other subcommand-specific
-    // flags.
-    if run.json.is_some() && sub != "run" && sub != "replay" {
-        return Err("--json requires the run or replay subcommand".into());
-    }
-    // Only `serve`/`replay` pick a driver — `run`/`sweep`/`profile` always
-    // simulate, so the flag would be silently inert there. `--time-scale`
-    // in turn only means something on the realtime driver: the simulator's
-    // virtual time is not tied to wall time at all.
-    if driver_realtime.is_some() && sub != "serve" && sub != "replay" {
-        return Err("--driver requires the serve or replay subcommand".into());
+    // Only `run` emits a report or picks a driver — `sweep`/`profile`
+    // always simulate and print, so either flag would be silently inert
+    // there. `--time-scale` in turn only means something on the realtime
+    // driver: the simulator's virtual time is not tied to wall time at all.
+    if (run.json.is_some() || driver_realtime.is_some()) && sub != "run" {
+        return Err("--json/--driver require the run subcommand".into());
     }
     if time_scale.is_some() && driver_realtime != Some(true) {
         return Err("--time-scale requires --driver realtime".into());
@@ -575,15 +571,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     if run.router == RouterPolicy::PrefixAware && run.prefix_cache_bytes.is_none() {
         return Err("--router prefix-aware requires --prefix-cache-gb".into());
     }
-    match sub.as_str() {
-        "run" => Ok(Command::Run(run)),
-        "sweep" => Ok(Command::Sweep(run)),
-        "profile" => Ok(Command::Profile(run)),
-        "serve" => Ok(Command::Serve(run)),
-        "replay" => Ok(Command::Replay(run)),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(format!("unknown subcommand '{other}'")),
-    }
+    Ok(command(run))
 }
 
 /// Parses a command line that must be a `run` invocation, returning its
@@ -753,7 +741,14 @@ mod tests {
         assert!(parse(&sv(&["run", "--system", "magic"])).is_err());
         assert!(parse(&sv(&["run", "--queries", "0"])).is_err());
         assert!(parse(&sv(&["run", "--qps"])).is_err(), "missing value");
-        assert!(parse(&sv(&["launch"])).is_err(), "unknown subcommand");
+        // The subcommand is judged before any flag: a mistyped one is named
+        // as such (`serve`/`replay` are `run --driver` now), and `help` is
+        // help whatever follows.
+        for sub in ["launch", "serve", "replay"] {
+            let err = parse(&sv(&[sub, "--queries", "0"])).unwrap_err();
+            assert_eq!(err, format!("unknown subcommand '{sub}'"));
+        }
+        assert_eq!(parse(&sv(&["help", "--bogus"])), Ok(Command::Help));
         // Malformed replica/router values carry a descriptive error.
         let err = parse(&sv(&["run", "--replicas", "two"])).unwrap_err();
         assert!(err.contains("bad --replicas"), "got: {err}");
@@ -818,9 +813,11 @@ mod tests {
     /// and what it accepts is safe to hand to the simulator.
     #[test]
     fn parse_is_total_and_every_accepted_argv_is_runnable() {
-        const SUBS: [&str; 7] = [
-            "run", "sweep", "profile", "serve", "replay", "help", "launch",
+        // `run` twice: it alone takes every flag, the driver ones included.
+        const SUBS: [&str; 8] = [
+            "run", "run", "sweep", "profile", "help", "launch", "serve", "replay",
         ];
+        const REJECTED_SUBS: [&str; 3] = ["launch", "serve", "replay"];
         // Valid openings, so the cross-flag rules are reached too.
         const OPENINGS: [&[&str]; 4] = [
             &[],
@@ -854,9 +851,12 @@ mod tests {
             }
             let parsed = std::panic::catch_unwind(|| parse(&argv))
                 .unwrap_or_else(|_| panic!("parse panicked on {argv:?}"));
+            assert!(
+                parsed.is_err() || !REJECTED_SUBS.contains(&argv[0].as_str()),
+                "{argv:?} was accepted"
+            );
             let a = match parsed {
                 Ok(Command::Run(a) | Command::Sweep(a) | Command::Profile(a)) => a,
-                Ok(Command::Serve(a) | Command::Replay(a)) => a,
                 Ok(Command::Help) | Err(_) => continue,
             };
             accepted += 1;
@@ -952,7 +952,7 @@ mod tests {
         // Migration has no realtime transfer path — rejected, not a panic
         // deep inside the worker spawn.
         let err = parse(&sv(&[
-            "serve",
+            "run",
             "--driver",
             "realtime",
             "--preempt-mode",
@@ -1132,10 +1132,7 @@ mod tests {
         let a = parse_run(&sv(&["run"]))?;
         assert_eq!(a.json, None);
         let err = parse(&sv(&["sweep", "--json", "x.json"])).unwrap_err();
-        assert!(
-            err.contains("requires the run or replay subcommand"),
-            "got: {err}"
-        );
+        assert_eq!(err, "--json/--driver require the run subcommand");
         let err = parse(&sv(&["run", "--json", ""])).unwrap_err();
         assert!(err.contains("non-empty path"), "got: {err}");
         let err = parse(&sv(&["run", "--json"])).unwrap_err();
@@ -1144,58 +1141,46 @@ mod tests {
     }
 
     #[test]
-    fn driver_flags_parse_on_serve_and_replay() -> Result<(), String> {
-        // serve/replay default to the simulator, like every other command.
-        let Command::Serve(a) = parse(&sv(&["serve"]))? else {
-            return Err("expected serve".into());
-        };
-        assert_eq!(a.driver, DriverSpec::Sim);
-        let Command::Serve(a) = parse(&sv(&["serve", "--driver", "realtime"]))? else {
-            return Err("expected serve".into());
-        };
+    fn driver_flags_parse_on_run() -> Result<(), String> {
+        assert_eq!(parse_run(&sv(&["run"]))?.driver, DriverSpec::Sim);
+        let a = parse_run(&sv(&["run", "--driver", "realtime"]))?;
         assert_eq!(a.driver, DriverSpec::Realtime { time_scale: 1.0 });
-        // Flags compose in either order; replay accepts --json.
-        let Command::Replay(a) = parse(&sv(&[
-            "replay",
+        // Flags compose in either order, and with --json.
+        let a = parse_run(&sv(&[
+            "run",
             "--time-scale",
             "1000",
             "--driver",
             "realtime",
             "--json",
             "out/replay.json",
-        ]))?
-        else {
-            return Err("expected replay".into());
-        };
+        ]))?;
         assert_eq!(a.driver, DriverSpec::Realtime { time_scale: 1000.0 });
         assert_eq!(a.json.as_deref(), Some("out/replay.json"));
         // An explicit sim driver still parses (useful in scripts).
-        let Command::Replay(a) = parse(&sv(&["replay", "--driver", "sim"]))? else {
-            return Err("expected replay".into());
-        };
-        assert_eq!(a.driver, DriverSpec::Sim);
+        assert_eq!(
+            parse_run(&sv(&["run", "--driver", "sim"]))?.driver,
+            DriverSpec::Sim
+        );
         Ok(())
     }
 
     #[test]
     fn driver_flag_misuse_is_rejected() {
         // Inert placements are rejected rather than silently ignored.
-        let err = parse(&sv(&["run", "--driver", "realtime"])).unwrap_err();
-        assert!(
-            err.contains("requires the serve or replay subcommand"),
-            "got: {err}"
-        );
-        let err = parse(&sv(&["serve", "--time-scale", "100"])).unwrap_err();
+        let err = parse(&sv(&["sweep", "--driver", "realtime"])).unwrap_err();
+        assert_eq!(err, "--json/--driver require the run subcommand");
+        let err = parse(&sv(&["run", "--time-scale", "100"])).unwrap_err();
         assert!(err.contains("requires --driver realtime"), "got: {err}");
-        let err = parse(&sv(&["serve", "--driver", "sim", "--time-scale", "100"])).unwrap_err();
+        let err = parse(&sv(&["run", "--driver", "sim", "--time-scale", "100"])).unwrap_err();
         assert!(err.contains("requires --driver realtime"), "got: {err}");
         // Malformed values carry descriptive errors.
-        let err = parse(&sv(&["serve", "--driver", "gpu"])).unwrap_err();
+        let err = parse(&sv(&["run", "--driver", "gpu"])).unwrap_err();
         assert!(err.contains("unknown driver"), "got: {err}");
-        let err = parse(&sv(&["serve", "--driver", "realtime", "--time-scale", "0"])).unwrap_err();
+        let err = parse(&sv(&["run", "--driver", "realtime", "--time-scale", "0"])).unwrap_err();
         assert!(err.contains("finite and positive"), "got: {err}");
         let err = parse(&sv(&[
-            "serve",
+            "run",
             "--driver",
             "realtime",
             "--time-scale",

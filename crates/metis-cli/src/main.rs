@@ -4,8 +4,7 @@
 //! metis run --dataset finsec --system metis --queries 100 --qps 0.2
 //! metis sweep --dataset musique
 //! metis profile --dataset qmsum --queries 5
-//! metis serve --driver realtime --time-scale 200 --queries 32
-//! metis replay --driver realtime --time-scale 1000 --queries 8 --json out.json
+//! metis run --driver realtime --time-scale 1000 --queries 8 --json out.json
 //! ```
 
 mod args;
@@ -40,11 +39,6 @@ fn main() -> ExitCode {
             cmd_profile(&a);
             Ok(())
         }
-        Ok(Command::Serve(a)) => {
-            cmd_serve(&a);
-            Ok(())
-        }
-        Ok(Command::Replay(a)) => cmd_replay(&a),
         Err(e) => Err(format!("{e}\n\n{USAGE}")),
     };
     match outcome {
@@ -106,8 +100,6 @@ fn run_once(a: &RunArgs, system: SystemKind) -> RunResult {
         // (1..=8 replicas) governs how far the run may grow or drain.
         cfg = cfg.with_autoscale(metis_core::Autoscaler::default());
     }
-    cfg.index = a.index;
-    cfg.quant = a.quant;
     if a.big_model {
         cfg.model = ModelSpec::llama31_70b_awq();
         cfg.cluster = GpuCluster::dual_a40();
@@ -145,7 +137,12 @@ fn cmd_run(a: &RunArgs) -> Result<(), String> {
             String::new()
         }
     );
+    // Under the realtime driver the run takes real time — virtual seconds
+    // divided by `--time-scale` — so the summary reports how faithfully the
+    // wall tracked the virtual makespan, read through the sanctioned Clock.
+    let wall_clock = metis_llm::WallClock::new(1.0);
     let r = run_once(a, system_of(a.system, a.slo, a.priority_from_slo));
+    let wall = wall_clock.now() as f64 / 1e9;
     print_result(&format!("{:?}", a.system), &r);
     let stages = r.stage_breakdown();
     println!(
@@ -215,8 +212,16 @@ fn cmd_run(a: &RunArgs) -> Result<(), String> {
             .collect();
         println!("per-replica completions: {}", parts.join(" "));
     }
+    if r.driver == DriverKind::Realtime {
+        println!(
+            "virtual makespan {:.2}s  wall {wall:.2}s  (expected wall ≥ {:.2}s at {}×)",
+            r.makespan_secs,
+            r.makespan_secs / r.time_scale,
+            r.time_scale
+        );
+    }
     match &a.json {
-        Some(path) => write_report_to(&build_report("cli_run", "metis run", a, &r), path),
+        Some(path) => write_report_to(&build_report(a, &r), path),
         None => Ok(()),
     }
 }
@@ -225,8 +230,8 @@ fn cmd_run(a: &RunArgs) -> Result<(), String> {
 /// harness emits, so CLI runs slot into the same tooling (`cmp`/`diff`,
 /// plotting) as figure reproductions. Realtime cells additionally carry the
 /// `driver`/`time_scale` markers `cell_report` stamps on them.
-fn build_report(name: &str, title: &str, a: &RunArgs, r: &RunResult) -> BenchReport {
-    let mut report = BenchReport::new(name, title);
+fn build_report(a: &RunArgs, r: &RunResult) -> BenchReport {
+    let mut report = BenchReport::new("cli_run", "metis run");
     report.dataset_seed = a.seed;
     report.run_seed = a.seed;
     report = report
@@ -279,75 +284,6 @@ fn write_report_to(report: &BenchReport, path: &str) -> Result<(), String> {
     std::fs::write(path, report.render()).map_err(|e| format!("cannot write {path}: {e}"))?;
     println!("report: {path}");
     Ok(())
-}
-
-/// `metis serve`: the `run` workload on a chosen driver, with wall-clock
-/// accounting. Under `--driver realtime` the run takes real time — virtual
-/// seconds divided by `--time-scale` — and the summary reports how faithfully
-/// the wall tracked the virtual makespan.
-fn cmd_serve(a: &RunArgs) {
-    println!(
-        "serving {:?} on the {} driver{}",
-        a.dataset,
-        a.driver.kind().name(),
-        match a.driver {
-            metis_core::DriverSpec::Realtime { time_scale } =>
-                format!(" (time-scale {time_scale}×)"),
-            metis_core::DriverSpec::Sim => String::new(),
-        }
-    );
-    // Real wall time is the point here (serve reports it next to virtual
-    // makespan), read through the sanctioned Clock abstraction.
-    let wall_clock = metis_llm::WallClock::new(1.0);
-    let r = run_once(a, system_of(a.system, a.slo, a.priority_from_slo));
-    let wall = wall_clock.now() as f64 / 1e9;
-    print_result(&format!("{:?}", a.system), &r);
-    let stages = r.stage_breakdown();
-    println!(
-        "stages (mean s): profile {:.3}  decide {:.3}  retrieve {:.3}  \
-         queue-wait {:.3}  prefill {:.3}  decode {:.3}",
-        stages.profile,
-        stages.decide,
-        stages.retrieve,
-        stages.queue_wait,
-        stages.prefill,
-        stages.decode,
-    );
-    println!(
-        "virtual makespan {:.2}s  wall {:.2}s{}",
-        r.makespan_secs,
-        wall,
-        if r.driver == DriverKind::Realtime {
-            format!(
-                "  (expected wall ≥ {:.2}s at {}×)",
-                r.makespan_secs / r.time_scale,
-                r.time_scale
-            )
-        } else {
-            String::new()
-        }
-    );
-}
-
-/// `metis replay`: push the generated workload through the chosen driver and
-/// emit the machine-readable report — to `--json <PATH>` if given, else to
-/// stdout. The progress line goes to stderr so stdout stays pure JSON.
-fn cmd_replay(a: &RunArgs) -> Result<(), String> {
-    eprintln!(
-        "replaying {:?} ({} queries) on the {} driver",
-        a.dataset,
-        a.queries,
-        a.driver.kind().name()
-    );
-    let r = run_once(a, system_of(a.system, a.slo, a.priority_from_slo));
-    let report = build_report("cli_replay", "metis replay", a, &r);
-    match &a.json {
-        Some(path) => write_report_to(&report, path),
-        None => {
-            print!("{}", report.render());
-            Ok(())
-        }
-    }
 }
 
 fn cmd_sweep(a: &RunArgs) {

@@ -52,7 +52,7 @@ pub struct AutoscalerState {
 /// given its state, so the hysteresis band is directly testable:
 ///
 /// ```
-/// use metis_core::autoscaler::{Autoscaler, AutoscalerState, ScaleAction};
+/// use metis_core::{Autoscaler, AutoscalerState, ScaleAction};
 ///
 /// let policy = Autoscaler::default();
 /// let mut state = AutoscalerState::default();
@@ -158,13 +158,6 @@ impl Autoscaler {
             return ScaleAction::Down;
         }
         ScaleAction::Hold
-    }
-
-    /// The policy bounded to a fixed band.
-    pub fn bounded(mut self, min: usize, max: usize) -> Self {
-        self.min_replicas = min;
-        self.max_replicas = max;
-        self
     }
 }
 

@@ -34,7 +34,7 @@ pub fn fixed_config_grid() -> Vec<RagConfig> {
 /// workflow is used; within it, AdaptiveRAG\* buys all the quality it can —
 /// deep retrieval and long summaries — which is exactly why it inflates
 /// serving latency.
-pub fn adaptive_rag_pick(space: &PrunedSpace) -> RagConfig {
+pub(crate) fn adaptive_rag_pick(space: &PrunedSpace) -> RagConfig {
     if space.methods.contains(&SynthesisMethod::MapReduce)
         || space.methods.contains(&SynthesisMethod::Stuff)
     {
@@ -53,7 +53,7 @@ pub fn adaptive_rag_pick(space: &PrunedSpace) -> RagConfig {
 /// The Fig. 12 "profiler + median" ablation: median knob values from the
 /// pruned space, no resource awareness. When both reasoning methods are in
 /// the space, the quality-robust `map_reduce` is the representative choice.
-pub fn median_pick(space: &PrunedSpace) -> RagConfig {
+pub(crate) fn median_pick(space: &PrunedSpace) -> RagConfig {
     let method = if space.methods.contains(&SynthesisMethod::MapReduce) {
         SynthesisMethod::MapReduce
     } else {

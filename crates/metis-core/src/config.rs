@@ -101,35 +101,6 @@ impl RagConfig {
     }
 }
 
-/// Bounds of the *full* configuration space (§3: "30 values for num_chunks
-/// and 50 values for intermediate_length leads to 1500 configurations").
-#[derive(Clone, Copy, Debug)]
-pub struct ConfigSpace {
-    /// Inclusive `num_chunks` range.
-    pub num_chunks: (u32, u32),
-    /// Inclusive `intermediate_length` range (map_reduce only).
-    pub intermediate_length: (u32, u32),
-}
-
-impl Default for ConfigSpace {
-    fn default() -> Self {
-        Self {
-            num_chunks: (1, 35),
-            intermediate_length: (1, 300),
-        }
-    }
-}
-
-impl ConfigSpace {
-    /// Size of the full space (every method × chunks × lengths).
-    pub fn size(&self) -> u64 {
-        let chunks = u64::from(self.num_chunks.1 - self.num_chunks.0 + 1);
-        let lens = u64::from(self.intermediate_length.1 - self.intermediate_length.0 + 1);
-        // map_rerank and stuff ignore intermediate_length.
-        chunks * 2 + chunks * lens
-    }
-}
-
 /// The pruned, per-query configuration space produced by Algorithm 1.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PrunedSpace {
@@ -198,13 +169,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn full_space_is_combinatorial() {
-        let s = ConfigSpace::default();
-        // 35 × 2 + 35 × 300 = 10570 — the §3 "prohibitive" scale.
-        assert_eq!(s.size(), 10_570);
-    }
-
-    #[test]
     fn pruned_space_is_50_to_100x_smaller() {
         // A typical profile: pieces = 3 → chunks 3..9, summaries 20..80.
         let pruned = PrunedSpace {
@@ -212,8 +176,10 @@ mod tests {
             num_chunks: (3, 9),
             intermediate_length: (20, 80),
         };
-        let full = ConfigSpace::default().size();
-        let ratio = full as f64 / pruned.size() as f64;
+        // The full space, 35 chunk counts × (2 + 300 lengths): §3's
+        // "prohibitive" scale.
+        let full = 35 * 2 + 35 * 300;
+        let ratio = f64::from(full) / pruned.size() as f64;
         assert!(ratio > 20.0, "reduction only {ratio:.0}x");
     }
 

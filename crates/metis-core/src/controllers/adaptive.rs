@@ -12,13 +12,13 @@ use crate::mapping::map_profile;
 /// AdaptiveRAG\* (§7.1): profiles every query like METIS but then takes the
 /// quality-maximizing configuration with no regard for resource cost — the
 /// adaptation-without-joint-scheduling ablation the paper compares against.
-pub struct AdaptiveRagController {
+pub(crate) struct AdaptiveRagController {
     profiler: LlmProfiler,
 }
 
 impl AdaptiveRagController {
     /// Builds the controller with a fresh profiler of the given kind.
-    pub fn new(kind: ProfilerKind) -> Self {
+    pub(crate) fn new(kind: ProfilerKind) -> Self {
         Self {
             profiler: LlmProfiler::new(kind),
         }

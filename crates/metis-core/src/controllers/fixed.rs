@@ -10,19 +10,14 @@ use crate::controllers::{ConfigController, Decision, DecisionContext, ProfileOut
 /// vLLM with one fixed configuration for every query (§7.1): no profiler,
 /// no adaptation, plain first-come-first-served admission — the static
 /// menu existing RAG systems pick from offline.
-pub struct FixedController {
+pub(crate) struct FixedController {
     config: RagConfig,
 }
 
 impl FixedController {
     /// Builds the controller around its static configuration.
-    pub fn new(config: RagConfig) -> Self {
+    pub(crate) fn new(config: RagConfig) -> Self {
         Self { config }
-    }
-
-    /// The static configuration served to every query.
-    pub fn config(&self) -> RagConfig {
-        self.config
     }
 }
 

@@ -13,7 +13,7 @@ use crate::mapping::{map_profile, ProfileHistory};
 use crate::slo::{choose_config_with_slo, LatencySlo, SloTier};
 
 /// Confidence threshold below which METIS distrusts the profile (§5).
-pub const CONFIDENCE_THRESHOLD: f64 = 0.90;
+const CONFIDENCE_THRESHOLD: f64 = 0.90;
 /// Expected final-answer output tokens used for memory sizing.
 const EXPECTED_OUTPUT: u64 = 48;
 /// Base fraction of free KV memory held back by the best-fit (§4.3's 2%
@@ -89,7 +89,7 @@ impl MetisOptions {
 /// The full METIS policy: LLM profiler → Algorithm 1 pruning (with
 /// confidence fallback) → resource-aware best fit against the routed
 /// replica's free memory, plus the §5 feedback loop.
-pub struct MetisController {
+pub(crate) struct MetisController {
     opts: MetisOptions,
     profiler: LlmProfiler,
     history: ProfileHistory,
@@ -100,18 +100,13 @@ pub struct MetisController {
 
 impl MetisController {
     /// Builds the controller with a fresh profiler and empty history.
-    pub fn new(opts: MetisOptions) -> Self {
+    pub(crate) fn new(opts: MetisOptions) -> Self {
         Self {
             opts,
             profiler: LlmProfiler::new(opts.profiler),
             history: ProfileHistory::default(),
             pending_feedback: 0,
         }
-    }
-
-    /// The options this controller runs with.
-    pub fn options(&self) -> &MetisOptions {
-        &self.opts
     }
 
     fn apply_tuning(&self, mut space: PrunedSpace) -> PrunedSpace {

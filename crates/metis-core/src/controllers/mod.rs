@@ -20,15 +20,16 @@
 //! test, but it is now purely a *constructor* enum: its one job is
 //! [`SystemKind::controller`].
 
-pub mod adaptive;
-pub mod fixed;
-pub mod metis;
-pub mod parrot;
+mod adaptive;
+mod fixed;
+mod metis;
+mod parrot;
 
-pub use adaptive::AdaptiveRagController;
-pub use fixed::FixedController;
-pub use metis::{MetisController, MetisOptions, PickPolicy, CONFIDENCE_THRESHOLD};
-pub use parrot::ParrotController;
+use adaptive::AdaptiveRagController;
+use fixed::FixedController;
+use metis::MetisController;
+pub use metis::{MetisOptions, PickPolicy};
+use parrot::ParrotController;
 
 use metis_datasets::QuerySpec;
 use metis_engine::{Priority, SchedPolicy};
@@ -94,8 +95,8 @@ pub struct DecisionContext<'a> {
     pub query_tokens: u64,
     /// Metadata of the retrieval index serving this run (family, effective
     /// `nlist`/`nprobe`, corpus size): controllers weighing deeper
-    /// retrieval can estimate its cost via [`IndexMeta::expected_scored`]
-    /// instead of assuming a free or constant-cost retriever.
+    /// retrieval can estimate its cost from it instead of assuming a free
+    /// or constant-cost retriever.
     pub index: IndexMeta,
     /// Latency model of the serving replicas (for SLO-constrained picks).
     pub latency: &'a LatencyModel,

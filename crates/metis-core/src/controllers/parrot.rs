@@ -11,19 +11,14 @@ use crate::controllers::{ConfigController, Decision, DecisionContext, ProfileOut
 /// application-aware gang scheduling — a query's map calls are admitted
 /// together and its reduce call jumps the queue, the DAG awareness Parrot
 /// contributes without any configuration adaptation.
-pub struct ParrotController {
+pub(crate) struct ParrotController {
     config: RagConfig,
 }
 
 impl ParrotController {
     /// Builds the controller around its static configuration.
-    pub fn new(config: RagConfig) -> Self {
+    pub(crate) fn new(config: RagConfig) -> Self {
         Self { config }
-    }
-
-    /// The static configuration served to every query.
-    pub fn config(&self) -> RagConfig {
-        self.config
     }
 }
 
@@ -56,6 +51,6 @@ mod tests {
     fn differs_from_fixed_only_in_scheduling() {
         let c = ParrotController::new(RagConfig::map_reduce(8, 100));
         assert_eq!(c.sched_policy(), SchedPolicy::GangByGroup);
-        assert_eq!(c.config(), RagConfig::map_reduce(8, 100));
+        assert_eq!(c.config, RagConfig::map_reduce(8, 100));
     }
 }

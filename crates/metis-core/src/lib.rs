@@ -5,12 +5,12 @@
 //! jointly. The controller has two stages (§4, Fig. 6/7):
 //!
 //! 1. **Configuration-space pruning** — an LLM profiler estimates each
-//!    query's profile (`metis-profiler`); Algorithm 1 ([`mapping`]) maps the
+//!    query's profile (`metis-profiler`); Algorithm 1 ([`map_profile`]) maps the
 //!    profile to a *pruned space*: a set of candidate synthesis methods, a
 //!    `num_chunks` range of `[n, 3n]`, and an `intermediate_length` range —
 //!    a 50–100× reduction of the full combinatorial space while keeping
 //!    quality high.
-//! 2. **Joint configuration/scheduling** — the [`bestfit`] scheduler picks,
+//! 2. **Joint configuration/scheduling** — the best-fit scheduler ([`choose_config`]) picks,
 //!    from the pruned space, the configuration with the highest memory
 //!    requirement *that fits the currently free GPU memory* (with a 2%
 //!    safety buffer), falling back to a cheaper fitting configuration when
@@ -18,40 +18,37 @@
 //!
 //! The crate also implements the three baselines the paper compares against
 //! (vLLM with fixed configurations, Parrot\*, AdaptiveRAG\*) as
-//! [`controllers`] behind the [`ConfigController`] trait, and the workload
-//! runner ([`runner`]) — a system- and driver-agnostic event loop over a
+//! controllers behind the [`ConfigController`] trait, and the workload
+//! runner ([`Runner`]) — a system- and driver-agnostic event loop over a
 //! controller and an engine [`Driver`](metis_engine::Driver) — that
 //! executes full workloads over the serving engines (deterministic
 //! simulation or live multithreaded serving, per
-//! [`RunConfig::driver`](runner::RunConfig::driver)), producing measured
+//! [`RunConfig::driver`]), producing measured
 //! F1, delay, throughput, and cost.
 
-pub mod agentic;
-pub mod autoscaler;
-pub mod baselines;
-pub mod bestfit;
-pub mod config;
-pub mod controllers;
-pub mod extensions;
-pub mod mapping;
-pub mod memory;
-pub mod retrieval;
-pub mod runner;
-pub mod slo;
+#![warn(unreachable_pub)]
+
+mod autoscaler;
+mod baselines;
+mod bestfit;
+mod config;
+mod controllers;
+mod mapping;
+mod memory;
+mod retrieval;
+mod runner;
+mod slo;
 pub mod synthesis;
 
-pub use agentic::{plan_agentic, AgenticInputs};
 pub use autoscaler::{Autoscaler, AutoscalerState, ScaleAction};
-pub use baselines::{adaptive_rag_pick, fixed_config_grid, median_pick};
+pub use baselines::fixed_config_grid;
 pub use bestfit::{choose_config, BestFitInputs, Chosen};
-pub use config::{ConfigSpace, PrunedSpace, RagConfig, SynthesisMethod};
+pub use config::{PrunedSpace, RagConfig, SynthesisMethod};
 pub use controllers::{
-    AdaptiveRagController, ConfigController, Decision, DecisionContext, FixedController,
-    MetisController, MetisOptions, ParrotController, PickPolicy, ProfileOutcome, SystemKind,
-    CONFIDENCE_THRESHOLD,
+    ConfigController, Decision, DecisionContext, MetisOptions, PickPolicy, ProfileOutcome,
+    SystemKind,
 };
-pub use extensions::{rerank_hits, rewrite_query, ExtKnobs};
-pub use mapping::{map_profile, ProfileHistory};
+pub use mapping::map_profile;
 pub use memory::PlanDemand;
 pub use metis_engine::{DriverKind, DriverSpec};
 pub use retrieval::RetrievalModel;

@@ -20,7 +20,7 @@ use metis_profiler::EstimatedProfile;
 use crate::config::{PrunedSpace, SynthesisMethod};
 
 /// Maximum `num_chunks` the mapping will request (full-space cap).
-pub const MAX_CHUNKS: u32 = 35;
+const MAX_CHUNKS: u32 = 35;
 
 /// Applies Algorithm 1 to a profile estimate.
 pub fn map_profile(profile: &EstimatedProfile) -> PrunedSpace {
@@ -44,7 +44,7 @@ pub fn map_profile(profile: &EstimatedProfile) -> PrunedSpace {
 /// configuration space of the recent 10 queries instead of trusting the
 /// low-confidence estimate.
 #[derive(Clone, Debug)]
-pub struct ProfileHistory {
+pub(crate) struct ProfileHistory {
     window: usize,
     recent: VecDeque<PrunedSpace>,
 }
@@ -61,7 +61,7 @@ impl ProfileHistory {
     /// # Panics
     ///
     /// Panics if `window` is zero.
-    pub fn new(window: usize) -> Self {
+    pub(crate) fn new(window: usize) -> Self {
         assert!(window > 0, "window must be positive");
         Self {
             window,
@@ -70,27 +70,17 @@ impl ProfileHistory {
     }
 
     /// Records a trusted pruned space.
-    pub fn push(&mut self, space: PrunedSpace) {
+    pub(crate) fn push(&mut self, space: PrunedSpace) {
         if self.recent.len() == self.window {
             self.recent.pop_front();
         }
         self.recent.push_back(space);
     }
 
-    /// Number of recorded spaces.
-    pub fn len(&self) -> usize {
-        self.recent.len()
-    }
-
-    /// Returns `true` when no space has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.recent.is_empty()
-    }
-
     /// The fallback space: the union of methods and the average bounds over
     /// the recorded window. Returns `None` when no history exists (the
     /// caller then uses a conservative default).
-    pub fn fallback(&self) -> Option<PrunedSpace> {
+    pub(crate) fn fallback(&self) -> Option<PrunedSpace> {
         if self.recent.is_empty() {
             return None;
         }
@@ -175,7 +165,7 @@ mod tests {
         for k in 1..=3u32 {
             h.push(map_profile(&profile(true, Complexity::High, k)));
         }
-        assert_eq!(h.len(), 2);
+        assert_eq!(h.recent.len(), 2);
         // Oldest (pieces=1) evicted: average over pieces 2 and 3.
         let f = h.fallback().unwrap();
         assert_eq!(f.num_chunks, (3, 8)); // avg(2,3)=2.5→3, avg(6,9)=7.5→8.

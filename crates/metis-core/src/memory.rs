@@ -10,14 +10,14 @@
 use crate::config::{RagConfig, SynthesisMethod};
 
 /// Instruction/template tokens added to every LLM call's prompt.
-pub const PROMPT_OVERHEAD: u64 = 32;
+pub(crate) const PROMPT_OVERHEAD: u64 = 32;
 
 /// Mappers the scheduler plans to keep co-resident when a map-based plan
 /// streams through constrained memory (Fig. 8: "METIS can start putting the
 /// mappers which fit in memory into the current running_batch"). Prefill is
 /// throughput-bound, so a small window loses almost no latency vs running
 /// all mappers at once.
-pub const STREAM_WINDOW: u64 = 4;
+const STREAM_WINDOW: u64 = 4;
 
 /// Fraction of a map-based plan's mappers assumed co-resident when memory is
 /// moderately contended: the engine admits mappers eagerly, so a realistic
@@ -38,7 +38,7 @@ pub struct PlanDemand {
     /// methods (Fig. 8's insight — mappers can trickle into the batch).
     pub min_tokens: u64,
     /// What must be co-resident for the plan to run at full speed: the whole
-    /// prompt for `stuff`, a [`STREAM_WINDOW`] of mappers for the map-based
+    /// prompt for `stuff`, a `STREAM_WINDOW` of mappers for the map-based
     /// methods. This is the §4.3 fit criterion.
     pub sched_tokens: u64,
 }

@@ -47,8 +47,8 @@ use metis_engine::{
     PrefixCache, Priority, ReplicaId, RequestId, RouterPolicy, Stage,
 };
 use metis_llm::{
-    nanos_to_secs, secs_to_nanos, FleetSpec, GenModelConfig, GenerationModel, GpuCluster,
-    LatencyModel, ModelKind, ModelSpec, Nanos, ReplicaSpec,
+    nanos_to_secs, FleetSpec, GenModelConfig, GenerationModel, GpuCluster, LatencyModel, ModelKind,
+    ModelSpec, Nanos, ReplicaSpec,
 };
 use metis_metrics::{f1_score, CellReport, LatencySummary, SummaryStats, ThroughputSummary};
 use metis_vectordb::{
@@ -101,16 +101,6 @@ pub struct RunConfig {
     /// disables reuse (the paper's default — it leaves KV reuse to future
     /// work).
     pub prefix_cache_bytes: Option<u64>,
-    /// The retrieval index the run serves against. Must match the index the
-    /// dataset's database was built with (see
-    /// [`build_dataset_with_index`](metis_datasets::build_dataset_with_index));
-    /// [`Runner::new`] checks the two agree so the report never claims an
-    /// index the searches didn't use.
-    pub index: IndexSpec,
-    /// How the index stores and scores vectors: exact f32 or sq8 scalar
-    /// quantization. Must match the dataset's database, like `index`
-    /// ([`Runner::new`] checks both).
-    pub quant: Quantization,
     /// Converts measured per-query retrieval work into timeline nanos.
     pub retrieval: RetrievalModel,
     /// Who executes the run: the deterministic simulator (the default) or
@@ -138,8 +128,6 @@ impl RunConfig {
             arrivals,
             closed_loop: false,
             prefix_cache_bytes: None,
-            index: IndexSpec::Flat,
-            quant: Quantization::F32,
             retrieval: RetrievalModel::default(),
             driver: DriverSpec::Sim,
             seed,
@@ -164,12 +152,6 @@ impl RunConfig {
     /// drains replicas from there, within its own bounds.
     pub fn with_autoscale(mut self, policy: Autoscaler) -> Self {
         self.autoscale = Some(policy);
-        self
-    }
-
-    /// The same run served by an explicit heterogeneous fleet.
-    pub fn with_replica_specs(mut self, specs: Vec<ReplicaSpec>) -> Self {
-        self.replica_specs = Some(specs);
         self
     }
 }
@@ -458,7 +440,7 @@ impl RunResult {
 
     /// Lowers the run into one report cell — the uniform currency of the
     /// bench harness and the committed baselines (see
-    /// [`metis_metrics::report`]).
+    /// [`metis_metrics::BenchReport`]).
     ///
     /// Realtime runs are marked with a `driver = realtime` knob and a
     /// `time_scale` extra metric so a reader can tell them apart: their
@@ -687,18 +669,6 @@ impl<'a> Runner<'a> {
             cfg.arrivals.len(),
             dataset.queries.len(),
             "need one arrival per query"
-        );
-        assert_eq!(
-            cfg.index,
-            dataset.db.index_meta().spec,
-            "RunConfig.index must match the dataset's index — build the \
-             dataset with build_dataset_with_index(.., cfg.index)"
-        );
-        assert_eq!(
-            cfg.quant,
-            dataset.db.index_meta().quant,
-            "RunConfig.quant must match the dataset's vector storage — build \
-             the dataset with build_dataset_with_spec(.., cfg.index, cfg.quant)"
         );
         Self { dataset, cfg }
     }
@@ -1259,6 +1229,7 @@ impl<'a> Run<'a> {
             .map(|r| r.arrival_secs)
             .fold(f64::MAX, f64::min);
         let last = results.iter().map(|r| r.finish_secs).fold(0.0, f64::max);
+        let index_meta = self.dataset.db.index_meta();
         let mut index_work = SearchWork::default();
         for r in &results {
             index_work.add(&r.work);
@@ -1288,8 +1259,8 @@ impl<'a> Run<'a> {
             replica_seconds: driver_stats.replica_seconds,
             driver: self.driver_spec.kind(),
             time_scale: self.driver_spec.time_scale(),
-            index_spec: self.cfg.index,
-            quant: self.cfg.quant,
+            index_spec: index_meta.spec,
+            quant: index_meta.quant,
             index_work,
             store_bytes_hot: store_delta.bytes_hot_touched,
             store_bytes_cold: store_delta.bytes_cold_touched,
@@ -1318,15 +1289,4 @@ fn fact_recall(query: &metis_datasets::QuerySpec, retrieved: &[RetrievalResult])
         .filter(|b| found.contains(&b.id))
         .count();
     hit as f64 / query.truth.base.len() as f64
-}
-
-/// Convenience: build Poisson arrivals matching the paper's default workload
-/// (λ queries/second) for `n` queries.
-pub fn poisson(seed: u64, qps: f64, n: usize) -> Vec<Nanos> {
-    metis_datasets::poisson_arrivals(seed, qps, n)
-}
-
-/// Convenience: convert seconds to the runner's time unit.
-pub fn at_secs(s: f64) -> Nanos {
-    secs_to_nanos(s)
 }

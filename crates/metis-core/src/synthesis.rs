@@ -46,12 +46,6 @@ impl SynthesisPlan {
     pub fn call_count(&self) -> usize {
         self.map_calls.len() + usize::from(self.reduce_call.is_some())
     }
-
-    /// Total prompt tokens across all calls.
-    pub fn total_prompt_tokens(&self) -> u64 {
-        self.map_calls.iter().map(|c| c.prompt_tokens).sum::<u64>()
-            + self.reduce_call.map_or(0, |c| c.prompt_tokens)
-    }
 }
 
 /// Inputs shared by every synthesis call of one query.
@@ -404,6 +398,10 @@ mod tests {
         let a = plan_synthesis(&inputs, &RagConfig::map_reduce(6, 60), &retrieved, 9);
         let b = plan_synthesis(&inputs, &RagConfig::map_reduce(6, 60), &retrieved, 9);
         assert_eq!(a.answer, b.answer);
-        assert_eq!(a.total_prompt_tokens(), b.total_prompt_tokens());
+        let prompts = |p: &SynthesisPlan| -> Vec<u64> {
+            let calls = p.map_calls.iter().chain(&p.reduce_call);
+            calls.map(|c| c.prompt_tokens).collect()
+        };
+        assert_eq!(prompts(&a), prompts(&b));
     }
 }

@@ -280,14 +280,14 @@ fn ivf_serving_cuts_retrieval_latency_below_flat_at_partial_probe() {
     let spec = IndexSpec::ivf(32, 8);
     let flat_d = build_dataset(kind, n, 2024);
     let ivf_d = build_dataset_with_index(kind, n, 2024, spec);
-    let go = |d: &metis_datasets::Dataset, index: IndexSpec| {
+    let go = |d: &metis_datasets::Dataset| {
         let arrivals = poisson_arrivals(7, base_qps(kind), n);
-        let mut cfg = RunConfig::standard(SystemKind::Metis(MetisOptions::full()), arrivals, 99);
-        cfg.index = index;
+        let cfg = RunConfig::standard(SystemKind::Metis(MetisOptions::full()), arrivals, 99);
         Runner::new(d, cfg).run()
     };
-    let flat = go(&flat_d, IndexSpec::Flat);
-    let ivf = go(&ivf_d, spec);
+    let flat = go(&flat_d);
+    let ivf = go(&ivf_d);
+    assert_eq!((flat.index_spec, ivf.index_spec), (IndexSpec::Flat, spec));
     assert_eq!(flat.per_query.len(), n);
     assert_eq!(ivf.per_query.len(), n);
     // Strictly below at every percentile: IVF scores ~nprobe/nlist of the
@@ -323,21 +323,6 @@ fn ivf_serving_cuts_retrieval_latency_below_flat_at_partial_probe() {
         ivf.mean_f1(),
         flat.mean_f1()
     );
-}
-
-#[test]
-#[should_panic(expected = "RunConfig.index must match")]
-fn mismatched_run_index_is_rejected_up_front() {
-    // A run claiming an IVF index over a flat-built dataset would report
-    // latencies its searches never paid; the runner refuses to start.
-    let d = build_dataset(DatasetKind::Squad, 4, 1);
-    let mut cfg = RunConfig::standard(
-        SystemKind::Metis(MetisOptions::full()),
-        poisson_arrivals(1, 1.0, 4),
-        7,
-    );
-    cfg.index = IndexSpec::ivf(16, 4);
-    let _ = Runner::new(&d, cfg);
 }
 
 #[test]

@@ -107,7 +107,7 @@ pub fn build_dataset_with_spec(
 
 /// Fully parameterized dataset construction: embedding model and retrieval
 /// index both caller-chosen.
-pub fn build_dataset_full(
+fn build_dataset_full(
     kind: DatasetKind,
     num_queries: usize,
     seed: u64,
@@ -231,9 +231,7 @@ fn build_dataset_impl(
 
         // Query text: each fact's subject words + topic + question words.
         let mut qtokens = Vec::new();
-        let mut subject_spans = Vec::with_capacity(subjects.len());
         for s in &subjects {
-            subject_spans.push((qtokens.len(), qtokens.len() + s.len()));
             qtokens.extend_from_slice(s);
         }
         // A real question names its domain repeatedly ("NVIDIA's quarterly
@@ -263,7 +261,6 @@ fn build_dataset_impl(
             truth: QueryTruth { base, derived },
             profile,
             context_tokens: doc.len(),
-            subject_spans,
         });
 
         // Chunk the document with a small overlap so boundary facts survive,

@@ -18,24 +18,24 @@
 //! estimates). That ground truth is what lets the reproduction *measure*
 //! profiler accuracy and answer F1 instead of assuming them.
 
-pub mod ann;
-pub mod dataset;
-pub mod generator;
-pub mod kinds;
-pub mod profile;
-pub mod query;
-pub mod workload;
+#![warn(unreachable_pub)]
+
+mod ann;
+mod dataset;
+mod generator;
+mod kinds;
+mod profile;
+mod query;
+mod workload;
 
 pub use ann::{AnnConfig, AnnCorpus, AnnQuery};
 pub use dataset::{Dataset, Table1Row};
 pub use generator::{
-    build_dataset, build_dataset_full, build_dataset_with_embedder, build_dataset_with_index,
-    build_dataset_with_spec,
+    build_dataset, build_dataset_with_embedder, build_dataset_with_index, build_dataset_with_spec,
 };
 pub use kinds::{DatasetKind, GenParams};
 pub use profile::{Complexity, TrueProfile};
 pub use query::{QueryId, QuerySpec};
 pub use workload::{
-    burst_arrivals, diurnal_arrivals, gamma_arrivals, poisson_arrivals, sequential_arrivals,
-    ArrivalProcess,
+    burst_arrivals, diurnal_arrivals, gamma_arrivals, poisson_arrivals, ArrivalProcess,
 };

@@ -24,10 +24,6 @@ pub struct QuerySpec {
     pub profile: TrueProfile,
     /// Length of the query's source document in tokens (Table 1 "Input").
     pub context_tokens: usize,
-    /// Token ranges of each needed fact's subject mention inside `tokens`,
-    /// in `truth.base` order — the handle an agentic planner uses to split
-    /// the question into per-fact sub-queries (§9).
-    pub subject_spans: Vec<(usize, usize)>,
 }
 
 impl QuerySpec {

@@ -47,13 +47,6 @@ pub fn poisson_arrivals(seed: u64, rate_qps: f64, n: usize) -> Vec<Nanos> {
         .collect()
 }
 
-/// Evenly spaced arrivals with `gap_secs` between queries (a deterministic
-/// low-load process; the closed-loop "send after previous completes" variant
-/// lives in the runner, which knows completion times).
-pub fn sequential_arrivals(gap_secs: f64, n: usize) -> Vec<Nanos> {
-    (0..n).map(|i| secs_to_nanos(gap_secs * i as f64)).collect()
-}
-
 fn assert_rate(rate_qps: f64) {
     assert!(
         rate_qps.is_finite() && rate_qps > 0.0,
@@ -243,12 +236,6 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         assert_ne!(poisson_arrivals(1, 2.0, 10), poisson_arrivals(2, 2.0, 10));
-    }
-
-    #[test]
-    fn sequential_is_evenly_spaced() {
-        let a = sequential_arrivals(1.5, 4);
-        assert_eq!(a, vec![0, 1_500_000_000, 3_000_000_000, 4_500_000_000]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 /// SplitMix64 finalizer: maps a 64-bit input to a well-mixed 64-bit output.
 #[inline]
-pub fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -15,14 +15,14 @@ pub fn splitmix64(mut x: u64) -> u64 {
 
 /// Mixes two values into one hash (order-sensitive).
 #[inline]
-pub fn mix2(a: u64, b: u64) -> u64 {
+pub(crate) fn mix2(a: u64, b: u64) -> u64 {
     splitmix64(splitmix64(a) ^ b.wrapping_mul(0xff51_afd7_ed55_8ccd))
 }
 
 /// Derives a bucket index in `0..dim` and a sign in `{-1.0, +1.0}` for a
 /// feature hash, the standard signed feature-hashing construction.
 #[inline]
-pub fn bucket_and_sign(hash: u64, dim: usize) -> (usize, f32) {
+pub(crate) fn bucket_and_sign(hash: u64, dim: usize) -> (usize, f32) {
     debug_assert!(dim > 0);
     let bucket = (hash % dim as u64) as usize;
     let sign = if (hash >> 63) == 0 { 1.0 } else { -1.0 };

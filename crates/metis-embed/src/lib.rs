@@ -11,9 +11,11 @@
 //! monotone transform of cosine similarity (as with normalized neural
 //! embeddings).
 
-pub mod hashers;
-pub mod models;
-pub mod similarity;
+#![warn(unreachable_pub)]
 
-pub use models::{Embedder, EmbedderKind, HashEmbed, NgramEmbed, ProjEmbed};
-pub use similarity::{cosine, dot, l2_distance, l2_normalize};
+mod hashers;
+mod models;
+mod similarity;
+
+pub use models::{Embedder, EmbedderKind, HashEmbed};
+pub use similarity::l2_distance;

@@ -143,7 +143,7 @@ impl Embedder for HashEmbed {
 
 /// Unigram+bigram feature-hashing embedder ("All-mpnet-base-v2 simulator").
 #[derive(Clone, Debug)]
-pub struct NgramEmbed {
+struct NgramEmbed {
     dim: usize,
     seed: u64,
     /// Relative weight of bigram features vs unigram features.
@@ -199,7 +199,7 @@ impl Embedder for NgramEmbed {
 /// matches the model's retrieval quality with a wider hash under an
 /// independent seed rather than its storage width.
 #[derive(Clone, Debug)]
-pub struct ProjEmbed {
+struct ProjEmbed {
     dim: usize,
     seed: u64,
 }

@@ -6,7 +6,7 @@
 ///
 /// Panics if the vectors have different lengths.
 #[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dimension mismatch");
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
@@ -31,12 +31,8 @@ pub fn l2_distance(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Cosine similarity; returns 0 for zero vectors.
-///
-/// # Panics
-///
-/// Panics if the vectors have different lengths.
-#[inline]
-pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
+#[cfg(test)]
+pub(crate) fn cosine(a: &[f32], b: &[f32]) -> f32 {
     let na = dot(a, a).sqrt();
     let nb = dot(b, b).sqrt();
     if na == 0.0 || nb == 0.0 {
@@ -47,7 +43,7 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 
 /// Normalizes `v` to unit L2 norm in place; zero vectors are left unchanged.
 #[inline]
-pub fn l2_normalize(v: &mut [f32]) {
+pub(crate) fn l2_normalize(v: &mut [f32]) {
     let norm = dot(v, v).sqrt();
     if norm > 0.0 {
         for x in v.iter_mut() {

@@ -32,10 +32,10 @@
 //! [`Cluster::step_replica`]), so cross-replica event order is
 //! deterministic.
 
-use metis_llm::{secs_to_nanos, FleetSpec, Nanos};
+use metis_llm::{secs_to_nanos, Nanos};
 
-use crate::engine::{Completion, Engine, EngineConfig};
-use crate::fleet::{Fleet, Load, ReplicaState, RouterPolicy};
+use crate::engine::{Completion, Engine};
+use crate::fleet::{Fleet, Load, RouterPolicy};
 use crate::request::{LlmRequest, ReplicaId};
 use crate::stats::EngineStats;
 
@@ -44,7 +44,7 @@ use crate::stats::EngineStats;
 /// replica-to-replica move crosses host links (PCIe 4.0 x16 ≈ 32 GB/s peak)
 /// and pays serialization overheads, so 25 GB/s is the planning number a
 /// migration is priced at.
-pub const MIGRATION_BW_BYTES_PER_SEC: f64 = 25e9;
+const MIGRATION_BW_BYTES_PER_SEC: f64 = 25e9;
 
 /// Engine replicas behind a router, with runtime add/drain.
 pub struct Cluster {
@@ -56,7 +56,7 @@ pub struct Cluster {
 
 impl Cluster {
     /// Builds a cluster from pre-constructed replicas; replica ids are
-    /// assigned by position. The initial fleet starts [`ReplicaState::Active`]
+    /// assigned by position. The initial fleet starts active
     /// (warm-up applies to replicas added later via [`Self::add_replica`]).
     ///
     /// # Panics
@@ -70,19 +70,6 @@ impl Cluster {
             fleet: Fleet::new(replicas.len(), router),
             engines: replicas,
         }
-    }
-
-    /// Builds a cluster with one engine per fleet replica (each on its own
-    /// GPU class), all with the same `config`.
-    pub fn homogeneous(fleet: &FleetSpec, config: EngineConfig, router: RouterPolicy) -> Self {
-        Self::new(
-            fleet
-                .latency_models()
-                .into_iter()
-                .map(|lat| Engine::new(lat, config))
-                .collect(),
-            router,
-        )
     }
 
     /// Number of replica slots ever created (including retired ones —
@@ -118,16 +105,6 @@ impl Cluster {
     /// The ledger behind the lifecycle, routing and billing methods.
     pub(crate) fn fleet(&self) -> &Fleet {
         &self.fleet
-    }
-
-    /// One replica's lifecycle state (warm-up promotion is evaluated
-    /// against `now`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn replica_state(&self, id: ReplicaId, now: Nanos) -> ReplicaState {
-        self.fleet.state(id, now)
     }
 
     /// Whether `id` currently accepts routed work at `now`.
@@ -318,13 +295,13 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{PreemptMode, SchedPolicy};
+    use crate::engine::{EngineConfig, PreemptMode, SchedPolicy};
+    use crate::fleet::ReplicaState;
     use crate::request::{GroupId, Priority, RequestId, Stage};
     use metis_llm::{GpuCluster, LatencyModel, ModelSpec};
 
     fn cluster(n: usize, router: RouterPolicy) -> Cluster {
-        let fleet = FleetSpec::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40(), n);
-        Cluster::homogeneous(&fleet, EngineConfig::default(), router)
+        Cluster::new((0..n).map(|_| engine()).collect(), router)
     }
 
     fn engine() -> Engine {
@@ -456,7 +433,7 @@ mod tests {
         assert_eq!(id, ReplicaId(1));
         assert_eq!(c.len(), 2);
         assert_eq!(
-            c.replica_state(id, 1_200),
+            c.fleet.state(id, 1_200),
             ReplicaState::WarmingUp { until: 1_500 }
         );
         assert_eq!(c.replica(id).now(), 1_500);
@@ -470,7 +447,7 @@ mod tests {
         let done = c.run_until_idle();
         assert_eq!(done.len(), 1);
         assert_eq!(
-            c.replica_state(ReplicaId(1), c.latest_now()),
+            c.fleet.state(ReplicaId(1), c.latest_now()),
             ReplicaState::Retired
         );
         // The group's reduce chases its maps onto the retired slot (the
@@ -484,14 +461,14 @@ mod tests {
             },
         );
         assert_eq!(
-            c.replica_state(ReplicaId(1), t),
+            c.fleet.state(ReplicaId(1), t),
             ReplicaState::Draining,
             "a late submission re-opens the slot until served"
         );
         let done = c.run_until_idle();
         assert_eq!(done.len(), 1, "the reduce completes exactly once");
         assert_eq!(
-            c.replica_state(ReplicaId(1), c.latest_now()),
+            c.fleet.state(ReplicaId(1), c.latest_now()),
             ReplicaState::Retired
         );
     }

@@ -41,7 +41,7 @@ pub enum DriverKind {
     /// Deterministic discrete-event simulation ([`SimDriver`]).
     Sim,
     /// Live multithreaded serving on scaled wall-clock time
-    /// ([`RealtimeDriver`](crate::realtime::RealtimeDriver)).
+    /// (`RealtimeDriver`).
     Realtime,
 }
 

@@ -65,7 +65,7 @@ impl RouterPolicy {
 
 /// A replica slot's lifecycle state.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReplicaState {
+pub(crate) enum ReplicaState {
     /// Spawned but not yet accepting routed work (weights loading,
     /// CUDA-graph capture); becomes [`Self::Active`] at `until`.
     WarmingUp {
@@ -99,7 +99,7 @@ pub(crate) struct Load {
 
 impl Load {
     /// The load of an engine the caller can read directly.
-    pub fn of(engine: &Engine) -> Self {
+    pub(crate) fn of(engine: &Engine) -> Self {
         Self {
             free_kv_bytes: engine.free_kv_bytes(),
             queued: engine.queued_len() as u64,
@@ -134,7 +134,7 @@ impl Fleet {
     /// # Panics
     ///
     /// Panics if `replicas` is 0.
-    pub fn new(replicas: usize, router: RouterPolicy) -> Self {
+    pub(crate) fn new(replicas: usize, router: RouterPolicy) -> Self {
         assert!(replicas > 0, "a cluster needs at least one replica");
         let slots = (0..replicas)
             .map(|_| Slot {
@@ -152,18 +152,18 @@ impl Fleet {
     }
 
     /// Number of slots ever created, retired ones included.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
     /// The routing policy in use.
-    pub fn router(&self) -> RouterPolicy {
+    pub(crate) fn router(&self) -> RouterPolicy {
         self.router
     }
 
     /// One slot's lifecycle state (warm-up promotion is evaluated against
     /// `now`).
-    pub fn state(&self, id: ReplicaId, now: Nanos) -> ReplicaState {
+    pub(crate) fn state(&self, id: ReplicaId, now: Nanos) -> ReplicaState {
         match self.slots[id.0 as usize].state {
             ReplicaState::WarmingUp { until } if now >= until => ReplicaState::Active,
             s => s,
@@ -171,35 +171,35 @@ impl Fleet {
     }
 
     /// Whether `id` accepts routed work at `now`.
-    pub fn is_routable(&self, id: ReplicaId, now: Nanos) -> bool {
+    pub(crate) fn is_routable(&self, id: ReplicaId, now: Nanos) -> bool {
         matches!(self.state(id, now), ReplicaState::Active)
     }
 
     /// Number of slots accepting routed work at `now`.
-    pub fn active_len(&self, now: Nanos) -> usize {
+    pub(crate) fn active_len(&self, now: Nanos) -> usize {
         (0..self.slots.len())
             .filter(|&i| self.is_routable(ReplicaId(i as u32), now))
             .count()
     }
 
     /// Whether slot `i` is live: active, warming or draining.
-    pub fn is_live(&self, i: usize) -> bool {
+    pub(crate) fn is_live(&self, i: usize) -> bool {
         self.slots[i].retired_at.is_none()
     }
 
     /// Number of live slots.
-    pub fn live_len(&self) -> usize {
+    pub(crate) fn live_len(&self) -> usize {
         (0..self.slots.len()).filter(|&i| self.is_live(i)).count()
     }
 
     /// High-water mark of concurrently live slots.
-    pub fn peak_live(&self) -> usize {
+    pub(crate) fn peak_live(&self) -> usize {
         self.peak_live
     }
 
     /// Whether slot `i` may be handed work it was not routed (a migrated
     /// victim): it is active or warming, not draining or retired.
-    pub fn takes_migrants(&self, i: usize) -> bool {
+    pub(crate) fn takes_migrants(&self, i: usize) -> bool {
         matches!(
             self.slots[i].state,
             ReplicaState::Active | ReplicaState::WarmingUp { .. }
@@ -209,7 +209,7 @@ impl Fleet {
     /// Adds a slot at `now`, billed from `now`. Returns its stable id and
     /// the instant it starts accepting routed work (`now + warmup`); the
     /// caller starts the replica's own clock there so the warm-up is real.
-    pub fn add(&mut self, now: Nanos, warmup: Nanos) -> (ReplicaId, Nanos) {
+    pub(crate) fn add(&mut self, now: Nanos, warmup: Nanos) -> (ReplicaId, Nanos) {
         let ready = now.saturating_add(warmup);
         self.slots.push(Slot {
             state: if warmup == 0 {
@@ -228,7 +228,12 @@ impl Fleet {
     /// slot retires once idle. Returns `false` without draining when `id`
     /// is the last routable slot — a fleet never drains itself to zero
     /// capacity — or is already retired.
-    pub fn drain(&mut self, id: ReplicaId, now: Nanos, load: impl Fn(usize) -> Load) -> bool {
+    pub(crate) fn drain(
+        &mut self,
+        id: ReplicaId,
+        now: Nanos,
+        load: impl Fn(usize) -> Load,
+    ) -> bool {
         if self.is_routable(id, now) && self.active_len(now) <= 1 {
             return false;
         }
@@ -242,7 +247,7 @@ impl Fleet {
     }
 
     /// Promotes warmed-up slots and retires drained-idle ones.
-    pub fn reap(&mut self, now: Nanos, load: impl Fn(usize) -> Load) {
+    pub(crate) fn reap(&mut self, now: Nanos, load: impl Fn(usize) -> Load) {
         for (i, slot) in self.slots.iter_mut().enumerate() {
             match slot.state {
                 ReplicaState::WarmingUp { until } if now >= until => {
@@ -270,7 +275,7 @@ impl Fleet {
     /// active, and [`Self::drain`] takes a routable slot out only when
     /// another is routable at that instant — which its own reap then
     /// promotes for good.
-    pub fn route(&mut self, now: Nanos, load: impl Fn(usize) -> Load) -> ReplicaId {
+    pub(crate) fn route(&mut self, now: Nanos, load: impl Fn(usize) -> Load) -> ReplicaId {
         self.reap(now, &load);
         let mut routable =
             (0..self.slots.len()).filter(|&i| self.is_routable(ReplicaId(i as u32), now));
@@ -296,7 +301,7 @@ impl Fleet {
     /// Records a submission to `id`. A retired slot re-enters draining: a
     /// gang group's reduce may chase its maps onto a replica that went idle
     /// in between, and it must still be served exactly once.
-    pub fn on_submit(&mut self, id: ReplicaId) {
+    pub(crate) fn on_submit(&mut self, id: ReplicaId) {
         let slot = &mut self.slots[id.0 as usize];
         if matches!(slot.state, ReplicaState::Retired) {
             slot.state = ReplicaState::Draining;
@@ -306,7 +311,7 @@ impl Fleet {
 
     /// Requests waiting for admission across live slots — the autoscaler's
     /// primary load signal.
-    pub fn queue_depth(&self, load: impl Fn(usize) -> Load) -> u64 {
+    pub(crate) fn queue_depth(&self, load: impl Fn(usize) -> Load) -> u64 {
         (0..self.slots.len())
             .filter(|&i| self.is_live(i))
             .map(|i| load(i).queued)
@@ -316,7 +321,7 @@ impl Fleet {
     /// Integrated capacity cost in replica-seconds up to virtual time
     /// `end`: each slot is billed from spawn until retirement (or `end`
     /// while live). Warm-up time is billed — the GPU is held from spawn.
-    pub fn replica_seconds(&self, end: Nanos) -> f64 {
+    pub(crate) fn replica_seconds(&self, end: Nanos) -> f64 {
         self.slots
             .iter()
             .map(|s| {

@@ -146,11 +146,6 @@ impl KvAllocator {
         self.total_blocks * self.block_tokens
     }
 
-    /// Number of live allocations.
-    pub fn live_allocations(&self) -> usize {
-        self.held.len()
-    }
-
     /// Tokens currently held by `seq` (block-granular), or `None` when the
     /// sequence has no allocation — what the preemptive scheduler reclaims
     /// when it evicts a victim.
@@ -175,7 +170,7 @@ mod tests {
         assert!(a.free_tokens() < cap);
         a.free(rid(1)).unwrap();
         assert_eq!(a.free_tokens(), cap);
-        assert_eq!(a.live_allocations(), 0);
+        assert_eq!(a.held.len(), 0);
     }
 
     #[test]
@@ -330,7 +325,7 @@ mod proptests {
                 let live: u64 = ledger.values().sum();
                 prop_assert_eq!(a.used_tokens(), live * 16);
                 prop_assert_eq!(a.used_tokens() + a.free_tokens(), a.capacity_tokens());
-                prop_assert_eq!(a.live_allocations(), ledger.len());
+                prop_assert_eq!(a.held.len(), ledger.len());
             }
         }
     }

@@ -31,28 +31,29 @@
 //! *Who* executes the work — and on whose time — is the [`Driver`]
 //! abstraction: [`SimDriver`] advances the cluster deterministically on
 //! virtual time (the paper's evaluation mode and the oracle for the live
-//! path), while [`RealtimeDriver`] serves the same engines from one worker
+//! path), while `RealtimeDriver` serves the same engines from one worker
 //! thread per replica, paced against a scaled wall clock. Both answer the
 //! fleet questions — which replica is routed to, which slots are warm,
-//! draining or retired, what the fleet has cost — from the one [`fleet`]
+//! draining or retired, what the fleet has cost — from the one `fleet`
 //! ledger.
 
-pub mod cluster;
-pub mod driver;
-pub mod engine;
-pub mod fleet;
-pub mod kvcache;
-pub mod prefixcache;
-pub mod realtime;
-pub mod request;
-pub mod stats;
+#![warn(unreachable_pub)]
 
-pub use cluster::{Cluster, MIGRATION_BW_BYTES_PER_SEC};
+mod cluster;
+mod driver;
+mod engine;
+mod fleet;
+mod kvcache;
+mod prefixcache;
+mod realtime;
+mod request;
+mod stats;
+
+pub use cluster::Cluster;
 pub use driver::{Driver, DriverKind, DriverSpec, DriverStats, SimDriver};
 pub use engine::{Completion, Engine, EngineConfig, EvictedSeq, PreemptMode, SchedPolicy};
-pub use fleet::{ReplicaState, RouterPolicy};
+pub use fleet::RouterPolicy;
 pub use kvcache::{KvAllocator, KvError};
 pub use prefixcache::PrefixCache;
-pub use realtime::RealtimeDriver;
-pub use request::{GroupId, LlmRequest, Priority, ReplicaId, RequestId, RequestState, Stage};
+pub use request::{GroupId, LlmRequest, Priority, ReplicaId, RequestId, Stage};
 pub use stats::EngineStats;

@@ -133,7 +133,7 @@ const STALL_WATCHDOG_WALL: Duration = Duration::from_secs(30);
 /// supported here (victims would have to cross threads mid-run);
 /// construction rejects engines configured with
 /// [`PreemptMode::Migrate`](crate::engine::PreemptMode).
-pub struct RealtimeDriver {
+pub(crate) struct RealtimeDriver {
     clock: WallClock,
     fleet: Fleet,
     replicas: Vec<Replica>,
@@ -152,7 +152,7 @@ impl RealtimeDriver {
     /// # Panics
     ///
     /// Panics if `engines` is empty or `time_scale` is not finite-positive.
-    pub fn new(engines: Vec<Engine>, router: RouterPolicy, time_scale: f64) -> Self {
+    pub(crate) fn new(engines: Vec<Engine>, router: RouterPolicy, time_scale: f64) -> Self {
         let (done_tx, completions) = std::sync::mpsc::channel::<Vec<Completion>>();
         let mut this = Self {
             clock: WallClock::new(time_scale),
@@ -200,11 +200,6 @@ impl RealtimeDriver {
             in_flight: 0,
             reached: ready,
         });
-    }
-
-    /// The shared wall clock (tests read the driver's timeline).
-    pub fn clock(&self) -> WallClock {
-        self.clock
     }
 
     /// The virtual instant a decision the caller stamps `now` is evaluated
@@ -504,9 +499,9 @@ mod tests {
         let mut d = RealtimeDriver::new(engines(1), RouterPolicy::RoundRobin, SCALE);
         // No work in flight: pump_before returns None only once the wall
         // reaches t (this is arrival pacing).
-        let t = d.clock().now() + 2_000_000_000; // 2 virtual s = 20 wall µs.
+        let t = d.clock.now() + 2_000_000_000; // 2 virtual s = 20 wall µs.
         assert!(d.pump_before(t).is_none());
-        assert!(d.clock().now() >= t, "pump_before waited out the gap");
+        assert!(d.clock.now() >= t, "pump_before waited out the gap");
         let stats = Box::new(d).finish();
         assert_eq!(stats.busy, 0);
     }

@@ -98,9 +98,7 @@ impl LlmRequest {
 
 /// Lifecycle state of a request inside the engine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RequestState {
-    /// Waiting for admission (KV allocation).
-    Queued,
+pub(crate) enum RequestState {
     /// Admitted; `done` of `prompt_tokens` prefilled so far.
     Prefilling {
         /// Prompt tokens already prefilled.

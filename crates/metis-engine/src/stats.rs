@@ -1,6 +1,6 @@
 //! Engine-level statistics.
 
-use metis_llm::{nanos_to_secs, Nanos};
+use metis_llm::Nanos;
 
 use crate::request::ReplicaId;
 
@@ -44,24 +44,6 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Mean per-request latency in seconds (0 when nothing completed).
-    pub fn mean_latency_secs(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            nanos_to_secs(self.total_latency) / self.completed as f64
-        }
-    }
-
-    /// Mean queueing delay in seconds (0 when nothing completed).
-    pub fn mean_queue_wait_secs(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            nanos_to_secs(self.total_queue_wait) / self.completed as f64
-        }
-    }
-
     /// Preemptions per submitted request (0 when nothing was submitted) —
     /// the KV-contention signal METIS's best-fit reads as back-pressure.
     pub fn preemption_pressure(&self) -> f64 {
@@ -76,25 +58,6 @@ impl EngineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn means_handle_zero_completions() {
-        let s = EngineStats::default();
-        assert_eq!(s.mean_latency_secs(), 0.0);
-        assert_eq!(s.mean_queue_wait_secs(), 0.0);
-    }
-
-    #[test]
-    fn means_average_over_completions() {
-        let s = EngineStats {
-            completed: 2,
-            total_latency: 4_000_000_000,
-            total_queue_wait: 1_000_000_000,
-            ..Default::default()
-        };
-        assert_eq!(s.mean_latency_secs(), 2.0);
-        assert_eq!(s.mean_queue_wait_secs(), 0.5);
-    }
 
     #[test]
     fn preemption_pressure_is_per_submission() {

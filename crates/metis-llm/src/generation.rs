@@ -144,19 +144,6 @@ impl Default for GenModelConfig {
     }
 }
 
-/// What a generation call is asked to do.
-#[derive(Clone, Copy, Debug)]
-pub enum GenMode {
-    /// Produce a final answer to the query.
-    Answer,
-    /// Produce a query-focused summary within a token budget
-    /// (`intermediate_length`, the paper's third knob).
-    Summarize {
-        /// Maximum tokens in the produced summary.
-        budget: usize,
-    },
-}
-
 /// Result of an answer-mode call.
 #[derive(Clone, Debug)]
 pub struct GenOutput {

@@ -118,11 +118,6 @@ impl GpuCluster {
             .saturating_sub(model.weight_bytes())
             .saturating_sub(reserved)
     }
-
-    /// Maximum number of KV-cache tokens the pool can hold for `model`.
-    pub fn kv_pool_tokens(&self, model: &ModelSpec) -> u64 {
-        self.kv_pool_bytes(model) / model.kv_bytes_per_token()
-    }
 }
 
 /// One replica's hardware and lifecycle parameters.
@@ -146,14 +141,6 @@ impl ReplicaSpec {
         Self {
             cluster,
             warmup_nanos: 0,
-        }
-    }
-
-    /// The same replica with a warm-up cost before it admits work.
-    pub fn with_warmup(self, warmup_nanos: Nanos) -> Self {
-        Self {
-            warmup_nanos,
-            ..self
         }
     }
 }
@@ -193,36 +180,12 @@ impl FleetSpec {
         Self { model, replicas }
     }
 
-    /// The single-replica fleet (the paper's testbed shape).
-    pub fn single(model: ModelSpec, cluster: GpuCluster) -> Self {
-        Self::new(model, cluster, 1)
-    }
-
-    /// Number of replicas in the fleet.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// One latency model per replica, in replica order.
     pub fn latency_models(&self) -> Vec<LatencyModel> {
         self.replicas
             .iter()
             .map(|r| LatencyModel::new(self.model.clone(), r.cluster))
             .collect()
-    }
-
-    /// Total GPU count across all replicas.
-    pub fn total_gpus(&self) -> u32 {
-        self.replicas.iter().map(|r| r.cluster.count).sum()
-    }
-
-    /// Aggregate KV-pool bytes across all replicas (each replica holds its
-    /// own weights, so the pool does not grow superlinearly).
-    pub fn total_kv_pool_bytes(&self) -> u64 {
-        self.replicas
-            .iter()
-            .map(|r| r.cluster.kv_pool_bytes(&self.model))
-            .sum()
     }
 }
 
@@ -247,9 +210,6 @@ mod tests {
             pool > 30 * (1 << 30) && pool < 40 * (1u64 << 30),
             "pool = {pool}"
         );
-        // At 128 KiB/token that is a few hundred thousand tokens.
-        let tokens = cluster.kv_pool_tokens(&model);
-        assert!(tokens > 200_000 && tokens < 330_000, "tokens = {tokens}");
     }
 
     #[test]
@@ -273,12 +233,9 @@ mod tests {
     }
 
     #[test]
-    fn fleet_aggregates_replicas() {
+    fn homogeneous_fleet_has_one_latency_model_per_replica() {
         let fleet = FleetSpec::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40(), 4);
-        assert_eq!(fleet.total_gpus(), 4);
         assert_eq!(fleet.latency_models().len(), 4);
-        let one = FleetSpec::single(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
-        assert_eq!(fleet.total_kv_pool_bytes(), one.total_kv_pool_bytes() * 4);
     }
 
     #[test]
@@ -294,7 +251,7 @@ mod tests {
         assert!(h.effective_bw() > 4.0 * a.effective_bw());
         let model = ModelSpec::mistral_7b_awq();
         // The 80 GB device also holds a far larger KV pool.
-        assert!(h.kv_pool_tokens(&model) > 15 * a.kv_pool_tokens(&model) / 10);
+        assert!(h.kv_pool_bytes(&model) > 15 * a.kv_pool_bytes(&model) / 10);
     }
 
     #[test]
@@ -304,11 +261,12 @@ mod tests {
             model.clone(),
             vec![
                 ReplicaSpec::new(GpuCluster::single_a40()),
-                ReplicaSpec::new(GpuCluster::single_h100()).with_warmup(5_000_000_000),
+                ReplicaSpec {
+                    cluster: GpuCluster::single_h100(),
+                    warmup_nanos: 5_000_000_000,
+                },
             ],
         );
-        assert_eq!(fleet.replica_count(), 2);
-        assert_eq!(fleet.total_gpus(), 2);
         assert_eq!(fleet.replicas[0].warmup_nanos, 0);
         assert_eq!(fleet.replicas[1].warmup_nanos, 5_000_000_000);
         // Each replica's latency model reflects its own GPU class.
@@ -316,7 +274,6 @@ mod tests {
         assert_eq!(models.len(), 2);
         let a40_pool = GpuCluster::single_a40().kv_pool_bytes(&model);
         let h100_pool = GpuCluster::single_h100().kv_pool_bytes(&model);
-        assert_eq!(fleet.total_kv_pool_bytes(), a40_pool + h100_pool);
         assert!(h100_pool > a40_pool);
     }
 

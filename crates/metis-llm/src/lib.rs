@@ -18,17 +18,18 @@
 //! All randomness is drawn from per-call seeds, making every simulated
 //! inference reproducible.
 
-pub mod clock;
-pub mod generation;
-pub mod hardware;
-pub mod latency;
-pub mod spec;
-pub mod time;
+#![warn(unreachable_pub)]
+
+mod clock;
+mod generation;
+mod hardware;
+mod latency;
+mod spec;
+mod time;
 
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use generation::{
-    BaseFact, DerivedFact, GenMode, GenModelConfig, GenOutput, GenerationModel, QueryTruth,
-    SummaryOutput,
+    BaseFact, DerivedFact, GenModelConfig, GenOutput, GenerationModel, QueryTruth, SummaryOutput,
 };
 pub use hardware::{FleetSpec, GpuCluster, GpuSpec, ReplicaSpec};
 pub use latency::LatencyModel;

@@ -1,7 +1,7 @@
 //! Virtual-time units.
 //!
 //! The whole reproduction reasons in virtual time; how virtual time passes
-//! (deterministic jumps or scaled wall-clock, see [`crate::clock`]) is the
+//! (deterministic jumps or scaled wall-clock, see [`crate::Clock`]) is the
 //! driver's choice. Durations and instants are 64-bit nanosecond counts,
 //! which keeps event ordering exact (no float comparison issues) and gives
 //! ~584 years of simulated range.
@@ -30,12 +30,6 @@ pub fn nanos_to_secs(n: Nanos) -> f64 {
     n as f64 / 1e9
 }
 
-/// Converts (non-negative) milliseconds to [`Nanos`].
-#[inline]
-pub fn millis_to_nanos(ms: f64) -> Nanos {
-    secs_to_nanos(ms / 1e3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,11 +39,6 @@ mod tests {
         let n = secs_to_nanos(1.5);
         assert_eq!(n, 1_500_000_000);
         assert!((nanos_to_secs(n) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn millis_scale() {
-        assert_eq!(millis_to_nanos(2.0), 2_000_000);
     }
 
     #[test]

@@ -199,14 +199,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// The value as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 fn render_string(s: &str, out: &mut String) {
@@ -560,7 +552,6 @@ mod tests {
         assert_eq!(v.get("x").and_then(Json::as_f64), Some(1.5));
         assert_eq!(v.get("x").and_then(Json::as_u64), None);
         assert_eq!(v.get("s").and_then(Json::as_str), Some("hi"));
-        assert_eq!(v.get("b").and_then(Json::as_bool), Some(true));
         assert_eq!(
             v.get("a").and_then(Json::as_arr).map(<[Json]>::len),
             Some(1)

@@ -3,22 +3,21 @@
 //! * Token-level F1 (§2's response-quality metric, SQuAD-style).
 //! * Latency distributions (mean/percentiles) and throughput.
 //! * The dollar-cost model behind the paper's Fig. 13.
-//! * Machine-readable benchmark reports ([`report`]) over a hand-rolled,
-//!   dependency-free JSON writer/parser ([`json`]) — the schema the bench
+//! * Machine-readable benchmark reports ([`BenchReport`]) over a hand-rolled,
+//!   dependency-free JSON writer/parser ([`Json`]) — the schema the bench
 //!   harness emits; CI compares five of those files byte-for-byte with
 //!   `baselines/`.
 
-pub mod cost;
-pub mod f1;
-pub mod json;
-pub mod latency;
-pub mod report;
+#![warn(unreachable_pub)]
+
+mod cost;
+mod f1;
+mod json;
+mod latency;
+mod report;
 
 pub use cost::{CostModel, RunCost};
 pub use f1::f1_score;
 pub use json::{Json, JsonError};
 pub use latency::{LatencySummary, ThroughputSummary};
-pub use report::{
-    BenchReport, CellReport, SchemaError, SummaryStats, PERCENTILE_ESTIMATOR, PERCENTILE_GRID,
-    SCHEMA_VERSION,
-};
+pub use report::{BenchReport, CellReport, SchemaError, SummaryStats, SCHEMA_VERSION};

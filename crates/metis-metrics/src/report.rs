@@ -30,20 +30,21 @@ use crate::latency::LatencySummary;
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// The percentile grid every summary materializes (in percent).
-pub const PERCENTILE_GRID: [f64; 9] = [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0];
+const PERCENTILE_GRID: [f64; 9] = [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0];
 
 /// One-line description of the percentile estimator, embedded in every
 /// report so a consumer never has to guess how the vectors were computed.
-pub const PERCENTILE_ESTIMATOR: &str = "nearest-rank: value at ceil(p/100*count) of the sorted \
+const PERCENTILE_ESTIMATOR: &str = "nearest-rank: value at ceil(p/100*count) of the sorted \
      samples (p=0 -> minimum); with count samples every p > 100*(count-1)/count equals max";
 
 /// Distribution summary of one metric: count, mean, min/max, and the value
-/// at every percentile of [`PERCENTILE_GRID`].
+/// at every percentile of the grid (p0, p10, p25, p50, p75, p90, p95, p99,
+/// p100).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SummaryStats {
     /// Number of samples (0 when the metric did not apply; all other
     /// fields are then 0). Consumers MUST read tail percentiles in light
-    /// of this — see [`PERCENTILE_ESTIMATOR`].
+    /// of this — see the report's `percentile_estimator` field.
     pub count: u64,
     /// Arithmetic mean.
     pub mean: f64,
@@ -51,7 +52,7 @@ pub struct SummaryStats {
     pub min: f64,
     /// Maximum sample.
     pub max: f64,
-    /// `(percentile, value)` pairs on [`PERCENTILE_GRID`].
+    /// `(percentile, value)` pairs on the percentile grid.
     pub percentiles: Vec<(f64, f64)>,
 }
 
@@ -88,16 +89,10 @@ impl SummaryStats {
         self.percentile(50.0).unwrap_or(0.0)
     }
 
-    /// Tail convenience accessor (see [`PERCENTILE_ESTIMATOR`] for its
-    /// meaning at small `count`).
+    /// Tail convenience accessor (the report's `percentile_estimator` field
+    /// says what it means at small `count`).
     pub fn p99(&self) -> f64 {
         self.percentile(99.0).unwrap_or(0.0)
-    }
-
-    /// Whether the p99 is actually distinguishable from the max at this
-    /// sample count (nearest-rank needs at least 100 samples for that).
-    pub fn tail_is_resolved(&self) -> bool {
-        self.count >= 100
     }
 
     fn to_json(&self) -> Json {
@@ -526,7 +521,6 @@ mod tests {
         assert_eq!(s.max, 5.0);
         assert_eq!(s.p50(), 3.0);
         assert_eq!(s.p99(), 5.0, "p99 over 5 samples is the max");
-        assert!(!s.tail_is_resolved(), "5 samples cannot resolve a p99");
         assert_eq!(s.percentile(0.0), Some(1.0), "p0 is the minimum");
         assert_eq!(s.percentiles.len(), PERCENTILE_GRID.len());
     }

@@ -18,9 +18,9 @@ pub struct EstimatedProfile {
 }
 
 impl EstimatedProfile {
-    /// An estimate that exactly matches the truth with full confidence
-    /// (useful as an oracle in tests and ablations).
-    pub fn oracle(truth: &TrueProfile) -> Self {
+    /// An estimate that exactly matches the truth with full confidence.
+    #[cfg(test)]
+    pub(crate) fn oracle(truth: &TrueProfile) -> Self {
         Self {
             complexity: truth.complexity,
             joint: truth.joint,
@@ -32,7 +32,8 @@ impl EstimatedProfile {
 
     /// Number of categorical/numeric disagreements with the truth, used to
     /// evaluate profiler accuracy (Fig. 9's good/bad profile split).
-    pub fn error_score(&self, truth: &TrueProfile) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn error_score(&self, truth: &TrueProfile) -> f64 {
         let mut err = 0.0;
         if self.complexity != truth.complexity {
             err += 1.0;

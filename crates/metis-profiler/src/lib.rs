@@ -14,8 +14,10 @@
 //! §5 (one golden-config feedback prompt every 30 queries, keeping the last
 //! four) shrinks the noise over time (Fig. 14).
 
-pub mod estimate;
-pub mod profiler;
+#![warn(unreachable_pub)]
+
+mod estimate;
+mod profiler;
 
 pub use estimate::EstimatedProfile;
-pub use profiler::{LlmProfiler, NoiseParams, ProfilerKind, ProfilerOutput};
+pub use profiler::{LlmProfiler, ProfilerKind, ProfilerOutput};

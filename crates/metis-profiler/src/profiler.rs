@@ -20,22 +20,22 @@ pub enum ProfilerKind {
 
 /// Per-model estimation noise rates.
 #[derive(Clone, Copy, Debug)]
-pub struct NoiseParams {
+struct NoiseParams {
     /// Probability of flipping the complexity estimate.
-    pub flip_complexity: f64,
+    flip_complexity: f64,
     /// Probability of flipping the joint-reasoning estimate.
-    pub flip_joint: f64,
+    flip_joint: f64,
     /// Probability the pieces estimate is off by ±1.
-    pub pieces_off_one: f64,
+    pieces_off_one: f64,
     /// Probability the pieces estimate is off by ±2 (on top of ±1).
-    pub pieces_off_two: f64,
+    pieces_off_two: f64,
     /// Relative distortion applied to the summary range bounds.
-    pub summary_distort: f64,
+    summary_distort: f64,
 }
 
 impl NoiseParams {
     /// Noise calibrated so that ~93% of profiles are fully good (Fig. 9).
-    pub fn gpt4o() -> Self {
+    fn gpt4o() -> Self {
         Self {
             flip_complexity: 0.030,
             flip_joint: 0.020,
@@ -46,7 +46,7 @@ impl NoiseParams {
     }
 
     /// Llama-70B is noisier than GPT-4o but still useful (Fig. 17).
-    pub fn llama70b() -> Self {
+    fn llama70b() -> Self {
         Self {
             flip_complexity: 0.055,
             flip_joint: 0.045,

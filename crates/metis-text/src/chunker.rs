@@ -90,11 +90,6 @@ impl Chunker {
         Self { config }
     }
 
-    /// The configured chunk size.
-    pub fn chunk_size(&self) -> usize {
-        self.config.chunk_size
-    }
-
     /// Splits `doc` into fixed-size chunks.
     ///
     /// Without overlap the chunks partition the document exactly: every token

@@ -10,10 +10,12 @@
 //! Everything here is deterministic: the same seed produces the same
 //! corpus, byte for byte, on every platform.
 
-pub mod annotate;
-pub mod chunker;
-pub mod textgen;
-pub mod tokenizer;
+#![warn(unreachable_pub)]
+
+mod annotate;
+mod chunker;
+mod textgen;
+mod tokenizer;
 
 pub use annotate::{AnnotatedText, FactId, FactSpan};
 pub use chunker::{ChunkId, Chunker, ChunkerConfig, TokenChunk};

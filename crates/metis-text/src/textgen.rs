@@ -19,9 +19,10 @@ use crate::tokenizer::{TokenId, Tokenizer};
 pub struct TopicVocab {
     topic_words: Vec<TokenId>,
     common_words: Vec<TokenId>,
-    /// Probability that a filler token is drawn from the topic pool.
-    topic_bias: f64,
 }
+
+/// Probability that a filler token is drawn from the topic pool.
+const TOPIC_BIAS: f64 = 0.6;
 
 impl TopicVocab {
     /// Builds a topic vocabulary with `width` topic-specific words.
@@ -38,19 +39,7 @@ impl TopicVocab {
         Self {
             topic_words,
             common_words,
-            topic_bias: 0.6,
         }
-    }
-
-    /// Overrides the topic bias (fraction of tokens drawn from the topic pool).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias` is outside `[0, 1]`.
-    pub fn with_topic_bias(mut self, bias: f64) -> Self {
-        assert!((0.0..=1.0).contains(&bias), "bias must be in [0, 1]");
-        self.topic_bias = bias;
-        self
     }
 
     /// Words dedicated to this topic.
@@ -93,7 +82,7 @@ impl TextGen {
         (0..n)
             .map(|_| {
                 let from_topic = !topic.topic_words.is_empty()
-                    && (topic.common_words.is_empty() || self.rng.gen_bool(topic.topic_bias));
+                    && (topic.common_words.is_empty() || self.rng.gen_bool(TOPIC_BIAS));
                 let pool = if from_topic {
                     &topic.topic_words
                 } else {
@@ -134,11 +123,6 @@ impl TextGen {
     /// Samples `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.rng.gen_bool(p.clamp(0.0, 1.0))
-    }
-
-    /// Access to the underlying RNG for callers with bespoke needs.
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
     }
 }
 

@@ -65,11 +65,6 @@ impl Vocab {
         id
     }
 
-    /// Looks up the id of `word` without interning it.
-    pub fn lookup(&self, word: &str) -> Option<TokenId> {
-        self.index.get(word).copied()
-    }
-
     /// Returns the word behind `id`, if it exists.
     pub fn word(&self, id: TokenId) -> Option<&str> {
         self.words.get(id.index()).map(String::as_str)
@@ -136,11 +131,6 @@ impl Tokenizer {
         out
     }
 
-    /// Read access to the underlying vocabulary.
-    pub fn vocab(&self) -> &Vocab {
-        &self.vocab
-    }
-
     /// Mutable access to the underlying vocabulary.
     pub fn vocab_mut(&mut self) -> &mut Vocab {
         &mut self.vocab
@@ -197,12 +187,5 @@ mod tests {
         let t = Tokenizer::new();
         let s = t.decode(&[TokenId(42)]);
         assert_eq!(s, "t42");
-    }
-
-    #[test]
-    fn lookup_does_not_intern() {
-        let v = Vocab::new();
-        assert!(v.lookup("missing").is_none());
-        assert!(v.is_empty());
     }
 }

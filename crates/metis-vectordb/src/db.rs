@@ -175,19 +175,6 @@ impl IndexMeta {
             vectors,
         }
     }
-
-    /// Expected distance computations per search under this index (a
-    /// balanced-lists estimate controllers can reason about without
-    /// running a query): the full corpus for flat, `nlist` centroids plus
-    /// `nprobe/nlist` of the corpus for IVF, and roughly one layer-0
-    /// frontier (`ef_search` expansions of up to `2m` neighbors) for HNSW.
-    pub fn expected_scored(&self) -> usize {
-        match self.spec {
-            IndexSpec::Flat => self.vectors,
-            IndexSpec::Ivf { .. } => self.nlist + self.vectors * self.nprobe / self.nlist.max(1),
-            IndexSpec::Hnsw { m, ef_search, .. } => (ef_search * 2 * m).min(self.vectors.max(1)),
-        }
-    }
 }
 
 /// Retrieval results plus the measured work that produced them.
@@ -224,27 +211,12 @@ impl VectorDb {
         description: &str,
         chunk_size: usize,
     ) -> Self {
-        Self::build_with_index(chunks, embedder, description, chunk_size, IndexSpec::Flat)
-    }
-
-    /// Builds the database with a chosen index backend (f32 storage).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` fails [`IndexSpec::validate`].
-    pub fn build_with_index(
-        chunks: &[TokenChunk],
-        embedder: Arc<dyn Embedder>,
-        description: &str,
-        chunk_size: usize,
-        spec: IndexSpec,
-    ) -> Self {
         Self::build_with_spec(
             chunks,
             embedder,
             description,
             chunk_size,
-            spec,
+            IndexSpec::Flat,
             Quantization::F32,
         )
     }
@@ -494,12 +466,13 @@ mod tests {
         doc.push_fact(FactId(1), &fact_phrase);
         doc.push_tokens(&g.filler(&finance, 700));
         let chunks = Chunker::new(ChunkerConfig::with_size(64)).split(&doc);
-        let db = VectorDb::build_with_index(
+        let db = VectorDb::build_with_spec(
             &chunks,
             Arc::new(HashEmbed::default()),
             "ivf corpus",
             64,
             IndexSpec::ivf(4, 3),
+            Quantization::F32,
         );
         let results = db.retrieve(&subject, 5);
         assert!(!results.is_empty());
@@ -514,7 +487,6 @@ mod tests {
         assert_eq!(meta.nlist, 4);
         assert_eq!(meta.nprobe, 3);
         assert_eq!(meta.vectors, db.len());
-        assert!(meta.expected_scored() < db.len() + meta.nlist);
     }
 
     #[test]
@@ -580,7 +552,6 @@ mod tests {
             let meta = db.index_meta();
             assert_eq!(meta.spec, IndexSpec::hnsw(8, 32));
             assert_eq!(meta.quant, quant);
-            assert!(meta.expected_scored() > 0);
             if quant.is_quantized() {
                 assert!(out.work.quantized_scored > 0);
             } else {

@@ -361,16 +361,6 @@ impl HnswIndex {
         self.config
     }
 
-    /// The vector storage scheme.
-    pub fn quantization(&self) -> Quantization {
-        self.quant
-    }
-
-    /// Height of the tallest layer currently in the graph.
-    pub fn max_level(&self) -> usize {
-        self.max_level
-    }
-
     /// Exact distance evaluations `build` performed — the write path's
     /// deterministic cost, fixed by the data and the configuration.
     pub fn build_evals(&self) -> u64 {
@@ -1345,6 +1335,6 @@ mod tests {
         let ha: Vec<_> = a.search(&q, 8).iter().map(|h| h.chunk).collect();
         let hb: Vec<_> = b.search(&q, 8).iter().map(|h| h.chunk).collect();
         assert_eq!(ha, hb);
-        assert_eq!(a.max_level(), b.max_level());
+        assert_eq!(a.max_level, b.max_level);
     }
 }

@@ -245,7 +245,8 @@ impl IvfIndex {
     }
 
     /// Size of every inverted list, in list order.
-    pub fn list_sizes(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn list_sizes(&self) -> Vec<usize> {
         self.lists.iter().map(Vec::len).collect()
     }
 

@@ -6,12 +6,14 @@
 //! database metadata object that METIS's profiler consumes (§4.1: a one-line
 //! description of the corpus plus its `chunk_size`).
 
-pub mod db;
-pub mod flat;
-pub mod hnsw;
-pub mod ivf;
-pub mod quant;
-pub mod store;
+#![warn(unreachable_pub)]
+
+mod db;
+mod flat;
+mod hnsw;
+mod ivf;
+mod quant;
+mod store;
 
 pub use db::{DbMetadata, IndexMeta, IndexSpec, RetrievalOutcome, RetrievalResult, VectorDb};
 pub use flat::FlatIndex;

@@ -267,11 +267,6 @@ impl SqFlatIndex {
         }
     }
 
-    /// The trained quantizer (for error-bound tests).
-    pub fn quantizer(&self) -> &ScalarQuantizer {
-        &self.sq
-    }
-
     fn code_row(&self, i: usize) -> &[u8] {
         &self.codes[i * self.dim..(i + 1) * self.dim]
     }
@@ -381,11 +376,6 @@ impl SqIvfIndex {
     /// The effective IVF configuration.
     pub fn config(&self) -> IvfConfig {
         self.config
-    }
-
-    /// The trained quantizer (for error-bound tests).
-    pub fn quantizer(&self) -> &ScalarQuantizer {
-        &self.sq
     }
 }
 

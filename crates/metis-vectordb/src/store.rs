@@ -22,7 +22,7 @@ use bytes::{Bytes, BytesMut};
 use metis_text::{AnnotatedText, ChunkId, FactSpan, TokenChunk, TokenId};
 
 /// Default hot-tier capacity, in chunks.
-pub const DEFAULT_HOT_CAPACITY: usize = 512;
+const DEFAULT_HOT_CAPACITY: usize = 512;
 
 /// Immutable tiered storage for the chunks of one database.
 #[derive(Debug)]
@@ -193,17 +193,6 @@ impl ChunkStore {
         self.blobs.is_empty()
     }
 
-    /// Hot-tier capacity, in chunks.
-    pub fn hot_capacity(&self) -> usize {
-        self.hot_capacity
-    }
-
-    /// Token count of chunk `id` without decoding (and without touching
-    /// the tier counters — this is a metadata read).
-    pub fn token_len(&self, id: ChunkId) -> Option<usize> {
-        self.blobs.get(id.index()).map(|b| b.len() / 4)
-    }
-
     /// Returns chunk `id`, serving from the hot tier when it is resident
     /// and decoding + promoting from the cold tier otherwise.
     pub fn get(&self, id: ChunkId) -> Option<AnnotatedText> {
@@ -258,16 +247,6 @@ impl ChunkStore {
         Some(text)
     }
 
-    /// Total stored tokens across all chunks.
-    pub fn total_tokens(&self) -> usize {
-        self.blobs.iter().map(|b| b.len() / 4).sum()
-    }
-
-    /// Serialized size of the cold tier in bytes.
-    pub fn cold_bytes(&self) -> u64 {
-        self.blobs.iter().map(|b| b.len() as u64).sum()
-    }
-
     /// Snapshots the tier counters and occupancy.
     pub fn stats(&self) -> StoreStats {
         let hot_chunks = self.hot.lock().expect("hot tier lock").recency.len();
@@ -310,15 +289,6 @@ mod tests {
         let back = s.get(id).unwrap();
         assert_eq!(back.tokens(), text.tokens());
         assert_eq!(back.spans(), text.spans());
-    }
-
-    #[test]
-    fn token_len_avoids_decode() {
-        let mut s = ChunkStore::new();
-        let id = s.push(&sample_text());
-        assert_eq!(s.token_len(id), Some(3));
-        assert_eq!(s.total_tokens(), 3);
-        assert_eq!(s.stats().accesses, 0, "metadata reads are not accesses");
     }
 
     #[test]

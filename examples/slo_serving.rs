@@ -1,11 +1,9 @@
-//! SLO-constrained configuration selection (§4.3's "SLO-based constraints")
-//! and the agentic sub-query workflow (§9) — the paper's extension points.
+//! SLO-constrained configuration selection (§4.3's "SLO-based constraints").
 //!
 //! ```sh
 //! cargo run --example slo_serving
 //! ```
 
-use metis::core::agentic::{plan_agentic, AgenticInputs};
 use metis::core::{
     choose_config_with_slo, estimate_exec_secs, map_profile, BestFitInputs, LatencySlo,
 };
@@ -16,7 +14,6 @@ fn main() {
     let latency = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
     let mut profiler = LlmProfiler::new(ProfilerKind::Gpt4o);
     let metadata = dataset.db.metadata().clone();
-    let genmodel = GenerationModel::from_spec(&ModelSpec::mistral_7b_awq());
 
     println!("== SLO-aware configuration selection ==");
     for q in &dataset.queries {
@@ -47,25 +44,5 @@ fn main() {
             );
         }
         println!();
-    }
-
-    println!("\n== Agentic sub-query workflow ==");
-    for q in dataset.queries.iter().filter(|q| q.profile.pieces >= 3) {
-        let inputs = AgenticInputs {
-            gen: &genmodel,
-            truth: &q.truth,
-            query_tokens: &q.tokens,
-            subject_spans: &q.subject_spans,
-            boilerplate: &dataset.boilerplate,
-        };
-        let plan = plan_agentic(&inputs, &dataset.db, q.profile.pieces, 17);
-        let f1 = f1_score(&plan.answer, &q.gold_answer());
-        println!(
-            "q{}: {} sub-queries → combine over {} tokens, F1 {:.3}",
-            q.id.0,
-            plan.map_calls.len(),
-            plan.reduce_call.map_or(0, |c| c.prompt_tokens),
-            f1
-        );
     }
 }

@@ -55,10 +55,9 @@ pub use metis_vectordb as vectordb;
 /// The most commonly used items, for `use metis::prelude::*`.
 pub mod prelude {
     pub use metis_core::{
-        choose_config, choose_config_with_slo, map_profile, plan_agentic, plan_synthesis,
-        rerank_hits, rewrite_query, AgenticInputs, BestFitInputs, ConfigController, ExtKnobs,
-        LatencySlo, MetisOptions, PickPolicy, PrunedSpace, RagConfig, RetrievalModel, RunConfig,
-        RunResult, Runner, SloTier, SynthesisMethod, SystemKind,
+        choose_config, choose_config_with_slo, map_profile, plan_synthesis, BestFitInputs,
+        ConfigController, LatencySlo, MetisOptions, PickPolicy, PrunedSpace, RagConfig,
+        RetrievalModel, RunConfig, RunResult, Runner, SloTier, SynthesisMethod, SystemKind,
     };
     pub use metis_datasets::{
         build_dataset, build_dataset_with_index, build_dataset_with_spec, burst_arrivals,

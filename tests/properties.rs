@@ -1,5 +1,5 @@
 //! Property-based tests (proptest) on the core data structures and
-//! invariants, as called out in DESIGN.md §6.
+//! invariants.
 
 use proptest::prelude::*;
 

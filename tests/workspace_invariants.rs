@@ -1,7 +1,8 @@
 //! The workspace invariants no compiler lint can express, checked from the
 //! tree itself: crate layering, NaN-safe ordering, that the per-crate
-//! `clippy.toml` files still say what the root one says, and that every
-//! committed baseline is a smoke-scale report of a registered bench. The
+//! `clippy.toml` files still say what the root one says, that every
+//! committed baseline is a smoke-scale report of a registered bench, and that
+//! every name a library crate exports has a reader outside that crate. The
 //! invariants clippy *can* express live in `clippy.toml`;
 //! docs/architecture.md § "Invariants" maps every invariant to its guard.
 
@@ -10,6 +11,7 @@
     reason = "reads the workspace's own manifests, sources and lint configs"
 )]
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// The layer order, low to high. A crate may depend only on crates of a
@@ -186,4 +188,117 @@ fn baselines_are_smoke_scale_reports_of_registered_benches() {
             "{at}: regenerate with METIS_BENCH_QUERIES=8, the scale CI's smoke step runs at"
         );
     }
+}
+
+/// The nine library crates: their root `pub use` lists *are* the API.
+const LIBRARY_CRATES: [&str; 9] = [
+    "text", "embed", "vectordb", "llm", "engine", "datasets", "profiler", "metrics", "core",
+];
+
+/// Exported names no consumer spells, kept because an exported item's
+/// signature does: (name, the export whose signature needs it).
+const SIGNATURE_ONLY: &[(&str, &str)] = &[
+    ("Vocab", "Tokenizer"),
+    ("GenOutput", "GenerationModel"),
+    ("SummaryOutput", "GenerationModel"),
+    ("GpuSpec", "GpuCluster"),
+    ("DriverStats", "Driver"),
+    ("EvictedSeq", "Engine"),
+    ("KvError", "KvAllocator"),
+    ("AnnQuery", "AnnCorpus"),
+    ("Table1Row", "Dataset"),
+    ("GenParams", "DatasetKind"),
+    ("QueryId", "QuerySpec"),
+    ("ProfilerOutput", "LlmProfiler"),
+    ("JsonError", "Json"),
+    ("SchemaError", "BenchReport"),
+    ("ScaleAction", "Autoscaler"),
+    ("Chosen", "choose_config"),
+    ("Decision", "ConfigController"),
+    ("DecisionContext", "ConfigController"),
+    ("ProfileOutcome", "ConfigController"),
+    ("QueryResult", "RunResult"),
+    ("StageBreakdown", "QueryResult"),
+];
+
+/// The identifiers on the non-comment lines of `text`.
+fn identifiers(text: &str) -> BTreeSet<&str> {
+    let code = text.lines().filter(|l| !l.trim_start().starts_with("//"));
+    code.flat_map(|l| l.split(|c: char| !c.is_alphanumeric() && c != '_'))
+        .collect()
+}
+
+/// A crate's API is its root `pub use` lists and nothing else (modules are
+/// private, so every item has one public path), and every name on them is
+/// there for someone: spelled by a `.rs` file outside the crate's `src/`, or
+/// listed in [`SIGNATURE_ONLY`]. An export nobody reads is `pub(crate)`
+/// waiting to happen — and once it is, `dead_code` can see it.
+#[test]
+fn exports_keep_their_readers() {
+    let mut sources: Vec<PathBuf> = ["crates", "src", "tests", "examples", "perf/src"]
+        .iter()
+        .flat_map(|dir| walk(dir))
+        .collect();
+    sources.retain(|p| p.extension().is_some_and(|e| e == "rs") && !p.ends_with(file!()));
+    let texts: Vec<String> = sources.iter().map(|p| read(p)).collect();
+    let readers: Vec<(&PathBuf, BTreeSet<&str>)> = sources
+        .iter()
+        .zip(texts.iter().map(|t| identifiers(t)))
+        .collect();
+    let mut signature_only: BTreeSet<_> = SIGNATURE_ONLY.iter().collect();
+    for krate in LIBRARY_CRATES {
+        let src = PathBuf::from(format!("crates/metis-{krate}/src"));
+        let lib = read(&src.join("lib.rs"));
+        assert!(
+            lib.contains("\n#![warn(unreachable_pub)]\n"),
+            "metis-{krate}: lib.rs must carry #![warn(unreachable_pub)]"
+        );
+        let public_modules: Vec<&str> = lib.lines().filter(|l| l.starts_with("pub mod ")).collect();
+        let allowed: &[&str] = if krate == "core" {
+            &["pub mod synthesis;"]
+        } else {
+            &[]
+        };
+        assert_eq!(
+            public_modules, allowed,
+            "metis-{krate}: modules are private; the crate root re-exports the API"
+        );
+        // `pub use a::b::{X, Y as Z};` → X, Z.
+        let code: String = lib.lines().filter(|l| !l.starts_with("//")).collect();
+        let exports: Vec<&str> = code
+            .split(';')
+            .filter_map(|stmt| stmt.trim().strip_prefix("pub use "))
+            .flat_map(|path| path.rsplit_once("::").expect("a path").1.split(','))
+            .map(|name| name.rsplit(" as ").next().expect("a name"))
+            .map(|name| name.trim_matches(|c: char| c == '{' || c == '}' || c.is_whitespace()))
+            .filter(|name| !name.is_empty())
+            .collect();
+        assert!(!exports.is_empty(), "metis-{krate}: no `pub use` found");
+        for name in &exports {
+            let read_outside = readers
+                .iter()
+                .any(|(path, idents)| !path.starts_with(&src) && idents.contains(name));
+            let row = SIGNATURE_ONLY.iter().find(|(n, _)| n == name);
+            match row {
+                None => assert!(
+                    read_outside,
+                    "metis-{krate} exports `{name}`, which nothing outside {} names: make it \
+                     pub(crate), or add a SIGNATURE_ONLY row naming the export that needs it",
+                    src.display()
+                ),
+                Some(row @ (_, needs)) => {
+                    assert!(
+                        !read_outside && exports.contains(needs),
+                        "stale SIGNATURE_ONLY row {row:?}: `{name}` has a reader now, or \
+                         metis-{krate} no longer exports `{needs}`"
+                    );
+                    signature_only.remove(row);
+                }
+            }
+        }
+    }
+    assert!(
+        signature_only.is_empty(),
+        "stale SIGNATURE_ONLY rows, no crate exports the name: {signature_only:?}"
+    );
 }
