@@ -5,7 +5,7 @@ use std::collections::BinaryHeap;
 
 use metis_text::ChunkId;
 
-use crate::{squared_l2, Hit, SearchOutcome, SearchWork, VectorIndex};
+use crate::{assert_finite, sort_hits, squared_l2, Hit, SearchOutcome, SearchWork, VectorIndex};
 
 /// Candidate ordered so that the *worst* (largest-distance) hit is at the top
 /// of a max-heap, letting us keep only the best `k`.
@@ -42,10 +42,10 @@ impl Ord for HeapEntry {
 /// Vectors are stored contiguously; search scans all of them and keeps the
 /// best `k` in a bounded max-heap — `O(n · d)` distance work plus
 /// `O(log k)` per row that beats the current worst (one compare per row
-/// that does not), identical in results to FAISS `IndexFlatL2`. With the
-/// lane-parallel distance kernel the scan runs within ~1.5× of
-/// streaming the rows from memory, so the rows stay one contiguous array
-/// read front to back — blocking or prefetching measured slower.
+/// that does not), identical in results to FAISS `IndexFlatL2`. The rows stay
+/// one contiguous array read front to back and scored one at a time: two or
+/// four rows per pass, blocking and prefetching each measured slower
+/// (ROADMAP item 2).
 ///
 /// # Examples
 ///
@@ -93,10 +93,7 @@ impl FlatIndex {
     /// Panics if `vector` has the wrong dimension or non-finite components.
     pub fn add(&mut self, id: ChunkId, vector: &[f32]) {
         assert_eq!(vector.len(), self.dim, "dimension mismatch");
-        assert!(
-            vector.iter().all(|x| x.is_finite()),
-            "non-finite embedding component"
-        );
+        assert_finite(vector);
         self.data.extend_from_slice(vector);
         self.ids.push(id);
     }
@@ -155,11 +152,7 @@ impl VectorIndex for FlatIndex {
                 distance: e.distance.sqrt(),
             })
             .collect();
-        hits.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then_with(|| a.chunk.cmp(&b.chunk))
-        });
+        sort_hits(&mut hits);
         SearchOutcome {
             hits,
             work: SearchWork::full_scan(self.ids.len()),

@@ -23,7 +23,12 @@
 //!
 //! Adjacency is one flat `u32` array, and a traversal's working memory is a
 //! `SearchScratch` that `build` owns and searches reuse per thread, so a
-//! steady-state search allocates only the hits it returns.
+//! steady-state search allocates only the hits it returns. A search hop
+//! first collects the unvisited neighbors of the node it expands, then scores
+//! them together (sq8 code rows a group at a time, see [`crate::quant`]),
+//! then offers them to the frontier — each pass in neighbor-list order, so
+//! the traversal is the one-neighbor-at-a-time one, kept as the test oracle
+//! (`traverse_classic`).
 //!
 //! The graph is a pure function of the data and the configuration —
 //! [`HnswIndex::graph_digest`] is pinned in the search goldens — and `build`
@@ -52,8 +57,8 @@ use std::cmp::Ordering;
 
 use metis_text::ChunkId;
 
-use crate::quant::{keep_for, sort_hits, Quantization, QueryLut, ScalarQuantizer};
-use crate::{squared_l2, Hit, SearchOutcome, SearchWork, VectorIndex};
+use crate::quant::{keep_for, Quantization, QueryLut, ScalarQuantizer};
+use crate::{assert_finite, sort_hits, squared_l2, Hit, SearchOutcome, SearchWork, VectorIndex};
 
 /// HNSW build/search parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,6 +131,14 @@ struct SearchScratch {
     /// Every node the traversal scored — the pool the final top-k is
     /// selected from.
     scored: Vec<Scored>,
+    /// The unvisited neighbors of the node being expanded, in list order: a
+    /// hop collects them all before it scores any, so the scorer sees them
+    /// together. As long as the longest list met; only a prefix is live.
+    fresh: Vec<u32>,
+    /// Every `(unvisited, list length)` a hop met: the search oracle test
+    /// refuses to pass on a sweep that skipped a group shape.
+    #[cfg(test)]
+    fresh_lens: std::collections::BTreeSet<(usize, usize)>,
 }
 
 impl SearchScratch {
@@ -151,6 +164,24 @@ impl SearchScratch {
         let fresh = *stamp != self.epoch;
         *stamp = self.epoch;
         fresh
+    }
+
+    /// Copies the unvisited members of `neighbors` to the front of `fresh`,
+    /// in order, marks them visited and returns how many there are. No
+    /// branch on the test's outcome: every member is stored, and the cursor
+    /// moves past the ones that were fresh.
+    fn collect_fresh(&mut self, neighbors: &[u32]) -> usize {
+        if self.fresh.len() < neighbors.len() {
+            self.fresh.resize(neighbors.len(), 0);
+        }
+        let mut len = 0;
+        for &nb in neighbors {
+            self.fresh[len] = nb;
+            len += usize::from(self.visit(nb));
+        }
+        #[cfg(test)]
+        self.fresh_lens.insert((len, neighbors.len()));
+        len
     }
 
     /// Offers `s` to the frontier when only `room` more expansions remain:
@@ -262,13 +293,9 @@ impl HnswIndex {
         assert!(config.ef_search > 0, "ef_search must be positive");
         for (_, v) in items {
             assert_eq!(v.len(), dim, "dimension mismatch");
-            // A NaN row would score NaN against everything: linked
-            // arbitrarily, never returned — and the build reuses verdicts on
-            // the strength of distances being totally ordered.
-            assert!(
-                v.iter().all(|x| x.is_finite()),
-                "non-finite embedding component"
-            );
+            // The build also reuses verdicts on the strength of distances
+            // being totally ordered.
+            assert_finite(v);
         }
         let n = items.len();
         Self {
@@ -299,14 +326,35 @@ impl HnswIndex {
         &self.rows[node as usize * self.dim..][..self.dim]
     }
 
+    fn code_row(&self, node: u32) -> &[u8] {
+        &self.codes[node as usize * self.dim..][..self.dim]
+    }
+
     /// `node`'s distance from the scorer's query, in the scorer's domain.
     #[inline]
     fn score(&self, q: &Scorer<'_>, node: u32) -> Scored {
         let d = match q {
             Scorer::Exact(q) => squared_l2(q, self.exact_row(node)),
-            Scorer::Sq8(lut) => lut.dist2(&self.codes[node as usize * self.dim..][..self.dim]),
+            Scorer::Sq8(lut) => lut.dist2(self.code_row(node)),
         };
         Scored { d, node }
+    }
+
+    /// [`score`](Self::score) of every one of `nodes`, pushed onto `scored`
+    /// in `nodes` order. Code rows are scored a group at a time — the same
+    /// bits, without waiting out one row's add chain before starting the
+    /// next; exact rows one by one (two or four per pass spill the 16-lane
+    /// accumulators and measured 1.5× and 2× slower — ROADMAP item 2).
+    #[inline]
+    fn score_all(&self, q: &Scorer<'_>, nodes: &[u32], scored: &mut Vec<Scored>) {
+        match q {
+            Scorer::Exact(_) => scored.extend(nodes.iter().map(|&nb| self.score(q, nb))),
+            Scorer::Sq8(lut) => lut.dist2_each(
+                nodes.len(),
+                |i| self.code_row(nodes[i]),
+                |i, d| scored.push(Scored { d, node: nodes[i] }),
+            ),
+        }
     }
 
     /// Where `node`'s level-`lvl` block starts in `links`, and how many
@@ -341,10 +389,10 @@ impl HnswIndex {
         let mut hops = 0;
         loop {
             hops += 1;
+            let from = scored.len();
+            self.score_all(q, self.neighbors(cur.node, lvl), scored);
             let mut improved = false;
-            for &nb in self.neighbors(cur.node, lvl) {
-                let s = self.score(q, nb);
-                scored.push(s);
+            for &s in &scored[from..] {
                 if s.d < cur.d {
                     cur = s;
                     improved = true;
@@ -395,6 +443,19 @@ impl HnswIndex {
     /// configured `ef_search` — the handle the recall-monotonicity
     /// property tests and sweeps turn.
     pub fn search_with_ef(&self, query: &[f32], k: usize, ef: usize) -> SearchOutcome {
+        self.search_by(query, k, ef, Self::traverse)
+    }
+
+    /// The search around `traverse`, which leaves every node it scored in
+    /// `scratch.scored` and returns `(graph hops, rescorable)`; the tests
+    /// run it over the one-neighbor-at-a-time traversal too.
+    fn search_by(
+        &self,
+        query: &[f32],
+        k: usize,
+        ef: usize,
+        traverse: impl Fn(&Self, &Scorer<'_>, usize, &mut SearchScratch) -> (usize, usize),
+    ) -> SearchOutcome {
         assert_eq!(query.len(), self.dim, "dimension mismatch");
         if k == 0 || self.ids.is_empty() || ef == 0 {
             return SearchOutcome {
@@ -407,36 +468,11 @@ impl HnswIndex {
                 Some(sq) => Scorer::Sq8(sq.lut(query)),
                 None => Scorer::Exact(query),
             };
-            let mut work = SearchWork::default();
-            scratch.begin(self.ids.len());
-            // Greedy descent over the upper layers (budget-independent).
-            let mut cur = self.score(&q, self.entry);
-            scratch.scored.push(cur);
-            for lvl in (1..=self.max_level).rev() {
-                let (at, hops) = self.greedy_step(&q, cur, lvl, &mut scratch.scored);
-                cur = at;
-                work.graph_hops += hops;
-            }
-            // Only an upper-layer eval can score a node a second time.
-            let rescorable = scratch.scored.len();
-            // Budgeted best-first expansion on layer 0. The frontier evolves
-            // identically for every `ef`; the budget only decides how many
-            // nodes get expanded, so visited sets nest as `ef` grows.
-            scratch.visit(cur.node);
-            scratch.frontier.push(cur);
-            for expanded in 1..=ef {
-                let Some(c) = scratch.frontier.pop() else {
-                    break;
-                };
-                work.graph_hops += 1;
-                for &nb in self.neighbors(c.node, 0) {
-                    if scratch.visit(nb) {
-                        let s = self.score(&q, nb);
-                        scratch.scored.push(s);
-                        scratch.admit(s, ef - expanded);
-                    }
-                }
-            }
+            let (graph_hops, rescorable) = traverse(self, &q, ef, scratch);
+            let mut work = SearchWork {
+                graph_hops,
+                ..SearchWork::default()
+            };
             // Every node scored anywhere is a candidate for the final top-k
             // (the set only grows with `ef`). The best are selected, not the
             // pool sorted: a rescore repeats the identical distance, so
@@ -475,6 +511,46 @@ impl HnswIndex {
             }
             SearchOutcome { hits, work }
         })
+    }
+
+    /// Greedy descent over the upper layers, then the budgeted best-first
+    /// expansion on layer 0. Returns the nodes expanded and how many
+    /// entries of `scratch.scored` may be a node's second.
+    fn traverse(&self, q: &Scorer<'_>, ef: usize, scratch: &mut SearchScratch) -> (usize, usize) {
+        let mut hops = 0;
+        scratch.begin(self.ids.len());
+        // Greedy descent over the upper layers (budget-independent).
+        let mut cur = self.score(q, self.entry);
+        scratch.scored.push(cur);
+        for lvl in (1..=self.max_level).rev() {
+            let (at, level_hops) = self.greedy_step(q, cur, lvl, &mut scratch.scored);
+            cur = at;
+            hops += level_hops;
+        }
+        // Only an upper-layer eval can score a node a second time.
+        let rescorable = scratch.scored.len();
+        // Budgeted best-first expansion on layer 0. The frontier evolves
+        // identically for every `ef`; the budget only decides how many
+        // nodes get expanded, so visited sets nest as `ef` grows.
+        scratch.visit(cur.node);
+        scratch.frontier.push(cur);
+        for expanded in 1..=ef {
+            let Some(c) = scratch.frontier.pop() else {
+                break;
+            };
+            hops += 1;
+            // A hop in three passes — collect the unvisited neighbors,
+            // score them together, offer them to the frontier — each in
+            // neighbor-list order, so `scored` and the frontier are what
+            // scoring and offering them one at a time leaves.
+            let fresh = scratch.collect_fresh(self.neighbors(c.node, 0));
+            let from = scratch.scored.len();
+            self.score_all(q, &scratch.fresh[..fresh], &mut scratch.scored);
+            for at in from..scratch.scored.len() {
+                scratch.admit(scratch.scored[at], ef - expanded);
+            }
+        }
+        (hops, rescorable)
     }
 }
 
@@ -990,6 +1066,56 @@ mod classic {
             self.links[at + 1..][..picked.len()].copy_from_slice(&picked);
         }
 
+        /// The traversal searches ran before a hop scored its neighbors
+        /// together — visit, score, record and admit one neighbor at a time,
+        /// the descent likewise — kept as the oracle `traverse` must equal
+        /// frontier for frontier.
+        pub(super) fn traverse_classic(
+            &self,
+            q: &Scorer<'_>,
+            ef: usize,
+            scratch: &mut SearchScratch,
+        ) -> (usize, usize) {
+            let mut hops = 0;
+            scratch.begin(self.ids.len());
+            let mut cur = self.score(q, self.entry);
+            scratch.scored.push(cur);
+            for lvl in (1..=self.max_level).rev() {
+                loop {
+                    hops += 1;
+                    let mut improved = false;
+                    for &nb in self.neighbors(cur.node, lvl) {
+                        let s = self.score(q, nb);
+                        scratch.scored.push(s);
+                        if s.d < cur.d {
+                            cur = s;
+                            improved = true;
+                        }
+                    }
+                    if !improved {
+                        break;
+                    }
+                }
+            }
+            let rescorable = scratch.scored.len();
+            scratch.visit(cur.node);
+            scratch.frontier.push(cur);
+            for expanded in 1..=ef {
+                let Some(c) = scratch.frontier.pop() else {
+                    break;
+                };
+                hops += 1;
+                for &nb in self.neighbors(c.node, 0) {
+                    if scratch.visit(nb) {
+                        let s = self.score(q, nb);
+                        scratch.scored.push(s);
+                        scratch.admit(s, ef - expanded);
+                    }
+                }
+            }
+            (hops, rescorable)
+        }
+
         fn search_layer_classic(
             &self,
             q: &Scorer<'_>,
@@ -1179,6 +1305,51 @@ mod tests {
             fast * 10 <= classic.total * 6,
             "{fast} evals against the classic build's {}",
             classic.total
+        );
+    }
+
+    /// Scoring a hop's neighbors in groups changes nothing a search returns
+    /// or reports: over random shapes (ties and duplicates everywhere), all
+    /// three storage modes and budgets from one hop up, hits, distance bits
+    /// and `SearchWork` equal the one-at-a-time traversal's — and the sweep
+    /// met every group shape: no unvisited neighbor, a remainder alone
+    /// (1, 2, 3), a group plus a remainder (5), and a full layer-0 list.
+    #[test]
+    fn search_matches_the_one_at_a_time_traversal_on_random_shapes() {
+        let (mut unvisited, mut full_lists) = (std::collections::BTreeSet::new(), 0);
+        for seed in 0..60 {
+            SCRATCH.with_borrow_mut(|s| s.fresh_lens.clear());
+            let (dim, config, items) = shape(seed, 1_500);
+            let queries = grid_items(6, dim, 5, seed ^ 0x5EED);
+            for quant in [
+                Quantization::F32,
+                Quantization::Sq8 { rerank: 0 },
+                Quantization::Sq8 { rerank: 4 },
+            ] {
+                let idx = HnswIndex::build(dim, config, quant, &items);
+                for (i, (_, q)) in queries.iter().enumerate() {
+                    let (k, ef) = ([1, 3, 10][i % 3], [1, 2, 7, 40, 64, 300][i]);
+                    let got = idx.search_by(q, k, ef, HnswIndex::traverse);
+                    let want = idx.search_by(q, k, ef, HnswIndex::traverse_classic);
+                    let bits = |o: &SearchOutcome| -> Vec<(ChunkId, u32)> {
+                        let hit = |h: &Hit| (h.chunk, h.distance.to_bits());
+                        o.hits.iter().map(hit).collect()
+                    };
+                    assert!(
+                        bits(&got) == bits(&want) && got.work == want.work,
+                        "seed {seed}, {quant:?}, k {k}, ef {ef}: {got:?} vs {want:?}"
+                    );
+                }
+            }
+            SCRATCH.with_borrow(|s| {
+                let full = (2 * config.m, 2 * config.m);
+                full_lists += usize::from(s.fresh_lens.contains(&full));
+                unvisited.extend(s.fresh_lens.iter().map(|&(fresh, _)| fresh));
+            });
+        }
+        assert!(
+            [0, 1, 2, 3, 5].iter().all(|n| unvisited.contains(n)) && full_lists > 0,
+            "the sweep skipped a group shape: {unvisited:?}, {full_lists} full lists"
         );
     }
 

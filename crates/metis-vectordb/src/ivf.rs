@@ -13,8 +13,9 @@ use std::sync::Mutex;
 
 use metis_text::ChunkId;
 
-use crate::quant::{hit_rank, sort_hits};
-use crate::{squared_l2, Hit, SearchOutcome, SearchWork, VectorIndex};
+use crate::{
+    assert_finite, hit_rank, sort_hits, squared_l2, Hit, SearchOutcome, SearchWork, VectorIndex,
+};
 
 /// K-means trains on at most this many vectors (deterministically strided
 /// from the corpus); the final list assignment still covers every vector.
@@ -113,14 +114,15 @@ impl IvfIndex {
     ///
     /// # Panics
     ///
-    /// Panics if vectors disagree on dimension, or `nprobe > nlist`, or
-    /// `nlist` is zero.
+    /// Panics if vectors disagree on dimension or have a non-finite
+    /// component, or `nprobe > nlist`, or `nlist` is zero.
     pub fn build(dim: usize, config: IvfConfig, items: &[(ChunkId, Vec<f32>)]) -> Self {
         assert!(dim > 0, "dimension must be positive");
         assert!(config.nlist > 0, "nlist must be positive");
         assert!(config.nprobe <= config.nlist, "nprobe must be <= nlist");
         for (_, v) in items {
             assert_eq!(v.len(), dim, "dimension mismatch");
+            assert_finite(v);
         }
         let nlist = config.nlist.min(items.len().max(1));
         let mut centroids: Vec<Vec<f32>> = if items.is_empty() {
@@ -326,6 +328,16 @@ mod tests {
             items.push((ChunkId(100 + i), vec![10.0 + off, 10.0 - off]));
         }
         items
+    }
+
+    /// See `quant::tests::one_infinite_component_…`: an IVF index holding
+    /// such a row is what `SqIvfIndex::from_ivf` would have quantized.
+    #[test]
+    #[should_panic(expected = "non-finite embedding component")]
+    fn non_finite_row_is_refused_at_build() {
+        let mut items = clustered_data();
+        items[3].1[0] = f32::INFINITY;
+        IvfIndex::build(2, IvfConfig::default(), &items);
     }
 
     #[test]

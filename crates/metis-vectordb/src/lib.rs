@@ -34,19 +34,29 @@ const LANES: usize = 16;
 /// The order of additions is fixed by this source, not by the host:
 ///
 /// 1. `LANES` independent accumulators run over `chunks_exact(LANES)`: lane
-///    `l` sums `(a[i] - b[i])²` for `i ≡ l (mod LANES)`, in index order;
+///    `l` sums `(a[i] - b[i])²` for `i ≡ l (mod LANES)`, in index order
+///    (`accumulate`);
 /// 2. a pairwise tree folds them 16 → 8 → 4 → 2 → 1 (`lane[l] += lane[l +
 ///    half]`);
 /// 3. the fewer-than-`LANES` tail elements are added to that sum
 ///    sequentially.
 ///
 /// Independent lanes break the single add chain that made the sequential
-/// sum latency-bound, and the compiler may run them in whatever vector
-/// width the target has — each lane still sees the same operands in the
-/// same order, so the result is bit-identical on every host. That is why
-/// `mul_add`/FMA (one rounding instead of two, and only where the hardware
-/// has it), `std::arch` and `target-cpu` flags are banned here: they would
-/// make the pinned bits depend on where the code was built.
+/// sum latency-bound, and each lane sees the same operands in the same order
+/// at any vector width, so the result is bit-identical on every host. That
+/// is why `mul_add`/FMA (one rounding instead of two, and only where the
+/// hardware has it), `std::arch` and `target-cpu` flags are banned here:
+/// they would make the pinned bits depend on where the code was built.
+///
+/// Which width the compiler picks is *not* fixed by the source. With steps 1
+/// and 2 in one function LLVM's SLP vectoriser carries the 2-wide end of the
+/// fold back through the loop: eight `<2 x float>` accumulators fed by
+/// 8-byte `movsd` loads, ≈ 190 ns per L1-resident 1 024-dim eval — how this
+/// kernel ran, every test green, from PR 14 to PR 22. Step 1 is therefore a
+/// function of its own that is never inlined: alone it compiles to four
+/// 16-byte accumulators (one `movups`/`subps`/`mulps`/`addps` each per 16
+/// floats; ≈ 100 ns, the same bits), and `tests/codegen/kernel-width.sh`
+/// fails the lint job when it stops doing so.
 ///
 /// # Panics
 ///
@@ -55,15 +65,7 @@ const LANES: usize = 16;
 #[inline]
 pub(crate) fn squared_l2(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dimension mismatch");
-    let mut lanes = [0.0f32; LANES];
-    let (a_chunks, b_chunks) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
-    let (a_tail, b_tail) = (a_chunks.remainder(), b_chunks.remainder());
-    for (ca, cb) in a_chunks.zip(b_chunks) {
-        for ((lane, x), y) in lanes.iter_mut().zip(ca).zip(cb) {
-            let d = x - y;
-            *lane += d * d;
-        }
-    }
+    let mut lanes = accumulate(a, b);
     let mut half = LANES / 2;
     while half > 0 {
         let (lo, hi) = lanes.split_at_mut(half);
@@ -72,12 +74,31 @@ pub(crate) fn squared_l2(a: &[f32], b: &[f32]) -> f32 {
         }
         half /= 2;
     }
+    let (a_tail, b_tail) = (
+        a.chunks_exact(LANES).remainder(),
+        b.chunks_exact(LANES).remainder(),
+    );
     let mut sum = lanes[0];
     for (x, y) in a_tail.iter().zip(b_tail) {
         let d = x - y;
         sum += d * d;
     }
     sum
+}
+
+/// Step 1 of [`squared_l2`], over the whole `LANES`-blocks of two slices of
+/// one length. Out of line so that nothing downstream of the accumulators
+/// shapes how the loop is vectorised (see there).
+#[inline(never)]
+fn accumulate(a: &[f32], b: &[f32]) -> [f32; LANES] {
+    let mut lanes = [0.0f32; LANES];
+    for (ca, cb) in a.chunks_exact(LANES).zip(b.chunks_exact(LANES)) {
+        for ((lane, x), y) in lanes.iter_mut().zip(ca).zip(cb) {
+            let d = x - y;
+            *lane += d * d;
+        }
+    }
+    lanes
 }
 
 /// A search hit: chunk id plus L2 distance (smaller is more similar).
@@ -87,6 +108,33 @@ pub struct Hit {
     pub chunk: ChunkId,
     /// L2 distance between query and chunk embeddings.
     pub distance: f32,
+}
+
+/// The order hits are returned in: ascending distance (NaN last), ties on
+/// chunk id — strict and total over distinct chunks.
+pub(crate) fn hit_rank(a: &Hit, b: &Hit) -> std::cmp::Ordering {
+    a.distance
+        .total_cmp(&b.distance)
+        .then_with(|| a.chunk.cmp(&b.chunk))
+}
+
+pub(crate) fn sort_hits(hits: &mut [Hit]) {
+    hits.sort_by(hit_rank);
+}
+
+/// Refuses a vector no index can hold. A NaN component scores NaN against
+/// everything, so the row is linked or listed arbitrarily and never
+/// returned; an infinite one does worse under sq8, where it makes that
+/// dimension's step infinite and every *other* row decode to NaN.
+///
+/// # Panics
+///
+/// Panics if any component is NaN or infinite.
+pub(crate) fn assert_finite(vector: &[f32]) {
+    assert!(
+        vector.iter().all(|x| x.is_finite()),
+        "non-finite embedding component"
+    );
 }
 
 /// Work performed by one index search, in units of distance computations —

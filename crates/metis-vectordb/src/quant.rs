@@ -6,7 +6,12 @@
 //! (`min[d] + step[d] · code[d]`) and the squared deltas are summed in index
 //! order. Nothing is precomputed per query — a 64-dim code row is one cache
 //! line and the query and ranges stay in L1, where a `dim × 256` table of
-//! the same values would not. The approximation is optionally repaired by
+//! the same values would not. That sum is one chain of adds, each waiting on
+//! the one before, so every index scores its code rows a few at a time
+//! (`QueryLut::dist2_rows`): the rows' chains are independent and run side
+//! by side, while each row's own sum stays sequential — a distance has the
+//! same bits whether its row is scored alone or in a group, and in whichever
+//! slot. The approximation is optionally repaired by
 //! an exact re-rank of the top candidates (the `rerank` knob, a multiple of
 //! `k`), for which the original f32 rows are retained. Every quantized eval is
 //! reported separately from exact evals through
@@ -15,7 +20,10 @@
 
 use metis_text::ChunkId;
 
-use crate::{ivf::IvfIndex, squared_l2, Hit, IvfConfig, SearchOutcome, SearchWork, VectorIndex};
+use crate::{
+    assert_finite, ivf::IvfIndex, sort_hits, squared_l2, Hit, IvfConfig, SearchOutcome, SearchWork,
+    VectorIndex,
+};
 
 /// How vectors are stored and scored inside an index.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -165,6 +173,14 @@ pub struct QueryLut<'a> {
     step: &'a [f32],
 }
 
+/// Code rows [`QueryLut::dist2_each`] scores per pass. Measured on the
+/// HNSW-sq8 search: 2 is within noise of 4, 8 a fifth slower (its 128 live
+/// squares no longer fit the registers).
+const GROUP: usize = 4;
+
+/// Dimensions [`QueryLut::dist2_rows`] decodes and squares at a time.
+const BLOCK: usize = 16;
+
 impl QueryLut<'_> {
     /// Squared distance between the query and the vector a code row
     /// decodes to, summed sequentially in index order.
@@ -175,39 +191,86 @@ impl QueryLut<'_> {
     /// dimension.
     #[inline]
     pub fn dist2(&self, codes: &[u8]) -> f32 {
-        assert_eq!(codes.len(), self.query.len(), "code row length mismatch");
-        // Decoding and squaring is element-wise, so a chunk of it
-        // vectorizes; only the adds are order-sensitive, and they stay one
-        // sequential chain.
-        const CHUNK: usize = 16;
-        let mut squares = [0.0f32; CHUNK];
-        let mut sum = 0.0;
-        let ranges = self.min.chunks(CHUNK).zip(self.step.chunks(CHUNK));
-        let rows = codes.chunks(CHUNK).zip(self.query.chunks(CHUNK));
-        for ((cs, qs), (los, steps)) in rows.zip(ranges) {
-            let dims = cs.iter().zip(qs).zip(los.iter().zip(steps));
+        self.dist2_rows([codes])[0]
+    }
+
+    /// [`dist2`](Self::dist2) of `N` code rows in one pass, each bit for bit
+    /// what it is alone.
+    ///
+    /// Decoding and squaring is element-wise, so a block of it vectorizes;
+    /// only the adds are order-sensitive, and every row's stay one
+    /// sequential chain. One chain waits out the adder's latency on every
+    /// term; `N` of them are independent and take turns in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any row is not exactly one row of the quantizer's
+    /// dimension.
+    #[inline]
+    pub fn dist2_rows<const N: usize>(&self, rows: [&[u8]; N]) -> [f32; N] {
+        let dim = self.query.len();
+        for row in rows {
+            assert_eq!(row.len(), dim, "code row length mismatch");
+        }
+        let mut sums = [0.0f32; N];
+        let whole = dim - dim % BLOCK;
+        for at in (0..whole).step_by(BLOCK) {
+            self.add_block(at, BLOCK, &rows, &mut sums);
+        }
+        self.add_block(whole, dim - whole, &rows, &mut sums);
+        sums
+    }
+
+    /// Adds dimensions `at..at + len` (`len ≤ BLOCK`) of every row to its
+    /// sum. Inlined so that the whole blocks see `len` as a constant.
+    #[inline(always)]
+    fn add_block<const N: usize>(
+        &self,
+        at: usize,
+        len: usize,
+        rows: &[&[u8]; N],
+        sums: &mut [f32; N],
+    ) {
+        let (query, min, step) = (
+            &self.query[at..][..len],
+            &self.min[at..][..len],
+            &self.step[at..][..len],
+        );
+        let mut squares = [[0.0f32; BLOCK]; N];
+        for (squares, row) in squares.iter_mut().zip(rows) {
+            let dims = row[at..][..len].iter().zip(query).zip(min.iter().zip(step));
             for (sq, ((&c, q), (lo, step))) in squares.iter_mut().zip(dims) {
                 let delta = q - (lo + step * f32::from(c));
                 *sq = delta * delta;
             }
-            for sq in &squares[..cs.len()] {
-                sum += sq;
+        }
+        for i in 0..len {
+            for (sum, squares) in sums.iter_mut().zip(&squares) {
+                *sum += squares[i];
             }
         }
-        sum
     }
-}
 
-/// The order hits are returned in: ascending distance (NaN last), ties on
-/// chunk id — strict and total over distinct chunks.
-pub(crate) fn hit_rank(a: &Hit, b: &Hit) -> std::cmp::Ordering {
-    a.distance
-        .total_cmp(&b.distance)
-        .then_with(|| a.chunk.cmp(&b.chunk))
-}
-
-pub(crate) fn sort_hits(hits: &mut [Hit]) {
-    hits.sort_by(hit_rank);
+    /// Scores code rows `row(0)` … `row(n - 1)` — [`GROUP`] per pass, the
+    /// stragglers one by one — and hands each `(position, dist2)` to `each`
+    /// in order.
+    pub(crate) fn dist2_each<'r>(
+        &self,
+        n: usize,
+        row: impl Fn(usize) -> &'r [u8],
+        mut each: impl FnMut(usize, f32),
+    ) {
+        let grouped = n - n % GROUP;
+        for at in (0..grouped).step_by(GROUP) {
+            let rows: [&[u8]; GROUP] = std::array::from_fn(|i| row(at + i));
+            for (i, d2) in self.dist2_rows(rows).into_iter().enumerate() {
+                each(at + i, d2);
+            }
+        }
+        for at in grouped..n {
+            each(at, self.dist2(row(at)));
+        }
+    }
 }
 
 /// Keeps the `keep` smallest `(dist2, position)` candidates in ascending
@@ -243,7 +306,13 @@ pub struct SqFlatIndex {
 impl SqFlatIndex {
     /// Builds the index, training the quantizer on `items`. Original rows
     /// are retained only when `rerank > 0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim` is zero, or any vector disagrees on dimension or has
+    /// a non-finite component.
     pub fn build(dim: usize, rerank: usize, items: &[(ChunkId, Vec<f32>)]) -> Self {
+        items.iter().for_each(|(_, v)| assert_finite(v));
         let sq = ScalarQuantizer::train(dim, items.iter().map(|(_, v)| v.as_slice()));
         let mut codes = Vec::with_capacity(items.len() * dim);
         let mut rows = Vec::new();
@@ -294,9 +363,12 @@ impl VectorIndex for SqFlatIndex {
             quantized_scored: self.ids.len(),
             ..SearchWork::default()
         };
-        let mut cands: Vec<(f32, usize)> = (0..self.ids.len())
-            .map(|i| (lut.dist2(self.code_row(i)), i))
-            .collect();
+        let mut cands: Vec<(f32, usize)> = Vec::with_capacity(self.ids.len());
+        lut.dist2_each(
+            self.ids.len(),
+            |i| self.code_row(i),
+            |i, d2| cands.push((d2, i)),
+        );
         take_top(&mut cands, keep_for(self.rerank, k));
         let mut hits: Vec<Hit> = cands
             .into_iter()
@@ -409,9 +481,12 @@ impl VectorIndex for SqIvfIndex {
         for &(_, list) in order.iter().take(self.config.nprobe) {
             work.lists_probed += 1;
             work.quantized_scored += self.lists[list].len();
-            for (slot, (_, codes, _)) in self.lists[list].iter().enumerate() {
-                cands.push((lut.dist2(codes), (list, slot)));
-            }
+            let members = &self.lists[list];
+            lut.dist2_each(
+                members.len(),
+                |slot| &members[slot].1,
+                |slot, d2| cands.push((d2, (list, slot))),
+            );
         }
         take_top(&mut cands, keep_for(self.rerank, k));
         let mut hits: Vec<Hit> = cands
@@ -529,20 +604,90 @@ mod tests {
         }
     }
 
+    /// `dist2_rows::<N>` is `dist2` of each row, bit for bit: at every
+    /// dimension around the block size, with the rows of a group taken from
+    /// unaligned offsets of one buffer, and with one row sitting in a group
+    /// twice.
     #[test]
-    #[should_panic(expected = "code row length mismatch")]
-    fn dist2_rejects_a_short_code_row() {
+    fn dist2_rows_equals_dist2_of_each_row_bitwise() {
+        use crate::test_oracle::values;
+        fn check<const N: usize>(lut: &QueryLut<'_>, codes: &[u8], dim: usize) {
+            // Rows start at 0, dim + 1, 2 dim + 2, …; the last slot repeats
+            // the first row.
+            let row = |i: usize| &codes[(i % (N - 1).max(1)) * (dim + 1)..][..dim];
+            let rows: [&[u8]; N] = std::array::from_fn(row);
+            let got = lut.dist2_rows(rows);
+            for (slot, row) in rows.iter().enumerate() {
+                assert_eq!(
+                    got[slot].to_bits(),
+                    lut.dist2(row).to_bits(),
+                    "dim {dim}, slot {slot} of {N}"
+                );
+            }
+        }
+        for dim in (0..=70).chain([1_023, 1_024, 1_025]) {
+            let (min, step) = (values(dim, 11), values(dim, 12));
+            let step = step.iter().map(|s| s.abs() / 64.0).collect();
+            let sq = ScalarQuantizer { min, step };
+            let query = values(dim, 13);
+            let lut = sq.lut(&query);
+            let bytes = values(8 * (dim + 1), 14 + dim as u64);
+            let codes: Vec<u8> = bytes.iter().map(|x| (x * 128.0 + 128.0) as u8).collect();
+            check::<1>(&lut, &codes, dim);
+            check::<2>(&lut, &codes, dim);
+            check::<4>(&lut, &codes, dim);
+            check::<8>(&lut, &codes, dim);
+        }
+    }
+
+    /// A code row of the wrong length is refused whichever slot of the
+    /// group it sits in.
+    #[test]
+    fn dist2_rows_rejects_a_wrong_length_row_in_any_slot() {
         let items = grid_items(8, 4);
         let sq = ScalarQuantizer::train(4, items.iter().map(|(_, v)| v.as_slice()));
-        sq.lut(&[0.0; 4]).dist2(&[1, 2, 3]);
+        for bad in [&[1u8, 2, 3][..], &[1, 2, 3, 4, 5]] {
+            for slot in 0..4 {
+                let mut rows = [&[9u8, 9, 9, 9][..]; 4];
+                rows[slot] = bad;
+                let panic = std::panic::catch_unwind(|| sq.lut(&[0.0; 4]).dist2_rows(rows));
+                let message = *panic.unwrap_err().downcast::<String>().unwrap();
+                assert!(
+                    message.contains("code row length mismatch"),
+                    "slot {slot}: {message}"
+                );
+            }
+            let alone = std::panic::catch_unwind(|| sq.lut(&[0.0; 4]).dist2(bad));
+            assert!(alone.is_err(), "a lone row of {} codes", bad.len());
+        }
+    }
+
+    /// What one infinite component used to do to a quantized index, shown
+    /// on the quantizer the builders train: the dimension's step becomes
+    /// infinite, every *other* row encodes to code 0 there and decodes to
+    /// `min + inf · 0 = NaN`, so every distance in the index is NaN and a
+    /// search returns chunk-id order with no error. `SqFlatIndex::build` and
+    /// `IvfIndex::build` (hence `SqIvfIndex::from_ivf`) accepted such a
+    /// corpus; they now refuse it like `FlatIndex::add` and
+    /// `HnswIndex::build` always did.
+    #[test]
+    fn one_infinite_component_turns_every_quantized_distance_into_nan() {
+        let mut items = grid_items(16, 4);
+        items[5].1[2] = f32::INFINITY;
+        let sq = ScalarQuantizer::train(4, items.iter().map(|(_, v)| v.as_slice()));
+        assert_eq!(sq.step(2), f32::INFINITY);
+        let lut = sq.lut(&[0.0; 4]);
+        for (id, v) in &items {
+            assert!(lut.dist2(&sq.encode(v)).is_nan(), "row {id:?}");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "code row length mismatch")]
-    fn dist2_rejects_a_long_code_row() {
-        let items = grid_items(8, 4);
-        let sq = ScalarQuantizer::train(4, items.iter().map(|(_, v)| v.as_slice()));
-        sq.lut(&[0.0; 4]).dist2(&[1, 2, 3, 4, 5]);
+    #[should_panic(expected = "non-finite embedding component")]
+    fn sq_flat_refuses_a_non_finite_row() {
+        let mut items = grid_items(16, 4);
+        items[5].1[2] = f32::INFINITY;
+        SqFlatIndex::build(4, 2, &items);
     }
 
     #[test]
