@@ -1,0 +1,17 @@
+//! The one bench target: runs the figures named on the command line (all of
+//! [`metis_bench::FIGURES`] when none is) and writes each one's report.
+//!
+//! `cargo bench -p metis-bench -- fig10_overall fig19_low_load`
+
+use metis_bench::{emit, scale_from_env, select};
+
+fn main() {
+    let scale = scale_from_env();
+    let figures = select(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    for figure in figures {
+        emit(&figure.report(scale));
+    }
+}

@@ -1,26 +1,27 @@
 //! Appendix A.2: swapping the embedding model changes F1 by less than 1%
 //! and delay not at all (retrieval is >100x cheaper than synthesis).
-//!
-//! Scale knob: `METIS_BENCH_QUERIES`. Emits
-//! `bench-reports/appendix_embeddings.json`.
 
 use std::sync::Arc;
 
-use metis_bench::{
-    base_qps, bench_queries, emit, header, metis, new_report, run, Sweep, DATASET_SEED, RUN_SEED,
-};
 use metis_datasets::{build_dataset_with_embedder, DatasetKind};
 use metis_embed::EmbedderKind;
+use metis_metrics::BenchReport;
 
-fn main() {
-    header(
-        "Appendix A.2",
-        "Changing the embedding model (Musique)",
-        "Cohere-embed-v3 vs All-mpnet-base-v2 vs text-embedding-3-large-256: \
-         F1 change within 1%, no measurable delay difference",
-    );
+use crate::{base_qps, knob, metis, run, Figure, Sweep, DATASET_SEED, RUN_SEED};
+
+pub(super) const FIGURE: Figure = Figure {
+    name: "appendix_embeddings",
+    artefact: "Appendix A.2",
+    title: "Changing the embedding model (Musique)",
+    paper: "Cohere-embed-v3 vs All-mpnet-base-v2 vs text-embedding-3-large-256: \
+            F1 change within 1%, no measurable delay difference",
+    report_title: "embedding-model sensitivity on Musique",
+    queries: 120,
+    run: measure,
+};
+
+fn measure(n: usize, report: &mut BenchReport) {
     let kind = DatasetKind::Musique;
-    let n = bench_queries(120);
     let mut sweep = Sweep::new("appendix_embeddings");
     for ek in EmbedderKind::all() {
         let name = ek.build().name().to_owned();
@@ -32,12 +33,8 @@ fn main() {
     }
     let cells = sweep.run();
     let baseline_f1 = cells[0].value.mean_f1();
-    let mut report = new_report(
-        "appendix_embeddings",
-        "embedding-model sensitivity on Musique",
-    )
-    .knob("queries", n)
-    .knob("dataset", kind.name());
+    knob(report, "queries", n);
+    knob(report, "dataset", kind.name());
     for (i, cell) in cells.iter().enumerate() {
         let f1 = cell.value.mean_f1();
         let delta = if i == 0 {
@@ -59,5 +56,4 @@ fn main() {
                 .metric("f1_delta_pct_vs_first", delta),
         );
     }
-    emit(&report);
 }

@@ -5,20 +5,27 @@
 //! whose quality is within 2% of the query's best achievable quality (the
 //! paper's definition of the per-query best), then compare its aggregate
 //! (delay, F1) against every fixed configuration.
-//!
-//! Scale knob: `METIS_BENCH_QUERIES`. Emits `bench-reports/fig05_perquery.json`.
 
-use metis_bench::{
-    bench_queries, dataset, emit, header, isolated_delay, new_report, pareto_front, Sweep,
+use metis_core::RagConfig;
+use metis_datasets::DatasetKind;
+use metis_llm::{GenModelConfig, GenerationModel, ModelSpec};
+use metis_metrics::{BenchReport, CellReport};
+
+use crate::{dataset, isolated_point, knob, pareto_front, Figure, Sweep};
+
+pub(super) const FIGURE: Figure = Figure {
+    name: "fig05_perquery",
+    artefact: "Figure 5",
+    title: "Per-query configuration vs every fixed configuration",
+    paper: "per-query choice achieves up to 3x delay saving vs quality-closest \
+            static configs; every static config of comparable delay loses >=10% \
+            quality",
+    report_title: "per-query configuration vs the fixed-config Pareto frontier",
+    queries: 40,
+    run: measure,
 };
-use metis_core::synthesis::SynthesisInputs;
-use metis_core::{plan_synthesis, RagConfig};
-use metis_datasets::{Dataset, DatasetKind};
-use metis_llm::{GenModelConfig, GenerationModel, GpuCluster, ModelSpec};
-use metis_metrics::{f1_score, BenchReport, CellReport};
 
 const SEEDS: u64 = 16;
-
 fn grid() -> Vec<RagConfig> {
     let mut g = Vec::new();
     for k in [1u32, 2, 4, 6, 8, 12, 16, 24, 35] {
@@ -31,41 +38,7 @@ fn grid() -> Vec<RagConfig> {
     g
 }
 
-/// Evaluates (delay, f1) of one config on one query, seed-averaged.
-fn eval(d: &Dataset, qi: usize, gen: &GenerationModel, cfg: RagConfig, seed: u64) -> (f64, f64) {
-    let q = &d.queries[qi];
-    let retrieved = d.db.retrieve(&q.tokens, cfg.effective_chunks(d.db.len()));
-    let inputs = SynthesisInputs {
-        gen,
-        truth: &q.truth,
-        query_tokens: &q.tokens,
-        boilerplate: &d.boilerplate,
-    };
-    let gold = q.gold_answer();
-    let mut f1 = 0.0;
-    let mut plan = None;
-    for s in 0..SEEDS {
-        let p = plan_synthesis(
-            &inputs,
-            &cfg,
-            &retrieved,
-            seed ^ s.wrapping_mul(0x9E37_79B9),
-        );
-        f1 += f1_score(&p.answer, &gold);
-        plan = Some(p);
-    }
-    (
-        isolated_delay(
-            &plan.expect("seeded"),
-            ModelSpec::mistral_7b_awq(),
-            GpuCluster::single_a40(),
-        ),
-        f1 / SEEDS as f64,
-    )
-}
-
-fn run_dataset(kind: DatasetKind, report: &mut BenchReport) {
-    let n = bench_queries(40);
+fn measure_dataset(kind: DatasetKind, n: usize, report: &mut BenchReport) {
     let d = dataset(kind, n);
     let gen = GenerationModel::new(&ModelSpec::mistral_7b_awq(), GenModelConfig::default());
     let grid = grid();
@@ -77,9 +50,9 @@ fn run_dataset(kind: DatasetKind, report: &mut BenchReport) {
         let gen = &gen;
         let grid = &grid;
         sweep = sweep.cell(format!("{}/q{qi}", kind.name()), move |seed| {
-            grid.iter()
-                .map(|&cfg| eval(d, qi, gen, cfg, seed))
-                .collect()
+            let point =
+                |&cfg| isolated_point(d, &d.queries[qi], gen, cfg, SEEDS, seed, 0x9E37_79B9);
+            grid.iter().map(point).collect()
         });
     }
     let rows = sweep.run();
@@ -178,21 +151,9 @@ fn run_dataset(kind: DatasetKind, report: &mut BenchReport) {
     }
 }
 
-fn main() {
-    header(
-        "Figure 5",
-        "Per-query configuration vs every fixed configuration",
-        "per-query choice achieves up to 3x delay saving vs quality-closest \
-         static configs; every static config of comparable delay loses >=10% \
-         quality",
-    );
-    let mut report = new_report(
-        "fig05_perquery",
-        "per-query configuration vs the fixed-config Pareto frontier",
-    )
-    .knob("queries", bench_queries(40))
-    .knob("gen_seeds", SEEDS);
-    run_dataset(DatasetKind::Musique, &mut report);
-    run_dataset(DatasetKind::Qmsum, &mut report);
-    emit(&report);
+fn measure(n: usize, report: &mut BenchReport) {
+    knob(report, "queries", n);
+    knob(report, "gen_seeds", SEEDS);
+    measure_dataset(DatasetKind::Musique, n, report);
+    measure_dataset(DatasetKind::Qmsum, n, report);
 }

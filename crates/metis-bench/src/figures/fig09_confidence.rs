@@ -1,23 +1,27 @@
 //! Figure 9: the profiler's confidence score separates good profiles from
 //! bad ones, justifying the 90% threshold of §5.
-//!
-//! Scale knob: `METIS_BENCH_QUERIES`. Emits `bench-reports/fig09_confidence.json`.
 
-use metis_bench::{bench_queries, dataset, emit, header, new_report, Sweep};
 use metis_datasets::DatasetKind;
+use metis_metrics::{BenchReport, CellReport};
 use metis_profiler::{LlmProfiler, ProfilerKind};
+
+use crate::{dataset, knob, Figure, Sweep};
+
+pub(super) const FIGURE: Figure = Figure {
+    name: "fig09_confidence",
+    artefact: "Figure 9",
+    title: "Profiler confidence threshold (pooled over all four datasets)",
+    paper: ">93% of profiles are above the 90% threshold; of those >96% are \
+            good; of the ~7% below threshold, 85-90% are bad",
+    report_title: "profiler confidence separates good profiles from bad",
+    queries: 150,
+    run: measure,
+};
 
 /// (hi_good, hi_bad, lo_good, lo_bad) confusion counts for one dataset.
 type Counts = (u32, u32, u32, u32);
 
-fn main() {
-    header(
-        "Figure 9",
-        "Profiler confidence threshold (pooled over all four datasets)",
-        ">93% of profiles are above the 90% threshold; of those >96% are \
-         good; of the ~7% below threshold, 85-90% are bad",
-    );
-    let n = bench_queries(150);
+fn measure(n: usize, report: &mut BenchReport) {
     let mut sweep: Sweep<'_, Counts> = Sweep::new("fig09");
     for kind in DatasetKind::all() {
         sweep = sweep.cell(kind.name(), move |seed| {
@@ -63,15 +67,11 @@ fn main() {
         100.0 * f64::from(lo_good) / f64::from(lo.max(1)),
     );
 
-    let mut report = new_report(
-        "fig09_confidence",
-        "profiler confidence separates good profiles from bad",
-    )
-    .knob("queries_per_dataset", n)
-    .knob("threshold", "0.90");
+    knob(report, "queries_per_dataset", n);
+    knob(report, "threshold", "0.90");
     for c in &cells {
         let (hg, hb, lg, lb) = c.value;
-        let mut cr = metis_metrics::CellReport::new(&c.id, c.seed);
+        let mut cr = CellReport::new(&c.id, c.seed);
         cr.queries = u64::from(hg + hb + lg + lb);
         report.cells.push(
             cr.knob("dataset", &c.id)
@@ -81,5 +81,4 @@ fn main() {
                 .metric("lo_bad", f64::from(lb)),
         );
     }
-    emit(&report);
 }

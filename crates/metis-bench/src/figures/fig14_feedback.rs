@@ -1,16 +1,25 @@
 //! Figure 14: golden-configuration feedback improves the profiler over the
 //! course of a 350-query workload (§5).
 //!
-//! Scale knob: `METIS_BENCH_QUERIES` (windows shrink with the workload; at
-//! smoke scale the steady-state comparison falls back to overall means).
-//! Emits `bench-reports/fig14_feedback.json`.
+//! Windows shrink with the workload; at smoke scale the steady-state
+//! comparison falls back to overall means.
 
-use metis_bench::{
-    base_qps, bench_queries, dataset, emit, header, new_report, run, Sweep, RUN_SEED,
-};
 use metis_core::{MetisOptions, RunResult, SystemKind};
 use metis_datasets::DatasetKind;
+use metis_metrics::BenchReport;
 use metis_profiler::ProfilerKind;
+
+use crate::{base_qps, dataset, knob, paired, push_cells, values, Figure, Sweep};
+
+pub(super) const FIGURE: Figure = Figure {
+    name: "fig14_feedback",
+    artefact: "Figure 14",
+    title: "Profiler feedback over a 350-query workload",
+    paper: "the feedback mechanism improves F1 by 4-6% relative to no feedback",
+    report_title: "golden-config feedback vs none",
+    queries: 350,
+    run: measure,
+};
 
 fn windowed_f1(r: &RunResult, window: usize) -> Vec<f64> {
     r.per_query
@@ -29,18 +38,11 @@ fn steady_state(windows: &[f64], overall: f64) -> f64 {
     }
 }
 
-fn main() {
-    header(
-        "Figure 14",
-        "Profiler feedback over a 350-query workload",
-        "the feedback mechanism improves F1 by 4-6% relative to no feedback",
-    );
-    let n = bench_queries(350);
+fn measure(n: usize, report: &mut BenchReport) {
     let window = (n / 5).max(1);
-    let mut report = new_report("fig14_feedback", "golden-config feedback vs none")
-        .knob("queries", n)
-        .knob("window", window)
-        .knob("profiler", "llama70b");
+    knob(report, "queries", n);
+    knob(report, "window", window);
+    knob(report, "profiler", "llama70b");
     for kind in [DatasetKind::Qmsum, DatasetKind::FinSec] {
         let qps = base_qps(kind);
         let d = dataset(kind, n);
@@ -55,19 +57,13 @@ fn main() {
         let mut without = with;
         without.feedback = false;
 
-        let dref = &d;
-        let cells = Sweep::new(format!("fig14/{}", kind.name()))
-            .cell_with_seed(format!("{}/feedback", kind.name()), RUN_SEED, move |seed| {
-                run(dref, SystemKind::Metis(with), qps, seed)
-            })
-            .cell_with_seed(
-                format!("{}/no_feedback", kind.name()),
-                RUN_SEED,
-                move |seed| run(dref, SystemKind::Metis(without), qps, seed),
-            )
-            .run();
-        let r_with = &cells[0].value;
-        let r_without = &cells[1].value;
+        let arms = [
+            ("feedback", SystemKind::Metis(with)),
+            ("no_feedback", SystemKind::Metis(without)),
+        ];
+        let name = format!("fig14/{}", kind.name());
+        let cells = paired(Sweep::new(name), kind.name(), &d, qps, &arms).run();
+        let [r_with, r_without] = values(&cells);
 
         println!("\n--- {} (λ = {qps}/s, {n} queries) ---", kind.name());
         println!("  rolling mean F1 per {window}-query window:");
@@ -89,15 +85,10 @@ fn main() {
             (r_with.mean_f1() / r_without.mean_f1().max(1e-9) - 1.0) * 100.0
         );
 
-        for cell in &cells {
-            let tail = steady_state(&windowed_f1(&cell.value, window), cell.value.mean_f1());
-            report.cells.push(
-                cell.value
-                    .cell_report(&cell.id, cell.seed)
-                    .knob("dataset", kind.name())
-                    .metric("steady_state_f1", tail),
-            );
-        }
+        push_cells(report, &cells, |c, r| {
+            let tail = steady_state(&windowed_f1(r, window), r.mean_f1());
+            c.knob("dataset", kind.name())
+                .metric("steady_state_f1", tail)
+        });
     }
-    emit(&report);
 }

@@ -1,25 +1,27 @@
 //! Figure 16: incrementally enabling METIS's knobs on QMSUM — tune
 //! num_chunks only, + synthesis_method, + intermediate_length, + joint
 //! scheduling.
-//!
-//! Scale knob: `METIS_BENCH_QUERIES`. Emits `bench-reports/fig16_incremental.json`.
 
-use metis_bench::{
-    base_qps, bench_queries, dataset, emit, header, new_report, run, Sweep, RUN_SEED,
-};
 use metis_core::{MetisOptions, PickPolicy, RagConfig, SystemKind};
 use metis_datasets::DatasetKind;
+use metis_metrics::BenchReport;
 
-fn main() {
-    header(
-        "Figure 16",
-        "Incrementally tuning knobs (QMSUM, Mistral-7B)",
-        "each knob adds quality (+5/4/3% F1 steps vs vLLM); adding joint \
-         scheduling then cuts delay ~2.8x",
-    );
+use crate::{base_qps, dataset, knob, paired, push_cells, Figure, Sweep};
+
+pub(super) const FIGURE: Figure = Figure {
+    name: "fig16_incremental",
+    artefact: "Figure 16",
+    title: "Incrementally tuning knobs (QMSUM, Mistral-7B)",
+    paper: "each knob adds quality (+5/4/3% F1 steps vs vLLM); adding joint \
+            scheduling then cuts delay ~2.8x",
+    report_title: "incremental knob enablement on QMSUM",
+    queries: 150,
+    run: measure,
+};
+
+fn measure(n: usize, report: &mut BenchReport) {
     let kind = DatasetKind::Qmsum;
     let qps = base_qps(kind);
-    let n = bench_queries(150);
     let d = dataset(kind, n);
 
     // The paper's Fig. 16 baseline is plain vLLM with a hand-picked static
@@ -42,8 +44,7 @@ fn main() {
         ..plus_method
     };
 
-    let dref = &d;
-    let steps: [(&str, &str, SystemKind); 5] = [
+    let steps = [
         (
             "vllm_fixed",
             "vLLM fixed [stuff(k=12)]",
@@ -70,11 +71,8 @@ fn main() {
             SystemKind::Metis(MetisOptions::full()),
         ),
     ];
-    let mut sweep = Sweep::new("fig16");
-    for (id, _, system) in steps {
-        sweep = sweep.cell_with_seed(id, RUN_SEED, move |seed| run(dref, system, qps, seed));
-    }
-    let cells = sweep.run();
+    let arms = steps.map(|(id, _, system)| (id, system));
+    let cells = paired(Sweep::new("fig16"), "", &d, qps, &arms).run();
 
     let base_delay = cells[0].value.mean_delay_secs();
     let base_f1 = cells[0].value.mean_f1();
@@ -90,16 +88,8 @@ fn main() {
         );
     }
 
-    let mut report = new_report("fig16_incremental", "incremental knob enablement on QMSUM")
-        .knob("queries", n)
-        .knob("dataset", kind.name())
-        .knob("baseline_config", qc.label());
-    for cell in &cells {
-        report.cells.push(
-            cell.value
-                .cell_report(&cell.id, cell.seed)
-                .knob("dataset", kind.name()),
-        );
-    }
-    emit(&report);
+    knob(report, "queries", n);
+    knob(report, "dataset", kind.name());
+    knob(report, "baseline_config", qc.label());
+    push_cells(report, &cells, |c, _| c.knob("dataset", kind.name()));
 }

@@ -1,19 +1,22 @@
 //! Figure 18: the per-query profiling delay is a small fraction of the
 //! end-to-end response delay.
-//!
-//! Scale knob: `METIS_BENCH_QUERIES`. Emits
-//! `bench-reports/fig18_profiler_overhead.json`.
 
-use metis_bench::{base_qps, bench_queries, dataset, emit, header, metis, new_report, run, Sweep};
 use metis_datasets::DatasetKind;
+use metis_metrics::BenchReport;
 
-fn main() {
-    header(
-        "Figure 18",
-        "Profiler delay as a fraction of end-to-end delay",
-        "at most ~0.1 of the total delay; 0.03-0.06 in the average case",
-    );
-    let n = bench_queries(120);
+use crate::{base_qps, dataset, knob, metis, push_cells, run, Figure, Sweep};
+
+pub(super) const FIGURE: Figure = Figure {
+    name: "fig18_profiler_overhead",
+    artefact: "Figure 18",
+    title: "Profiler delay as a fraction of end-to-end delay",
+    paper: "at most ~0.1 of the total delay; 0.03-0.06 in the average case",
+    report_title: "profiler delay fraction of end-to-end delay",
+    queries: 120,
+    run: measure,
+};
+
+fn measure(n: usize, report: &mut BenchReport) {
     println!(
         "  {:<16} {:>10} {:>10} {:>12}",
         "dataset", "mean", "max", "mean prof(s)"
@@ -26,13 +29,8 @@ fn main() {
         });
     }
     let cells = sweep.run();
-    let mut report = new_report(
-        "fig18_profiler_overhead",
-        "profiler delay fraction of end-to-end delay",
-    )
-    .knob("queries", n);
-    for cell in &cells {
-        let r = &cell.value;
+    knob(report, "queries", n);
+    push_cells(report, &cells, |c, r| {
         let fractions: Vec<f64> = r
             .per_query
             .iter()
@@ -50,15 +48,12 @@ fn main() {
             r.per_query.iter().map(|q| q.profiler_secs).sum::<f64>() / r.per_query.len() as f64;
         println!(
             "  {:<16} {:>10.3} {:>10.3} {:>12.3}",
-            cell.id, mean, max, mean_prof
+            c.id, mean, max, mean_prof
         );
-        report.cells.push(
-            r.cell_report(&cell.id, cell.seed)
-                .knob("dataset", &cell.id)
-                .metric("profiler_fraction_mean", mean)
-                .metric("profiler_fraction_max", max)
-                .metric("profiler_secs_mean", mean_prof),
-        );
-    }
-    emit(&report);
+        let dataset = c.id.clone();
+        c.knob("dataset", dataset)
+            .metric("profiler_fraction_mean", mean)
+            .metric("profiler_fraction_max", max)
+            .metric("profiler_secs_mean", mean_prof)
+    });
 }

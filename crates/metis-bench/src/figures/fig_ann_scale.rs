@@ -10,19 +10,32 @@
 //! sq8 codes in the low milliseconds at ≥ 0.9 recall@10 — two orders of
 //! magnitude fewer distance evaluations than the scan.
 //!
-//! Scale knob: `METIS_BENCH_QUERIES` — when set (CI smoke), the corpus
-//! sizes shrink to {2·10³, 10⁴} so the sweep completes in seconds; unset,
-//! the full {10⁴, 10⁵, 10⁶} ladder runs. Emits
-//! `bench-reports/fig_ann_scale.json`, which CI requires to equal
-//! `baselines/fig_ann_scale.json` (smoke shape) byte for byte.
+//! Below its full-scale query count (a smoke run) the corpus sizes shrink
+//! to {2·10³, 10⁴} so the sweep completes in seconds; at full scale the
+//! {10⁴, 10⁵, 10⁶} ladder runs. One of the five figures whose smoke-scale
+//! report must equal its `baselines/` file byte for byte.
 
-use metis_bench::{bench_queries, emit, header, new_report, Sweep, DATASET_SEED, RUN_SEED};
 use metis_core::RetrievalModel;
 use metis_datasets::{AnnConfig, AnnCorpus};
-use metis_metrics::{LatencySummary, SummaryStats};
+use metis_metrics::{BenchReport, CellReport, LatencySummary, SummaryStats};
 use metis_vectordb::{
     FlatIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Quantization, SearchWork, SqFlatIndex,
     SqIvfIndex, VectorIndex,
+};
+
+use crate::{knob, Figure, Sweep, DATASET_SEED, RUN_SEED};
+
+pub(super) const FIGURE: Figure = Figure {
+    name: "fig_ann_scale",
+    artefact: "ANN scaling",
+    title: "million-chunk ANN scaling: flat vs IVF vs HNSW, f32 vs sq8",
+    paper: "at corpus scale the paper's flat scan stops being viable: HNSW \
+            over sq8 codes holds >=0.9 recall@10 with orders of magnitude \
+            fewer distance evals, putting retrieval p50 far below the IVF \
+            frontier at matched recall",
+    report_title: "recall/latency frontier of flat vs IVF vs HNSW with sq8 storage at corpus scale",
+    queries: 64,
+    run: measure,
 };
 
 const FULL_SIZES: [usize; 3] = [10_000, 100_000, 1_000_000];
@@ -55,8 +68,11 @@ fn hnsw_config() -> HnswConfig {
     }
 }
 
-/// One measured cell: aggregate work, recall, and model-priced latencies.
+/// One measured cell: what it indexed, then aggregate work, recall, and
+/// model-priced latencies.
 struct Measured {
+    corpus_size: usize,
+    quant: Quantization,
     recall: f64,
     work: SearchWork,
     latency: LatencySummary,
@@ -65,7 +81,12 @@ struct Measured {
 
 /// Searches every corpus query through `index`, scoring recall@k against
 /// the planted gold and pricing each query's reported work.
-fn measure(corpus: &AnnCorpus, index: &dyn VectorIndex, label: &str) -> Measured {
+fn search_all(
+    corpus: &AnnCorpus,
+    quant: Quantization,
+    index: &dyn VectorIndex,
+    label: &str,
+) -> Measured {
     let model = RetrievalModel::default();
     let k = corpus.config.k;
     let mut work = SearchWork::default();
@@ -79,6 +100,8 @@ fn measure(corpus: &AnnCorpus, index: &dyn VectorIndex, label: &str) -> Measured
         work.add(&out.work);
     }
     Measured {
+        corpus_size: corpus.items.len(),
+        quant,
         recall: recall_sum / corpus.queries.len() as f64,
         work,
         latency: LatencySummary::new(lats),
@@ -95,11 +118,11 @@ fn build_and_measure(corpus: &AnnCorpus, family: &str, quant: Quantization) -> M
             for (id, v) in items {
                 idx.add(*id, v);
             }
-            measure(corpus, &idx, "flat")
+            search_all(corpus, quant, &idx, "flat")
         }
         ("flat", true) => {
             let idx = SqFlatIndex::build(dim, quant.rerank(), items);
-            measure(corpus, &idx, "flat")
+            search_all(corpus, quant, &idx, "flat")
         }
         ("ivf", exact_or_sq8) => {
             let config = ivf_config(items.len());
@@ -107,32 +130,23 @@ fn build_and_measure(corpus: &AnnCorpus, family: &str, quant: Quantization) -> M
             let idx = IvfIndex::build(dim, config, items);
             if exact_or_sq8 {
                 let sq = SqIvfIndex::from_ivf(&idx, quant.rerank());
-                measure(corpus, &sq, &label)
+                search_all(corpus, quant, &sq, &label)
             } else {
-                measure(corpus, &idx, &label)
+                search_all(corpus, quant, &idx, &label)
             }
         }
         ("hnsw", _) => {
             let config = hnsw_config();
             let label = format!("hnsw(m={},ef={})", config.m, config.ef_search);
             let idx = HnswIndex::build(dim, config, quant, items);
-            measure(corpus, &idx, &label)
+            search_all(corpus, quant, &idx, &label)
         }
         (other, _) => unreachable!("unknown family {other}"),
     }
 }
 
-fn main() {
-    header(
-        "fig_ann_scale",
-        "million-chunk ANN scaling: flat vs IVF vs HNSW, f32 vs sq8",
-        "at corpus scale the paper's flat scan stops being viable: HNSW \
-         over sq8 codes holds >=0.9 recall@10 with orders of magnitude \
-         fewer distance evals, putting retrieval p50 far below the IVF \
-         frontier at matched recall",
-    );
-    let num_queries = bench_queries(64);
-    let smoke = std::env::var("METIS_BENCH_QUERIES").is_ok();
+fn measure(num_queries: usize, report: &mut BenchReport) {
+    let smoke = num_queries < FIGURE.queries;
     let sizes: &[usize] = if smoke { &SMOKE_SIZES } else { &FULL_SIZES };
 
     // One corpus per size, shared by all six (family × storage) cells.
@@ -147,12 +161,11 @@ fn main() {
         .collect();
 
     let mut sweep: Sweep<'_, Measured> = Sweep::new("fig_ann_scale");
-    for (si, &n) in sizes.iter().enumerate() {
+    for corpus in &corpora {
         for family in FAMILIES {
             for quant in STORAGES {
-                let corpus = &corpora[si];
                 sweep = sweep.cell_with_seed(
-                    format!("n{n}/{family}/{}", quant.name()),
+                    format!("n{}/{family}/{}", corpus.items.len(), quant.name()),
                     RUN_SEED,
                     move |_| build_and_measure(corpus, family, quant),
                 );
@@ -165,18 +178,13 @@ fn main() {
         "\n  {:<10} {:<26} {:<5} {:>9} {:>12} {:>12} {:>8} {:>10}",
         "corpus", "index", "store", "recall@k", "exact evals", "sq8 evals", "hops", "ret p50"
     );
-    let mut report = new_report(
-        "fig_ann_scale",
-        "recall/latency frontier of flat vs IVF vs HNSW with sq8 storage at corpus scale",
-    )
-    .knob("queries", num_queries)
-    .knob("recall_k", 10)
-    .knob("sizes", format!("{sizes:?}"));
+    knob(report, "queries", num_queries);
+    knob(report, "recall_k", 10);
+    knob(report, "sizes", format!("{sizes:?}"));
     let per_query = |v: usize| v as f64 / num_queries.max(1) as f64;
-    for (ci, cell) in cells.iter().enumerate() {
-        let n = sizes[ci / (FAMILIES.len() * STORAGES.len())];
-        let quant = STORAGES[ci % STORAGES.len()];
+    for cell in &cells {
         let m = &cell.value;
+        let (n, quant) = (m.corpus_size, m.quant);
         println!(
             "  {:<10} {:<26} {:<5} {:>9.3} {:>12.1} {:>12.1} {:>8.1} {:>8.2}ms",
             n,
@@ -188,7 +196,7 @@ fn main() {
             per_query(m.work.graph_hops),
             m.latency.p50() * 1e3,
         );
-        let mut rc = metis_metrics::CellReport::new(cell.id.clone(), cell.seed);
+        let mut rc = CellReport::new(cell.id.clone(), cell.seed);
         rc.queries = num_queries as u64;
         rc.retrieval = SummaryStats::of(&m.latency);
         rc.retrieval_recall = m.recall;
@@ -202,5 +210,4 @@ fn main() {
                 .metric("index_lists_probed", per_query(m.work.lists_probed)),
         );
     }
-    emit(&report);
 }

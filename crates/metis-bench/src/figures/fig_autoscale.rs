@@ -18,15 +18,28 @@
 //! and falling back to recompute at zero headroom. On the same burst (one
 //! seed, common random numbers) migrate must cut the recomputed-token bill.
 //!
-//! Scale knob: `METIS_BENCH_QUERIES` (CI smoke runs set it low; the
-//! expectations above are asserted at every scale). Emits
-//! `bench-reports/fig_autoscale.json`, which CI requires to equal
-//! `baselines/fig_autoscale.json` byte for byte.
+//! The expectations above are asserted at every scale. One of the five
+//! figures whose smoke-scale report must equal its `baselines/` file byte
+//! for byte.
 
-use metis_bench::{base_qps, bench_queries, dataset, emit, header, new_report, Sweep, RUN_SEED};
 use metis_core::{Autoscaler, MetisOptions, RunConfig, RunResult, Runner, SystemKind};
 use metis_datasets::{burst_arrivals, diurnal_arrivals, Dataset, DatasetKind};
 use metis_engine::{PreemptMode, Priority, RouterPolicy};
+use metis_metrics::BenchReport;
+
+use crate::{base_qps, dataset, knob, push_cells, values, Figure, Sweep, RUN_SEED};
+
+pub(super) const FIGURE: Figure = Figure {
+    name: "fig_autoscale",
+    artefact: "Fleet elasticity",
+    title: "autoscaler vs fixed fleets on a diurnal day; migrate vs recompute under KV pressure",
+    paper: "the autoscaler bills strictly fewer replica-seconds than fixed-8 \
+            while holding interactive p99 inside fixed-8's band; on a contended \
+            burst, KV migration cuts the recomputed-token bill vs recompute",
+    report_title: "Queue-driven autoscaling and KV migration under pressure",
+    queries: 96,
+    run: measure,
+};
 
 const FIXED_FLEETS: [usize; 3] = [2, 4, 8];
 /// Per-replica KV cap for the diurnal day (Part 1): tight enough that
@@ -94,15 +107,11 @@ fn pressure_run(d: &Dataset, seed: u64, n: usize, mode: PreemptMode) -> RunResul
     Runner::new(d, cfg).run()
 }
 
-fn main() {
-    header(
-        "Fleet elasticity",
-        "autoscaler vs fixed fleets on a diurnal day; migrate vs recompute under KV pressure",
-        "the autoscaler bills strictly fewer replica-seconds than fixed-8 \
-         while holding interactive p99 inside fixed-8's band; on a contended \
-         burst, KV migration cuts the recomputed-token bill vs recompute",
-    );
-    let n = bench_queries(96);
+fn int_p99(r: &RunResult) -> f64 {
+    r.latency_of(Priority::Interactive).p99()
+}
+
+fn measure(n: usize, report: &mut BenchReport) {
     let kind = DatasetKind::Musique;
     let d = dataset(kind, n);
     println!(
@@ -134,24 +143,21 @@ fn main() {
             });
     }
     let cells = sweep.run();
-    let find = |id: &str| -> &RunResult {
-        &cells
-            .iter()
-            .find(|c| c.id == id)
-            .expect("cell computed")
-            .value
-    };
-    let int_p99 = |r: &RunResult| r.latency_of(Priority::Interactive).p99();
+    let [auto, fixed2, fixed4, fixed8, recompute, migrate] = values(&cells);
 
     println!(
         "  {:<16} {:>6} {:>8} {:>16} {:>14} {:>12}",
         "fleet", "peak", "rep-sec", "int p99(s)", "all p99(s)", "preempts"
     );
-    for id in ["day/autoscale", "day/fixed-2", "day/fixed-4", "day/fixed-8"] {
-        let r = find(id);
+    for (fleet, r) in [
+        ("autoscale", auto),
+        ("fixed-2", fixed2),
+        ("fixed-4", fixed4),
+        ("fixed-8", fixed8),
+    ] {
         println!(
             "  {:<16} {:>6} {:>8.1} {:>16.2} {:>14.2} {:>12}",
-            id.trim_start_matches("day/"),
+            fleet,
             r.peak_replicas,
             r.replica_seconds,
             int_p99(r),
@@ -163,15 +169,10 @@ fn main() {
         "  {:<16} {:>10} {:>14} {:>16} {:>14}",
         "resume", "preempts", "migrations", "moved KV tok", "recomputed tok"
     );
-    for id in ["pressure/recompute", "pressure/migrate"] {
-        let r = find(id);
+    for (resume, r) in [("recompute", recompute), ("migrate", migrate)] {
         println!(
             "  {:<16} {:>10} {:>14} {:>16} {:>14}",
-            id.trim_start_matches("pressure/"),
-            r.preemptions,
-            r.migrations,
-            r.migrated_tokens,
-            r.preempted_tokens,
+            resume, r.preemptions, r.migrations, r.migrated_tokens, r.preempted_tokens,
         );
     }
 
@@ -179,8 +180,6 @@ fn main() {
     // baseline pins each number at smoke scale only and says nothing of
     // how they relate, so the elasticity acceptance lives here, next to
     // the numbers it is about.
-    let auto = find("day/autoscale");
-    let fixed8 = find("day/fixed-8");
     assert!(
         auto.replica_seconds < fixed8.replica_seconds,
         "autoscaler bills {:.1} replica-seconds, fixed-8 bills {:.1}",
@@ -193,8 +192,6 @@ fn main() {
         int_p99(auto),
         int_p99(fixed8)
     );
-    let recompute = find("pressure/recompute");
-    let migrate = find("pressure/migrate");
     assert!(
         recompute.preemptions > 0,
         "the pressure burst must force evictions"
@@ -207,29 +204,20 @@ fn main() {
         recompute.preempted_tokens
     );
 
-    let mut report = new_report(
-        "fig_autoscale",
-        "Queue-driven autoscaling and KV migration under pressure",
-    )
-    .knob("queries", n)
-    .knob("dataset", kind.name())
-    .knob("day_rate_scale", DAY_RATE_SCALE)
-    .knob("day_kv_cap_gib", DAY_KV_CAP_BYTES >> 30)
-    .knob("pressure_kv_cap_mib", KV_CAP_BYTES >> 20);
-    for cell in &cells {
-        let r = &cell.value;
-        // Every cell carries the elasticity metrics explicitly (fixed
-        // fleets and recompute cells would otherwise omit them as
-        // defaults), so baseline diffs see the whole frontier.
-        report.cells.push(
-            r.cell_report(&cell.id, cell.seed)
-                .knob("dataset", kind.name())
-                .metric("replica_seconds", r.replica_seconds)
-                .metric("peak_replicas", r.peak_replicas as f64)
-                .metric("interactive_delay_p99_secs", int_p99(r))
-                .metric("recomputed_tokens", r.preempted_tokens as f64)
-                .metric("migrations", r.migrations as f64),
-        );
-    }
-    emit(&report);
+    knob(report, "queries", n);
+    knob(report, "dataset", kind.name());
+    knob(report, "day_rate_scale", DAY_RATE_SCALE);
+    knob(report, "day_kv_cap_gib", DAY_KV_CAP_BYTES >> 30);
+    knob(report, "pressure_kv_cap_mib", KV_CAP_BYTES >> 20);
+    // Every cell carries the elasticity metrics explicitly (fixed fleets
+    // and recompute cells would otherwise omit them as defaults), so
+    // baseline diffs see the whole frontier.
+    push_cells(report, &cells, |c, r| {
+        c.knob("dataset", kind.name())
+            .metric("replica_seconds", r.replica_seconds)
+            .metric("peak_replicas", r.peak_replicas as f64)
+            .metric("interactive_delay_p99_secs", int_p99(r))
+            .metric("recomputed_tokens", r.preempted_tokens as f64)
+            .metric("migrations", r.migrations as f64)
+    });
 }

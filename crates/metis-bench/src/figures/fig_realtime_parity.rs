@@ -14,17 +14,29 @@
 //! * queue-wait / prefill / decode stage means within 10% (plus a small
 //!   absolute floor for near-zero stages) at time-scale ≥ 100×.
 //!
-//! Scale knobs: `METIS_BENCH_QUERIES` (default 16) and `METIS_TIME_SCALE`
-//! (default 200). Emits `bench-reports/fig_realtime_parity.json`; the
-//! realtime cell carries the `driver = realtime` marker. Its numbers move
-//! with the host, so this report has no baseline: the bounds asserted
-//! here are what holds it.
+//! `METIS_TIME_SCALE` (default 200) sets the realtime driver's time
+//! compression. The realtime cell carries the `driver = realtime` marker.
+//! Its numbers move with the host, so this report has no baseline: the
+//! bounds asserted here are what holds it.
 
-use metis_bench::{base_qps, bench_queries, dataset, emit, header, metis, new_report, RUN_SEED};
 use metis_core::{DriverSpec, RunConfig, RunResult, Runner, StageMeans};
 use metis_datasets::{poisson_arrivals, DatasetKind};
 use metis_engine::RouterPolicy;
 use metis_llm::Clock;
+use metis_metrics::BenchReport;
+
+use crate::{base_qps, dataset, knob, metis, Figure, RUN_SEED};
+
+pub(super) const FIGURE: Figure = Figure {
+    name: "fig_realtime_parity",
+    artefact: "Realtime parity",
+    title: "one workload, two drivers: simulator vs live threads",
+    paper: "the simulator is the oracle — the live driver must reproduce its \
+            stage-level behavior, not just finish the work",
+    report_title: "sim vs realtime driver parity",
+    queries: 16,
+    run: measure,
+};
 
 /// Relative tolerance on per-stage means (the acceptance bound).
 const REL_TOL: f64 = 0.10;
@@ -52,16 +64,9 @@ fn check_stage(name: &str, sim: f64, rt: f64, failures: &mut Vec<String>) {
     }
 }
 
-fn main() {
-    let n = bench_queries(16);
+fn measure(n: usize, report: &mut BenchReport) {
     let scale = time_scale();
     let kind = DatasetKind::Musique;
-    header(
-        "Realtime parity",
-        "one workload, two drivers: simulator vs live threads",
-        "the simulator is the oracle — the live driver must reproduce its \
-         stage-level behavior, not just finish the work",
-    );
     let d = dataset(kind, n);
     let qps = base_qps(kind);
     println!(
@@ -111,19 +116,13 @@ fn main() {
         &mut failures,
     );
 
-    let mut report = new_report("fig_realtime_parity", "sim vs realtime driver parity")
-        .knob("queries", n)
-        .knob("dataset", kind.name())
-        .knob("time_scale", scale);
-    report.cells.push(
-        sim.cell_report("sim", RUN_SEED)
-            .knob("dataset", kind.name()),
-    );
-    report.cells.push(
-        rt.cell_report("realtime", RUN_SEED)
-            .knob("dataset", kind.name()),
-    );
-    emit(&report);
+    knob(report, "queries", n);
+    knob(report, "dataset", kind.name());
+    knob(report, "time_scale", scale);
+    for (id, result) in [("sim", &sim), ("realtime", &rt)] {
+        let cell = result.cell_report(id, RUN_SEED);
+        report.cells.push(cell.knob("dataset", kind.name()));
+    }
 
     assert!(
         failures.is_empty(),

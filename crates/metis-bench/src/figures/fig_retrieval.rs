@@ -9,16 +9,27 @@
 //! reporting retrieval p50/p99, chunk recall@k against the flat index,
 //! ground-truth fact recall, end-to-end F1, and mean delay.
 //!
-//! Scale knob: `METIS_BENCH_QUERIES` (CI smoke runs set it low). Emits
-//! `bench-reports/fig_retrieval.json` — one of the five reports CI
-//! requires to equal their `baselines/` file byte for byte.
+//! One of the five figures whose smoke-scale report must equal its
+//! `baselines/` file byte for byte.
 
-use metis_bench::{
-    base_qps, bench_queries, emit, header, metis, new_report, Sweep, DATASET_SEED, RUN_SEED,
-};
 use metis_core::{RunConfig, RunResult, Runner};
 use metis_datasets::{build_dataset_with_index, poisson_arrivals, Dataset, DatasetKind};
+use metis_metrics::BenchReport;
 use metis_vectordb::IndexSpec;
+
+use crate::{base_qps, knob, metis, Figure, Sweep, DATASET_SEED, RUN_SEED};
+
+pub(super) const FIGURE: Figure = Figure {
+    name: "fig_retrieval",
+    artefact: "Retrieval ablation",
+    title: "flat vs IVF retrieval: latency-recall tradeoff on the serving path",
+    paper: "IVF cuts retrieval p50/p99 by the probe fraction at a small \
+            recall@k tax; end-to-end F1 tracks fact recall, and the tradeoff \
+            is visible at every load level",
+    report_title: "flat vs IVF retrieval latency-recall tradeoff across load",
+    queries: 96,
+    run: measure,
+};
 
 const IVF_POINTS: [(usize, usize); 3] = [(32, 4), (32, 16), (64, 8)];
 const LOAD_MULTS: [f64; 2] = [1.0, 2.0];
@@ -45,15 +56,7 @@ fn chunk_recall_vs_flat(d: &Dataset, flat: &Dataset) -> f64 {
     sum / d.queries.len().max(1) as f64
 }
 
-fn main() {
-    header(
-        "fig_retrieval",
-        "flat vs IVF retrieval: latency-recall tradeoff on the serving path",
-        "IVF cuts retrieval p50/p99 by the probe fraction at a small \
-         recall@k tax; end-to-end F1 tracks fact recall, and the tradeoff \
-         is visible at every load level",
-    );
-    let n = bench_queries(96);
+fn measure(n: usize, report: &mut BenchReport) {
     let kind = DatasetKind::Musique;
     let base = base_qps(kind);
     let flat = build_dataset_with_index(kind, n, DATASET_SEED, IndexSpec::Flat);
@@ -130,13 +133,9 @@ fn main() {
         }
     }
 
-    let mut report = new_report(
-        "fig_retrieval",
-        "flat vs IVF retrieval latency-recall tradeoff across load",
-    )
-    .knob("queries", n)
-    .knob("dataset", kind.name())
-    .knob("recall_k", RECALL_K);
+    knob(report, "queries", n);
+    knob(report, "dataset", kind.name());
+    knob(report, "recall_k", RECALL_K);
     for (si, spec) in specs.iter().enumerate() {
         let cell = &cells[si];
         let (recall, runs) = &cell.value;
@@ -149,5 +148,4 @@ fn main() {
             );
         }
     }
-    emit(&report);
 }

@@ -1,18 +1,22 @@
 //! Table 1: input/output token-length distributions of the four datasets.
-//!
-//! Scale knob: `METIS_BENCH_QUERIES`. Emits `bench-reports/table1_datasets.json`.
 
-use metis_bench::{bench_queries, dataset, emit, header, new_report, Sweep};
 use metis_datasets::{Dataset, DatasetKind};
+use metis_metrics::{BenchReport, CellReport};
 
-fn main() {
-    header(
-        "Table 1",
-        "Dataset input/output token distributions",
-        "Squad 0.4K–2K in / 5–10 out; Musique 1K–5K / 5–20; \
-         KG RAG FinSec 4K–10K / 20–40; QMSUM 4K–12K / 20–60",
-    );
-    let n = bench_queries(200);
+use crate::{dataset, knob, Figure, Sweep};
+
+pub(super) const FIGURE: Figure = Figure {
+    name: "table1_datasets",
+    artefact: "Table 1",
+    title: "Dataset input/output token distributions",
+    paper: "Squad 0.4K–2K in / 5–10 out; Musique 1K–5K / 5–20; \
+            KG RAG FinSec 4K–10K / 20–40; QMSUM 4K–12K / 20–60",
+    report_title: "dataset token-length distributions",
+    queries: 200,
+    run: measure,
+};
+
+fn measure(n: usize, report: &mut BenchReport) {
     println!(
         "  {:<16} {:<18} {:>14} {:>12}",
         "Dataset", "Task Type", "Input (p5-p95)", "Gold (p5-p95)"
@@ -24,15 +28,14 @@ fn main() {
         sweep = sweep.cell(kind.name(), move |_| dataset(kind, n));
     }
     let cells = sweep.run();
-    let mut report =
-        new_report("table1_datasets", "dataset token-length distributions").knob("queries", n);
+    knob(report, "queries", n);
     for cell in &cells {
         let row = cell.value.table1_row();
         println!(
             "  {:<16} {:<18} {:>6} - {:<6} {:>4} - {:<4}",
             row.dataset, row.task, row.input.0, row.input.1, row.output.0, row.output.1
         );
-        let mut cr = metis_metrics::CellReport::new(&cell.id, cell.seed);
+        let mut cr = CellReport::new(&cell.id, cell.seed);
         cr.queries = n as u64;
         report.cells.push(
             cr.knob("dataset", &cell.id)
@@ -48,5 +51,4 @@ fn main() {
          column counts gold-answer tokens — generated outputs add ~0.9x \
          boilerplate on top (the generation model's fill_ratio)."
     );
-    emit(&report);
 }

@@ -1,9 +1,14 @@
-//! Shared helpers for the benchmark harness.
+//! The benchmark harness: the paper's evaluation as one table.
 //!
-//! Every table and figure of the paper's evaluation has a dedicated bench
-//! target under `benches/`; this library provides the common machinery:
-//! calibrated workload rates, parallel run drivers, fixed-configuration
-//! sweeps, Pareto filtering, and uniform result printing.
+//! Every table and figure of the evaluation is a row of [`FIGURES`] — its
+//! name, the paper artefact it reproduces, what the paper expects of it, its
+//! full-scale query count and the function that measures it — and the one
+//! bench target, `benches/figures.rs`, runs the rows named on its command
+//! line. [`Figure::report`] runs a row in-process at an explicit scale,
+//! which is how `tests/figures.rs` holds the gated rows to `baselines/`.
+//! The rest of this library is what the rows share: calibrated workload
+//! rates, paired run drivers, the fixed-configuration menu, Pareto
+//! filtering, and uniform result printing.
 //!
 //! ## Rate calibration
 //!
@@ -14,28 +19,35 @@
 //! contention regime, which is what the relative results depend on. The
 //! rates are printed with every experiment.
 
-pub mod reportio;
-pub mod sweep;
+#![warn(unreachable_pub)]
 
-pub use reportio::{emit, new_report, report_dir, REPORT_DIR_ENV};
-pub use sweep::{cell_seed, Sweep, SweepCell};
+mod figures;
+mod reportio;
+mod sweep;
 
+pub use figures::{select, Figure, FIGURES};
+pub use reportio::emit;
+
+use metis_core::synthesis::SynthesisInputs;
 use metis_core::{
-    MetisOptions, RagConfig, RunConfig, RunResult, Runner, SynthesisPlan, SystemKind,
+    plan_synthesis, MetisOptions, RagConfig, RunConfig, RunResult, Runner, SynthesisPlan,
+    SystemKind,
 };
-use metis_datasets::{build_dataset, poisson_arrivals, Dataset, DatasetKind};
+use metis_datasets::{build_dataset, poisson_arrivals, Dataset, DatasetKind, QuerySpec};
 use metis_engine::{Engine, EngineConfig, GroupId, LlmRequest, Priority, RequestId, Stage};
-use metis_llm::{nanos_to_secs, GpuCluster, LatencyModel, ModelSpec, Nanos};
+use metis_llm::{nanos_to_secs, GenerationModel, GpuCluster, LatencyModel, ModelSpec, Nanos};
+use metis_metrics::{f1_score, BenchReport, CellReport};
 use metis_profiler::ProfilerKind;
+use sweep::{Sweep, SweepCell};
 
 /// Default seed for dataset construction in benches.
-pub const DATASET_SEED: u64 = 20_241_016;
+pub(crate) const DATASET_SEED: u64 = 20_241_016;
 /// Default seed for run stochasticity in benches.
-pub const RUN_SEED: u64 = 99;
+pub(crate) const RUN_SEED: u64 = 99;
 
 /// Arrival rate (queries/second) at which the simulated A40 serves METIS at
 /// ~60% utilization for each dataset.
-pub fn base_qps(kind: DatasetKind) -> f64 {
+pub(crate) fn base_qps(kind: DatasetKind) -> f64 {
     match kind {
         DatasetKind::Squad => 1.6,
         DatasetKind::Musique => 0.55,
@@ -45,13 +57,13 @@ pub fn base_qps(kind: DatasetKind) -> f64 {
 }
 
 /// Builds the standard bench dataset for `kind`.
-pub fn dataset(kind: DatasetKind, n: usize) -> Dataset {
+pub(crate) fn dataset(kind: DatasetKind, n: usize) -> Dataset {
     build_dataset(kind, n, DATASET_SEED)
 }
 
 /// Runs `system` over `dataset` on one replica with Poisson arrivals at
 /// `qps`.
-pub fn run(dataset: &Dataset, system: SystemKind, qps: f64, seed: u64) -> RunResult {
+pub(crate) fn run(dataset: &Dataset, system: SystemKind, qps: f64, seed: u64) -> RunResult {
     let arrivals = poisson_arrivals(seed ^ 0xA11, qps, dataset.queries.len());
     Runner::new(dataset, RunConfig::standard(system, arrivals, seed)).run()
 }
@@ -69,25 +81,22 @@ fn parse_bench_queries(raw: Option<&str>) -> Result<Option<usize>, String> {
     }
 }
 
-/// The validated `METIS_BENCH_QUERIES` override, `None` when unset.
+/// The bench scale for CI smoke runs: the validated `METIS_BENCH_QUERIES`,
+/// `None` when unset (every figure then runs its full-scale
+/// [`Figure::queries`]). The only read of that variable; the scale travels
+/// from here as an argument of [`Figure::report`].
 ///
 /// # Panics
 ///
 /// Panics, naming the variable and its value, when it is set but invalid.
-pub(crate) fn bench_queries_override() -> Option<usize> {
+pub fn scale_from_env() -> Option<usize> {
     let raw = std::env::var_os("METIS_BENCH_QUERIES");
     parse_bench_queries(raw.as_ref().map(|v| v.to_string_lossy()).as_deref())
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Bench scale override for CI smoke runs: `METIS_BENCH_QUERIES` caps the
-/// per-experiment query count (default: the target's full size).
-pub fn bench_queries(default: usize) -> usize {
-    bench_queries_override().unwrap_or(default)
-}
-
 /// Runs with explicit arrivals and model/cluster overrides.
-pub fn run_on(
+pub(crate) fn run_on(
     dataset: &Dataset,
     system: SystemKind,
     arrivals: Vec<Nanos>,
@@ -103,59 +112,74 @@ pub fn run_on(
     Runner::new(dataset, cfg).run()
 }
 
-/// One printed result row.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// System / configuration label.
-    pub label: String,
-    /// Mean end-to-end delay (s).
-    pub delay: f64,
-    /// Median delay (s).
-    pub p50: f64,
-    /// Tail delay (s).
-    pub p99: f64,
-    /// Mean token F1.
-    pub f1: f64,
+/// Adds `arms` to `sweep` as paired cells named `prefix/label` (the bare
+/// `label` under an empty prefix): each arm serves `d` at `qps` under the
+/// shared [`RUN_SEED`], so the arms see one arrival realization and differ
+/// by system only. Cells come back from [`Sweep::run`] in `arms` order.
+pub(crate) fn paired<'env>(
+    mut sweep: Sweep<'env, RunResult>,
+    prefix: &str,
+    d: &'env Dataset,
+    qps: f64,
+    arms: &[(&str, SystemKind)],
+) -> Sweep<'env, RunResult> {
+    for &(label, system) in arms {
+        let id = if prefix.is_empty() {
+            label.to_owned()
+        } else {
+            format!("{prefix}/{label}")
+        };
+        sweep = sweep.cell_with_seed(id, RUN_SEED, move |seed| run(d, system, qps, seed));
+    }
+    sweep
 }
 
-impl Row {
-    /// Builds a row from a run result.
-    pub fn from_run(label: impl Into<String>, r: &RunResult) -> Self {
-        let lat = r.latency();
-        Self {
-            label: label.into(),
-            delay: lat.mean(),
-            p50: lat.p50(),
-            p99: lat.p99(),
-            f1: r.mean_f1(),
-        }
+/// The outputs of exactly `N` cells, by position — how a figure reads the
+/// arms it inserted against each other.
+pub(crate) fn values<T, const N: usize>(cells: &[SweepCell<T>]) -> [&T; N] {
+    assert_eq!(cells.len(), N, "one binding per cell");
+    std::array::from_fn(|i| &cells[i].value)
+}
+
+/// Adds one experiment-level knob to `report`.
+pub(crate) fn knob(report: &mut BenchReport, name: &str, value: impl ToString) {
+    report.knobs.push((name.to_owned(), value.to_string()));
+}
+
+/// Lowers every cell to its report cell — under its own id and the seed it
+/// ran with — and appends it to `report` once `describe` has added the
+/// figure's knobs and metrics for that run.
+pub(crate) fn push_cells(
+    report: &mut BenchReport,
+    cells: &[SweepCell<RunResult>],
+    describe: impl Fn(CellReport, &RunResult) -> CellReport,
+) {
+    for cell in cells {
+        let lowered = cell.value.cell_report(&cell.id, cell.seed);
+        report.cells.push(describe(lowered, &cell.value));
     }
 }
 
-/// Prints an experiment header with the paper's expectation.
-pub fn header(id: &str, title: &str, paper: &str) {
-    println!("\n================================================================");
-    println!("{id}: {title}");
-    println!("paper expectation: {paper}");
-    println!("================================================================");
-}
-
-/// Prints a uniform row table.
-pub fn print_rows(rows: &[Row]) {
+/// Prints a uniform table: one labelled run per row.
+pub(crate) fn print_rows(rows: &[(String, &RunResult)]) {
     println!(
         "  {:<34} {:>9} {:>9} {:>9} {:>7}",
         "system/config", "mean(s)", "p50(s)", "p99(s)", "F1"
     );
-    for r in rows {
+    for (label, r) in rows {
+        let lat = r.latency();
         println!(
-            "  {:<34} {:>9.2} {:>9.2} {:>9.2} {:>7.3}",
-            r.label, r.delay, r.p50, r.p99, r.f1
+            "  {label:<34} {:>9.2} {:>9.2} {:>9.2} {:>7.3}",
+            lat.mean(),
+            lat.p50(),
+            lat.p99(),
+            r.mean_f1()
         );
     }
 }
 
 /// The compact fixed-configuration menu baselines sweep in the benches.
-pub fn fixed_menu() -> Vec<RagConfig> {
+fn fixed_menu() -> Vec<RagConfig> {
     vec![
         RagConfig::map_rerank(4),
         RagConfig::stuff(4),
@@ -169,28 +193,21 @@ pub fn fixed_menu() -> Vec<RagConfig> {
     ]
 }
 
-/// Runs every fixed config in `menu` (in parallel, on the [`Sweep`]
+/// Runs `run_one` for every config in `menu` (in parallel, on the [`Sweep`]
 /// driver, deterministic ordering) and returns `(config, result)` pairs.
-/// Every config runs under the same `seed`: the menu is a paired
-/// comparison (`best_quality_fixed` reads the cells against each other),
-/// so all configs must see the same arrival realization.
-pub fn sweep_fixed(
-    dataset: &Dataset,
+/// Every config runs under [`RUN_SEED`]: the menu is a paired comparison
+/// ([`FixedMenu::best_quality`] reads the cells against each other), so all
+/// configs must see the same arrival realization.
+fn sweep_fixed(
     menu: &[RagConfig],
-    qps: f64,
-    seed: u64,
-    parrot: bool,
+    run_one: impl Fn(RagConfig, u64) -> RunResult + Sync,
 ) -> Vec<(RagConfig, RunResult)> {
-    let mut sweep = Sweep::new("sweep_fixed").with_seed(seed);
+    let mut sweep = Sweep::new("sweep_fixed");
+    let run_one = &run_one;
     for (i, &config) in menu.iter().enumerate() {
-        // The index disambiguates duplicate configs some callers pass.
-        sweep = sweep.cell_with_seed(format!("{i}/{}", config.label()), seed, move |seed| {
-            let system = if parrot {
-                SystemKind::Parrot { config }
-            } else {
-                SystemKind::VllmFixed { config }
-            };
-            (config, run(dataset, system, qps, seed))
+        // The index disambiguates duplicate configs a menu may hold.
+        sweep = sweep.cell_with_seed(format!("{i}/{}", config.label()), RUN_SEED, move |seed| {
+            (config, run_one(config, seed))
         });
     }
     let mut v: Vec<(RagConfig, RunResult)> = sweep.run().into_iter().map(|c| c.value).collect();
@@ -198,40 +215,53 @@ pub fn sweep_fixed(
     v
 }
 
-/// Picks, from a sweep, the fixed configuration with the highest F1
-/// (ties broken by lower delay) — the paper's "fixed config of closest
-/// quality" comparison point.
-pub fn best_quality_fixed(sweep: &[(RagConfig, RunResult)]) -> &(RagConfig, RunResult) {
-    sweep
-        .iter()
-        .max_by(|a, b| {
-            let fa = a.1.mean_f1();
-            let fb = b.1.mean_f1();
-            fa.total_cmp(&fb)
-                .then(b.1.mean_delay_secs().total_cmp(&a.1.mean_delay_secs()))
-        })
-        .expect("non-empty sweep")
-}
+/// One run per [`fixed_menu`] configuration: what the paper's "fixed
+/// config of closest quality / similar delay" comparison points pick from.
+pub(crate) struct FixedMenu(Vec<(RagConfig, RunResult)>);
 
-/// Picks the fixed configuration whose delay is closest to `target_delay`
-/// (the paper's "fixed config of similar delay" comparison point).
-pub fn closest_delay_fixed(
-    sweep: &[(RagConfig, RunResult)],
-    target_delay: f64,
-) -> &(RagConfig, RunResult) {
-    sweep
-        .iter()
-        .min_by(|a, b| {
-            let da = (a.1.mean_delay_secs() - target_delay).abs();
-            let db = (b.1.mean_delay_secs() - target_delay).abs();
-            da.total_cmp(&db)
-        })
-        .expect("non-empty sweep")
+impl FixedMenu {
+    /// Serves `d` at `qps` with vLLM under every menu configuration.
+    pub(crate) fn run(d: &Dataset, qps: f64) -> Self {
+        Self::run_with(|config, seed| run(d, SystemKind::VllmFixed { config }, qps, seed))
+    }
+
+    /// [`Self::run`] for a figure that serves the menu its own way (another
+    /// model, another cluster): `run_one` gets the config and the seed.
+    pub(crate) fn run_with(run_one: impl Fn(RagConfig, u64) -> RunResult + Sync) -> Self {
+        Self(sweep_fixed(&fixed_menu(), run_one))
+    }
+
+    /// The configuration with the highest F1 (ties broken by lower delay) —
+    /// the paper's "fixed config of closest quality" comparison point.
+    pub(crate) fn best_quality(&self) -> &(RagConfig, RunResult) {
+        self.0
+            .iter()
+            .max_by(|a, b| {
+                let fa = a.1.mean_f1();
+                let fb = b.1.mean_f1();
+                fa.total_cmp(&fb)
+                    .then(b.1.mean_delay_secs().total_cmp(&a.1.mean_delay_secs()))
+            })
+            .expect("non-empty menu")
+    }
+
+    /// The configuration whose delay is closest to `target_delay` (the
+    /// paper's "fixed config of similar delay" comparison point).
+    pub(crate) fn closest_delay(&self, target_delay: f64) -> &(RagConfig, RunResult) {
+        self.0
+            .iter()
+            .min_by(|a, b| {
+                let da = (a.1.mean_delay_secs() - target_delay).abs();
+                let db = (b.1.mean_delay_secs() - target_delay).abs();
+                da.total_cmp(&db)
+            })
+            .expect("non-empty menu")
+    }
 }
 
 /// Returns the indices of the Pareto frontier of `(delay, f1)` points
 /// (minimize delay, maximize F1).
-pub fn pareto_front(points: &[(f64, f64)]) -> Vec<usize> {
+pub(crate) fn pareto_front(points: &[(f64, f64)]) -> Vec<usize> {
     let mut front = Vec::new();
     for (i, &(d, f)) in points.iter().enumerate() {
         let dominated = points
@@ -245,11 +275,43 @@ pub fn pareto_front(points: &[(f64, f64)]) -> Vec<usize> {
     front
 }
 
+/// One configuration on one query, in isolation: the mean F1 over `seeds`
+/// generation seeds (seed `s` is `seed ^ s * stride`) and the delay of the
+/// last plan on an otherwise idle Mistral-7B / A40 engine. What the
+/// per-query knob figures plot: contention would only blur the
+/// configuration effect. Returns `(delay_secs, f1)`.
+pub(crate) fn isolated_point(
+    d: &Dataset,
+    q: &QuerySpec,
+    gen: &GenerationModel,
+    cfg: RagConfig,
+    seeds: u64,
+    seed: u64,
+    stride: u64,
+) -> (f64, f64) {
+    let retrieved = d.db.retrieve(&q.tokens, cfg.effective_chunks(d.db.len()));
+    let inputs = SynthesisInputs {
+        gen,
+        truth: &q.truth,
+        query_tokens: &q.tokens,
+        boilerplate: &d.boilerplate,
+    };
+    let gold = q.gold_answer();
+    let mut f1 = 0.0;
+    let mut plan = None;
+    for s in 0..seeds {
+        let p = plan_synthesis(&inputs, &cfg, &retrieved, seed ^ s.wrapping_mul(stride));
+        f1 += f1_score(&p.answer, &gold);
+        plan = Some(p);
+    }
+    let delay = isolated_delay(&plan.expect("at least one seed"));
+    (delay, f1 / seeds as f64)
+}
+
 /// Executes one synthesis plan on an otherwise idle engine and returns its
-/// end-to-end delay in seconds (used by the per-query knob sweeps, where
-/// contention would only blur the configuration effect).
-pub fn isolated_delay(plan: &SynthesisPlan, model: ModelSpec, cluster: GpuCluster) -> f64 {
-    let lat = LatencyModel::new(model, cluster);
+/// end-to-end delay in seconds.
+fn isolated_delay(plan: &SynthesisPlan) -> f64 {
+    let lat = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
     let mut engine = Engine::new(lat, EngineConfig::default());
     for (i, c) in plan.map_calls.iter().enumerate() {
         engine.submit(LlmRequest {
@@ -287,12 +349,12 @@ pub fn isolated_delay(plan: &SynthesisPlan, model: ModelSpec, cluster: GpuCluste
 }
 
 /// Standard METIS system under test.
-pub fn metis() -> SystemKind {
+pub(crate) fn metis() -> SystemKind {
     SystemKind::Metis(MetisOptions::full())
 }
 
 /// Standard AdaptiveRAG\* baseline.
-pub fn adaptive_rag() -> SystemKind {
+pub(crate) fn adaptive_rag() -> SystemKind {
     SystemKind::AdaptiveRag {
         profiler: ProfilerKind::Gpt4o,
     }
@@ -335,11 +397,13 @@ mod tests {
     #[test]
     fn sweep_runs_in_parallel_and_sorts() {
         let d = dataset(DatasetKind::Squad, 10);
-        let menu = vec![RagConfig::stuff(2), RagConfig::stuff(4)];
-        let sweep = sweep_fixed(&d, &menu, 2.0, 1, false);
-        assert_eq!(sweep.len(), 2);
-        assert!(sweep[0].0.num_chunks < sweep[1].0.num_chunks);
-        let best = best_quality_fixed(&sweep);
-        assert!(best.1.mean_f1() >= sweep[0].1.mean_f1().min(sweep[1].1.mean_f1()));
+        let menu = [RagConfig::stuff(2), RagConfig::stuff(4)];
+        let runs = FixedMenu(sweep_fixed(&menu, |config, seed| {
+            run(&d, SystemKind::VllmFixed { config }, 2.0, seed)
+        }));
+        assert_eq!(runs.0.len(), 2);
+        assert!(runs.0[0].0.num_chunks < runs.0[1].0.num_chunks);
+        let best = runs.best_quality();
+        assert!(best.1.mean_f1() >= runs.0[0].1.mean_f1().min(runs.0[1].1.mean_f1()));
     }
 }

@@ -1,26 +1,22 @@
-//! Report assembly and emission for bench targets.
+//! Report emission for the bench target.
 //!
-//! Every bench target ends with [`emit`]: the human-readable table it
-//! already printed is joined by a machine-readable JSON artifact under
-//! `target/bench-reports/<experiment>.json` (override the directory with
-//! `METIS_BENCH_REPORT_DIR`). CI uploads these artifacts and requires the
-//! five that have a file in `baselines/` to equal it byte for byte.
+//! Every figure the bench target runs ends with [`emit`]: the
+//! human-readable table it already printed is joined by a machine-readable
+//! JSON artifact under `target/bench-reports/<experiment>.json` (override
+//! the directory with `METIS_BENCH_REPORT_DIR`). CI uploads these
+//! artifacts; the five that have a file in `baselines/` must equal it byte
+//! for byte, which `tests/figures.rs` checks without writing anything.
 
 use std::path::{Path, PathBuf};
 
 use metis_metrics::BenchReport;
 
-use crate::{bench_queries_override, DATASET_SEED, RUN_SEED};
-
-/// Environment variable overriding the report output directory.
-pub const REPORT_DIR_ENV: &str = "METIS_BENCH_REPORT_DIR";
-
 /// Where reports land: `$METIS_BENCH_REPORT_DIR`, else `bench-reports`
 /// under `$CARGO_TARGET_DIR`, else under the workspace `target`.
-pub fn report_dir() -> PathBuf {
+fn report_dir() -> PathBuf {
     let var = |name| std::env::var(name).ok();
     resolve_report_dir(
-        var(REPORT_DIR_ENV).as_deref(),
+        var("METIS_BENCH_REPORT_DIR").as_deref(),
         var("CARGO_TARGET_DIR").as_deref(),
     )
 }
@@ -40,27 +36,14 @@ fn resolve_report_dir(report_dir: Option<&str>, target_dir: Option<&str>) -> Pat
         .join("bench-reports")
 }
 
-/// Starts a report for one bench target, stamped with the bench-standard
-/// seeds and the effective `METIS_BENCH_QUERIES` override (so a smoke-run
-/// report can never be mistaken for a full-scale one).
-pub fn new_report(experiment: &str, title: &str) -> BenchReport {
-    let mut report = BenchReport::new(experiment, title);
-    report.dataset_seed = DATASET_SEED;
-    report.run_seed = RUN_SEED;
-    if let Some(q) = bench_queries_override() {
-        report = report.knob("METIS_BENCH_QUERIES", q);
-    }
-    report
-}
-
 /// Writes `report` to `report_dir()/<experiment>.json` and prints the
-/// path. Returns the written path.
+/// path.
 ///
 /// # Panics
 ///
 /// Panics when the directory or file cannot be written — a bench that
-/// silently loses its artifact would defeat CI's baseline comparison.
-pub fn emit(report: &BenchReport) -> PathBuf {
+/// silently loses its artifact would upload nothing for CI to keep.
+pub fn emit(report: &BenchReport) {
     let dir = report_dir();
     std::fs::create_dir_all(&dir)
         .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
@@ -73,7 +56,6 @@ pub fn emit(report: &BenchReport) -> PathBuf {
         path.display(),
         report.cells.len()
     );
-    path
 }
 
 #[cfg(test)]
@@ -100,23 +82,5 @@ mod tests {
             resolve_report_dir(Some("out"), Some("tgt")),
             Path::new("out")
         );
-    }
-
-    #[test]
-    fn emitted_reports_parse_back() {
-        let dir = std::env::temp_dir().join(format!("metis-report-test-{}", std::process::id()));
-        // Scope the override to this test via a direct write (env vars are
-        // process-global; the writer takes the dir from the path instead).
-        let mut report = new_report("emit_unit_test", "t");
-        report.cells.push(metis_metrics::CellReport::new("only", 1));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join(format!("{}.json", report.experiment));
-        std::fs::write(&path, report.render()).expect("write");
-        let text = std::fs::read_to_string(&path).expect("read back");
-        let parsed = BenchReport::parse(&text).expect("parse");
-        assert_eq!(parsed, report);
-        assert_eq!(parsed.dataset_seed, DATASET_SEED);
-        assert_eq!(parsed.run_seed, RUN_SEED);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

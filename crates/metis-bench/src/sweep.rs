@@ -1,11 +1,11 @@
-//! The generic parallel sweep driver every bench target runs on.
+//! The generic parallel sweep driver every figure runs on.
 //!
 //! A [`Sweep`] is a named list of cells — one closure per (config × seed ×
 //! load) point — executed across [`std::thread::scope`] workers. Two
 //! properties make its output fit for committed baselines:
 //!
 //! * **Deterministic per-cell seeds** — each cell's seed is derived from
-//!   the sweep's base seed and the cell *id* ([`cell_seed`]), not from
+//!   [`RUN_SEED`] and the cell *id* ([`cell_seed`]), not from
 //!   insertion order or thread timing, so inserting a new cell never
 //!   reshuffles the seeds of existing ones.
 //! * **Deterministic ordering** — results come back in insertion order
@@ -14,8 +14,6 @@
 //! Cells usually produce a [`RunResult`](metis_core::RunResult) (lowered to
 //! a report cell via `RunResult::cell_report`) but the driver is generic:
 //! micro-benches and profiler sweeps return their own cell types.
-
-use std::sync::Mutex;
 
 use crate::RUN_SEED;
 
@@ -38,19 +36,19 @@ fn splitmix(mut z: u64) -> u64 {
 }
 
 /// The deterministic seed a cell named `id` runs with under `base`.
-pub fn cell_seed(base: u64, id: &str) -> u64 {
+pub(crate) fn cell_seed(base: u64, id: &str) -> u64 {
     splitmix(base ^ fnv1a(id))
 }
 
 /// One executed cell: its id, the seed it ran with, and what it produced.
 #[derive(Clone, Debug)]
-pub struct SweepCell<T> {
+pub(crate) struct SweepCell<T> {
     /// The cell id (unique within the sweep).
-    pub id: String,
-    /// The derived seed the cell's closure received.
-    pub seed: u64,
+    pub(crate) id: String,
+    /// The seed the cell's closure received.
+    pub(crate) seed: u64,
     /// The cell's output.
-    pub value: T,
+    pub(crate) value: T,
 }
 
 struct Planned<'env, T> {
@@ -62,26 +60,18 @@ struct Planned<'env, T> {
 
 /// A named set of cells executed in parallel with deterministic seeds and
 /// output order. See the [module docs](self) for the guarantees.
-pub struct Sweep<'env, T> {
+pub(crate) struct Sweep<'env, T> {
     name: String,
-    base_seed: u64,
     cells: Vec<Planned<'env, T>>,
 }
 
 impl<'env, T: Send> Sweep<'env, T> {
-    /// An empty sweep seeded with the bench-standard [`RUN_SEED`].
-    pub fn new(name: impl Into<String>) -> Self {
+    /// An empty sweep; `name` labels its duplicate-id panic.
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
-            base_seed: RUN_SEED,
             cells: Vec::new(),
         }
-    }
-
-    /// Overrides the base seed (cells re-derive from it).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
-        self
     }
 
     /// Adds one cell. `f` receives the cell's derived seed.
@@ -90,7 +80,11 @@ impl<'env, T: Send> Sweep<'env, T> {
     ///
     /// Panics if `id` repeats within the sweep — duplicate ids would make
     /// baseline comparison ambiguous.
-    pub fn cell(mut self, id: impl Into<String>, f: impl FnOnce(u64) -> T + Send + 'env) -> Self {
+    pub(crate) fn cell(
+        mut self,
+        id: impl Into<String>,
+        f: impl FnOnce(u64) -> T + Send + 'env,
+    ) -> Self {
         self.push(id.into(), None, Box::new(f));
         self
     }
@@ -106,7 +100,7 @@ impl<'env, T: Send> Sweep<'env, T> {
     /// # Panics
     ///
     /// Panics if `id` repeats within the sweep.
-    pub fn cell_with_seed(
+    pub(crate) fn cell_with_seed(
         mut self,
         id: impl Into<String>,
         seed: u64,
@@ -130,42 +124,29 @@ impl<'env, T: Send> Sweep<'env, T> {
         self.cells.push(Planned { id, seed, run });
     }
 
-    /// Number of planned cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether no cells are planned.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Runs every cell across scoped threads; results return in insertion
-    /// order with their derived seeds.
-    pub fn run(self) -> Vec<SweepCell<T>> {
-        let base = self.base_seed;
-        let slots: Vec<Mutex<Option<(u64, T)>>> =
-            self.cells.iter().map(|_| Mutex::new(None)).collect();
-        let ids: Vec<String> = self.cells.iter().map(|c| c.id.clone()).collect();
+    /// Runs every cell on its own scoped thread; results return in
+    /// insertion order with the seeds they ran under. A cell that panics
+    /// re-raises its own panic here, once every other cell has finished.
+    pub(crate) fn run(self) -> Vec<SweepCell<T>> {
         std::thread::scope(|s| {
-            for (planned, slot) in self.cells.into_iter().zip(&slots) {
-                let seed = planned.seed.unwrap_or_else(|| cell_seed(base, &planned.id));
-                s.spawn(move || {
-                    let value = (planned.run)(seed);
-                    *slot.lock().expect("poisoned") = Some((seed, value));
-                });
-            }
-        });
-        ids.into_iter()
-            .zip(slots)
-            .map(|(id, slot)| {
-                let (seed, value) = slot
-                    .into_inner()
-                    .expect("poisoned")
-                    .expect("scope joined every worker");
-                SweepCell { id, seed, value }
-            })
-            .collect()
+            let workers: Vec<_> = self
+                .cells
+                .into_iter()
+                .map(|Planned { id, seed, run }| {
+                    let seed = seed.unwrap_or_else(|| cell_seed(RUN_SEED, &id));
+                    (id, seed, s.spawn(move || run(seed)))
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|(id, seed, worker)| {
+                    let value = worker
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                    SweepCell { id, seed, value }
+                })
+                .collect()
+        })
     }
 }
 
@@ -241,5 +222,14 @@ mod tests {
         assert_eq!(out[0].seed, 42, "recorded seed is the one used");
         assert_eq!(out[2].seed, out[2].value, "derived cells record theirs");
         assert_ne!(out[2].seed, 42);
+    }
+
+    #[test]
+    #[should_panic(expected = "the cell's own message")]
+    fn a_panicking_cell_re_raises_its_own_payload() {
+        let _ = Sweep::new("t")
+            .cell("fine", |_| 0u8)
+            .cell("broken", |_| panic!("the cell's own message"))
+            .run();
     }
 }

@@ -774,7 +774,9 @@ impl<'a> Run<'a> {
 
         let mut timeline = Timeline::default();
         if cfg.closed_loop {
-            timeline.push(cfg.arrivals[0], EventKind::Profile(0));
+            if let Some(&first) = cfg.arrivals.first() {
+                timeline.push(first, EventKind::Profile(0));
+            }
         } else {
             for (q, &t) in cfg.arrivals.iter().enumerate() {
                 timeline.push(t, EventKind::Profile(q));

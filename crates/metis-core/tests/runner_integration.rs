@@ -172,6 +172,22 @@ fn closed_loop_serializes_queries() {
 }
 
 #[test]
+fn an_empty_workload_returns_an_empty_result_under_both_loops() {
+    let d = build_dataset(DatasetKind::Squad, 0, 1);
+    for closed_loop in [false, true] {
+        let mut cfg = RunConfig::standard(SystemKind::Metis(MetisOptions::full()), vec![], 1);
+        cfg.closed_loop = closed_loop;
+        let r = Runner::new(&d, cfg).run();
+        assert_eq!(r.per_query.len(), 0, "closed_loop = {closed_loop}");
+        assert_eq!(r.makespan_secs, 0.0);
+        let mut report = metis_metrics::BenchReport::new("empty", "no queries");
+        report.cells.push(r.cell_report("empty", 1));
+        let parsed = metis_metrics::BenchReport::parse(&report.render());
+        assert_eq!(parsed.as_ref(), Ok(&report), "the empty cell renders");
+    }
+}
+
+#[test]
 fn api_serving_mode_runs_without_engine() {
     let d = build_dataset(DatasetKind::Squad, 8, 3);
     let mut cfg = RunConfig::standard(

@@ -1,7 +1,7 @@
 //! The workspace invariants no compiler lint can express, checked from the
 //! tree itself: crate layering, NaN-safe ordering, that the per-crate
 //! `clippy.toml` files still say what the root one says, that every
-//! committed baseline is a smoke-scale report of a registered bench, and that
+//! committed baseline is a smoke-scale report of a registered figure, and that
 //! every name a library crate exports has a reader outside that crate. The
 //! invariants clippy *can* express live in `clippy.toml`;
 //! docs/architecture.md § "Invariants" maps every invariant to its guard.
@@ -152,14 +152,14 @@ fn crate_clippy_configs_repeat_the_root_entries() {
     }
 }
 
-/// CI compares each `baselines/<bench>.json` with that bench's fresh report
-/// by bytes, and bytes can only say "differ". This says why before any
-/// bench runs: a baseline that is not a report, is filed under another
-/// experiment's name, names no bench target, or was regenerated at a scale
-/// other than the `METIS_BENCH_QUERIES=8` CI's smoke step runs at.
+/// `cargo test -p metis-bench` compares each `baselines/<figure>.json` with
+/// that figure's fresh report by bytes, and bytes can only say "differ".
+/// This says why before any figure runs: a baseline that is not a report,
+/// is filed under another experiment's name, names no figure module, or was
+/// regenerated at a scale other than the `METIS_BENCH_QUERIES=8` the gate
+/// (and CI's smoke step) runs at.
 #[test]
 fn baselines_are_smoke_scale_reports_of_registered_benches() {
-    let benches = read(Path::new("crates/metis-bench/Cargo.toml"));
     let is_json = |p: &PathBuf| p.extension().is_some_and(|e| e == "json");
     for path in walk("baselines").into_iter().filter(is_json) {
         let at = path.display();
@@ -171,12 +171,13 @@ fn baselines_are_smoke_scale_reports_of_registered_benches() {
             .expect("utf-8 stem");
         assert_eq!(
             report.experiment, stem,
-            "{at}: holds experiment '{}'; CI compares it with target/bench-reports/{stem}.json",
+            "{at}: holds experiment '{}'; the gate compares it with the report of '{stem}'",
             report.experiment
         );
+        let module = format!("crates/metis-bench/src/figures/{stem}.rs");
         assert!(
-            benches.contains(&format!("[[bench]]\nname = \"{stem}\"\n")),
-            "{at}: '{stem}' is not a [[bench]] target of crates/metis-bench/Cargo.toml"
+            Path::new(&module).is_file(),
+            "{at}: '{stem}' is not a figure of metis-bench: no {module}"
         );
         let scale = report
             .knobs
@@ -185,7 +186,7 @@ fn baselines_are_smoke_scale_reports_of_registered_benches() {
         assert_eq!(
             scale.map(|(_, v)| v.as_str()),
             Some("8"),
-            "{at}: regenerate with METIS_BENCH_QUERIES=8, the scale CI's smoke step runs at"
+            "{at}: regenerate with METIS_BENCH_QUERIES=8, the scale the gate runs at"
         );
     }
 }
