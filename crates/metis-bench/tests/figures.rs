@@ -2,11 +2,14 @@
 //!
 //! The gate: each figure with a `baselines/<name>.json` is run here, in
 //! process, at the smoke scale CI benches at, and its rendered report must
-//! equal that file byte for byte. The rest replaces what used to be guarded
-//! from outside the compiler: registration, the handbook's freshness, and
-//! the bench target's argument handling.
+//! equal that file byte for byte. Every other deterministic figure is
+//! witnessed by one FNV-1a digest of its smoke-scale report in
+//! `baselines/digests.txt`. The rest replaces what used to be guarded from
+//! outside the compiler: registration, the handbook's freshness, and the
+//! bench target's argument handling.
 
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use metis_bench::{select, FIGURES};
@@ -20,6 +23,11 @@ const GATED: [&str; 5] = [
     "fig_preempt",
     "fig_retrieval",
 ];
+/// The figures neither a baseline nor a digest can hold, each with why.
+const UNWITNESSED: [(&str, &str); 1] = [(
+    "fig_realtime_parity",
+    "wall-paced: its realtime cells are measured on the host's clock",
+)];
 /// The scale every baseline was generated at (`METIS_BENCH_QUERIES=8`).
 const SMOKE: usize = 8;
 
@@ -60,6 +68,52 @@ fn gated_figures_equal_their_baselines() {
             moved.join("\n")
         );
     }
+}
+
+/// FNV-1a, 64-bit, over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The witness of the figures that have no baseline: one `name digest` line
+/// per figure, in table order, over its smoke-scale report. Every row of
+/// [`FIGURES`] is gated, digested or listed in [`UNWITNESSED`], so a figure
+/// can never move unread. Regenerate, on an intentional change only, with
+/// `METIS_REGEN_GOLDEN=1 cargo test -p metis-bench --test figures`.
+#[test]
+fn ungated_figures_equal_their_digests() {
+    for (name, _) in UNWITNESSED {
+        assert!(!GATED.contains(&name), "{name} is gated and unwitnessed");
+        select([name.to_owned()]).expect("an unwitnessed figure is registered");
+    }
+    let mut fresh = String::new();
+    for figure in FIGURES {
+        let name = figure.name;
+        if GATED.contains(&name) || UNWITNESSED.iter().any(|(n, _)| *n == name) {
+            continue;
+        }
+        let digest = fnv1a64(figure.report(Some(SMOKE)).render().as_bytes());
+        writeln!(fresh, "{name} {digest:016x}").expect("write to String");
+    }
+    let path = workspace().join("baselines/digests.txt");
+    if std::env::var("METIS_REGEN_GOLDEN").is_ok() {
+        std::fs::write(&path, &fresh).expect("write baselines/digests.txt");
+        return;
+    }
+    let committed = read(&path);
+    let moved: Vec<&str> = fresh
+        .lines()
+        .filter(|line| !committed.lines().any(|c| c == *line))
+        .collect();
+    assert!(
+        fresh == committed,
+        "baselines/digests.txt does not witness these smoke-scale reports:\n  {}\n\
+         explain every moved figure in the PR, then regenerate with\n  \
+         METIS_REGEN_GOLDEN=1 cargo test -p metis-bench --test figures",
+        moved.join("\n  ")
+    );
 }
 
 #[test]
