@@ -5,10 +5,10 @@ use std::sync::Arc;
 use metis_embed::Embedder;
 use metis_text::{AnnotatedText, TokenChunk, TokenId};
 
-use crate::flat::FlatIndex;
 use crate::hnsw::{HnswConfig, HnswIndex};
 use crate::ivf::{IvfConfig, IvfIndex};
 use crate::quant::{Quantization, SqFlatIndex, SqIvfIndex};
+use crate::sparse::SparseFlatIndex;
 use crate::store::ChunkStore;
 use crate::{Hit, SearchOutcome, SearchWork, VectorIndex};
 
@@ -240,13 +240,12 @@ impl VectorDb {
         let (index, mut index_meta): (Box<dyn VectorIndex>, IndexMeta) = match spec {
             IndexSpec::Flat => {
                 let index: Box<dyn VectorIndex> = match quant {
-                    Quantization::F32 => {
-                        let mut index = FlatIndex::new(dim);
-                        for c in chunks {
-                            index.add(c.id, &embedder.embed(c.text.tokens()));
-                        }
-                        Box::new(index)
-                    }
+                    Quantization::F32 => Box::new(SparseFlatIndex::build(
+                        dim,
+                        chunks
+                            .iter()
+                            .map(|c| (c.id, embedder.embed(c.text.tokens()))),
+                    )),
                     Quantization::Sq8 { rerank } => {
                         let items: Vec<_> = chunks
                             .iter()

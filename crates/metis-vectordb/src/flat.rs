@@ -37,15 +37,72 @@ impl Ord for HeapEntry {
     }
 }
 
+/// The top-`k` admission of an exact scan, shared by both flat indexes.
+///
+/// Rows `0..ids.len()` are offered in row order. The first `k` are admitted
+/// with their squared distance `d2(row)`. After that a row displaces the
+/// worst admitted one iff `d2(row) < worst`, so a row tied with the worst
+/// does not displace it and a NaN distance neither displaces an entry nor is
+/// displaced.
+/// `skip(row, worst)` may answer `true` only for a row whose `d2(row)` is
+/// provably `>= worst`: such a row would fail the compare anyway, so it is
+/// not scored. Returns the admitted rows as hits in ascending distance.
+pub(crate) fn admit_top_k(
+    ids: &[ChunkId],
+    k: usize,
+    mut skip: impl FnMut(usize, f32) -> bool,
+    mut d2: impl FnMut(usize) -> f32,
+) -> Vec<Hit> {
+    let k = k.min(ids.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut heap: BinaryHeap<HeapEntry> = (0..k)
+        .map(|row| HeapEntry {
+            distance: d2(row),
+            chunk: ids[row],
+        })
+        .collect();
+    // The full heap's largest squared distance, kept in a local so a
+    // rejected row costs one compare.
+    let worst_of = |heap: &BinaryHeap<HeapEntry>| heap.peek().expect("k > 0").distance;
+    let mut worst = worst_of(&heap);
+    for (row, &chunk) in ids.iter().enumerate().skip(k) {
+        if skip(row, worst) {
+            continue;
+        }
+        let d2 = d2(row);
+        if d2 < worst {
+            heap.pop();
+            heap.push(HeapEntry {
+                distance: d2,
+                chunk,
+            });
+            worst = worst_of(&heap);
+        }
+    }
+    let mut hits: Vec<Hit> = heap
+        .into_iter()
+        .map(|e| Hit {
+            chunk: e.chunk,
+            distance: e.distance.sqrt(),
+        })
+        .collect();
+    sort_hits(&mut hits);
+    hits
+}
+
 /// Exact (brute-force) L2 nearest-neighbour index.
 ///
 /// Vectors are stored contiguously; search scans all of them and keeps the
 /// best `k` in a bounded max-heap — `O(n · d)` distance work plus
 /// `O(log k)` per row that beats the current worst (one compare per row
-/// that does not), identical in results to FAISS `IndexFlatL2`. The rows stay
-/// one contiguous array read front to back and scored one at a time: two or
-/// four rows per pass, blocking and prefetching each measured slower
-/// (ROADMAP item 2).
+/// that does not), identical in results to FAISS `IndexFlatL2`. The rows
+/// stay one contiguous array read front to back and scored one at a time:
+/// two or four rows per pass, blocking and prefetching each measured slower
+/// (ROADMAP item 2). A [`crate::VectorDb`] serves its embeddings from a
+/// sparse index with the same answers instead (docs/retrieval.md); this one
+/// holds raw vectors and is that index's test oracle.
 ///
 /// # Examples
 ///
@@ -97,12 +154,6 @@ impl FlatIndex {
         self.data.extend_from_slice(vector);
         self.ids.push(id);
     }
-
-    /// Returns the stored vector for row `row`.
-    pub fn row(&self, row: usize) -> Option<&[f32]> {
-        let start = row * self.dim;
-        self.data.get(start..start + self.dim)
-    }
 }
 
 impl VectorIndex for FlatIndex {
@@ -118,41 +169,13 @@ impl VectorIndex for FlatIndex {
                 work: SearchWork::default(),
             };
         }
-        let mut rows = self.data.chunks_exact(self.dim).zip(&self.ids);
-        let mut heap: BinaryHeap<HeapEntry> = rows
-            .by_ref()
-            .take(k)
-            .map(|(row, &chunk)| HeapEntry {
-                distance: squared_l2(row, query),
-                chunk,
-            })
-            .collect();
-        // The full heap's largest squared distance, kept in a local so a
-        // rejected row costs one compare (a NaN distance neither displaces
-        // an entry nor is displaced).
-        let worst_of = |heap: &BinaryHeap<HeapEntry>| {
-            heap.peek().expect("k > 0 over a non-empty index").distance
-        };
-        let mut worst = worst_of(&heap);
-        for (row, &chunk) in rows {
-            let d2 = squared_l2(row, query);
-            if d2 < worst {
-                heap.pop();
-                heap.push(HeapEntry {
-                    distance: d2,
-                    chunk,
-                });
-                worst = worst_of(&heap);
-            }
-        }
-        let mut hits: Vec<Hit> = heap
-            .into_iter()
-            .map(|e| Hit {
-                chunk: e.chunk,
-                distance: e.distance.sqrt(),
-            })
-            .collect();
-        sort_hits(&mut hits);
+        let dim = self.dim;
+        let hits = admit_top_k(
+            &self.ids,
+            k,
+            |_, _| false,
+            |row| squared_l2(&self.data[row * dim..][..dim], query),
+        );
         SearchOutcome {
             hits,
             work: SearchWork::full_scan(self.ids.len()),

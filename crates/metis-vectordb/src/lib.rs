@@ -13,6 +13,7 @@ mod flat;
 mod hnsw;
 mod ivf;
 mod quant;
+mod sparse;
 mod store;
 
 pub use db::{DbMetadata, IndexMeta, IndexSpec, RetrievalOutcome, RetrievalResult, VectorDb};
@@ -143,7 +144,11 @@ pub(crate) fn assert_finite(vector: &[f32]) {
 pub struct SearchWork {
     /// Corpus vectors scored against the query in exact f32: the whole
     /// corpus for a flat scan, the members of the probed lists for IVF,
-    /// the re-rank candidates under sq8.
+    /// the re-rank candidates under sq8. This is the work of the modelled
+    /// system, not of this implementation: the flat index a [`VectorDb`]
+    /// serves from proves most rows out of reach by a bound and never reads
+    /// them, yet reports the whole corpus, because the retrieval model
+    /// prices FAISS's exhaustive scan on the paper's hardware.
     pub vectors_scored: usize,
     /// Corpus vectors scored in the quantized (sq8) domain — each 1-byte
     /// code decoded on the fly against the f32 query; counted apart from
