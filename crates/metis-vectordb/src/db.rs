@@ -237,87 +237,59 @@ impl VectorDb {
     ) -> Self {
         spec.validate().expect("invalid index spec");
         let dim = embedder.dim();
-        let (index, mut index_meta): (Box<dyn VectorIndex>, IndexMeta) = match spec {
-            IndexSpec::Flat => {
-                let index: Box<dyn VectorIndex> = match quant {
-                    Quantization::F32 => Box::new(SparseFlatIndex::build(
-                        dim,
-                        chunks
-                            .iter()
-                            .map(|c| (c.id, embedder.embed(c.text.tokens()))),
-                    )),
-                    Quantization::Sq8 { rerank } => {
-                        let items: Vec<_> = chunks
-                            .iter()
-                            .map(|c| (c.id, embedder.embed(c.text.tokens())))
-                            .collect();
-                        Box::new(SqFlatIndex::build(dim, rerank, &items))
-                    }
-                };
-                (index, IndexMeta::flat(chunks.len()))
-            }
+        let embedded = || {
+            chunks
+                .iter()
+                .map(|c| (c.id, embedder.embed(c.text.tokens())))
+        };
+        let items = || embedded().collect::<Vec<_>>();
+        // The index, and its effective list and probe counts.
+        let (index, nlist, nprobe): (Box<dyn VectorIndex>, usize, usize) = match spec {
+            IndexSpec::Flat => match quant {
+                Quantization::F32 => (Box::new(SparseFlatIndex::build(dim, embedded())), 1, 1),
+                Quantization::Sq8 { rerank } => {
+                    (Box::new(SqFlatIndex::build(dim, rerank, &items())), 1, 1)
+                }
+            },
             IndexSpec::Ivf {
                 nlist,
                 nprobe,
                 train_iters,
             } => {
-                let items: Vec<_> = chunks
-                    .iter()
-                    .map(|c| (c.id, embedder.embed(c.text.tokens())))
-                    .collect();
-                let index = IvfIndex::build(
-                    dim,
-                    IvfConfig {
-                        nlist,
-                        nprobe,
-                        train_iters,
-                    },
-                    &items,
-                );
-                let effective = index.config();
-                let meta = IndexMeta {
-                    spec,
-                    quant: Quantization::F32,
-                    nlist: effective.nlist,
-                    nprobe: effective.nprobe,
-                    vectors: chunks.len(),
+                let config = IvfConfig {
+                    nlist,
+                    nprobe,
+                    train_iters,
                 };
+                let ivf = IvfIndex::build(dim, config, &items());
+                let IvfConfig { nlist, nprobe, .. } = ivf.config();
                 let index: Box<dyn VectorIndex> = match quant {
-                    Quantization::F32 => Box::new(index),
-                    Quantization::Sq8 { rerank } => Box::new(SqIvfIndex::from_ivf(&index, rerank)),
+                    Quantization::F32 => Box::new(ivf),
+                    Quantization::Sq8 { rerank } => Box::new(SqIvfIndex::from_ivf(&ivf, rerank)),
                 };
-                (index, meta)
+                (index, nlist, nprobe)
             }
             IndexSpec::Hnsw {
                 m,
                 ef_construction,
                 ef_search,
             } => {
-                let items: Vec<_> = chunks
-                    .iter()
-                    .map(|c| (c.id, embedder.embed(c.text.tokens())))
-                    .collect();
-                let index = HnswIndex::build(
-                    dim,
-                    HnswConfig {
-                        m,
-                        ef_construction,
-                        ef_search,
-                    },
-                    quant,
-                    &items,
-                );
-                let meta = IndexMeta {
-                    spec,
-                    quant: Quantization::F32,
-                    nlist: 1,
-                    nprobe: 1,
-                    vectors: chunks.len(),
+                let config = HnswConfig {
+                    m,
+                    ef_construction,
+                    ef_search,
                 };
-                (Box::new(index), meta)
+                let index = HnswIndex::build(dim, config, quant, &items());
+                (Box::new(index), 1, 1)
             }
         };
-        index_meta.quant = quant;
+        let index_meta = IndexMeta {
+            spec,
+            quant,
+            nlist,
+            nprobe,
+            vectors: chunks.len(),
+        };
         let store = ChunkStore::from_chunks(chunks);
         let metadata = DbMetadata {
             description: description.to_owned(),
@@ -398,31 +370,45 @@ mod tests {
     use metis_embed::HashEmbed;
     use metis_text::{Chunker, ChunkerConfig, FactId, TextGen, Tokenizer, TopicVocab};
 
-    fn build_db() -> (VectorDb, Vec<TokenId>, FactId) {
+    /// Chunks of a document holding `FactId(1)` right after eight finance
+    /// topic words, and those words as the query: a short finance section
+    /// between sports filler (`mixed`), or finance throughout.
+    fn fact_corpus(mixed: bool) -> (Vec<TokenChunk>, Vec<TokenId>) {
         let mut tok = Tokenizer::new();
         let finance = TopicVocab::build(&mut tok, "finance", 64, 64);
-        let sports = TopicVocab::build(&mut tok, "sports", 64, 64);
+        let sports;
+        let around = if mixed {
+            sports = TopicVocab::build(&mut tok, "sports", 64, 64);
+            &sports
+        } else {
+            &finance
+        };
         let mut g = TextGen::new(11);
-
-        // Document: sports filler, then a finance section containing a fact.
         let mut doc = AnnotatedText::new();
-        doc.push_tokens(&g.filler(&sports, 256));
+        doc.push_tokens(&g.filler(around, if mixed { 256 } else { 512 }));
         let subject: Vec<TokenId> = finance.topic_words()[..8].to_vec();
         doc.push_tokens(&subject);
         let fact_phrase = g.fact_phrase(&mut tok, "ceo", 2);
         doc.push_fact(FactId(1), &fact_phrase);
-        doc.push_tokens(&g.filler(&finance, 54));
-        doc.push_tokens(&g.filler(&sports, 256));
+        doc.push_tokens(&g.filler(&finance, if mixed { 54 } else { 700 }));
+        if mixed {
+            doc.push_tokens(&g.filler(around, 256));
+        }
+        (
+            Chunker::new(ChunkerConfig::with_size(64)).split(&doc),
+            subject,
+        )
+    }
 
-        let chunks = Chunker::new(ChunkerConfig::with_size(64)).split(&doc);
-        let db = VectorDb::build(
-            &chunks,
-            Arc::new(HashEmbed::default()),
-            "synthetic finance + sports corpus",
-            64,
-        );
-        // Query repeats the subject tokens, as a question about them would.
-        (db, subject, FactId(1))
+    fn db_over(chunks: &[TokenChunk], spec: IndexSpec, quant: Quantization) -> VectorDb {
+        let embedder = Arc::new(HashEmbed::default());
+        VectorDb::build_with_spec(chunks, embedder, "synthetic corpus", 64, spec, quant)
+    }
+
+    fn build_db() -> (VectorDb, Vec<TokenId>, FactId) {
+        let (chunks, query) = fact_corpus(true);
+        let db = db_over(&chunks, IndexSpec::Flat, Quantization::F32);
+        (db, query, FactId(1))
     }
 
     #[test]
@@ -454,25 +440,8 @@ mod tests {
 
     #[test]
     fn ivf_backend_retrieves_the_same_fact() {
-        let mut tok = Tokenizer::new();
-        let finance = TopicVocab::build(&mut tok, "finance", 64, 64);
-        let mut g = TextGen::new(11);
-        let mut doc = AnnotatedText::new();
-        doc.push_tokens(&g.filler(&finance, 512));
-        let subject: Vec<TokenId> = finance.topic_words()[..8].to_vec();
-        doc.push_tokens(&subject);
-        let fact_phrase = g.fact_phrase(&mut tok, "ceo", 2);
-        doc.push_fact(FactId(1), &fact_phrase);
-        doc.push_tokens(&g.filler(&finance, 700));
-        let chunks = Chunker::new(ChunkerConfig::with_size(64)).split(&doc);
-        let db = VectorDb::build_with_spec(
-            &chunks,
-            Arc::new(HashEmbed::default()),
-            "ivf corpus",
-            64,
-            IndexSpec::ivf(4, 3),
-            Quantization::F32,
-        );
+        let (chunks, subject) = fact_corpus(false);
+        let db = db_over(&chunks, IndexSpec::ivf(4, 3), Quantization::F32);
         let results = db.retrieve(&subject, 5);
         assert!(!results.is_empty());
         // With generous nprobe, the fact chunk surfaces just like flat.
@@ -521,26 +490,9 @@ mod tests {
 
     #[test]
     fn hnsw_backend_retrieves_the_same_fact_under_both_storages() {
-        let mut tok = Tokenizer::new();
-        let finance = TopicVocab::build(&mut tok, "finance", 64, 64);
-        let mut g = TextGen::new(11);
-        let mut doc = AnnotatedText::new();
-        doc.push_tokens(&g.filler(&finance, 512));
-        let subject: Vec<TokenId> = finance.topic_words()[..8].to_vec();
-        doc.push_tokens(&subject);
-        let fact_phrase = g.fact_phrase(&mut tok, "ceo", 2);
-        doc.push_fact(FactId(1), &fact_phrase);
-        doc.push_tokens(&g.filler(&finance, 700));
-        let chunks = Chunker::new(ChunkerConfig::with_size(64)).split(&doc);
+        let (chunks, subject) = fact_corpus(false);
         for quant in [Quantization::F32, Quantization::sq8()] {
-            let db = VectorDb::build_with_spec(
-                &chunks,
-                Arc::new(HashEmbed::default()),
-                "hnsw corpus",
-                64,
-                IndexSpec::hnsw(8, 32),
-                quant,
-            );
+            let db = db_over(&chunks, IndexSpec::hnsw(8, 32), quant);
             let out = db.retrieve_counted(&subject, 5);
             let found = out
                 .results
@@ -561,32 +513,9 @@ mod tests {
 
     #[test]
     fn sq8_flat_db_matches_exact_flat_results() {
-        // Same corpus as `build_db`, rebuilt once per storage scheme.
-        let mut tok = Tokenizer::new();
-        let finance = TopicVocab::build(&mut tok, "finance", 64, 64);
-        let sports = TopicVocab::build(&mut tok, "sports", 64, 64);
-        let mut g = TextGen::new(11);
-        let mut doc = AnnotatedText::new();
-        doc.push_tokens(&g.filler(&sports, 256));
-        let subject: Vec<TokenId> = finance.topic_words()[..8].to_vec();
-        doc.push_tokens(&subject);
-        let fact_phrase = g.fact_phrase(&mut tok, "ceo", 2);
-        doc.push_fact(FactId(1), &fact_phrase);
-        doc.push_tokens(&g.filler(&finance, 54));
-        doc.push_tokens(&g.filler(&sports, 256));
-        let chunks = Chunker::new(ChunkerConfig::with_size(64)).split(&doc);
-        let build = |quant| {
-            VectorDb::build_with_spec(
-                &chunks,
-                Arc::new(HashEmbed::default()),
-                "synthetic finance + sports corpus",
-                64,
-                IndexSpec::Flat,
-                quant,
-            )
-        };
-        let db = build(Quantization::F32);
-        let sq_db = build(Quantization::sq8());
+        let (chunks, subject) = fact_corpus(true);
+        let db = db_over(&chunks, IndexSpec::Flat, Quantization::F32);
+        let sq_db = db_over(&chunks, IndexSpec::Flat, Quantization::sq8());
         let exact: Vec<_> = db
             .retrieve(&subject, 3)
             .iter()

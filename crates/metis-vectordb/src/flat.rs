@@ -9,6 +9,7 @@ use crate::{assert_finite, sort_hits, squared_l2, Hit, SearchOutcome, SearchWork
 
 /// Candidate ordered so that the *worst* (largest-distance) hit is at the top
 /// of a max-heap, letting us keep only the best `k`.
+#[derive(PartialEq)]
 struct HeapEntry {
     /// *Squared* L2 distance during the scan (the monotone transform is
     /// square-rooted only when hits are emitted).
@@ -16,11 +17,6 @@ struct HeapEntry {
     chunk: ChunkId,
 }
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.distance == other.distance && self.chunk == other.chunk
-    }
-}
 impl Eq for HeapEntry {}
 impl PartialOrd for HeapEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
@@ -39,46 +35,47 @@ impl Ord for HeapEntry {
 
 /// The top-`k` admission of an exact scan, shared by both flat indexes.
 ///
-/// Rows `0..ids.len()` are offered in row order. The first `k` are admitted
-/// with their squared distance `d2(row)`. After that a row displaces the
-/// worst admitted one iff `d2(row) < worst`, so a row tied with the worst
-/// does not displace it and a NaN distance neither displaces an entry nor is
-/// displaced.
-/// `skip(row, worst)` may answer `true` only for a row whose `d2(row)` is
-/// provably `>= worst`: such a row would fail the compare anyway, so it is
-/// not scored. Returns the admitted rows as hits in ascending distance.
-pub(crate) fn admit_top_k(
-    ids: &[ChunkId],
-    k: usize,
-    mut skip: impl FnMut(usize, f32) -> bool,
-    mut d2: impl FnMut(usize) -> f32,
-) -> Vec<Hit> {
-    let k = k.min(ids.len());
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut heap: BinaryHeap<HeapEntry> = (0..k)
-        .map(|row| HeapEntry {
-            distance: d2(row),
-            chunk: ids[row],
-        })
-        .collect();
-    // The full heap's largest squared distance, kept in a local so a
-    // rejected row costs one compare.
-    let worst_of = |heap: &BinaryHeap<HeapEntry>| heap.peek().expect("k > 0").distance;
-    let mut worst = worst_of(&heap);
-    for (row, &chunk) in ids.iter().enumerate().skip(k) {
-        if skip(row, worst) {
-            continue;
-        }
-        let d2 = d2(row);
-        if d2 < worst {
-            heap.pop();
-            heap.push(HeapEntry {
-                distance: d2,
-                chunk,
-            });
-            worst = worst_of(&heap);
+/// `rows` yields `(chunk, d2)`, the squared distance of each row offered,
+/// in row order. The first `k` are admitted. After that a row displaces the
+/// worst admitted one iff `d2 < worst`, so a row tied with the worst does
+/// not displace it and a NaN distance neither displaces an entry nor is
+/// displaced; ties inside the heap pop the larger chunk id. Returns the
+/// admitted rows as hits in ascending distance.
+///
+/// **Lemma.** Let `W` be the final worst of a run over every row. A run over
+/// any subsequence that keeps every row with `d2 ≤ W` returns the same hits
+/// (distances not NaN). Call those rows good and the rest bad. Step by
+/// step, the subsequence's heap holds exactly the good rows of the full
+/// run's heap:
+/// - a bad row enters the full heap only into a free slot or by displacing
+///   a worst above its own `d2 > W`, itself bad, so the good rows stay put;
+/// - a good row enters both heaps alike: while the full heap holds a bad
+///   row, its worst is above `W ≥ d2`, so the good row displaces it (a bad
+///   row) there and takes a free slot in the subsequence's heap; once the
+///   full heap holds no bad row, the two heaps are equal and decide alike.
+///
+/// The full run ends holding good rows only (its worst is `W`), so both
+/// runs end equal. A row tied *at* `W` must be kept: it may hold its slot
+/// against a later row of the same distance, which then does not displace
+/// it (`flat::tests::dropping_a_row_tied_at_the_worst_can_change_the_hits`).
+pub(crate) fn admit_top_k(k: usize, rows: impl IntoIterator<Item = (ChunkId, f32)>) -> Vec<Hit> {
+    let mut rows = rows.into_iter();
+    let mut heap = BinaryHeap::with_capacity(k.min(rows.size_hint().1.unwrap_or(k)));
+    heap.extend(
+        rows.by_ref()
+            .take(k)
+            .map(|(chunk, distance)| HeapEntry { distance, chunk }),
+    );
+    if let Some(top) = heap.peek() {
+        // The full heap's largest squared distance, kept in a local so a
+        // rejected row costs one compare.
+        let mut worst = top.distance;
+        for (chunk, distance) in rows {
+            if distance < worst {
+                heap.pop();
+                heap.push(HeapEntry { distance, chunk });
+                worst = heap.peek().expect("k > 0").distance;
+            }
         }
     }
     let mut hits: Vec<Hit> = heap
@@ -169,13 +166,11 @@ impl VectorIndex for FlatIndex {
                 work: SearchWork::default(),
             };
         }
-        let dim = self.dim;
-        let hits = admit_top_k(
-            &self.ids,
-            k,
-            |_, _| false,
-            |row| squared_l2(&self.data[row * dim..][..dim], query),
-        );
+        let scored = self
+            .data
+            .chunks_exact(self.dim)
+            .map(|v| squared_l2(v, query));
+        let hits = admit_top_k(k, self.ids.iter().copied().zip(scored));
         SearchOutcome {
             hits,
             work: SearchWork::full_scan(self.ids.len()),
@@ -223,24 +218,11 @@ mod tests {
     /// panic and must place NaN last.
     #[test]
     fn heap_entry_comparator_is_total_over_nan() {
-        let mut entries = [
-            HeapEntry {
-                distance: f32::NAN,
-                chunk: ChunkId(0),
-            },
-            HeapEntry {
-                distance: 1.0,
-                chunk: ChunkId(1),
-            },
-            HeapEntry {
-                distance: f32::NAN,
-                chunk: ChunkId(2),
-            },
-            HeapEntry {
-                distance: 0.5,
-                chunk: ChunkId(3),
-            },
-        ];
+        let mut entries =
+            [(f32::NAN, 0), (1.0, 1), (f32::NAN, 2), (0.5, 3)].map(|(d, c)| HeapEntry {
+                distance: d,
+                chunk: ChunkId(c),
+            });
         entries.sort(); // would panic under an inconsistent comparator
         let order: Vec<_> = entries.iter().map(|e| e.chunk).collect();
         assert_eq!(order, vec![ChunkId(3), ChunkId(1), ChunkId(0), ChunkId(2)]);
@@ -319,6 +301,47 @@ mod tests {
             assert_eq!(hit.chunk, ChunkId(*i));
             assert!((hit.distance - d).abs() < 1e-5);
         }
+    }
+
+    /// The lemma of [`admit_top_k`], on seeded distance lists: few distinct
+    /// values (heavy ties, `+∞` among them), distinct chunk ids in an order
+    /// unrelated to row order, and a random subset of the rows beyond the
+    /// full run's final worst removed.
+    #[test]
+    fn dropping_rows_beyond_the_final_worst_keeps_the_hits() {
+        let mut state = 0xAD_1117u64;
+        let mut next = move |below: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % below
+        };
+        let palette = [0.0, 0.25, 1.0, 1.0, 2.0, 3.5, f32::INFINITY];
+        for _ in 0..2_000 {
+            // Distinct chunk ids (`· 32 + row`) in random order.
+            let n = 1 + next(24);
+            let rows: Vec<(ChunkId, f32)> = (0..n)
+                .map(|i| (ChunkId((next(1 << 16) * 32 + i) as u32), palette[next(7)]))
+                .collect();
+            for k in [1, 2, 3, n] {
+                let hits = admit_top_k(k, rows.iter().copied());
+                let last = hits.last().expect("k ≥ 1").chunk;
+                let worst = rows.iter().find(|row| row.0 == last).expect("a row").1;
+                let kept = rows.iter().filter(|&&(_, d2)| d2 <= worst || next(2) == 0);
+                assert_eq!(admit_top_k(k, kept.copied()), hits, "{rows:?}, k {k}");
+            }
+        }
+    }
+
+    /// Why the served index drops a row only when its bound is *above* the
+    /// cap, never when it equals it: a row tied at the final worst holds its
+    /// slot against a later tie, so removing it changes the answer.
+    #[test]
+    fn dropping_a_row_tied_at_the_worst_can_change_the_hits() {
+        let rows = [(ChunkId(5), 1.0), (ChunkId(3), 1.0)];
+        let hit = |rows: &[(ChunkId, f32)]| admit_top_k(1, rows.iter().copied())[0].chunk;
+        assert_eq!(hit(&rows), ChunkId(5));
+        assert_eq!(hit(&rows[1..]), ChunkId(3));
     }
 
     #[test]

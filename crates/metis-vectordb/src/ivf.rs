@@ -71,19 +71,6 @@ struct IvfScratch {
     hits: Vec<Hit>,
 }
 
-impl Clone for IvfIndex {
-    fn clone(&self) -> Self {
-        Self {
-            dim: self.dim,
-            config: self.config,
-            centroids: self.centroids.clone(),
-            lists: self.lists.clone(),
-            len: self.len,
-            scratch: Mutex::new(IvfScratch::default()),
-        }
-    }
-}
-
 /// Deterministic strided seeds, skipping vectors identical to an
 /// already-chosen seed: duplicate seeds would collapse two centroids onto
 /// one point and permanently orphan a list. When the corpus has fewer
@@ -319,6 +306,16 @@ mod tests {
     use super::*;
     use crate::FlatIndex;
 
+    /// A 2-dimensional index over `items`.
+    fn built(items: &[(ChunkId, Vec<f32>)], nlist: usize, nprobe: usize, iters: usize) -> IvfIndex {
+        let config = IvfConfig {
+            nlist,
+            nprobe,
+            train_iters: iters,
+        };
+        IvfIndex::build(2, config, items)
+    }
+
     fn clustered_data() -> Vec<(ChunkId, Vec<f32>)> {
         // Two well-separated clusters around (0,0) and (10,10).
         let mut items = Vec::new();
@@ -342,15 +339,7 @@ mod tests {
 
     #[test]
     fn finds_neighbours_in_probed_cluster() {
-        let idx = IvfIndex::build(
-            2,
-            IvfConfig {
-                nlist: 2,
-                nprobe: 1,
-                train_iters: 10,
-            },
-            &clustered_data(),
-        );
+        let idx = built(&clustered_data(), 2, 1, 10);
         let hits = idx.search(&[10.0, 10.0], 5);
         assert_eq!(hits.len(), 5);
         for h in &hits {
@@ -361,15 +350,7 @@ mod tests {
     #[test]
     fn full_probe_matches_flat_index() {
         let items = clustered_data();
-        let ivf = IvfIndex::build(
-            2,
-            IvfConfig {
-                nlist: 4,
-                nprobe: 4,
-                train_iters: 5,
-            },
-            &items,
-        );
+        let ivf = built(&items, 4, 4, 5);
         let mut flat = FlatIndex::new(2);
         for (id, v) in &items {
             flat.add(*id, v);
@@ -454,15 +435,7 @@ mod tests {
             (ChunkId(6), vec![20.0, 20.0]),
             (ChunkId(7), vec![20.0, 20.1]),
         ];
-        let idx = IvfIndex::build(
-            2,
-            IvfConfig {
-                nlist: 4,
-                nprobe: 4,
-                train_iters: 6,
-            },
-            &items,
-        );
+        let idx = built(&items, 4, 4, 6);
         let sizes = idx.list_sizes();
         assert!(
             sizes.iter().all(|&s| s > 0),
@@ -477,15 +450,7 @@ mod tests {
         // stale centroids empty; re-seeding + repair must reclaim them.
         let items = clustered_data();
         for nlist in [2usize, 4, 8, 16] {
-            let idx = IvfIndex::build(
-                2,
-                IvfConfig {
-                    nlist,
-                    nprobe: 1,
-                    train_iters: 8,
-                },
-                &items,
-            );
+            let idx = built(&items, nlist, 1, 8);
             let sizes = idx.list_sizes();
             assert!(
                 sizes.iter().all(|&s| s > 0),
@@ -498,15 +463,7 @@ mod tests {
     #[test]
     fn search_work_counts_probed_lists_only() {
         let items = clustered_data();
-        let idx = IvfIndex::build(
-            2,
-            IvfConfig {
-                nlist: 4,
-                nprobe: 2,
-                train_iters: 5,
-            },
-            &items,
-        );
+        let idx = built(&items, 4, 2, 5);
         let out = idx.search_counted(&[0.0, 0.0], 5);
         assert_eq!(out.work.lists_probed, 2);
         assert_eq!(out.work.centroids_scored, 4);
@@ -514,15 +471,7 @@ mod tests {
         assert!(out.work.vectors_scored < items.len());
         assert!(out.work.vectors_scored >= *sizes.iter().min().unwrap());
         // Full probe scores exactly the whole corpus.
-        let full = IvfIndex::build(
-            2,
-            IvfConfig {
-                nlist: 4,
-                nprobe: 4,
-                train_iters: 5,
-            },
-            &items,
-        );
+        let full = built(&items, 4, 4, 5);
         assert_eq!(
             full.search_counted(&[0.0, 0.0], 5).work.vectors_scored,
             items.len()

@@ -444,11 +444,6 @@ impl SqIvfIndex {
             len: ivf.len(),
         }
     }
-
-    /// The effective IVF configuration.
-    pub fn config(&self) -> IvfConfig {
-        self.config
-    }
 }
 
 impl VectorIndex for SqIvfIndex {
@@ -531,24 +526,10 @@ mod tests {
     /// NaN distances sorts without panicking, NaN last, ties on chunk id.
     #[test]
     fn nan_containing_hit_list_sorts_without_panicking() {
-        let mut hits = vec![
-            Hit {
-                chunk: ChunkId(5),
-                distance: f32::NAN,
-            },
-            Hit {
-                chunk: ChunkId(1),
-                distance: 2.0,
-            },
-            Hit {
-                chunk: ChunkId(9),
-                distance: f32::NAN,
-            },
-            Hit {
-                chunk: ChunkId(2),
-                distance: 0.0,
-            },
-        ];
+        let mut hits = [(5, f32::NAN), (1, 2.0), (9, f32::NAN), (2, 0.0)].map(|(c, d)| Hit {
+            chunk: ChunkId(c),
+            distance: d,
+        });
         sort_hits(&mut hits);
         let order: Vec<_> = hits.iter().map(|h| h.chunk).collect();
         assert_eq!(order, vec![ChunkId(2), ChunkId(1), ChunkId(5), ChunkId(9)]);

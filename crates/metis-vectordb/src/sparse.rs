@@ -4,16 +4,22 @@
 //! The built-in feature-hash embeddings are sparse: 18–27 % of a chunk
 //! row's coordinates are non-zero, 5–8 % of a query's. The index keeps each
 //! row's non-zero coordinates and its squared norm, plus one posting list
-//! per dimension. A search scatters the query's non-zero coordinates over
-//! their posting lists, which yields every row's dot product with the
-//! query and from it a lower bound on the row's distance. Rows are then
-//! offered to the same top-`k` admission the dense scan uses
-//! ([`admit_top_k`]); a row whose bound is already at least the admitted
-//! worst is skipped unread, and every other row is densified and scored by
-//! the one exact kernel, [`squared_l2`], so every distance it returns has
-//! the dense scan's bits. See docs/retrieval.md for the measured survivors.
+//! per dimension over blocks of four consecutive rows. A search scatters the
+//! query's non-zero coordinates over their posting lists, four rows per
+//! vector op, which yields every row's dot product with the query and from
+//! it a lower bound on the row's distance. It then scores the `k` rows of
+//! least bound; the largest of those distances, the cap, is at least the
+//! final worst `W` of a dense scan (among any `k` rows one is at least the
+//! `k`-th smallest), so a row whose bound is above the cap is above `W`.
+//! The other rows, about `k` of them, are offered in row order to the top-`k`
+//! admission the dense scan uses, [`admit_top_k`], whose lemma says that
+//! dropping rows above `W` changes no hit. Each is scored by the one exact
+//! kernel, [`squared_l2`], so every distance it returns has the dense scan's
+//! bits. See docs/retrieval.md for the rows scored per search.
 
 use std::cell::RefCell;
+use std::cmp::Ordering::Greater;
+use std::collections::BinaryHeap;
 
 use metis_text::ChunkId;
 
@@ -30,40 +36,56 @@ const F32_UNIT: f64 = 1.0 / (1u64 << 24) as f64;
 /// operation in the subnormal range can lose.
 const F32_SUBNORMAL_HALF_STEP: f64 = f32::MIN_POSITIVE as f64 / (1u64 << 24) as f64;
 
-/// How far below `‖r‖² + ‖q‖² − 2 r·q`, evaluated in f64, [`squared_l2`]
-/// can land at dimension `dim`: `margin = slope · (‖r‖² + ‖q‖²) + floor`.
+/// How far below `‖r‖² + ‖q‖² − 2 r·q`, with `r·q` the f32 lane sum of
+/// [`SparseFlatIndex::scatter`] and the rest in f64, [`squared_l2`] can land
+/// at dimension `dim`: `margin = slope · (‖r‖² + ‖q‖²) + floor`.
 ///
 /// Write `E = Σ (r_i − q_i)²` in exact arithmetic over the stored f32
-/// values. Every `r_i q_i` and `r_i²` is exact in f64 (24 + 24 significant
-/// bits), so the f64 bound differs from `E` only by the rounding of its
-/// sums, at most `(2 dim + 8) · 2^-53 · (‖r‖² + ‖q‖²)`. The kernel rounds
-/// each `r_i − q_i` once (a factor `(1 − u)²` on the square, `u = 2^-24`)
-/// and the square once more, and each term then passes through at most
-/// `dim + 15` additions (the kernel makes no more: `dim` into the lanes and
-/// the tail, 15 in the 16 → 1 fold), each a relative error of at most `u`
-/// on non-negative operands. So it returns at least `(1 − (dim + 18) u) E`,
-/// less `2^-150` per square that underflowed to a subnormal. With
-/// `E ≤ 2 (‖r‖² + ‖q‖²)`:
+/// values, and `u = 2^-24`. The kernel rounds each `r_i − q_i` once (a
+/// factor `(1 − u)²` on the square) and the square once more, and each term
+/// then passes through at most `dim + 15` additions (the kernel makes no
+/// more: `dim` into the lanes and the tail, 15 in the 16 → 1 fold), each a
+/// relative error of at most `u` on non-negative operands. So it returns at
+/// least `(1 − (dim + 18) u) E`, less `2^-150` per square that underflowed
+/// to a subnormal; with `E ≤ 2 (‖r‖² + ‖q‖²)`, at least
+/// `E − (2 dim + 36) u (‖r‖² + ‖q‖²) − dim · 2^-150`.
 ///
-/// `squared_l2 ≥ bound − (2 dim + 36) u (‖r‖² + ‖q‖²) − dim · 2^-150`.
+/// A row's lane sums at most `dim` products `r_i q_i`, in ascending `i`,
+/// each product and each sum rounded once: it is within
+/// `γ Σ |r_i q_i| ≤ γ (‖r‖² + ‖q‖²) / 2` of `r·q`, `γ = dim u / (1 − dim u)`,
+/// plus `2^-150` per product that underflowed. Every `r_i²` and `q_i²` is
+/// exact in f64 (24 + 24 significant bits), so the f64 rest is within
+/// `(2 dim + 8) · 2^-53 · (‖r‖² + ‖q‖²)` of exact. So
 ///
-/// The slope below takes `2 dim + 64` instead of `2 dim + 36`; the spare
-/// `28 u` dominates the f64 rounding of the bound and of this margin many
-/// times over. The floor doubles the subnormal loss. An overflowing kernel
-/// returns `+∞`, above any finite bound.
+/// `squared_l2 ≥ bound − ((2 dim + 36) u + γ) (‖r‖² + ‖q‖²) − (3 + 2γ) dim · 2^-150`,
+///
+/// to within the f64 rounding. The slope below takes `2 dim + 64` for
+/// `2 dim + 36`; the spare `28 u` dominates the f64 rounding of the bound
+/// and of this margin many times over. The floor, `8 dim · 2^-150`, is the
+/// underflow loss doubled and rounded up. A lane that overflows bounds
+/// nothing (`−∞`); an overflowing kernel returns `+∞`, above any finite
+/// bound.
 fn margin(dim: usize) -> (f64, f64) {
     let dim = dim as f64;
+    let gamma = dim * F32_UNIT / (1.0 - dim * F32_UNIT);
     (
-        (2.0 * dim + 64.0) * F32_UNIT,
-        dim * 2.0 * F32_SUBNORMAL_HALF_STEP,
+        (2.0 * dim + 64.0) * F32_UNIT + gamma,
+        dim * 8.0 * F32_SUBNORMAL_HALF_STEP,
     )
 }
 
 /// Per-thread search memory, reused by the next search on the thread.
 #[derive(Default)]
 struct Scratch {
-    /// `bounds[row]`: a lower bound on the row's squared distance.
+    /// Row `r`'s dot product with the query at `lanes[r / 4][r % 4]`; once
+    /// the row is scored ahead of the admission, its squared distance.
+    lanes: Vec<[f32; 4]>,
+    /// `bounds[row]`: a lower bound on the row's squared distance, never
+    /// NaN; NaN once the row is scored ahead.
     bounds: Vec<f64>,
+    /// The rows of least bound, `(bound in total order, row)`, the greatest
+    /// on top.
+    least: BinaryHeap<(i64, u32)>,
     /// One row densified for the kernel; all zeros between scorings of a
     /// search.
     row: Vec<f32>,
@@ -86,16 +108,19 @@ pub(crate) struct SparseFlatIndex {
     vals: Vec<f32>,
     /// `‖r‖²` in f64, per row.
     norms: Vec<f64>,
-    /// Dimension `j`'s posting list, `(row, value)` in ascending row, is
-    /// `postings[list_starts[j]..list_starts[j + 1]]`.
+    /// Dimension `j`'s posting list is
+    /// `postings[list_starts[j]..list_starts[j + 1]]`: one entry
+    /// `(block, values)` per block of rows `4 block .. 4 block + 4` with a
+    /// non-zero in column `j`, in ascending block, `values[i]` being row
+    /// `4 block + i`'s (zero where it has none).
     list_starts: Vec<usize>,
-    postings: Vec<(u32, f32)>,
+    postings: Vec<(u32, [f32; 4])>,
 }
 
 impl SparseFlatIndex {
     /// Builds the index in one pass over `rows`, keeping only each
-    /// vector's non-zero coordinates, then lays out the posting lists by a
-    /// counting sort over those.
+    /// vector's non-zero coordinates and counting each list's blocks, then
+    /// lays out the posting lists by a counting sort over those.
     ///
     /// # Panics
     ///
@@ -108,7 +133,8 @@ impl SparseFlatIndex {
         );
         let (mut ids, mut starts, mut cols, mut vals, mut norms) =
             (Vec::new(), vec![0], Vec::new(), Vec::new(), Vec::new());
-        let mut list_lens = vec![0usize; dim];
+        // Per list, its entries so far and the block of the newest one.
+        let (mut list_lens, mut newest) = (vec![0usize; dim], vec![usize::MAX; dim]);
         let (mut row_cols, mut row_vals) = (vec![0u16; dim], vec![0.0f32; dim]);
         for (id, v) in rows {
             assert_eq!(v.len(), dim, "dimension mismatch");
@@ -122,8 +148,11 @@ impl SparseFlatIndex {
                 nnz += usize::from(x != 0.0);
             }
             let (row_cols, row_vals) = (&row_cols[..nnz], &row_vals[..nnz]);
+            let block = ids.len() / 4;
             for &c in row_cols {
-                list_lens[usize::from(c)] += 1;
+                let c = usize::from(c);
+                list_lens[c] += usize::from(newest[c] != block);
+                newest[c] = block;
             }
             ids.push(id);
             norms.push(row_vals.iter().map(|&x| f64::from(x) * f64::from(x)).sum());
@@ -137,15 +166,20 @@ impl SparseFlatIndex {
         for len in &list_lens {
             list_starts.push(list_starts.last().expect("starts at 0") + len);
         }
-        // Counting sort: each list's cursor walks from its start, and rows
-        // arrive in ascending order.
-        let mut cursor = list_starts[..dim].to_vec();
-        let mut postings = vec![(0u32, 0.0f32); cols.len()];
+        // Counting sort, each list's end advancing from its start: rows, and
+        // so blocks, arrive in ascending order, so a value either joins the
+        // list's newest entry or opens the next one.
+        let mut ends = list_starts[..dim].to_vec();
+        let mut postings = vec![(0, [0.0f32; 4]); list_starts[dim]];
         for (row, span) in starts.windows(2).enumerate() {
+            let block = (row / 4) as u32;
             for (&c, &x) in cols[span[0]..span[1]].iter().zip(&vals[span[0]..span[1]]) {
-                let at = &mut cursor[usize::from(c)];
-                postings[*at] = (row as u32, x);
-                *at += 1;
+                let c = usize::from(c);
+                if ends[c] == list_starts[c] || postings[ends[c] - 1].0 != block {
+                    postings[ends[c]].0 = block;
+                    ends[c] += 1;
+                }
+                postings[ends[c] - 1].1[row % 4] = x;
             }
         }
         Self {
@@ -162,9 +196,10 @@ impl SparseFlatIndex {
 
     /// Sets `bounds[row]`, for every row, to a lower bound on
     /// `squared_l2(row, query)`: `‖r‖² + ‖q‖² − 2 r·q − margin`, with `r·q`
-    /// scattered from the query's non-zero coordinates over their posting
-    /// lists and summed in f64 in ascending dimension.
-    fn lower_bounds(&self, query: &[f32], bounds: &mut Vec<f64>) {
+    /// summed into `lanes` by [`Self::scatter`] and the rest in f64.
+    fn lower_bounds(&self, query: &[f32], lanes: &mut Vec<[f32; 4]>, bounds: &mut Vec<f64>) {
+        lanes.clear();
+        lanes.resize(self.ids.len().div_ceil(4), [0.0; 4]);
         bounds.clear();
         let q_norm: f64 = query.iter().map(|&x| f64::from(x) * f64::from(x)).sum();
         // Finite f32 squares cannot overflow an f64 sum of 65 536 of them,
@@ -174,20 +209,35 @@ impl SparseFlatIndex {
             bounds.resize(self.ids.len(), f64::NEG_INFINITY);
             return;
         }
-        bounds.resize(self.ids.len(), 0.0);
+        self.scatter(query, lanes);
+        let (slope, floor) = margin(self.dim);
+        let dots = lanes.as_flattened().iter().zip(&self.norms);
+        bounds.extend(dots.map(|(&dot, &r_norm)| {
+            let norms = r_norm + q_norm;
+            if dot.is_finite() {
+                norms - 2.0 * f64::from(dot) - (slope * norms + floor)
+            } else {
+                f64::NEG_INFINITY
+            }
+        }));
+    }
+
+    /// Adds `r·q` into every row's lane: for each non-zero `q_j`, in
+    /// ascending `j`, each entry of list `j` adds its four values times
+    /// `q_j` to its block's four lanes in one vector op. Never inlined, so
+    /// that the loop compiles alike wherever it is called and
+    /// `tests/codegen/kernel-width.sh` can read it.
+    #[inline(never)]
+    fn scatter(&self, query: &[f32], lanes: &mut [[f32; 4]]) {
         for (j, &x) in query.iter().enumerate() {
             if x == 0.0 {
                 continue;
             }
-            let x = f64::from(x);
-            for &(row, v) in &self.postings[self.list_starts[j]..self.list_starts[j + 1]] {
-                bounds[row as usize] += f64::from(v) * x;
+            for &(block, values) in &self.postings[self.list_starts[j]..self.list_starts[j + 1]] {
+                for (lane, v) in lanes[block as usize].iter_mut().zip(values) {
+                    *lane += v * x;
+                }
             }
-        }
-        let (slope, floor) = margin(self.dim);
-        for (b, &r_norm) in bounds.iter_mut().zip(&self.norms) {
-            let norms = r_norm + q_norm;
-            *b = norms - 2.0 * *b - (slope * norms + floor);
         }
     }
 
@@ -204,6 +254,24 @@ impl SparseFlatIndex {
     }
 }
 
+/// Fills `least` with the `k ≥ 1` rows of least bound, in `f64::total_cmp`
+/// order and ties to the earlier row, in `O(n log k)`.
+fn least_bounded(bounds: &[f64], k: usize, least: &mut BinaryHeap<(i64, u32)>) {
+    least.clear();
+    for (row, &bound) in bounds.iter().enumerate() {
+        // `f64::total_cmp` as an integer order.
+        let bits = bound.to_bits() as i64;
+        let entry = (bits ^ (((bits >> 63) as u64) >> 1) as i64, row as u32);
+        if least.len() < k {
+            least.push(entry);
+        } else if let Some(mut greatest) = least.peek_mut() {
+            if entry < *greatest {
+                *greatest = entry;
+            }
+        }
+    }
+}
+
 impl VectorIndex for SparseFlatIndex {
     fn len(&self) -> usize {
         self.ids.len()
@@ -211,28 +279,54 @@ impl VectorIndex for SparseFlatIndex {
 
     fn search_counted(&self, query: &[f32], k: usize) -> SearchOutcome {
         assert_eq!(query.len(), self.dim, "dimension mismatch");
-        if k == 0 || self.ids.is_empty() {
+        let n = self.ids.len();
+        if k == 0 || n == 0 {
             return SearchOutcome {
                 hits: Vec::new(),
                 work: SearchWork::default(),
             };
         }
+        let k = k.min(n);
         let hits = SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
-            let Scratch { bounds, row } = &mut *scratch;
-            self.lower_bounds(query, bounds);
+            let Scratch {
+                lanes,
+                bounds,
+                least,
+                row,
+            } = &mut *scratch;
+            self.lower_bounds(query, lanes, bounds);
             row.clear();
             row.resize(self.dim, 0.0);
+            // Score the k rows of least bound ahead, each distance kept in
+            // its lane and the row marked by a NaN bound.
+            least_bounded(bounds, k, least);
+            let dists = lanes.as_flattened_mut();
+            for &(_, r) in least.iter() {
+                let r = r as usize;
+                dists[r] = self.score(r, query, row);
+                bounds[r] = f64::NAN;
+            }
+            let cap = least.iter().map(|&(_, r)| dists[r as usize]);
+            let cap = f64::from(cap.max_by(f32::total_cmp).expect("k ≥ 1"));
+            // Only a bound above the cap drops its row: the NaN bound of a row
+            // scored ahead, or a NaN cap (a non-finite query), drops none.
+            let candidates = (0..n).filter(|&r| bounds[r].partial_cmp(&cap) != Some(Greater));
             admit_top_k(
-                &self.ids,
                 k,
-                |r, worst| bounds[r] >= f64::from(worst),
-                |r| self.score(r, query, row),
+                candidates.map(|r| {
+                    let d2 = if bounds[r].is_nan() {
+                        dists[r]
+                    } else {
+                        self.score(r, query, row)
+                    };
+                    (self.ids[r], d2)
+                }),
             )
         });
         SearchOutcome {
             hits,
-            work: SearchWork::full_scan(self.ids.len()),
+            work: SearchWork::full_scan(n),
         }
     }
 }
@@ -378,20 +472,24 @@ mod tests {
         differential_sweep(0xD1FF, 10_000);
     }
 
-    /// The row's bound and margin for one `(row, query)` pair.
-    fn bound_and_margin(row: &[f32], query: &[f32]) -> (f64, f64) {
-        let index = SparseFlatIndex::build(row.len(), [(ChunkId(0), row.to_vec())]);
-        let mut bounds = Vec::new();
-        index.lower_bounds(query, &mut bounds);
+    /// The row's bound and margin for one `(row, query)` pair, the row in
+    /// lane `at` of its block behind copies of the query.
+    fn bound_and_margin(row: &[f32], query: &[f32], at: usize) -> (f64, f64) {
+        let rows = (0..at).map(|_| query.to_vec()).chain([row.to_vec()]);
+        let index = SparseFlatIndex::build(row.len(), rows.map(|v| (ChunkId(0), v)));
+        let (mut lanes, mut bounds) = (Vec::new(), Vec::new());
+        index.lower_bounds(query, &mut lanes, &mut bounds);
         let norms: f64 = row.iter().chain(query).map(|&x| f64::from(x).powi(2)).sum();
         let (slope, floor) = margin(row.len());
-        (bounds[0], slope * norms + floor)
+        (bounds[at], slope * norms + floor)
     }
 
     /// Adversarial pairs: a row one ulp from the query in every component
     /// (total cancellation), subnormal rows and queries, magnitudes near
-    /// `f32::MAX` that overflow the kernel or cancel exactly, and one large
-    /// term beside many squares the kernel's lanes round away.
+    /// `f32::MAX` that overflow the kernel or cancel exactly, one large
+    /// term beside many squares the kernel's lanes round away, and the
+    /// lane dot at its longest: 1 024 non-zero query coordinates, and 1 024
+    /// same-sign products in one lane a few ulps from cancelling.
     #[test]
     fn the_bound_never_exceeds_the_kernel() {
         let mut rng = Lcg(0xB0B);
@@ -403,9 +501,9 @@ mod tests {
                 f32::from_bits(x.to_bits().wrapping_add_signed(by))
             }
         };
-        for case in 0..3_000 {
+        for case in 0..4_000 {
             let dim = rng.pick(&[1, 2, 15, 16, 17, 64, 100, 1024]);
-            let (row, query): (Vec<f32>, Vec<f32>) = match case % 6 {
+            let (row, query): (Vec<f32>, Vec<f32>) = match case % 8 {
                 0 => {
                     let r = rng.vector(dim, 0.5);
                     let q = r.iter().map(|&x| ulp(x, rng.below(3) as i32 - 1)).collect();
@@ -419,7 +517,7 @@ mod tests {
                 }
                 2 => {
                     let r: Vec<f32> = (0..dim).map(|_| f32::MAX * rng.unit()).collect();
-                    let sign = if case % 12 == 2 { -1.0 } else { 1.0 };
+                    let sign = if case % 16 == 2 { -1.0 } else { 1.0 };
                     let q = r.iter().map(|&x| sign * ulp(x, 1)).collect();
                     (r, q)
                 }
@@ -429,19 +527,34 @@ mod tests {
                     let tiny = (0.99 * f32::EPSILON / 4.0).sqrt();
                     (r, vec![tiny; dim])
                 }
+                6 => {
+                    let signed = |rng: &mut Lcg| (rng.unit() + 1e-3) * rng.pick(&[-1.0, 1.0]);
+                    let density = rng.pick(&[0.05, 0.3, 1.0]);
+                    let r = (0..1024)
+                        .map(|_| f32::from(u8::from(rng.unit() < density)) * signed(&mut rng))
+                        .collect();
+                    (r, (0..1024).map(|_| signed(&mut rng)).collect())
+                }
+                7 => {
+                    let r: Vec<f32> = (0..1024).map(|_| 1.0 + rng.unit()).collect();
+                    let q = r.iter().map(|&x| ulp(x, rng.below(5) as i32 - 2)).collect();
+                    (r, q)
+                }
                 _ => (rng.vector(dim, 0.3), rng.vector(dim, 0.3)),
             };
-            let (bound, margin) = bound_and_margin(&row, &query);
+            let (bound, margin) = bound_and_margin(&row, &query, case % 4);
             let d2 = f64::from(squared_l2(&row, &query));
-            assert!(
-                bound <= d2,
-                "case {case}, dim {dim}: bound {bound:e} > {d2:e}"
-            );
-            // And the bound is tight: it prunes as it should.
-            assert!(
-                d2.is_infinite() || d2 - bound <= 2.0 * margin,
-                "case {case}, dim {dim}: bound {bound:e} loose under {d2:e}"
-            );
+            assert!(bound <= d2, "case {case}: bound {bound:e} > {d2:e}");
+            // And the bound is tight: it prunes as it should. Except where an
+            // f32 product or the lane's sum overflows: that row has no bound
+            // (−∞) and is simply scored.
+            let dot = row.iter().zip(&query).fold(0.0, |s, (r, q)| s + r * q);
+            if dot.is_finite() {
+                let tight = d2.is_infinite() || d2 - bound <= 2.0 * margin;
+                assert!(tight, "case {case}: bound {bound:e} loose under {d2:e}");
+            } else {
+                assert_eq!(bound, f64::NEG_INFINITY, "case {case}");
+            }
         }
     }
 
@@ -452,25 +565,36 @@ mod tests {
             [f32::INFINITY, 1.0],
             [0.0, f32::NEG_INFINITY],
         ] {
-            let (bound, _) = bound_and_margin(&[1.0, 2.0], &q);
+            let (bound, _) = bound_and_margin(&[1.0, 2.0], &q, 0);
             assert_eq!(bound, f64::NEG_INFINITY);
         }
     }
 
+    /// Five rows, so the last block holds one row; row 1 is empty.
     #[test]
     fn stores_only_the_non_zero_coordinates() {
         let rows = [
             vec![0.0, 2.0, 0.0, -1.0],
             vec![0.0; 4],
             vec![3.0, 0.0, 0.0, 0.0],
+            vec![0.0, 0.0, 0.0, 5.0],
+            vec![0.0, 7.0, 0.0, 0.0],
         ];
         let index = SparseFlatIndex::build(4, rows.iter().cloned().map(|v| (ChunkId(9), v)));
-        assert_eq!(index.starts, [0, 2, 2, 3]);
-        assert_eq!(index.cols, [1, 3, 0]);
-        assert_eq!(index.vals, [2.0, -1.0, 3.0]);
-        assert_eq!(index.norms, [5.0, 0.0, 9.0]);
-        assert_eq!(index.list_starts, [0, 1, 2, 2, 3]);
-        assert_eq!(index.postings, [(2, 3.0), (0, 2.0), (0, -1.0)]);
+        assert_eq!(index.starts, [0, 2, 2, 3, 4, 5]);
+        assert_eq!(index.cols, [1, 3, 0, 3, 1]);
+        assert_eq!(index.vals, [2.0, -1.0, 3.0, 5.0, 7.0]);
+        assert_eq!(index.norms, [5.0, 0.0, 9.0, 25.0, 49.0]);
+        assert_eq!(index.list_starts, [0, 1, 3, 3, 4]);
+        assert_eq!(
+            index.postings,
+            [
+                (0, [0.0, 0.0, 3.0, 0.0]),
+                (0, [2.0, 0.0, 0.0, 0.0]),
+                (1, [7.0, 0.0, 0.0, 0.0]),
+                (0, [-1.0, 0.0, 0.0, 5.0]),
+            ]
+        );
     }
 
     #[test]

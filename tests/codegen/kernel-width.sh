@@ -1,10 +1,16 @@
 #!/bin/sh
-# Fails unless the f32 distance kernel's accumulation loop — the 64-byte
-# stride loop of metis_vectordb::accumulate, or of squared_l2 should the two
-# become one function again — compiles to full 16-byte vectors: no 4- or
-# 8-byte loads, at most four subps per 16 floats. The source fixes the order
-# of additions, not the width; nothing else notices when the compiler halves
-# it.
+# Fails unless two hot loops of metis-vectordb compile to full 16-byte
+# vectors. The source fixes their order of additions, not their width;
+# nothing else notices when the compiler narrows them.
+#
+# 1. The f32 distance kernel's accumulation loop — the 64-byte stride loop
+#    of metis_vectordb::accumulate, or of squared_l2 should the two become
+#    one function again: no 4- or 8-byte loads, at most four subps per 16
+#    floats.
+# 2. The blocked scatter of the served flat index (SparseFlatIndex::scatter):
+#    its innermost multiplying loop takes each posting entry's four rows in
+#    one packed mulps and addps over 16-byte loads, with no scalar mulss or
+#    addss and no 4- or 8-byte loads; no enclosing loop multiplies in scalar.
 set -eu
 cd "$(dirname "$0")/../.."
 if [ "$(uname -m)" != x86_64 ]; then
@@ -14,6 +20,7 @@ fi
 dir=target/codegen
 cargo rustc --quiet --release -p metis-vectordb --lib --target-dir "$dir" -- --emit asm
 # shellcheck disable=SC2012 # cargo names the file; the newest one is this build's
+asm=$(ls -t "$dir"/release/deps/metis_vectordb-*.s | head -n 1)
 awk '
     function check(first, last,    i, stride, subps, narrow) {
         for (i = first; i <= last; i++) {
@@ -43,4 +50,40 @@ awk '
         if (!loops) { print "kernel-width: no 64-byte stride loop found in squared_l2 or accumulate"; exit 1 }
         if (bad) exit 1
         printf "kernel-width: %d accumulation loop(s), all at full vector width\n", loops
-    }' "$(ls -t "$dir"/release/deps/metis_vectordb-*.s | head -n 1)"
+    }' "$asm"
+awk '
+    # A backward branch closes the loop line[first..last]. Count the scalar
+    # arithmetic of every loop, and keep the shortest one that multiplies:
+    # the loop over posting entries.
+    function loop(first, last,    i, mul) {
+        for (i = first; i <= last; i++) {
+            if (line[i] ~ /^\tmul(ps|ss)\t/) mul++
+            if (line[i] ~ /^\t(mulss|addss)\t/) scalar++
+        }
+        if (mul && (!inner_first || last - first < inner_last - inner_first)) {
+            inner_first = first
+            inner_last = last
+        }
+    }
+    /^_ZN[^ ]*metis_vectordb[^ ]*SparseFlatIndex7scatter[^ ]*:$/ { name = substr($0, 1, length($0) - 1); n = 0; delete at; inside = 1 }
+    inside {
+        line[++n] = $0
+        if ($0 ~ /^\.LBB[0-9_]+:/) at[substr($0, 1, length($0) - 1)] = n
+        if ($0 ~ /^\tj[a-z]+\t\.LBB[0-9_]+$/ && ($2 in at)) loop(at[$2], n)
+        if ($0 ~ /\.cfi_endproc/) inside = 0
+    }
+    END {
+        if (!inner_first) { print "kernel-width: no multiplying loop found in SparseFlatIndex::scatter"; exit 1 }
+        for (i = inner_first; i <= inner_last; i++) {
+            if (line[i] ~ /^\tmulps\t/) mulps++
+            if (line[i] ~ /^\taddps\t/) addps++
+            if (line[i] ~ /^\tmovups\t/) wide++
+            if (line[i] ~ /^\t(movss|movsd|movlps|movhps)\t/) narrow++
+        }
+        if (scalar || mulps != 1 || addps != 1 || wide < 2 || narrow) {
+            printf "kernel-width: %s: %d mulps, %d addps, %d movups and %d narrow loads per posting entry, %d scalar mulss/addss in its loops:\n", name, mulps, addps, wide, narrow, scalar
+            for (i = inner_first; i <= inner_last; i++) print line[i]
+            exit 1
+        }
+        print "kernel-width: the scatter loop takes four rows per mulps and addps"
+    }' "$asm"
