@@ -112,37 +112,26 @@ impl IndexSpec {
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
+        let check = |ok: bool, why: String| if ok { Ok(()) } else { Err(why) };
         match *self {
             IndexSpec::Flat => Ok(()),
             IndexSpec::Ivf { nlist, nprobe, .. } => {
-                if nlist == 0 {
-                    return Err("nlist must be positive".into());
-                }
-                if nprobe == 0 {
-                    return Err("nprobe must be positive".into());
-                }
-                if nprobe > nlist {
-                    return Err(format!("nprobe ({nprobe}) must be <= nlist ({nlist})"));
-                }
-                Ok(())
+                check(nlist > 0, "nlist must be positive".into())?;
+                check(nprobe > 0, "nprobe must be positive".into())?;
+                check(
+                    nprobe <= nlist,
+                    format!("nprobe ({nprobe}) must be <= nlist ({nlist})"),
+                )
             }
             IndexSpec::Hnsw {
                 m,
                 ef_construction,
                 ef_search,
             } => {
-                if m < 2 {
-                    return Err("m must be at least 2".into());
-                }
-                if ef_search == 0 {
-                    return Err("ef-search must be positive".into());
-                }
-                if ef_construction < m {
-                    return Err(format!(
-                        "ef-construction ({ef_construction}) must be >= m ({m})"
-                    ));
-                }
-                Ok(())
+                check(m >= 2, "m must be at least 2".into())?;
+                check(ef_search > 0, "ef-search must be positive".into())?;
+                let why = format!("ef-construction ({ef_construction}) must be >= m ({m})");
+                check(ef_construction >= m, why)
             }
         }
     }
@@ -405,6 +394,13 @@ mod tests {
         VectorDb::build_with_spec(chunks, embedder, "synthetic corpus", 64, spec, quant)
     }
 
+    /// Whether any of `results` holds `FactId(1)`.
+    fn holds_the_fact(results: &[RetrievalResult]) -> bool {
+        results
+            .iter()
+            .any(|r| r.text.fact_ids().any(|f| f == FactId(1)))
+    }
+
     fn build_db() -> (VectorDb, Vec<TokenId>, FactId) {
         let (chunks, query) = fact_corpus(true);
         let db = db_over(&chunks, IndexSpec::Flat, Quantization::F32);
@@ -413,11 +409,10 @@ mod tests {
 
     #[test]
     fn retrieval_surfaces_fact_bearing_chunk() {
-        let (db, query, fact) = build_db();
+        let (db, query, _) = build_db();
         let results = db.retrieve(&query, 3);
         assert_eq!(results.len(), 3);
-        let found = results.iter().any(|r| r.text.fact_ids().any(|f| f == fact));
-        assert!(found, "fact chunk not in top-3");
+        assert!(holds_the_fact(&results), "fact chunk not in top-3");
     }
 
     #[test]
@@ -445,10 +440,7 @@ mod tests {
         let results = db.retrieve(&subject, 5);
         assert!(!results.is_empty());
         // With generous nprobe, the fact chunk surfaces just like flat.
-        let found = results
-            .iter()
-            .any(|r| r.text.fact_ids().any(|f| f == FactId(1)));
-        assert!(found, "IVF missed the fact chunk");
+        assert!(holds_the_fact(&results), "IVF missed the fact chunk");
         // The index metadata reflects the requested spec.
         let meta = db.index_meta();
         assert_eq!(meta.spec, IndexSpec::ivf(4, 3));
@@ -494,10 +486,7 @@ mod tests {
         for quant in [Quantization::F32, Quantization::sq8()] {
             let db = db_over(&chunks, IndexSpec::hnsw(8, 32), quant);
             let out = db.retrieve_counted(&subject, 5);
-            let found = out
-                .results
-                .iter()
-                .any(|r| r.text.fact_ids().any(|f| f == FactId(1)));
+            let found = holds_the_fact(&out.results);
             assert!(found, "HNSW ({}) missed the fact chunk", quant.name());
             assert!(out.work.graph_hops > 0, "no hops under {}", quant.name());
             let meta = db.index_meta();
@@ -525,11 +514,7 @@ mod tests {
         let approx: Vec<_> = out.results.iter().map(|r| r.hit.chunk).collect();
         assert_eq!(exact, approx, "rerank should repair sq8 on this corpus");
         assert_eq!(out.work.quantized_scored, sq_db.len());
-        let found = out
-            .results
-            .iter()
-            .any(|r| r.text.fact_ids().any(|f| f == FactId(1)));
-        assert!(found);
+        assert!(holds_the_fact(&out.results));
     }
 
     #[test]

@@ -153,6 +153,16 @@ impl FlatIndex {
     }
 }
 
+#[cfg(test)]
+impl FlatIndex {
+    /// The exact oracle over `items`, for the other indexes' tests.
+    pub(crate) fn over(dim: usize, items: &[(ChunkId, Vec<f32>)]) -> Self {
+        let mut flat = Self::new(dim);
+        items.iter().for_each(|(id, v)| flat.add(*id, v));
+        flat
+    }
+}
+
 impl VectorIndex for FlatIndex {
     fn len(&self) -> usize {
         self.ids.len()
@@ -161,10 +171,7 @@ impl VectorIndex for FlatIndex {
     fn search_counted(&self, query: &[f32], k: usize) -> SearchOutcome {
         assert_eq!(query.len(), self.dim, "dimension mismatch");
         if k == 0 || self.ids.is_empty() {
-            return SearchOutcome {
-                hits: Vec::new(),
-                work: SearchWork::default(),
-            };
+            return SearchOutcome::default();
         }
         let scored = self
             .data
@@ -229,33 +236,14 @@ mod tests {
     }
 
     #[test]
-    fn nearest_neighbour_is_exact() {
+    fn grid_searches_are_exact_ascending_and_clamped_to_n() {
         let idx = grid_index();
-        let hits = idx.search(&[2.2, 0.0], 3);
-        assert_eq!(hits[0].chunk, ChunkId(2));
-        assert_eq!(hits[1].chunk, ChunkId(3));
-        assert_eq!(hits[2].chunk, ChunkId(1));
-    }
-
-    #[test]
-    fn distances_are_ascending_and_correct() {
-        let idx = grid_index();
+        let ids: Vec<_> = idx.search(&[2.2, 0.0], 3).iter().map(|h| h.chunk).collect();
+        assert_eq!(ids, [ChunkId(2), ChunkId(3), ChunkId(1)]);
         let hits = idx.search(&[0.0, 0.0], 5);
-        for w in hits.windows(2) {
-            assert!(w[0].distance <= w[1].distance);
-        }
+        assert!(hits.windows(2).all(|w| w[0].distance <= w[1].distance));
         assert!((hits[1].distance - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn k_larger_than_n_returns_all() {
-        let idx = grid_index();
         assert_eq!(idx.search(&[0.0, 0.0], 100).len(), 5);
-    }
-
-    #[test]
-    fn k_zero_returns_empty() {
-        let idx = grid_index();
         assert!(idx.search(&[0.0, 0.0], 0).is_empty());
     }
 
@@ -271,34 +259,20 @@ mod tests {
 
     #[test]
     fn matches_brute_force_on_random_data() {
+        use crate::test_oracle::values;
         use metis_embed::l2_distance;
-        // Deterministic pseudo-random data without pulling in rand here.
-        let mut state = 42u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f32 / u32::MAX as f32) * 2.0 - 1.0
-        };
-        let dim = 8;
-        let n = 200;
-        let mut idx = FlatIndex::new(dim);
-        let mut rows = Vec::new();
-        for i in 0..n {
-            let v: Vec<f32> = (0..dim).map(|_| next()).collect();
-            idx.add(ChunkId(i as u32), &v);
-            rows.push(v);
-        }
-        let q: Vec<f32> = (0..dim).map(|_| next()).collect();
-        let hits = idx.search(&q, 10);
-        let mut brute: Vec<(f32, u32)> = rows
+        let items: Vec<_> = (0..200)
+            .map(|i| (ChunkId(i), values(8, 42 + u64::from(i))))
+            .collect();
+        let q = values(8, 7);
+        let hits = FlatIndex::over(8, &items).search(&q, 10);
+        let mut brute: Vec<_> = items
             .iter()
-            .enumerate()
-            .map(|(i, r)| (l2_distance(r, &q), i as u32))
+            .map(|(id, r)| (l2_distance(r, &q), *id))
             .collect();
         brute.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        for (hit, (d, i)) in hits.iter().zip(brute.iter().take(10)) {
-            assert_eq!(hit.chunk, ChunkId(*i));
+        for (hit, (d, id)) in hits.iter().zip(&brute) {
+            assert_eq!(hit.chunk, *id);
             assert!((hit.distance - d).abs() < 1e-5);
         }
     }

@@ -215,17 +215,12 @@ impl IvfIndex {
         }
     }
 
+    /// The first of the centroids nearest `v`.
     fn nearest_centroid(centroids: &[Vec<f32>], v: &[f32]) -> usize {
-        let mut best = 0;
-        let mut best_d = f32::INFINITY;
-        for (i, c) in centroids.iter().enumerate() {
-            let d = squared_l2(c, v);
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        best
+        let dists = centroids.iter().map(|c| squared_l2(c, v)).enumerate();
+        dists
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map_or(0, |(i, _)| i)
     }
 
     /// The effective configuration (after clamping to the data size).
@@ -254,10 +249,7 @@ impl VectorIndex for IvfIndex {
     fn search_counted(&self, query: &[f32], k: usize) -> SearchOutcome {
         assert_eq!(query.len(), self.dim, "dimension mismatch");
         if k == 0 || self.len == 0 {
-            return SearchOutcome {
-                hits: Vec::new(),
-                work: SearchWork::default(),
-            };
+            return SearchOutcome::default();
         }
         // Rank centroids by distance, probe the nearest `nprobe` lists.
         // Both buffers live in the reused scratch: after warm-up the probe
@@ -351,10 +343,7 @@ mod tests {
     fn full_probe_matches_flat_index() {
         let items = clustered_data();
         let ivf = built(&items, 4, 4, 5);
-        let mut flat = FlatIndex::new(2);
-        for (id, v) in &items {
-            flat.add(*id, v);
-        }
+        let flat = FlatIndex::over(2, &items);
         let q = [5.0, 5.0];
         let a = ivf.search(&q, 10);
         let b = flat.search(&q, 10);

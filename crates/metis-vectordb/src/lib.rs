@@ -192,8 +192,9 @@ impl SearchWork {
     }
 }
 
-/// Hits plus the measured work that produced them.
-#[derive(Clone, Debug)]
+/// Hits plus the measured work that produced them; the default is the
+/// empty answer of a search that did no work.
+#[derive(Clone, Debug, Default)]
 pub struct SearchOutcome {
     /// The `k` nearest chunks, in ascending distance order.
     pub hits: Vec<Hit>,

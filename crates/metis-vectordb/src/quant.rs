@@ -291,6 +291,37 @@ pub(crate) fn keep_for(rerank: usize, k: usize) -> usize {
     rerank.saturating_mul(k).max(k)
 }
 
+/// The hits of a quantized search over `cands` (`(dist2, position)`): the
+/// `keep_for(rerank, k)` best, re-scored by `exact` when `rerank > 0`
+/// (counted in `work`), then ranked and cut to `k`.
+fn rank<P: Ord + Copy>(
+    mut cands: Vec<(f32, P)>,
+    (k, rerank): (usize, usize),
+    id: impl Fn(P) -> ChunkId,
+    exact: impl Fn(P) -> f32,
+    work: &mut SearchWork,
+) -> Vec<Hit> {
+    take_top(&mut cands, keep_for(rerank, k));
+    let mut hits: Vec<Hit> = cands
+        .into_iter()
+        .map(|(d2, at)| {
+            let d2 = if rerank > 0 {
+                work.vectors_scored += 1;
+                exact(at)
+            } else {
+                d2
+            };
+            Hit {
+                chunk: id(at),
+                distance: d2.sqrt(),
+            }
+        })
+        .collect();
+    sort_hits(&mut hits);
+    hits.truncate(k);
+    hits
+}
+
 /// Exact-storage flat scan's quantized sibling: scores the whole corpus
 /// in the quantized domain, then re-ranks the top `rerank * k` exactly.
 #[derive(Clone, Debug)]
@@ -353,10 +384,7 @@ impl VectorIndex for SqFlatIndex {
     fn search_counted(&self, query: &[f32], k: usize) -> SearchOutcome {
         assert_eq!(query.len(), self.dim, "dimension mismatch");
         if k == 0 || self.ids.is_empty() {
-            return SearchOutcome {
-                hits: Vec::new(),
-                work: SearchWork::default(),
-            };
+            return SearchOutcome::default();
         }
         let lut = self.sq.lut(query);
         let mut work = SearchWork {
@@ -369,24 +397,8 @@ impl VectorIndex for SqFlatIndex {
             |i| self.code_row(i),
             |i, d2| cands.push((d2, i)),
         );
-        take_top(&mut cands, keep_for(self.rerank, k));
-        let mut hits: Vec<Hit> = cands
-            .into_iter()
-            .map(|(d2, i)| {
-                let d2 = if self.rerank > 0 {
-                    work.vectors_scored += 1;
-                    squared_l2(self.exact_row(i), query)
-                } else {
-                    d2
-                };
-                Hit {
-                    chunk: self.ids[i],
-                    distance: d2.sqrt(),
-                }
-            })
-            .collect();
-        sort_hits(&mut hits);
-        hits.truncate(k);
+        let exact = |i| squared_l2(self.exact_row(i), query);
+        let hits = rank(cands, (k, self.rerank), |i| self.ids[i], exact, &mut work);
         SearchOutcome { hits, work }
     }
 }
@@ -454,10 +466,7 @@ impl VectorIndex for SqIvfIndex {
     fn search_counted(&self, query: &[f32], k: usize) -> SearchOutcome {
         assert_eq!(query.len(), self.dim, "dimension mismatch");
         if k == 0 || self.len == 0 {
-            return SearchOutcome {
-                hits: Vec::new(),
-                work: SearchWork::default(),
-            };
+            return SearchOutcome::default();
         }
         let mut order: Vec<(f32, usize)> = self
             .centroids
@@ -483,25 +492,9 @@ impl VectorIndex for SqIvfIndex {
                 |slot, d2| cands.push((d2, (list, slot))),
             );
         }
-        take_top(&mut cands, keep_for(self.rerank, k));
-        let mut hits: Vec<Hit> = cands
-            .into_iter()
-            .map(|(d2, (list, slot))| {
-                let (id, _, exact) = &self.lists[list][slot];
-                let d2 = if self.rerank > 0 {
-                    work.vectors_scored += 1;
-                    squared_l2(exact, query)
-                } else {
-                    d2
-                };
-                Hit {
-                    chunk: *id,
-                    distance: d2.sqrt(),
-                }
-            })
-            .collect();
-        sort_hits(&mut hits);
-        hits.truncate(k);
+        let member = |(list, slot): (usize, usize)| &self.lists[list][slot];
+        let exact = |at| squared_l2(&member(at).2, query);
+        let hits = rank(cands, (k, self.rerank), |at| member(at).0, exact, &mut work);
         SearchOutcome { hits, work }
     }
 }
@@ -691,10 +684,7 @@ mod tests {
     #[test]
     fn sq_flat_with_rerank_matches_exact_flat_ranking() {
         let items = grid_items(128, 8);
-        let mut flat = FlatIndex::new(8);
-        for (id, v) in &items {
-            flat.add(*id, v);
-        }
+        let flat = FlatIndex::over(8, &items);
         let idx = SqFlatIndex::build(8, 4, &items);
         let q: Vec<f32> = vec![0.1, -0.2, 0.3, 0.0, 1.0, -1.0, 0.5, 0.25];
         let exact: Vec<_> = flat.search(&q, 5).iter().map(|h| h.chunk).collect();

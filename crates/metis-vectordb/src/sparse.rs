@@ -281,10 +281,7 @@ impl VectorIndex for SparseFlatIndex {
         assert_eq!(query.len(), self.dim, "dimension mismatch");
         let n = self.ids.len();
         if k == 0 || n == 0 {
-            return SearchOutcome {
-                hits: Vec::new(),
-                work: SearchWork::default(),
-            };
+            return SearchOutcome::default();
         }
         let k = k.min(n);
         let hits = SCRATCH.with(|scratch| {
@@ -396,10 +393,7 @@ mod tests {
             .enumerate()
             .map(|(i, v)| (ChunkId((rows.len() - i) as u32 * 3), v.clone()))
             .collect();
-        let mut flat = FlatIndex::new(dim);
-        for (id, v) in &items {
-            flat.add(*id, v);
-        }
+        let flat = FlatIndex::over(dim, &items);
         (flat, SparseFlatIndex::build(dim, items))
     }
 

@@ -114,14 +114,8 @@ impl Clone for ChunkStore {
         Self {
             blobs: self.blobs.clone(),
             spans: self.spans.clone(),
-            hot_capacity: self.hot_capacity,
             hot: Mutex::new(HotTier::cold(self.blobs.len())),
-            accesses: AtomicU64::new(0),
-            hot_hits: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            bytes_hot_touched: AtomicU64::new(0),
-            bytes_cold_touched: AtomicU64::new(0),
+            ..Self::with_hot_capacity(self.hot_capacity)
         }
     }
 }
