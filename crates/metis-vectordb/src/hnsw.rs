@@ -938,7 +938,7 @@ fn fan_out<T: Send>(jobs: impl IntoIterator<Item = T>, run: impl Fn(T) + Sync) {
 /// node `i` on leave out of a member's frozen graph at most a 32nd of the
 /// nodes before it; batches of up to 256 and 512 measured +9 % and +17 %
 /// build evals, and built slower.
-const MAX_BATCH: usize = 1;
+const MAX_BATCH: usize = 64;
 
 /// `build`'s working set: the index under construction plus everything only
 /// construction needs, dropped when `build` returns. Each batch is appended,
