@@ -112,26 +112,37 @@ impl IndexSpec {
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        let check = |ok: bool, why: String| if ok { Ok(()) } else { Err(why) };
         match *self {
             IndexSpec::Flat => Ok(()),
             IndexSpec::Ivf { nlist, nprobe, .. } => {
-                check(nlist > 0, "nlist must be positive".into())?;
-                check(nprobe > 0, "nprobe must be positive".into())?;
-                check(
-                    nprobe <= nlist,
-                    format!("nprobe ({nprobe}) must be <= nlist ({nlist})"),
-                )
+                if nlist == 0 {
+                    return Err("nlist must be positive".into());
+                }
+                if nprobe == 0 {
+                    return Err("nprobe must be positive".into());
+                }
+                if nprobe > nlist {
+                    return Err(format!("nprobe ({nprobe}) must be <= nlist ({nlist})"));
+                }
+                Ok(())
             }
             IndexSpec::Hnsw {
                 m,
                 ef_construction,
                 ef_search,
             } => {
-                check(m >= 2, "m must be at least 2".into())?;
-                check(ef_search > 0, "ef-search must be positive".into())?;
-                let why = format!("ef-construction ({ef_construction}) must be >= m ({m})");
-                check(ef_construction >= m, why)
+                if m < 2 {
+                    return Err("m must be at least 2".into());
+                }
+                if ef_search == 0 {
+                    return Err("ef-search must be positive".into());
+                }
+                if ef_construction < m {
+                    return Err(format!(
+                        "ef-construction ({ef_construction}) must be >= m ({m})"
+                    ));
+                }
+                Ok(())
             }
         }
     }

@@ -236,14 +236,33 @@ mod tests {
     }
 
     #[test]
-    fn grid_searches_are_exact_ascending_and_clamped_to_n() {
+    fn nearest_neighbour_is_exact() {
         let idx = grid_index();
-        let ids: Vec<_> = idx.search(&[2.2, 0.0], 3).iter().map(|h| h.chunk).collect();
-        assert_eq!(ids, [ChunkId(2), ChunkId(3), ChunkId(1)]);
+        let hits = idx.search(&[2.2, 0.0], 3);
+        assert_eq!(hits[0].chunk, ChunkId(2));
+        assert_eq!(hits[1].chunk, ChunkId(3));
+        assert_eq!(hits[2].chunk, ChunkId(1));
+    }
+
+    #[test]
+    fn distances_are_ascending_and_correct() {
+        let idx = grid_index();
         let hits = idx.search(&[0.0, 0.0], 5);
-        assert!(hits.windows(2).all(|w| w[0].distance <= w[1].distance));
+        for w in hits.windows(2) {
+            assert!(w[0].distance <= w[1].distance);
+        }
         assert!((hits[1].distance - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn k_larger_than_n_returns_all() {
+        let idx = grid_index();
         assert_eq!(idx.search(&[0.0, 0.0], 100).len(), 5);
+    }
+
+    #[test]
+    fn k_zero_returns_empty() {
+        let idx = grid_index();
         assert!(idx.search(&[0.0, 0.0], 0).is_empty());
     }
 

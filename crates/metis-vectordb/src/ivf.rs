@@ -215,12 +215,17 @@ impl IvfIndex {
         }
     }
 
-    /// The first of the centroids nearest `v`.
     fn nearest_centroid(centroids: &[Vec<f32>], v: &[f32]) -> usize {
-        let dists = centroids.iter().map(|c| squared_l2(c, v)).enumerate();
-        dists
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map_or(0, |(i, _)| i)
+        let mut best = 0;
+        let mut best_d = f32::INFINITY;
+        for (i, c) in centroids.iter().enumerate() {
+            let d = squared_l2(c, v);
+            if d < best_d {
+                best_d = d;
+                best = i;
+            }
+        }
+        best
     }
 
     /// The effective configuration (after clamping to the data size).
