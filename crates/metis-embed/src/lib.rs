@@ -18,4 +18,3 @@ mod models;
 mod similarity;
 
 pub use models::{Embedder, EmbedderKind, HashEmbed};
-pub use similarity::l2_distance;

@@ -120,13 +120,8 @@ impl IvfIndex {
         // K-means trains on a bounded, deterministically strided sample so
         // million-vector builds stay tractable; at or below the cap the
         // sample is the whole corpus and training is unchanged.
-        let train: Vec<usize> = if items.len() <= TRAIN_SAMPLE_CAP {
-            (0..items.len()).collect()
-        } else {
-            (0..TRAIN_SAMPLE_CAP)
-                .map(|i| i * items.len() / TRAIN_SAMPLE_CAP)
-                .collect()
-        };
+        let sample = items.len().min(TRAIN_SAMPLE_CAP);
+        let train: Vec<usize> = (0..sample).map(|i| i * items.len() / sample).collect();
         // Lloyd iterations with empty-cluster repair.
         for _ in 0..config.train_iters {
             let assign: Vec<usize> = train
@@ -301,7 +296,6 @@ impl VectorIndex for IvfIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlatIndex;
 
     /// A 2-dimensional index over `items`.
     fn built(items: &[(ChunkId, Vec<f32>)], nlist: usize, nprobe: usize, iters: usize) -> IvfIndex {
@@ -324,8 +318,8 @@ mod tests {
         items
     }
 
-    /// See `quant::tests::one_infinite_component_…`: an IVF index holding
-    /// such a row is what `SqIvfIndex::from_ivf` would have quantized.
+    /// An IVF index holding such a row is what `SqIvfIndex::from_ivf` would
+    /// quantize (see `assert_finite`).
     #[test]
     #[should_panic(expected = "non-finite embedding component")]
     fn non_finite_row_is_refused_at_build() {
@@ -342,19 +336,6 @@ mod tests {
         for h in &hits {
             assert!(h.chunk.0 >= 100, "wrong cluster: {:?}", h.chunk);
         }
-    }
-
-    #[test]
-    fn full_probe_matches_flat_index() {
-        let items = clustered_data();
-        let ivf = built(&items, 4, 4, 5);
-        let flat = FlatIndex::over(2, &items);
-        let q = [5.0, 5.0];
-        let a = ivf.search(&q, 10);
-        let b = flat.search(&q, 10);
-        let ids_a: Vec<_> = a.iter().map(|h| h.chunk).collect();
-        let ids_b: Vec<_> = b.iter().map(|h| h.chunk).collect();
-        assert_eq!(ids_a, ids_b);
     }
 
     /// The kernel's summation order must not decide a ranking: centroid
