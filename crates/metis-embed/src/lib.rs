@@ -18,3 +18,4 @@ mod models;
 mod similarity;
 
 pub use models::{Embedder, EmbedderKind, HashEmbed};
+pub use similarity::l2_distance;

@@ -17,8 +17,8 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// # Panics
 ///
 /// Panics if the vectors have different lengths.
-#[cfg(test)]
-pub(crate) fn l2_distance(a: &[f32], b: &[f32]) -> f32 {
+#[inline]
+pub fn l2_distance(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dimension mismatch");
     a.iter()
         .zip(b)

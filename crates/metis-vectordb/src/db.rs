@@ -403,22 +403,32 @@ mod tests {
             .any(|r| r.text.fact_ids().any(|f| f == FactId(1)))
     }
 
-    fn build_db() -> (VectorDb, Vec<TokenId>) {
+    fn build_db() -> (VectorDb, Vec<TokenId>, FactId) {
         let (chunks, query) = fact_corpus(true);
-        (db_over(&chunks, IndexSpec::Flat, Quantization::F32), query)
+        let db = db_over(&chunks, IndexSpec::Flat, Quantization::F32);
+        (db, query, FactId(1))
     }
 
     #[test]
     fn retrieval_surfaces_fact_bearing_chunk() {
-        let (db, query) = build_db();
+        let (db, query, _) = build_db();
         let results = db.retrieve(&query, 3);
         assert_eq!(results.len(), 3);
         assert!(holds_the_fact(&results), "fact chunk not in top-3");
     }
 
     #[test]
+    fn results_are_distance_ordered() {
+        let (db, query, _) = build_db();
+        let results = db.retrieve(&query, 5);
+        for w in results.windows(2) {
+            assert!(w[0].hit.distance <= w[1].hit.distance);
+        }
+    }
+
+    #[test]
     fn metadata_reflects_build() {
-        let (db, _) = build_db();
+        let (db, _, _) = build_db();
         let md = db.metadata();
         assert_eq!(md.chunk_size, 64);
         assert_eq!(md.num_chunks, db.len());
@@ -443,7 +453,7 @@ mod tests {
 
     #[test]
     fn counted_retrieval_reports_work_and_embed_units() {
-        let (db, query) = build_db();
+        let (db, query, _) = build_db();
         let out = db.retrieve_counted(&query, 3);
         assert_eq!(out.results.len(), 3);
         // Flat scan scores the entire corpus, probes no lists.
@@ -525,5 +535,12 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("must be >= m"), "got: {err}");
         assert_eq!(IndexSpec::hnsw(16, 64).label(), "hnsw(m=16,ef=64)");
+    }
+
+    #[test]
+    fn top_k_clamps_to_db_size() {
+        let (db, query, _) = build_db();
+        let results = db.retrieve(&query, 10_000);
+        assert_eq!(results.len(), db.len());
     }
 }

@@ -5,7 +5,7 @@ use std::collections::BinaryHeap;
 
 use metis_text::ChunkId;
 
-use crate::{assert_finite, sort_hits, squared_l2, Hit, SearchOutcome, SearchWork, VectorIndex};
+use crate::{assert_row, sort_hits, squared_l2, Hit, SearchOutcome, SearchWork, VectorIndex};
 
 /// Candidate ordered so that the *worst* (largest-distance) hit is at the top
 /// of a max-heap, letting us keep only the best `k`.
@@ -141,8 +141,7 @@ impl FlatIndex {
     ///
     /// Panics if `vector` has the wrong dimension or non-finite components.
     pub fn add(&mut self, id: ChunkId, vector: &[f32]) {
-        assert_eq!(vector.len(), self.dim, "dimension mismatch");
-        assert_finite(vector);
+        assert_row(vector, self.dim);
         self.data.extend_from_slice(vector);
         self.ids.push(id);
     }
@@ -231,6 +230,31 @@ mod tests {
     }
 
     #[test]
+    fn nearest_neighbour_is_exact() {
+        let idx = grid_index();
+        let hits = idx.search(&[2.2, 0.0], 3);
+        assert_eq!(hits[0].chunk, ChunkId(2));
+        assert_eq!(hits[1].chunk, ChunkId(3));
+        assert_eq!(hits[2].chunk, ChunkId(1));
+    }
+
+    #[test]
+    fn distances_are_ascending_and_correct() {
+        let idx = grid_index();
+        let hits = idx.search(&[0.0, 0.0], 5);
+        for w in hits.windows(2) {
+            assert!(w[0].distance <= w[1].distance);
+        }
+        assert!((hits[1].distance - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn k_larger_than_n_returns_all() {
+        let idx = grid_index();
+        assert_eq!(idx.search(&[0.0, 0.0], 100).len(), 5);
+    }
+
+    #[test]
     fn k_zero_returns_empty() {
         let idx = grid_index();
         assert!(idx.search(&[0.0, 0.0], 0).is_empty());
@@ -244,6 +268,26 @@ mod tests {
         let hits = idx.search(&[0.0], 2);
         assert_eq!(hits[0].chunk, ChunkId(3));
         assert_eq!(hits[1].chunk, ChunkId(7));
+    }
+
+    #[test]
+    fn matches_brute_force_on_random_data() {
+        use crate::test_oracle::values;
+        use metis_embed::l2_distance;
+        let items: Vec<_> = (0..200)
+            .map(|i| (ChunkId(i), values(8, 42 + u64::from(i))))
+            .collect();
+        let q = values(8, 7);
+        let hits = FlatIndex::over(8, &items).search(&q, 10);
+        let mut brute: Vec<_> = items
+            .iter()
+            .map(|(id, r)| (l2_distance(r, &q), *id))
+            .collect();
+        brute.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        for (hit, (d, id)) in hits.iter().zip(&brute) {
+            assert_eq!(hit.chunk, *id);
+            assert!((hit.distance - d).abs() < 1e-5);
+        }
     }
 
     /// The lemma of [`admit_top_k`], on seeded distance lists: few distinct

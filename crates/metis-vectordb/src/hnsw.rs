@@ -66,7 +66,7 @@ use std::sync::atomic::{self, AtomicUsize};
 use metis_text::ChunkId;
 
 use crate::quant::{keep_for, Quantization, QueryLut, ScalarQuantizer};
-use crate::{assert_finite, sort_hits, squared_l2, Hit, SearchOutcome, SearchWork, VectorIndex};
+use crate::{assert_row, sort_hits, squared_l2, Hit, SearchOutcome, SearchWork, VectorIndex};
 
 /// HNSW build/search parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -272,13 +272,7 @@ impl HnswIndex {
         let mut index = Builder::run(index, items, workers, MAX_BATCH).finish();
         if let Quantization::Sq8 { rerank } = quant {
             let sq = ScalarQuantizer::train(dim, items.iter().map(|(_, v)| v.as_slice()));
-            let mut codes = Vec::with_capacity(items.len() * dim);
-            let mut row = Vec::with_capacity(dim);
-            for (_, v) in items {
-                sq.encode_into(v, &mut row);
-                codes.extend_from_slice(&row);
-            }
-            index.codes = codes;
+            index.codes = sq.encode_rows(items.iter().map(|(_, v)| v.as_slice()));
             index.sq = Some(sq);
             if rerank == 0 {
                 // Scoring never leaves the quantized domain — drop the
@@ -304,10 +298,9 @@ impl HnswIndex {
         );
         assert!(config.ef_search > 0, "ef_search must be positive");
         for (_, v) in items {
-            assert_eq!(v.len(), dim, "dimension mismatch");
             // The build also reuses verdicts on the strength of distances
             // being totally ordered.
-            assert_finite(v);
+            assert_row(v, dim);
         }
         let n = items.len();
         Self {
@@ -414,11 +407,6 @@ impl HnswIndex {
                 return (cur, hops);
             }
         }
-    }
-
-    /// The build/search configuration.
-    pub fn config(&self) -> HnswConfig {
-        self.config
     }
 
     /// Exact distance evaluations `build` performed — the write path's

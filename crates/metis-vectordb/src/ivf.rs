@@ -14,7 +14,7 @@ use std::sync::Mutex;
 use metis_text::ChunkId;
 
 use crate::{
-    assert_finite, hit_rank, sort_hits, squared_l2, Hit, SearchOutcome, SearchWork, VectorIndex,
+    assert_row, hit_rank, sort_hits, squared_l2, Hit, SearchOutcome, SearchWork, VectorIndex,
 };
 
 /// K-means trains on at most this many vectors (deterministically strided
@@ -91,6 +91,14 @@ fn seed_centroids(items: &[(ChunkId, Vec<f32>)], nlist: usize) -> Vec<Vec<f32>> 
     seeds
 }
 
+/// Leaves in `order` every centroid as `(distance², index)`, nearest first
+/// and ties to the lower index: the order lists are probed in.
+pub(crate) fn probe_order(centroids: &[Vec<f32>], query: &[f32], order: &mut Vec<(f32, usize)>) {
+    order.clear();
+    order.extend(centroids.iter().map(|c| squared_l2(c, query)).zip(0..));
+    order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+}
+
 impl IvfIndex {
     /// Builds the index from `(id, vector)` pairs.
     ///
@@ -107,10 +115,7 @@ impl IvfIndex {
         assert!(dim > 0, "dimension must be positive");
         assert!(config.nlist > 0, "nlist must be positive");
         assert!(config.nprobe <= config.nlist, "nprobe must be <= nlist");
-        for (_, v) in items {
-            assert_eq!(v.len(), dim, "dimension mismatch");
-            assert_finite(v);
-        }
+        items.iter().for_each(|(_, v)| assert_row(v, dim));
         let nlist = config.nlist.min(items.len().max(1));
         let mut centroids: Vec<Vec<f32>> = if items.is_empty() {
             vec![vec![0.0; dim]; nlist]
@@ -256,14 +261,7 @@ impl VectorIndex for IvfIndex {
         // loop allocates nothing.
         let mut scratch = self.scratch.lock().expect("ivf scratch lock");
         let IvfScratch { order, hits } = &mut *scratch;
-        order.clear();
-        order.extend(
-            self.centroids
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (squared_l2(c, query), i)),
-        );
-        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        probe_order(&self.centroids, query, order);
         hits.clear();
         let mut work = SearchWork {
             centroids_scored: self.centroids.len(),
@@ -296,6 +294,7 @@ impl VectorIndex for IvfIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FlatIndex;
 
     /// A 2-dimensional index over `items`.
     fn built(items: &[(ChunkId, Vec<f32>)], nlist: usize, nprobe: usize, iters: usize) -> IvfIndex {
@@ -318,8 +317,8 @@ mod tests {
         items
     }
 
-    /// An IVF index holding such a row is what `SqIvfIndex::from_ivf` would
-    /// quantize (see `assert_finite`).
+    /// See `quant::tests::one_infinite_component_…`: an IVF index holding
+    /// such a row is what `SqIvfIndex::from_ivf` would have quantized.
     #[test]
     #[should_panic(expected = "non-finite embedding component")]
     fn non_finite_row_is_refused_at_build() {
@@ -336,6 +335,19 @@ mod tests {
         for h in &hits {
             assert!(h.chunk.0 >= 100, "wrong cluster: {:?}", h.chunk);
         }
+    }
+
+    #[test]
+    fn full_probe_matches_flat_index() {
+        let items = clustered_data();
+        let ivf = built(&items, 4, 4, 5);
+        let flat = FlatIndex::over(2, &items);
+        let q = [5.0, 5.0];
+        let a = ivf.search(&q, 10);
+        let b = flat.search(&q, 10);
+        let ids_a: Vec<_> = a.iter().map(|h| h.chunk).collect();
+        let ids_b: Vec<_> = b.iter().map(|h| h.chunk).collect();
+        assert_eq!(ids_a, ids_b);
     }
 
     /// The kernel's summation order must not decide a ranking: centroid

@@ -123,15 +123,18 @@ pub(crate) fn sort_hits(hits: &mut [Hit]) {
     hits.sort_by(hit_rank);
 }
 
-/// Refuses a vector no index can hold. A NaN component scores NaN against
-/// everything, so the row is linked or listed arbitrarily and never
-/// returned; an infinite one does worse under sq8, where it makes that
-/// dimension's step infinite and every *other* row decode to NaN.
+/// Refuses a vector no index of dimension `dim` can hold. A NaN component
+/// scores NaN against everything, so the row is linked or listed
+/// arbitrarily and never returned; an infinite one does worse under sq8,
+/// where it makes that dimension's step infinite and every *other* row
+/// decode to NaN.
 ///
 /// # Panics
 ///
-/// Panics if any component is NaN or infinite.
-pub(crate) fn assert_finite(vector: &[f32]) {
+/// Panics if `vector` is not `dim` long, or any component is NaN or
+/// infinite.
+pub(crate) fn assert_row(vector: &[f32], dim: usize) {
+    assert_eq!(vector.len(), dim, "dimension mismatch");
     assert!(
         vector.iter().all(|x| x.is_finite()),
         "non-finite embedding component"

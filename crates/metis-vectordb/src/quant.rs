@@ -21,8 +21,9 @@
 use metis_text::ChunkId;
 
 use crate::{
-    assert_finite, ivf::IvfIndex, sort_hits, squared_l2, Hit, IvfConfig, SearchOutcome, SearchWork,
-    VectorIndex,
+    assert_row,
+    ivf::{probe_order, IvfIndex},
+    sort_hits, squared_l2, Hit, IvfConfig, SearchOutcome, SearchWork, VectorIndex,
 };
 
 /// How vectors are stored and scored inside an index.
@@ -139,6 +140,11 @@ impl ScalarQuantizer {
         let mut out = Vec::with_capacity(v.len());
         self.encode_into(v, &mut out);
         out
+    }
+
+    /// Every one of `rows`, encoded, back to back.
+    pub(crate) fn encode_rows<'a>(&self, rows: impl Iterator<Item = &'a [f32]>) -> Vec<u8> {
+        rows.flat_map(|v| self.encode(v)).collect()
     }
 
     /// Reconstructs the vector a code row represents; the per-dim error of
@@ -343,26 +349,20 @@ impl SqFlatIndex {
     /// Panics if `dim` is zero, or any vector disagrees on dimension or has
     /// a non-finite component.
     pub fn build(dim: usize, rerank: usize, items: &[(ChunkId, Vec<f32>)]) -> Self {
-        items.iter().for_each(|(_, v)| assert_finite(v));
-        let sq = ScalarQuantizer::train(dim, items.iter().map(|(_, v)| v.as_slice()));
-        let mut codes = Vec::with_capacity(items.len() * dim);
-        let mut rows = Vec::new();
-        let mut ids = Vec::with_capacity(items.len());
-        let mut scratch = Vec::with_capacity(dim);
-        for (id, v) in items {
-            sq.encode_into(v, &mut scratch);
-            codes.extend_from_slice(&scratch);
-            if rerank > 0 {
-                rows.extend_from_slice(v);
-            }
-            ids.push(*id);
-        }
+        items.iter().for_each(|(_, v)| assert_row(v, dim));
+        let rows = || items.iter().map(|(_, v)| v.as_slice());
+        let sq = ScalarQuantizer::train(dim, rows());
+        let exact = if rerank > 0 {
+            rows().flatten().copied().collect()
+        } else {
+            Vec::new()
+        };
         Self {
             dim,
+            codes: sq.encode_rows(rows()),
             sq,
-            codes,
-            rows,
-            ids,
+            rows: exact,
+            ids: items.iter().map(|(id, _)| *id).collect(),
             rerank,
         }
     }
@@ -468,13 +468,8 @@ impl VectorIndex for SqIvfIndex {
         if k == 0 || self.len == 0 {
             return SearchOutcome::default();
         }
-        let mut order: Vec<(f32, usize)> = self
-            .centroids
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (squared_l2(c, query), i))
-            .collect();
-        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut order = Vec::with_capacity(self.centroids.len());
+        probe_order(&self.centroids, query, &mut order);
         let lut = self.sq.lut(query);
         let mut work = SearchWork {
             centroids_scored: self.centroids.len(),
@@ -526,6 +521,22 @@ mod tests {
         sort_hits(&mut hits);
         let order: Vec<_> = hits.iter().map(|h| h.chunk).collect();
         assert_eq!(order, vec![ChunkId(2), ChunkId(1), ChunkId(5), ChunkId(9)]);
+    }
+
+    #[test]
+    fn roundtrip_error_is_within_half_a_step() {
+        let items = grid_items(64, 6);
+        let sq = ScalarQuantizer::train(6, items.iter().map(|(_, v)| v.as_slice()));
+        for (_, v) in &items {
+            let back = sq.decode(&sq.encode(v));
+            for (d, (&x, y)) in v.iter().zip(&back).enumerate() {
+                assert!(
+                    (x - y).abs() <= sq.step(d) / 2.0 + 1e-6,
+                    "dim {d}: |{x} - {y}| > step/2 = {}",
+                    sq.step(d) / 2.0
+                );
+            }
+        }
     }
 
     #[test]
@@ -620,12 +631,49 @@ mod tests {
         }
     }
 
+    /// What one infinite component used to do to a quantized index, shown
+    /// on the quantizer the builders train: the dimension's step becomes
+    /// infinite, every *other* row encodes to code 0 there and decodes to
+    /// `min + inf · 0 = NaN`, so every distance in the index is NaN and a
+    /// search returns chunk-id order with no error. `SqFlatIndex::build` and
+    /// `IvfIndex::build` (hence `SqIvfIndex::from_ivf`) accepted such a
+    /// corpus; they now refuse it like `FlatIndex::add` and
+    /// `HnswIndex::build` always did.
+    #[test]
+    fn one_infinite_component_turns_every_quantized_distance_into_nan() {
+        let mut items = grid_items(16, 4);
+        items[5].1[2] = f32::INFINITY;
+        let sq = ScalarQuantizer::train(4, items.iter().map(|(_, v)| v.as_slice()));
+        assert_eq!(sq.step(2), f32::INFINITY);
+        let lut = sq.lut(&[0.0; 4]);
+        for (id, v) in &items {
+            assert!(lut.dist2(&sq.encode(v)).is_nan(), "row {id:?}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "non-finite embedding component")]
     fn sq_flat_refuses_a_non_finite_row() {
         let mut items = grid_items(16, 4);
         items[5].1[2] = f32::INFINITY;
         SqFlatIndex::build(4, 2, &items);
+    }
+
+    #[test]
+    fn lut_distance_matches_decoded_distance() {
+        let items = grid_items(32, 4);
+        let sq = ScalarQuantizer::train(4, items.iter().map(|(_, v)| v.as_slice()));
+        let q = [0.25, -1.5, 3.0, 0.0];
+        let lut = sq.lut(&q);
+        for (_, v) in &items {
+            let codes = sq.encode(v);
+            let via_lut = lut.dist2(&codes);
+            let via_decode = squared_l2(&sq.decode(&codes), &q);
+            assert!(
+                (via_lut - via_decode).abs() < 1e-3,
+                "{via_lut} vs {via_decode}"
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::collections::BinaryHeap;
 use metis_text::ChunkId;
 
 use crate::flat::admit_top_k;
-use crate::{assert_finite, squared_l2, SearchOutcome, SearchWork, VectorIndex};
+use crate::{assert_row, squared_l2, SearchOutcome, SearchWork, VectorIndex};
 
 /// Largest dimension a `u16` column can address.
 const MAX_DIM: usize = 1 << 16;
@@ -137,8 +137,7 @@ impl SparseFlatIndex {
         let (mut list_lens, mut newest) = (vec![0usize; dim], vec![usize::MAX; dim]);
         let (mut row_cols, mut row_vals) = (vec![0u16; dim], vec![0.0f32; dim]);
         for (id, v) in rows {
-            assert_eq!(v.len(), dim, "dimension mismatch");
-            assert_finite(&v);
+            assert_row(&v, dim);
             // Branch-free compaction: every coordinate is written, and the
             // cursor moves past the non-zero ones only.
             let mut nnz = 0;

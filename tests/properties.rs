@@ -98,9 +98,18 @@ proptest! {
             .collect();
         brute.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         prop_assert_eq!(hits.len(), k.min(rows.len()));
-        for (h, (d, _)) in hits.iter().zip(&brute) {
+        let brute_of = |id: u32| brute.iter().find(|b| b.1 == id).map(|b| b.0);
+        let mut ids: Vec<u32> = hits.iter().map(|h| h.chunk.0).collect();
+        for (h, (d, id)) in hits.iter().zip(&brute) {
             prop_assert!((h.distance - d).abs() < 1e-4);
+            // The kernel sums in another order than `brute`, so two ids may
+            // only swap when their distances tie to within rounding.
+            let swapped_tie = brute_of(h.chunk.0).is_some_and(|b| (b - d).abs() < 1e-4);
+            prop_assert!(h.chunk.0 == *id || swapped_tie, "{:?} at {} vs {}", h.chunk, d, id);
         }
+        ids.sort_unstable();
+        ids.dedup();
+        prop_assert_eq!(ids.len(), hits.len());
     }
 
     /// IVF recall@k against the exact flat index is monotone non-decreasing
