@@ -23,11 +23,6 @@ const GATED: [&str; 5] = [
     "fig_preempt",
     "fig_retrieval",
 ];
-/// The figures neither a baseline nor a digest can hold, each with why.
-const UNWITNESSED: [(&str, &str); 1] = [(
-    "fig_realtime_parity",
-    "wall-paced: its realtime cells are measured on the host's clock",
-)];
 /// The scale every baseline was generated at (`METIS_BENCH_QUERIES=8`).
 const SMOKE: usize = 8;
 
@@ -79,19 +74,15 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// The witness of the figures that have no baseline: one `name digest` line
 /// per figure, in table order, over its smoke-scale report. Every row of
-/// [`FIGURES`] is gated, digested or listed in [`UNWITNESSED`], so a figure
-/// can never move unread. Regenerate, on an intentional change only, with
+/// [`FIGURES`] is gated or digested, so a figure can never move unread.
+/// Regenerate, on an intentional change only, with
 /// `METIS_REGEN_GOLDEN=1 cargo test -p metis-bench --test figures`.
 #[test]
 fn ungated_figures_equal_their_digests() {
-    for (name, _) in UNWITNESSED {
-        assert!(!GATED.contains(&name), "{name} is gated and unwitnessed");
-        select([name.to_owned()]).expect("an unwitnessed figure is registered");
-    }
     let mut fresh = String::new();
     for figure in FIGURES {
         let name = figure.name;
-        if GATED.contains(&name) || UNWITNESSED.iter().any(|(n, _)| *n == name) {
+        if GATED.contains(&name) {
             continue;
         }
         let digest = fnv1a64(figure.report(Some(SMOKE)).render().as_bytes());

@@ -62,7 +62,7 @@ pub struct RunArgs {
     /// pressure.
     pub autoscale: bool,
     /// How KV-evicted sequences resume: recompute from scratch, or migrate
-    /// their KV to a replica with headroom (sim driver only).
+    /// their KV to a replica with headroom.
     pub preempt_mode: PreemptMode,
     /// Arrival process shaping the open-loop workload (ignored in closed
     /// loop).
@@ -162,7 +162,7 @@ OPTIONS:
                            starting fleet; bounds 1..=8)
   --preempt-mode <recompute|migrate>  how KV-evicted sequences resume
                            (default recompute; migrate prices a KV transfer
-                           to a replica with headroom, sim driver only)
+                           to a replica with headroom)
   --arrivals <poisson|burst|gamma|diurnal>  arrival process (default poisson)
   --burst-factor <F>       burst density for --arrivals burst (default 4)
   --priority-from-slo      schedule each query at its SLO tier's priority
@@ -179,8 +179,8 @@ OPTIONS:
   --json <PATH>            also write the run report as JSON (run only;
                            same schema as the bench harness emits)
   --driver <sim|realtime>  execution driver of run (default sim): sim is the
-                           deterministic simulator; realtime serves live from
-                           one worker thread per replica and also prints the
+                           deterministic simulator; realtime paces the same
+                           simulation by the wall clock and also prints the
                            wall time beside the virtual makespan
   --time-scale <F>         virtual-per-wall speedup for --driver realtime
                            (default 1 = true wall pace; e.g. 1000 compresses
@@ -559,12 +559,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             time_scale: time_scale.unwrap_or(1.0),
         };
     }
-    // KV migration rides the simulator's virtual timeline; the realtime
-    // driver's worker threads have no cross-replica transfer path and would
-    // refuse the engine at spawn — reject the combination up front.
-    if run.preempt_mode == PreemptMode::Migrate && driver_realtime == Some(true) {
-        return Err("--preempt-mode migrate requires the sim driver".into());
-    }
     // Prefix-aware routing compares the replicas' chunk-KV caches; without
     // a cache every replica looks identical and the router silently
     // degrades to least-kv, so the dependency is made explicit.
@@ -910,6 +904,21 @@ mod tests {
             "3",
         ]))?;
         assert_eq!(a.preempt_mode, PreemptMode::Migrate);
+        // Realtime is the paced simulator, so it migrates too.
+        let a = parse_run(&sv(&[
+            "run",
+            "--driver",
+            "realtime",
+            "--preempt-mode",
+            "migrate",
+        ]))?;
+        assert_eq!(
+            (a.driver, a.preempt_mode),
+            (
+                DriverSpec::Realtime { time_scale: 1.0 },
+                PreemptMode::Migrate
+            )
+        );
         // An explicit recompute still parses (useful in scripts).
         let a = parse_run(&sv(&["run", "--preempt-mode", "recompute"]))?;
         assert_eq!(a.preempt_mode, PreemptMode::Recompute);
@@ -949,17 +958,6 @@ mod tests {
         assert!(err.contains("unknown GPU class"), "got: {err}");
         let err = parse(&sv(&["run", "--preempt-mode", "teleport"])).unwrap_err();
         assert!(err.contains("unknown preempt mode"), "got: {err}");
-        // Migration has no realtime transfer path — rejected, not a panic
-        // deep inside the worker spawn.
-        let err = parse(&sv(&[
-            "run",
-            "--driver",
-            "realtime",
-            "--preempt-mode",
-            "migrate",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("requires the sim driver"), "got: {err}");
         // Prefix-aware routing without a prefix cache would silently act
         // as least-kv.
         let err = parse(&sv(&["run", "--router", "prefix-aware"])).unwrap_err();

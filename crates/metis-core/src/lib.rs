@@ -22,7 +22,7 @@
 //! runner ([`Runner`]) — a system- and driver-agnostic event loop over a
 //! controller and an engine [`Driver`](metis_engine::Driver) — that
 //! executes full workloads over the serving engines (deterministic
-//! simulation or live multithreaded serving, per
+//! simulation, or the same paced by the wall clock, per
 //! [`RunConfig::driver`]), producing measured
 //! F1, delay, throughput, and cost.
 

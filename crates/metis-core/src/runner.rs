@@ -10,9 +10,9 @@
 //! the [`ConfigController`] trait, built once from the run's
 //! [`SystemKind`]. It is also *driver-agnostic*: the serving substrate is
 //! a [`Driver`] built from [`RunConfig::driver`] — the deterministic
-//! simulator by default, or the live multithreaded realtime driver — and
-//! the event loop only ever talks to the pump interface, so the same
-//! controller and engine code serves both.
+//! simulator by default, or the same simulator paced by a scaled wall
+//! clock — and the event loop only ever talks to the pump interface, so the
+//! same controller and engine code serves both.
 //!
 //! The runner interleaves four event kinds on one virtual `Timeline` —
 //! per query: **Profile** (API call, off-GPU) → **Decide** (read the routed
@@ -33,10 +33,9 @@
 //! submitted, `InFlight` while the driver has them — and its
 //! [`QueryResult`] is assembled in one place for provider-served and
 //! engine-served runs alike. Between events the driver is pumped for
-//! completions; under the simulator that advances replicas in
-//! deterministic most-lagging order, under the realtime driver it waits
-//! for the scaled wall clock — which is exactly where arrival pacing
-//! physically happens.
+//! completions, which advances replicas in deterministic most-lagging
+//! order; under the realtime driver it also waits for the scaled wall
+//! clock — which is exactly where arrival pacing physically happens.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -104,7 +103,7 @@ pub struct RunConfig {
     /// Converts measured per-query retrieval work into timeline nanos.
     pub retrieval: RetrievalModel,
     /// Who executes the run: the deterministic simulator (the default) or
-    /// the live multithreaded driver on scaled wall time. API-serving runs
+    /// the simulator paced by scaled wall time. API-serving runs
     /// (`model.kind == Api`) always simulate — there is no local engine to
     /// drive in real time.
     pub driver: DriverSpec,
@@ -235,7 +234,7 @@ impl StageMeans {
 }
 
 /// Per-query outcome.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QueryResult {
     /// Index of the query in the dataset.
     pub query_index: usize,
@@ -443,9 +442,9 @@ impl RunResult {
     /// [`metis_metrics::BenchReport`]).
     ///
     /// Realtime runs are marked with a `driver = realtime` knob and a
-    /// `time_scale` extra metric so a reader can tell them apart: their
-    /// wall-paced numbers are machine-dependent, so no baseline holds one
-    /// and nothing skips on the marker. Simulated cells deliberately carry
+    /// `time_scale` extra metric so a reader can tell them apart; their
+    /// virtual numbers equal the sim run's, and nothing skips on the
+    /// marker. Simulated cells deliberately carry
     /// *no* driver marker: the simulator is the default and has always been,
     /// and pre-refactor golden reports must stay byte-for-byte valid. For the
     /// same reason, index-work extras (`index_*`, `store_bytes_*`) are
@@ -679,9 +678,9 @@ impl<'a> Runner<'a> {
         let mut run = Run::new(self.dataset, &self.cfg);
         loop {
             // Let the driver make progress (and collect completions) until
-            // the next event is due: the simulator steps the most-lagging
-            // replica up to it, the realtime driver waits for the wall to
-            // reach it. With no events left, drain. API serving has no
+            // the next event is due: the driver steps the most-lagging
+            // replica up to it (and, paced, waits for the wall to reach
+            // it). With no events left, drain. API serving has no
             // engine to pump. Completions are handled batch by batch so
             // follow-up submissions (a query's reduce) chain off each batch
             // before the driver runs any further.
@@ -1220,7 +1219,7 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Tears the driver down (joining worker threads for realtime) and
+    /// Tears the driver down (waiting for the wall under realtime) and
     /// assembles the run's totals.
     fn finish(self) -> RunResult {
         let driver_stats = self.driver.finish();

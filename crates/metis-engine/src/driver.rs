@@ -4,30 +4,29 @@
 //! Submit events on a virtual timeline and needs four things from the
 //! serving substrate: route new work to a replica, submit requests, collect
 //! completions, and know when everything has drained. [`Driver`] is exactly
-//! that surface. Two implementations exist:
+//! that surface. One implementation exists, [`SimDriver`]: it wraps a
+//! [`Cluster`] and advances it with most-lagging-replica discrete-event
+//! stepping, deterministic and bit-for-bit reproducible (a golden-report
+//! test in `metis-core` pins this).
 //!
-//! * [`SimDriver`] — wraps a [`Cluster`] and advances it with
-//!   most-lagging-replica discrete-event stepping. Deterministic and
-//!   bit-for-bit reproducible (a golden-report test in `metis-core` pins
-//!   this).
-//! * [`RealtimeDriver`](crate::realtime::RealtimeDriver) — one worker
-//!   thread per replica, paced against a scaled wall clock. Same engines,
-//!   same latency models, same virtual timestamps; only the passage of time
-//!   is real.
-//!
-//! A driver is only *how time passes*. Everything the fleet decides —
-//! which replica is routed to, when a slot is warm, drained or retired,
-//! what it has cost — is the [`fleet`](crate::fleet) ledger's, and both
-//! drivers delegate to the same one: the simulator feeds it direct engine
-//! reads, the realtime driver its workers' published snapshots.
+//! Realtime serving is the same driver paced by a scaled [`WallClock`]. The
+//! engines are analytic, so the wall adds no work, only waiting: before a
+//! replica's iteration runs, the driver sleeps until the wall reaches the
+//! instant the iteration starts; `pump_before(t)` returns `None` only once
+//! the wall has reached `t`; and `finish` returns no earlier than the wall
+//! reaches the last virtual instant. Stepping order, routing and every
+//! timestamp are the simulator's, so a realtime run's virtual results equal
+//! the sim run's byte for byte. What the host costs shows up as pacing
+//! lateness (the wall running behind the virtual clock), never as virtual
+//! delay.
 //!
 //! The pump interface is deliberately incremental: `pump_before`/`pump_idle`
 //! return one batch of completions at a time so the caller can chain new
 //! submissions (e.g. a reduce call) off each batch before the driver runs
-//! any further — the ordering contract the simulator's determinism and the
-//! realtime driver's map→reduce correctness both rely on.
+//! any further — the ordering contract the simulator's determinism relies
+//! on.
 
-use metis_llm::{nanos_to_secs, Nanos};
+use metis_llm::{nanos_to_secs, Clock, Nanos, WallClock};
 
 use crate::cluster::Cluster;
 use crate::engine::Completion;
@@ -40,8 +39,7 @@ use crate::stats::EngineStats;
 pub enum DriverKind {
     /// Deterministic discrete-event simulation ([`SimDriver`]).
     Sim,
-    /// Live multithreaded serving on scaled wall-clock time
-    /// (`RealtimeDriver`).
+    /// The same simulation paced by a scaled wall clock.
     Realtime,
 }
 
@@ -63,8 +61,8 @@ pub enum DriverSpec {
     /// The deterministic simulator (the default).
     #[default]
     Sim,
-    /// Live serving: one worker thread per replica, with virtual time
-    /// passing `time_scale`× faster than wall time.
+    /// Live serving: the simulator paced so that virtual time passes
+    /// `time_scale`× faster than wall time.
     Realtime {
         /// Virtual-per-wall speedup; must be finite and positive.
         time_scale: f64,
@@ -100,12 +98,13 @@ impl DriverSpec {
         engines: Vec<crate::engine::Engine>,
         router: RouterPolicy,
     ) -> Box<dyn Driver> {
-        match self {
-            DriverSpec::Sim => Box::new(SimDriver::new(Cluster::new(engines, router))),
-            DriverSpec::Realtime { time_scale } => Box::new(crate::realtime::RealtimeDriver::new(
-                engines, router, time_scale,
-            )),
-        }
+        Box::new(SimDriver {
+            cluster: Cluster::new(engines, router),
+            wall: match self {
+                DriverSpec::Sim => None,
+                DriverSpec::Realtime { time_scale } => Some(WallClock::new(time_scale)),
+            },
+        })
     }
 }
 
@@ -200,8 +199,7 @@ pub trait Driver {
     /// One route call per query — all of a query's calls stay on one
     /// replica so gang scheduling keeps working. `now` is the virtual
     /// decision time: replicas still warming up at `now`, draining, or
-    /// retired are not routed to. (The realtime driver evaluates this and
-    /// every other `now` at the later of `now` and its wall clock.)
+    /// retired are not routed to.
     fn route(&mut self, now: Nanos) -> ReplicaId;
 
     /// Whether `id` accepts routed work at virtual time `now`.
@@ -215,8 +213,7 @@ pub trait Driver {
     }
 
     /// Requests waiting for admission across live replicas — the
-    /// autoscaler's primary load signal. Under the realtime driver this is
-    /// a lock-free snapshot and may lag by one worker iteration.
+    /// autoscaler's primary load signal.
     fn queue_depth(&self) -> u64;
 
     /// Adds a replica slot at virtual time `now`; it accepts routed work
@@ -236,8 +233,7 @@ pub trait Driver {
     fn drain_replica(&mut self, id: ReplicaId, now: Nanos) -> bool;
 
     /// Free KV tokens on one replica — what METIS's per-backend best-fit
-    /// inspects at decision time. Under the realtime driver this is a
-    /// lock-free snapshot published by the replica's worker.
+    /// inspects at decision time.
     fn free_kv_tokens(&self, id: ReplicaId) -> u64;
 
     /// One replica's preemptions-per-submission ratio — the KV-contention
@@ -251,9 +247,9 @@ pub trait Driver {
     /// completions (possibly empty while replicas advance without
     /// finishing anything). `None` means the driver has caught up: every
     /// completion that can exist before `t` has been returned, and the
-    /// caller may now fire its `t`-stamped event. Under the realtime
-    /// driver, `None` also means the wall has actually reached `t` — this
-    /// is where event pacing happens.
+    /// caller may now fire its `t`-stamped event. Under a wall clock,
+    /// `None` also means the wall has actually reached `t` — this is where
+    /// event pacing happens.
     fn pump_before(&mut self, t: Nanos) -> Option<Vec<Completion>>;
 
     /// Makes progress with no more external events outstanding. `None`
@@ -262,32 +258,62 @@ pub trait Driver {
     /// submissions) until `None`.
     fn pump_idle(&mut self) -> Option<Vec<Completion>>;
 
-    /// Tears the driver down (joining worker threads for the realtime
-    /// implementation) and reports run totals.
+    /// Tears the driver down and reports run totals. Under a wall clock it
+    /// first waits for the wall to reach the last virtual instant.
     fn finish(self: Box<Self>) -> DriverStats;
 }
 
-/// The deterministic discrete-event driver: a [`Cluster`] advanced with
-/// most-lagging-replica stepping.
+/// The discrete-event driver: a [`Cluster`] advanced with
+/// most-lagging-replica stepping, optionally paced by a wall clock.
 pub struct SimDriver {
     cluster: Cluster,
+    /// The realtime pacing clock; `None` runs as fast as the host can.
+    wall: Option<WallClock>,
 }
 
 impl SimDriver {
-    /// Wraps a cluster.
+    /// Wraps a cluster, unpaced.
     pub fn new(cluster: Cluster) -> Self {
-        Self { cluster }
+        Self {
+            cluster,
+            wall: None,
+        }
     }
 
     /// Shared view of the cluster (tests inspect per-replica state).
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
     }
+
+    /// Under a wall clock, sleeps until the wall reaches virtual `t`.
+    fn pace(&mut self, t: Nanos) {
+        if let Some(wall) = &mut self.wall {
+            wall.sleep_until(t);
+        }
+    }
+
+    /// Runs one iteration of replica `id`, once the wall reaches the
+    /// instant it starts: the replica's clock, or the arrival an idle
+    /// replica jumps to.
+    fn step(&mut self, id: ReplicaId) -> Vec<Completion> {
+        if self.wall.is_some() {
+            let e = self.cluster.replica(id);
+            let start = match e.next_pending_arrival() {
+                Some(arrival) if !e.has_active_work() => arrival.max(e.now()),
+                _ => e.now(),
+            };
+            self.pace(start);
+        }
+        self.cluster.step_replica(id)
+    }
 }
 
 impl Driver for SimDriver {
     fn kind(&self) -> DriverKind {
-        DriverKind::Sim
+        match self.wall {
+            None => DriverKind::Sim,
+            Some(_) => DriverKind::Realtime,
+        }
     }
 
     fn replicas(&self) -> usize {
@@ -334,19 +360,26 @@ impl Driver for SimDriver {
     fn pump_before(&mut self, t: Nanos) -> Option<Vec<Completion>> {
         // Always step the most-lagging replica so cross-replica event
         // order stays deterministic.
-        let rid = self.cluster.steppable_before(t)?;
-        Some(self.cluster.step_replica(rid))
+        match self.cluster.steppable_before(t) {
+            Some(rid) => Some(self.step(rid)),
+            None => {
+                self.pace(t);
+                None
+            }
+        }
     }
 
     fn pump_idle(&mut self) -> Option<Vec<Completion>> {
         let rid = self.cluster.next_steppable()?;
-        Some(self.cluster.step_replica(rid))
+        Some(self.step(rid))
     }
 
-    fn finish(self: Box<Self>) -> DriverStats {
+    fn finish(mut self: Box<Self>) -> DriverStats {
+        let end = self.cluster.latest_now();
+        self.pace(end);
         DriverStats::collect(
             self.cluster.fleet(),
-            self.cluster.latest_now(),
+            end,
             self.cluster.replicas().map(|e| e.stats()),
         )
     }
@@ -414,6 +447,23 @@ mod tests {
         }
         assert_eq!(done.len(), 1);
         assert!(done[0].arrival == 5_000_000_000);
+    }
+
+    #[test]
+    fn a_paced_driver_returns_none_only_once_the_wall_reaches_t() {
+        let mut d = SimDriver {
+            cluster: Cluster::new(engines(1), RouterPolicy::RoundRobin),
+            wall: Some(WallClock::new(100_000.0)),
+        };
+        assert_eq!(d.kind(), DriverKind::Realtime);
+        let wall = |d: &SimDriver| d.wall.as_ref().map_or(0, |w| w.now());
+        // No work in flight: 2 virtual s = 20 wall µs of arrival pacing.
+        let t = wall(&d) + 2_000_000_000;
+        assert!(d.pump_before(t).is_none());
+        assert!(wall(&d) >= t, "pump_before waited out the gap");
+        d.submit(ReplicaId(0), req(1, t));
+        while d.pump_idle().is_some() {}
+        assert!(Box::new(d).finish().busy > 0);
     }
 
     #[test]

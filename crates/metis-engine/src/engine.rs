@@ -188,9 +188,9 @@ pub struct Engine {
     replica: ReplicaId,
     /// The engine's own virtual timeline. Always a [`VirtualClock`], even
     /// under the realtime driver: iteration durations come from the latency
-    /// model either way, and the realtime worker *paces* this clock against
-    /// the wall via [`Engine::advance_clock_to`] rather than replacing it —
-    /// which is what keeps timestamps comparable across drivers.
+    /// model either way, and a wall clock only decides *when* the driver
+    /// steps the engine — which is what keeps timestamps identical across
+    /// drivers.
     clock: VirtualClock,
     /// Requests with future arrival times, keyed by (arrival, submit order).
     pending: BTreeMap<(Nanos, u64), LlmRequest>,
@@ -252,13 +252,11 @@ impl Engine {
     }
 
     /// Advances the engine's virtual clock to `t` (never backwards) and
-    /// absorbs any arrivals that became due. Called by drivers that pace
-    /// the engine from an external clock — the realtime driver's replica
-    /// workers align the engine with scaled wall time whenever it goes
-    /// idle. The simulator never calls this: under
-    /// [`SimDriver`](crate::driver::SimDriver) virtual time advances only
-    /// by the iteration durations [`Engine::step`] computes, which is what
-    /// keeps simulated runs bit-for-bit reproducible.
+    /// absorbs any arrivals that became due. The cluster calls this once,
+    /// to start a newly added replica's clock at its ready time; from then
+    /// on virtual time advances only by the iteration durations
+    /// [`Engine::step`] computes, which is what keeps runs bit-for-bit
+    /// reproducible.
     pub fn advance_clock_to(&mut self, t: Nanos) {
         self.clock.advance_to(t);
         self.absorb_arrivals();
@@ -347,11 +345,6 @@ impl Engine {
         self.evicted.len()
     }
 
-    /// The configured preemption mode.
-    pub fn preempt_mode(&self) -> PreemptMode {
-        self.config.preempt_mode
-    }
-
     /// Accepts a migrated-in sequence: the request keeps its original
     /// `arrival` stamp (so queue-wait and per-stage accounting see the
     /// caller's timeline, transfer included) but becomes *available for
@@ -393,11 +386,11 @@ impl Engine {
 
     /// Submits a request.
     ///
-    /// A request whose arrival stamp is in the engine's past (normal under
-    /// the realtime driver, where channel delivery lags the wall) keeps its
-    /// original arrival: it enters the queue as if it had been waiting
+    /// A request whose arrival stamp is in the engine's past (normal when
+    /// the replica's last iteration ran past the caller's event time) keeps
+    /// its original arrival: it enters the queue as if it had been waiting
     /// since `arrival`, so queue-wait accounting and admission ranking see
-    /// the caller's timeline, not the delivery delay.
+    /// the caller's timeline, not the iteration boundary.
     pub fn submit(&mut self, mut req: LlmRequest) {
         // Zero-output requests would never finish; clamp to one token.
         req.output_tokens = req.output_tokens.max(1);
@@ -792,7 +785,7 @@ impl Engine {
     /// Checks that the [`Self::step`] which started at `before` and
     /// completed `completed` requests made progress: it advanced the clock,
     /// finished something, or left the engine idle. Every loop that steps
-    /// an engine — here, the cluster, the realtime worker — calls this.
+    /// an engine — here and the cluster — calls this.
     ///
     /// # Panics
     ///
@@ -1173,8 +1166,8 @@ mod tests {
     #[test]
     fn late_arrival_keeps_its_original_stamp() {
         // The intended late-arrival semantics, pinned: a request submitted
-        // with an arrival stamp already in the engine's past (the realtime
-        // driver's normal case — channel delivery lags the wall) is neither
+        // with an arrival stamp already in the engine's past (the normal
+        // case once an iteration has run past the caller's event) is neither
         // clamped to `now` nor rejected. Its completion carries the
         // original arrival, so queue wait is measured from when the caller
         // says it arrived, while admission can only happen at or after the
@@ -1198,7 +1191,7 @@ mod tests {
 
     #[test]
     fn advance_clock_to_paces_the_engine_externally() {
-        // The realtime worker's pacing primitive: advancing the clock never
+        // How a warm-up is made physical: advancing the clock never
         // rewinds it, and arrivals that become due are absorbed into the
         // queue so `has_active_work` sees them.
         let mut e = engine(SchedPolicy::Fcfs);

@@ -7,11 +7,9 @@
 //! lifecycle (`WarmingUp → Active → Draining → Retired`, un-retired by a
 //! late gang reduce), ranks slots for the [`RouterPolicy`], refuses to drain
 //! the last routable slot, and integrates replica-seconds. It owns no
-//! engines and no threads: whoever executes the work passes each method a
-//! per-replica `Load` view. [`Cluster`](crate::cluster::Cluster) reads its
-//! engines directly; [`RealtimeDriver`](crate::realtime::RealtimeDriver)
-//! reads the snapshots its workers publish plus its own in-flight counts.
-//! How time passes differs between the two; what the fleet decides does not.
+//! engines: [`Cluster`](crate::cluster::Cluster) passes each method a
+//! per-replica `Load` view read from its engines, and the tests pass plain
+//! tables.
 
 use metis_llm::{nanos_to_secs, Nanos};
 

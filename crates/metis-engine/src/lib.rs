@@ -30,12 +30,12 @@
 //!
 //! *Who* executes the work — and on whose time — is the [`Driver`]
 //! abstraction: [`SimDriver`] advances the cluster deterministically on
-//! virtual time (the paper's evaluation mode and the oracle for the live
-//! path), while `RealtimeDriver` serves the same engines from one worker
-//! thread per replica, paced against a scaled wall clock. Both answer the
-//! fleet questions — which replica is routed to, which slots are warm,
-//! draining or retired, what the fleet has cost — from the one `fleet`
-//! ledger.
+//! virtual time (the paper's evaluation mode), and under
+//! [`DriverSpec::Realtime`] the same driver is paced by a scaled wall
+//! clock, sleeping until each iteration's virtual start. The fleet
+//! questions — which replica is routed to, which slots are warm, draining
+//! or retired, what the fleet has cost — are answered by the one `fleet`
+//! ledger either way.
 
 #![warn(unreachable_pub)]
 
@@ -45,7 +45,6 @@ mod engine;
 mod fleet;
 mod kvcache;
 mod prefixcache;
-mod realtime;
 mod request;
 mod stats;
 

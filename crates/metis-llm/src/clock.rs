@@ -12,11 +12,12 @@
 //! * [`WallClock`] — reads the machine's monotonic clock, scaled by a
 //!   `time_scale` factor so a two-hour diurnal trace replays in seconds
 //!   (virtual time passes `time_scale`× faster than wall time). It cannot
-//!   jump; waiting for an instant means actually sleeping.
+//!   jump; waiting for an instant means actually sleeping. The realtime
+//!   driver only sleeps on it: engines keep their virtual clocks, so a
+//!   paced run produces the simulator's timestamps exactly.
 //!
-//! Both clocks speak the same `Nanos` timeline, so timestamps produced
-//! under either are directly comparable — the property the realtime-parity
-//! benches rely on.
+//! Both clocks speak the same `Nanos` timeline, so a wall reading and a
+//! virtual timestamp compare directly.
 
 #![expect(
     clippy::disallowed_types,
@@ -101,8 +102,7 @@ impl Clock for VirtualClock {
 ///
 /// Virtual `Nanos` are wall nanoseconds since the clock's epoch multiplied
 /// by `time_scale`. Clones share the epoch (an [`Instant`] is `Copy`), so
-/// every thread holding a clone of the same `WallClock` reads one common
-/// timeline — the driver hands one clone to each replica worker.
+/// they read one common timeline.
 #[derive(Clone, Copy, Debug)]
 pub struct WallClock {
     epoch: Instant,
@@ -133,21 +133,9 @@ impl WallClock {
         }
     }
 
-    /// The virtual-per-wall speedup factor.
-    pub fn time_scale(&self) -> f64 {
-        self.time_scale
-    }
-
     /// Wall nanoseconds a virtual duration takes to pass.
     fn wall_nanos(&self, virtual_nanos: Nanos) -> u64 {
         (virtual_nanos as f64 / self.time_scale).ceil() as u64
-    }
-
-    /// Wall time until this clock reads virtual instant `t` (zero once it
-    /// does) — how long a caller that cannot simply sleep may block on
-    /// something else before `t` is due.
-    pub fn wall_until(&self, t: Nanos) -> Duration {
-        Duration::from_nanos(self.wall_nanos(t.saturating_sub(self.now())))
     }
 }
 
@@ -206,10 +194,8 @@ mod tests {
         c.advance_to(t0 + 60_000_000_000_000);
         assert!(c.now() < t0 + 60_000_000_000_000);
         let target = c.now() + 5_000_000_000; // 5 virtual s = 5 wall µs.
-        assert!(!c.wall_until(target).is_zero(), "the target is ahead");
         let reached = c.sleep_until(target);
-        assert!(reached >= target);
-        assert!(c.wall_until(target).is_zero(), "and now it is not");
+        assert!(reached >= target && c.now() >= target);
         // Clones share the epoch and therefore the timeline.
         let c2 = c;
         let (a, b) = (c.now(), c2.now());
