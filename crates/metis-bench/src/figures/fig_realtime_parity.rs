@@ -16,7 +16,6 @@
 use metis_core::{DriverSpec, RunConfig, RunResult, Runner};
 use metis_datasets::{poisson_arrivals, DatasetKind};
 use metis_engine::RouterPolicy;
-use metis_llm::Clock;
 use metis_metrics::BenchReport;
 
 use crate::{base_qps, dataset, knob, metis, Figure, RUN_SEED};
@@ -58,7 +57,7 @@ fn measure(n: usize, report: &mut BenchReport) {
         Runner::new(&d, cfg).run()
     };
     let sim = run(DriverSpec::Sim);
-    // How long the paced run took, read through the sanctioned Clock.
+    // How long the paced run took, read through the sanctioned `WallClock`.
     let wall_clock = metis_llm::WallClock::new(1.0);
     let rt = run(DriverSpec::Realtime { time_scale: scale });
     let wall = wall_clock.now() as f64 / 1e9;

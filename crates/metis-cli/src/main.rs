@@ -12,12 +12,12 @@ mod args;
 use std::process::ExitCode;
 
 use metis_core::{
-    fixed_config_grid, map_profile, DriverKind, MetisOptions, RagConfig, RunConfig, RunResult,
+    fixed_config_grid, map_profile, DriverSpec, MetisOptions, RagConfig, RunConfig, RunResult,
     Runner, SystemKind,
 };
 use metis_datasets::{build_dataset, build_dataset_with_spec};
 use metis_engine::Priority;
-use metis_llm::{Clock, GpuCluster, ModelSpec, ReplicaSpec};
+use metis_llm::{GpuCluster, ModelSpec, ReplicaSpec};
 use metis_metrics::BenchReport;
 use metis_profiler::{LlmProfiler, ProfilerKind};
 
@@ -139,7 +139,7 @@ fn cmd_run(a: &RunArgs) -> Result<(), String> {
     );
     // Under the realtime driver the run takes real time — virtual seconds
     // divided by `--time-scale` — so the summary reports how faithfully the
-    // wall tracked the virtual makespan, read through the sanctioned Clock.
+    // wall tracked the virtual makespan, read through the sanctioned `WallClock`.
     let wall_clock = metis_llm::WallClock::new(1.0);
     let r = run_once(a, system_of(a.system, a.slo, a.priority_from_slo));
     let wall = wall_clock.now() as f64 / 1e9;
@@ -212,12 +212,11 @@ fn cmd_run(a: &RunArgs) -> Result<(), String> {
             .collect();
         println!("per-replica completions: {}", parts.join(" "));
     }
-    if r.driver == DriverKind::Realtime {
+    if let DriverSpec::Realtime { time_scale } = r.driver {
         println!(
-            "virtual makespan {:.2}s  wall {wall:.2}s  (expected wall ≥ {:.2}s at {}×)",
+            "virtual makespan {:.2}s  wall {wall:.2}s  (expected wall ≥ {:.2}s at {time_scale}×)",
             r.makespan_secs,
-            r.makespan_secs / r.time_scale,
-            r.time_scale
+            r.makespan_secs / time_scale,
         );
     }
     match &a.json {
@@ -245,8 +244,8 @@ fn build_report(a: &RunArgs, r: &RunResult) -> BenchReport {
         .knob("index", a.index.label())
         .knob("quantize", a.quant.name())
         .knob("driver", r.driver.name());
-    if r.driver == DriverKind::Realtime {
-        report = report.knob("time_scale", r.time_scale);
+    if let DriverSpec::Realtime { time_scale } = r.driver {
+        report = report.knob("time_scale", time_scale);
     }
     // Elasticity knobs only when they shape the run, so reports from plain
     // fixed-fleet invocations keep their existing shape.

@@ -50,7 +50,7 @@ pub use controllers::{
 };
 pub use mapping::map_profile;
 pub use memory::PlanDemand;
-pub use metis_engine::{DriverKind, DriverSpec};
+pub use metis_engine::DriverSpec;
 pub use retrieval::RetrievalModel;
 pub use runner::{QueryResult, RunConfig, RunResult, Runner, StageBreakdown, StageMeans};
 pub use slo::{choose_config_with_slo, estimate_exec_secs, LatencySlo, SloTier};

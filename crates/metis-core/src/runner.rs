@@ -9,10 +9,10 @@
 //! configuration choice, scheduling preferences, feedback) lives behind
 //! the [`ConfigController`] trait, built once from the run's
 //! [`SystemKind`]. It is also *driver-agnostic*: the serving substrate is
-//! a [`Driver`] built from [`RunConfig::driver`] — the deterministic
+//! the [`SimDriver`] that [`RunConfig::driver`] builds — the deterministic
 //! simulator by default, or the same simulator paced by a scaled wall
-//! clock — and the event loop only ever talks to the pump interface, so the
-//! same controller and engine code serves both.
+//! clock — and the event loop only ever talks to the [`Driver`] pump
+//! interface, so the same controller and engine code serves both.
 //!
 //! The runner interleaves four event kinds on one virtual `Timeline` —
 //! per query: **Profile** (API call, off-GPU) → **Decide** (read the routed
@@ -42,8 +42,8 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 use metis_datasets::Dataset;
 use metis_engine::{
-    Completion, Driver, DriverKind, DriverSpec, Engine, EngineConfig, GroupId, LlmRequest,
-    PrefixCache, Priority, ReplicaId, RequestId, RouterPolicy, Stage,
+    Completion, Driver, DriverSpec, Engine, EngineConfig, GroupId, LlmRequest, PrefixCache,
+    Priority, ReplicaId, RequestId, RouterPolicy, SimDriver, Stage,
 };
 use metis_llm::{
     nanos_to_secs, FleetSpec, GenModelConfig, GenerationModel, GpuCluster, LatencyModel, ModelKind,
@@ -310,10 +310,8 @@ pub struct RunResult {
     /// billed from spawn to retirement (or end of run). The autoscaler's
     /// cost axis; a fixed fleet of `n` bills `n ×` the run's span.
     pub replica_seconds: f64,
-    /// Which driver executed the run.
-    pub driver: DriverKind,
-    /// The realtime time-scale knob (1.0 for simulated runs).
-    pub time_scale: f64,
+    /// The driver that executed the run.
+    pub driver: DriverSpec,
     /// The index the run searched.
     pub index_spec: IndexSpec,
     /// How the index stored and scored vectors.
@@ -471,11 +469,11 @@ impl RunResult {
             retrieval_recall: self.mean_retrieval_recall(),
             ..CellReport::new(id, seed)
         };
-        let cell = if self.driver == DriverKind::Realtime {
-            cell.knob("driver", DriverKind::Realtime.name())
-                .metric("time_scale", self.time_scale)
-        } else {
-            cell
+        let cell = match self.driver {
+            DriverSpec::Realtime { time_scale } => cell
+                .knob("driver", self.driver.name())
+                .metric("time_scale", time_scale),
+            DriverSpec::Sim => cell,
         };
         // Elasticity extras only when the fleet actually changed shape or
         // migrations happened: fixed-fleet recompute cells (everything that
@@ -651,7 +649,7 @@ struct InFlight {
 }
 
 /// The workload runner: a system- and driver-agnostic event loop over one
-/// [`ConfigController`] and an engine [`Driver`].
+/// [`ConfigController`] and an engine [`SimDriver`].
 pub struct Runner<'a> {
     dataset: &'a Dataset,
     cfg: RunConfig,
@@ -716,7 +714,7 @@ struct Run<'a> {
     gen: GenerationModel,
     controller: Box<dyn ConfigController>,
     driver_spec: DriverSpec,
-    driver: Box<dyn Driver>,
+    driver: SimDriver,
     /// The initial fleet; replicas the autoscaler adds cycle through it.
     fleet: FleetSpec,
     engine_cfg: EngineConfig,
@@ -762,8 +760,8 @@ impl<'a> Run<'a> {
             .into_iter()
             .map(|lat| Engine::new(lat, engine_cfg))
             .collect();
-        // API serving never steps an engine, so the driver choice is moot
-        // there; force the simulator rather than spawning idle workers.
+        // API serving never steps an engine, so pacing it would only wait:
+        // it always runs on the simulator.
         let driver_spec = if api_mode {
             DriverSpec::Sim
         } else {
@@ -1258,8 +1256,7 @@ impl<'a> Run<'a> {
             migrated_tokens: driver_stats.migrated_tokens,
             peak_replicas: driver_stats.peak_replicas,
             replica_seconds: driver_stats.replica_seconds,
-            driver: self.driver_spec.kind(),
-            time_scale: self.driver_spec.time_scale(),
+            driver: self.driver_spec,
             index_spec: index_meta.spec,
             quant: index_meta.quant,
             index_work,

@@ -9,10 +9,10 @@
 //! * every query's record — delay, stages, replica, F1 — equals the sim
 //!   run's;
 //! * so do the run totals that do not name the driver;
-//! * the run is stamped as realtime-served (`DriverKind`, `time_scale`,
-//!   and the report-cell `driver` knob that marks the cell for readers).
+//! * the run is stamped as realtime-served (its `DriverSpec`, and the
+//!   report-cell `driver` knob that marks the cell for readers).
 
-use metis_core::{DriverKind, DriverSpec, MetisOptions, RunConfig, RunResult, Runner, SystemKind};
+use metis_core::{DriverSpec, MetisOptions, RunConfig, RunResult, Runner, SystemKind};
 use metis_datasets::{build_dataset, poisson_arrivals, DatasetKind};
 use metis_engine::{PreemptMode, RouterPolicy};
 
@@ -43,8 +43,12 @@ fn realtime_driver_serves_a_full_metis_workload() {
     assert_eq!(r.per_query, sim.per_query, "query for query, the sim run");
     let totals = |r: &RunResult| (r.gpu_busy_secs, r.migrations, r.replica_seconds);
     assert_eq!(totals(&r), totals(&sim));
-    assert_eq!(r.driver, DriverKind::Realtime);
-    assert_eq!(r.time_scale, TIME_SCALE);
+    assert_eq!(
+        r.driver,
+        DriverSpec::Realtime {
+            time_scale: TIME_SCALE
+        }
+    );
     assert!(r.mean_f1() > 0.0, "queries are actually answered");
 
     // The report cell carries the realtime marker; a sim run of the same

@@ -26,36 +26,14 @@
 //! any further — the ordering contract the simulator's determinism relies
 //! on.
 
-use metis_llm::{nanos_to_secs, Clock, Nanos, WallClock};
+use metis_llm::{nanos_to_secs, Nanos, WallClock};
 
-use crate::cluster::Cluster;
-use crate::engine::Completion;
-use crate::fleet::{Fleet, RouterPolicy};
+use crate::cluster::{Cluster, RouterPolicy};
+use crate::engine::{Completion, Engine};
 use crate::request::{LlmRequest, ReplicaId};
-use crate::stats::EngineStats;
 
-/// Which driver implementation served a run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DriverKind {
-    /// Deterministic discrete-event simulation ([`SimDriver`]).
-    Sim,
-    /// The same simulation paced by a scaled wall clock.
-    Realtime,
-}
-
-impl DriverKind {
-    /// Short stable name, for CLI flags and report knobs.
-    pub fn name(self) -> &'static str {
-        match self {
-            DriverKind::Sim => "sim",
-            DriverKind::Realtime => "realtime",
-        }
-    }
-}
-
-/// How a run wants its work executed. This is the configuration-level
-/// counterpart of [`Driver`]: `RunConfig` carries a `DriverSpec`, and the
-/// runner builds the matching driver over the run's engines.
+/// How a run wants its work executed: `RunConfig` carries a `DriverSpec`,
+/// and the runner builds the matching [`SimDriver`] over the run's engines.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum DriverSpec {
     /// The deterministic simulator (the default).
@@ -70,20 +48,11 @@ pub enum DriverSpec {
 }
 
 impl DriverSpec {
-    /// The kind of driver this spec builds.
-    pub fn kind(self) -> DriverKind {
+    /// Short stable name, for CLI flags and report knobs.
+    pub fn name(self) -> &'static str {
         match self {
-            DriverSpec::Sim => DriverKind::Sim,
-            DriverSpec::Realtime { .. } => DriverKind::Realtime,
-        }
-    }
-
-    /// The time-scale knob (1.0 for the simulator, whose virtual time is
-    /// not tied to wall time at all).
-    pub fn time_scale(self) -> f64 {
-        match self {
-            DriverSpec::Sim => 1.0,
-            DriverSpec::Realtime { time_scale } => time_scale,
+            DriverSpec::Sim => "sim",
+            DriverSpec::Realtime { .. } => "realtime",
         }
     }
 
@@ -93,18 +62,14 @@ impl DriverSpec {
     /// # Panics
     ///
     /// Panics if `engines` is empty, or for an invalid realtime time scale.
-    pub fn build(
-        self,
-        engines: Vec<crate::engine::Engine>,
-        router: RouterPolicy,
-    ) -> Box<dyn Driver> {
-        Box::new(SimDriver {
+    pub fn build(self, engines: Vec<Engine>, router: RouterPolicy) -> SimDriver {
+        SimDriver {
             cluster: Cluster::new(engines, router),
             wall: match self {
                 DriverSpec::Sim => None,
                 DriverSpec::Realtime { time_scale } => Some(WallClock::new(time_scale)),
             },
-        })
+        }
     }
 }
 
@@ -140,20 +105,16 @@ impl DriverStats {
         nanos_to_secs(self.busy)
     }
 
-    /// Run totals of a fleet torn down at virtual time `end`: the ledger's
+    /// Run totals of a cluster torn down at its latest instant: its
     /// capacity figures plus every replica's engine counters.
-    pub(crate) fn collect<'a>(
-        fleet: &Fleet,
-        end: Nanos,
-        replicas: impl IntoIterator<Item = &'a EngineStats>,
-    ) -> Self {
+    pub(crate) fn collect(cluster: &Cluster) -> Self {
         let mut total = Self {
-            replicas: fleet.len(),
-            peak_replicas: fleet.peak_live(),
-            replica_seconds: fleet.replica_seconds(end),
+            replicas: cluster.len(),
+            peak_replicas: cluster.peak_live(),
+            replica_seconds: cluster.replica_seconds(cluster.latest_now()),
             ..Self::default()
         };
-        for s in replicas {
+        for s in cluster.stats() {
             total.busy += s.busy;
             total.preemptions += s.preemptions;
             total.preempted_tokens += s.preempted_tokens;
@@ -189,9 +150,6 @@ impl DriverStats {
 /// assert!(!driver.is_routable(id, 2_000));
 /// ```
 pub trait Driver {
-    /// Which implementation this is.
-    fn kind(&self) -> DriverKind;
-
     /// Number of replica slots (retired slots included — ids are stable).
     fn replicas(&self) -> usize;
 
@@ -218,12 +176,7 @@ pub trait Driver {
 
     /// Adds a replica slot at virtual time `now`; it accepts routed work
     /// from `now + warmup`. Returns the new replica's stable id.
-    fn add_replica(
-        &mut self,
-        engine: crate::engine::Engine,
-        now: Nanos,
-        warmup: Nanos,
-    ) -> ReplicaId;
+    fn add_replica(&mut self, engine: Engine, now: Nanos, warmup: Nanos) -> ReplicaId;
 
     /// Begins draining `id` at `now`: routing stops immediately; in-flight
     /// work (and follow-on calls of groups already placed there) still
@@ -260,7 +213,7 @@ pub trait Driver {
 
     /// Tears the driver down and reports run totals. Under a wall clock it
     /// first waits for the wall to reach the last virtual instant.
-    fn finish(self: Box<Self>) -> DriverStats;
+    fn finish(self) -> DriverStats;
 }
 
 /// The discrete-event driver: a [`Cluster`] advanced with
@@ -286,8 +239,8 @@ impl SimDriver {
     }
 
     /// Under a wall clock, sleeps until the wall reaches virtual `t`.
-    fn pace(&mut self, t: Nanos) {
-        if let Some(wall) = &mut self.wall {
+    fn pace(&self, t: Nanos) {
+        if let Some(wall) = &self.wall {
             wall.sleep_until(t);
         }
     }
@@ -309,13 +262,6 @@ impl SimDriver {
 }
 
 impl Driver for SimDriver {
-    fn kind(&self) -> DriverKind {
-        match self.wall {
-            None => DriverKind::Sim,
-            Some(_) => DriverKind::Realtime,
-        }
-    }
-
     fn replicas(&self) -> usize {
         self.cluster.len()
     }
@@ -332,12 +278,7 @@ impl Driver for SimDriver {
         self.cluster.queue_depth()
     }
 
-    fn add_replica(
-        &mut self,
-        engine: crate::engine::Engine,
-        now: Nanos,
-        warmup: Nanos,
-    ) -> ReplicaId {
+    fn add_replica(&mut self, engine: Engine, now: Nanos, warmup: Nanos) -> ReplicaId {
         self.cluster.add_replica(engine, now, warmup)
     }
 
@@ -374,21 +315,16 @@ impl Driver for SimDriver {
         Some(self.step(rid))
     }
 
-    fn finish(mut self: Box<Self>) -> DriverStats {
-        let end = self.cluster.latest_now();
-        self.pace(end);
-        DriverStats::collect(
-            self.cluster.fleet(),
-            end,
-            self.cluster.replicas().map(|e| e.stats()),
-        )
+    fn finish(self) -> DriverStats {
+        self.pace(self.cluster.latest_now());
+        DriverStats::collect(&self.cluster)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, EngineConfig};
+    use crate::engine::EngineConfig;
     use crate::request::{GroupId, Priority, RequestId, Stage};
     use metis_llm::{GpuCluster, LatencyModel, ModelSpec};
 
@@ -416,8 +352,7 @@ mod tests {
 
     #[test]
     fn sim_driver_drains_to_none() {
-        let mut d: Box<dyn Driver> = DriverSpec::Sim.build(engines(2), RouterPolicy::RoundRobin);
-        assert_eq!(d.kind(), DriverKind::Sim);
+        let mut d = DriverSpec::Sim.build(engines(2), RouterPolicy::RoundRobin);
         assert_eq!(d.replicas(), 2);
         for i in 0..4u64 {
             let rid = d.route(0);
@@ -451,11 +386,10 @@ mod tests {
 
     #[test]
     fn a_paced_driver_returns_none_only_once_the_wall_reaches_t() {
-        let mut d = SimDriver {
-            cluster: Cluster::new(engines(1), RouterPolicy::RoundRobin),
-            wall: Some(WallClock::new(100_000.0)),
-        };
-        assert_eq!(d.kind(), DriverKind::Realtime);
+        let mut d = DriverSpec::Realtime {
+            time_scale: 100_000.0,
+        }
+        .build(engines(1), RouterPolicy::RoundRobin);
         let wall = |d: &SimDriver| d.wall.as_ref().map_or(0, |w| w.now());
         // No work in flight: 2 virtual s = 20 wall µs of arrival pacing.
         let t = wall(&d) + 2_000_000_000;
@@ -463,18 +397,14 @@ mod tests {
         assert!(wall(&d) >= t, "pump_before waited out the gap");
         d.submit(ReplicaId(0), req(1, t));
         while d.pump_idle().is_some() {}
-        assert!(Box::new(d).finish().busy > 0);
+        assert!(d.finish().busy > 0);
     }
 
     #[test]
-    fn driver_spec_maps_to_kind_and_scale() {
+    fn driver_specs_have_stable_names() {
         assert_eq!(DriverSpec::default(), DriverSpec::Sim);
-        assert_eq!(DriverSpec::Sim.kind(), DriverKind::Sim);
-        assert_eq!(DriverSpec::Sim.time_scale(), 1.0);
+        assert_eq!(DriverSpec::Sim.name(), "sim");
         let rt = DriverSpec::Realtime { time_scale: 250.0 };
-        assert_eq!(rt.kind(), DriverKind::Realtime);
-        assert_eq!(rt.time_scale(), 250.0);
-        assert_eq!(DriverKind::Sim.name(), "sim");
-        assert_eq!(DriverKind::Realtime.name(), "realtime");
+        assert_eq!(rt.name(), "realtime");
     }
 }

@@ -3,7 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 
-use metis_llm::{Clock, LatencyModel, Nanos, VirtualClock};
+use metis_llm::{LatencyModel, Nanos};
 
 use crate::kvcache::KvAllocator;
 use crate::request::{GroupId, LlmRequest, Priority, ReplicaId, RequestId, RequestState, Stage};
@@ -35,12 +35,11 @@ pub enum PreemptMode {
     #[default]
     Recompute,
     /// KV migration: the victim is handed to the cluster in an eviction
-    /// outbox (see [`Engine::take_evicted`]) with its computed tokens
-    /// folded into a cached prefix; the cluster moves the KV bytes to a
-    /// replica with headroom at a priced transfer cost, falling back to
-    /// local recompute when no replica has room. Requires a
-    /// [`Cluster`](crate::cluster::Cluster) (or another outbox-draining
-    /// owner); a standalone engine would strand the victims.
+    /// outbox with its computed tokens folded into a cached prefix; the
+    /// cluster moves the KV bytes to a replica with headroom at a priced
+    /// transfer cost, falling back to local recompute when no replica has
+    /// room. Requires a [`Cluster`](crate::cluster::Cluster); a standalone
+    /// engine would strand the victims.
     Migrate,
 }
 
@@ -94,23 +93,23 @@ impl Default for EngineConfig {
 /// are precomputed so the cluster can take either path without knowing the
 /// victim's internal progress state:
 #[derive(Clone, Debug)]
-pub struct EvictedSeq {
+pub(crate) struct EvictedSeq {
     /// The migrate form: every computed token (prefill progress plus
     /// emitted output) folded into the cached prefix, so a destination
     /// holding the moved KV resumes without recomputation. The original
     /// `arrival` stamp is preserved — transfer time is real wait the
     /// request experiences, and keeping the stamp keeps the per-stage
     /// breakdown telescoping exactly.
-    pub migrate_req: LlmRequest,
+    pub(crate) migrate_req: LlmRequest,
     /// The recompute-fallback form: progress reset to the original cached
     /// prefix, exactly as [`PreemptMode::Recompute`] would have requeued it.
-    pub recompute_req: LlmRequest,
+    pub(crate) recompute_req: LlmRequest,
     /// Tokens of computed KV state a migration must move.
-    pub kv_tokens: u64,
+    pub(crate) kv_tokens: u64,
     /// Computed tokens the recompute fallback would discard.
-    pub lost_tokens: u64,
+    pub(crate) lost_tokens: u64,
     /// When the victim was evicted (a migration transfer departs here).
-    pub evicted_at: Nanos,
+    pub(crate) evicted_at: Nanos,
 }
 
 /// A finished request, reported by [`Engine::step`].
@@ -186,12 +185,12 @@ pub struct Engine {
     latency: LatencyModel,
     config: EngineConfig,
     replica: ReplicaId,
-    /// The engine's own virtual timeline. Always a [`VirtualClock`], even
-    /// under the realtime driver: iteration durations come from the latency
-    /// model either way, and a wall clock only decides *when* the driver
-    /// steps the engine — which is what keeps timestamps identical across
+    /// The engine's own virtual clock. It advances only by the iteration
+    /// durations the latency model emits (and by jumps to arrivals), even
+    /// under the realtime driver: a wall clock only decides *when* the
+    /// driver steps the engine, which keeps timestamps identical across
     /// drivers.
-    clock: VirtualClock,
+    now: Nanos,
     /// Requests with future arrival times, keyed by (arrival, submit order).
     pending: BTreeMap<(Nanos, u64), LlmRequest>,
     /// Arrived requests awaiting admission, in arrival order (preempted
@@ -232,7 +231,7 @@ impl Engine {
             latency,
             config,
             replica: ReplicaId(0),
-            clock: VirtualClock::default(),
+            now: 0,
             pending: BTreeMap::new(),
             queue: VecDeque::new(),
             running: Vec::new(),
@@ -248,7 +247,7 @@ impl Engine {
 
     /// Current virtual time.
     pub fn now(&self) -> Nanos {
-        self.clock.now()
+        self.now
     }
 
     /// Advances the engine's virtual clock to `t` (never backwards) and
@@ -257,8 +256,8 @@ impl Engine {
     /// on virtual time advances only by the iteration durations
     /// [`Engine::step`] computes, which is what keeps runs bit-for-bit
     /// reproducible.
-    pub fn advance_clock_to(&mut self, t: Nanos) {
-        self.clock.advance_to(t);
+    pub(crate) fn advance_clock_to(&mut self, t: Nanos) {
+        self.now = self.now.max(t);
         self.absorb_arrivals();
     }
 
@@ -269,7 +268,7 @@ impl Engine {
 
     /// Assigns the replica id stamped on completions and stats; called by
     /// [`Cluster::new`](crate::cluster::Cluster::new).
-    pub fn set_replica(&mut self, id: ReplicaId) {
+    pub(crate) fn set_replica(&mut self, id: ReplicaId) {
         self.replica = id;
         self.stats.replica = id;
     }
@@ -323,25 +322,24 @@ impl Engine {
 
     /// Whether the engine has work runnable *now* (queued or running), as
     /// opposed to only future arrivals.
-    pub fn has_active_work(&self) -> bool {
+    pub(crate) fn has_active_work(&self) -> bool {
         !self.queue.is_empty() || !self.running.is_empty()
     }
 
     /// Earliest future-arrival time among not-yet-arrived requests.
-    pub fn next_pending_arrival(&self) -> Option<Nanos> {
+    pub(crate) fn next_pending_arrival(&self) -> Option<Nanos> {
         self.pending.keys().next().map(|&(t, _)| t)
     }
 
     /// Drains the eviction outbox ([`PreemptMode::Migrate`] victims). The
-    /// caller — normally [`Cluster`](crate::cluster::Cluster) — owns their
-    /// placement: migrate each to a replica with headroom, or requeue the
-    /// recompute form here.
-    pub fn take_evicted(&mut self) -> Vec<EvictedSeq> {
+    /// [`Cluster`](crate::cluster::Cluster) owns their placement: migrate
+    /// each to a replica with headroom, or requeue the recompute form here.
+    pub(crate) fn take_evicted(&mut self) -> Vec<EvictedSeq> {
         std::mem::take(&mut self.evicted)
     }
 
     /// Number of unplaced victims in the eviction outbox.
-    pub fn evicted_len(&self) -> usize {
+    pub(crate) fn evicted_len(&self) -> usize {
         self.evicted.len()
     }
 
@@ -351,10 +349,10 @@ impl Engine {
     /// admission* only at `ready_at`, when its KV bytes have finished
     /// arriving. Does not count toward `submitted` — the request was
     /// already submitted once, to the replica that evicted it.
-    pub fn submit_in_transit(&mut self, mut req: LlmRequest, ready_at: Nanos) {
+    pub(crate) fn submit_in_transit(&mut self, mut req: LlmRequest, ready_at: Nanos) {
         req.output_tokens = req.output_tokens.max(1);
         req.cached_prompt_tokens = req.cached_prompt_tokens.min(req.prompt_tokens);
-        if ready_at <= self.clock.now() {
+        if ready_at <= self.now {
             let enqueued = ready_at;
             self.queue.push_back(Queued { req, enqueued });
             self.touch();
@@ -368,7 +366,7 @@ impl Engine {
     /// Requeues a recompute-fallback victim locally (migration found no
     /// headroom anywhere), charging the discarded tokens to this replica
     /// like a plain recompute preemption would have.
-    pub fn requeue_recompute(&mut self, seq: EvictedSeq) {
+    pub(crate) fn requeue_recompute(&mut self, seq: EvictedSeq) {
         self.stats.preempted_tokens += seq.lost_tokens;
         self.queue.push_back(Queued {
             req: seq.recompute_req,
@@ -379,7 +377,7 @@ impl Engine {
 
     /// Records a successful migration *off* this replica (called by the
     /// cluster at placement time, once a destination is known).
-    pub fn record_migration(&mut self, kv_tokens: u64) {
+    pub(crate) fn record_migration(&mut self, kv_tokens: u64) {
         self.stats.migrations += 1;
         self.stats.migrated_tokens += kv_tokens;
     }
@@ -396,7 +394,7 @@ impl Engine {
         req.output_tokens = req.output_tokens.max(1);
         req.cached_prompt_tokens = req.cached_prompt_tokens.min(req.prompt_tokens);
         self.stats.submitted += 1;
-        if req.arrival <= self.clock.now() {
+        if req.arrival <= self.now {
             let enqueued = req.arrival;
             self.queue.push_back(Queued { req, enqueued });
             self.touch();
@@ -415,7 +413,7 @@ impl Engine {
     }
 
     fn absorb_arrivals(&mut self) {
-        let now = self.clock.now();
+        let now = self.now;
         while let Some(due) = self.pending.first_entry() {
             if due.key().0 > now {
                 break;
@@ -513,7 +511,7 @@ impl Engine {
             self.alloc
                 .alloc(req.id, demand)
                 .expect("fits() checked above");
-            self.stats.total_queue_wait += self.clock.now().saturating_sub(enqueued);
+            self.stats.total_queue_wait += self.now.saturating_sub(enqueued);
             // Cached prefix tokens are already resident: prefill starts past
             // them (they still count toward the KV allocation made above).
             let done = req.cached_prompt_tokens;
@@ -524,10 +522,10 @@ impl Engine {
             };
             self.running.push(Running {
                 state,
-                admitted: self.clock.now(),
+                admitted: self.now,
                 // Fully cached prompts skip prefill: it "completes" at
                 // admission. Otherwise the transition in `step` stamps it.
-                prefill_done: self.clock.now(),
+                prefill_done: self.now,
                 req,
             });
             self.touch();
@@ -606,7 +604,7 @@ impl Engine {
                     self.stats.preempted_tokens += lost;
                     self.queue.push_back(Queued {
                         req: r.req,
-                        enqueued: self.clock.now(),
+                        enqueued: self.now,
                     });
                 }
                 PreemptMode::Migrate => {
@@ -626,7 +624,7 @@ impl Engine {
                         recompute_req: r.req,
                         kv_tokens: computed_through,
                         lost_tokens: lost,
-                        evicted_at: self.clock.now(),
+                        evicted_at: self.now,
                     });
                 }
             }
@@ -643,7 +641,7 @@ impl Engine {
         if self.running.is_empty() {
             // Nothing runnable: jump to the next arrival if there is one.
             if let Some((&(t, _), _)) = self.pending.iter().next() {
-                self.clock.advance_to(t);
+                self.now = self.now.max(t);
                 self.absorb_arrivals();
                 self.try_admit();
             }
@@ -690,7 +688,7 @@ impl Engine {
         let dt = self
             .latency
             .iteration_time(prefill_tokens, avg_ctx, decode_seqs, batch_kv);
-        self.clock.advance_by(dt);
+        self.now = self.now.saturating_add(dt);
         self.stats.iterations += 1;
         self.stats.busy += dt;
         self.stats.prefill_tokens += prefill_tokens;
@@ -703,7 +701,7 @@ impl Engine {
         // here emits its first token next iteration, not this one. The
         // completions are sized exactly: an iteration that finishes nothing
         // allocates nothing, one that does allocates once.
-        let clock = self.clock.now();
+        let clock = self.now;
         let mut prefill_budget = self.prefill_budget();
         let mut completions = Vec::with_capacity(finishing);
         for r in &mut self.running {
@@ -774,7 +772,7 @@ impl Engine {
     pub fn run_until_idle(&mut self) -> Vec<Completion> {
         let mut all = Vec::new();
         while !self.is_idle() {
-            let before = self.clock.now();
+            let before = self.now;
             let done = self.step();
             self.assert_progressed(before, done.len());
             all.extend(done);
@@ -792,7 +790,7 @@ impl Engine {
     /// Panics, reporting the queue and KV state, when the step did none of
     /// those: a request that can never be admitted would otherwise spin
     /// its driver forever.
-    pub fn assert_progressed(&self, before: Nanos, completed: usize) {
+    pub(crate) fn assert_progressed(&self, before: Nanos, completed: usize) {
         assert!(
             self.now() > before || completed > 0 || self.is_idle(),
             "replica {} stuck: queued={} running={} free_kv={} — an \
@@ -1190,7 +1188,7 @@ mod tests {
     }
 
     #[test]
-    fn advance_clock_to_paces_the_engine_externally() {
+    fn advance_clock_to_makes_a_warm_up_physical() {
         // How a warm-up is made physical: advancing the clock never
         // rewinds it, and arrivals that become due are absorbed into the
         // queue so `has_active_work` sees them.

@@ -26,32 +26,29 @@
 //! For multi-backend serving, [`Cluster`] lifts the single engine to `N`
 //! independent replicas behind a pluggable router ([`RouterPolicy`]):
 //! round-robin dispatch or KV-aware `LeastKvLoad`, which routes each query
-//! to the replica with the most free KV bytes.
+//! to the replica with the most free KV bytes. It answers the other fleet
+//! questions too — which slots are warm, draining or retired, and what
+//! they have cost — from the engines it holds.
 //!
 //! *Who* executes the work — and on whose time — is the [`Driver`]
 //! abstraction: [`SimDriver`] advances the cluster deterministically on
 //! virtual time (the paper's evaluation mode), and under
 //! [`DriverSpec::Realtime`] the same driver is paced by a scaled wall
-//! clock, sleeping until each iteration's virtual start. The fleet
-//! questions — which replica is routed to, which slots are warm, draining
-//! or retired, what the fleet has cost — are answered by the one `fleet`
-//! ledger either way.
+//! clock, sleeping until each iteration's virtual start.
 
 #![warn(unreachable_pub)]
 
 mod cluster;
 mod driver;
 mod engine;
-mod fleet;
 mod kvcache;
 mod prefixcache;
 mod request;
 mod stats;
 
-pub use cluster::Cluster;
-pub use driver::{Driver, DriverKind, DriverSpec, DriverStats, SimDriver};
-pub use engine::{Completion, Engine, EngineConfig, EvictedSeq, PreemptMode, SchedPolicy};
-pub use fleet::RouterPolicy;
+pub use cluster::{Cluster, RouterPolicy};
+pub use driver::{Driver, DriverSpec, DriverStats, SimDriver};
+pub use engine::{Completion, Engine, EngineConfig, PreemptMode, SchedPolicy};
 pub use kvcache::{KvAllocator, KvError};
 pub use prefixcache::PrefixCache;
 pub use request::{GroupId, LlmRequest, Priority, ReplicaId, RequestId, Stage};

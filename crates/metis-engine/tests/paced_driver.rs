@@ -9,9 +9,9 @@
 
 use metis_engine::{
     Driver, DriverSpec, DriverStats, Engine, EngineConfig, GroupId, LlmRequest, PreemptMode,
-    Priority, ReplicaId, RequestId, RouterPolicy, SchedPolicy, Stage,
+    Priority, ReplicaId, RequestId, RouterPolicy, SchedPolicy, SimDriver, Stage,
 };
-use metis_llm::{secs_to_nanos, Clock, GpuCluster, LatencyModel, ModelSpec, Nanos, WallClock};
+use metis_llm::{secs_to_nanos, GpuCluster, LatencyModel, ModelSpec, Nanos, WallClock};
 
 fn engines(n: usize, kv_cap_tokens: u64, mode: PreemptMode) -> Vec<Engine> {
     (0..n)
@@ -52,7 +52,7 @@ fn request(id: u64, arrival: Nanos) -> LlmRequest {
 
 /// Pumps toward `until` (or to drain), logging each batch; returns the
 /// latest finish seen.
-fn pump(d: &mut dyn Driver, until: Option<Nanos>, log: &mut Vec<String>) -> Nanos {
+fn pump(d: &mut SimDriver, until: Option<Nanos>, log: &mut Vec<String>) -> Nanos {
     let mut last = 0;
     loop {
         let batch = match until {
@@ -80,13 +80,13 @@ fn serve(spec: DriverSpec, replicas: usize, mode: PreemptMode) -> (Vec<String>, 
     // has caught up to it, as the runner does.
     for id in 12..24 {
         let at = (id / 6) * secs_to_nanos(2.0);
-        pump(d.as_mut(), Some(at), &mut log);
+        pump(&mut d, Some(at), &mut log);
         let rid = d.route(at);
         log.push(format!("{rid:?}"));
         d.submit(rid, request(id, at));
     }
     let t = secs_to_nanos(7.0);
-    pump(d.as_mut(), Some(t), &mut log);
+    pump(&mut d, Some(t), &mut log);
     let drained = ReplicaId(replicas as u32 - 1);
     log.push(format!("drain {}", d.drain_replica(drained, t)));
     let added = d.add_replica(engines(1, 4_096, mode).remove(0), t, secs_to_nanos(4.0));
@@ -95,17 +95,17 @@ fn serve(spec: DriverSpec, replicas: usize, mode: PreemptMode) -> (Vec<String>, 
     // whatever the wall reads.
     WallClock::new(1.0).sleep_until(2_000_000);
     let late = secs_to_nanos(9.0);
-    pump(d.as_mut(), Some(late), &mut log);
+    pump(&mut d, Some(late), &mut log);
     log.push(format!("{added:?} {}", d.is_routable(added, late)));
     for id in 24..30 {
         let rid = d.route(late);
         log.push(format!("{rid:?}"));
         d.submit(rid, request(id, late));
     }
-    let finish = pump(d.as_mut(), None, &mut log);
+    let finish = pump(&mut d, None, &mut log);
     // A gang reduce chasing its maps onto the drained (maybe retired) slot.
     d.submit(drained, request(31, finish));
-    pump(d.as_mut(), None, &mut log);
+    pump(&mut d, None, &mut log);
     let stats = d.finish();
     log.push(format!("{stats:?}"));
     (log, stats)
@@ -142,12 +142,12 @@ fn paced_runs_equal_sim_runs_call_for_call() {
 fn wall_clock_pacing_is_real() {
     let span_virtual: Nanos = 6_000_000_000; // 6 virtual seconds.
     let scale = 100.0; // → at least 60 ms of wall; an iteration is ~0.1 ms.
-    let mut driver: Box<dyn Driver> = DriverSpec::Realtime { time_scale: scale }.build(
+    let mut driver = DriverSpec::Realtime { time_scale: scale }.build(
         engines(1, 65_536, PreemptMode::Recompute),
         RouterPolicy::RoundRobin,
     );
     // This test asserts the realtime driver really waits in wall time;
-    // the wall read goes through the sanctioned Clock abstraction.
+    // the wall read goes through the sanctioned `WallClock`.
     let wall_clock = WallClock::new(1.0);
     for i in 0..4u64 {
         driver.submit(

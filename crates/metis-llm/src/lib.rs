@@ -27,7 +27,7 @@ mod latency;
 mod spec;
 mod time;
 
-pub use clock::{Clock, VirtualClock, WallClock};
+pub use clock::WallClock;
 pub use generation::{
     BaseFact, DerivedFact, GenModelConfig, GenOutput, GenerationModel, QueryTruth, SummaryOutput,
 };

@@ -1,7 +1,7 @@
 //! Virtual-time units.
 //!
 //! The whole reproduction reasons in virtual time; how virtual time passes
-//! (deterministic jumps or scaled wall-clock, see [`crate::Clock`]) is the
+//! (deterministic jumps, or paced by a scaled [`crate::WallClock`]) is the
 //! driver's choice. Durations and instants are 64-bit nanosecond counts,
 //! which keeps event ordering exact (no float comparison issues) and gives
 //! ~584 years of simulated range.

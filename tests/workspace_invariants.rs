@@ -203,7 +203,6 @@ const SIGNATURE_ONLY: &[(&str, &str)] = &[
     ("GenOutput", "GenerationModel"),
     ("SummaryOutput", "GenerationModel"),
     ("GpuSpec", "GpuCluster"),
-    ("EvictedSeq", "Engine"),
     ("KvError", "KvAllocator"),
     ("AnnQuery", "AnnCorpus"),
     ("Table1Row", "Dataset"),
