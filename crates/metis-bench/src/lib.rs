@@ -5,7 +5,8 @@
 //! full-scale query count and the function that measures it — and the one
 //! bench target, `benches/figures.rs`, runs the rows named on its command
 //! line. [`Figure::report`] runs a row in-process at an explicit scale,
-//! which is how `tests/figures.rs` holds the gated rows to `baselines/`.
+//! which is how the workspace's pin test (`tests/pins/main.rs` at the
+//! root) holds every row to `baselines/`.
 //! The rest of this library is what the rows share: calibrated workload
 //! rates, paired run drivers, the fixed-configuration menu, Pareto
 //! filtering, and uniform result printing.

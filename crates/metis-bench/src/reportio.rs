@@ -4,8 +4,9 @@
 //! human-readable table it already printed is joined by a machine-readable
 //! JSON artifact under `target/bench-reports/<experiment>.json` (override
 //! the directory with `METIS_BENCH_REPORT_DIR`). CI uploads these
-//! artifacts; the five that have a file in `baselines/` must equal it byte
-//! for byte, which `tests/figures.rs` checks without writing anything.
+//! artifacts. The ones that have a file in `baselines/` must equal it byte
+//! for byte; the root pin test (`tests/pins/main.rs`) checks that in
+//! process and writes nothing here.
 
 use std::path::{Path, PathBuf};
 

@@ -1,30 +1,13 @@
-//! The perf gate and the figure registry's own invariants.
-//!
-//! The gate: each figure with a `baselines/<name>.json` is run here, in
-//! process, at the smoke scale CI benches at, and its rendered report must
-//! equal that file byte for byte. Every other deterministic figure is
-//! witnessed by one FNV-1a digest of its smoke-scale report in
-//! `baselines/digests.txt`. The rest replaces what used to be guarded from
+//! The figure registry's own invariants, which used to be guarded from
 //! outside the compiler: registration, the handbook's freshness, and the
-//! bench target's argument handling.
+//! bench target's argument handling. The perf gate, every figure's
+//! smoke-scale report held to `baselines/`, is the root pin test
+//! (`tests/pins/main.rs`).
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use metis_bench::{select, FIGURES};
-
-/// The figures pinned by a committed baseline. A baseline that is deleted
-/// or renamed fails the gate for its figure; a new one must be listed here.
-const GATED: [&str; 5] = [
-    "fig11_throughput",
-    "fig_ann_scale",
-    "fig_autoscale",
-    "fig_preempt",
-    "fig_retrieval",
-];
-/// The scale every baseline was generated at (`METIS_BENCH_QUERIES=8`).
-const SMOKE: usize = 8;
 
 fn workspace() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -32,97 +15,6 @@ fn workspace() -> PathBuf {
 
 fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
-}
-
-#[test]
-fn gated_figures_equal_their_baselines() {
-    for figure in select(GATED.map(String::from)).expect("gated figures are registered") {
-        let name = figure.name;
-        let baseline = read(&workspace().join(format!("baselines/{name}.json")));
-        let fresh = figure.report(Some(SMOKE)).render();
-        if fresh == baseline {
-            continue;
-        }
-        // Reports render one value per line, so the moved lines name the
-        // moved fields.
-        let moved: Vec<String> = baseline
-            .lines()
-            .zip(fresh.lines())
-            .enumerate()
-            .filter(|(_, (was, is))| was != is)
-            .take(12)
-            .map(|(i, (was, is))| format!("  line {}:\n    - {was}\n    + {is}", i + 1))
-            .collect();
-        panic!(
-            "{name} moved from baselines/{name}.json ({} lines, was {}); first moved lines:\n{}\n\
-             explain every moved number in the PR, then regenerate with\n  \
-             METIS_BENCH_QUERIES={SMOKE} METIS_BENCH_REPORT_DIR=$PWD/baselines \
-             cargo bench -p metis-bench -- {name}",
-            fresh.lines().count(),
-            baseline.lines().count(),
-            moved.join("\n")
-        );
-    }
-}
-
-/// FNV-1a, 64-bit, over `bytes`.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// The witness of the figures that have no baseline: one `name digest` line
-/// per figure, in table order, over its smoke-scale report. Every row of
-/// [`FIGURES`] is gated or digested, so a figure can never move unread.
-/// Regenerate, on an intentional change only, with
-/// `METIS_REGEN_GOLDEN=1 cargo test -p metis-bench --test figures`.
-#[test]
-fn ungated_figures_equal_their_digests() {
-    let mut fresh = String::new();
-    for figure in FIGURES {
-        let name = figure.name;
-        if GATED.contains(&name) {
-            continue;
-        }
-        let digest = fnv1a64(figure.report(Some(SMOKE)).render().as_bytes());
-        writeln!(fresh, "{name} {digest:016x}").expect("write to String");
-    }
-    let path = workspace().join("baselines/digests.txt");
-    if std::env::var("METIS_REGEN_GOLDEN").is_ok() {
-        std::fs::write(&path, &fresh).expect("write baselines/digests.txt");
-        return;
-    }
-    let committed = read(&path);
-    let moved: Vec<&str> = fresh
-        .lines()
-        .filter(|line| !committed.lines().any(|c| c == *line))
-        .collect();
-    assert!(
-        fresh == committed,
-        "baselines/digests.txt does not witness these smoke-scale reports:\n  {}\n\
-         explain every moved figure in the PR, then regenerate with\n  \
-         METIS_REGEN_GOLDEN=1 cargo test -p metis-bench --test figures",
-        moved.join("\n  ")
-    );
-}
-
-#[test]
-fn the_baselines_are_exactly_the_gated_figures() {
-    let committed: BTreeSet<String> = std::fs::read_dir(workspace().join("baselines"))
-        .expect("baselines/ exists")
-        .map(|entry| entry.expect("dir entry").path())
-        .filter(|path| path.extension().is_some_and(|e| e == "json"))
-        .map(|path| {
-            path.file_stem()
-                .expect("a stem")
-                .to_string_lossy()
-                .into_owned()
-        })
-        .collect();
-    let gated: BTreeSet<String> = GATED.map(String::from).into();
-    assert_eq!(committed, gated, "baselines/*.json vs GATED");
-    select(committed).expect("every baseline names a figure");
 }
 
 #[test]

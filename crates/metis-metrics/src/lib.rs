@@ -20,4 +20,4 @@ pub use cost::{CostModel, RunCost};
 pub use f1::f1_score;
 pub use json::{Json, JsonError};
 pub use latency::{LatencySummary, ThroughputSummary};
-pub use report::{BenchReport, CellReport, SchemaError, SummaryStats, SCHEMA_VERSION};
+pub use report::{BenchReport, CellReport, SchemaError, SummaryStats};

@@ -27,7 +27,7 @@ use crate::json::{Json, JsonError};
 use crate::latency::LatencySummary;
 
 /// Version stamped into every report; bump on breaking schema changes.
-pub const SCHEMA_VERSION: u64 = 1;
+pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 /// The percentile grid every summary materializes (in percent).
 const PERCENTILE_GRID: [f64; 9] = [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0];

@@ -19,14 +19,8 @@
 //! tie and every tie-break in the construction beam and the neighbour
 //! re-selection decides an edge.
 //!
-//! On an *intentional* behavior change, regenerate with
-//! `METIS_REGEN_GOLDEN=1 cargo test --test ann_golden`, review which rows
-//! and which columns moved, and say why in the PR.
-
-#![expect(
-    clippy::disallowed_methods,
-    reason = "METIS_REGEN_GOLDEN=1 rewrites the golden file; nothing else here touches a file"
-)]
+//! On an intentional change, review which rows and which columns moved, and
+//! say why in the PR.
 
 use std::fmt::Write as _;
 
@@ -37,11 +31,7 @@ use metis::vectordb::{
     SqFlatIndex, SqIvfIndex, VectorIndex,
 };
 
-const GOLDEN: &str = include_str!("golden/ann_search_digest.txt");
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/ann_search_digest.txt"
-);
+use super::{assert_pinned, Fnv};
 
 const DIM: usize = 32;
 const K: usize = 10;
@@ -51,21 +41,6 @@ const K: usize = 10;
 /// the test oracle in `hnsw.rs` — spent on the search corpus: the
 /// `hnsw-graph/search-corpus` row as first generated.
 const CLASSIC_BUILD_EVALS: u64 = 4_063_188;
-
-/// FNV-1a over little-endian words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
 
 /// `[ids, work, bits]` digests of one index variant over every query.
 fn digest(queries: &[Vec<f32>], search: impl Fn(&[f32]) -> SearchOutcome) -> [u64; 3] {
@@ -228,18 +203,7 @@ fn rendered() -> String {
 
 #[test]
 fn every_index_reproduces_its_golden_search_digest() {
-    let rendered = rendered();
-    if std::env::var("METIS_REGEN_GOLDEN").is_ok() {
-        std::fs::write(GOLDEN_PATH, &rendered).expect("write golden");
-        return;
-    }
-    assert_eq!(
-        rendered, GOLDEN,
-        "search output drift: an index no longer returns the pinned hits, \
-         distance bits or SearchWork, or HNSW no longer builds the pinned \
-         graph (tests/golden/ann_search_digest.txt). If intentional, rerun \
-         with METIS_REGEN_GOLDEN=1 and justify the moved rows in the PR."
-    );
+    assert_pinned("tests/golden/ann_search_digest.txt", &rendered());
 }
 
 /// The exact kernel's summation order is an implementation choice; the

@@ -12,49 +12,24 @@
 //! The counts beside the digest say which part moved when it does.
 //!
 //! The digest file was generated on the commit *before* the hot-path
-//! rewrite. On an intentional behaviour change, regenerate with
-//! `METIS_REGEN_GOLDEN=1 cargo test -p metis-engine --test step_golden` and
-//! say in the PR which rows moved and why.
-
-#![expect(
-    clippy::disallowed_methods,
-    reason = "METIS_REGEN_GOLDEN=1 rewrites the golden file; nothing else here touches a file"
-)]
+//! rewrite. On an intentional behaviour change, say in the PR which rows
+//! moved and why.
 
 use std::fmt::Write as _;
 
-use metis_engine::{
+use metis::engine::{
     Cluster, Engine, EngineConfig, EngineStats, GroupId, LlmRequest, PreemptMode, Priority,
     ReplicaId, RequestId, RouterPolicy, SchedPolicy, Stage,
 };
-use metis_llm::{GpuCluster, LatencyModel, ModelSpec, Nanos};
+use metis::llm::{GpuCluster, LatencyModel, ModelSpec, Nanos};
 
-const GOLDEN: &str = include_str!("golden/engine_step_digest.txt");
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/engine_step_digest.txt"
-);
+use super::{assert_pinned, Fnv};
 
 /// Schedulable KV per replica, in tokens: a handful of prompts fill it.
 const KV_TOKENS: u64 = 12_288;
 const QUERIES: usize = 160;
 
-/// FNV-1a over little-endian words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-/// SplitMix64: the crate has no `rand` dependency and needs none for this.
+/// SplitMix64: the traffic needs no `rand` dependency.
 struct Rng(u64);
 
 impl Rng {
@@ -370,14 +345,5 @@ fn rendered() -> String {
 
 #[test]
 fn engine_step_output_matches_golden() {
-    let rendered = rendered();
-    if std::env::var_os("METIS_REGEN_GOLDEN").is_some() {
-        std::fs::write(GOLDEN_PATH, &rendered).expect("write golden");
-        return;
-    }
-    assert_eq!(
-        rendered, GOLDEN,
-        "Engine::step behaviour drifted from tests/golden/engine_step_digest.txt \
-         (set METIS_REGEN_GOLDEN=1 only for an intentional change)"
-    );
+    assert_pinned("tests/golden/engine_step_digest.txt", &rendered());
 }

@@ -1,8 +1,7 @@
 //! The workspace invariants no compiler lint can express, checked from the
 //! tree itself: crate layering, NaN-safe ordering, that the per-crate
-//! `clippy.toml` files still say what the root one says, that every
-//! committed baseline is a smoke-scale report of a registered figure, and that
-//! every name a library crate exports has a reader outside that crate. The
+//! `clippy.toml` files still say what the root one says, and that every
+//! name a library crate exports has a reader outside that crate. The
 //! invariants clippy *can* express live in `clippy.toml`;
 //! docs/architecture.md § "Invariants" maps every invariant to its guard.
 
@@ -16,8 +15,8 @@ use std::path::{Path, PathBuf};
 
 /// The layer order, low to high. A crate may depend only on crates of a
 /// strictly lower layer, so the simulation core (`foundation` to
-/// `orchestration`) can never reach up into the binaries (`app`) or the
-/// benches and facade (`top`).
+/// `orchestration`) can never reach up into the binary and the benches
+/// (`app`) or the facade (`top`), whose pin test runs the benches.
 const LAYERS: [&str; 8] = [
     "foundation",    // metis-text
     "model",         // metis-embed, metis-llm, metis-metrics
@@ -25,8 +24,8 @@ const LAYERS: [&str; 8] = [
     "data",          // metis-datasets
     "profiling",     // metis-profiler
     "orchestration", // metis-core
-    "app",           // metis-cli
-    "top",           // metis-bench, the `metis` facade
+    "app",           // metis-cli, metis-bench
+    "top",           // the `metis` facade
 ];
 
 fn read(path: &Path) -> String {
@@ -149,45 +148,6 @@ fn crate_clippy_configs_repeat_the_root_entries() {
                 conf.display()
             );
         }
-    }
-}
-
-/// `cargo test -p metis-bench` compares each `baselines/<figure>.json` with
-/// that figure's fresh report by bytes, and bytes can only say "differ".
-/// This says why before any figure runs: a baseline that is not a report,
-/// is filed under another experiment's name, names no figure module, or was
-/// regenerated at a scale other than the `METIS_BENCH_QUERIES=8` the gate
-/// (and CI's smoke step) runs at.
-#[test]
-fn baselines_are_smoke_scale_reports_of_registered_benches() {
-    let is_json = |p: &PathBuf| p.extension().is_some_and(|e| e == "json");
-    for path in walk("baselines").into_iter().filter(is_json) {
-        let at = path.display();
-        let report = metis::metrics::BenchReport::parse(&read(&path))
-            .unwrap_or_else(|e| panic!("{at}: not a bench report: {e}"));
-        let stem = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .expect("utf-8 stem");
-        assert_eq!(
-            report.experiment, stem,
-            "{at}: holds experiment '{}'; the gate compares it with the report of '{stem}'",
-            report.experiment
-        );
-        let module = format!("crates/metis-bench/src/figures/{stem}.rs");
-        assert!(
-            Path::new(&module).is_file(),
-            "{at}: '{stem}' is not a figure of metis-bench: no {module}"
-        );
-        let scale = report
-            .knobs
-            .iter()
-            .find(|(k, _)| k == "METIS_BENCH_QUERIES");
-        assert_eq!(
-            scale.map(|(_, v)| v.as_str()),
-            Some("8"),
-            "{at}: regenerate with METIS_BENCH_QUERIES=8, the scale the gate runs at"
-        );
     }
 }
 
