@@ -69,6 +69,13 @@ impl QueryTruth {
         self.base.iter().map(|f| f.id).collect()
     }
 
+    /// Whether `fact` is evidence this query needs: a base fact, or a
+    /// component of a derived one.
+    fn needs(&self, fact: FactId) -> bool {
+        self.base.iter().any(|f| f.id == fact)
+            || self.derived.iter().any(|d| d.components.contains(&fact))
+    }
+
     /// Number of distinct pieces of information required (§4.1's
     /// "pieces of information" profile dimension).
     pub fn pieces(&self) -> usize {
@@ -239,12 +246,6 @@ impl GenerationModel {
         segments: usize,
     ) -> GenOutput {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA05_3E1);
-        let needed = truth.needed_ids();
-        let component_ids: BTreeSet<FactId> = truth
-            .derived
-            .iter()
-            .flat_map(|d| d.components.iter().copied())
-            .collect();
         let len = context.len();
 
         // Relevant mass: each distinct needed fact present contributes its
@@ -256,8 +257,7 @@ impl GenerationModel {
         let mut seen_relevant: BTreeSet<FactId> = BTreeSet::new();
         let mut relevant_tokens = 0.0f64;
         for span in context.spans() {
-            let is_needed = needed.contains(&span.fact) || component_ids.contains(&span.fact);
-            if is_needed && seen_relevant.insert(span.fact) {
+            if truth.needs(span.fact) && seen_relevant.insert(span.fact) {
                 relevant_tokens += span.len as f64 + halo;
             }
         }
@@ -266,8 +266,7 @@ impl GenerationModel {
         // Extraction pass over every relevant span in the context.
         let mut extracted: BTreeSet<FactId> = BTreeSet::new();
         for span in context.spans() {
-            let relevant = needed.contains(&span.fact) || component_ids.contains(&span.fact);
-            if !relevant || extracted.contains(&span.fact) {
+            if !truth.needs(span.fact) || extracted.contains(&span.fact) {
                 continue;
             }
             let centre = span.start + span.len / 2;
@@ -338,12 +337,6 @@ impl GenerationModel {
         budget: usize,
     ) -> SummaryOutput {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x500A1);
-        let needed = truth.needed_ids();
-        let component_ids: BTreeSet<FactId> = truth
-            .derived
-            .iter()
-            .flat_map(|d| d.components.iter().copied())
-            .collect();
         let len = chunk.len();
         let cap = (self.capability * self.config.summary_capability_boost).min(1.0);
 
@@ -352,8 +345,7 @@ impl GenerationModel {
         // Per-fact overhead: a couple of framing words around each kept span.
         const SPAN_OVERHEAD: usize = 2;
         for span in chunk.spans() {
-            let relevant = needed.contains(&span.fact) || component_ids.contains(&span.fact);
-            if !relevant || kept.contains(&span.fact) {
+            if !truth.needs(span.fact) || kept.contains(&span.fact) {
                 continue;
             }
             if text.len() + span.len + SPAN_OVERHEAD > budget {
@@ -363,12 +355,11 @@ impl GenerationModel {
             let p = cap * self.litm_weight(centre, len);
             if rng.gen_bool(p.clamp(0.0, 1.0)) {
                 if let Some(toks) = chunk.fact_tokens(span.fact) {
-                    let toks = toks.to_vec();
                     // Framing words drawn from the chunk's plain tokens.
                     if let Some(&w) = chunk.tokens().first() {
                         text.push_tokens(&[w]);
                     }
-                    text.push_fact(span.fact, &toks);
+                    text.push_fact(span.fact, toks);
                     if let Some(&w) = chunk.tokens().last() {
                         text.push_tokens(&[w]);
                     }
@@ -380,8 +371,11 @@ impl GenerationModel {
         // restates context), but never beyond it.
         let pad_target = budget.min(text.len() + budget / 4);
         let plain = chunk.tokens();
-        while text.len() < pad_target && !plain.is_empty() {
-            text.push_tokens(&[plain[rng.gen_range(0..plain.len())]]);
+        if !plain.is_empty() {
+            let pad: Vec<TokenId> = (text.len()..pad_target)
+                .map(|_| plain[rng.gen_range(0..plain.len())])
+                .collect();
+            text.push_tokens(&pad);
         }
         SummaryOutput { text, kept }
     }

@@ -5,19 +5,34 @@
 //! token multisets as in the SQuAD evaluation script — the metric the paper
 //! adopts for all four datasets (§2, §7.1).
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
 use metis_text::TokenId;
 
-// BTreeMap (not HashMap): this crate feeds reports, and its clippy.toml
-// bans the hash containers so every iteration order — and thus every
-// emitted artifact — is reproducible.
-fn counts(tokens: &[TokenId]) -> BTreeMap<TokenId, u32> {
-    let mut m = BTreeMap::new();
-    for &t in tokens {
-        *m.entry(t).or_insert(0) += 1;
+/// Size of the multiset intersection of two token bags: sorts a copy of
+/// each and merges them, so a token shared `m` and `n` times counts
+/// `min(m, n)`. Two flat buffers cost two allocations, where maps of
+/// per-token counts cost one node per distinct token. The result is one
+/// count and no container is iterated in a hash order, so every emitted
+/// artifact stays reproducible (this crate's clippy.toml bans the hash
+/// containers for that reason).
+fn matched(predicted: &[TokenId], gold: &[TokenId]) -> u32 {
+    let (mut p, mut g) = (predicted.to_vec(), gold.to_vec());
+    p.sort_unstable();
+    g.sort_unstable();
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < p.len() && j < g.len() {
+        match p[i].cmp(&g[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                n += 1;
+                i += 1;
+                j += 1;
+            }
+        }
     }
-    m
+    n
 }
 
 /// Computes token-level F1 of `predicted` against `gold`.
@@ -42,14 +57,7 @@ pub fn f1_score(predicted: &[TokenId], gold: &[TokenId]) -> f64 {
     if predicted.is_empty() || gold.is_empty() {
         return 0.0;
     }
-    let pc = counts(predicted);
-    let gc = counts(gold);
-    let mut matched: u32 = 0;
-    for (t, &n) in &pc {
-        if let Some(&g) = gc.get(t) {
-            matched += n.min(g);
-        }
-    }
+    let matched = matched(predicted, gold);
     if matched == 0 {
         return 0.0;
     }
@@ -60,10 +68,57 @@ pub fn f1_score(predicted: &[TokenId], gold: &[TokenId]) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     fn toks(ids: &[u32]) -> Vec<TokenId> {
         ids.iter().map(|&i| TokenId(i)).collect()
+    }
+
+    /// The reference: F1 over maps of per-token counts.
+    fn f1_by_counts(predicted: &[TokenId], gold: &[TokenId]) -> f64 {
+        if predicted.is_empty() && gold.is_empty() {
+            return 1.0;
+        }
+        if predicted.is_empty() || gold.is_empty() {
+            return 0.0;
+        }
+        let counts = |tokens: &[TokenId]| {
+            let mut m = BTreeMap::new();
+            for &t in tokens {
+                *m.entry(t).or_insert(0u32) += 1;
+            }
+            m
+        };
+        let gc = counts(gold);
+        let mut matched: u32 = 0;
+        for (t, &n) in &counts(predicted) {
+            if let Some(&g) = gc.get(t) {
+                matched += n.min(g);
+            }
+        }
+        if matched == 0 {
+            return 0.0;
+        }
+        let precision = f64::from(matched) / predicted.len() as f64;
+        let recall = f64::from(matched) / gold.len() as f64;
+        2.0 * precision * recall / (precision + recall)
+    }
+
+    proptest! {
+        /// Small alphabets make duplicates common; lengths from 0 make
+        /// empty sides common.
+        #[test]
+        fn sort_merge_equals_the_count_map_oracle(
+            p in prop::collection::vec(0u32..5, 0..12),
+            g in prop::collection::vec(0u32..5, 0..12),
+        ) {
+            let (p, g) = (toks(&p), toks(&g));
+            prop_assert_eq!(f1_score(&p, &g).to_bits(), f1_by_counts(&p, &g).to_bits());
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! inference call can extract. This mirrors how the paper's quality results
 //! are determined by whether the needed evidence is present in the context.
 
+use std::sync::Arc;
+
 use crate::tokenizer::TokenId;
 
 /// Globally unique identifier of a planted fact.
@@ -34,6 +36,11 @@ impl FactSpan {
 
 /// A token sequence together with the fact spans it contains.
 ///
+/// Both buffers sit behind one shared pointer, so `clone` is O(1): one
+/// reference-count bump, no copy of the text. Mutation copies on write: a
+/// `push_*` on a value another clone still shares first copies both
+/// buffers, and the other holders never see the change.
+///
 /// # Examples
 ///
 /// ```
@@ -46,7 +53,11 @@ impl FactSpan {
 /// assert_eq!(text.spans()[0], FactSpan { fact: FactId(7), start: 2, len: 2 });
 /// ```
 #[derive(Clone, Debug, Default)]
-pub struct AnnotatedText {
+pub struct AnnotatedText(Arc<Parts>);
+
+/// What the clones of one [`AnnotatedText`] share.
+#[derive(Clone, Debug, Default)]
+struct Parts {
     tokens: Vec<TokenId>,
     spans: Vec<FactSpan>,
 }
@@ -72,30 +83,31 @@ impl AnnotatedText {
                 tokens.len()
             );
         }
-        Self { tokens, spans }
+        Self(Arc::new(Parts { tokens, spans }))
     }
 
     /// Appends plain (fact-free) tokens.
     pub fn push_tokens(&mut self, tokens: &[TokenId]) {
-        self.tokens.extend_from_slice(tokens);
+        Arc::make_mut(&mut self.0).tokens.extend_from_slice(tokens);
     }
 
     /// Appends a fact phrase, recording its span.
     pub fn push_fact(&mut self, fact: FactId, phrase: &[TokenId]) {
-        let start = self.tokens.len();
-        self.tokens.extend_from_slice(phrase);
-        self.spans.push(FactSpan {
+        let parts = Arc::make_mut(&mut self.0);
+        parts.spans.push(FactSpan {
             fact,
-            start,
+            start: parts.tokens.len(),
             len: phrase.len(),
         });
+        parts.tokens.extend_from_slice(phrase);
     }
 
     /// Appends another annotated text, shifting its spans.
     pub fn push_text(&mut self, other: &AnnotatedText) {
-        let offset = self.tokens.len();
-        self.tokens.extend_from_slice(&other.tokens);
-        self.spans.extend(other.spans.iter().map(|s| FactSpan {
+        let parts = Arc::make_mut(&mut self.0);
+        let offset = parts.tokens.len();
+        parts.tokens.extend_from_slice(other.tokens());
+        parts.spans.extend(other.spans().iter().map(|s| FactSpan {
             fact: s.fact,
             start: s.start + offset,
             len: s.len,
@@ -104,33 +116,33 @@ impl AnnotatedText {
 
     /// The token sequence.
     pub fn tokens(&self) -> &[TokenId] {
-        &self.tokens
+        &self.0.tokens
     }
 
     /// The fact spans, in insertion order.
     pub fn spans(&self) -> &[FactSpan] {
-        &self.spans
+        &self.0.spans
     }
 
     /// Number of tokens.
     pub fn len(&self) -> usize {
-        self.tokens.len()
+        self.0.tokens.len()
     }
 
     /// Returns `true` when the text holds no tokens.
     pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
+        self.0.tokens.is_empty()
     }
 
     /// Extracts the sub-range `start..end` of tokens, keeping the fact spans
     /// that are *fully contained* in the range (partially cut facts are
     /// dropped: a truncated fact phrase is not recoverable evidence).
     pub fn slice(&self, start: usize, end: usize) -> AnnotatedText {
-        let end = end.min(self.tokens.len());
+        let end = end.min(self.len());
         let start = start.min(end);
-        let tokens = self.tokens[start..end].to_vec();
+        let tokens = self.tokens()[start..end].to_vec();
         let spans = self
-            .spans
+            .spans()
             .iter()
             .filter(|s| s.start >= start && s.end() <= end)
             .map(|s| FactSpan {
@@ -139,13 +151,13 @@ impl AnnotatedText {
                 len: s.len,
             })
             .collect();
-        AnnotatedText { tokens, spans }
+        AnnotatedText(Arc::new(Parts { tokens, spans }))
     }
 
     /// Iterates over the distinct facts present (fully) in this text.
     pub fn fact_ids(&self) -> impl Iterator<Item = FactId> + '_ {
         let mut seen = std::collections::BTreeSet::new();
-        self.spans.iter().filter_map(move |s| {
+        self.spans().iter().filter_map(move |s| {
             if seen.insert(s.fact) {
                 Some(s.fact)
             } else {
@@ -156,10 +168,10 @@ impl AnnotatedText {
 
     /// Returns the tokens of the first span carrying `fact`, if present.
     pub fn fact_tokens(&self, fact: FactId) -> Option<&[TokenId]> {
-        self.spans
+        self.spans()
             .iter()
             .find(|s| s.fact == fact)
-            .map(|s| &self.tokens[s.start..s.end()])
+            .map(|s| &self.tokens()[s.start..s.end()])
     }
 }
 
@@ -189,6 +201,19 @@ mod tests {
         b.push_fact(FactId(1), &toks(&[7]));
         a.push_text(&b);
         assert_eq!(a.spans()[0].start, 3);
+    }
+
+    #[test]
+    fn clones_share_buffers_until_one_is_written() {
+        let mut a = AnnotatedText::new();
+        a.push_fact(FactId(1), &toks(&[1, 2]));
+        let mut b = a.clone();
+        assert_eq!(a.tokens().as_ptr(), b.tokens().as_ptr());
+        assert_eq!(a.spans().as_ptr(), b.spans().as_ptr());
+        b.push_tokens(&toks(&[3]));
+        assert_ne!(a.tokens().as_ptr(), b.tokens().as_ptr());
+        assert_eq!(a.tokens(), &toks(&[1, 2])[..]);
+        assert_eq!(b.tokens(), &toks(&[1, 2, 3])[..]);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //!
 //! On top of it sits a bounded **hot tier**: an LRU cache of decoded
 //! [`AnnotatedText`] values. A [`ChunkStore::get`] that misses decodes from
-//! the cold blob and promotes the result; a hit returns the decoded clone
-//! without touching the blob. Per-operation counters ([`StoreStats`])
-//! record accesses, hit/promotion/eviction traffic, and the bytes touched
-//! in each tier, so retrieval benchmarks can report tier locality the same
-//! way [`crate::SearchWork`] reports distance evals.
+//! the cold blob and promotes the result; a hit returns a clone that shares
+//! the decoded buffers (no copy, no allocation) without touching the blob.
+//! Per-operation counters ([`StoreStats`]) record accesses,
+//! hit/promotion/eviction traffic, and the bytes touched in each tier, so
+//! retrieval benchmarks can report tier locality the same way
+//! [`crate::SearchWork`] reports distance evals.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -40,23 +40,72 @@ pub struct ChunkStore {
 }
 
 /// LRU state. Chunk ids are dense, so a decoded chunk lives in the slot at
-/// its own index (one slot per blob, `None` while cold) next to its recency
-/// stamp; recency order is a stamp → index map with one entry per occupied
-/// slot, whose smallest stamp is the eviction victim.
-#[derive(Debug, Default)]
+/// its own index (one slot per blob, `None` while cold), and the occupied
+/// slots form a doubly linked recency list threaded through the slots'
+/// `prev`/`next` ids: most recently used at `head`, the eviction victim at
+/// `tail`. Touch, promote and evict are O(1).
+#[derive(Debug)]
 struct HotTier {
-    decoded: Vec<Option<(AnnotatedText, u64)>>,
-    recency: BTreeMap<u64, u32>,
-    clock: u64,
+    slots: Vec<Slot>,
+    head: u32,
+    tail: u32,
+    len: usize,
+}
+
+/// One chunk's hot-tier slot; `prev`/`next` mean something only while
+/// `text` is resident.
+#[derive(Clone, Debug)]
+struct Slot {
+    text: Option<AnnotatedText>,
+    prev: u32,
+    next: u32,
+}
+
+/// End of the recency list.
+const NIL: u32 = u32::MAX;
+
+impl Slot {
+    const COLD: Slot = Slot {
+        text: None,
+        prev: NIL,
+        next: NIL,
+    };
 }
 
 impl HotTier {
     /// An empty tier over `chunks` cold blobs.
     fn cold(chunks: usize) -> Self {
         Self {
-            decoded: vec![None; chunks],
-            ..Self::default()
+            slots: vec![Slot::COLD; chunks],
+            head: NIL,
+            tail: NIL,
+            len: 0,
         }
+    }
+
+    /// Takes resident slot `i` out of the recency list.
+    fn unlink(&mut self, i: u32) {
+        let (prev, next) = (self.slots[i as usize].prev, self.slots[i as usize].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    /// Puts slot `i` at the most recently used end of the list.
+    fn link_first(&mut self, i: u32) {
+        let next = self.head;
+        self.slots[i as usize].prev = NIL;
+        self.slots[i as usize].next = next;
+        match next {
+            NIL => self.tail = i,
+            n => self.slots[n as usize].prev = i,
+        }
+        self.head = i;
     }
 }
 
@@ -133,7 +182,7 @@ impl ChunkStore {
             blobs: Vec::new(),
             spans: Vec::new(),
             hot_capacity: capacity,
-            hot: Mutex::new(HotTier::default()),
+            hot: Mutex::new(HotTier::cold(0)),
             accesses: AtomicU64::new(0),
             hot_hits: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
@@ -172,8 +221,8 @@ impl ChunkStore {
         self.hot
             .get_mut()
             .expect("hot tier lock")
-            .decoded
-            .push(None);
+            .slots
+            .push(Slot::COLD);
         id
     }
 
@@ -195,17 +244,9 @@ impl ChunkStore {
         let blob_len = blob.len() as u64;
         if self.hot_capacity > 0 {
             let mut hot = self.hot.lock().expect("hot tier lock");
-            let HotTier {
-                decoded,
-                recency,
-                clock,
-            } = &mut *hot;
-            if let Some((text, stamp)) = &mut decoded[id.index()] {
-                recency.remove(stamp);
-                *clock += 1;
-                *stamp = *clock;
-                recency.insert(*clock, id.0);
-                let text = text.clone();
+            if let Some(text) = hot.slots[id.index()].text.clone() {
+                hot.unlink(id.0);
+                hot.link_first(id.0);
                 self.hot_hits.fetch_add(1, Ordering::Relaxed);
                 self.bytes_hot_touched
                     .fetch_add(blob_len, Ordering::Relaxed);
@@ -224,18 +265,18 @@ impl ChunkStore {
             let mut hot = self.hot.lock().expect("hot tier lock");
             // A racing promoter may have beaten us; re-inserting just
             // refreshes the entry either way.
-            if hot.recency.len() >= self.hot_capacity && hot.decoded[id.index()].is_none() {
-                if let Some((_, victim)) = hot.recency.pop_first() {
-                    hot.decoded[victim as usize] = None;
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
+            if hot.slots[id.index()].text.is_some() {
+                hot.unlink(id.0);
+            } else if hot.len >= self.hot_capacity {
+                let victim = hot.tail;
+                hot.unlink(victim);
+                hot.slots[victim as usize].text = None;
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            } else {
+                hot.len += 1;
             }
-            hot.clock += 1;
-            let now = hot.clock;
-            if let Some((_, old)) = hot.decoded[id.index()].replace((text.clone(), now)) {
-                hot.recency.remove(&old);
-            }
-            hot.recency.insert(now, id.0);
+            hot.slots[id.index()].text = Some(text.clone());
+            hot.link_first(id.0);
             self.promotions.fetch_add(1, Ordering::Relaxed);
         }
         Some(text)
@@ -243,7 +284,7 @@ impl ChunkStore {
 
     /// Snapshots the tier counters and occupancy.
     pub fn stats(&self) -> StoreStats {
-        let hot_chunks = self.hot.lock().expect("hot tier lock").recency.len();
+        let hot_chunks = self.hot.lock().expect("hot tier lock").len;
         StoreStats {
             accesses: self.accesses.load(Ordering::Relaxed),
             hot_hits: self.hot_hits.load(Ordering::Relaxed),
@@ -320,6 +361,22 @@ mod tests {
         assert_eq!(st.hot_chunks, 1);
         assert!(st.bytes_hot_touched > 0);
         assert_eq!(st.bytes_hot_touched, st.bytes_cold_touched);
+    }
+
+    #[test]
+    fn writing_to_a_served_chunk_leaves_the_store_unchanged() {
+        let mut s = ChunkStore::new();
+        let id = s.push(&sample_text());
+        for _ in 0..2 {
+            // Once from the cold tier, once from the hot one.
+            let mut served = s.get(id).unwrap();
+            served.push_tokens(&[TokenId(9)]);
+            served.push_fact(FactId(5), &[TokenId(8)]);
+        }
+        let back = s.get(id).unwrap();
+        assert_eq!(back.tokens(), sample_text().tokens());
+        assert_eq!(back.spans(), sample_text().spans());
+        assert_eq!(s.stats().hot_hits, 2);
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Allocation pin for the IVF and HNSW read paths: a search allocates the
+//! Allocation pins for the read paths. An IVF or HNSW search allocates the
 //! hit vector it returns plus O(1), however deep it probes. IVF keeps its
 //! centroid ranking and list walk in per-index scratch, HNSW its visited
 //! stamps, frontier and scored pool in per-thread scratch, so effort
-//! (`nprobe`, `ef`) moves the work and not the allocation count.
+//! (`nprobe`, `ef`) moves the work and not the allocation count. A
+//! `ChunkStore::get` allocates nothing when hot and a fixed count when cold.
 //!
 //! Counted with this binary's own `#[global_allocator]` (which is why the
 //! tests live alone in their file), per thread, so the test harness's own
@@ -12,8 +13,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
-use metis_text::ChunkId;
-use metis_vectordb::{HnswConfig, HnswIndex, IvfConfig, IvfIndex, Quantization, VectorIndex};
+use metis_text::{AnnotatedText, ChunkId, FactId, TokenId};
+use metis_vectordb::{
+    ChunkStore, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Quantization, VectorIndex,
+};
 
 thread_local! {
     /// Allocations and reallocations made by this thread.
@@ -114,4 +117,31 @@ fn hnsw_search_allocations_do_not_scale_with_ef() {
     let at_192 = allocs_per_search(&queries, |q| index.search_with_ef(q, K, 192));
     assert_eq!(at_16, at_192, "allocations per search at ef 16 and 192");
     assert!(at_192 <= 3.0, "an HNSW search made {at_192} allocations");
+}
+
+/// A hot `get` hands out the resident text's shared buffers and allocates
+/// nothing. A cold one allocates exactly the text it decodes: the token
+/// buffer, the span buffer and the one shared header around both, so three
+/// allocations for a chunk with a fact span and two for one without (an
+/// empty span list has no buffer). Promoting it, and evicting the victim,
+/// allocate nothing more.
+#[test]
+fn a_hot_chunk_get_allocates_nothing_and_a_cold_one_its_decoded_text() {
+    let mut plain = AnnotatedText::new();
+    plain.push_tokens(&[TokenId(1), TokenId(2), TokenId(3)]);
+    let mut with_fact = plain.clone();
+    with_fact.push_fact(FactId(7), &[TokenId(4), TokenId(5)]);
+    let mut store = ChunkStore::with_hot_capacity(1);
+    let (p, f) = (store.push(&plain), store.push(&with_fact));
+    let allocs = |id| {
+        let before = ALLOCATIONS.with(Cell::get);
+        black_box(store.get(id));
+        ALLOCATIONS.with(Cell::get) - before
+    };
+    assert_eq!(allocs(f), 3, "cold, with a fact span");
+    assert_eq!(allocs(f), 0, "hot");
+    assert_eq!(allocs(p), 2, "cold, without spans, evicting the other");
+    assert_eq!(allocs(p), 0, "hot");
+    assert_eq!(allocs(f), 3, "cold again after its eviction");
+    assert_eq!(store.stats().evictions, 2);
 }

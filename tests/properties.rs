@@ -398,40 +398,70 @@ proptest! {
         }
     }
 
-    /// Tiered chunk store conservation: every chunk stays retrievable with
-    /// its exact tokens, hot + cold occupancy always sums to the corpus
-    /// size, the hot tier never exceeds its capacity, and the access
-    /// counters account for every `get` (each is a hot hit or a promotion;
-    /// promotions minus evictions is the current hot occupancy).
+    /// Tiered chunk store conservation and victim choice, against a
+    /// reference LRU (a list of chunk ids, least recently used first):
+    /// every `get` returns the chunk's exact tokens, hits exactly when the
+    /// reference holds the chunk, and leaves every counter and the hot
+    /// occupancy equal to the reference's; hot + cold always sums to the
+    /// corpus size. Capacities 0, 1 and 2 run in every case.
     #[test]
     fn tiered_store_conserves_chunks_and_counters(
-        cap in 1usize..12, nchunks in 1usize..40,
+        cap in 3usize..12, nchunks in 1usize..40,
         ops in prop::collection::vec(0usize..40, 1..120),
     ) {
-        let mut store = ChunkStore::with_hot_capacity(cap);
-        let mut texts = Vec::new();
-        for i in 0..nchunks {
-            let mut t = AnnotatedText::new();
-            t.push_tokens(&(0..=(i % 7) as u32).map(TokenId).collect::<Vec<_>>());
-            if i % 3 == 0 {
-                t.push_fact(metis::text::FactId(i as u64), &[TokenId(100), TokenId(101)]);
+        let texts: Vec<AnnotatedText> = (0..nchunks)
+            .map(|i| {
+                let mut t = AnnotatedText::new();
+                t.push_tokens(&(0..=(i % 7) as u32).map(TokenId).collect::<Vec<_>>());
+                if i % 3 == 0 {
+                    t.push_fact(metis::text::FactId(i as u64), &[TokenId(100), TokenId(101)]);
+                }
+                t
+            })
+            .collect();
+        for cap in [0, 1, 2, cap] {
+            let mut store = ChunkStore::with_hot_capacity(cap);
+            for t in &texts {
+                store.push(t);
             }
-            store.push(&t);
-            texts.push(t);
-        }
-        let mut gets = 0u64;
-        for op in ops {
-            let pick = op % nchunks;
-            let got = store.get(metis::text::ChunkId(pick as u32));
-            prop_assert!(got.is_some(), "chunk {pick} not retrievable");
-            prop_assert_eq!(got.unwrap().tokens(), texts[pick].tokens());
-            gets += 1;
-            let s = store.stats();
-            prop_assert_eq!(s.accesses, gets);
-            prop_assert_eq!(s.hot_chunks + s.cold_chunks, nchunks);
-            prop_assert!(s.hot_chunks <= cap);
-            prop_assert_eq!(s.hot_hits + s.promotions, gets);
-            prop_assert_eq!(s.promotions - s.evictions, s.hot_chunks as u64);
+            let mut lru: Vec<usize> = Vec::new();
+            let (mut gets, mut hits, mut promotions, mut evictions) = (0u64, 0, 0, 0);
+            let mut get = |i: usize, lru: &mut Vec<usize>| {
+                let got = store.get(metis::text::ChunkId(i as u32));
+                assert!(got.is_some(), "chunk {i} not retrievable");
+                assert_eq!(got.unwrap().tokens(), texts[i].tokens());
+                gets += 1;
+                if let Some(at) = lru.iter().position(|&c| c == i) {
+                    lru.remove(at);
+                    hits += 1;
+                } else if cap > 0 {
+                    if lru.len() == cap {
+                        lru.remove(0);
+                        evictions += 1;
+                    }
+                    promotions += 1;
+                }
+                if cap > 0 {
+                    lru.push(i);
+                }
+                let s = store.stats();
+                assert_eq!(
+                    (s.accesses, s.hot_hits, s.promotions, s.evictions),
+                    (gets, hits, promotions, evictions),
+                    "capacity {cap}, get {gets} (chunk {i}) against the reference {lru:?}"
+                );
+                assert_eq!(s.hot_chunks, lru.len());
+                assert_eq!(s.hot_chunks + s.cold_chunks, nchunks);
+            };
+            for &op in &ops {
+                get(op % nchunks, &mut lru);
+                // The hot set is the reference's: each chunk it holds, read
+                // least recently used first, hits, which leaves the order
+                // as it was.
+                for i in lru.clone() {
+                    get(i, &mut lru);
+                }
+            }
         }
     }
 
