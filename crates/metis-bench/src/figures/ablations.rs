@@ -3,6 +3,7 @@
 
 use metis_core::{MetisOptions, RunConfig, Runner, SystemKind};
 use metis_datasets::{poisson_arrivals, DatasetKind};
+use metis_engine::SchedPolicy;
 use metis_metrics::BenchReport;
 use metis_profiler::ProfilerKind;
 
@@ -30,9 +31,12 @@ fn measure(n: usize, report: &mut BenchReport) {
     noisy.profiler = ProfilerKind::Llama70b;
     let mut no_fallback = noisy;
     no_fallback.confidence_fallback = false;
-    // 2. Gang scheduling on/off.
-    let mut no_gang = MetisOptions::full();
-    no_gang.gang = false;
+    // 2. Gang scheduling on/off: full METIS admits preemptively (which
+    // keeps the gang keys within a class) against plain FCFS admission.
+    let no_gang = MetisOptions {
+        sched: SchedPolicy::Fcfs,
+        ..MetisOptions::full()
+    };
 
     let dref = &d;
     let arms = [

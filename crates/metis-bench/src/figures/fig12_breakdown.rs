@@ -6,6 +6,7 @@
 
 use metis_core::{MetisOptions, PickPolicy, StageMeans, SystemKind};
 use metis_datasets::DatasetKind;
+use metis_engine::SchedPolicy;
 use metis_metrics::BenchReport;
 
 use crate::{
@@ -46,15 +47,16 @@ fn measure(n: usize, report: &mut BenchReport) {
         let menu = FixedMenu::run(&d, qps);
         let (qc, qr) = menu.best_quality();
 
-        let mut median = MetisOptions::full();
-        median.pick = PickPolicy::Median;
-        median.gang = false;
-        let mut median_gang = median;
-        median_gang.gang = true;
-
+        let median = |sched| {
+            SystemKind::Metis(MetisOptions {
+                pick: PickPolicy::Median,
+                sched,
+                ..MetisOptions::full()
+            })
+        };
         let arms = [
-            ("median", SystemKind::Metis(median)),
-            ("median_gang", SystemKind::Metis(median_gang)),
+            ("median", median(SchedPolicy::Fcfs)),
+            ("median_gang", median(SchedPolicy::GangByGroup)),
             ("full", SystemKind::Metis(MetisOptions::full())),
         ];
         let name = format!("fig12/{}", kind.name());

@@ -4,6 +4,7 @@
 
 use metis_core::{MetisOptions, PickPolicy, RagConfig, SystemKind};
 use metis_datasets::DatasetKind;
+use metis_engine::SchedPolicy;
 use metis_metrics::BenchReport;
 
 use crate::{base_qps, dataset, knob, paired, push_cells, Figure, Sweep};
@@ -30,7 +31,7 @@ fn measure(n: usize, report: &mut BenchReport) {
 
     let chunks_only = MetisOptions {
         pick: PickPolicy::Median,
-        gang: false,
+        sched: SchedPolicy::Fcfs,
         tune_method: false,
         tune_ilen: false,
         ..MetisOptions::full()

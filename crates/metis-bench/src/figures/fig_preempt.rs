@@ -19,7 +19,7 @@
 
 use metis_core::{MetisOptions, RunConfig, RunResult, Runner, SystemKind};
 use metis_datasets::{burst_arrivals, DatasetKind};
-use metis_engine::{Priority, RouterPolicy};
+use metis_engine::{Priority, RouterPolicy, SchedPolicy};
 use metis_metrics::BenchReport;
 
 use crate::{base_qps, dataset, knob, push_cells, values, Figure, Sweep, RUN_SEED};
@@ -40,12 +40,12 @@ const BURST_FACTORS: [f64; 3] = [1.0, 4.0, 8.0];
 const REPLICAS: [usize; 2] = [1, 4];
 const KV_CAP_BYTES: u64 = 2 * (1 << 30);
 
-fn system(preemptive: bool) -> SystemKind {
-    let mut opts = MetisOptions::full();
-    opts.priority_from_slo = true;
-    opts.preemptive = preemptive;
-    opts.gang = false; // The baseline arm is plain vLLM FCFS admission.
-    SystemKind::Metis(opts)
+fn system(sched: SchedPolicy) -> SystemKind {
+    SystemKind::Metis(MetisOptions {
+        sched,
+        priority_from_slo: true,
+        ..MetisOptions::full()
+    })
 }
 
 /// The interactive tail is the whole point of the preemptive scheduler.
@@ -76,7 +76,10 @@ fn measure(n: usize, report: &mut BenchReport) {
         .collect();
     let mut sweep = Sweep::new("fig_preempt");
     for &(factor, replicas) in &points {
-        for (policy, preemptive) in [("fcfs", false), ("preemptive", true)] {
+        for (policy, sched) in [
+            ("fcfs", SchedPolicy::Fcfs),
+            ("preemptive", SchedPolicy::Preemptive),
+        ] {
             let d = &d;
             sweep = sweep.cell_with_seed(
                 format!("{factor:.0}x/{replicas}r/{policy}"),
@@ -85,7 +88,7 @@ fn measure(n: usize, report: &mut BenchReport) {
                     // Offered load scales with the replica count so the
                     // per-replica contention regime stays comparable.
                     let arrivals = burst_arrivals(seed, base * replicas as f64 * 1.5, factor, n);
-                    let mut cfg = RunConfig::standard(system(preemptive), arrivals, seed)
+                    let mut cfg = RunConfig::standard(system(sched), arrivals, seed)
                         .replicated(replicas, RouterPolicy::LeastKvLoad);
                     cfg.engine.kv_pool_bytes_cap = Some(KV_CAP_BYTES);
                     Runner::new(d, cfg).run()

@@ -10,6 +10,7 @@
 //! fit (§4.3 "What if none of the configurations fit in the GPU?").
 
 use crate::config::{PrunedSpace, RagConfig};
+use crate::controllers::Decision;
 use crate::memory::{PlanDemand, PROMPT_OVERHEAD};
 
 /// Resource snapshot and sizing constants for one decision.
@@ -35,20 +36,15 @@ impl BestFitInputs {
     }
 }
 
-/// A best-fit decision.
-#[derive(Clone, Copy, Debug)]
-pub struct Chosen {
-    /// The selected configuration.
-    pub config: RagConfig,
-    /// Whether the §4.3 out-of-memory fallback was taken.
-    pub fallback: bool,
-}
-
 /// Picks the best-fitting configuration from the pruned space.
 ///
 /// `joint_required` steers the fallback path (it comes from the query
 /// profile, which METIS already holds at this point).
-pub fn choose_config(space: &PrunedSpace, joint_required: bool, inputs: &BestFitInputs) -> Chosen {
+pub fn choose_config(
+    space: &PrunedSpace,
+    joint_required: bool,
+    inputs: &BestFitInputs,
+) -> Decision {
     let usable = inputs.usable();
     let mut best: Option<(u64, RagConfig)> = None;
     for cfg in space.candidates() {
@@ -73,7 +69,7 @@ pub fn choose_config(space: &PrunedSpace, joint_required: bool, inputs: &BestFit
         }
     }
     if let Some((_, config)) = best {
-        return Chosen {
+        return Decision {
             config,
             fallback: false,
         };
@@ -87,7 +83,7 @@ pub fn choose_config(space: &PrunedSpace, joint_required: bool, inputs: &BestFit
         // calls fit at once).
         let call = inputs.chunk_size + per_call_fixed;
         let k = (usable / call.max(1)).clamp(1, u64::from(space.num_chunks.1.max(1))) as u32;
-        Chosen {
+        Decision {
             config: RagConfig::map_rerank(k),
             fallback: true,
         }
@@ -95,7 +91,7 @@ pub fn choose_config(space: &PrunedSpace, joint_required: bool, inputs: &BestFit
         // stuff with as many chunks as fit in the free memory.
         let k = (usable.saturating_sub(per_call_fixed) / inputs.chunk_size.max(1)).max(1) as u32;
         let k = k.min(space.num_chunks.1.max(1));
-        Chosen {
+        Decision {
             config: RagConfig::stuff(k),
             fallback: true,
         }

@@ -1,4 +1,4 @@
-//! The vLLM-fixed baseline controller: one static configuration, FCFS.
+//! The fixed-configuration controller behind vLLM-fixed and Parrot\*.
 
 use metis_datasets::QuerySpec;
 use metis_engine::SchedPolicy;
@@ -7,27 +7,20 @@ use metis_vectordb::DbMetadata;
 use crate::config::RagConfig;
 use crate::controllers::{ConfigController, Decision, DecisionContext, ProfileOutcome};
 
-/// vLLM with one fixed configuration for every query (§7.1): no profiler,
-/// no adaptation, plain first-come-first-served admission — the static
-/// menu existing RAG systems pick from offline.
+/// One static configuration for every query (§7.1): no profiler, no
+/// adaptation — the static menu existing RAG systems pick from offline.
+/// Under [`SchedPolicy::Fcfs`] it is vLLM-fixed; under
+/// [`SchedPolicy::GangByGroup`] it is Parrot\*, whose application-aware
+/// gang scheduling admits a query's map calls together and lets its reduce
+/// call jump the queue.
 pub(crate) struct FixedController {
-    config: RagConfig,
-}
-
-impl FixedController {
-    /// Builds the controller around its static configuration.
-    pub(crate) fn new(config: RagConfig) -> Self {
-        Self { config }
-    }
+    pub(super) config: RagConfig,
+    pub(super) sched: SchedPolicy,
 }
 
 impl ConfigController for FixedController {
-    fn name(&self) -> &'static str {
-        "vllm-fixed"
-    }
-
     fn sched_policy(&self) -> SchedPolicy {
-        SchedPolicy::Fcfs
+        self.sched
     }
 
     fn on_profile(&mut self, _: &QuerySpec, _: &DbMetadata, _: u64) -> ProfileOutcome {
@@ -46,11 +39,13 @@ impl ConfigController for FixedController {
 mod tests {
     use super::*;
     use metis_llm::{GpuCluster, LatencyModel, ModelSpec};
-    use metis_vectordb::IndexMeta;
 
     #[test]
     fn always_serves_the_static_config() {
-        let mut c = FixedController::new(RagConfig::stuff(8));
+        let mut c = FixedController {
+            config: RagConfig::stuff(8),
+            sched: SchedPolicy::Fcfs,
+        };
         let latency = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
         for free in [0u64, 1_000, 1_000_000] {
             let d = c.decide(&DecisionContext {
@@ -60,7 +55,6 @@ mod tests {
                 preemption_pressure: 0.0,
                 chunk_size: 512,
                 query_tokens: 30,
-                index: IndexMeta::flat(64),
                 latency: &latency,
             });
             assert_eq!(d.config, RagConfig::stuff(8));

@@ -1,11 +1,13 @@
 //! The METIS controller: profiler-pruned spaces + best-fit joint
-//! configuration/scheduling (§4–5).
+//! configuration/scheduling (§4–5). With a quality-maximizing pick, FCFS
+//! admission and no confidence fallback it is the AdaptiveRAG\* baseline.
 
 use metis_datasets::QuerySpec;
 use metis_engine::{Priority, SchedPolicy};
 use metis_profiler::{LlmProfiler, ProfilerKind};
 use metis_vectordb::DbMetadata;
 
+use crate::baselines::{adaptive_rag_pick, median_pick};
 use crate::bestfit::{choose_config, BestFitInputs};
 use crate::config::{PrunedSpace, SynthesisMethod};
 use crate::controllers::{ConfigController, Decision, DecisionContext, ProfileOutcome};
@@ -32,6 +34,9 @@ pub enum PickPolicy {
     BestFit,
     /// Ablation: median knob values, resource-oblivious.
     Median,
+    /// AdaptiveRAG\* (§7.1): the quality-maximizing candidate,
+    /// resource-oblivious.
+    MaxQuality,
 }
 
 /// METIS feature switches (ablation axes for Figs. 12, 14, 16, 17).
@@ -41,13 +46,8 @@ pub struct MetisOptions {
     pub profiler: ProfilerKind,
     /// Configuration pick policy.
     pub pick: PickPolicy,
-    /// Parrot-style gang scheduling of a query's calls.
-    pub gang: bool,
-    /// Preemptive SLO-class-aware scheduling: rank admission by priority
-    /// (keeping the gang keys within a class) and evict lower-class running
-    /// work under KV pressure instead of head-of-line blocking. Subsumes
-    /// `gang` when set.
-    pub preemptive: bool,
+    /// Admission policy the serving engine runs under.
+    pub sched: SchedPolicy,
     /// Derive each query's scheduling [`Priority`] from its SLO tier
     /// ([`SloTier::for_query`]); off → every query is `Standard`.
     pub priority_from_slo: bool,
@@ -74,8 +74,7 @@ impl MetisOptions {
         Self {
             profiler: ProfilerKind::Gpt4o,
             pick: PickPolicy::BestFit,
-            gang: true,
-            preemptive: true,
+            sched: SchedPolicy::Preemptive,
             priority_from_slo: false,
             tune_method: true,
             tune_ilen: true,
@@ -86,9 +85,9 @@ impl MetisOptions {
     }
 }
 
-/// The full METIS policy: LLM profiler → Algorithm 1 pruning (with
-/// confidence fallback) → resource-aware best fit against the routed
-/// replica's free memory, plus the §5 feedback loop.
+/// The METIS policy: LLM profiler → Algorithm 1 pruning (with confidence
+/// fallback) → a [`PickPolicy`] pick (full METIS: resource-aware best fit
+/// against the routed replica's free memory), plus the §5 feedback loop.
 pub(crate) struct MetisController {
     opts: MetisOptions,
     profiler: LlmProfiler,
@@ -121,18 +120,8 @@ impl MetisController {
 }
 
 impl ConfigController for MetisController {
-    fn name(&self) -> &'static str {
-        "metis"
-    }
-
     fn sched_policy(&self) -> SchedPolicy {
-        if self.opts.preemptive {
-            SchedPolicy::Preemptive
-        } else if self.opts.gang {
-            SchedPolicy::GangByGroup
-        } else {
-            SchedPolicy::Fcfs
-        }
+        self.opts.sched
     }
 
     fn on_profile(
@@ -170,11 +159,13 @@ impl ConfigController for MetisController {
     fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
         let space = ctx.space.expect("METIS profiles before deciding");
         let joint = ctx.estimate.map(|e| e.joint).unwrap_or(true);
+        let oblivious = |config| Decision {
+            config,
+            fallback: false,
+        };
         match self.opts.pick {
-            PickPolicy::Median => Decision {
-                config: crate::baselines::median_pick(space),
-                fallback: false,
-            },
+            PickPolicy::Median => oblivious(median_pick(space)),
+            PickPolicy::MaxQuality => oblivious(adaptive_rag_pick(space)),
             PickPolicy::BestFit => {
                 let bf = BestFitInputs {
                     free_kv_tokens: ctx.free_kv_tokens,
@@ -187,15 +178,11 @@ impl ConfigController for MetisController {
                     buffer_frac: BASE_BUFFER_FRAC
                         + PRESSURE_BUFFER_FRAC * ctx.preemption_pressure.clamp(0.0, 1.0),
                 };
-                let chosen = match self.opts.slo_secs {
+                match self.opts.slo_secs {
                     Some(budget) => {
                         choose_config_with_slo(space, joint, &bf, ctx.latency, LatencySlo(budget))
                     }
                     None => choose_config(space, joint, &bf),
-                };
-                Decision {
-                    config: chosen.config,
-                    fallback: chosen.fallback,
                 }
             }
         }
@@ -222,7 +209,6 @@ impl ConfigController for MetisController {
 mod tests {
     use super::*;
     use metis_llm::{GpuCluster, LatencyModel, ModelSpec};
-    use metis_vectordb::IndexMeta;
 
     fn metadata() -> DbMetadata {
         DbMetadata {
@@ -254,7 +240,6 @@ mod tests {
                 preemption_pressure: 0.0,
                 chunk_size: 512,
                 query_tokens: 24,
-                index: IndexMeta::flat(64),
                 latency: &latency,
             })
         };
@@ -282,7 +267,6 @@ mod tests {
                 preemption_pressure: pressure,
                 chunk_size: 512,
                 query_tokens: 24,
-                index: IndexMeta::flat(64),
                 latency: &latency,
             })
         };

@@ -1,41 +1,37 @@
-//! Per-system configuration controllers.
+//! Per-policy configuration controllers.
 //!
 //! Every serving system the paper evaluates — METIS and the three baselines
 //! — differs from the others only in *policy*: how it reacts to a query's
 //! profile, how it picks a RAG configuration at decision time, and what it
 //! wants from the scheduler. The [`ConfigController`] trait captures exactly
 //! that surface, so the [`Runner`](crate::runner::Runner) stays a
-//! system-agnostic discrete-event loop and adding the next system is a
-//! one-file change under this module:
+//! system-agnostic discrete-event loop. Two controllers serve the four
+//! systems, because §7.1 defines each baseline in terms of METIS's parts:
 //!
-//! * [`MetisController`] — profiler → Algorithm 1 pruning → best-fit joint
-//!   configuration/scheduling (§4), with confidence fallback and feedback.
-//! * [`FixedController`] — vLLM with one static configuration.
-//! * [`ParrotController`] — the same static configuration plus gang
-//!   scheduling.
-//! * [`AdaptiveRagController`] — per-query quality-maximizing choice,
-//!   resource-oblivious.
+//! * `MetisController` — profiler → Algorithm 1 pruning → a pick from the
+//!   pruned space ([`PickPolicy`]) under an admission policy, with
+//!   confidence fallback and feedback. METIS is resource-aware best fit
+//!   (§4); AdaptiveRAG\* is the same profiler with the quality-maximizing,
+//!   resource-oblivious pick, FCFS admission and no confidence fallback.
+//! * `FixedController` — one static configuration under an admission
+//!   policy: vLLM-fixed under FCFS, Parrot\* under gang scheduling.
 //!
 //! [`SystemKind`] remains the user-facing description of a system under
-//! test, but it is now purely a *constructor* enum: its one job is
+//! test, but it is purely a *constructor* enum: its one job is
 //! [`SystemKind::controller`].
 
-mod adaptive;
 mod fixed;
 mod metis;
-mod parrot;
 
-use adaptive::AdaptiveRagController;
 use fixed::FixedController;
 use metis::MetisController;
 pub use metis::{MetisOptions, PickPolicy};
-use parrot::ParrotController;
 
 use metis_datasets::QuerySpec;
 use metis_engine::{Priority, SchedPolicy};
 use metis_llm::{LatencyModel, Nanos};
 use metis_profiler::{EstimatedProfile, ProfilerKind};
-use metis_vectordb::{DbMetadata, IndexMeta};
+use metis_vectordb::DbMetadata;
 
 use crate::config::{PrunedSpace, RagConfig};
 
@@ -93,11 +89,6 @@ pub struct DecisionContext<'a> {
     pub chunk_size: u64,
     /// Query length in tokens.
     pub query_tokens: u64,
-    /// Metadata of the retrieval index serving this run (family, effective
-    /// `nlist`/`nprobe`, corpus size): controllers weighing deeper
-    /// retrieval can estimate its cost from it instead of assuming a free
-    /// or constant-cost retriever.
-    pub index: IndexMeta,
     /// Latency model of the serving replicas (for SLO-constrained picks).
     pub latency: &'a LatencyModel,
 }
@@ -124,14 +115,10 @@ pub struct Decision {
 /// use metis_engine::SchedPolicy;
 ///
 /// let controller = SystemKind::Metis(MetisOptions::full()).controller();
-/// assert_eq!(controller.name(), "metis");
 /// // Full METIS asks the engine for SLO-class-aware admission.
 /// assert_eq!(controller.sched_policy(), SchedPolicy::Preemptive);
 /// ```
 pub trait ConfigController {
-    /// Short stable name, for reports.
-    fn name(&self) -> &'static str;
-
     /// Admission policy the serving engine should run under.
     fn sched_policy(&self) -> SchedPolicy;
 
@@ -189,9 +176,21 @@ impl SystemKind {
     pub fn controller(&self) -> Box<dyn ConfigController> {
         match self {
             SystemKind::Metis(opts) => Box::new(MetisController::new(*opts)),
-            SystemKind::VllmFixed { config } => Box::new(FixedController::new(*config)),
-            SystemKind::Parrot { config } => Box::new(ParrotController::new(*config)),
-            SystemKind::AdaptiveRag { profiler } => Box::new(AdaptiveRagController::new(*profiler)),
+            SystemKind::VllmFixed { config } => Box::new(FixedController {
+                config: *config,
+                sched: SchedPolicy::Fcfs,
+            }),
+            SystemKind::Parrot { config } => Box::new(FixedController {
+                config: *config,
+                sched: SchedPolicy::GangByGroup,
+            }),
+            SystemKind::AdaptiveRag { profiler } => Box::new(MetisController::new(MetisOptions {
+                profiler: *profiler,
+                pick: PickPolicy::MaxQuality,
+                sched: SchedPolicy::Fcfs,
+                confidence_fallback: false,
+                ..MetisOptions::full()
+            })),
         }
     }
 }
@@ -199,68 +198,83 @@ impl SystemKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metis_engine::SchedPolicy;
+    use metis_datasets::{build_dataset, DatasetKind};
+    use metis_llm::{GpuCluster, ModelSpec};
+
+    /// `c`'s decision on a profiled query with `free_kv_tokens` free.
+    fn decide(
+        c: &mut dyn ConfigController,
+        outcome: &ProfileOutcome,
+        free_kv_tokens: u64,
+    ) -> Decision {
+        let latency = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
+        c.decide(&DecisionContext {
+            space: outcome.space.as_ref(),
+            estimate: outcome.estimate.as_ref(),
+            free_kv_tokens,
+            preemption_pressure: 0.0,
+            chunk_size: 512,
+            query_tokens: 20,
+            latency: &latency,
+        })
+    }
 
     #[test]
     fn constructor_enum_builds_the_matching_controller() {
-        let cases: Vec<(SystemKind, &str, SchedPolicy)> = vec![
-            (
-                SystemKind::Metis(MetisOptions::full()),
-                "metis",
-                SchedPolicy::Preemptive,
-            ),
-            (
-                SystemKind::VllmFixed {
-                    config: RagConfig::stuff(8),
-                },
-                "vllm-fixed",
-                SchedPolicy::Fcfs,
-            ),
-            (
-                SystemKind::Parrot {
-                    config: RagConfig::stuff(8),
-                },
-                "parrot",
-                SchedPolicy::GangByGroup,
-            ),
-            (
-                SystemKind::AdaptiveRag {
-                    profiler: ProfilerKind::Gpt4o,
-                },
-                "adaptive-rag",
-                SchedPolicy::Fcfs,
-            ),
+        use SchedPolicy::{Fcfs, GangByGroup, Preemptive};
+        let fixed = RagConfig::map_reduce(8, 100);
+        let metis = |sched| {
+            SystemKind::Metis(MetisOptions {
+                sched,
+                ..MetisOptions::full()
+            })
+        };
+        let adaptive = SystemKind::AdaptiveRag {
+            profiler: ProfilerKind::Gpt4o,
+        };
+        let cases = [
+            (SystemKind::Metis(MetisOptions::full()), Preemptive),
+            // METIS runs whichever admission policy its options name.
+            (metis(Fcfs), Fcfs),
+            (metis(GangByGroup), GangByGroup),
+            (metis(Preemptive), Preemptive),
+            (SystemKind::VllmFixed { config: fixed }, Fcfs),
+            (SystemKind::Parrot { config: fixed }, GangByGroup),
+            (adaptive, Fcfs),
         ];
-        for (kind, name, policy) in cases {
-            let c = kind.controller();
-            assert_eq!(c.name(), name);
-            assert_eq!(c.sched_policy(), policy);
+        let d = build_dataset(DatasetKind::Squad, 2, 5);
+        for (kind, policy) in cases {
+            let mut c = kind.controller();
+            assert_eq!(c.sched_policy(), policy, "{kind:?}");
+            let outcome = c.on_profile(&d.queries[0], d.db.metadata(), 3);
+            if let SystemKind::VllmFixed { .. } | SystemKind::Parrot { .. } = kind {
+                // vLLM-fixed and Parrot* differ only in scheduling: neither
+                // profiles, and both serve the static configuration.
+                assert!(outcome.space.is_none() && outcome.cost_usd == 0.0);
+                let decision = decide(c.as_mut(), &outcome, 1_000);
+                assert_eq!(decision.config, fixed, "{kind:?}");
+                assert!(!decision.fallback);
+            } else {
+                assert!(
+                    outcome.space.is_some() && outcome.cost_usd > 0.0,
+                    "{kind:?}"
+                );
+            }
         }
     }
 
     #[test]
-    fn gangless_metis_runs_fcfs() {
-        let mut opts = MetisOptions::full();
-        opts.gang = false;
-        opts.preemptive = false;
-        assert_eq!(
-            SystemKind::Metis(opts).controller().sched_policy(),
-            SchedPolicy::Fcfs
-        );
-        // Preemptive subsumes the gang keys: it wins when both are set.
-        let mut both = MetisOptions::full();
-        both.gang = true;
-        both.preemptive = true;
-        assert_eq!(
-            SystemKind::Metis(both).controller().sched_policy(),
-            SchedPolicy::Preemptive
-        );
-        // The paper's plain gang configuration is still expressible.
-        let mut gang_only = MetisOptions::full();
-        gang_only.preemptive = false;
-        assert_eq!(
-            SystemKind::Metis(gang_only).controller().sched_policy(),
-            SchedPolicy::GangByGroup
-        );
+    fn adaptive_rag_pick_ignores_free_memory() {
+        let d = build_dataset(DatasetKind::FinSec, 2, 9);
+        let mut c = SystemKind::AdaptiveRag {
+            profiler: ProfilerKind::Gpt4o,
+        }
+        .controller();
+        let outcome = c.on_profile(&d.queries[0], d.db.metadata(), 3);
+        // Resource-oblivious: the pick is identical at 1k and 1M free tokens.
+        let tight = decide(c.as_mut(), &outcome, 1_000);
+        let roomy = decide(c.as_mut(), &outcome, 1_000_000);
+        assert_eq!(tight.config, roomy.config);
+        assert!(!tight.fallback);
     }
 }

@@ -17,8 +17,10 @@
 //!    nothing in the pruned space fits (§4.3).
 //!
 //! The crate also implements the three baselines the paper compares against
-//! (vLLM with fixed configurations, Parrot\*, AdaptiveRAG\*) as
-//! controllers behind the [`ConfigController`] trait, and the workload
+//! (vLLM with fixed configurations, Parrot\*, AdaptiveRAG\*). Like §7.1,
+//! it builds them from METIS's own parts: two controllers behind the
+//! [`ConfigController`] trait serve all four systems, told apart by a
+//! [`PickPolicy`] and an admission policy. It also implements the workload
 //! runner ([`Runner`]) — a system- and driver-agnostic event loop over a
 //! controller and an engine [`Driver`](metis_engine::Driver) — that
 //! executes full workloads over the serving engines (deterministic
@@ -42,7 +44,7 @@ pub mod synthesis;
 
 pub use autoscaler::{Autoscaler, AutoscalerState, ScaleAction};
 pub use baselines::fixed_config_grid;
-pub use bestfit::{choose_config, BestFitInputs, Chosen};
+pub use bestfit::{choose_config, BestFitInputs};
 pub use config::{PrunedSpace, RagConfig, SynthesisMethod};
 pub use controllers::{
     ConfigController, Decision, DecisionContext, MetisOptions, PickPolicy, ProfileOutcome,

@@ -678,13 +678,13 @@ impl<'a> Runner<'a> {
             // Let the driver make progress (and collect completions) until
             // the next event is due: the driver steps the most-lagging
             // replica up to it (and, paced, waits for the wall to reach
-            // it). With no events left, drain. API serving has no
-            // engine to pump. Completions are handled batch by batch so
-            // follow-up submissions (a query's reduce) chain off each batch
-            // before the driver runs any further.
+            // it). With no events left, drain. API serving submits
+            // nothing, so its one idle engine never steps. Completions are
+            // handled batch by batch so follow-up submissions (a query's
+            // reduce) chain off each batch before the driver runs any
+            // further.
             let next = run.timeline.next_time();
             let done = match next {
-                _ if run.api_mode => None,
                 Some(t) => run.driver.pump_before(t),
                 None => run.driver.pump_idle(),
             };
@@ -879,23 +879,14 @@ impl<'a> Run<'a> {
         // Route first, then let the controller size its configuration
         // against that replica's free memory: per-backend joint
         // configuration/scheduling.
-        let replica = if self.api_mode {
-            ReplicaId(0)
-        } else {
-            self.driver.route(t)
-        };
+        let replica = self.driver.route(t);
         let decision = self.controller.decide(&DecisionContext {
             space: outcome.space.as_ref(),
             estimate: outcome.estimate.as_ref(),
             free_kv_tokens: self.driver.free_kv_tokens(replica),
-            preemption_pressure: if self.api_mode {
-                0.0
-            } else {
-                self.driver.preemption_pressure(replica)
-            },
+            preemption_pressure: self.driver.preemption_pressure(replica),
             chunk_size: db.metadata().chunk_size as u64,
             query_tokens: query.tokens.len() as u64,
-            index: db.index_meta(),
             latency: &self.latency,
         });
         // The real index search, sized by the decision's top-k through the

@@ -16,8 +16,9 @@ use metis_datasets::QuerySpec;
 use metis_engine::Priority;
 use metis_llm::{nanos_to_secs, LatencyModel};
 
-use crate::bestfit::{choose_config, BestFitInputs, Chosen};
+use crate::bestfit::{choose_config, BestFitInputs};
 use crate::config::{PrunedSpace, RagConfig, SynthesisMethod};
+use crate::controllers::Decision;
 use crate::memory::{PlanDemand, PROMPT_OVERHEAD};
 
 /// A per-query latency budget in seconds.
@@ -134,7 +135,7 @@ pub fn choose_config_with_slo(
     inputs: &BestFitInputs,
     latency: &LatencyModel,
     slo: LatencySlo,
-) -> Chosen {
+) -> Decision {
     let estimate = |cfg: &RagConfig| {
         estimate_exec_secs(
             cfg,
@@ -161,7 +162,7 @@ pub fn choose_config_with_slo(
                 .into_iter()
                 .min_by(|a, b| estimate(a).total_cmp(&estimate(b)))
                 .expect("non-empty candidates");
-            return Chosen {
+            return Decision {
                 config: cheapest,
                 fallback: true,
             };
@@ -212,7 +213,7 @@ pub fn choose_config_with_slo(
             .total_tokens
         });
     match best_fitting {
-        Some(config) => Chosen {
+        Some(config) => Decision {
             config,
             fallback: false,
         },

@@ -5,7 +5,7 @@ use metis_core::{MetisOptions, PickPolicy, RagConfig, RunConfig, Runner, SystemK
 use metis_datasets::{
     build_dataset, build_dataset_with_index, burst_arrivals, poisson_arrivals, DatasetKind,
 };
-use metis_engine::{Priority, RouterPolicy};
+use metis_engine::{Priority, RouterPolicy, SchedPolicy};
 use metis_llm::{GpuCluster, ModelSpec};
 use metis_profiler::ProfilerKind;
 use metis_vectordb::IndexSpec;
@@ -520,9 +520,11 @@ fn feedback_mode_runs_golden_configs() {
 
 #[test]
 fn median_pick_differs_from_best_fit() {
-    let mut med = MetisOptions::full();
-    med.pick = PickPolicy::Median;
-    med.gang = false;
+    let med = MetisOptions {
+        pick: PickPolicy::Median,
+        sched: SchedPolicy::Fcfs,
+        ..MetisOptions::full()
+    };
     let qps = base_qps(DatasetKind::FinSec);
     let m = run(DatasetKind::FinSec, 30, SystemKind::Metis(med), qps);
     let b = run(
@@ -558,11 +560,12 @@ fn preemptive_scheduling_shields_interactive_queries_under_bursts() {
     // queueing delay, at equal completion count.
     let n = 48;
     let d = build_dataset(DatasetKind::Musique, n, 2024);
-    let go = |preemptive: bool| {
-        let mut opts = MetisOptions::full();
-        opts.priority_from_slo = true;
-        opts.preemptive = preemptive;
-        opts.gang = false; // The FCFS arm is plain vLLM admission.
+    let go = |sched: SchedPolicy| {
+        let opts = MetisOptions {
+            sched,
+            priority_from_slo: true,
+            ..MetisOptions::full()
+        };
         let arrivals = burst_arrivals(7, 0.8, 6.0, n);
         let mut cfg = RunConfig::standard(SystemKind::Metis(opts), arrivals, 99);
         // Bound the working memory to the low end of the paper's Fig. 8
@@ -571,8 +574,8 @@ fn preemptive_scheduling_shields_interactive_queries_under_bursts() {
         cfg.engine.kv_pool_bytes_cap = Some(2 * (1 << 30));
         Runner::new(&d, cfg).run()
     };
-    let fcfs = go(false);
-    let preemptive = go(true);
+    let fcfs = go(SchedPolicy::Fcfs);
+    let preemptive = go(SchedPolicy::Preemptive);
     assert!(preemptive.preemptions > 0, "the burst must force evictions");
     assert_eq!(fcfs.per_query.len(), n);
     assert_eq!(preemptive.per_query.len(), n);

@@ -139,8 +139,8 @@ impl IndexSpec {
     }
 }
 
-/// What a controller (or report) may know about the index serving a run:
-/// the requested spec plus the effective, data-clamped shape.
+/// What a run report records about the index serving a run: the requested
+/// spec plus the effective, data-clamped shape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IndexMeta {
     /// The spec the database was built with.
@@ -153,19 +153,6 @@ pub struct IndexMeta {
     pub nprobe: usize,
     /// Number of indexed vectors.
     pub vectors: usize,
-}
-
-impl IndexMeta {
-    /// Metadata of an exact flat index over `vectors` vectors.
-    pub fn flat(vectors: usize) -> Self {
-        Self {
-            spec: IndexSpec::Flat,
-            quant: Quantization::F32,
-            nlist: 1,
-            nprobe: 1,
-            vectors,
-        }
-    }
 }
 
 /// Retrieval results plus the measured work that produced them.

@@ -172,7 +172,6 @@ const SIGNATURE_ONLY: &[(&str, &str)] = &[
     ("JsonError", "Json"),
     ("SchemaError", "BenchReport"),
     ("ScaleAction", "Autoscaler"),
-    ("Chosen", "choose_config"),
     ("Decision", "ConfigController"),
     ("DecisionContext", "ConfigController"),
     ("ProfileOutcome", "ConfigController"),
