@@ -141,13 +141,17 @@ fn build_dataset_impl(
     let mut queries = Vec::with_capacity(num_queries);
     let mut all_chunks: Vec<TokenChunk> = Vec::new();
 
+    // Every later topic reuses the common pool query 0 interns.
+    let mut first: Option<TopicVocab> = None;
     for q in 0..num_queries {
-        let topic = TopicVocab::build(
-            &mut tokenizer,
-            &format!("{}-q{q}", params.name),
-            params.topic_width,
-            96,
-        );
+        let name = format!("{}-q{q}", params.name);
+        let topic = match &first {
+            Some(first) => first.sibling(&mut tokenizer, &name, params.topic_width),
+            None => {
+                let topic = TopicVocab::build(&mut tokenizer, &name, params.topic_width, 96);
+                first.insert(topic).clone()
+            }
+        };
         let pieces = gen.range(params.pieces.0 as usize, params.pieces.1 as usize) as u32;
         // Document length grows with the number of needed facts (multi-hop
         // questions draw on longer source material), jittered within the

@@ -73,22 +73,71 @@ impl EmbedderKind {
     }
 }
 
+/// Texts this long or longer are counted in a hash table ([`term_counts`]),
+/// shorter ones by sorting a copy. Measured on chunk prefixes: sorting is
+/// cheaper up to ≈ 200 tokens (×1.3–1.5 at query length, ×1.1–1.2 at 128),
+/// the two tie at 224–256, and counting wins from ≈ 320 (×0.6 at ≈ 1 000).
+const COUNT_FROM: usize = 256;
+
 /// Adds every distinct token's hashed feature to `out`, weighted by its
-/// sublinearly damped term frequency (`1 + ln tf`). Tokens are counted as
-/// runs of a sorted copy and visited in ascending token id: the order is
-/// part of the embedding, because colliding features add into a shared
-/// bucket and f32 addition rounds differently in another order.
+/// sublinearly damped term frequency (`1 + ln tf`). Tokens are visited in
+/// ascending id: the order is part of the embedding, because colliding
+/// features add into a shared bucket and f32 addition rounds differently in
+/// another order. Both ways of counting yield the same `(id, tf)` runs in
+/// the same order, so they give the same bits.
 fn hash_unigrams(tokens: &[TokenId], dim: usize, seed: u64, probes: u32, out: &mut [f32]) {
-    let mut sorted = tokens.to_vec();
-    sorted.sort_unstable();
-    for run in sorted.chunk_by(|a, b| a == b) {
-        let w = 1.0 + (run.len() as f32).ln();
+    let mut add = |id: u32, tf: usize| {
+        // `s * (w / p)` equals `(s * w) / p` bit for bit: `s` is ±1.
+        let w = (1.0 + (tf as f32).ln()) / probes as f32;
         for p in 0..probes {
-            let h = mix2(seed ^ u64::from(p) << 32, u64::from(run[0].0));
+            let h = mix2(seed ^ u64::from(p) << 32, u64::from(id));
             let (b, s) = bucket_and_sign(splitmix64(h), dim);
-            out[b] += s * w / (probes as f32);
+            out[b] += s * w;
+        }
+    };
+    if tokens.len() < COUNT_FROM {
+        let mut sorted = tokens.to_vec();
+        sorted.sort_unstable();
+        for run in sorted.chunk_by(|a, b| a == b) {
+            add(run[0].0, run.len());
+        }
+    } else {
+        for slot in term_counts(tokens) {
+            add((slot >> 32) as u32, slot as u32 as usize);
         }
     }
+}
+
+/// The distinct ids of `tokens` in ascending order, each packed with its
+/// count as `id << 32 | tf`. They are counted in a linear-probing table
+/// (Fibonacci hashing: the top bits of a multiplicative hash) with at least
+/// twice as many slots as tokens, so it is never more than half full and its
+/// size follows the text length, never an id value. A free slot is 0, which
+/// no counted id is (its `tf` is at least 1; a text has < 2³² tokens).
+fn term_counts(tokens: &[TokenId]) -> Vec<u64> {
+    let slots = (2 * tokens.len()).next_power_of_two().max(2);
+    let shift = 64 - slots.trailing_zeros();
+    let mut table = vec![0u64; slots];
+    for &TokenId(id) in tokens {
+        let mut i = (u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        loop {
+            match table[i] {
+                0 => break table[i] = u64::from(id) << 32 | 1,
+                slot if slot >> 32 == u64::from(id) => break table[i] += 1,
+                _ => i = (i + 1) & (slots - 1),
+            }
+        }
+    }
+    // Move the occupied slots to the front without a branch per slot.
+    let mut n = 0;
+    for i in 0..slots {
+        let slot = table[i];
+        table[n] = slot;
+        n += usize::from(slot != 0);
+    }
+    table.truncate(n);
+    table.sort_unstable();
+    table
 }
 
 /// Unigram feature-hashing embedder ("Cohere-embed-v3.0 simulator").
@@ -239,6 +288,7 @@ impl Embedder for ProjEmbed {
 mod tests {
     use super::*;
     use crate::similarity::{cosine, dot};
+    use std::collections::BTreeMap;
 
     fn toks(ids: &[u32]) -> Vec<TokenId> {
         ids.iter().map(|&i| TokenId(i)).collect()
@@ -260,22 +310,39 @@ mod tests {
         assert_eq!(e.embed(&toks(&[9, 8, 7])), e.embed(&toks(&[9, 8, 7])));
     }
 
+    /// Seeded texts, one per length in `lens`, each token one of the 300
+    /// ids `word(0..300)`.
+    fn seeded_texts(
+        seed: u64,
+        lens: impl IntoIterator<Item = usize>,
+        word: impl Fn(u32) -> u32,
+    ) -> Vec<Vec<TokenId>> {
+        let mut state = seed;
+        let mut token = || {
+            state = splitmix64(state);
+            TokenId(word((state % 300) as u32))
+        };
+        lens.into_iter()
+            .map(|len| (0..len).map(|_| token()).collect())
+            .collect()
+    }
+
     /// 200 seeded 400-token texts over a 300-word vocabulary: repeated
     /// tokens (non-dyadic `1 + ln tf` weights) colliding three and more to a
     /// bucket at dim 64 — the inputs whose sum depends on the order of
     /// accumulation.
     fn colliding_texts() -> Vec<Vec<TokenId>> {
-        let mut state = 0x5EED_u64;
-        (0..200)
-            .map(|_| {
-                (0..400)
-                    .map(|_| {
-                        state = splitmix64(state);
-                        TokenId((state % 300) as u32)
-                    })
-                    .collect()
-            })
-            .collect()
+        seeded_texts(0x5EED, [400; 200], |w| w)
+    }
+
+    /// Word `w` of a pool spread across the whole id range: low ids, ids
+    /// past 65 536 and ids up to `u32::MAX`.
+    fn spread(w: u32) -> u32 {
+        match w % 3 {
+            0 => w,
+            1 => 65_536 + w * 7_919,
+            _ => u32::MAX - w / 3,
+        }
     }
 
     /// Embeddings are a function of the tokens alone: accumulating in the
@@ -296,27 +363,74 @@ mod tests {
         assert_eq!(fnv, 0x7fa7_6ac1_b500_6742, "embedding bits moved");
     }
 
+    /// Asserts, for every text, that `hash_unigrams` and every model's
+    /// `embed` give the bits of their definition: term counts from an ordered
+    /// map, each id's features added in ascending id, then the bigram model's
+    /// adjacent pairs in text order, then L2 normalisation.
+    fn assert_models_match_the_oracle(texts: &[Vec<TokenId>]) {
+        let small = HashEmbed::new(64, 7);
+        let h = HashEmbed::default();
+        let n = NgramEmbed::default();
+        let p = ProjEmbed::default();
+        // Each model with the seed, probe count and bigram weight it embeds
+        // with.
+        let models: [(&dyn Embedder, u64, u32, Option<f32>); 4] = [
+            (&small, small.seed, 2, None),
+            (&h, h.seed, 2, None),
+            (&n, n.seed, 2, Some(n.bigram_weight)),
+            (&p, p.seed, 3, None),
+        ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for text in texts {
+            let mut counts: BTreeMap<TokenId, u32> = BTreeMap::new();
+            text.iter()
+                .for_each(|&t| *counts.entry(t).or_default() += 1);
+            for &(model, seed, probes, bigram) in &models {
+                let dim = model.dim();
+                let what = format!("{}, {} tokens", model.name(), text.len());
+                let mut want = vec![0.0f32; dim];
+                for (t, &c) in &counts {
+                    let w = 1.0 + (c as f32).ln();
+                    for p in 0..probes {
+                        let h = mix2(seed ^ u64::from(p) << 32, u64::from(t.0));
+                        let (b, s) = bucket_and_sign(splitmix64(h), dim);
+                        want[b] += s * w / (probes as f32);
+                    }
+                }
+                let mut got = vec![0.0f32; dim];
+                hash_unigrams(text, dim, seed, probes, &mut got);
+                assert!(bits(&got) == bits(&want), "hash_unigrams: {what}");
+                if let Some(weight) = bigram {
+                    for pair in text.windows(2) {
+                        let pair = mix2(u64::from(pair[0].0), u64::from(pair[1].0));
+                        let (b, s) = bucket_and_sign(mix2(seed ^ 0xB16A, pair), dim);
+                        want[b] += s * weight;
+                    }
+                }
+                l2_normalize(&mut want);
+                assert!(bits(&model.embed(text)) == bits(&want), "embed: {what}");
+            }
+        }
+    }
+
     #[test]
     fn unigram_features_accumulate_in_ascending_token_order() {
-        use std::collections::BTreeMap;
-        let (dim, seed, probes) = (64, 7, 2u32);
-        for text in colliding_texts() {
-            let mut counts: BTreeMap<TokenId, u32> = BTreeMap::new();
-            for &t in &text {
-                *counts.entry(t).or_insert(0) += 1;
-            }
-            let mut want = vec![0.0f32; dim];
-            for (t, c) in counts {
-                let w = 1.0 + (c as f32).ln();
-                for p in 0..probes {
-                    let h = mix2(seed ^ u64::from(p) << 32, u64::from(t.0));
-                    let (b, s) = bucket_and_sign(splitmix64(h), dim);
-                    want[b] += s * w / (probes as f32);
-                }
-            }
-            l2_normalize(&mut want);
-            assert_eq!(HashEmbed::new(dim, seed).embed(&text), want);
-        }
+        assert_models_match_the_oracle(&colliding_texts());
+        // Empty, query-length, either side of `COUNT_FROM`, chunk-length,
+        // and one id counted past 2¹⁶ among others.
+        let lens = [0, 1, 2, 7, 26, 47, 64, 255, 256, 257, 300, 1_000, 2_000];
+        let mut texts = seeded_texts(0x0AC1E, lens.repeat(3), spread);
+        texts.push([vec![TokenId(65_537); 70_000], texts[12].clone()].concat());
+        assert_models_match_the_oracle(&texts);
+    }
+
+    /// The long sweep: 10⁴ texts of 0–2 000 tokens (CI runs it in release
+    /// with `--ignored`).
+    #[test]
+    #[ignore = "the long sweep; CI runs it in release"]
+    fn unigram_features_match_the_oracle_long_sweep() {
+        let lens = (0..10_000).map(|i| (splitmix64(i) % 2_001) as usize);
+        assert_models_match_the_oracle(&seeded_texts(0x5EED, lens, spread));
     }
 
     #[test]

@@ -42,6 +42,15 @@ impl TopicVocab {
         }
     }
 
+    /// A vocabulary for another topic over this one's common pool: the ids
+    /// [`TopicVocab::build`] gives it with the same `common`, without
+    /// formatting and interning those words again.
+    pub fn sibling(&self, tokenizer: &mut Tokenizer, topic: &str, width: usize) -> Self {
+        let mut vocab = Self::build(tokenizer, topic, width, 0);
+        vocab.common_words.clone_from(&self.common_words);
+        vocab
+    }
+
     /// Words dedicated to this topic.
     pub fn topic_words(&self) -> &[TokenId] {
         &self.topic_words
@@ -135,6 +144,21 @@ mod tests {
         let a = TopicVocab::build(&mut tok, "finance", 50, 100);
         let b = TopicVocab::build(&mut tok, "sports", 50, 100);
         (tok, a, b)
+    }
+
+    #[test]
+    fn a_sibling_has_the_ids_build_gives() {
+        let mut built = Tokenizer::new();
+        let mut shared = Tokenizer::new();
+        TopicVocab::build(&mut built, "q0", 8, 16);
+        let first = TopicVocab::build(&mut shared, "q0", 8, 16);
+        for q in 1..4 {
+            let want = TopicVocab::build(&mut built, &format!("q{q}"), 8, 16);
+            let got = first.sibling(&mut shared, &format!("q{q}"), 8);
+            assert_eq!(got.topic_words, want.topic_words);
+            assert_eq!(got.common_words, want.common_words);
+        }
+        assert_eq!(shared.vocab_mut().len(), built.vocab_mut().len());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use metis_text::{AnnotatedText, ChunkId, FactSpan, TokenChunk, TokenId};
 
 /// Default hot-tier capacity, in chunks.
@@ -211,12 +211,13 @@ impl ChunkStore {
 
     /// Appends a chunk to the cold tier, returning its id.
     pub fn push(&mut self, text: &AnnotatedText) -> ChunkId {
-        let mut buf = BytesMut::with_capacity(text.len() * 4);
-        for t in text.tokens() {
-            buf.extend_from_slice(&t.0.to_le_bytes());
-        }
+        let blob: Vec<u8> = text
+            .tokens()
+            .iter()
+            .flat_map(|t| t.0.to_le_bytes())
+            .collect();
         let id = ChunkId(self.blobs.len() as u32);
-        self.blobs.push(buf.freeze());
+        self.blobs.push(Bytes::from(blob));
         self.spans.push(text.spans().to_vec());
         self.hot
             .get_mut()
@@ -321,9 +322,13 @@ mod tests {
         let mut s = ChunkStore::new();
         let text = sample_text();
         let id = s.push(&text);
+        // The cold blob: one little-endian `u32` per token.
+        let blob = [1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0];
+        assert_eq!(&s.blobs[id.index()][..], &blob);
         let back = s.get(id).unwrap();
         assert_eq!(back.tokens(), text.tokens());
         assert_eq!(back.spans(), text.spans());
+        assert_eq!(s.stats().bytes_cold_touched, 4 * text.len() as u64);
     }
 
     #[test]
