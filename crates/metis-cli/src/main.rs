@@ -15,7 +15,7 @@ use metis_core::{
     fixed_config_grid, map_profile, DriverSpec, MetisOptions, RagConfig, RunConfig, RunResult,
     Runner, SystemKind,
 };
-use metis_datasets::{build_dataset, build_dataset_with_spec};
+use metis_datasets::{build_dataset, build_dataset_with_spec, ArrivalProcess};
 use metis_engine::Priority;
 use metis_llm::{GpuCluster, ModelSpec, ReplicaSpec};
 use metis_metrics::BenchReport;
@@ -265,6 +265,23 @@ fn build_report(a: &RunArgs, r: &RunResult) -> BenchReport {
             .collect();
         report = report.knob("replica_mix", names.join(","));
     }
+    // Likewise the serving knobs, each only when its flag is set (the burst
+    // factor with every burst run: its default shapes the arrivals too).
+    if let Some(secs) = a.slo {
+        report = report.knob("slo", secs);
+    }
+    if a.priority_from_slo {
+        report = report.knob("priority_from_slo", true);
+    }
+    if a.big_model {
+        report = report.knob("big_model", true);
+    }
+    if let Some(bytes) = a.prefix_cache_bytes {
+        report = report.knob("prefix_cache_gb", bytes >> 30);
+    }
+    if let ArrivalProcess::Burst { factor } = a.arrivals {
+        report = report.knob("burst_factor", factor);
+    }
     report.cells.push(
         r.cell_report("run", a.seed)
             .knob("system", format!("{:?}", a.system)),
@@ -338,5 +355,54 @@ mod tests {
         std::fs::remove_file(&file).expect("remove temp file");
         let err = result.expect_err("the write cannot have succeeded");
         assert!(err.starts_with("cannot create "), "{err}");
+    }
+
+    #[test]
+    fn a_report_records_the_serving_knobs_only_when_set() {
+        let knobs_of = |a: &RunArgs| {
+            let r = run_once(a, system_of(a.system, a.slo, a.priority_from_slo));
+            build_report(a, &r).knobs
+        };
+        let plain = RunArgs {
+            dataset: metis_datasets::DatasetKind::Squad,
+            queries: 2,
+            ..RunArgs::default()
+        };
+        let serving = [
+            "slo",
+            "priority_from_slo",
+            "big_model",
+            "prefix_cache_gb",
+            "burst_factor",
+        ];
+        let knobs = knobs_of(&plain);
+        assert!(
+            knobs.iter().all(|(k, _)| !serving.contains(&k.as_str())),
+            "{knobs:?}"
+        );
+
+        let knobs = knobs_of(&RunArgs {
+            slo: Some(1.5),
+            priority_from_slo: true,
+            big_model: true,
+            prefix_cache_bytes: Some(4 << 30),
+            arrivals: ArrivalProcess::Burst { factor: 6.0 },
+            ..plain
+        });
+        let set: Vec<(&str, &str)> = knobs
+            .iter()
+            .filter(|(k, _)| serving.contains(&k.as_str()))
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        assert_eq!(
+            set,
+            [
+                ("slo", "1.5"),
+                ("priority_from_slo", "true"),
+                ("big_model", "true"),
+                ("prefix_cache_gb", "4"),
+                ("burst_factor", "6"),
+            ]
+        );
     }
 }

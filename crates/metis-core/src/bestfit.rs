@@ -45,6 +45,19 @@ pub fn choose_config(
     joint_required: bool,
     inputs: &BestFitInputs,
 ) -> Decision {
+    best_fit(space, joint_required, inputs, |_| true)
+}
+
+/// The one fit-and-rank loop: among the candidates `admit` accepts, the
+/// first with the highest `total_tokens` whose `sched_tokens` fit
+/// [`BestFitInputs::usable`]; when none does, the §4.3 fallback. An SLO
+/// narrows the candidates through `admit`; it never ranks them.
+pub(crate) fn best_fit(
+    space: &PrunedSpace,
+    joint_required: bool,
+    inputs: &BestFitInputs,
+    admit: impl Fn(&RagConfig) -> bool,
+) -> Decision {
     let usable = inputs.usable();
     let mut best: Option<(u64, RagConfig)> = None;
     for cfg in space.candidates() {
@@ -54,12 +67,12 @@ pub fn choose_config(
             inputs.query_tokens,
             inputs.expected_output,
         );
-        if demand.sched_tokens > usable {
-            continue; // Would queue; never picked (§4.3).
+        if demand.sched_tokens > usable || !admit(&cfg) {
+            continue; // Would queue, or is filtered out; never picked (§4.3).
         }
         // For stuff, the whole prompt must fit; map-based methods only need
         // their streaming window of mappers (Fig. 8). Rank the fitting
-        // configurations by total memory requirement.
+        // configurations by total memory requirement; the first maximum wins.
         let better = match &best {
             Some((total, _)) => demand.total_tokens > *total,
             None => true,

@@ -89,7 +89,7 @@ pub struct DecisionContext<'a> {
     pub chunk_size: u64,
     /// Query length in tokens.
     pub query_tokens: u64,
-    /// Latency model of the serving replicas (for SLO-constrained picks).
+    /// The routed replica's latency model (for SLO-constrained picks).
     pub latency: &'a LatencyModel,
 }
 

@@ -710,6 +710,8 @@ struct Run<'a> {
     cfg: &'a RunConfig,
     /// API serving (Fig. 13's GPT-4o comparison): no local engine runs.
     api_mode: bool,
+    /// `cfg.cluster`'s latency model, which prices API serving's calls;
+    /// decisions read the routed replica's own model instead.
     latency: LatencyModel,
     gen: GenerationModel,
     controller: Box<dyn ConfigController>,
@@ -887,7 +889,7 @@ impl<'a> Run<'a> {
             preemption_pressure: self.driver.preemption_pressure(replica),
             chunk_size: db.metadata().chunk_size as u64,
             query_tokens: query.tokens.len() as u64,
-            latency: &self.latency,
+            latency: self.driver.cluster().replica(replica).latency_model(),
         });
         // The real index search, sized by the decision's top-k through the
         // one shared clamp, with per-search work accounting.

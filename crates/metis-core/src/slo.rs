@@ -3,9 +3,11 @@
 //! §4.3 notes that the loose decoupling of configuration from scheduling
 //! "also allows SLO-based constraints on RAG queries if certain queries have
 //! strict budgets on their generation latency". This module implements that
-//! extension: a per-query latency budget filters the pruned space down to
-//! configurations whose *estimated* execution time fits the budget, before
-//! the best-fit memory selection runs.
+//! extension: a per-query latency budget is a candidate filter on the one
+//! best-fit loop. Best-fit admits only configurations whose *estimated*
+//! execution time fits the budget, and ranks those exactly as it does without
+//! an SLO, ties going to the first maximum. A budget that no candidate meets
+//! gives the cheapest-estimate candidate, flagged as a fallback.
 //!
 //! Estimation uses the same analytical latency model the engine runs on, so
 //! the filter is consistent with what the query will actually experience on
@@ -16,10 +18,10 @@ use metis_datasets::QuerySpec;
 use metis_engine::Priority;
 use metis_llm::{nanos_to_secs, LatencyModel};
 
-use crate::bestfit::{choose_config, BestFitInputs};
+use crate::bestfit::{best_fit, BestFitInputs};
 use crate::config::{PrunedSpace, RagConfig, SynthesisMethod};
 use crate::controllers::Decision;
-use crate::memory::{PlanDemand, PROMPT_OVERHEAD};
+use crate::memory::PROMPT_OVERHEAD;
 
 /// A per-query latency budget in seconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -125,10 +127,12 @@ pub fn estimate_exec_secs(
     }
 }
 
-/// [`choose_config`] under a latency SLO: configurations whose estimated
-/// execution exceeds the budget are removed from the pruned space first.
-/// When *nothing* fits the budget, the cheapest estimated configuration is
-/// selected (best effort — the SLO was infeasible for this query).
+/// [`choose_config`](crate::choose_config) under a latency SLO: the budget
+/// filters the candidates of the one best-fit loop, which ranks the rest as
+/// it always does (the first of equal `total_tokens` wins). When *no*
+/// candidate's estimate meets the budget, the cheapest estimated candidate
+/// is selected and flagged as a fallback (best effort — the SLO was
+/// infeasible for this query).
 pub fn choose_config_with_slo(
     space: &PrunedSpace,
     joint_required: bool,
@@ -145,85 +149,25 @@ pub fn choose_config_with_slo(
             inputs.expected_output,
         )
     };
-    // Restrict the chunk range until some candidate fits the budget.
-    let mut narrowed = space.clone();
-    loop {
-        let any_fits = narrowed
-            .candidates()
-            .iter()
-            .any(|c| slo.admits(estimate(c)));
-        if any_fits {
-            break;
-        }
-        if narrowed.num_chunks.1 <= narrowed.num_chunks.0 {
-            // Infeasible SLO: best effort with the cheapest candidate.
-            let cheapest = narrowed
-                .candidates()
-                .into_iter()
-                .min_by(|a, b| estimate(a).total_cmp(&estimate(b)))
-                .expect("non-empty candidates");
-            return Decision {
-                config: cheapest,
-                fallback: true,
-            };
-        }
-        narrowed.num_chunks.1 -= 1;
+    let candidates = space.candidates();
+    if candidates.iter().any(|c| slo.admits(estimate(c))) {
+        return best_fit(space, joint_required, inputs, |c| slo.admits(estimate(c)));
     }
-    // Drop candidates above the budget by trimming methods that cannot fit
-    // at any chunk count in the narrowed range.
-    let feasible: Vec<RagConfig> = narrowed
-        .candidates()
+    let cheapest = candidates
         .into_iter()
-        .filter(|c| slo.admits(estimate(c)))
-        .collect();
-    narrowed
-        .methods
-        .retain(|m| feasible.iter().any(|c| c.synthesis == *m));
-    if narrowed.methods.is_empty() {
-        narrowed.methods = space.methods.clone();
-    }
-    // Memory best-fit within the SLO-feasible space; then verify the chosen
-    // config honours the budget (the memory pick might select an
-    // over-budget sibling, e.g. a longer intermediate_length).
-    let chosen = choose_config(&narrowed, joint_required, inputs);
-    if slo.admits(estimate(&chosen.config)) {
-        return chosen;
-    }
-    let best_fitting = narrowed
-        .candidates()
-        .into_iter()
-        .filter(|c| {
-            slo.admits(estimate(c))
-                && PlanDemand::estimate(
-                    c,
-                    inputs.chunk_size,
-                    inputs.query_tokens,
-                    inputs.expected_output,
-                )
-                .sched_tokens
-                    <= inputs.usable()
-        })
-        .max_by_key(|c| {
-            PlanDemand::estimate(
-                c,
-                inputs.chunk_size,
-                inputs.query_tokens,
-                inputs.expected_output,
-            )
-            .total_tokens
-        });
-    match best_fitting {
-        Some(config) => Decision {
-            config,
-            fallback: false,
-        },
-        None => chosen,
+        .min_by(|a, b| estimate(a).total_cmp(&estimate(b)))
+        .expect("non-empty candidates");
+    Decision {
+        config: cheapest,
+        fallback: true,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bestfit::choose_config;
+    use crate::memory::PlanDemand;
     use metis_llm::{GpuCluster, ModelSpec};
 
     fn latency() -> LatencyModel {

@@ -6,7 +6,7 @@ use metis_datasets::{
     build_dataset, build_dataset_with_index, burst_arrivals, poisson_arrivals, DatasetKind,
 };
 use metis_engine::{Priority, RouterPolicy, SchedPolicy};
-use metis_llm::{GpuCluster, ModelSpec};
+use metis_llm::{GpuCluster, ModelSpec, ReplicaSpec};
 use metis_profiler::ProfilerKind;
 use metis_vectordb::IndexSpec;
 
@@ -624,6 +624,26 @@ fn slo_constrained_runs_use_cheaper_configs() {
     );
     // Cheaper configurations trade some quality, but not everything.
     assert!(constrained.mean_f1() > plain.mean_f1() * 0.6);
+}
+
+#[test]
+fn slo_estimates_read_the_routed_replicas_gpu() {
+    // One H100 given as a `replica_specs` fleet must decide exactly as the
+    // same H100 given as the run's `cluster`: the SLO chooser estimates each
+    // configuration on the replica the query was routed to.
+    let d = build_dataset(DatasetKind::FinSec, 24, 2024);
+    let mut opts = MetisOptions::full();
+    opts.slo_secs = Some(1.5);
+    let arrivals = poisson_arrivals(7, base_qps(DatasetKind::FinSec), 24);
+    let mut on_cluster = RunConfig::standard(SystemKind::Metis(opts), arrivals, 99);
+    let mut on_fleet = on_cluster.clone();
+    on_cluster.cluster = GpuCluster::single_h100();
+    on_fleet.replica_specs = Some(vec![ReplicaSpec::new(GpuCluster::single_h100())]);
+    let picks = |cfg: RunConfig| -> Vec<(RagConfig, bool)> {
+        let r = Runner::new(&d, cfg).run();
+        r.per_query.iter().map(|q| (q.config, q.fallback)).collect()
+    };
+    assert_eq!(picks(on_fleet), picks(on_cluster));
 }
 
 #[test]

@@ -250,6 +250,155 @@ proptest! {
     }
 }
 
+/// Chunk, query and answer tokens of the best-fit grid. One `map_rerank`
+/// call costs two chunks, so `map_rerank(k)` ties `stuff(2k - 1)` in
+/// `total_tokens`.
+const GRID_TOKENS: (u64, u64, u64) = (120, 40, 48);
+
+/// A candidate of the grid with its demand and estimated seconds.
+type GridCandidate = (RagConfig, PlanDemand, f64);
+
+fn grid_demand(config: &RagConfig) -> PlanDemand {
+    let (chunk, query, output) = GRID_TOKENS;
+    PlanDemand::estimate(config, chunk, query, output)
+}
+
+/// The decision best-fit must make, by brute force over a space's
+/// candidates (in their order), and whether its maximum is tied.
+fn brute_force_best_fit(
+    cands: &[GridCandidate],
+    max_chunks: u32,
+    joint: bool,
+    usable: u64,
+    budget: Option<f64>,
+) -> ((RagConfig, bool), bool) {
+    let meets = |secs: f64| budget.is_none_or(|b| secs <= b);
+    if !cands.iter().any(|c| meets(c.2)) {
+        // An infeasible budget: the first of the cheapest estimates.
+        let cheapest = cands.iter().reduce(|a, b| if b.2 < a.2 { b } else { a });
+        return ((cheapest.expect("non-empty space").0, true), false);
+    }
+    let eligible: Vec<&GridCandidate> = cands
+        .iter()
+        .filter(|(_, d, secs)| meets(*secs) && d.sched_tokens <= usable)
+        .collect();
+    if let Some(top) = eligible.iter().map(|c| c.1.total_tokens).max() {
+        let mut best = eligible.iter().filter(|c| c.1.total_tokens == top);
+        let first = best.next().expect("a maximum").0;
+        return ((first, false), best.next().is_some());
+    }
+    // §4.3's fallback: the most chunks up to the range's top whose whole plan
+    // fits, else one; so it fits whenever its one-chunk plan does.
+    let method: fn(u32) -> RagConfig = if joint {
+        RagConfig::stuff
+    } else {
+        RagConfig::map_rerank
+    };
+    let k = (1..=max_chunks)
+        .rev()
+        .find(|&k| grid_demand(&method(k)).total_tokens <= usable);
+    ((method(k.unwrap_or(1)), true), false)
+}
+
+/// Every decision the best-fit chooser can make over a small grid, against
+/// the brute-force oracle: each `PrunedSpace` over one or two methods (both
+/// orders), chunk ranges inside 1..=6 and two summary ranges; free KV at and
+/// one token either side of every candidate's `sched_tokens / 0.98`; no
+/// budget, a zero budget and a budget at every candidate's estimate; both
+/// `joint_required` values.
+#[test]
+fn best_fit_is_the_first_argmax_of_what_fits_and_meets_the_budget() {
+    use metis::core::{choose_config_with_slo, estimate_exec_secs, LatencySlo};
+    let (chunk, query, output) = GRID_TOKENS;
+    let latency = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
+    let all = [
+        SynthesisMethod::Stuff,
+        SynthesisMethod::MapRerank,
+        SynthesisMethod::MapReduce,
+    ];
+    let mut method_lists: Vec<Vec<SynthesisMethod>> = all.iter().map(|&m| vec![m]).collect();
+    for a in all {
+        method_lists.extend(all.iter().filter(|&&b| b != a).map(|&b| vec![a, b]));
+    }
+    let mut spaces = Vec::new();
+    for methods in &method_lists {
+        for (lo, hi) in (1..=6).flat_map(|lo| (lo..=6).map(move |hi| (lo, hi))) {
+            for lengths in [(16, 16), (40, 200)] {
+                spaces.push(PrunedSpace {
+                    methods: methods.clone(),
+                    num_chunks: (lo, hi),
+                    intermediate_length: lengths,
+                });
+            }
+        }
+    }
+    let (mut decisions, mut ties) = (0usize, 0usize);
+    for space in &spaces {
+        let cands: Vec<GridCandidate> = space
+            .candidates()
+            .into_iter()
+            .map(|c| {
+                let secs = estimate_exec_secs(&c, &latency, chunk, query, output);
+                (c, grid_demand(&c), secs)
+            })
+            .collect();
+        let mut frees = vec![0];
+        for (_, d, _) in &cands {
+            let f = (d.sched_tokens as f64 / 0.98) as u64;
+            frees.extend([f - 1, f, f + 1]);
+        }
+        frees.sort_unstable();
+        frees.dedup();
+        let mut estimates: Vec<f64> = cands.iter().map(|c| c.2).collect();
+        estimates.sort_by(f64::total_cmp);
+        estimates.dedup();
+        let budgets: Vec<Option<f64>> = [None, Some(0.0)]
+            .into_iter()
+            .chain(estimates.into_iter().map(Some))
+            .collect();
+        for (joint, budget) in [false, true]
+            .into_iter()
+            .flat_map(|joint| budgets.iter().map(move |&budget| (joint, budget)))
+        {
+            let mut last_total = 0;
+            for &free in &frees {
+                let inputs = BestFitInputs {
+                    free_kv_tokens: free,
+                    chunk_size: chunk,
+                    query_tokens: query,
+                    expected_output: output,
+                    buffer_frac: 0.02,
+                };
+                let got = match budget {
+                    None => choose_config(space, joint, &inputs),
+                    Some(b) => {
+                        choose_config_with_slo(space, joint, &inputs, &latency, LatencySlo(b))
+                    }
+                };
+                let usable = (free as f64 * 0.98) as u64;
+                let (want, tied) =
+                    brute_force_best_fit(&cands, space.num_chunks.1, joint, usable, budget);
+                assert_eq!(
+                    (got.config, got.fallback),
+                    want,
+                    "{space:?} joint {joint} free {free} budget {budget:?}"
+                );
+                // More memory never buys a cheaper plan.
+                let total = grid_demand(&got.config).total_tokens;
+                assert!(
+                    total >= last_total,
+                    "{space:?} joint {joint} free {free} budget {budget:?}: {total} < {last_total}"
+                );
+                last_total = total;
+                decisions += 1;
+                ties += usize::from(tied);
+            }
+        }
+    }
+    eprintln!("{decisions} decisions, {ties} with tied maxima");
+    assert!(ties > 0, "the grid must exercise the tie-break");
+}
+
 proptest! {
     /// The prefix cache never exceeds capacity and conserves accounting
     /// across arbitrary lookup sequences.
