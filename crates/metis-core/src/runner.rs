@@ -318,11 +318,11 @@ pub struct RunResult {
     pub quant: Quantization,
     /// Total index-search work across all (non-synthetic) queries.
     pub index_work: SearchWork,
-    /// Chunk bytes served from the store's hot (decoded) tier during the
-    /// run.
+    /// Chunk bytes the store's modelled hot (decoded) tier served during
+    /// the run (see `ChunkStore`: the tiers are accounting).
     pub store_bytes_hot: u64,
-    /// Chunk bytes decoded from the store's cold (serialized) tier during
-    /// the run.
+    /// Chunk bytes the store's modelled cold (serialized) tier decoded
+    /// during the run.
     pub store_bytes_cold: u64,
 }
 

@@ -11,7 +11,7 @@
 //! real system, where the tokens an LLM emits do not depend on queueing.
 
 use metis_llm::{GenerationModel, QueryTruth};
-use metis_text::{AnnotatedText, TokenId};
+use metis_text::{AnnotatedText, FactSpan, TokenId};
 use metis_vectordb::RetrievalResult;
 
 use crate::config::{RagConfig, SynthesisMethod};
@@ -83,32 +83,43 @@ pub fn plan_synthesis(
     }
 }
 
+// `stuff`, `map_rerank` and the reduce call pass a context length that holds
+// the query already, so it is counted twice (ROADMAP item 22c; kept as is).
 fn prompt_len(context_tokens: usize, query_tokens: usize) -> u64 {
     context_tokens as u64 + query_tokens as u64 + PROMPT_OVERHEAD
 }
 
+/// One call over every chunk and then the query, laid end to end. The
+/// generation model reads only the context's length and fact spans, so
+/// those are summed and shifted here instead of concatenating the text.
 fn stuff(
     inputs: &SynthesisInputs<'_>,
     config: &RagConfig,
     chunks: &[RetrievalResult],
     seed: u64,
 ) -> SynthesisPlan {
-    let mut context = AnnotatedText::new();
+    let mut len = 0;
+    let mut spans = Vec::new();
     for c in chunks {
-        context.push_text(&c.text);
+        spans.extend(c.text.spans().iter().map(|s| FactSpan {
+            start: s.start + len,
+            ..*s
+        }));
+        len += c.text.len();
     }
-    context.push_tokens(inputs.query_tokens);
-    let out = inputs.gen.answer(
+    len += inputs.query_tokens.len();
+    let out = inputs.gen.answer_over(
         seed,
         inputs.truth,
-        &context,
+        len,
+        &spans,
         inputs.boilerplate,
         chunks.len(),
     );
     SynthesisPlan {
         config: *config,
         map_calls: vec![PlannedCall {
-            prompt_tokens: prompt_len(context.len(), inputs.query_tokens.len()),
+            prompt_tokens: prompt_len(len, inputs.query_tokens.len()),
             output_tokens: out.tokens.len().max(1) as u64,
         }],
         reduce_call: None,
@@ -117,6 +128,8 @@ fn stuff(
     }
 }
 
+/// One call per chunk over that chunk and then the query, read as `stuff`
+/// reads its context: the chunk's spans are already at their offsets.
 fn map_rerank(
     inputs: &SynthesisInputs<'_>,
     config: &RagConfig,
@@ -126,17 +139,17 @@ fn map_rerank(
     let mut calls = Vec::with_capacity(chunks.len());
     let mut best: Option<(f64, Vec<TokenId>, f64)> = None;
     for (i, c) in chunks.iter().enumerate() {
-        let mut context = c.text.clone();
-        context.push_tokens(inputs.query_tokens);
-        let out = inputs.gen.answer(
+        let len = c.text.len() + inputs.query_tokens.len();
+        let out = inputs.gen.answer_over(
             seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9),
             inputs.truth,
-            &context,
+            len,
+            c.text.spans(),
             inputs.boilerplate,
             1,
         );
         calls.push(PlannedCall {
-            prompt_tokens: prompt_len(context.len(), inputs.query_tokens.len()),
+            prompt_tokens: prompt_len(len, inputs.query_tokens.len()),
             output_tokens: out.tokens.len().max(1) as u64,
         });
         // Keep the highest-confidence single-chunk answer (Fig. 3b).
@@ -235,6 +248,144 @@ mod tests {
             sum += f1_score(&plan.answer, &q.gold_answer());
         }
         sum / fx.dataset.queries.len() as f64
+    }
+
+    /// The concatenating `stuff` that `stuff` replaced: it builds the
+    /// context text and answers over it. The oracle for the span reading.
+    fn stuff_by_concatenation(
+        inputs: &SynthesisInputs<'_>,
+        config: &RagConfig,
+        chunks: &[RetrievalResult],
+        seed: u64,
+    ) -> SynthesisPlan {
+        let mut context = AnnotatedText::new();
+        for c in chunks {
+            context.push_text(&c.text);
+        }
+        context.push_tokens(inputs.query_tokens);
+        let out = inputs.gen.answer(
+            seed,
+            inputs.truth,
+            &context,
+            inputs.boilerplate,
+            chunks.len(),
+        );
+        SynthesisPlan {
+            config: *config,
+            map_calls: vec![PlannedCall {
+                prompt_tokens: prompt_len(context.len(), inputs.query_tokens.len()),
+                output_tokens: out.tokens.len().max(1) as u64,
+            }],
+            reduce_call: None,
+            answer: out.tokens,
+            coverage: out.coverage,
+        }
+    }
+
+    /// The copy-on-write `map_rerank` that `map_rerank` replaced.
+    fn map_rerank_by_concatenation(
+        inputs: &SynthesisInputs<'_>,
+        config: &RagConfig,
+        chunks: &[RetrievalResult],
+        seed: u64,
+    ) -> SynthesisPlan {
+        let mut calls = Vec::with_capacity(chunks.len());
+        let mut best: Option<(f64, Vec<TokenId>, f64)> = None;
+        for (i, c) in chunks.iter().enumerate() {
+            let mut context = c.text.clone();
+            context.push_tokens(inputs.query_tokens);
+            let out = inputs.gen.answer(
+                seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9),
+                inputs.truth,
+                &context,
+                inputs.boilerplate,
+                1,
+            );
+            calls.push(PlannedCall {
+                prompt_tokens: prompt_len(context.len(), inputs.query_tokens.len()),
+                output_tokens: out.tokens.len().max(1) as u64,
+            });
+            let better = best
+                .as_ref()
+                .is_none_or(|(conf, _, _)| out.confidence > *conf);
+            if better {
+                best = Some((out.confidence, out.tokens, out.coverage));
+            }
+        }
+        let (_, answer, coverage) = best.unwrap_or((0.0, Vec::new(), 0.0));
+        SynthesisPlan {
+            config: *config,
+            map_calls: calls,
+            reduce_call: None,
+            answer,
+            coverage,
+        }
+    }
+
+    /// Everything a plan decides, in comparable form.
+    fn outcome(plan: &SynthesisPlan) -> (Vec<TokenId>, u64, Vec<(u64, u64)>) {
+        let calls = plan.map_calls.iter().chain(&plan.reduce_call);
+        let calls = calls.map(|c| (c.prompt_tokens, c.output_tokens)).collect();
+        (plan.answer.clone(), plan.coverage.to_bits(), calls)
+    }
+
+    /// `plan_synthesis` as it was before contexts were read as spans.
+    /// `map_reduce` did not change, so against it a plan is checked to be
+    /// deterministic.
+    fn plan_by_concatenation(
+        inputs: &SynthesisInputs<'_>,
+        config: &RagConfig,
+        retrieved: &[RetrievalResult],
+        seed: u64,
+    ) -> SynthesisPlan {
+        let chunks = &retrieved[..config.effective_chunks(retrieved.len())];
+        match config.synthesis {
+            SynthesisMethod::Stuff => stuff_by_concatenation(inputs, config, chunks, seed),
+            SynthesisMethod::MapRerank => map_rerank_by_concatenation(inputs, config, chunks, seed),
+            SynthesisMethod::MapReduce => map_reduce(inputs, config, chunks, seed),
+        }
+    }
+
+    #[test]
+    fn reading_contexts_as_spans_plans_what_concatenating_them_did() {
+        // Beside the default model, one whose extraction odds move with the
+        // context length at every length (lost-in-the-middle from the first
+        // token, no dilution grace or halo), so that a length off by the
+        // query's few tokens shows in the answers.
+        let steep = GenModelConfig {
+            litm_onset: 1.0,
+            litm_max: 1.0,
+            dilution_grace: 1.0,
+            dilution_halo: 0.0,
+            ..GenModelConfig::default()
+        };
+        let steep = GenerationModel::new(&ModelSpec::mistral_7b_awq(), steep);
+        for kind in DatasetKind::all() {
+            let fx = fixture(kind);
+            let db_len = fx.dataset.db.len();
+            let mut configs = vec![RagConfig::map_reduce(6, 60)];
+            for k in [1, 2, 5, 12, db_len as u32] {
+                configs.extend([RagConfig::stuff(k), RagConfig::map_rerank(k)]);
+            }
+            for (i, q) in fx.dataset.queries.iter().enumerate() {
+                let retrieved = fx.dataset.db.retrieve(&q.tokens, db_len);
+                for (gen, seed) in [(&fx.gen, 500 + i as u64), (&steep, 900 + i as u64)] {
+                    let inputs = SynthesisInputs {
+                        gen,
+                        truth: &q.truth,
+                        query_tokens: &q.tokens,
+                        boilerplate: &fx.dataset.boilerplate,
+                    };
+                    for config in &configs {
+                        assert_eq!(
+                            outcome(&plan_synthesis(&inputs, config, &retrieved, seed)),
+                            outcome(&plan_by_concatenation(&inputs, config, &retrieved, seed)),
+                            "{kind:?} query {i}: {config:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use metis_text::{AnnotatedText, FactId, TokenId};
+use metis_text::{AnnotatedText, FactId, FactSpan, TokenId};
 
 use crate::spec::ModelSpec;
 
@@ -245,8 +245,30 @@ impl GenerationModel {
         boilerplate: &[TokenId],
         segments: usize,
     ) -> GenOutput {
+        self.answer_over(
+            seed,
+            truth,
+            context.len(),
+            context.spans(),
+            boilerplate,
+            segments,
+        )
+    }
+
+    /// [`answer`](Self::answer) over a context given only as what the
+    /// call reads of it: its length in tokens and its fact spans, with
+    /// positions counted from the context's start. Lets a caller answer
+    /// over several texts laid end to end without concatenating them.
+    pub fn answer_over(
+        &self,
+        seed: u64,
+        truth: &QueryTruth,
+        len: usize,
+        spans: &[FactSpan],
+        boilerplate: &[TokenId],
+        segments: usize,
+    ) -> GenOutput {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA05_3E1);
-        let len = context.len();
 
         // Relevant mass: each distinct needed fact present contributes its
         // span plus an attention halo, capped at one retrieval segment.
@@ -256,7 +278,7 @@ impl GenerationModel {
             .min(len as f64 / segments.max(1) as f64);
         let mut seen_relevant: BTreeSet<FactId> = BTreeSet::new();
         let mut relevant_tokens = 0.0f64;
-        for span in context.spans() {
+        for span in spans {
             if truth.needs(span.fact) && seen_relevant.insert(span.fact) {
                 relevant_tokens += span.len as f64 + halo;
             }
@@ -265,7 +287,7 @@ impl GenerationModel {
 
         // Extraction pass over every relevant span in the context.
         let mut extracted: BTreeSet<FactId> = BTreeSet::new();
-        for span in context.spans() {
+        for span in spans {
             if !truth.needs(span.fact) || extracted.contains(&span.fact) {
                 continue;
             }

@@ -68,24 +68,6 @@ impl AnnotatedText {
         Self::default()
     }
 
-    /// Creates an annotated text from raw parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any span extends beyond the token vector; constructing such
-    /// a value would corrupt downstream slicing.
-    pub fn from_parts(tokens: Vec<TokenId>, spans: Vec<FactSpan>) -> Self {
-        for s in &spans {
-            assert!(
-                s.end() <= tokens.len(),
-                "fact span {:?} exceeds token length {}",
-                s,
-                tokens.len()
-            );
-        }
-        Self(Arc::new(Parts { tokens, spans }))
-    }
-
     /// Appends plain (fact-free) tokens.
     pub fn push_tokens(&mut self, tokens: &[TokenId]) {
         Arc::make_mut(&mut self.0).tokens.extend_from_slice(tokens);
@@ -243,18 +225,5 @@ mod tests {
         t.push_fact(FactId(3), &toks(&[1]));
         t.push_fact(FactId(3), &toks(&[1]));
         assert_eq!(t.fact_ids().count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds token length")]
-    fn from_parts_validates_spans() {
-        let _ = AnnotatedText::from_parts(
-            toks(&[1]),
-            vec![FactSpan {
-                fact: FactId(0),
-                start: 0,
-                len: 2,
-            }],
-        );
     }
 }

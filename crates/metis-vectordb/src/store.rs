@@ -1,34 +1,35 @@
-//! Memory-tiered chunk storage.
+//! Chunk storage with modelled tier accounting.
 //!
-//! The **cold tier** is the source of truth: chunks serialized as
-//! little-endian `u32` token ids in [`bytes::Bytes`] buffers (cheaply
-//! cloneable, shared, immutable), with fact spans kept in a side table.
-//! This mirrors a real vector DB payload store where chunk text is an
-//! opaque blob and ground-truth annotations live out of band.
+//! The store holds each chunk's [`AnnotatedText`] once, as pushed: the
+//! tokens and spans the corpus build decoded, behind their one shared
+//! `Arc`. [`ChunkStore::get`] hands out a clone of that text, a reference
+//! count bump that copies and allocates nothing.
 //!
-//! On top of it sits a bounded **hot tier**: an LRU cache of decoded
-//! [`AnnotatedText`] values. A [`ChunkStore::get`] that misses decodes from
-//! the cold blob and promotes the result; a hit returns a clone that shares
-//! the decoded buffers (no copy, no allocation) without touching the blob.
-//! Per-operation counters ([`StoreStats`]) record accesses,
-//! hit/promotion/eviction traffic, and the bytes touched in each tier, so
-//! retrieval benchmarks can report tier locality the same way
-//! [`crate::SearchWork`] reports distance evals.
+//! Beside it runs the accounting for a **modelled** payload store: a cold
+//! tier of serialized blobs (4 bytes per token, the source of truth in a
+//! real vector DB) under a bounded **hot tier**, an LRU cache of decoded
+//! chunks. Every `get` decides hit or miss, promotion and eviction against
+//! that recency list exactly as the cache would, and [`StoreStats`] counts
+//! the traffic in each tier, as [`crate::SearchWork`] counts the distance
+//! evaluations of an index the code may not run in full. The counters
+//! describe the modelled tiers; the code serves the one decoded text. The
+//! split exists because `fig_retrieval` pins the per-tier byte counts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use bytes::Bytes;
-use metis_text::{AnnotatedText, ChunkId, FactSpan, TokenChunk, TokenId};
+use metis_text::{AnnotatedText, ChunkId, TokenChunk};
 
 /// Default hot-tier capacity, in chunks.
 const DEFAULT_HOT_CAPACITY: usize = 512;
 
-/// Immutable tiered storage for the chunks of one database.
+/// Modelled bytes per token of a serialized chunk (one little-endian `u32`).
+const BYTES_PER_TOKEN: u64 = 4;
+
+/// Immutable storage for the chunks of one database, with tier counters.
 #[derive(Debug)]
 pub struct ChunkStore {
-    blobs: Vec<Bytes>,
-    spans: Vec<Vec<FactSpan>>,
+    texts: Vec<AnnotatedText>,
     hot_capacity: usize,
     hot: Mutex<HotTier>,
     accesses: AtomicU64,
@@ -39,11 +40,11 @@ pub struct ChunkStore {
     bytes_cold_touched: AtomicU64,
 }
 
-/// LRU state. Chunk ids are dense, so a decoded chunk lives in the slot at
-/// its own index (one slot per blob, `None` while cold), and the occupied
-/// slots form a doubly linked recency list threaded through the slots'
-/// `prev`/`next` ids: most recently used at `head`, the eviction victim at
-/// `tail`. Touch, promote and evict are O(1).
+/// The modelled LRU's state. Chunk ids are dense, so each chunk owns the
+/// slot at its own index, and the resident slots form a doubly linked
+/// recency list threaded through the slots' `prev`/`next` ids: most
+/// recently used at `head`, the eviction victim at `tail`. Touch, promote
+/// and evict are O(1).
 #[derive(Debug)]
 struct HotTier {
     slots: Vec<Slot>,
@@ -52,11 +53,11 @@ struct HotTier {
     len: usize,
 }
 
-/// One chunk's hot-tier slot; `prev`/`next` mean something only while
-/// `text` is resident.
+/// One chunk's hot-tier slot; `prev`/`next` mean something only while it
+/// is `resident`.
 #[derive(Clone, Debug)]
 struct Slot {
-    text: Option<AnnotatedText>,
+    resident: bool,
     prev: u32,
     next: u32,
 }
@@ -66,14 +67,14 @@ const NIL: u32 = u32::MAX;
 
 impl Slot {
     const COLD: Slot = Slot {
-        text: None,
+        resident: false,
         prev: NIL,
         next: NIL,
     };
 }
 
 impl HotTier {
-    /// An empty tier over `chunks` cold blobs.
+    /// An empty tier over `chunks` cold chunks.
     fn cold(chunks: usize) -> Self {
         Self {
             slots: vec![Slot::COLD; chunks],
@@ -111,24 +112,25 @@ impl HotTier {
 
 /// A point-in-time snapshot of the store's tier counters. Obtained from
 /// [`ChunkStore::stats`]; counters only ever grow, so a before/after
-/// difference gives per-run traffic.
+/// difference gives per-run traffic. The tiers are the modelled ones (see
+/// the module doc): every `get` is served from the same shared text.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Total `get` calls served.
     pub accesses: u64,
-    /// `get` calls answered from the decoded hot tier.
+    /// `get` calls the modelled hot tier would answer.
     pub hot_hits: u64,
-    /// Cold-tier decodes promoted into the hot tier.
+    /// Modelled cold-tier decodes promoted into the hot tier.
     pub promotions: u64,
-    /// Hot-tier entries evicted to make room.
+    /// Modelled hot-tier entries evicted to make room.
     pub evictions: u64,
-    /// Serialized bytes of chunks served from the hot tier.
+    /// Modelled serialized bytes (4 per token) of chunks served hot.
     pub bytes_hot_touched: u64,
-    /// Serialized bytes decoded from the cold tier.
+    /// Modelled serialized bytes (4 per token) decoded from the cold tier.
     pub bytes_cold_touched: u64,
-    /// Chunks currently decoded in the hot tier.
+    /// Chunks resident in the modelled hot tier.
     pub hot_chunks: usize,
-    /// Chunks resident only as cold serialized blobs.
+    /// Chunks only in the modelled cold tier.
     pub cold_chunks: usize,
 }
 
@@ -156,14 +158,13 @@ impl Default for ChunkStore {
 }
 
 impl Clone for ChunkStore {
-    /// Clones the cold tier (cheap: `Bytes` are refcounted). The clone
-    /// starts with an empty hot tier and zeroed counters — the cache is
+    /// Shares the chunk texts (one refcount bump each). The clone starts
+    /// with an empty hot tier and zeroed counters — the modelled cache is
     /// per-instance working state, not data.
     fn clone(&self) -> Self {
         Self {
-            blobs: self.blobs.clone(),
-            spans: self.spans.clone(),
-            hot: Mutex::new(HotTier::cold(self.blobs.len())),
+            texts: self.texts.clone(),
+            hot: Mutex::new(HotTier::cold(self.texts.len())),
             ..Self::with_hot_capacity(self.hot_capacity)
         }
     }
@@ -175,12 +176,11 @@ impl ChunkStore {
         Self::default()
     }
 
-    /// Creates an empty store whose hot tier holds at most `capacity`
-    /// decoded chunks (`0` disables the hot tier entirely).
+    /// Creates an empty store whose modelled hot tier holds at most
+    /// `capacity` chunks (`0` disables the hot tier entirely).
     pub fn with_hot_capacity(capacity: usize) -> Self {
         Self {
-            blobs: Vec::new(),
-            spans: Vec::new(),
+            texts: Vec::new(),
             hot_capacity: capacity,
             hot: Mutex::new(HotTier::cold(0)),
             accesses: AtomicU64::new(0),
@@ -195,7 +195,7 @@ impl ChunkStore {
     /// Builds a store from chunker output.
     ///
     /// Chunk ids must be dense and sequential (as produced by
-    /// [`metis_text::Chunker::split`]); the store addresses blobs by index.
+    /// [`metis_text::Chunker::split`]); the store addresses chunks by index.
     ///
     /// # Panics
     ///
@@ -209,16 +209,11 @@ impl ChunkStore {
         store
     }
 
-    /// Appends a chunk to the cold tier, returning its id.
+    /// Appends a chunk, cold, returning its id. The store keeps `text`
+    /// itself, sharing its buffers.
     pub fn push(&mut self, text: &AnnotatedText) -> ChunkId {
-        let blob: Vec<u8> = text
-            .tokens()
-            .iter()
-            .flat_map(|t| t.0.to_le_bytes())
-            .collect();
-        let id = ChunkId(self.blobs.len() as u32);
-        self.blobs.push(Bytes::from(blob));
-        self.spans.push(text.spans().to_vec());
+        let id = ChunkId(self.texts.len() as u32);
+        self.texts.push(text.clone());
         self.hot
             .get_mut()
             .expect("hot tier lock")
@@ -229,58 +224,46 @@ impl ChunkStore {
 
     /// Number of stored chunks.
     pub fn len(&self) -> usize {
-        self.blobs.len()
+        self.texts.len()
     }
 
     /// Returns `true` when the store holds no chunks.
     pub fn is_empty(&self) -> bool {
-        self.blobs.is_empty()
+        self.texts.is_empty()
     }
 
-    /// Returns chunk `id`, serving from the hot tier when it is resident
-    /// and decoding + promoting from the cold tier otherwise.
+    /// Returns chunk `id`, sharing the stored text's buffers. Counts the
+    /// access as a modelled hot hit when the chunk is resident, and as a
+    /// cold decode that promotes it (evicting the least recently used chunk
+    /// when the tier is full) otherwise.
     pub fn get(&self, id: ChunkId) -> Option<AnnotatedText> {
-        let blob = self.blobs.get(id.index())?;
+        let text = self.texts.get(id.index())?;
         self.accesses.fetch_add(1, Ordering::Relaxed);
-        let blob_len = blob.len() as u64;
-        if self.hot_capacity > 0 {
-            let mut hot = self.hot.lock().expect("hot tier lock");
-            if let Some(text) = hot.slots[id.index()].text.clone() {
-                hot.unlink(id.0);
-                hot.link_first(id.0);
-                self.hot_hits.fetch_add(1, Ordering::Relaxed);
-                self.bytes_hot_touched
-                    .fetch_add(blob_len, Ordering::Relaxed);
-                return Some(text);
-            }
+        let bytes = BYTES_PER_TOKEN * text.len() as u64;
+        if self.hot_capacity == 0 {
+            self.bytes_cold_touched.fetch_add(bytes, Ordering::Relaxed);
+            return Some(text.clone());
         }
-        // Cold path: decode the blob, then promote.
-        self.bytes_cold_touched
-            .fetch_add(blob_len, Ordering::Relaxed);
-        let tokens: Vec<TokenId> = blob
-            .chunks_exact(4)
-            .map(|b| TokenId(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
-            .collect();
-        let text = AnnotatedText::from_parts(tokens, self.spans[id.index()].clone());
-        if self.hot_capacity > 0 {
-            let mut hot = self.hot.lock().expect("hot tier lock");
-            // A racing promoter may have beaten us; re-inserting just
-            // refreshes the entry either way.
-            if hot.slots[id.index()].text.is_some() {
-                hot.unlink(id.0);
-            } else if hot.len >= self.hot_capacity {
+        let mut hot = self.hot.lock().expect("hot tier lock");
+        if hot.slots[id.index()].resident {
+            hot.unlink(id.0);
+            self.hot_hits.fetch_add(1, Ordering::Relaxed);
+            self.bytes_hot_touched.fetch_add(bytes, Ordering::Relaxed);
+        } else {
+            self.bytes_cold_touched.fetch_add(bytes, Ordering::Relaxed);
+            if hot.len >= self.hot_capacity {
                 let victim = hot.tail;
                 hot.unlink(victim);
-                hot.slots[victim as usize].text = None;
+                hot.slots[victim as usize].resident = false;
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             } else {
                 hot.len += 1;
             }
-            hot.slots[id.index()].text = Some(text.clone());
-            hot.link_first(id.0);
+            hot.slots[id.index()].resident = true;
             self.promotions.fetch_add(1, Ordering::Relaxed);
         }
-        Some(text)
+        hot.link_first(id.0);
+        Some(text.clone())
     }
 
     /// Snapshots the tier counters and occupancy.
@@ -302,7 +285,7 @@ impl ChunkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metis_text::FactId;
+    use metis_text::{FactId, TokenId};
 
     fn sample_text() -> AnnotatedText {
         let mut t = AnnotatedText::new();
@@ -322,13 +305,24 @@ mod tests {
         let mut s = ChunkStore::new();
         let text = sample_text();
         let id = s.push(&text);
-        // The cold blob: one little-endian `u32` per token.
-        let blob = [1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0];
-        assert_eq!(&s.blobs[id.index()][..], &blob);
         let back = s.get(id).unwrap();
         assert_eq!(back.tokens(), text.tokens());
         assert_eq!(back.spans(), text.spans());
+        // The modelled cold blob: one little-endian `u32` per token.
         assert_eq!(s.stats().bytes_cold_touched, 4 * text.len() as u64);
+    }
+
+    #[test]
+    fn a_miss_a_hit_and_the_pushed_text_share_one_buffer() {
+        let mut s = ChunkStore::new();
+        let text = sample_text();
+        let id = s.push(&text);
+        let miss = s.get(id).unwrap();
+        let hit = s.get(id).unwrap();
+        assert_eq!(s.stats().hot_hits, 1, "one modelled miss, then a hit");
+        assert_eq!(miss.tokens().as_ptr(), text.tokens().as_ptr());
+        assert_eq!(hit.tokens().as_ptr(), text.tokens().as_ptr());
+        assert_eq!(hit.spans().as_ptr(), text.spans().as_ptr());
     }
 
     #[test]
