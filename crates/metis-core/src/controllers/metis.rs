@@ -1,6 +1,6 @@
-//! The METIS controller: profiler-pruned spaces + best-fit joint
-//! configuration/scheduling (§4–5). With a quality-maximizing pick, FCFS
-//! admission and no confidence fallback it is the AdaptiveRAG\* baseline.
+//! The one controller: profiler-pruned spaces + best-fit joint
+//! configuration/scheduling (§4–5). Its [`PickPolicy`] and admission policy
+//! make it each of the paper's four systems.
 
 use metis_datasets::QuerySpec;
 use metis_engine::{Priority, SchedPolicy};
@@ -9,8 +9,8 @@ use metis_vectordb::DbMetadata;
 
 use crate::baselines::{adaptive_rag_pick, median_pick};
 use crate::bestfit::{choose_config, BestFitInputs};
-use crate::config::{PrunedSpace, SynthesisMethod};
-use crate::controllers::{ConfigController, Decision, DecisionContext, ProfileOutcome};
+use crate::config::{PrunedSpace, RagConfig, SynthesisMethod};
+use crate::controllers::{Decision, DecisionContext, ProfileOutcome};
 use crate::mapping::{map_profile, ProfileHistory};
 use crate::slo::{choose_config_with_slo, LatencySlo, SloTier};
 
@@ -27,7 +27,8 @@ const BASE_BUFFER_FRAC: f64 = 0.02;
 /// backs off proportionally.
 const PRESSURE_BUFFER_FRAC: f64 = 0.10;
 
-/// How METIS picks from the pruned space (ablation axis, Fig. 12).
+/// How the controller picks a configuration: from the pruned space
+/// (ablation axis, Fig. 12), or one fixed configuration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PickPolicy {
     /// Full METIS: resource-aware best fit (§4.3).
@@ -37,9 +38,14 @@ pub enum PickPolicy {
     /// AdaptiveRAG\* (§7.1): the quality-maximizing candidate,
     /// resource-oblivious.
     MaxQuality,
+    /// vLLM-fixed and Parrot\* (§7.1): this configuration for every query,
+    /// with no profiler run — the static menu existing RAG systems pick
+    /// from offline.
+    Fixed(RagConfig),
 }
 
-/// METIS feature switches (ablation axes for Figs. 12, 14, 16, 17).
+/// Controller switches: METIS's ablation axes (Figs. 12, 14, 16, 17) and
+/// the baselines' picks and admission policies.
 #[derive(Clone, Copy, Debug)]
 pub struct MetisOptions {
     /// Which LLM backs the profiler.
@@ -85,19 +91,21 @@ impl MetisOptions {
     }
 }
 
-/// The METIS policy: LLM profiler → Algorithm 1 pruning (with confidence
-/// fallback) → a [`PickPolicy`] pick (full METIS: resource-aware best fit
-/// against the routed replica's free memory), plus the §5 feedback loop.
-pub(crate) struct MetisController {
+/// The serving policy every system runs: LLM profiler → Algorithm 1 pruning
+/// (with confidence fallback) → a [`PickPolicy`] pick (full METIS:
+/// resource-aware best fit against the routed replica's free memory), plus
+/// the §5 feedback loop. A [`PickPolicy::Fixed`] pick skips the profiler.
+/// Built by [`SystemKind::controller`](crate::SystemKind::controller).
+pub struct Controller {
     opts: MetisOptions,
     profiler: LlmProfiler,
     history: ProfileHistory,
-    /// Feedback runs promised via [`ConfigController::feedback_due`] whose
-    /// completions have not yet grounded the profiler.
+    /// Feedback runs promised via `feedback_due` whose completions have not
+    /// yet grounded the profiler.
     pending_feedback: usize,
 }
 
-impl MetisController {
+impl Controller {
     /// Builds the controller with a fresh profiler and empty history.
     pub(crate) fn new(opts: MetisOptions) -> Self {
         Self {
@@ -117,19 +125,25 @@ impl MetisController {
         }
         space
     }
-}
 
-impl ConfigController for MetisController {
-    fn sched_policy(&self) -> SchedPolicy {
+    /// Admission policy the serving engine should run under.
+    pub fn sched_policy(&self) -> SchedPolicy {
         self.opts.sched
     }
 
-    fn on_profile(
+    /// Decide-on-profile hook, called once per query at arrival: run the
+    /// profiler (unless the pick is fixed) and derive the pruned space. The
+    /// runner charges `cost_usd` to the run and schedules the decision
+    /// `profiler_nanos` (plus retrieval) later.
+    pub(crate) fn on_profile(
         &mut self,
         query: &QuerySpec,
         metadata: &DbMetadata,
         seed: u64,
     ) -> ProfileOutcome {
+        if let PickPolicy::Fixed(_) = self.opts.pick {
+            return ProfileOutcome::skipped();
+        }
         let out = self.profiler.profile(query, metadata, seed);
         let trusted =
             !self.opts.confidence_fallback || out.estimate.confidence >= CONFIDENCE_THRESHOLD;
@@ -156,17 +170,20 @@ impl ConfigController for MetisController {
         }
     }
 
-    fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
-        let space = ctx.space.expect("METIS profiles before deciding");
-        let joint = ctx.estimate.map(|e| e.joint).unwrap_or(true);
+    /// Joint decision hook, called at decision time with the routed
+    /// replica's memory snapshot: pick the configuration to execute.
+    pub(crate) fn decide(&self, ctx: &DecisionContext<'_>) -> Decision {
+        let space = || ctx.space.expect("a profiled pick profiles before deciding");
         let oblivious = |config| Decision {
             config,
             fallback: false,
         };
         match self.opts.pick {
-            PickPolicy::Median => oblivious(median_pick(space)),
-            PickPolicy::MaxQuality => oblivious(adaptive_rag_pick(space)),
+            PickPolicy::Fixed(config) => oblivious(config),
+            PickPolicy::Median => oblivious(median_pick(space())),
+            PickPolicy::MaxQuality => oblivious(adaptive_rag_pick(space())),
             PickPolicy::BestFit => {
+                let joint = ctx.estimate.map(|e| e.joint).unwrap_or(true);
                 let bf = BestFitInputs {
                     free_kv_tokens: ctx.free_kv_tokens,
                     chunk_size: ctx.chunk_size,
@@ -180,15 +197,18 @@ impl ConfigController for MetisController {
                 };
                 match self.opts.slo_secs {
                     Some(budget) => {
-                        choose_config_with_slo(space, joint, &bf, ctx.latency, LatencySlo(budget))
+                        choose_config_with_slo(space(), joint, &bf, ctx.latency, LatencySlo(budget))
                     }
-                    None => choose_config(space, joint, &bf),
+                    None => choose_config(space(), joint, &bf),
                 }
             }
         }
     }
 
-    fn feedback_due(&mut self) -> bool {
+    /// Admission hook: whether the runner should co-submit a synthetic
+    /// golden-configuration run *now* to ground the profiler (§5 feedback).
+    /// Returning `true` commits the controller to one pending feedback run.
+    pub(crate) fn feedback_due(&mut self) -> bool {
         if self.opts.feedback && self.profiler.wants_feedback() {
             self.pending_feedback += 1;
             true
@@ -197,7 +217,9 @@ impl ConfigController for MetisController {
         }
     }
 
-    fn on_query_complete(&mut self, synthetic: bool) {
+    /// Decide-on-completion hook, called when a query's last call finishes;
+    /// `synthetic` marks golden-configuration feedback runs.
+    pub(crate) fn on_query_complete(&mut self, synthetic: bool) {
         if synthetic && self.pending_feedback > 0 {
             self.pending_feedback -= 1;
             self.profiler.add_feedback();
@@ -225,14 +247,14 @@ mod tests {
     #[test]
     fn profile_then_decide_is_memory_aware() {
         let d = metis_datasets::build_dataset(metis_datasets::DatasetKind::Musique, 4, 11);
-        let mut c = MetisController::new(MetisOptions::full());
+        let mut c = Controller::new(MetisOptions::full());
         let outcome = c.on_profile(query(&d), &metadata(), 7);
         assert!(outcome.space.is_some());
         assert!(outcome.cost_usd > 0.0);
         assert!(outcome.profiler_nanos > 0);
 
         let latency = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
-        let decide = |c: &mut MetisController, free: u64| {
+        let decide = |c: &mut Controller, free: u64| {
             c.decide(&DecisionContext {
                 space: outcome.space.as_ref(),
                 estimate: outcome.estimate.as_ref(),
@@ -255,10 +277,10 @@ mod tests {
     #[test]
     fn preemption_pressure_widens_the_safety_buffer() {
         let d = metis_datasets::build_dataset(metis_datasets::DatasetKind::Qmsum, 4, 2);
-        let mut c = MetisController::new(MetisOptions::full());
+        let mut c = Controller::new(MetisOptions::full());
         let outcome = c.on_profile(query(&d), &metadata(), 7);
         let latency = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
-        let decide = |c: &mut MetisController, pressure: f64| {
+        let decide = |c: &mut Controller, pressure: f64| {
             c.decide(&DecisionContext {
                 space: outcome.space.as_ref(),
                 estimate: outcome.estimate.as_ref(),
@@ -288,7 +310,7 @@ mod tests {
         let d = metis_datasets::build_dataset(metis_datasets::DatasetKind::Musique, 24, 11);
         let mut opts = MetisOptions::full();
         opts.priority_from_slo = true;
-        let mut c = MetisController::new(opts);
+        let mut c = Controller::new(opts);
         #[expect(clippy::disallowed_types, reason = "membership and len() only")]
         let mut seen = std::collections::HashSet::new();
         for q in &d.queries {
@@ -298,7 +320,7 @@ mod tests {
         }
         assert!(seen.len() >= 2, "Musique should mix tiers, got {seen:?}");
         // Off by default: every query serves at Standard.
-        let mut plain = MetisController::new(MetisOptions::full());
+        let mut plain = Controller::new(MetisOptions::full());
         for q in &d.queries {
             assert_eq!(
                 plain.on_profile(q, &metadata(), 7).priority,
@@ -312,7 +334,7 @@ mod tests {
         let d = metis_datasets::build_dataset(metis_datasets::DatasetKind::Squad, 4, 3);
         let mut opts = MetisOptions::full();
         opts.feedback = true;
-        let mut c = MetisController::new(opts);
+        let mut c = Controller::new(opts);
         // The profiler wants feedback every 30th query.
         let mut due = 0;
         for _ in 0..30 {

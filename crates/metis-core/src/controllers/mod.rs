@@ -1,45 +1,40 @@
-//! Per-policy configuration controllers.
+//! The configuration controller and the systems it serves.
 //!
 //! Every serving system the paper evaluates — METIS and the three baselines
 //! — differs from the others only in *policy*: how it reacts to a query's
-//! profile, how it picks a RAG configuration at decision time, and what it
-//! wants from the scheduler. The [`ConfigController`] trait captures exactly
-//! that surface, so the [`Runner`](crate::runner::Runner) stays a
-//! system-agnostic discrete-event loop. Two controllers serve the four
-//! systems, because §7.1 defines each baseline in terms of METIS's parts:
+//! profile, how it picks a RAG configuration at decision time, and which
+//! admission policy it asks of the scheduler. §7.1 defines each baseline in
+//! terms of METIS's parts, so one [`Controller`] serves all four, told
+//! apart by its [`MetisOptions`]:
 //!
-//! * `MetisController` — profiler → Algorithm 1 pruning → a pick from the
-//!   pruned space ([`PickPolicy`]) under an admission policy, with
-//!   confidence fallback and feedback. METIS is resource-aware best fit
-//!   (§4); AdaptiveRAG\* is the same profiler with the quality-maximizing,
-//!   resource-oblivious pick, FCFS admission and no confidence fallback.
-//! * `FixedController` — one static configuration under an admission
-//!   policy: vLLM-fixed under FCFS, Parrot\* under gang scheduling.
+//! * METIS — profiler → Algorithm 1 pruning → resource-aware best fit (§4),
+//!   with confidence fallback and feedback;
+//! * AdaptiveRAG\* — the same profiler with the quality-maximizing,
+//!   resource-oblivious [`PickPolicy::MaxQuality`], FCFS admission and no
+//!   confidence fallback;
+//! * vLLM-fixed and Parrot\* — [`PickPolicy::Fixed`], one static
+//!   configuration and no profiler, under FCFS and gang scheduling.
 //!
 //! [`SystemKind`] remains the user-facing description of a system under
 //! test, but it is purely a *constructor* enum: its one job is
-//! [`SystemKind::controller`].
+//! [`SystemKind::controller`]. The runner stays a system-agnostic
+//! discrete-event loop over the controller it returns.
 
-mod fixed;
 mod metis;
 
-use fixed::FixedController;
-use metis::MetisController;
-pub use metis::{MetisOptions, PickPolicy};
+pub use metis::{Controller, MetisOptions, PickPolicy};
 
-use metis_datasets::QuerySpec;
 use metis_engine::{Priority, SchedPolicy};
 use metis_llm::{LatencyModel, Nanos};
 use metis_profiler::{EstimatedProfile, ProfilerKind};
-use metis_vectordb::DbMetadata;
 
 use crate::config::{PrunedSpace, RagConfig};
 
-/// What a controller learned about one query at profile time (the
-/// decide-on-profile hook's result). Fixed-configuration systems return
+/// What the controller learned about one query at profile time (the
+/// decide-on-profile hook's result). A fixed pick returns
 /// [`ProfileOutcome::skipped`].
 #[derive(Clone, Debug)]
-pub struct ProfileOutcome {
+pub(crate) struct ProfileOutcome {
     /// The pruned configuration space, if the system profiles queries.
     pub space: Option<PrunedSpace>,
     /// The raw profiler estimate backing `space`.
@@ -56,7 +51,7 @@ pub struct ProfileOutcome {
 
 impl ProfileOutcome {
     /// The no-profiler outcome: decide immediately, at no cost.
-    pub fn skipped() -> Self {
+    pub(crate) fn skipped() -> Self {
         Self {
             space: None,
             estimate: None,
@@ -67,13 +62,13 @@ impl ProfileOutcome {
     }
 }
 
-/// Everything a controller may read when choosing a configuration: the
+/// Everything the controller may read when choosing a configuration: the
 /// query's profile outcome plus a snapshot of the *routed replica's* state.
 /// With a multi-replica cluster the router picks the backend first and the
 /// controller sizes against that backend's free memory — per-replica joint
 /// configuration/scheduling.
-pub struct DecisionContext<'a> {
-    /// Pruned space from the profile step (`None` for fixed systems).
+pub(crate) struct DecisionContext<'a> {
+    /// Pruned space from the profile step (`None` under a fixed pick).
     pub space: Option<&'a PrunedSpace>,
     /// Profiler estimate from the profile step.
     pub estimate: Option<&'a EstimatedProfile>,
@@ -93,7 +88,7 @@ pub struct DecisionContext<'a> {
     pub latency: &'a LatencyModel,
 }
 
-/// A controller's configuration decision for one query.
+/// The controller's configuration decision for one query.
 #[derive(Clone, Copy, Debug)]
 pub struct Decision {
     /// The configuration to execute.
@@ -102,53 +97,8 @@ pub struct Decision {
     pub fallback: bool,
 }
 
-/// The per-system policy surface: how a serving system profiles queries,
-/// picks configurations, and hooks the scheduler. Implementations own all
-/// their mutable state (profiler, history, feedback counters), so the
-/// runner needs no system-specific branches.
-///
-/// Controllers are built from a [`SystemKind`], never constructed ad hoc
-/// by the runner:
-///
-/// ```
-/// use metis_core::{MetisOptions, SystemKind};
-/// use metis_engine::SchedPolicy;
-///
-/// let controller = SystemKind::Metis(MetisOptions::full()).controller();
-/// // Full METIS asks the engine for SLO-class-aware admission.
-/// assert_eq!(controller.sched_policy(), SchedPolicy::Preemptive);
-/// ```
-pub trait ConfigController {
-    /// Admission policy the serving engine should run under.
-    fn sched_policy(&self) -> SchedPolicy;
-
-    /// Decide-on-profile hook, called once per query at arrival: run the
-    /// profiler (if the system has one) and derive the pruned space. The
-    /// runner charges `cost_usd` to the run and schedules the decision
-    /// `profiler_nanos` (plus retrieval) later.
-    fn on_profile(&mut self, query: &QuerySpec, metadata: &DbMetadata, seed: u64)
-        -> ProfileOutcome;
-
-    /// Joint decision hook, called at decision time with the routed
-    /// replica's memory snapshot: pick the configuration to execute.
-    fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision;
-
-    /// Admission hook: whether the runner should co-submit a synthetic
-    /// golden-configuration run *now* to ground the profiler (§5 feedback).
-    /// Returning `true` commits the controller to one pending feedback run.
-    fn feedback_due(&mut self) -> bool {
-        false
-    }
-
-    /// Decide-on-completion hook, called when a query's last call finishes;
-    /// `synthetic` marks golden-configuration feedback runs.
-    fn on_query_complete(&mut self, synthetic: bool) {
-        let _ = synthetic;
-    }
-}
-
 /// The system under test. Purely a constructor enum: [`Self::controller`]
-/// builds the policy object the runner drives; nothing else inspects the
+/// builds the controller the runner drives; nothing else inspects the
 /// variants.
 #[derive(Clone, Copy, Debug)]
 pub enum SystemKind {
@@ -173,25 +123,33 @@ pub enum SystemKind {
 
 impl SystemKind {
     /// Builds the controller implementing this system's policy.
-    pub fn controller(&self) -> Box<dyn ConfigController> {
-        match self {
-            SystemKind::Metis(opts) => Box::new(MetisController::new(*opts)),
-            SystemKind::VllmFixed { config } => Box::new(FixedController {
-                config: *config,
-                sched: SchedPolicy::Fcfs,
-            }),
-            SystemKind::Parrot { config } => Box::new(FixedController {
-                config: *config,
-                sched: SchedPolicy::GangByGroup,
-            }),
-            SystemKind::AdaptiveRag { profiler } => Box::new(MetisController::new(MetisOptions {
-                profiler: *profiler,
+    ///
+    /// ```
+    /// use metis_core::{MetisOptions, SystemKind};
+    /// use metis_engine::SchedPolicy;
+    ///
+    /// let controller = SystemKind::Metis(MetisOptions::full()).controller();
+    /// // Full METIS asks the engine for SLO-class-aware admission.
+    /// assert_eq!(controller.sched_policy(), SchedPolicy::Preemptive);
+    /// ```
+    pub fn controller(&self) -> Controller {
+        let fixed = |config, sched| MetisOptions {
+            pick: PickPolicy::Fixed(config),
+            sched,
+            ..MetisOptions::full()
+        };
+        Controller::new(match *self {
+            SystemKind::Metis(opts) => opts,
+            SystemKind::VllmFixed { config } => fixed(config, SchedPolicy::Fcfs),
+            SystemKind::Parrot { config } => fixed(config, SchedPolicy::GangByGroup),
+            SystemKind::AdaptiveRag { profiler } => MetisOptions {
+                profiler,
                 pick: PickPolicy::MaxQuality,
                 sched: SchedPolicy::Fcfs,
                 confidence_fallback: false,
                 ..MetisOptions::full()
-            })),
-        }
+            },
+        })
     }
 }
 
@@ -202,11 +160,7 @@ mod tests {
     use metis_llm::{GpuCluster, ModelSpec};
 
     /// `c`'s decision on a profiled query with `free_kv_tokens` free.
-    fn decide(
-        c: &mut dyn ConfigController,
-        outcome: &ProfileOutcome,
-        free_kv_tokens: u64,
-    ) -> Decision {
+    fn decide(c: &Controller, outcome: &ProfileOutcome, free_kv_tokens: u64) -> Decision {
         let latency = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
         c.decide(&DecisionContext {
             space: outcome.space.as_ref(),
@@ -249,9 +203,11 @@ mod tests {
             let outcome = c.on_profile(&d.queries[0], d.db.metadata(), 3);
             if let SystemKind::VllmFixed { .. } | SystemKind::Parrot { .. } = kind {
                 // vLLM-fixed and Parrot* differ only in scheduling: neither
-                // profiles, and both serve the static configuration.
+                // profiles, so neither charges profiler latency or dollars,
+                // and both serve the static configuration.
                 assert!(outcome.space.is_none() && outcome.cost_usd == 0.0);
-                let decision = decide(c.as_mut(), &outcome, 1_000);
+                assert_eq!(outcome.profiler_nanos, 0, "{kind:?}");
+                let decision = decide(&c, &outcome, 1_000);
                 assert_eq!(decision.config, fixed, "{kind:?}");
                 assert!(!decision.fallback);
             } else {
@@ -259,7 +215,33 @@ mod tests {
                     outcome.space.is_some() && outcome.cost_usd > 0.0,
                     "{kind:?}"
                 );
+                assert!(outcome.profiler_nanos > 0, "{kind:?}");
             }
+        }
+    }
+
+    #[test]
+    fn a_fixed_pick_profiles_nothing_and_always_serves_its_config() {
+        let d = build_dataset(DatasetKind::Musique, 4, 11);
+        // Feedback and SLO priorities on: with no profiler run, neither fires.
+        let mut c = Controller::new(MetisOptions {
+            pick: PickPolicy::Fixed(RagConfig::stuff(8)),
+            feedback: true,
+            priority_from_slo: true,
+            ..MetisOptions::full()
+        });
+        // Thirty profiles: a profiler that counted them would want feedback.
+        for q in d.queries.iter().cycle().take(30) {
+            let outcome = c.on_profile(q, d.db.metadata(), 7);
+            assert!(outcome.space.is_none() && outcome.estimate.is_none());
+            assert_eq!((outcome.profiler_nanos, outcome.cost_usd), (0, 0.0));
+            assert_eq!(outcome.priority, Priority::Standard);
+            for free in [0, 1_000, 1_000_000] {
+                let decision = decide(&c, &outcome, free);
+                assert_eq!(decision.config, RagConfig::stuff(8));
+                assert!(!decision.fallback);
+            }
+            assert!(!c.feedback_due());
         }
     }
 
@@ -272,9 +254,28 @@ mod tests {
         .controller();
         let outcome = c.on_profile(&d.queries[0], d.db.metadata(), 3);
         // Resource-oblivious: the pick is identical at 1k and 1M free tokens.
-        let tight = decide(c.as_mut(), &outcome, 1_000);
-        let roomy = decide(c.as_mut(), &outcome, 1_000_000);
+        let tight = decide(&c, &outcome, 1_000);
+        let roomy = decide(&c, &outcome, 1_000_000);
         assert_eq!(tight.config, roomy.config);
         assert!(!tight.fallback);
+    }
+
+    #[test]
+    fn adaptive_rag_trusts_every_profile() {
+        // No confidence fallback: every space is the pruning of the query's
+        // own profile, low-confidence ones included.
+        let d = build_dataset(DatasetKind::Musique, 40, 21);
+        let mut c = SystemKind::AdaptiveRag {
+            profiler: ProfilerKind::Llama70b,
+        }
+        .controller();
+        let mut distrusted = 0;
+        for q in &d.queries {
+            let outcome = c.on_profile(q, d.db.metadata(), 3);
+            let estimate = outcome.estimate.expect("AdaptiveRAG* profiles");
+            distrusted += usize::from(estimate.confidence < 0.90);
+            assert_eq!(outcome.space, Some(crate::map_profile(&estimate)));
+        }
+        assert!(distrusted > 0, "no low-confidence profile was served");
     }
 }

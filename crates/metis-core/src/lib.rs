@@ -18,15 +18,14 @@
 //!
 //! The crate also implements the three baselines the paper compares against
 //! (vLLM with fixed configurations, Parrot\*, AdaptiveRAG\*). Like §7.1,
-//! it builds them from METIS's own parts: two controllers behind the
-//! [`ConfigController`] trait serve all four systems, told apart by a
-//! [`PickPolicy`] and an admission policy. It also implements the workload
-//! runner ([`Runner`]) — a system- and driver-agnostic event loop over a
-//! controller and an engine [`Driver`](metis_engine::Driver) — that
-//! executes full workloads over the serving engines (deterministic
-//! simulation, or the same paced by the wall clock, per
-//! [`RunConfig::driver`]), producing measured
-//! F1, delay, throughput, and cost.
+//! it builds them from METIS's own parts: one [`Controller`] serves all
+//! four systems, told apart by a [`PickPolicy`] and an admission policy.
+//! It also implements the workload runner ([`Runner`]) — a system- and
+//! driver-agnostic event loop over the controller and an engine
+//! [`Driver`](metis_engine::Driver) — that executes full workloads over the
+//! serving engines (deterministic simulation, or the same paced by the wall
+//! clock, per [`RunConfig::driver`]), producing measured F1, delay,
+//! throughput, and cost.
 
 #![warn(unreachable_pub)]
 
@@ -46,10 +45,7 @@ pub use autoscaler::{Autoscaler, AutoscalerState, ScaleAction};
 pub use baselines::fixed_config_grid;
 pub use bestfit::{choose_config, BestFitInputs};
 pub use config::{PrunedSpace, RagConfig, SynthesisMethod};
-pub use controllers::{
-    ConfigController, Decision, DecisionContext, MetisOptions, PickPolicy, ProfileOutcome,
-    SystemKind,
-};
+pub use controllers::{Controller, Decision, MetisOptions, PickPolicy, SystemKind};
 pub use mapping::map_profile;
 pub use memory::PlanDemand;
 pub use metis_engine::DriverSpec;

@@ -6,13 +6,13 @@
 //! runs: every evaluation figure is a set of `Runner::run` calls.
 //!
 //! The runner is *system-agnostic*: all per-system policy (profiling,
-//! configuration choice, scheduling preferences, feedback) lives behind
-//! the [`ConfigController`] trait, built once from the run's
-//! [`SystemKind`]. It is also *driver-agnostic*: the serving substrate is
-//! the [`SimDriver`] that [`RunConfig::driver`] builds — the deterministic
-//! simulator by default, or the same simulator paced by a scaled wall
-//! clock — and the event loop only ever talks to the [`Driver`] pump
-//! interface, so the same controller and engine code serves both.
+//! configuration choice, scheduling preferences, feedback) lives in the
+//! one [`Controller`], built once from the run's [`SystemKind`]. It is
+//! also *driver-agnostic*: the serving substrate is the [`SimDriver`] that
+//! [`RunConfig::driver`] builds — the deterministic simulator by default,
+//! or the same simulator paced by a scaled wall clock — and the event loop
+//! only ever talks to the [`Driver`] pump interface, so the same controller
+//! and engine code serves both.
 //!
 //! The runner interleaves four event kinds on one virtual `Timeline` —
 //! per query: **Profile** (API call, off-GPU) → **Decide** (read the routed
@@ -56,7 +56,7 @@ use metis_vectordb::{
 
 use crate::autoscaler::{Autoscaler, AutoscalerState, ScaleAction};
 use crate::config::{RagConfig, SynthesisMethod};
-use crate::controllers::{ConfigController, DecisionContext, ProfileOutcome, SystemKind};
+use crate::controllers::{Controller, DecisionContext, ProfileOutcome, SystemKind};
 use crate::retrieval::RetrievalModel;
 use crate::synthesis::{plan_synthesis, SynthesisInputs, SynthesisPlan};
 
@@ -100,8 +100,6 @@ pub struct RunConfig {
     /// disables reuse (the paper's default — it leaves KV reuse to future
     /// work).
     pub prefix_cache_bytes: Option<u64>,
-    /// Converts measured per-query retrieval work into timeline nanos.
-    pub retrieval: RetrievalModel,
     /// Who executes the run: the deterministic simulator (the default) or
     /// the simulator paced by scaled wall time. API-serving runs
     /// (`model.kind == Api`) always simulate — there is no local engine to
@@ -127,7 +125,6 @@ impl RunConfig {
             arrivals,
             closed_loop: false,
             prefix_cache_bytes: None,
-            retrieval: RetrievalModel::default(),
             driver: DriverSpec::Sim,
             seed,
         }
@@ -245,7 +242,7 @@ pub struct QueryResult {
     /// Profiler latency in seconds (0 for fixed-config systems).
     pub profiler_secs: f64,
     /// Retrieval latency in seconds: the measured index-search work (plus
-    /// query embedding) of this query's retrieval, converted by the run's
+    /// query embedding) of this query's retrieval, priced by the default
     /// [`RetrievalModel`].
     pub retrieval_secs: f64,
     /// Fraction of the query's needed base facts present in the retrieved
@@ -649,7 +646,7 @@ struct InFlight {
 }
 
 /// The workload runner: a system- and driver-agnostic event loop over one
-/// [`ConfigController`] and an engine [`SimDriver`].
+/// [`Controller`] and an engine [`SimDriver`].
 pub struct Runner<'a> {
     dataset: &'a Dataset,
     cfg: RunConfig,
@@ -714,7 +711,7 @@ struct Run<'a> {
     /// decisions read the routed replica's own model instead.
     latency: LatencyModel,
     gen: GenerationModel,
-    controller: Box<dyn ConfigController>,
+    controller: Controller,
     driver_spec: DriverSpec,
     driver: SimDriver,
     /// The initial fleet; replicas the autoscaler adds cycle through it.
@@ -729,11 +726,9 @@ struct Run<'a> {
     autoscale: Option<Autoscaler>,
     scaler_state: AutoscalerState,
     staged: BTreeMap<usize, Staged>,
+    /// Every query ever submitted, indexed by its calls' [`GroupId`].
     in_flight: Vec<InFlight>,
-    /// Outstanding engine request → index into `in_flight`.
-    owner: BTreeMap<RequestId, usize>,
     next_req: u64,
-    next_group: u64,
     results: Vec<QueryResult>,
     api_cost: f64,
     /// The chunk store's tier counters at the start, so the report can
@@ -815,9 +810,7 @@ impl<'a> Run<'a> {
             scaler_state: AutoscalerState::default(),
             staged: BTreeMap::new(),
             in_flight: Vec::new(),
-            owner: BTreeMap::new(),
             next_req: 0,
-            next_group: 0,
             results: Vec::new(),
             api_cost: 0.0,
             store_stats_at_start: dataset.db.store().stats(),
@@ -871,7 +864,7 @@ impl<'a> Run<'a> {
     /// Chooses the configuration for `q` at decision time `t` (against the
     /// routed replica's memory snapshot), executes the index search the
     /// decided `num_chunks` asks for, and schedules its completion — the
-    /// measured search work converted by the run's [`RetrievalModel`].
+    /// measured search work priced by the default [`RetrievalModel`].
     fn on_decide(&mut self, q: usize, t: Nanos) {
         let Some(Staged::Profiled { arrival, outcome }) = self.staged.remove(&q) else {
             unreachable!("query {q} is decided once, after its profile");
@@ -899,7 +892,7 @@ impl<'a> Run<'a> {
             work,
             embed_units,
         } = db.retrieve_counted(&query.tokens, top_k);
-        let retrieval_nanos = self.cfg.retrieval.nanos(&work, embed_units);
+        let retrieval_nanos = RetrievalModel::default().nanos(&work, embed_units);
         self.timeline
             .push(t + retrieval_nanos, EventKind::Retrieve(q));
         let query = Query {
@@ -1062,8 +1055,7 @@ impl<'a> Run<'a> {
         cached_per_call: &[u64],
         now: Nanos,
     ) {
-        let group = GroupId(self.next_group);
-        self.next_group += 1;
+        let group = GroupId(self.in_flight.len() as u64);
         let stage = if plan.reduce_call.is_some() {
             Stage::Map
         } else {
@@ -1084,7 +1076,6 @@ impl<'a> Run<'a> {
                     priority: query.priority,
                 },
             );
-            self.owner.insert(id, self.in_flight.len());
         }
         self.in_flight.push(InFlight {
             remaining: plan.map_calls.len(),
@@ -1098,10 +1089,7 @@ impl<'a> Run<'a> {
     /// Handles engine completions: map → reduce chaining and finalization.
     fn on_completions(&mut self, completions: &[Completion]) {
         for c in completions {
-            let Some(idx) = self.owner.remove(&c.id) else {
-                continue;
-            };
-            let a = &mut self.in_flight[idx];
+            let a = &mut self.in_flight[c.group.0 as usize];
             a.remaining = a.remaining.saturating_sub(1);
             // The query's queueing delay is its worst call's wait
             // (submit → last admission; re-admissions after preemption
@@ -1139,7 +1127,6 @@ impl<'a> Run<'a> {
                         priority,
                     },
                 );
-                self.owner.insert(id, idx);
                 continue;
             }
             // Query complete.

@@ -9,6 +9,9 @@ use crate::kvcache::KvAllocator;
 use crate::request::{GroupId, LlmRequest, Priority, ReplicaId, RequestId, RequestState, Stage};
 use crate::stats::EngineStats;
 
+/// Paged KV block size in tokens (vLLM default: 16).
+const KV_BLOCK_TOKENS: u64 = 16;
+
 /// Admission-ordering policy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SchedPolicy {
@@ -56,8 +59,6 @@ impl PreemptMode {
 /// Engine construction parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Paged KV block size in tokens (vLLM default: 16).
-    pub kv_block_tokens: u64,
     /// Maximum concurrently running sequences.
     pub max_batch_seqs: usize,
     /// Chunked-prefill token budget per iteration (Sarathi/vLLM style).
@@ -78,7 +79,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            kv_block_tokens: 16,
             max_batch_seqs: 256,
             prefill_chunk_tokens: 2048,
             policy: SchedPolicy::Fcfs,
@@ -235,7 +235,7 @@ impl Engine {
             pending: BTreeMap::new(),
             queue: VecDeque::new(),
             running: Vec::new(),
-            alloc: KvAllocator::new(capacity, config.kv_block_tokens),
+            alloc: KvAllocator::new(capacity, KV_BLOCK_TOKENS),
             stats: EngineStats::default(),
             submit_seq: 0,
             evicted: Vec::new(),
@@ -554,8 +554,7 @@ impl Engine {
         // Commit only if evicting every victim would make the candidate
         // fit: both a batch slot (freeing any victim yields one) and the
         // KV demand, block-granular like the allocator.
-        let block = self.config.kv_block_tokens;
-        let demand_rounded = demand.div_ceil(block) * block;
+        let demand_rounded = demand.div_ceil(KV_BLOCK_TOKENS) * KV_BLOCK_TOKENS;
         let reclaimable: u64 = victims
             .iter()
             .map(|&i| {

@@ -56,8 +56,8 @@ pub use metis_vectordb as vectordb;
 pub mod prelude {
     pub use metis_core::{
         choose_config, choose_config_with_slo, map_profile, plan_synthesis, BestFitInputs,
-        ConfigController, LatencySlo, MetisOptions, PickPolicy, PrunedSpace, RagConfig,
-        RetrievalModel, RunConfig, RunResult, Runner, SloTier, SynthesisMethod, SystemKind,
+        LatencySlo, MetisOptions, PickPolicy, PrunedSpace, RagConfig, RetrievalModel, RunConfig,
+        RunResult, Runner, SloTier, SynthesisMethod, SystemKind,
     };
     pub use metis_datasets::{
         build_dataset, build_dataset_with_index, build_dataset_with_spec, burst_arrivals,

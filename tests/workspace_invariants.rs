@@ -172,9 +172,8 @@ const SIGNATURE_ONLY: &[(&str, &str)] = &[
     ("JsonError", "Json"),
     ("SchemaError", "BenchReport"),
     ("ScaleAction", "Autoscaler"),
-    ("Decision", "ConfigController"),
-    ("DecisionContext", "ConfigController"),
-    ("ProfileOutcome", "ConfigController"),
+    ("Controller", "SystemKind"),
+    ("Decision", "choose_config"),
     ("QueryResult", "RunResult"),
     ("StageBreakdown", "QueryResult"),
 ];
