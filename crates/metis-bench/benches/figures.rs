@@ -1,5 +1,6 @@
 //! The one bench target: runs the figures named on the command line (all of
-//! [`metis_bench::FIGURES`] when none is) and writes each one's report.
+//! [`metis_bench::FIGURES`] when none is), prints each one's report and
+//! claims, and writes its report.
 //!
 //! `cargo bench -p metis-bench -- fig10_overall fig19_low_load`
 
@@ -12,6 +13,8 @@ fn main() {
         std::process::exit(2);
     });
     for figure in figures {
-        emit(&figure.report(scale));
+        let (report, claims) = figure.report(scale);
+        figure.print(&report, &claims, scale);
+        emit(&report);
     }
 }

@@ -7,21 +7,17 @@ use metis_engine::SchedPolicy;
 use metis_metrics::BenchReport;
 use metis_profiler::ProfilerKind;
 
-use crate::{
-    base_qps, dataset, knob, metis, paired, print_rows, push_cells, values, Figure, Sweep, RUN_SEED,
-};
+use crate::{base_qps, dataset, knob, metis, paired, push_cells, Claim, Figure, Sweep, RUN_SEED};
 
 pub(super) const FIGURE: Figure = Figure {
     name: "ablations",
     artefact: "Ablations",
-    title: "Design-choice ablations on KG RAG FinSec",
-    paper: "(reproduction-specific; no direct paper counterpart)",
-    report_title: "design-choice ablations on KG RAG FinSec",
+    title: "design-choice ablations on KG RAG FinSec",
     queries: 120,
     run: measure,
 };
 
-fn measure(n: usize, report: &mut BenchReport) {
+fn measure(n: usize, report: &mut BenchReport) -> Vec<Claim> {
     let kind = DatasetKind::FinSec;
     let qps = base_qps(kind);
     let d = dataset(kind, n);
@@ -38,49 +34,28 @@ fn measure(n: usize, report: &mut BenchReport) {
         ..MetisOptions::full()
     };
 
-    let dref = &d;
     let arms = [
         ("noisy_with_fallback", SystemKind::Metis(noisy)),
         ("noisy_no_fallback", SystemKind::Metis(no_fallback)),
         ("gang", metis()),
         ("no_gang", SystemKind::Metis(no_gang)),
     ];
-    let cells = paired(Sweep::new("ablations"), "", dref, qps, &arms)
+    let cells = paired(Sweep::new("ablations"), "", d, qps, &arms)
         // 3. KV-pool cap: paper-scale 12 GB vs unbounded physical pool.
         .cell_with_seed("unbounded_kv", RUN_SEED, move |seed| {
             let arrivals = poisson_arrivals(seed ^ 0xA11, qps, n);
             let mut cfg = RunConfig::standard(metis(), arrivals, seed);
             cfg.engine.kv_pool_bytes_cap = None;
-            Runner::new(dref, cfg).run()
+            Runner::new(d, cfg).run()
         })
         // 4. Chunk-level KV prefix cache (§8's KV reuse, 4 GB).
         .cell_with_seed("prefix_cache_4g", RUN_SEED, move |seed| {
             let arrivals = poisson_arrivals(seed ^ 0xA11, qps, n);
             let mut cfg = RunConfig::standard(metis(), arrivals, seed);
             cfg.prefix_cache_bytes = Some(4 * (1 << 30));
-            Runner::new(dref, cfg).run()
+            Runner::new(d, cfg).run()
         })
         .run();
-    let [with_fallback, no_fallback, gang, no_gang, unbounded, cached] = values(&cells);
-
-    print_rows(&[
-        (
-            "METIS (noisy profiler, conf fallback)".into(),
-            with_fallback,
-        ),
-        ("  - without confidence fallback".into(), no_fallback),
-        ("METIS (gang scheduling)".into(), gang),
-        ("  - without gang scheduling".into(), no_gang),
-        ("  - unbounded KV pool".into(), unbounded),
-        (
-            format!(
-                "METIS + 4GB chunk-KV cache (hit {:.0}%)",
-                cached.prefix_hit_rate * 100.0
-            ),
-            cached,
-        ),
-    ]);
-
     knob(report, "queries", n);
     knob(report, "dataset", kind.name());
     push_cells(report, &cells, |c, r| {
@@ -92,4 +67,5 @@ fn measure(n: usize, report: &mut BenchReport) {
             c
         }
     });
+    Vec::new()
 }

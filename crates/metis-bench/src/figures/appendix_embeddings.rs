@@ -7,20 +7,17 @@ use metis_datasets::{build_dataset_with_embedder, DatasetKind};
 use metis_embed::EmbedderKind;
 use metis_metrics::BenchReport;
 
-use crate::{base_qps, knob, metis, run, Figure, Sweep, DATASET_SEED, RUN_SEED};
+use crate::{base_qps, knob, metis, run, Claim, Figure, Sweep, DATASET_SEED, RUN_SEED};
 
 pub(super) const FIGURE: Figure = Figure {
     name: "appendix_embeddings",
     artefact: "Appendix A.2",
-    title: "Changing the embedding model (Musique)",
-    paper: "Cohere-embed-v3 vs All-mpnet-base-v2 vs text-embedding-3-large-256: \
-            F1 change within 1%, no measurable delay difference",
-    report_title: "embedding-model sensitivity on Musique",
+    title: "embedding-model sensitivity on Musique",
     queries: 120,
     run: measure,
 };
 
-fn measure(n: usize, report: &mut BenchReport) {
+fn measure(n: usize, report: &mut BenchReport) -> Vec<Claim> {
     let kind = DatasetKind::Musique;
     let mut sweep = Sweep::new("appendix_embeddings");
     for ek in EmbedderKind::all() {
@@ -42,13 +39,6 @@ fn measure(n: usize, report: &mut BenchReport) {
         } else {
             (f1 / baseline_f1 - 1.0) * 100.0
         };
-        println!(
-            "  {:<34} F1 {:.3} ({:+.2}%)   delay {:>5.2}s",
-            cell.id,
-            f1,
-            delta,
-            cell.value.mean_delay_secs()
-        );
         report.cells.push(
             cell.value
                 .cell_report(&cell.id, cell.seed)
@@ -56,4 +46,5 @@ fn measure(n: usize, report: &mut BenchReport) {
                 .metric("f1_delta_pct_vs_first", delta),
         );
     }
+    Vec::new()
 }

@@ -13,27 +13,26 @@ use metis_datasets::{Complexity, DatasetKind, QuerySpec};
 use metis_llm::{GenModelConfig, GenerationModel, ModelSpec};
 use metis_metrics::{BenchReport, CellReport};
 
-use crate::{dataset, isolated_point, knob, Figure, Sweep};
+use crate::{dataset, isolated_point, knob, Claim, Figure, Sweep};
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig04_knobs",
     artefact: "Figure 4",
-    title: "Each knob's quality-delay tradeoff on three probe queries (Q1 simple, Q3 complex)",
-    paper: "4a, synthesis method: the optimal method differs per query: simple \
-            queries plateau (rerank suffices w/o joint need; here Q1 is joint so \
-            stuff suffices), Q2 gains ~35% from joint reading, Q3 gains ~30% \
-            more from map_reduce. 4b, num_chunks: quality rises with chunks up \
-            to the query's need, then falls (lost-in-the-middle / dilution) \
-            while delay keeps inflating (up to 3x delay, up to 20% quality \
-            drop). 4c, intermediate_length: simple queries need only short \
-            summaries (10-20 words); complex queries need 70-100 to carry all \
-            the evidence",
-    report_title: "per-knob quality-delay tradeoff on three probe queries",
+    title: "per-knob quality-delay tradeoff on three probe queries",
     queries: 60,
     run: measure,
 };
 
-fn measure(n: usize, report: &mut BenchReport) {
+/// The paper's expectation, per panel. 4a, synthesis method: the optimal
+/// method differs per query: simple queries plateau (rerank suffices w/o
+/// joint need; here Q1 is joint so stuff suffices), Q2 gains ~35% from
+/// joint reading, Q3 gains ~30% more from map_reduce. 4b, num_chunks:
+/// quality rises with chunks up to the query's need, then falls
+/// (lost-in-the-middle / dilution) while delay keeps inflating (up to 3x
+/// delay, up to 20% quality drop). 4c, intermediate_length: simple queries
+/// need only short summaries (10-20 words); complex queries need 70-100 to
+/// carry all the evidence.
+fn measure(n: usize, report: &mut BenchReport) -> Vec<Claim> {
     let d = dataset(DatasetKind::Musique, 60);
     let seeds = n as u64;
     // Q1: the simplest joint query (2 pieces, low complexity);
@@ -57,8 +56,7 @@ fn measure(n: usize, report: &mut BenchReport) {
     let queries = [("Q1", q1), ("Q2", q2), ("Q3", q3)];
 
     // Every (query, panel, knob) point is one sweep cell. A query's cells
-    // are contiguous — its 4a points, then 4b, then 4c — which is how the
-    // tables below read them back.
+    // are contiguous — its 4a points, then 4b, then 4c.
     let methods = SynthesisMethod::all();
     let ks = [1u32, 2, 4, 8, 12, 16, 24, 35];
     let ilens = [1u32, 5, 10, 20, 40, 70, 100];
@@ -82,45 +80,12 @@ fn measure(n: usize, report: &mut BenchReport) {
     }
     let mut sweep = Sweep::new("fig04");
     for (id, q, cfg) in plan {
-        let (d, gen) = (&d, &gen);
+        let gen = &gen;
         sweep = sweep.cell(id, move |seed| {
             isolated_point(d, q, gen, cfg, seeds, seed, 0x5851_F42D)
         });
     }
     let cells = sweep.run();
-
-    let per_query = methods.len() + ks.len() + ilens.len();
-    let panel = |title: &str, columns: Vec<String>, first: usize| {
-        println!("\n{title}");
-        print!("  {:<10}", "query");
-        for column in &columns {
-            print!(" {column:>14}");
-        }
-        println!();
-        for ((name, _), points) in queries.iter().zip(cells.chunks(per_query)) {
-            print!("  {name:<10}");
-            for point in &points[first..first + columns.len()] {
-                let (delay, f1) = point.value;
-                print!(" {delay:>7.2}s {f1:>5.3}");
-            }
-            println!();
-        }
-    };
-    panel(
-        "4a: synthesis-method knob (k = 3x pieces per query, ilen = 60): delay, F1",
-        methods.iter().map(|m| m.name().to_owned()).collect(),
-        0,
-    );
-    panel(
-        "4b: num_chunks knob (stuff, k = 1..35)",
-        ks.iter().map(|k| format!("k={k}")).collect(),
-        methods.len(),
-    );
-    panel(
-        "4c: intermediate_length knob (map_reduce, k = 3x pieces, ilen = 1..100)",
-        ilens.iter().map(|l| format!("ilen={l}")).collect(),
-        methods.len() + ks.len(),
-    );
 
     knob(report, "dataset", "musique");
     knob(report, "gen_seeds", seeds);
@@ -131,4 +96,5 @@ fn measure(n: usize, report: &mut BenchReport) {
         c.f1 = f1;
         report.cells.push(c.metric("isolated_delay_secs", delay));
     }
+    Vec::new()
 }

@@ -11,16 +11,12 @@ use metis_datasets::DatasetKind;
 use metis_llm::{GenModelConfig, GenerationModel, ModelSpec};
 use metis_metrics::{BenchReport, CellReport};
 
-use crate::{dataset, isolated_point, knob, pareto_front, Figure, Sweep};
+use crate::{dataset, isolated_point, knob, pareto_front, Claim, Figure, Sweep};
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig05_perquery",
     artefact: "Figure 5",
-    title: "Per-query configuration vs every fixed configuration",
-    paper: "per-query choice achieves up to 3x delay saving vs quality-closest \
-            static configs; every static config of comparable delay loses >=10% \
-            quality",
-    report_title: "per-query configuration vs the fixed-config Pareto frontier",
+    title: "per-query configuration vs the fixed-config Pareto frontier",
     queries: 40,
     run: measure,
 };
@@ -38,7 +34,7 @@ fn grid() -> Vec<RagConfig> {
     g
 }
 
-fn measure_dataset(kind: DatasetKind, n: usize, report: &mut BenchReport) {
+fn measure_dataset(kind: DatasetKind, n: usize, report: &mut BenchReport) -> [Claim; 2] {
     let d = dataset(kind, n);
     let gen = GenerationModel::new(&ModelSpec::mistral_7b_awq(), GenModelConfig::default());
     let grid = grid();
@@ -46,7 +42,6 @@ fn measure_dataset(kind: DatasetKind, n: usize, report: &mut BenchReport) {
     // Per-query × per-config evaluation: one sweep cell per query.
     let mut sweep: Sweep<'_, Vec<(f64, f64)>> = Sweep::new(format!("fig05/{}", kind.name()));
     for qi in 0..n {
-        let d = &d;
         let gen = &gen;
         let grid = &grid;
         sweep = sweep.cell(format!("{}/q{qi}", kind.name()), move |seed| {
@@ -86,25 +81,11 @@ fn measure_dataset(kind: DatasetKind, n: usize, report: &mut BenchReport) {
             (dsum / n as f64, fsum / n as f64)
         })
         .collect();
-    let front = pareto_front(&fixed);
+    let mut front = pareto_front(&fixed);
+    front.sort_by(|&a, &b| fixed[a].0.total_cmp(&fixed[b].0));
 
-    println!("\n--- {} ({} queries) ---", kind.name(), n);
-    println!(
-        "  per-query configuration: delay {:>5.2}s  F1 {:.3}",
-        pq_delay, pq_f1
-    );
-    println!("  Pareto frontier of fixed configurations:");
-    let mut front_sorted: Vec<usize> = front.clone();
-    front_sorted.sort_by(|&a, &b| fixed[a].0.total_cmp(&fixed[b].0));
-    for &i in &front_sorted {
-        println!(
-            "    {:<24} delay {:>5.2}s  F1 {:.3}",
-            grid[i].label(),
-            fixed[i].0,
-            fixed[i].1
-        );
-    }
-    // The paper's two claims.
+    // The paper's two claims. Where no fixed configuration comes within 2%
+    // of per-query F1, the saving is unbounded.
     let closest_quality = fixed
         .iter()
         .filter(|e| e.1 >= pq_f1 - 0.02)
@@ -115,18 +96,6 @@ fn measure_dataset(kind: DatasetKind, n: usize, report: &mut BenchReport) {
         .filter(|e| e.0 <= pq_delay * 1.05)
         .map(|e| e.1)
         .fold(0.0, f64::max);
-    if closest_quality.is_finite() {
-        println!(
-            "  vs fixed of comparable quality: {:.2}x delay saving",
-            closest_quality / pq_delay
-        );
-    } else {
-        println!("  no fixed configuration reaches per-query quality - 2%");
-    }
-    println!(
-        "  vs fixed of comparable delay: +{:.1}% F1",
-        (pq_f1 / best_within_delay.max(1e-9) - 1.0) * 100.0
-    );
 
     // Report: the per-query aggregate plus the Pareto frontier points.
     let mut pq = CellReport::new(format!("{}/per_query", kind.name()), rows[0].seed);
@@ -136,7 +105,7 @@ fn measure_dataset(kind: DatasetKind, n: usize, report: &mut BenchReport) {
         pq.knob("dataset", kind.name())
             .metric("isolated_delay_secs", pq_delay),
     );
-    for &i in &front_sorted {
+    for &i in &front {
         let mut c = CellReport::new(
             format!("{}/frontier/{}", kind.name(), grid[i].label()),
             rows[0].seed,
@@ -149,11 +118,26 @@ fn measure_dataset(kind: DatasetKind, n: usize, report: &mut BenchReport) {
                 .metric("isolated_delay_secs", fixed[i].0),
         );
     }
+    let dataset = kind.name();
+    let f1_gain_pct = (pq_f1 / best_within_delay.max(1e-9) - 1.0) * 100.0;
+    [
+        Claim::higher(
+            format!("{dataset}/delay_saving_vs_quality_closest"),
+            (3.0, 3.0),
+            closest_quality / pq_delay,
+        ),
+        Claim::higher(
+            format!("{dataset}/f1_gain_at_comparable_delay_pct"),
+            (10.0, 10.0),
+            f1_gain_pct,
+        ),
+    ]
 }
 
-fn measure(n: usize, report: &mut BenchReport) {
+fn measure(n: usize, report: &mut BenchReport) -> Vec<Claim> {
     knob(report, "queries", n);
     knob(report, "gen_seeds", SEEDS);
-    measure_dataset(DatasetKind::Musique, n, report);
-    measure_dataset(DatasetKind::Qmsum, n, report);
+    let musique = measure_dataset(DatasetKind::Musique, n, report);
+    let qmsum = measure_dataset(DatasetKind::Qmsum, n, report);
+    musique.into_iter().chain(qmsum).collect()
 }

@@ -5,15 +5,12 @@ use metis_datasets::DatasetKind;
 use metis_metrics::{BenchReport, CellReport};
 use metis_profiler::{LlmProfiler, ProfilerKind};
 
-use crate::{dataset, knob, Figure, Sweep};
+use crate::{dataset, knob, Claim, Figure, Sweep};
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig09_confidence",
     artefact: "Figure 9",
-    title: "Profiler confidence threshold (pooled over all four datasets)",
-    paper: ">93% of profiles are above the 90% threshold; of those >96% are \
-            good; of the ~7% below threshold, 85-90% are bad",
-    report_title: "profiler confidence separates good profiles from bad",
+    title: "profiler confidence separates good profiles from bad",
     queries: 150,
     run: measure,
 };
@@ -21,7 +18,7 @@ pub(super) const FIGURE: Figure = Figure {
 /// (hi_good, hi_bad, lo_good, lo_bad) confusion counts for one dataset.
 type Counts = (u32, u32, u32, u32);
 
-fn measure(n: usize, report: &mut BenchReport) {
+fn measure(n: usize, report: &mut BenchReport) -> Vec<Claim> {
     let mut sweep: Sweep<'_, Counts> = Sweep::new("fig09");
     for kind in DatasetKind::all() {
         sweep = sweep.cell(kind.name(), move |seed| {
@@ -43,34 +40,15 @@ fn measure(n: usize, report: &mut BenchReport) {
         });
     }
     let cells = sweep.run();
-    let (mut hi_good, mut hi_bad, mut lo_good, mut lo_bad) = (0u32, 0u32, 0u32, 0u32);
-    for c in &cells {
-        hi_good += c.value.0;
-        hi_bad += c.value.1;
-        lo_good += c.value.2;
-        lo_bad += c.value.3;
-    }
-    let total = hi_good + hi_bad + lo_good + lo_bad;
-    let hi = hi_good + hi_bad;
-    let lo = lo_good + lo_bad;
-    println!("  profiles: {total} total");
-    println!(
-        "  above 90% threshold: {hi} ({:.1}%) — good {:.1}%, bad {:.1}%",
-        100.0 * f64::from(hi) / f64::from(total),
-        100.0 * f64::from(hi_good) / f64::from(hi.max(1)),
-        100.0 * f64::from(hi_bad) / f64::from(hi.max(1)),
-    );
-    println!(
-        "  below 90% threshold: {lo} ({:.1}%) — bad {:.1}%, good {:.1}%",
-        100.0 * f64::from(lo) / f64::from(total),
-        100.0 * f64::from(lo_bad) / f64::from(lo.max(1)),
-        100.0 * f64::from(lo_good) / f64::from(lo.max(1)),
-    );
-
     knob(report, "queries_per_dataset", n);
     knob(report, "threshold", "0.90");
+    let (mut hi_good, mut hi_bad, mut lo_good, mut lo_bad) = (0u32, 0u32, 0u32, 0u32);
     for c in &cells {
         let (hg, hb, lg, lb) = c.value;
+        hi_good += hg;
+        hi_bad += hb;
+        lo_good += lg;
+        lo_bad += lb;
         let mut cr = CellReport::new(&c.id, c.seed);
         cr.queries = u64::from(hg + hb + lg + lb);
         report.cells.push(
@@ -81,4 +59,19 @@ fn measure(n: usize, report: &mut BenchReport) {
                 .metric("lo_bad", f64::from(lb)),
         );
     }
+    let (hi, lo) = (hi_good + hi_bad, lo_good + lo_bad);
+    let pct = |part: u32, whole: u32| 100.0 * f64::from(part) / f64::from(whole.max(1));
+    vec![
+        Claim::higher("pooled/above_threshold_pct", (93.0, 93.0), pct(hi, hi + lo)),
+        Claim::higher(
+            "pooled/good_above_threshold_pct",
+            (96.0, 96.0),
+            pct(hi_good, hi),
+        ),
+        Claim::higher(
+            "pooled/bad_below_threshold_pct",
+            (85.0, 90.0),
+            pct(lo_bad, lo),
+        ),
+    ]
 }

@@ -12,22 +12,20 @@ use metis_core::{RunResult, SystemKind};
 use metis_datasets::DatasetKind;
 use metis_metrics::BenchReport;
 
-use crate::{base_qps, dataset, knob, metis, run, Figure, FixedMenu, Sweep, RUN_SEED};
+use crate::{base_qps, dataset, knob, metis, run, Claim, Figure, FixedMenu, Sweep, RUN_SEED};
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig11_throughput",
     artefact: "Figure 11",
-    title: "Throughput: mean delay vs offered load",
-    paper: "METIS sustains 1.8-4.5x higher throughput than fixed-config \
-            baselines of closest quality at the same delay",
-    report_title: "mean delay vs offered load, METIS vs Parrot* and best-quality vLLM fixed",
+    title: "mean delay vs offered load, METIS vs Parrot* and best-quality vLLM fixed",
     queries: 120,
     run: measure,
 };
 
 const MULTS: [f64; 6] = [0.5, 0.75, 1.0, 1.5, 2.0, 3.0];
 
-fn measure(n: usize, report: &mut BenchReport) {
+fn measure(n: usize, report: &mut BenchReport) -> Vec<Claim> {
+    let mut claims = Vec::new();
     knob(report, "queries", n);
     knob(report, "load_mults", format!("{MULTS:?}"));
 
@@ -35,17 +33,8 @@ fn measure(n: usize, report: &mut BenchReport) {
         let d = dataset(kind, n);
         let base = base_qps(kind);
         // Fixed baseline = best-quality static config at the base rate.
-        let menu = FixedMenu::run(&d, base);
+        let menu = FixedMenu::run(d, base);
         let (qc, _) = menu.best_quality();
-        println!(
-            "\n--- {} (base λ = {base}/s, fixed = {}) ---",
-            kind.name(),
-            qc.label()
-        );
-        println!(
-            "  {:<10} {:>11} {:>11} {:>11}",
-            "load", "METIS(s)", "Parrot*(s)", "vLLM(s)"
-        );
 
         // All (multiplier, system) points on the sweep driver; each cell
         // carries its point beside its run.
@@ -58,7 +47,6 @@ fn measure(n: usize, report: &mut BenchReport) {
             Sweep::new(format!("fig11/{}", kind.name()));
         for &mult in &MULTS {
             for (sys, system) in systems {
-                let d = &d;
                 grid = grid.cell_with_seed(
                     format!("{}/{sys}/{mult:.2}x", kind.name()),
                     RUN_SEED,
@@ -75,15 +63,6 @@ fn measure(n: usize, report: &mut BenchReport) {
                 (row[0].value.0, delays)
             })
             .collect();
-        for (mult, delays) in &rows {
-            println!(
-                "  {:<10} {:>11.2} {:>11.2} {:>11.2}",
-                format!("{mult:.2}x"),
-                delays[0],
-                delays[1],
-                delays[2],
-            );
-        }
         // Throughput at a delay budget: the largest load multiple where mean
         // delay stays within 3x the low-load delay.
         let budget = |sys: usize| -> f64 {
@@ -92,12 +71,9 @@ fn measure(n: usize, report: &mut BenchReport) {
                 .filter(|(_, delays)| delays[sys] <= cap)
                 .fold(0.0, |acc, &(m, _)| acc.max(m))
         };
-        let (tm, tp, tv) = (budget(0), budget(1), budget(2));
-        println!(
-            "  sustainable load within 3x low-load delay: METIS {tm:.2}x, \
-             Parrot* {tp:.2}x, vLLM {tv:.2}x → METIS/vLLM = {:.2}x",
-            tm / tv.max(1e-9)
-        );
+        let sustained = budget(0) / budget(2).max(1e-9);
+        let id = format!("{}/sustainable_load_vs_fixed", kind.name());
+        claims.push(Claim::higher(id, (1.8, 4.5), sustained));
 
         for cell in &cells {
             let (mult, sys, r) = &cell.value;
@@ -110,4 +86,5 @@ fn measure(n: usize, report: &mut BenchReport) {
             );
         }
     }
+    claims
 }

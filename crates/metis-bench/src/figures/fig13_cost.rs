@@ -7,36 +7,34 @@ use metis_llm::{GpuCluster, ModelSpec};
 use metis_metrics::{BenchReport, CostModel, RunCost};
 
 use crate::{
-    base_qps, dataset, knob, metis, paired, run_on, values, Figure, FixedMenu, Sweep, RUN_SEED,
+    base_qps, dataset, knob, metis, paired, run_on, values, Claim, Figure, FixedMenu, Sweep,
+    RUN_SEED,
 };
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig13_cost",
     artefact: "Figure 13",
-    title: "Dollar cost per query vs F1 with increasing model size",
-    paper: "fixed-config Llama-70B costs 2.38x more at ~6.5% lower F1; \
-            fixed-config GPT-4o costs 6.8x more and still trails METIS's F1",
-    report_title: "dollar cost per query vs F1 across serving setups",
+    title: "dollar cost per query vs F1 across serving setups",
     queries: 100,
     run: measure,
 };
 
-fn measure(n: usize, report: &mut BenchReport) {
+fn measure(n: usize, report: &mut BenchReport) -> Vec<Claim> {
+    let mut claims = Vec::new();
     knob(report, "queries", n);
     for kind in [DatasetKind::Musique, DatasetKind::Qmsum] {
         let qps = base_qps(kind);
         let d = dataset(kind, n);
 
-        let menu = FixedMenu::run(&d, qps);
+        let menu = FixedMenu::run(d, qps);
         let (qc, _) = menu.best_quality();
         let config = *qc;
-        let dref = &d;
         // METIS on Mistral-7B, one A40 (+ GPT-4o profiler API spend).
         let name = format!("fig13/{}", kind.name());
         let mut sweep = paired(
             Sweep::new(name),
             kind.name(),
-            dref,
+            d,
             qps,
             &[("metis_7b", metis())],
         );
@@ -61,7 +59,7 @@ fn measure(n: usize, report: &mut BenchReport) {
             sweep = sweep.cell_with_seed(id, RUN_SEED, move |seed| {
                 let arrivals = poisson_arrivals(seed ^ 0xA11, rate, n);
                 let system = SystemKind::VllmFixed { config };
-                run_on(dref, system, arrivals, seed, model, cluster, false)
+                run_on(d, system, arrivals, seed, model, cluster, false)
             });
         }
         let cells = sweep.run();
@@ -77,29 +75,6 @@ fn measure(n: usize, report: &mut BenchReport) {
         let llama_usd = llama_cost.usd_per_query(&CostModel::a40(2), n);
         let gpt_usd = g.api_cost_usd / n as f64;
 
-        println!("\n--- {} (fixed = {}) ---", kind.name(), qc.label());
-        println!("  {:<44} {:>11} {:>7}", "serving setup", "$/query", "F1");
-        println!(
-            "  {:<44} {:>11.5} {:>7.3}",
-            "METIS: Mistral-7B AWQ, 1xA40 + profiler",
-            metis_usd,
-            m.mean_f1()
-        );
-        println!(
-            "  {:<44} {:>11.5} {:>7.3}   ({:.2}x METIS cost)",
-            "vLLM fixed: Llama-3.1-70B AWQ, 2xA40",
-            llama_usd,
-            l.mean_f1(),
-            llama_usd / metis_usd
-        );
-        println!(
-            "  {:<44} {:>11.5} {:>7.3}   ({:.2}x METIS cost)",
-            "API fixed: GPT-4o",
-            gpt_usd,
-            g.mean_f1(),
-            gpt_usd / metis_usd
-        );
-
         for (cell, usd) in cells.iter().zip([metis_usd, llama_usd, gpt_usd]) {
             report.cells.push(
                 cell.value
@@ -109,5 +84,19 @@ fn measure(n: usize, report: &mut BenchReport) {
                     .metric("usd_per_query", usd),
             );
         }
+        let dataset = kind.name();
+        claims.extend([
+            Claim::higher(
+                format!("{dataset}/vllm_70b_cost_x"),
+                (2.38, 2.38),
+                llama_usd / metis_usd,
+            ),
+            Claim::higher(
+                format!("{dataset}/api_gpt4o_cost_x"),
+                (6.8, 6.8),
+                gpt_usd / metis_usd,
+            ),
+        ]);
     }
+    claims
 }

@@ -9,14 +9,12 @@ use metis_datasets::DatasetKind;
 use metis_metrics::BenchReport;
 use metis_profiler::ProfilerKind;
 
-use crate::{base_qps, dataset, knob, paired, push_cells, values, Figure, Sweep};
+use crate::{base_qps, dataset, knob, paired, push_cells, values, Claim, Figure, Sweep};
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig14_feedback",
     artefact: "Figure 14",
-    title: "Profiler feedback over a 350-query workload",
-    paper: "the feedback mechanism improves F1 by 4-6% relative to no feedback",
-    report_title: "golden-config feedback vs none",
+    title: "golden-config feedback vs none",
     queries: 350,
     run: measure,
 };
@@ -38,7 +36,8 @@ fn steady_state(windows: &[f64], overall: f64) -> f64 {
     }
 }
 
-fn measure(n: usize, report: &mut BenchReport) {
+fn measure(n: usize, report: &mut BenchReport) -> Vec<Claim> {
+    let mut claims = Vec::new();
     let window = (n / 5).max(1);
     knob(report, "queries", n);
     knob(report, "window", window);
@@ -62,33 +61,17 @@ fn measure(n: usize, report: &mut BenchReport) {
             ("no_feedback", SystemKind::Metis(without)),
         ];
         let name = format!("fig14/{}", kind.name());
-        let cells = paired(Sweep::new(name), kind.name(), &d, qps, &arms).run();
+        let cells = paired(Sweep::new(name), kind.name(), d, qps, &arms).run();
         let [r_with, r_without] = values(&cells);
 
-        println!("\n--- {} (λ = {qps}/s, {n} queries) ---", kind.name());
-        println!("  rolling mean F1 per {window}-query window:");
-        let w_with = windowed_f1(r_with, window);
-        let w_without = windowed_f1(r_without, window);
-        print!("    with feedback:   ");
-        for v in &w_with {
-            print!(" {v:.3}");
-        }
-        print!("\n    without feedback:");
-        for v in &w_without {
-            print!(" {v:.3}");
-        }
-        let tail_with = steady_state(&w_with, r_with.mean_f1());
-        let tail_without = steady_state(&w_without, r_without.mean_f1());
-        println!(
-            "\n  steady-state improvement: {:+.1}% (overall {:+.1}%)",
-            (tail_with / tail_without.max(1e-9) - 1.0) * 100.0,
-            (r_with.mean_f1() / r_without.mean_f1().max(1e-9) - 1.0) * 100.0
-        );
-
+        let tail = |r: &RunResult| steady_state(&windowed_f1(r, window), r.mean_f1());
+        let gain_pct = (tail(r_with) / tail(r_without).max(1e-9) - 1.0) * 100.0;
+        let id = format!("{}/feedback_f1_gain_pct", kind.name());
+        claims.push(Claim::higher(id, (4.0, 6.0), gain_pct));
         push_cells(report, &cells, |c, r| {
-            let tail = steady_state(&windowed_f1(r, window), r.mean_f1());
             c.knob("dataset", kind.name())
-                .metric("steady_state_f1", tail)
+                .metric("steady_state_f1", tail(r))
         });
     }
+    claims
 }

@@ -7,23 +7,20 @@ use metis_llm::{GpuCluster, ModelSpec};
 use metis_metrics::BenchReport;
 
 use crate::{
-    adaptive_rag, base_qps, dataset, knob, metis, print_rows, push_cells, run_on, values, Figure,
-    FixedMenu, Sweep, RUN_SEED,
+    adaptive_rag, base_qps, dataset, knob, metis, push_cells, run_on, speedup, values, Claim,
+    Figure, FixedMenu, Sweep, RUN_SEED,
 };
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig15_big_model",
     artefact: "Figure 15",
-    title: "Larger inference LLM (Llama-3.1-70B, 2xA40)",
-    paper: "METIS keeps 2.1-2.4x lower delay than AdaptiveRAG* at similar F1; \
-            fixed baselines lose 7-10% F1; RAG gains only ~2% F1 from the \
-            bigger model (context matters more than weights)",
-    report_title: "METIS vs baselines on Llama-3.1-70B",
+    title: "METIS vs baselines on Llama-3.1-70B",
     queries: 100,
     run: measure,
 };
 
-fn measure(n: usize, report: &mut BenchReport) {
+fn measure(n: usize, report: &mut BenchReport) -> Vec<Claim> {
+    let mut claims = Vec::new();
     knob(report, "queries", n);
     knob(report, "model", "llama31_70b_awq");
     for kind in [DatasetKind::Musique, DatasetKind::Qmsum] {
@@ -37,7 +34,7 @@ fn measure(n: usize, report: &mut BenchReport) {
             let arrivals = poisson_arrivals(seed ^ 0xA11, qps, n);
             let model = ModelSpec::llama31_70b_awq();
             run_on(
-                &d,
+                d,
                 system,
                 arrivals,
                 seed,
@@ -58,17 +55,8 @@ fn measure(n: usize, report: &mut BenchReport) {
             FixedMenu::run_with(|config, seed| serve(SystemKind::VllmFixed { config }, seed));
         let (qc, qr) = menu.best_quality();
 
-        println!("\n--- {} (λ = {qps:.2}/s, Llama-3.1-70B) ---", kind.name());
-        print_rows(&[
-            ("METIS".into(), m),
-            ("AdaptiveRAG*".into(), a),
-            (format!("vLLM best fixed [{}]", qc.label()), qr),
-        ]);
-        println!(
-            "  delay vs AdaptiveRAG*: {:.2}x | F1 delta vs fixed: {:+.3}",
-            a.mean_delay_secs() / m.mean_delay_secs(),
-            m.mean_f1() - qr.mean_f1()
-        );
+        let id = format!("{}/delay_vs_adaptive_rag", kind.name());
+        claims.push(Claim::higher(id, (2.1, 2.4), speedup(a, m)));
 
         push_cells(report, &cells, |c, _| c.knob("dataset", kind.name()));
         // Only the winning fixed config joins the report (the full menu
@@ -79,4 +67,5 @@ fn measure(n: usize, report: &mut BenchReport) {
                 .knob("config", qc.label()),
         );
     }
+    claims
 }

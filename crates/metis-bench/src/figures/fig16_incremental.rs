@@ -7,20 +7,17 @@ use metis_datasets::DatasetKind;
 use metis_engine::SchedPolicy;
 use metis_metrics::BenchReport;
 
-use crate::{base_qps, dataset, knob, paired, push_cells, Figure, Sweep};
+use crate::{base_qps, dataset, knob, paired, push_cells, speedup, values, Claim, Figure, Sweep};
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig16_incremental",
     artefact: "Figure 16",
-    title: "Incrementally tuning knobs (QMSUM, Mistral-7B)",
-    paper: "each knob adds quality (+5/4/3% F1 steps vs vLLM); adding joint \
-            scheduling then cuts delay ~2.8x",
-    report_title: "incremental knob enablement on QMSUM",
+    title: "incremental knob enablement on QMSUM",
     queries: 150,
     run: measure,
 };
 
-fn measure(n: usize, report: &mut BenchReport) {
+fn measure(n: usize, report: &mut BenchReport) -> Vec<Claim> {
     let kind = DatasetKind::Qmsum;
     let qps = base_qps(kind);
     let d = dataset(kind, n);
@@ -45,52 +42,20 @@ fn measure(n: usize, report: &mut BenchReport) {
         ..plus_method
     };
 
-    let steps = [
-        (
-            "vllm_fixed",
-            "vLLM fixed [stuff(k=12)]",
-            SystemKind::VllmFixed { config: qc },
-        ),
-        (
-            "tune_chunks",
-            "+ tune num_chunks",
-            SystemKind::Metis(chunks_only),
-        ),
-        (
-            "tune_method",
-            "+ tune synthesis_method",
-            SystemKind::Metis(plus_method),
-        ),
-        (
-            "tune_ilen",
-            "+ tune intermediate_length",
-            SystemKind::Metis(plus_ilen),
-        ),
-        (
-            "joint",
-            "+ joint scheduling (METIS)",
-            SystemKind::Metis(MetisOptions::full()),
-        ),
+    let arms = [
+        ("vllm_fixed", SystemKind::VllmFixed { config: qc }),
+        ("tune_chunks", SystemKind::Metis(chunks_only)),
+        ("tune_method", SystemKind::Metis(plus_method)),
+        ("tune_ilen", SystemKind::Metis(plus_ilen)),
+        ("joint", SystemKind::Metis(MetisOptions::full())),
     ];
-    let arms = steps.map(|(id, _, system)| (id, system));
-    let cells = paired(Sweep::new("fig16"), "", &d, qps, &arms).run();
-
-    let base_delay = cells[0].value.mean_delay_secs();
-    let base_f1 = cells[0].value.mean_f1();
-    for ((_, label, _), cell) in steps.iter().zip(&cells) {
-        let r = &cell.value;
-        println!(
-            "  {:<34} delay {:>6.2}s ({:.2}x)   F1 {:.3} ({:+.1}%)",
-            label,
-            r.mean_delay_secs(),
-            base_delay / r.mean_delay_secs().max(1e-9),
-            r.mean_f1(),
-            (r.mean_f1() / base_f1.max(1e-9) - 1.0) * 100.0
-        );
-    }
+    let cells = paired(Sweep::new("fig16"), "", d, qps, &arms).run();
+    let [.., tune_ilen, joint] = values::<_, 5>(&cells);
 
     knob(report, "queries", n);
     knob(report, "dataset", kind.name());
     knob(report, "baseline_config", qc.label());
     push_cells(report, &cells, |c, _| c.knob("dataset", kind.name()));
+    let id = format!("{}/joint_scheduling_delay_cut", kind.name());
+    vec![Claim::higher(id, (2.8, 2.8), speedup(tune_ilen, joint))]
 }

@@ -7,22 +7,20 @@ use metis_metrics::BenchReport;
 use metis_profiler::ProfilerKind;
 
 use crate::{
-    adaptive_rag, base_qps, dataset, knob, paired, print_rows, push_cells, values, Figure,
+    adaptive_rag, base_qps, dataset, knob, paired, push_cells, speedup, values, Claim, Figure,
     FixedMenu, Sweep, RUN_SEED,
 };
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig17_small_profiler",
     artefact: "Figure 17",
-    title: "Smaller open-source profiler (Llama-3.1-70B)",
-    paper: "METIS stays 1.4-2.1x faster than AdaptiveRAG* at similar F1, and \
-            10-14% higher F1 than fixed configs of similar delay",
-    report_title: "METIS with a Llama-3.1-70B profiler vs baselines",
+    title: "METIS with a Llama-3.1-70B profiler vs baselines",
     queries: 150,
     run: measure,
 };
 
-fn measure(n: usize, report: &mut BenchReport) {
+fn measure(n: usize, report: &mut BenchReport) -> Vec<Claim> {
+    let mut claims = Vec::new();
     knob(report, "queries", n);
     knob(report, "profiler", "llama70b");
     for kind in [DatasetKind::FinSec, DatasetKind::Squad] {
@@ -35,27 +33,25 @@ fn measure(n: usize, report: &mut BenchReport) {
             ("adaptive_rag", adaptive_rag()),
         ];
         let name = format!("fig17/{}", kind.name());
-        let cells = paired(Sweep::new(name), kind.name(), &d, qps, &arms).run();
+        let cells = paired(Sweep::new(name), kind.name(), d, qps, &arms).run();
         let [m, a] = values(&cells);
-        let menu = FixedMenu::run(&d, qps);
-        let (qc, qr) = menu.best_quality();
+        let menu = FixedMenu::run(d, qps);
         let (dc, dr) = menu.closest_delay(m.mean_delay_secs());
 
-        println!(
-            "\n--- {} (λ = {qps}/s, Llama-70B profiler) ---",
-            kind.name()
-        );
-        print_rows(&[
-            ("METIS (Llama-70B profiler)".into(), m),
-            ("AdaptiveRAG* (GPT-4o profiler)".into(), a),
-            (format!("vLLM best fixed [{}]", qc.label()), qr),
-            (format!("vLLM similar delay [{}]", dc.label()), dr),
+        let dataset = kind.name();
+        let f1_gain_pct = (m.mean_f1() / dr.mean_f1().max(1e-9) - 1.0) * 100.0;
+        claims.extend([
+            Claim::higher(
+                format!("{dataset}/delay_vs_adaptive_rag"),
+                (1.4, 2.1),
+                speedup(a, m),
+            ),
+            Claim::higher(
+                format!("{dataset}/f1_vs_similar_delay_pct"),
+                (10.0, 14.0),
+                f1_gain_pct,
+            ),
         ]);
-        println!(
-            "  delay vs AdaptiveRAG*: {:.2}x | F1 vs similar-delay fixed: {:+.1}%",
-            a.mean_delay_secs() / m.mean_delay_secs(),
-            (m.mean_f1() / dr.mean_f1().max(1e-9) - 1.0) * 100.0
-        );
 
         push_cells(report, &cells, |c, _| c.knob("dataset", kind.name()));
         report.cells.push(
@@ -64,4 +60,5 @@ fn measure(n: usize, report: &mut BenchReport) {
                 .knob("config", dc.label()),
         );
     }
+    claims
 }

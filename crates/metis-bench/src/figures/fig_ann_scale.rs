@@ -1,7 +1,7 @@
 //! Million-chunk ANN scaling: flat vs IVF vs HNSW × f32 vs sq8.
 //!
 //! Sweeps corpus size × index family × vector storage over the planted
-//! ground-truth ANN corpus ([`metis_datasets::ann`]), measuring recall@k
+//! ground-truth ANN corpus ([`AnnCorpus`]), measuring recall@k
 //! against the exact gold neighbors, the *reported* search work (distance
 //! evaluations split by domain, graph hops, probed lists), and the
 //! [`RetrievalModel`]-priced per-query retrieval latency. The output is
@@ -23,17 +23,12 @@ use metis_vectordb::{
     SqIvfIndex, VectorIndex,
 };
 
-use crate::{knob, Figure, Sweep, DATASET_SEED, RUN_SEED};
+use crate::{knob, Claim, Figure, Sweep, DATASET_SEED, RUN_SEED};
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig_ann_scale",
     artefact: "ANN scaling",
-    title: "million-chunk ANN scaling: flat vs IVF vs HNSW, f32 vs sq8",
-    paper: "at corpus scale the paper's flat scan stops being viable: HNSW \
-            over sq8 codes holds >=0.9 recall@10 with orders of magnitude \
-            fewer distance evals, putting retrieval p50 far below the IVF \
-            frontier at matched recall",
-    report_title: "recall/latency frontier of flat vs IVF vs HNSW with sq8 storage at corpus scale",
+    title: "recall/latency frontier of flat vs IVF vs HNSW with sq8 storage at corpus scale",
     queries: 64,
     run: measure,
 };
@@ -145,7 +140,7 @@ fn build_and_measure(corpus: &AnnCorpus, family: &str, quant: Quantization) -> M
     }
 }
 
-fn measure(num_queries: usize, report: &mut BenchReport) {
+fn measure(num_queries: usize, report: &mut BenchReport) -> Vec<Claim> {
     let smoke = num_queries < FIGURE.queries;
     let sizes: &[usize] = if smoke { &SMOKE_SIZES } else { &FULL_SIZES };
 
@@ -174,10 +169,6 @@ fn measure(num_queries: usize, report: &mut BenchReport) {
     }
     let cells = sweep.run();
 
-    println!(
-        "\n  {:<10} {:<26} {:<5} {:>9} {:>12} {:>12} {:>8} {:>10}",
-        "corpus", "index", "store", "recall@k", "exact evals", "sq8 evals", "hops", "ret p50"
-    );
     knob(report, "queries", num_queries);
     knob(report, "recall_k", 10);
     knob(report, "sizes", format!("{sizes:?}"));
@@ -185,17 +176,6 @@ fn measure(num_queries: usize, report: &mut BenchReport) {
     for cell in &cells {
         let m = &cell.value;
         let (n, quant) = (m.corpus_size, m.quant);
-        println!(
-            "  {:<10} {:<26} {:<5} {:>9.3} {:>12.1} {:>12.1} {:>8.1} {:>8.2}ms",
-            n,
-            m.index_label,
-            quant.name(),
-            m.recall,
-            per_query(m.work.vectors_scored),
-            per_query(m.work.quantized_scored),
-            per_query(m.work.graph_hops),
-            m.latency.p50() * 1e3,
-        );
         let mut rc = CellReport::new(cell.id.clone(), cell.seed);
         rc.queries = num_queries as u64;
         rc.retrieval = SummaryStats::of(&m.latency);
@@ -210,4 +190,5 @@ fn measure(num_queries: usize, report: &mut BenchReport) {
                 .metric("index_lists_probed", per_query(m.work.lists_probed)),
         );
     }
+    Vec::new()
 }

@@ -14,7 +14,7 @@
 //! **Part 2 — the preemption-resume trade.** Under KV pressure the
 //! preemptive scheduler evicts batch-class sequences. Recompute throws the
 //! victim's computed tokens away; migrate re-places the victim on a replica
-//! with KV headroom, pricing the transfer at [`MIGRATION_BW_BYTES_PER_SEC`]
+//! with KV headroom, pricing the transfer at the cluster's migration bandwidth
 //! and falling back to recompute at zero headroom. On the same burst (one
 //! seed, common random numbers) migrate must cut the recomputed-token bill.
 //!
@@ -27,16 +27,12 @@ use metis_datasets::{burst_arrivals, diurnal_arrivals, Dataset, DatasetKind};
 use metis_engine::{PreemptMode, Priority, RouterPolicy};
 use metis_metrics::BenchReport;
 
-use crate::{base_qps, dataset, knob, push_cells, values, Figure, Sweep, RUN_SEED};
+use crate::{base_qps, dataset, knob, push_cells, values, Claim, Figure, Sweep, RUN_SEED};
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig_autoscale",
     artefact: "Fleet elasticity",
-    title: "autoscaler vs fixed fleets on a diurnal day; migrate vs recompute under KV pressure",
-    paper: "the autoscaler bills strictly fewer replica-seconds than fixed-8 \
-            while holding interactive p99 inside fixed-8's band; on a contended \
-            burst, KV migration cuts the recomputed-token bill vs recompute",
-    report_title: "Queue-driven autoscaling and KV migration under pressure",
+    title: "Queue-driven autoscaling and KV migration under pressure",
     queries: 96,
     run: measure,
 };
@@ -111,70 +107,28 @@ fn int_p99(r: &RunResult) -> f64 {
     r.latency_of(Priority::Interactive).p99()
 }
 
-fn measure(n: usize, report: &mut BenchReport) {
+fn measure(n: usize, report: &mut BenchReport) -> Vec<Claim> {
     let kind = DatasetKind::Musique;
     let d = dataset(kind, n);
-    println!(
-        "\n--- {} ({} queries, diurnal mean λ = {}/s, day cap {} GiB, pressure cap {} MiB/replica) ---",
-        kind.name(),
-        n,
-        base_qps(kind) * DAY_RATE_SCALE,
-        DAY_KV_CAP_BYTES >> 30,
-        KV_CAP_BYTES >> 20,
-    );
 
-    let mut sweep = Sweep::new("fig_autoscale");
-    {
-        let d = &d;
-        sweep = sweep.cell_with_seed("day/autoscale", RUN_SEED, move |seed| {
+    let mut sweep =
+        Sweep::new("fig_autoscale").cell_with_seed("day/autoscale", RUN_SEED, move |seed| {
             day_run(d, seed, n, None)
         });
-        for &fleet in &FIXED_FLEETS {
-            sweep = sweep.cell_with_seed(format!("day/fixed-{fleet}"), RUN_SEED, move |seed| {
-                day_run(d, seed, n, Some(fleet))
-            });
-        }
-        sweep = sweep
-            .cell_with_seed("pressure/recompute", RUN_SEED, move |seed| {
-                pressure_run(d, seed, n, PreemptMode::Recompute)
-            })
-            .cell_with_seed("pressure/migrate", RUN_SEED, move |seed| {
-                pressure_run(d, seed, n, PreemptMode::Migrate)
-            });
+    for &fleet in &FIXED_FLEETS {
+        sweep = sweep.cell_with_seed(format!("day/fixed-{fleet}"), RUN_SEED, move |seed| {
+            day_run(d, seed, n, Some(fleet))
+        });
     }
+    let sweep = sweep
+        .cell_with_seed("pressure/recompute", RUN_SEED, move |seed| {
+            pressure_run(d, seed, n, PreemptMode::Recompute)
+        })
+        .cell_with_seed("pressure/migrate", RUN_SEED, move |seed| {
+            pressure_run(d, seed, n, PreemptMode::Migrate)
+        });
     let cells = sweep.run();
-    let [auto, fixed2, fixed4, fixed8, recompute, migrate] = values(&cells);
-
-    println!(
-        "  {:<16} {:>6} {:>8} {:>16} {:>14} {:>12}",
-        "fleet", "peak", "rep-sec", "int p99(s)", "all p99(s)", "preempts"
-    );
-    for (fleet, r) in [
-        ("autoscale", auto),
-        ("fixed-2", fixed2),
-        ("fixed-4", fixed4),
-        ("fixed-8", fixed8),
-    ] {
-        println!(
-            "  {:<16} {:>6} {:>8.1} {:>16.2} {:>14.2} {:>12}",
-            fleet,
-            r.peak_replicas,
-            r.replica_seconds,
-            int_p99(r),
-            r.latency().p99(),
-            r.preemptions,
-        );
-    }
-    println!(
-        "  {:<16} {:>10} {:>14} {:>16} {:>14}",
-        "resume", "preempts", "migrations", "moved KV tok", "recomputed tok"
-    );
-    for (resume, r) in [("recompute", recompute), ("migrate", migrate)] {
-        println!(
-            "  {:<16} {:>10} {:>14} {:>16} {:>14}",
-            resume, r.preemptions, r.migrations, r.migrated_tokens, r.preempted_tokens,
-        );
-    }
+    let [auto, _, _, fixed8, recompute, migrate] = values(&cells);
 
     // The headline claims, asserted at every scale the bench runs at. The
     // baseline pins each number at smoke scale only and says nothing of
@@ -220,4 +174,5 @@ fn measure(n: usize, report: &mut BenchReport) {
             .metric("recomputed_tokens", r.preempted_tokens as f64)
             .metric("migrations", r.migrations as f64)
     });
+    Vec::new()
 }

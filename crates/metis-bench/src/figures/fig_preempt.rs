@@ -22,16 +22,12 @@ use metis_datasets::{burst_arrivals, DatasetKind};
 use metis_engine::{Priority, RouterPolicy, SchedPolicy};
 use metis_metrics::BenchReport;
 
-use crate::{base_qps, dataset, knob, push_cells, values, Figure, Sweep, RUN_SEED};
+use crate::{base_qps, dataset, knob, push_cells, Claim, Figure, Sweep, RUN_SEED};
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig_preempt",
     artefact: "Preemptive scheduling",
-    title: "interactive p99 queueing delay, FCFS vs preemptive, under bursts",
-    paper: "preemption strictly improves interactive p99 queueing delay at \
-            burst factor >= 4 and equal replica count; batch-class waits absorb \
-            the cost and overall quality is unchanged",
-    report_title: "FCFS vs preemptive SLO-class scheduling under bursty arrivals",
+    title: "FCFS vs preemptive SLO-class scheduling under bursty arrivals",
     queries: 96,
     run: measure,
 };
@@ -53,62 +49,38 @@ fn int_p99(r: &RunResult) -> f64 {
     r.queue_wait(Some(Priority::Interactive)).p99()
 }
 
-fn measure(n: usize, report: &mut BenchReport) {
+fn measure(n: usize, report: &mut BenchReport) -> Vec<Claim> {
     let kind = DatasetKind::Musique;
     let d = dataset(kind, n);
     let base = base_qps(kind);
-    println!(
-        "\n--- {} ({} queries, base λ = {base}/s, KV cap {} GiB/replica) ---",
-        kind.name(),
-        n,
-        KV_CAP_BYTES >> 30,
-    );
-    println!(
-        "  {:<7} {:<9} {:>16} {:>16} {:>10} {:>12}",
-        "burst", "replicas", "fcfs int p99(s)", "pre int p99(s)", "preempts", "all p99(s)"
-    );
 
     // The two policies of a (burst factor, fleet size) point are adjacent
     // cells.
-    let points: Vec<(f64, usize)> = BURST_FACTORS
-        .iter()
-        .flat_map(|&factor| REPLICAS.map(|replicas| (factor, replicas)))
-        .collect();
     let mut sweep = Sweep::new("fig_preempt");
-    for &(factor, replicas) in &points {
-        for (policy, sched) in [
-            ("fcfs", SchedPolicy::Fcfs),
-            ("preemptive", SchedPolicy::Preemptive),
-        ] {
-            let d = &d;
-            sweep = sweep.cell_with_seed(
-                format!("{factor:.0}x/{replicas}r/{policy}"),
-                RUN_SEED,
-                move |seed| {
-                    // Offered load scales with the replica count so the
-                    // per-replica contention regime stays comparable.
-                    let arrivals = burst_arrivals(seed, base * replicas as f64 * 1.5, factor, n);
-                    let mut cfg = RunConfig::standard(system(sched), arrivals, seed)
-                        .replicated(replicas, RouterPolicy::LeastKvLoad);
-                    cfg.engine.kv_pool_bytes_cap = Some(KV_CAP_BYTES);
-                    Runner::new(d, cfg).run()
-                },
-            );
+    for factor in BURST_FACTORS {
+        for replicas in REPLICAS {
+            for (policy, sched) in [
+                ("fcfs", SchedPolicy::Fcfs),
+                ("preemptive", SchedPolicy::Preemptive),
+            ] {
+                sweep = sweep.cell_with_seed(
+                    format!("{factor:.0}x/{replicas}r/{policy}"),
+                    RUN_SEED,
+                    move |seed| {
+                        // Offered load scales with the replica count so the
+                        // per-replica contention regime stays comparable.
+                        let rate = base * replicas as f64 * 1.5;
+                        let arrivals = burst_arrivals(seed, rate, factor, n);
+                        let mut cfg = RunConfig::standard(system(sched), arrivals, seed)
+                            .replicated(replicas, RouterPolicy::LeastKvLoad);
+                        cfg.engine.kv_pool_bytes_cap = Some(KV_CAP_BYTES);
+                        Runner::new(d, cfg).run()
+                    },
+                );
+            }
         }
     }
     let cells = sweep.run();
-    for (&(factor, replicas), policies) in points.iter().zip(cells.chunks(2)) {
-        let [fcfs, pre] = values(policies);
-        println!(
-            "  {:<7} {:<9} {:>16.2} {:>16.2} {:>10} {:>12.2}",
-            format!("{factor:.0}x"),
-            replicas,
-            int_p99(fcfs),
-            int_p99(pre),
-            pre.preemptions,
-            pre.latency().p99(),
-        );
-    }
 
     knob(report, "queries", n);
     knob(report, "dataset", kind.name());
@@ -118,4 +90,5 @@ fn measure(n: usize, report: &mut BenchReport) {
         c.knob("dataset", kind.name())
             .metric("interactive_queue_wait_p99_secs", int_p99(r))
     });
+    Vec::new()
 }

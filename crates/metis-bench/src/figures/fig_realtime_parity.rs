@@ -6,9 +6,9 @@
 //! The engines are analytic, so the wall adds waiting, not work, and this
 //! bench **asserts** that every query's delay, stage breakdown, replica and
 //! F1 equal the sim run's exactly. The host's own cost shows up only as the
-//! wall running behind the virtual clock (printed here, and measured by the
-//! CLI and the `serve_realtime` perf workload), never in the report, which
-//! is therefore deterministic and witnessed by a digest.
+//! wall running behind the virtual clock (measured by the CLI and the
+//! `serve_realtime` perf workload), never in the report, which is therefore
+//! deterministic and witnessed by a digest.
 //!
 //! `METIS_TIME_SCALE` (default 200) sets the realtime driver's time
 //! compression. The realtime cell carries the `driver = realtime` marker.
@@ -18,15 +18,12 @@ use metis_datasets::{poisson_arrivals, DatasetKind};
 use metis_engine::RouterPolicy;
 use metis_metrics::BenchReport;
 
-use crate::{base_qps, dataset, knob, metis, Figure, RUN_SEED};
+use crate::{base_qps, dataset, knob, metis, Claim, Figure, RUN_SEED};
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig_realtime_parity",
     artefact: "Realtime parity",
-    title: "one workload, two drivers: simulator vs the wall-paced simulator",
-    paper: "the simulator is the oracle — the live driver must reproduce every \
-            query's delay, stages, replica and F1, not just finish the work",
-    report_title: "sim vs realtime driver parity",
+    title: "sim vs realtime driver parity",
     queries: 16,
     run: measure,
 };
@@ -39,28 +36,21 @@ fn time_scale() -> f64 {
         .unwrap_or(200.0)
 }
 
-fn measure(n: usize, report: &mut BenchReport) {
+fn measure(n: usize, report: &mut BenchReport) -> Vec<Claim> {
     let scale = time_scale();
     let kind = DatasetKind::Musique;
     let d = dataset(kind, n);
     let qps = base_qps(kind);
-    println!(
-        "\n--- {} ({n} queries, λ = {qps}/s, 2 replicas, time-scale {scale}×) ---",
-        kind.name()
-    );
 
     let run = |driver: DriverSpec| -> RunResult {
         let arrivals = poisson_arrivals(RUN_SEED ^ 0xA11, qps, n);
         let cfg = RunConfig::standard(metis(), arrivals, RUN_SEED)
             .replicated(2, RouterPolicy::RoundRobin)
             .with_driver(driver);
-        Runner::new(&d, cfg).run()
+        Runner::new(d, cfg).run()
     };
     let sim = run(DriverSpec::Sim);
-    // How long the paced run took, read through the sanctioned `WallClock`.
-    let wall_clock = metis_llm::WallClock::new(1.0);
     let rt = run(DriverSpec::Realtime { time_scale: scale });
-    let wall = wall_clock.now() as f64 / 1e9;
 
     assert_eq!(rt.per_query.len(), n, "queries went missing");
     for (s, r) in sim.per_query.iter().zip(&rt.per_query) {
@@ -71,11 +61,6 @@ fn measure(n: usize, report: &mut BenchReport) {
             s.query_index
         );
     }
-    println!(
-        "  {n} queries equal the sim run's in delay, stages, replica and F1 \
-         (wall {wall:.2}s for {:.2} virtual s)",
-        rt.makespan_secs
-    );
 
     knob(report, "queries", n);
     knob(report, "dataset", kind.name());
@@ -84,4 +69,5 @@ fn measure(n: usize, report: &mut BenchReport) {
         let cell = result.cell_report(id, RUN_SEED);
         report.cells.push(cell.knob("dataset", kind.name()));
     }
+    Vec::new()
 }

@@ -13,16 +13,12 @@ use metis_datasets::{poisson_arrivals, DatasetKind};
 use metis_engine::RouterPolicy;
 use metis_metrics::BenchReport;
 
-use crate::{base_qps, dataset, knob, metis, push_cells, values, Figure, Sweep, RUN_SEED};
+use crate::{base_qps, dataset, knob, metis, push_cells, Claim, Figure, Sweep, RUN_SEED};
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig_replicas",
     artefact: "Replica scaling",
-    title: "METIS over 1/2/4 engine replicas, rising load",
-    paper: "delay stays near the single-replica low-load level while offered \
-            load scales with the replica count; least-kv routing dominates \
-            round-robin once replicas saturate",
-    report_title: "replica scaling under rising load",
+    title: "replica scaling under rising load",
     queries: 96,
     run: measure,
 };
@@ -30,66 +26,37 @@ pub(super) const FIGURE: Figure = Figure {
 const REPLICAS: [usize; 3] = [1, 2, 4];
 const MULTS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
 
-fn measure(n: usize, report: &mut BenchReport) {
+fn measure(n: usize, report: &mut BenchReport) -> Vec<Claim> {
     let kind = DatasetKind::Musique;
     let d = dataset(kind, n);
     let base = base_qps(kind);
-    println!(
-        "\n--- {} ({} queries, base λ = {base}/s) ---",
-        kind.name(),
-        n
-    );
-    println!(
-        "  {:<8} {:<10} {:>12} {:>12} {:>10} {:>14}",
-        "load", "replicas", "rr mean(s)", "lkv mean(s)", "lkv p99", "lkv spread"
-    );
 
     // All (load multiple, replica count, router) points on the sweep
     // driver; the two routers of a point are adjacent cells.
-    let points: Vec<(f64, usize)> = MULTS
-        .iter()
-        .flat_map(|&mult| REPLICAS.map(|replicas| (mult, replicas)))
-        .collect();
     let mut sweep = Sweep::new("fig_replicas");
-    for &(mult, replicas) in &points {
-        for (tag, router) in [
-            ("rr", RouterPolicy::RoundRobin),
-            ("lkv", RouterPolicy::LeastKvLoad),
-        ] {
-            let d = &d;
-            sweep = sweep.cell_with_seed(
-                format!("{mult:.0}x/{replicas}r/{tag}"),
-                RUN_SEED,
-                move |seed| {
-                    let arrivals = poisson_arrivals(seed ^ 0xA11, base * mult, n);
-                    let cfg =
-                        RunConfig::standard(metis(), arrivals, seed).replicated(replicas, router);
-                    Runner::new(d, cfg).run()
-                },
-            );
+    for mult in MULTS {
+        for replicas in REPLICAS {
+            for (tag, router) in [
+                ("rr", RouterPolicy::RoundRobin),
+                ("lkv", RouterPolicy::LeastKvLoad),
+            ] {
+                sweep = sweep.cell_with_seed(
+                    format!("{mult:.0}x/{replicas}r/{tag}"),
+                    RUN_SEED,
+                    move |seed| {
+                        let arrivals = poisson_arrivals(seed ^ 0xA11, base * mult, n);
+                        let cfg = RunConfig::standard(metis(), arrivals, seed)
+                            .replicated(replicas, router);
+                        Runner::new(d, cfg).run()
+                    },
+                );
+            }
         }
     }
     let cells = sweep.run();
-    for (&(mult, replicas), routers) in points.iter().zip(cells.chunks(2)) {
-        let [rr, lkv] = values(routers);
-        let lat = lkv.latency();
-        let spread: Vec<String> = lkv
-            .completions_by_replica()
-            .iter()
-            .map(usize::to_string)
-            .collect();
-        println!(
-            "  {:<8} {:<10} {:>12.2} {:>12.2} {:>10.2} {:>14}",
-            format!("{mult:.0}x"),
-            replicas,
-            rr.latency().mean(),
-            lat.mean(),
-            lat.p99(),
-            spread.join("/"),
-        );
-    }
 
     knob(report, "queries", n);
     knob(report, "dataset", kind.name());
     push_cells(report, &cells, |c, _| c.knob("dataset", kind.name()));
+    Vec::new()
 }

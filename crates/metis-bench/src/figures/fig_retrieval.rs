@@ -17,16 +17,12 @@ use metis_datasets::{build_dataset_with_index, poisson_arrivals, Dataset, Datase
 use metis_metrics::BenchReport;
 use metis_vectordb::IndexSpec;
 
-use crate::{base_qps, knob, metis, Figure, Sweep, DATASET_SEED, RUN_SEED};
+use crate::{base_qps, knob, metis, Claim, Figure, Sweep, DATASET_SEED, RUN_SEED};
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig_retrieval",
     artefact: "Retrieval ablation",
-    title: "flat vs IVF retrieval: latency-recall tradeoff on the serving path",
-    paper: "IVF cuts retrieval p50/p99 by the probe fraction at a small \
-            recall@k tax; end-to-end F1 tracks fact recall, and the tradeoff \
-            is visible at every load level",
-    report_title: "flat vs IVF retrieval latency-recall tradeoff across load",
+    title: "flat vs IVF retrieval latency-recall tradeoff across load",
     queries: 96,
     run: measure,
 };
@@ -56,20 +52,10 @@ fn chunk_recall_vs_flat(d: &Dataset, flat: &Dataset) -> f64 {
     sum / d.queries.len().max(1) as f64
 }
 
-fn measure(n: usize, report: &mut BenchReport) {
+fn measure(n: usize, report: &mut BenchReport) -> Vec<Claim> {
     let kind = DatasetKind::Musique;
     let base = base_qps(kind);
     let flat = build_dataset_with_index(kind, n, DATASET_SEED, IndexSpec::Flat);
-    println!(
-        "\n--- {} ({} queries, {} chunks, base λ = {base}/s) ---",
-        kind.name(),
-        n,
-        flat.db.len()
-    );
-    println!(
-        "  {:<8} {:<24} {:>9} {:>9} {:>9} {:>9} {:>9} {:>7}",
-        "load", "index", "ret p50", "ret p99", "chunk@8", "fact-rec", "delay(s)", "F1"
-    );
 
     let specs: Vec<IndexSpec> = std::iter::once(IndexSpec::Flat)
         .chain(
@@ -114,25 +100,6 @@ fn measure(n: usize, report: &mut BenchReport) {
     }
     let cells = sweep.run();
 
-    for (li, &mult) in LOAD_MULTS.iter().enumerate() {
-        for (si, spec) in specs.iter().enumerate() {
-            let (recall, runs) = &cells[si].value;
-            let r = &runs[li].1;
-            let ret = r.retrieval();
-            println!(
-                "  {:<8} {:<24} {:>8.2}ms {:>8.2}ms {:>9.3} {:>9.3} {:>9.2} {:>7.3}",
-                format!("{mult:.0}x"),
-                spec.label(),
-                ret.p50() * 1e3,
-                ret.p99() * 1e3,
-                recall,
-                r.mean_retrieval_recall(),
-                r.mean_delay_secs(),
-                r.mean_f1(),
-            );
-        }
-    }
-
     knob(report, "queries", n);
     knob(report, "dataset", kind.name());
     knob(report, "recall_k", RECALL_K);
@@ -148,4 +115,5 @@ fn measure(n: usize, report: &mut BenchReport) {
             );
         }
     }
+    Vec::new()
 }

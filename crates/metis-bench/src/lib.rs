@@ -1,15 +1,17 @@
 //! The benchmark harness: the paper's evaluation as one table.
 //!
 //! Every table and figure of the evaluation is a row of [`FIGURES`] — its
-//! name, the paper artefact it reproduces, what the paper expects of it, its
-//! full-scale query count and the function that measures it — and the one
-//! bench target, `benches/figures.rs`, runs the rows named on its command
-//! line. [`Figure::report`] runs a row in-process at an explicit scale,
-//! which is how the workspace's pin test (`tests/pins/main.rs` at the
-//! root) holds every row to `baselines/`.
-//! The rest of this library is what the rows share: calibrated workload
-//! rates, paired run drivers, the fixed-configuration menu, Pareto
-//! filtering, and uniform result printing.
+//! name, the paper artefact it reproduces, its full-scale query count and
+//! the function that measures it — and the one bench target,
+//! `benches/figures.rs`, runs the rows named on its command line.
+//! [`Figure::report`] runs a row in-process at an explicit scale and returns
+//! its report and, beside it, the paper's numeric [`Claim`]s with what the
+//! row measured of them; that is how the workspace's pin test
+//! (`tests/pins/main.rs` at the root) holds every row to `baselines/` and
+//! the paper figures' claims to `tests/golden/claims.json`.
+//! The rest of this library is what the rows share: the dataset each
+//! (kind, size) is built as once per process, calibrated workload rates,
+//! paired run drivers, the fixed-configuration menu and Pareto filtering.
 //!
 //! ## Rate calibration
 //!
@@ -17,8 +19,7 @@
 //! testbed. Our simulated A40 (analytical roofline, AWQ kernels) sustains a
 //! different absolute prefill throughput, so each dataset runs at the rate
 //! that puts METIS at roughly 60% utilization — preserving the paper's
-//! contention regime, which is what the relative results depend on. The
-//! rates are printed with every experiment.
+//! contention regime, which is what the relative results depend on.
 
 #![warn(unreachable_pub)]
 
@@ -26,7 +27,10 @@ mod figures;
 mod reportio;
 mod sweep;
 
-pub use figures::{select, Figure, FIGURES};
+use std::collections::BTreeMap;
+use std::sync::{Mutex, OnceLock};
+
+pub use figures::{select, Claim, Figure, FIGURES};
 pub use reportio::emit;
 
 use metis_core::synthesis::SynthesisInputs;
@@ -57,9 +61,28 @@ pub(crate) fn base_qps(kind: DatasetKind) -> f64 {
     }
 }
 
-/// Builds the standard bench dataset for `kind`.
-pub(crate) fn dataset(kind: DatasetKind, n: usize) -> Dataset {
-    build_dataset(kind, n, DATASET_SEED)
+/// The standard bench dataset of `kind` with `n` queries, built once per
+/// process: at full scale the twelve paper figures of the evaluation ask 30
+/// times for 16 distinct (kind, n) pairs. Builds are deterministic, so
+/// which thread builds a pair first does not matter; two that race both
+/// build it and one copy is kept.
+pub(crate) fn dataset(kind: DatasetKind, n: usize) -> &'static Dataset {
+    type Built = BTreeMap<(&'static str, usize), &'static Dataset>;
+    static BUILT: OnceLock<Mutex<Built>> = OnceLock::new();
+    let built = || {
+        let memo = BUILT.get_or_init(Mutex::default);
+        memo.lock()
+            .expect("no thread panics holding the dataset memo")
+    };
+    let key = (kind.name(), n);
+    if let Some(&d) = built().get(&key) {
+        return d;
+    }
+    let fresh = build_dataset(kind, n, DATASET_SEED);
+    let d = *built()
+        .entry(key)
+        .or_insert_with(|| Box::leak(Box::new(fresh)));
+    d
 }
 
 /// Runs `system` over `dataset` on one replica with Poisson arrivals at
@@ -67,6 +90,11 @@ pub(crate) fn dataset(kind: DatasetKind, n: usize) -> Dataset {
 pub(crate) fn run(dataset: &Dataset, system: SystemKind, qps: f64, seed: u64) -> RunResult {
     let arrivals = poisson_arrivals(seed ^ 0xA11, qps, dataset.queries.len());
     Runner::new(dataset, RunConfig::standard(system, arrivals, seed)).run()
+}
+
+/// How many times lower `fast`'s mean delay is than `slow`'s.
+pub(crate) fn speedup(slow: &RunResult, fast: &RunResult) -> f64 {
+    slow.mean_delay_secs() / fast.mean_delay_secs()
 }
 
 /// Parses a `METIS_BENCH_QUERIES` value; `None` is the variable unset. A
@@ -158,24 +186,6 @@ pub(crate) fn push_cells(
     for cell in cells {
         let lowered = cell.value.cell_report(&cell.id, cell.seed);
         report.cells.push(describe(lowered, &cell.value));
-    }
-}
-
-/// Prints a uniform table: one labelled run per row.
-pub(crate) fn print_rows(rows: &[(String, &RunResult)]) {
-    println!(
-        "  {:<34} {:>9} {:>9} {:>9} {:>7}",
-        "system/config", "mean(s)", "p50(s)", "p99(s)", "F1"
-    );
-    for (label, r) in rows {
-        let lat = r.latency();
-        println!(
-            "  {label:<34} {:>9.2} {:>9.2} {:>9.2} {:>7.3}",
-            lat.mean(),
-            lat.p50(),
-            lat.p99(),
-            r.mean_f1()
-        );
     }
 }
 
@@ -400,7 +410,7 @@ mod tests {
         let d = dataset(DatasetKind::Squad, 10);
         let menu = [RagConfig::stuff(2), RagConfig::stuff(4)];
         let runs = FixedMenu(sweep_fixed(&menu, |config, seed| {
-            run(&d, SystemKind::VllmFixed { config }, 2.0, seed)
+            run(d, SystemKind::VllmFixed { config }, 2.0, seed)
         }));
         assert_eq!(runs.0.len(), 2);
         assert!(runs.0[0].0.num_chunks < runs.0[1].0.num_chunks);

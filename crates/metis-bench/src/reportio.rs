@@ -1,10 +1,9 @@
 //! Report emission for the bench target.
 //!
-//! Every figure the bench target runs ends with [`emit`]: the
-//! human-readable table it already printed is joined by a machine-readable
-//! JSON artifact under `target/bench-reports/<experiment>.json` (override
-//! the directory with `METIS_BENCH_REPORT_DIR`). CI uploads these
-//! artifacts. The ones that have a file in `baselines/` must equal it byte
+//! Every figure the bench target runs ends with [`emit`]: the report it
+//! already printed is written as a machine-readable JSON artifact under
+//! `target/bench-reports/<experiment>.json` (override the directory with
+//! `METIS_BENCH_REPORT_DIR`). CI uploads these artifacts. The ones that have a file in `baselines/` must equal it byte
 //! for byte; the root pin test (`tests/pins/main.rs`) checks that in
 //! process and writes nothing here.
 

@@ -1,6 +1,6 @@
 //! The figure registry's own invariants, which used to be guarded from
-//! outside the compiler: registration, the handbook's freshness, and the
-//! bench target's argument handling. The perf gate, every figure's
+//! outside the compiler: registration, the freshness of the handbook and of
+//! the fidelity page, and the bench target's argument handling. The perf gate, every figure's
 //! smoke-scale report held to `baselines/`, is the root pin test
 //! (`tests/pins/main.rs`).
 
@@ -8,6 +8,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use metis_bench::{select, FIGURES};
+use metis_metrics::Json;
 
 fn workspace() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -43,6 +44,30 @@ fn the_handbook_lists_every_figure_with_its_full_scale() {
             row.split('|')
                 .any(|cell| cell.split_whitespace().next() == Some(&queries)),
             "docs/benchmarks.md: the row of `{name}` does not give its full scale, {queries}"
+        );
+    }
+}
+
+#[test]
+fn the_fidelity_page_gives_every_pinned_claim_its_verdict() {
+    let golden = read(&workspace().join("tests/golden/claims.json"));
+    let claims = Json::parse(&golden).expect("claims.json parses");
+    let fidelity = read(&workspace().join("docs/fidelity.md"));
+    for claim in claims.as_arr().expect("an array of claims") {
+        let field = |name| {
+            claim
+                .get(name)
+                .and_then(Json::as_str)
+                .expect("a string field")
+        };
+        let (id, verdict) = (field("id"), field("verdict"));
+        let row = fidelity
+            .lines()
+            .find(|l| l.starts_with(&format!("| `{id}` |")))
+            .unwrap_or_else(|| panic!("docs/fidelity.md has no row for `{id}`"));
+        assert!(
+            row.split('|').any(|cell| cell.trim() == verdict),
+            "docs/fidelity.md: the row of `{id}` does not say {verdict}"
         );
     }
 }

@@ -64,11 +64,6 @@ pub struct QueryTruth {
 }
 
 impl QueryTruth {
-    /// Ids of all base facts.
-    pub fn needed_ids(&self) -> BTreeSet<FactId> {
-        self.base.iter().map(|f| f.id).collect()
-    }
-
     /// Whether `fact` is evidence this query needs: a base fact, or a
     /// component of a derived one.
     fn needs(&self, fact: FactId) -> bool {

@@ -12,7 +12,9 @@
 //! - `baselines/<figure>.json`: the smoke-scale report of each gated figure
 //!   (a figure is gated by having a file there);
 //! - `baselines/digests.txt`: one FNV-1a digest per other figure's
-//!   smoke-scale report, so no figure can move unread.
+//!   smoke-scale report, so no figure can move unread;
+//! - `tests/golden/claims.json`: the paper's numeric claims as the paper
+//!   figures measure them at full scale, each with its verdict.
 //!
 //! A failure prints the first lines that moved. On an *intentional* change,
 //! regenerate every pin with `METIS_REGEN_GOLDEN=1 cargo test --test pins`,
@@ -32,7 +34,7 @@ use std::fmt::Write as _;
 use metis::core::{MetisOptions, RunConfig, Runner, SystemKind};
 use metis::datasets::{build_dataset, poisson_arrivals, DatasetKind};
 use metis::engine::RouterPolicy;
-use metis::metrics::{BenchReport, CellReport, LatencySummary, SummaryStats};
+use metis::metrics::{BenchReport, CellReport, Json, LatencySummary, SummaryStats};
 use metis_bench::{select, FIGURES};
 
 /// Holds the file at `path` (from the repository root) to `fresh`, byte for
@@ -183,7 +185,7 @@ fn gated() -> Vec<String> {
 #[test]
 fn gated_figures_equal_their_baselines() {
     for figure in select(gated()).expect("every baseline names a figure") {
-        let fresh = figure.report(Some(SMOKE)).render();
+        let fresh = figure.report(Some(SMOKE)).0.render();
         assert_pinned(&format!("baselines/{}.json", figure.name), &fresh);
     }
 }
@@ -196,8 +198,42 @@ fn ungated_figures_equal_their_digests() {
     let mut fresh = String::new();
     for figure in FIGURES.iter().filter(|f| !gated.contains(&f.name.into())) {
         let mut fnv = Fnv::new();
-        fnv.bytes(figure.report(Some(SMOKE)).render().as_bytes());
+        fnv.bytes(figure.report(Some(SMOKE)).0.render().as_bytes());
         writeln!(fresh, "{} {:016x}", figure.name, fnv.0).expect("write to String");
     }
     assert_pinned("baselines/digests.txt", &fresh);
+}
+
+/// The figures whose claims are pinned: the paper figures with numeric
+/// claims (ROADMAP item 10's twelve, and `fig17_small_profiler`).
+const CLAIMED: [&str; 13] = [
+    "fig01_preview",
+    "fig05_perquery",
+    "fig09_confidence",
+    "fig10_overall",
+    "fig11_throughput",
+    "fig12_breakdown",
+    "fig13_cost",
+    "fig14_feedback",
+    "fig15_big_model",
+    "fig16_incremental",
+    "fig17_small_profiler",
+    "fig18_profiler_overhead",
+    "fig19_low_load",
+];
+
+/// The fidelity pin: each claimed figure runs at full scale, as the paper
+/// did, and every claim it measures — its value and verdict — must equal
+/// `tests/golden/claims.json`. At smoke scale a verdict would be noise.
+#[test]
+fn paper_claims_at_full_scale_equal_their_golden() {
+    let mut claims = Vec::new();
+    for figure in select(CLAIMED.map(String::from)).expect("every claimed figure exists") {
+        let (_, measured) = figure.report(None);
+        assert!(!measured.is_empty(), "{} measures no claim", figure.name);
+        claims.extend(measured.iter().map(|claim| claim.to_json(None)));
+    }
+    let mut fresh = Json::Arr(claims).render_pretty(2);
+    fresh.push('\n');
+    assert_pinned("tests/golden/claims.json", &fresh);
 }
