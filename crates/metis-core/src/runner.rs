@@ -28,22 +28,28 @@
 //! event, hand it any completions, fire the event. Each event kind is one
 //! `&mut self` handler on the run's state (`on_profile`, `on_decide`,
 //! `on_retrieve`, `on_autoscale`, and `on_completions` for what the driver
-//! returns), which is the seam tracing and fault injection hook into. A
-//! query is carried by two records — `Staged` until its calls are
-//! submitted, `InFlight` while the driver has them — and its
-//! [`QueryResult`] is assembled in one place for provider-served and
-//! engine-served runs alike. Between events the driver is pumped for
-//! completions, which advances replicas in deterministic most-lagging
-//! order; under the realtime driver it also waits for the scaled wall
-//! clock — which is exactly where arrival pacing physically happens.
+//! returns), which is the seam tracing and fault injection hook into.
+//! Between events the driver is pumped for completions, which advances
+//! replicas in deterministic most-lagging order; under the realtime driver
+//! it also waits for the scaled wall clock — which is exactly where arrival
+//! pacing physically happens.
+//!
+//! **The run is its record.** The handlers hold only control state (a
+//! query's plan, calls remaining, routed replica and retrieved chunks, in
+//! `Staged` and then `InFlight`). Every per-query fact — profiled, decided,
+//! retrieved, each served call's [`Completion`], answered — is appended to
+//! the run's one log of `Record`s, in virtual time, and `fold` turns the log
+//! into the [`RunResult`], auditing it under debug assertions. A query with
+//! a call its replica could never admit ([`Engine::check_capacity`]) is
+//! rejected before any of it is submitted, and logged as such.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use metis_datasets::Dataset;
 use metis_engine::{
-    Completion, Driver, DriverSpec, Engine, EngineConfig, GroupId, LlmRequest, PrefixCache,
-    Priority, ReplicaId, RequestId, RouterPolicy, SimDriver, Stage,
+    Completion, Driver, DriverSpec, Engine, EngineConfig, EngineStats, GroupId, KvError,
+    LlmRequest, PrefixCache, Priority, ReplicaId, RequestId, RouterPolicy, SimDriver, Stage,
 };
 use metis_llm::{
     nanos_to_secs, FleetSpec, GenModelConfig, GenerationModel, GpuCluster, LatencyModel, ModelKind,
@@ -56,9 +62,9 @@ use metis_vectordb::{
 
 use crate::autoscaler::{Autoscaler, AutoscalerState, ScaleAction};
 use crate::config::{RagConfig, SynthesisMethod};
-use crate::controllers::{Controller, DecisionContext, ProfileOutcome, SystemKind};
+use crate::controllers::{Controller, Decision, DecisionContext, ProfileOutcome, SystemKind};
 use crate::retrieval::RetrievalModel;
-use crate::synthesis::{plan_synthesis, SynthesisInputs, SynthesisPlan};
+use crate::synthesis::{plan_synthesis, PlannedCall, SynthesisInputs, SynthesisPlan};
 
 /// One run's parameters.
 #[derive(Clone, Debug)]
@@ -278,8 +284,12 @@ pub struct QueryResult {
 /// Aggregate outcome of one run.
 #[derive(Clone, Debug)]
 pub struct RunResult {
-    /// Per-query records, in query order.
+    /// Per-query records of the answered queries, in query order.
     pub per_query: Vec<QueryResult>,
+    /// Queries rejected before any of their calls was submitted, because
+    /// one needs more KV than the routed replica's whole pool holds. They
+    /// have no `per_query` record: their delay and stages mean nothing.
+    pub rejected: usize,
     /// Number of engine replicas that served the run.
     pub replicas: usize,
     /// GPU busy seconds summed across replicas (for the cost model).
@@ -488,6 +498,11 @@ impl RunResult {
         } else {
             cell
         };
+        let cell = if self.rejected > 0 {
+            cell.metric("rejected", self.rejected as f64)
+        } else {
+            cell
+        };
         if self.index_spec != IndexSpec::Flat || self.quant != Quantization::F32 {
             cell.knob("quantize", self.quant.name())
                 .metric(
@@ -569,64 +584,141 @@ impl Timeline {
     }
 }
 
-/// What is settled about a query once its configuration is decided and its
-/// retrieval executed. It rides unchanged from the pre-submit record into
-/// the in-flight one, and [`QueryResult`] is assembled from it alone.
-struct Query {
-    query_index: usize,
-    /// When the query logically arrived (its Profile event time).
-    arrival: Nanos,
-    priority: Priority,
-    config: RagConfig,
-    fallback: bool,
-    replica: ReplicaId,
-    retrieval_recall: f64,
-    work: SearchWork,
-    /// Worst (submit → admission) delay seen across the query's calls.
-    queue_wait: Nanos,
-    /// Per-stage accounting: profile/retrieve filled at decide time, engine
-    /// stages accumulated from the completion that gates each wave.
-    stages: StageBreakdown,
+/// One fact about query `query`, appended to the run's log as it happens,
+/// at virtual time `at`. The log is the run's only per-query record:
+/// [`fold`] turns it into the [`RunResult`]'s. Golden feedback runs are
+/// measurement, not queries, and log nothing.
+#[derive(Clone, Copy, Debug)]
+struct Record {
+    query: usize,
+    at: Nanos,
+    fact: Fact,
 }
 
-impl Query {
-    /// The per-query record of a query whose last call finished at `finish`
-    /// on `served_by` — for provider-served and engine-served runs alike.
-    fn result(
-        &self,
-        dataset: &Dataset,
-        plan: &SynthesisPlan,
-        finish: Nanos,
-        served_by: ReplicaId,
-    ) -> QueryResult {
-        let gold = dataset.queries[self.query_index].gold_answer();
-        QueryResult {
-            query_index: self.query_index,
-            f1: f1_score(&plan.answer, &gold),
-            delay_secs: nanos_to_secs(finish.saturating_sub(self.arrival)),
-            profiler_secs: nanos_to_secs(self.stages.profile),
-            retrieval_secs: nanos_to_secs(self.stages.retrieve),
-            retrieval_recall: self.retrieval_recall,
-            work: self.work,
-            config: self.config,
-            fallback: self.fallback,
-            replica: served_by.0,
-            arrival_secs: nanos_to_secs(self.arrival),
-            finish_secs: nanos_to_secs(finish),
-            queue_wait_secs: nanos_to_secs(self.queue_wait),
-            priority: self.priority,
-            stages: self.stages,
+/// What happened to a query, in the order its facts are logged.
+#[derive(Clone, Copy, Debug)]
+enum Fact {
+    /// The query arrived; its profile takes this long, and sets its class.
+    Profiled(Nanos, Priority),
+    /// Its configuration was chosen.
+    Decided(Decision),
+    /// Its index search ran: the nanos priced from the measured work, and
+    /// the fact recall of what it fetched.
+    Retrieved(Nanos, SearchWork, f64),
+    /// One of its calls finished (under API serving, a synthesized
+    /// completion with no queue or prefill).
+    Served(Completion),
+    /// Its last call finished; the F1 of its answer.
+    Answered(f64),
+    /// A call of its plan needs more KV than the routed replica's whole
+    /// pool holds ([`KvError::BeyondCapacity`]); nothing was submitted.
+    Rejected(KvError),
+}
+
+/// What the fold knows of one query so far.
+#[derive(Default)]
+struct Tally {
+    arrival: Nanos,
+    priority: Priority,
+    decision: Option<Decision>,
+    work: SearchWork,
+    recall: f64,
+    /// Worst (submit → last admission) wait over the query's calls.
+    queue_wait: Nanos,
+    stages: StageBreakdown,
+    /// The last logged call of each wave (the maps or the one call, then
+    /// the reduce): the call that gated the wave.
+    gates: [Option<Completion>; 2],
+    /// Times answered or rejected.
+    settled: u8,
+    result: Option<QueryResult>,
+}
+
+/// Folds the log, in append order, into the answered queries' results (in
+/// query order) and the count of rejected ones. Under debug assertions,
+/// so in every test run, it also audits the log: each query is answered or
+/// rejected exactly once, and each answer's stages sum to its delay.
+fn fold(log: &[Record], queries: usize) -> (Vec<QueryResult>, usize) {
+    let mut tallies: Vec<Tally> = (0..queries).map(|_| Tally::default()).collect();
+    let mut rejected = 0;
+    for &Record { query, at, fact } in log {
+        let t = &mut tallies[query];
+        match fact {
+            Fact::Profiled(profiler, priority) => {
+                (t.arrival, t.priority, t.stages.profile) = (at, priority, profiler);
+            }
+            Fact::Decided(decision) => t.decision = Some(decision),
+            Fact::Retrieved(nanos, work, recall) => {
+                (t.stages.retrieve, t.work, t.recall) = (nanos, work, recall);
+            }
+            Fact::Served(call) => {
+                // Re-admissions after preemption count: that wait is real.
+                t.queue_wait = t.queue_wait.max(call.admitted.saturating_sub(call.arrival));
+                t.gates[usize::from(call.stage == Stage::Reduce)] = Some(call);
+            }
+            Fact::Answered(f1) => {
+                // The gates' queue/prefill/decode decompositions *are* the
+                // critical chain's: the reduce arrives as the maps' gate
+                // finishes, so the chain telescopes to the whole delay.
+                for c in t.gates.iter().flatten() {
+                    t.stages.queue_wait += c.admitted.saturating_sub(c.arrival);
+                    t.stages.prefill += c.prefill_done.saturating_sub(c.admitted);
+                    t.stages.decode += c.finish.saturating_sub(c.prefill_done);
+                }
+                let last = t.gates[1].or(t.gates[0]).expect("an answer follows a call");
+                let decision = t.decision.expect("a query is decided before it is served");
+                let delay = at.saturating_sub(t.arrival);
+                debug_assert_eq!(t.stages.total(), delay, "query {query}'s stages");
+                t.settled += 1;
+                t.result = Some(QueryResult {
+                    query_index: query,
+                    f1,
+                    delay_secs: nanos_to_secs(delay),
+                    profiler_secs: nanos_to_secs(t.stages.profile),
+                    retrieval_secs: nanos_to_secs(t.stages.retrieve),
+                    retrieval_recall: t.recall,
+                    work: t.work,
+                    config: decision.config,
+                    fallback: decision.fallback,
+                    replica: last.replica.0,
+                    arrival_secs: nanos_to_secs(t.arrival),
+                    finish_secs: nanos_to_secs(at),
+                    queue_wait_secs: nanos_to_secs(t.queue_wait),
+                    priority: t.priority,
+                    stages: t.stages,
+                });
+            }
+            Fact::Rejected(error) => {
+                debug_assert!(
+                    matches!(error, KvError::BeyondCapacity { requested, capacity } if requested > capacity),
+                    "query {query} rejected for {error}"
+                );
+                t.settled += 1;
+                rejected += 1;
+            }
         }
     }
+    debug_assert!(
+        tallies.iter().all(|t| t.settled == 1),
+        "each query is answered or rejected exactly once"
+    );
+    let per_query = tallies.into_iter().filter_map(|t| t.result).collect();
+    (per_query, rejected)
+}
+
+/// A query's control state once its configuration is decided: what
+/// submitting its calls needs.
+struct Query {
+    query_index: usize,
+    priority: Priority,
+    config: RagConfig,
+    replica: ReplicaId,
 }
 
 /// A query that has not reached the serving substrate yet.
 enum Staged {
     /// Profile → Decide: waiting out the profiler's API latency.
-    Profiled {
-        arrival: Nanos,
-        outcome: ProfileOutcome,
-    },
+    Profiled(ProfileOutcome),
     /// Decide → Retrieve: configured and routed, its index search in flight.
     Searching {
         query: Query,
@@ -729,7 +821,8 @@ struct Run<'a> {
     /// Every query ever submitted, indexed by its calls' [`GroupId`].
     in_flight: Vec<InFlight>,
     next_req: u64,
-    results: Vec<QueryResult>,
+    /// The run's facts, append-only; [`fold`] turns them into its results.
+    log: Vec<Record>,
     api_cost: f64,
     /// The chunk store's tier counters at the start, so the report can
     /// attribute hot/cold traffic to this run alone (they are cumulative
@@ -788,7 +881,7 @@ impl<'a> Run<'a> {
             .prefix_cache_bytes
             .map(|bytes| bytes / cfg.model.kv_bytes_per_token().max(1));
         let prefix_caches = prefix_tokens.map(|tokens| {
-            (0..driver.replicas())
+            (0..driver.cluster().len())
                 .map(|_| PrefixCache::new(tokens))
                 .collect()
         });
@@ -811,7 +904,8 @@ impl<'a> Run<'a> {
             staged: BTreeMap::new(),
             in_flight: Vec::new(),
             next_req: 0,
-            results: Vec::new(),
+            // Five records for a query answered by one call.
+            log: Vec::with_capacity(5 * cfg.arrivals.len()),
             api_cost: 0.0,
             store_stats_at_start: dataset.db.store().stats(),
         }
@@ -852,13 +946,12 @@ impl<'a> Run<'a> {
         self.api_cost += outcome.cost_usd;
         self.timeline
             .push(t + outcome.profiler_nanos, EventKind::Decide(q));
-        self.staged.insert(
+        self.note(
             q,
-            Staged::Profiled {
-                arrival: t,
-                outcome,
-            },
+            t,
+            Fact::Profiled(outcome.profiler_nanos, outcome.priority),
         );
+        self.staged.insert(q, Staged::Profiled(outcome));
     }
 
     /// Chooses the configuration for `q` at decision time `t` (against the
@@ -866,7 +959,7 @@ impl<'a> Run<'a> {
     /// decided `num_chunks` asks for, and schedules its completion — the
     /// measured search work priced by the default [`RetrievalModel`].
     fn on_decide(&mut self, q: usize, t: Nanos) {
-        let Some(Staged::Profiled { arrival, outcome }) = self.staged.remove(&q) else {
+        let Some(Staged::Profiled(outcome)) = self.staged.remove(&q) else {
             unreachable!("query {q} is decided once, after its profile");
         };
         let query = &self.dataset.queries[q];
@@ -875,14 +968,15 @@ impl<'a> Run<'a> {
         // against that replica's free memory: per-backend joint
         // configuration/scheduling.
         let replica = self.driver.route(t);
+        let engine = self.driver.cluster().replica(replica);
         let decision = self.controller.decide(&DecisionContext {
             space: outcome.space.as_ref(),
             estimate: outcome.estimate.as_ref(),
-            free_kv_tokens: self.driver.free_kv_tokens(replica),
-            preemption_pressure: self.driver.preemption_pressure(replica),
+            free_kv_tokens: engine.free_kv_tokens(),
+            preemption_pressure: engine.stats().preemption_pressure(),
             chunk_size: db.metadata().chunk_size as u64,
             query_tokens: query.tokens.len() as u64,
-            latency: self.driver.cluster().replica(replica).latency_model(),
+            latency: engine.latency_model(),
         });
         // The real index search, sized by the decision's top-k through the
         // one shared clamp, with per-search work accounting.
@@ -895,21 +989,14 @@ impl<'a> Run<'a> {
         let retrieval_nanos = RetrievalModel::default().nanos(&work, embed_units);
         self.timeline
             .push(t + retrieval_nanos, EventKind::Retrieve(q));
+        let recall = fact_recall(query, &retrieved);
+        self.note(q, t, Fact::Decided(decision));
+        self.note(q, t, Fact::Retrieved(retrieval_nanos, work, recall));
         let query = Query {
             query_index: q,
-            arrival,
             priority: outcome.priority,
             config: decision.config,
-            fallback: decision.fallback,
             replica,
-            retrieval_recall: fact_recall(query, &retrieved),
-            work,
-            queue_wait: 0,
-            stages: StageBreakdown {
-                profile: outcome.profiler_nanos,
-                retrieve: retrieval_nanos,
-                ..StageBreakdown::default()
-            },
         };
         self.staged
             .insert(q, Staged::Searching { query, retrieved });
@@ -928,7 +1015,7 @@ impl<'a> Run<'a> {
         let seed = self.cfg.seed ^ (q as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let plan = self.plan(q, &query.config, &retrieved, seed);
         if self.api_mode {
-            return self.serve_by_api(query, &plan, t);
+            return self.serve_by_api(q, &plan, t);
         }
 
         // Chunk-level KV reuse (§8): consult the prefix cache for every
@@ -943,6 +1030,10 @@ impl<'a> Run<'a> {
         };
         let read = &retrieved[..read];
         query.replica = self.reroute_by_prefix(query.replica, read, t);
+        if let Some(error) = self.beyond_capacity(query.replica, &plan) {
+            self.note(q, t, Fact::Rejected(error));
+            return self.settle(q, t);
+        }
         // The routed replica's own cache: KV cached elsewhere doesn't help.
         let cached_per_call: Vec<u64> = match &mut self.prefix_caches {
             None => Vec::new(),
@@ -973,19 +1064,16 @@ impl<'a> Run<'a> {
             let plan = self.plan(q, &golden, &retrieved, self.cfg.seed ^ 0x601D ^ q as u64);
             let synthetic = Query {
                 query_index: q,
-                arrival: t,
                 // Golden feedback runs are background measurement: they
                 // yield to real traffic under a preemptive scheduler.
                 priority: Priority::Batch,
                 config: golden,
-                fallback: false,
                 replica: self.driver.route(t),
-                retrieval_recall: 0.0,
-                work: SearchWork::default(),
-                queue_wait: 0,
-                stages: StageBreakdown::default(),
             };
-            self.submit_wave(synthetic, plan, true, &[], t);
+            // A golden run its replica could never hold grounds nothing.
+            if self.beyond_capacity(synthetic.replica, &plan).is_none() {
+                self.submit_wave(synthetic, plan, true, &[], t);
+            }
         }
     }
 
@@ -1013,7 +1101,7 @@ impl<'a> Run<'a> {
             .iter()
             .enumerate()
             .filter(|&(i, _)| {
-                self.driver.is_routable(ReplicaId(i as u32), t) || i == routed.0 as usize
+                self.driver.cluster().is_routable(ReplicaId(i as u32), t) || i == routed.0 as usize
             })
             .map(|(i, cache)| (overlap_of(cache), i))
             .max_by_key(|&(overlap, i)| (overlap, Reverse(i)))
@@ -1021,28 +1109,53 @@ impl<'a> Run<'a> {
             .map_or(routed, |(_, i)| ReplicaId(i as u32))
     }
 
-    /// API serving (Fig. 13's GPT-4o comparison): map calls run concurrently
-    /// against the provider; the reduce (if any) follows. There is no local
-    /// queue or prefill accounting, so the whole call lands in `decode`.
-    fn serve_by_api(&mut self, mut query: Query, plan: &SynthesisPlan, t: Nanos) {
-        let map_nanos = plan
-            .map_calls
+    /// The error of the first call of `plan` that `replica` could never
+    /// admit, however empty its pool: such a query is rejected before any
+    /// of its calls is submitted.
+    fn beyond_capacity(&self, replica: ReplicaId, plan: &SynthesisPlan) -> Option<KvError> {
+        let engine = self.driver.cluster().replica(replica);
+        plan.map_calls
             .iter()
-            .map(|c| self.latency.api_call(c.prompt_tokens, c.output_tokens))
-            .max()
-            .unwrap_or(0);
-        let reduce_nanos = plan.reduce_call.map_or(0, |c| {
-            self.latency.api_call(c.prompt_tokens, c.output_tokens)
-        });
+            .chain(&plan.reduce_call)
+            .find_map(|c| {
+                engine
+                    .check_capacity(c.prompt_tokens, c.output_tokens)
+                    .err()
+            })
+    }
+
+    /// API serving (Fig. 13's GPT-4o comparison): map calls run concurrently
+    /// against the provider; the reduce (if any) follows. Each call is
+    /// logged as a completion with no local queue or prefill, so it lands
+    /// in `decode`; the slowest map is logged last, as the one that gates
+    /// the reduce.
+    fn serve_by_api(&mut self, q: usize, plan: &SynthesisPlan, t: Nanos) {
+        let latency = &self.latency;
+        let api_nanos = |c: &PlannedCall| latency.api_call(c.prompt_tokens, c.output_tokens);
+        let stage = if plan.reduce_call.is_some() {
+            Stage::Map
+        } else {
+            Stage::Single
+        };
+        let maps = 0..plan.map_calls.len();
+        let slowest = maps.clone().max_by_key(|&i| api_nanos(&plan.map_calls[i]));
+        let mut finish = t;
+        for i in maps.filter(|&i| Some(i) != slowest).chain(slowest) {
+            finish = t + api_nanos(&plan.map_calls[i]);
+            self.log.push(provider_call(q, stage, t, finish));
+        }
+        if let Some(reduce) = &plan.reduce_call {
+            let start = finish;
+            finish += api_nanos(reduce);
+            self.log
+                .push(provider_call(q, Stage::Reduce, start, finish));
+        }
         for c in plan.map_calls.iter().chain(&plan.reduce_call) {
             self.api_cost += self.latency.api_cost_usd(c.prompt_tokens, c.output_tokens);
         }
-        query.stages.decode = map_nanos + reduce_nanos;
-        let finish = t + query.stages.decode;
-        self.record(
-            query.result(self.dataset, plan, finish, ReplicaId(0)),
-            finish,
-        );
+        let gold = self.dataset.queries[q].gold_answer();
+        self.note(q, finish, Fact::Answered(f1_score(&plan.answer, &gold)));
+        self.settle(q, finish);
     }
 
     /// Submits a query's first wave — its map calls, or the single `stuff`
@@ -1091,22 +1204,16 @@ impl<'a> Run<'a> {
         for c in completions {
             let a = &mut self.in_flight[c.group.0 as usize];
             a.remaining = a.remaining.saturating_sub(1);
-            // The query's queueing delay is its worst call's wait
-            // (submit → last admission; re-admissions after preemption
-            // count — that wait is real).
-            let waited = c.admitted.saturating_sub(c.arrival);
-            a.query.queue_wait = a.query.queue_wait.max(waited);
+            let q = a.query.query_index;
+            if !a.synthetic {
+                let (query, at, fact) = (q, c.finish, Fact::Served(*c));
+                self.log.push(Record { query, at, fact });
+            }
             if a.remaining > 0 {
                 continue;
             }
             // `c` gated its wave (last map before the reduce, or the final
-            // call): its queue/prefill/decode decomposition *is* the
-            // critical chain's — within one engine iteration all finishes
-            // coincide, and the reduce's arrival equals this finish, so the
-            // chain sums telescope to the query's end-to-end delay.
-            a.query.stages.queue_wait += waited;
-            a.query.stages.prefill += c.prefill_done.saturating_sub(c.admitted);
-            a.query.stages.decode += c.finish.saturating_sub(c.prefill_done);
+            // call), so the reduce arrives as it finishes.
             if let (Some(reduce), false) = (a.plan.reduce_call, a.reduce_submitted) {
                 // All maps done: submit the reduce call now, to the same
                 // replica (the query's KV and gang stay on one backend).
@@ -1132,42 +1239,47 @@ impl<'a> Run<'a> {
             // Query complete.
             self.controller.on_query_complete(a.synthetic);
             if !a.synthetic {
-                let result = a.query.result(self.dataset, &a.plan, c.finish, c.replica);
-                self.record(result, c.finish);
+                let f1 = f1_score(&a.plan.answer, &self.dataset.queries[q].gold_answer());
+                self.note(q, c.finish, Fact::Answered(f1));
+                self.settle(q, c.finish);
             }
         }
     }
 
-    /// Files a finished query; in closed-loop mode its completion is the
-    /// next query's arrival.
-    fn record(&mut self, result: QueryResult, finish: Nanos) {
-        self.results.push(result);
-        let next = self.results.len();
-        if self.cfg.closed_loop && next < self.dataset.queries.len() {
-            self.timeline.push(finish, EventKind::Profile(next));
+    /// Appends a fact about query `q`, at `at`, to the run's log.
+    fn note(&mut self, q: usize, at: Nanos, fact: Fact) {
+        self.log.push(Record { query: q, at, fact });
+    }
+
+    /// Query `q` left the system at `at`, answered or rejected; in
+    /// closed-loop mode, where queries run one at a time, that is the next
+    /// query's arrival.
+    fn settle(&mut self, q: usize, at: Nanos) {
+        if self.cfg.closed_loop && q + 1 < self.dataset.queries.len() {
+            self.timeline.push(at, EventKind::Profile(q + 1));
         }
     }
 
-    /// Periodic autoscaler evaluation at `t`: read the fleet's load through
-    /// the driver and add or drain one replica.
+    /// Periodic autoscaler evaluation at `t`: read the fleet's load off
+    /// the cluster and add or drain one replica through the driver.
     fn on_autoscale(&mut self, t: Nanos) {
         let policy = self.autoscale.expect("autoscale event without policy");
-        let active = self.driver.active_replicas(t);
-        let queue_depth = self.driver.queue_depth();
+        let cluster = self.driver.cluster();
+        let (active, queue_depth, slots) =
+            (cluster.active_len(t), cluster.queue_depth(), cluster.len());
         // Worst pressure over the replicas still taking routes: retired
         // slots keep their (frozen) stats and must not gate future
         // decisions.
-        let pressure = (0..self.driver.replicas())
-            .map(|i| ReplicaId(i as u32))
-            .filter(|&id| self.driver.is_routable(id, t))
-            .map(|id| self.driver.preemption_pressure(id))
+        let pressure = cluster
+            .replicas()
+            .filter(|e| cluster.is_routable(e.replica(), t))
+            .map(|e| e.stats().preemption_pressure())
             .fold(0.0_f64, f64::max);
         match policy.evaluate(t, active, queue_depth, pressure, &mut self.scaler_state) {
             ScaleAction::Up => {
                 // New slots cycle through the fleet's replica specs, so a
                 // heterogeneous mix grows in kind.
-                let slot = self.driver.replicas();
-                let spec = self.fleet.replicas[slot % self.fleet.replicas.len()];
+                let spec = self.fleet.replicas[slots % self.fleet.replicas.len()];
                 let lat = LatencyModel::new(self.cfg.model.clone(), spec.cluster);
                 let warmup = spec.warmup_nanos.max(policy.warmup_nanos);
                 self.driver
@@ -1180,9 +1292,10 @@ impl<'a> Run<'a> {
             ScaleAction::Down => {
                 // Drain the newest routable slot; the driver refuses the
                 // last one.
-                for i in (0..self.driver.replicas()).rev() {
+                for i in (0..slots).rev() {
                     let id = ReplicaId(i as u32);
-                    if self.driver.is_routable(id, t) && self.driver.drain_replica(id, t) {
+                    if self.driver.cluster().is_routable(id, t) && self.driver.drain_replica(id, t)
+                    {
                         break;
                     }
                 }
@@ -1197,20 +1310,19 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Tears the driver down (waiting for the wall under realtime) and
-    /// assembles the run's totals.
+    /// Ends the run (waiting for the wall under realtime), folds the log
+    /// into its results, and reads the cluster's totals.
     fn finish(self) -> RunResult {
-        let driver_stats = self.driver.finish();
-        let mut results = self.results;
-        results.sort_by_key(|r| r.query_index);
-        let first = results
+        self.driver.finish();
+        let (per_query, rejected) = fold(&self.log, self.dataset.queries.len());
+        let first = per_query
             .iter()
             .map(|r| r.arrival_secs)
             .fold(f64::MAX, f64::min);
-        let last = results.iter().map(|r| r.finish_secs).fold(0.0, f64::max);
+        let last = per_query.iter().map(|r| r.finish_secs).fold(0.0, f64::max);
         let index_meta = self.dataset.db.index_meta();
         let mut index_work = SearchWork::default();
-        for r in &results {
+        for r in &per_query {
             index_work.add(&r.work);
         }
         let store = self.dataset.db.store().stats();
@@ -1220,22 +1332,26 @@ impl<'a> Run<'a> {
             .iter()
             .flatten()
             .fold((0u64, 0u64), |(h, l), c| (h + c.hits(), l + c.lookups()));
+        let cluster = self.driver.cluster();
+        let stats = cluster.stats();
+        let total = |field: fn(&EngineStats) -> u64| stats.iter().map(|s| field(s)).sum::<u64>();
         RunResult {
-            makespan_secs: if results.is_empty() {
+            makespan_secs: if per_query.is_empty() {
                 0.0
             } else {
                 (last - first).max(0.0)
             },
-            per_query: results,
-            replicas: driver_stats.replicas,
-            gpu_busy_secs: driver_stats.busy_secs(),
+            per_query,
+            rejected,
+            replicas: cluster.len(),
+            gpu_busy_secs: nanos_to_secs(total(|s| s.busy)),
             api_cost_usd: self.api_cost,
-            preemptions: driver_stats.preemptions,
-            preempted_tokens: driver_stats.preempted_tokens,
-            migrations: driver_stats.migrations,
-            migrated_tokens: driver_stats.migrated_tokens,
-            peak_replicas: driver_stats.peak_replicas,
-            replica_seconds: driver_stats.replica_seconds,
+            preemptions: total(|s| s.preemptions),
+            preempted_tokens: total(|s| s.preempted_tokens),
+            migrations: total(|s| s.migrations),
+            migrated_tokens: total(|s| s.migrated_tokens),
+            peak_replicas: cluster.peak_live(),
+            replica_seconds: cluster.replica_seconds(cluster.latest_now()),
             driver: self.driver_spec,
             index_spec: index_meta.spec,
             quant: index_meta.quant,
@@ -1249,6 +1365,23 @@ impl<'a> Run<'a> {
             },
         }
     }
+}
+
+/// A provider-served call as the log records it: no local queue and no
+/// prefill, so all of it is decode, on the one nominal replica 0.
+fn provider_call(query: usize, stage: Stage, start: Nanos, at: Nanos) -> Record {
+    let call = Completion {
+        id: RequestId(0),
+        group: GroupId(query as u64),
+        stage,
+        replica: ReplicaId(0),
+        arrival: start,
+        admitted: start,
+        prefill_done: start,
+        finish: at,
+    };
+    let fact = Fact::Served(call);
+    Record { query, at, fact }
 }
 
 /// Fraction of the query's needed base facts present in `retrieved` —

@@ -210,7 +210,7 @@ impl Cluster {
     }
 
     /// Number of replicas accepting routed work at `now`.
-    fn active_len(&self, now: Nanos) -> usize {
+    pub fn active_len(&self, now: Nanos) -> usize {
         self.replicas
             .iter()
             .filter(|r| r.state_at(now) == ReplicaState::Active)
@@ -223,7 +223,7 @@ impl Cluster {
     }
 
     /// High-water mark of concurrently live slots.
-    pub(crate) fn peak_live(&self) -> usize {
+    pub fn peak_live(&self) -> usize {
         self.peak_live
     }
 
@@ -343,12 +343,6 @@ impl Cluster {
         }
     }
 
-    /// Free KV tokens on one replica — what METIS's per-backend best-fit
-    /// inspects at decision time.
-    pub fn free_kv_tokens(&self, id: ReplicaId) -> u64 {
-        self.replica(id).free_kv_tokens()
-    }
-
     /// Requests waiting for admission across live replicas — the
     /// autoscaler's primary load signal.
     pub fn queue_depth(&self) -> u64 {
@@ -362,7 +356,7 @@ impl Cluster {
     /// Integrated capacity cost in replica-seconds up to virtual time
     /// `end`: each slot is billed from spawn until retirement (or `end`
     /// while live). Warm-up time is billed — the GPU is held from spawn.
-    pub(crate) fn replica_seconds(&self, end: Nanos) -> f64 {
+    pub fn replica_seconds(&self, end: Nanos) -> f64 {
         self.replicas
             .iter()
             .map(|r| {

@@ -4,7 +4,9 @@
 //! Submit events on a virtual timeline and needs four things from the
 //! serving substrate: route new work to a replica, submit requests, collect
 //! completions, and know when everything has drained. [`Driver`] is exactly
-//! that surface. One implementation exists, [`SimDriver`]: it wraps a
+//! that surface, plus growing and draining the fleet; everything the runner
+//! reads about the replicas it reads from the [`Cluster`] itself
+//! ([`SimDriver::cluster`]). One implementation exists, [`SimDriver`]: it wraps a
 //! [`Cluster`] and advances it with most-lagging-replica discrete-event
 //! stepping, deterministic and bit-for-bit reproducible (a golden-report
 //! test in `metis-core` pins this).
@@ -26,7 +28,7 @@
 //! any further — the ordering contract the simulator's determinism relies
 //! on.
 
-use metis_llm::{nanos_to_secs, Nanos, WallClock};
+use metis_llm::{Nanos, WallClock};
 
 use crate::cluster::{Cluster, RouterPolicy};
 use crate::engine::{Completion, Engine};
@@ -73,58 +75,6 @@ impl DriverSpec {
     }
 }
 
-/// What a driver reports after its run is torn down.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DriverStats {
-    /// Number of replica slots that ever existed over the run (retired
-    /// slots included — ids are stable).
-    pub replicas: usize,
-    /// High-water mark of concurrently live replicas.
-    pub peak_replicas: usize,
-    /// GPU busy virtual nanos summed across replicas.
-    pub busy: Nanos,
-    /// Preemptions summed across replicas.
-    pub preemptions: u64,
-    /// Tokens discarded and recomputed by preemptions, summed across
-    /// replicas.
-    pub preempted_tokens: u64,
-    /// Preemption victims moved to another replica instead of recomputed.
-    pub migrations: u64,
-    /// Tokens of computed KV shipped between replicas by migrations.
-    pub migrated_tokens: u64,
-    /// Integrated capacity cost: seconds each replica slot was held (spawn
-    /// to retirement, or to end-of-run while live), summed across slots.
-    /// The autoscaler's cost axis — a fixed fleet of `n` replicas bills
-    /// `n × run_seconds`.
-    pub replica_seconds: f64,
-}
-
-impl DriverStats {
-    /// GPU busy seconds summed across replicas (for the cost model).
-    pub fn busy_secs(&self) -> f64 {
-        nanos_to_secs(self.busy)
-    }
-
-    /// Run totals of a cluster torn down at its latest instant: its
-    /// capacity figures plus every replica's engine counters.
-    pub(crate) fn collect(cluster: &Cluster) -> Self {
-        let mut total = Self {
-            replicas: cluster.len(),
-            peak_replicas: cluster.peak_live(),
-            replica_seconds: cluster.replica_seconds(cluster.latest_now()),
-            ..Self::default()
-        };
-        for s in cluster.stats() {
-            total.busy += s.busy;
-            total.preemptions += s.preemptions;
-            total.preempted_tokens += s.preempted_tokens;
-            total.migrations += s.migrations;
-            total.migrated_tokens += s.migrated_tokens;
-        }
-        total
-    }
-}
-
 /// The serving substrate behind the runner's event loop: routing,
 /// submission, and incremental completion collection.
 ///
@@ -137,42 +87,25 @@ impl DriverStats {
 ///     Engine::new(lat, EngineConfig::default())
 /// };
 /// let mut driver = SimDriver::new(Cluster::new(vec![engine()], RouterPolicy::RoundRobin));
-/// assert_eq!(driver.replicas(), 1);
+/// assert_eq!(driver.cluster().len(), 1);
 ///
 /// // Elasticity: a replica added at t accepts routed work from t + warmup…
 /// let id = driver.add_replica(engine(), 0, 1_000);
-/// assert!(!driver.is_routable(id, 500));
-/// assert!(driver.is_routable(id, 1_000));
-/// assert_eq!(driver.active_replicas(1_000), 2);
+/// assert!(!driver.cluster().is_routable(id, 500));
+/// assert!(driver.cluster().is_routable(id, 1_000));
+/// assert_eq!(driver.cluster().active_len(1_000), 2);
 ///
 /// // …and draining it stops routing immediately.
 /// assert!(driver.drain_replica(id, 2_000));
-/// assert!(!driver.is_routable(id, 2_000));
+/// assert!(!driver.cluster().is_routable(id, 2_000));
 /// ```
 pub trait Driver {
-    /// Number of replica slots (retired slots included — ids are stable).
-    fn replicas(&self) -> usize;
-
     /// Picks the replica the next query's calls should be submitted to.
     /// One route call per query — all of a query's calls stay on one
     /// replica so gang scheduling keeps working. `now` is the virtual
     /// decision time: replicas still warming up at `now`, draining, or
     /// retired are not routed to.
     fn route(&mut self, now: Nanos) -> ReplicaId;
-
-    /// Whether `id` accepts routed work at virtual time `now`.
-    fn is_routable(&self, id: ReplicaId, now: Nanos) -> bool;
-
-    /// Number of replicas accepting routed work at `now`.
-    fn active_replicas(&self, now: Nanos) -> usize {
-        (0..self.replicas())
-            .filter(|&i| self.is_routable(ReplicaId(i as u32), now))
-            .count()
-    }
-
-    /// Requests waiting for admission across live replicas — the
-    /// autoscaler's primary load signal.
-    fn queue_depth(&self) -> u64;
 
     /// Adds a replica slot at virtual time `now`; it accepts routed work
     /// from `now + warmup`. Returns the new replica's stable id.
@@ -184,14 +117,6 @@ pub trait Driver {
     /// Returns `false` without draining when `id` is the last routable
     /// replica.
     fn drain_replica(&mut self, id: ReplicaId, now: Nanos) -> bool;
-
-    /// Free KV tokens on one replica — what METIS's per-backend best-fit
-    /// inspects at decision time.
-    fn free_kv_tokens(&self, id: ReplicaId) -> u64;
-
-    /// One replica's preemptions-per-submission ratio — the KV-contention
-    /// feedback signal SLO-aware controllers read.
-    fn preemption_pressure(&self, id: ReplicaId) -> f64;
 
     /// Submits a request to the given replica.
     fn submit(&mut self, id: ReplicaId, req: LlmRequest);
@@ -211,9 +136,9 @@ pub trait Driver {
     /// submissions) until `None`.
     fn pump_idle(&mut self) -> Option<Vec<Completion>>;
 
-    /// Tears the driver down and reports run totals. Under a wall clock it
-    /// first waits for the wall to reach the last virtual instant.
-    fn finish(self) -> DriverStats;
+    /// Ends the run: under a wall clock, waits for the wall to reach the
+    /// last virtual instant. The run's totals are the cluster's own.
+    fn finish(&self);
 }
 
 /// The discrete-event driver: a [`Cluster`] advanced with
@@ -233,7 +158,7 @@ impl SimDriver {
         }
     }
 
-    /// Shared view of the cluster (tests inspect per-replica state).
+    /// Shared view of the cluster: every replica's state, load and totals.
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
     }
@@ -262,20 +187,8 @@ impl SimDriver {
 }
 
 impl Driver for SimDriver {
-    fn replicas(&self) -> usize {
-        self.cluster.len()
-    }
-
     fn route(&mut self, now: Nanos) -> ReplicaId {
         self.cluster.route(now)
-    }
-
-    fn is_routable(&self, id: ReplicaId, now: Nanos) -> bool {
-        self.cluster.is_routable(id, now)
-    }
-
-    fn queue_depth(&self) -> u64 {
-        self.cluster.queue_depth()
     }
 
     fn add_replica(&mut self, engine: Engine, now: Nanos, warmup: Nanos) -> ReplicaId {
@@ -284,14 +197,6 @@ impl Driver for SimDriver {
 
     fn drain_replica(&mut self, id: ReplicaId, now: Nanos) -> bool {
         self.cluster.drain_replica(id, now)
-    }
-
-    fn free_kv_tokens(&self, id: ReplicaId) -> u64 {
-        self.cluster.free_kv_tokens(id)
-    }
-
-    fn preemption_pressure(&self, id: ReplicaId) -> f64 {
-        self.cluster.replica(id).stats().preemption_pressure()
     }
 
     fn submit(&mut self, id: ReplicaId, req: LlmRequest) {
@@ -315,9 +220,8 @@ impl Driver for SimDriver {
         Some(self.step(rid))
     }
 
-    fn finish(self) -> DriverStats {
+    fn finish(&self) {
         self.pace(self.cluster.latest_now());
-        DriverStats::collect(&self.cluster)
     }
 }
 
@@ -353,7 +257,7 @@ mod tests {
     #[test]
     fn sim_driver_drains_to_none() {
         let mut d = DriverSpec::Sim.build(engines(2), RouterPolicy::RoundRobin);
-        assert_eq!(d.replicas(), 2);
+        assert_eq!(d.cluster().len(), 2);
         for i in 0..4u64 {
             let rid = d.route(0);
             d.submit(rid, req(i, 0));
@@ -363,10 +267,11 @@ mod tests {
             done.extend(batch);
         }
         assert_eq!(done.len(), 4);
-        let stats = d.finish();
-        assert_eq!(stats.replicas, 2);
-        assert!(stats.busy > 0);
-        assert_eq!(stats.preemptions, 0);
+        d.finish();
+        let stats = d.cluster().stats();
+        assert_eq!(stats.len(), 2);
+        assert!(stats.iter().map(|s| s.busy).sum::<Nanos>() > 0);
+        assert!(stats.iter().all(|s| s.preemptions == 0));
     }
 
     #[test]
@@ -397,7 +302,9 @@ mod tests {
         assert!(wall(&d) >= t, "pump_before waited out the gap");
         d.submit(ReplicaId(0), req(1, t));
         while d.pump_idle().is_some() {}
-        assert!(d.finish().busy > 0);
+        d.finish();
+        assert!(wall(&d) >= d.cluster().latest_now());
+        assert!(d.cluster().replica(ReplicaId(0)).stats().busy > 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use metis_llm::{LatencyModel, Nanos};
 
-use crate::kvcache::KvAllocator;
+use crate::kvcache::{KvAllocator, KvError};
 use crate::request::{GroupId, LlmRequest, Priority, ReplicaId, RequestId, RequestState, Stage};
 use crate::stats::EngineStats;
 
@@ -288,6 +288,16 @@ impl Engine {
     /// Total KV-cache capacity in tokens.
     pub fn kv_capacity_tokens(&self) -> u64 {
         self.alloc.capacity_tokens()
+    }
+
+    /// Whether a call of `prompt_tokens` and `output_tokens` could ever be
+    /// admitted here: the KV footprint [`Engine::submit`] reserves for it,
+    /// against the pool's capacity rather than what is free now. Submitted
+    /// anyway, a call that fails this would wait in the queue forever, so
+    /// callers reject it instead.
+    pub fn check_capacity(&self, prompt_tokens: u64, output_tokens: u64) -> Result<(), KvError> {
+        self.alloc
+            .check_capacity(prompt_tokens + output_tokens.max(1))
     }
 
     /// The latency model in use.
@@ -788,7 +798,9 @@ impl Engine {
     ///
     /// Panics, reporting the queue and KV state, when the step did none of
     /// those: a request that can never be admitted would otherwise spin
-    /// its driver forever.
+    /// its driver forever. Callers keep such requests out with
+    /// [`Self::check_capacity`] (the runner rejects the query), so under
+    /// the runner this fires only on a broken internal invariant.
     pub(crate) fn assert_progressed(&self, before: Nanos, completed: usize) {
         assert!(
             self.now() > before || completed > 0 || self.is_idle(),

@@ -20,6 +20,14 @@ pub enum KvError {
         /// Blocks free.
         free: u64,
     },
+    /// More blocks than the whole pool holds: no amount of freeing makes
+    /// room, so a request this large can never be admitted.
+    BeyondCapacity {
+        /// Blocks requested.
+        requested: u64,
+        /// Blocks in the pool.
+        capacity: u64,
+    },
     /// The sequence already holds an allocation (double alloc is a bug).
     AlreadyAllocated,
     /// The sequence holds no allocation.
@@ -32,6 +40,13 @@ impl std::fmt::Display for KvError {
             KvError::OutOfMemory { requested, free } => {
                 write!(f, "KV OOM: requested {requested} blocks, {free} free")
             }
+            KvError::BeyondCapacity {
+                requested,
+                capacity,
+            } => write!(
+                f,
+                "KV demand of {requested} blocks exceeds the {capacity}-block pool"
+            ),
             KvError::AlreadyAllocated => write!(f, "sequence already has a KV allocation"),
             KvError::NotAllocated => write!(f, "sequence has no KV allocation"),
         }
@@ -129,6 +144,20 @@ impl KvAllocator {
     /// Whether an allocation of `tokens` tokens would currently succeed.
     pub fn fits(&self, tokens: u64) -> bool {
         self.blocks_for(tokens) <= self.free_blocks
+    }
+
+    /// Whether `tokens` tokens could ever be allocated: against the whole
+    /// pool, as if nothing else held a block, where [`Self::fits`] asks
+    /// about the blocks free now.
+    pub fn check_capacity(&self, tokens: u64) -> Result<(), KvError> {
+        let requested = self.blocks_for(tokens);
+        if requested > self.total_blocks {
+            return Err(KvError::BeyondCapacity {
+                requested,
+                capacity: self.total_blocks,
+            });
+        }
+        Ok(())
     }
 
     /// Free capacity in tokens (block-granular).
@@ -235,6 +264,21 @@ mod tests {
         );
         a.free(rid(1)).unwrap();
         assert_eq!(a.free_tokens(), 1_600);
+    }
+
+    #[test]
+    fn capacity_counts_the_whole_pool_not_the_free_blocks() {
+        let mut a = KvAllocator::new(320, 16);
+        a.alloc(rid(1), 300).unwrap();
+        assert!(!a.fits(320));
+        assert_eq!(a.check_capacity(320), Ok(()));
+        assert_eq!(
+            a.check_capacity(321),
+            Err(KvError::BeyondCapacity {
+                requested: 21,
+                capacity: 20
+            })
+        );
     }
 
     #[test]

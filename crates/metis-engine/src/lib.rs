@@ -47,7 +47,7 @@ mod request;
 mod stats;
 
 pub use cluster::{Cluster, RouterPolicy};
-pub use driver::{Driver, DriverSpec, DriverStats, SimDriver};
+pub use driver::{Driver, DriverSpec, SimDriver};
 pub use engine::{Completion, Engine, EngineConfig, PreemptMode, SchedPolicy};
 pub use kvcache::{KvAllocator, KvError};
 pub use prefixcache::PrefixCache;

@@ -8,8 +8,8 @@
 //! gang reduce chasing its maps onto the drained slot.
 
 use metis_engine::{
-    Driver, DriverSpec, DriverStats, Engine, EngineConfig, GroupId, LlmRequest, PreemptMode,
-    Priority, ReplicaId, RequestId, RouterPolicy, SchedPolicy, SimDriver, Stage,
+    Driver, DriverSpec, Engine, EngineConfig, GroupId, LlmRequest, PreemptMode, Priority,
+    ReplicaId, RequestId, RouterPolicy, SchedPolicy, SimDriver, Stage,
 };
 use metis_llm::{secs_to_nanos, GpuCluster, LatencyModel, ModelSpec, Nanos, WallClock};
 
@@ -67,8 +67,8 @@ fn pump(d: &mut SimDriver, until: Option<Nanos>, log: &mut Vec<String>) -> Nanos
 
 /// Serves the contended script through `spec`'s driver and returns every
 /// answer the driver gave, rendered with `Debug` (exact for floats), in
-/// call order, and its teardown totals.
-fn serve(spec: DriverSpec, replicas: usize, mode: PreemptMode) -> (Vec<String>, DriverStats) {
+/// call order, then the cluster's teardown totals, and the driver.
+fn serve(spec: DriverSpec, replicas: usize, mode: PreemptMode) -> (Vec<String>, SimDriver) {
     let mut d = spec.build(engines(replicas, 4_096, mode), RouterPolicy::LeastKvLoad);
     let mut log = Vec::new();
     // Bursts pinned to replica 0 on four instants (one gang's calls, all on
@@ -96,7 +96,10 @@ fn serve(spec: DriverSpec, replicas: usize, mode: PreemptMode) -> (Vec<String>, 
     WallClock::new(1.0).sleep_until(2_000_000);
     let late = secs_to_nanos(9.0);
     pump(&mut d, Some(late), &mut log);
-    log.push(format!("{added:?} {}", d.is_routable(added, late)));
+    log.push(format!(
+        "{added:?} {}",
+        d.cluster().is_routable(added, late)
+    ));
     for id in 24..30 {
         let rid = d.route(late);
         log.push(format!("{rid:?}"));
@@ -106,9 +109,16 @@ fn serve(spec: DriverSpec, replicas: usize, mode: PreemptMode) -> (Vec<String>, 
     // A gang reduce chasing its maps onto the drained (maybe retired) slot.
     d.submit(drained, request(31, finish));
     pump(&mut d, None, &mut log);
-    let stats = d.finish();
-    log.push(format!("{stats:?}"));
-    (log, stats)
+    d.finish();
+    let cluster = d.cluster();
+    log.push(format!("{:?}", cluster.stats()));
+    log.push(format!(
+        "{} {} {}",
+        cluster.len(),
+        cluster.peak_live(),
+        cluster.replica_seconds(cluster.latest_now())
+    ));
+    (log, d)
 }
 
 #[test]
@@ -116,7 +126,7 @@ fn paced_runs_equal_sim_runs_call_for_call() {
     let (mut preemptions, mut migrations) = (0, 0);
     for mode in [PreemptMode::Recompute, PreemptMode::Migrate] {
         for replicas in 1..=3 {
-            let (sim, stats) = serve(DriverSpec::Sim, replicas, mode);
+            let (sim, driver) = serve(DriverSpec::Sim, replicas, mode);
             let (paced, _) = serve(
                 DriverSpec::Realtime {
                     time_scale: 20_000.0,
@@ -125,8 +135,10 @@ fn paced_runs_equal_sim_runs_call_for_call() {
                 mode,
             );
             assert_eq!(paced, sim, "{mode:?} on {replicas} replicas");
-            preemptions += stats.preemptions;
-            migrations += stats.migrations;
+            for stats in driver.cluster().stats() {
+                preemptions += stats.preemptions;
+                migrations += stats.migrations;
+            }
         }
     }
     assert!(
@@ -142,13 +154,13 @@ fn paced_runs_equal_sim_runs_call_for_call() {
 fn wall_clock_pacing_is_real() {
     let span_virtual: Nanos = 6_000_000_000; // 6 virtual seconds.
     let scale = 100.0; // → at least 60 ms of wall; an iteration is ~0.1 ms.
-    let mut driver = DriverSpec::Realtime { time_scale: scale }.build(
-        engines(1, 65_536, PreemptMode::Recompute),
-        RouterPolicy::RoundRobin,
-    );
+    let replicas = engines(1, 65_536, PreemptMode::Recompute);
     // This test asserts the realtime driver really waits in wall time;
-    // the wall read goes through the sanctioned `WallClock`.
+    // the wall read goes through the sanctioned `WallClock`. It starts just
+    // before the driver's own, so it never reads less than the driver's.
     let wall_clock = WallClock::new(1.0);
+    let mut driver =
+        DriverSpec::Realtime { time_scale: scale }.build(replicas, RouterPolicy::RoundRobin);
     for i in 0..4u64 {
         driver.submit(
             ReplicaId(0),

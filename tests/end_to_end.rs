@@ -189,3 +189,86 @@ fn gold_answers_are_recoverable_at_the_oracle_config() {
         "config choice not load-bearing: best {best:.1} worst {worst:.1} over 20 queries"
     );
 }
+
+const GIB: f64 = (1u64 << 30) as f64;
+
+fn median_pick() -> SystemKind {
+    let mut opts = MetisOptions::full();
+    opts.pick = PickPolicy::Median;
+    SystemKind::Metis(opts)
+}
+
+/// The median pick on FinSec with a 1 GiB KV pool (8 192 tokens) plans calls
+/// that no replica of that size could ever admit. Submitted, such a call
+/// waited forever and the run panicked ("replica 0 stuck: queued=1
+/// running=0 free_kv=8192"); now its query is rejected before anything of
+/// it is submitted, and the rest of the run is served.
+#[test]
+fn a_query_no_kv_pool_can_hold_is_rejected_instead_of_panicking() {
+    let dataset = build_dataset(DatasetKind::FinSec, 40, 20_241_016);
+    let mut cfg = RunConfig::standard(median_pick(), poisson_arrivals(99, 0.2, 40), 99);
+    cfg.engine.kv_pool_bytes_cap = Some(1 << 30);
+    let run = Runner::new(&dataset, cfg).run();
+    assert!(run.rejected > 0, "the cap must reject some median picks");
+    assert!(
+        !run.per_query.is_empty(),
+        "the cap must admit some median picks"
+    );
+    assert_eq!(run.per_query.len() + run.rejected, 40);
+    let cell = run.cell_report("finsec-median-1gib", 99);
+    assert_eq!(cell.queries as usize, run.per_query.len());
+    assert_eq!(cell.extra_metric("rejected"), Some(run.rejected as f64));
+}
+
+/// Every system on every dataset under KV caps from 0.5 to 12 GiB, with all
+/// queries arriving at once, so that free KV is far below capacity while
+/// they contend: every run ends, and each query is answered or rejected.
+/// Rejection depends on the pool's capacity, never on what is free: at the
+/// default 12 GiB, which holds any one call, nothing is rejected, and a
+/// fixed configuration, whose plans do not depend on load, rejects the same
+/// queries served all at once as one at a time.
+#[test]
+fn every_system_answers_or_rejects_every_query_under_every_kv_cap() {
+    const QUERIES: usize = 8;
+    let systems = [
+        SystemKind::Metis(MetisOptions::full()),
+        median_pick(),
+        SystemKind::VllmFixed {
+            config: RagConfig::stuff(12),
+        },
+        SystemKind::Parrot {
+            config: RagConfig::map_reduce(8, 100),
+        },
+        SystemKind::AdaptiveRag {
+            profiler: ProfilerKind::Gpt4o,
+        },
+    ];
+    let mut rejected = 0;
+    for kind in DatasetKind::all() {
+        let dataset = build_dataset(kind, QUERIES, 20_241_016);
+        for system in systems {
+            for cap_gib in [0.5, 1.0, 2.0, 4.0, 12.0] {
+                let serve = |closed_loop| {
+                    let mut cfg = RunConfig::standard(system, vec![0; QUERIES], 99);
+                    cfg.engine.kv_pool_bytes_cap = Some((cap_gib * GIB) as u64);
+                    cfg.closed_loop = closed_loop;
+                    Runner::new(&dataset, cfg).run()
+                };
+                let run = serve(false);
+                let cell = format!("{kind:?} / {system:?} at {cap_gib} GiB");
+                assert_eq!(run.per_query.len() + run.rejected, QUERIES, "{cell}");
+                if cap_gib == 12.0 {
+                    assert_eq!(run.rejected, 0, "{cell}");
+                }
+                if matches!(
+                    system,
+                    SystemKind::VllmFixed { .. } | SystemKind::Parrot { .. }
+                ) {
+                    assert_eq!(serve(true).rejected, run.rejected, "{cell}, one at a time");
+                }
+                rejected += run.rejected;
+            }
+        }
+    }
+    assert!(rejected > 0, "the small caps must reject something");
+}

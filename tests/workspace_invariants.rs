@@ -163,7 +163,6 @@ const SIGNATURE_ONLY: &[(&str, &str)] = &[
     ("GenOutput", "GenerationModel"),
     ("SummaryOutput", "GenerationModel"),
     ("GpuSpec", "GpuCluster"),
-    ("KvError", "KvAllocator"),
     ("AnnQuery", "AnnCorpus"),
     ("Table1Row", "Dataset"),
     ("GenParams", "DatasetKind"),
