@@ -134,7 +134,7 @@ fn build_dataset_impl(
         .map(|w| tokenizer.vocab_mut().intern(w))
         .collect();
     let boilerplate: Vec<TokenId> = (0..BOILERPLATE_WORDS)
-        .map(|i| tokenizer.vocab_mut().intern(&format!("boiler-{i}")))
+        .map(|i| tokenizer.vocab_mut().intern_fmt(format_args!("boiler-{i}")))
         .collect();
 
     let mut next_fact: u64 = 1;

@@ -30,11 +30,12 @@ impl TopicVocab {
     /// `topic` namespaces the generated words so distinct topics never share
     /// topic-specific tokens.
     pub fn build(tokenizer: &mut Tokenizer, topic: &str, width: usize, common: usize) -> Self {
+        let vocab = tokenizer.vocab_mut();
         let topic_words = (0..width)
-            .map(|i| tokenizer.vocab_mut().intern(&format!("{topic}-{i}")))
+            .map(|i| vocab.intern_fmt(format_args!("{topic}-{i}")))
             .collect();
         let common_words = (0..common)
-            .map(|i| tokenizer.vocab_mut().intern(&format!("common-{i}")))
+            .map(|i| vocab.intern_fmt(format_args!("common-{i}")))
             .collect();
         Self {
             topic_words,
@@ -116,7 +117,7 @@ impl TextGen {
                 let salt: u32 = self.rng.gen();
                 tokenizer
                     .vocab_mut()
-                    .intern(&format!("fact-{namespace}-{salt:08x}-{i}"))
+                    .intern_fmt(format_args!("fact-{namespace}-{salt:08x}-{i}"))
             })
             .collect()
     }

@@ -159,7 +159,6 @@ const LIBRARY_CRATES: [&str; 9] = [
 /// Exported names no consumer spells, kept because an exported item's
 /// signature does: (name, the export whose signature needs it).
 const SIGNATURE_ONLY: &[(&str, &str)] = &[
-    ("Vocab", "Tokenizer"),
     ("GenOutput", "GenerationModel"),
     ("SummaryOutput", "GenerationModel"),
     ("GpuSpec", "GpuCluster"),
