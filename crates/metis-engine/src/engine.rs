@@ -41,8 +41,8 @@ pub enum PreemptMode {
     /// outbox with its computed tokens folded into a cached prefix; the
     /// cluster moves the KV bytes to a replica with headroom at a priced
     /// transfer cost, falling back to local recompute when no replica has
-    /// room. Requires a [`Cluster`](crate::cluster::Cluster); a standalone
-    /// engine would strand the victims.
+    /// room. A standalone engine has no other replica: its
+    /// [`Engine::run_until_idle`] requeues the victims for recompute.
     Migrate,
 }
 
@@ -781,6 +781,12 @@ impl Engine {
     pub fn run_until_idle(&mut self) -> Vec<Completion> {
         let mut all = Vec::new();
         while !self.is_idle() {
+            // Standalone, a migration victim has no other replica: requeue
+            // it for recompute, as a one-replica cluster's zero-headroom
+            // fallback does.
+            for seq in self.take_evicted() {
+                self.requeue_recompute(seq);
+            }
             let before = self.now;
             let done = self.step();
             self.assert_progressed(before, done.len());
@@ -804,11 +810,12 @@ impl Engine {
     pub(crate) fn assert_progressed(&self, before: Nanos, completed: usize) {
         assert!(
             self.now() > before || completed > 0 || self.is_idle(),
-            "replica {} stuck: queued={} running={} free_kv={} — an \
-             unadmittable request?",
+            "replica {} stuck: queued={} running={} evicted={} free_kv={} — an \
+             unadmittable request, or an unplaced eviction?",
             self.replica.0,
             self.queued_len(),
             self.running_len(),
+            self.evicted_len(),
             self.free_kv_tokens()
         );
     }
