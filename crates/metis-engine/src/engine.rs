@@ -481,12 +481,7 @@ impl Engine {
                 )
             }),
         };
-        let head = head.map(|(i, _)| i);
-        // Under test, every admission attempt of every test in this crate
-        // is checked against the full stable-sort ranking.
-        #[cfg(test)]
-        assert_eq!(head, tests::admission_order_oracle(self).first().copied());
-        head
+        head.map(|(i, _)| i)
     }
 
     fn try_admit(&mut self) {
@@ -832,17 +827,11 @@ fn take_prefill(budget: &mut u64, remaining: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metis_llm::{nanos_to_secs, GpuCluster, ModelSpec};
+    use metis_llm::{GpuCluster, ModelSpec};
 
-    fn engine(policy: SchedPolicy) -> Engine {
+    fn engine() -> Engine {
         let lat = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
-        Engine::new(
-            lat,
-            EngineConfig {
-                policy,
-                ..EngineConfig::default()
-            },
-        )
+        Engine::new(lat, EngineConfig::default())
     }
 
     fn req(id: u64, group: u64, prompt: u64, out: u64, arrival: Nanos) -> LlmRequest {
@@ -858,359 +847,12 @@ mod tests {
         }
     }
 
-    fn preq(id: u64, prompt: u64, out: u64, arrival: Nanos, priority: Priority) -> LlmRequest {
-        LlmRequest {
-            priority,
-            ..req(id, id, prompt, out, arrival)
-        }
-    }
-
-    /// An engine whose KV pool is capped at `capacity_tokens` (rounded down
-    /// to whole blocks) — small pools make admission contention cheap to
-    /// stage.
-    fn capped_engine(policy: SchedPolicy, capacity_tokens: u64) -> Engine {
-        let lat = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
-        let bytes = capacity_tokens * lat.model().kv_bytes_per_token();
-        Engine::new(
-            lat,
-            EngineConfig {
-                policy,
-                kv_pool_bytes_cap: Some(bytes),
-                ..EngineConfig::default()
-            },
-        )
-    }
-
-    /// The ranking admission used to do on every attempt, kept as the
-    /// oracle of [`Engine::head`]: a full stable sort of the queue under
-    /// the policy's key, with gang membership read straight off the running
-    /// set. `head()` asserts itself equal to `[0]` of this on every call
-    /// made under test.
-    pub(super) fn admission_order_oracle(e: &Engine) -> Vec<usize> {
-        let active = |g: GroupId| e.running.iter().any(|r| r.req.group == g);
-        let mut order: Vec<usize> = (0..e.queue.len()).collect();
-        match e.config.policy {
-            SchedPolicy::Fcfs => {}
-            SchedPolicy::GangByGroup => order.sort_by_key(|&i| {
-                let req = &e.queue[i].req;
-                if req.stage == Stage::Reduce {
-                    0u8
-                } else if active(req.group) {
-                    1
-                } else {
-                    2
-                }
-            }),
-            SchedPolicy::Preemptive => order.sort_by_key(|&i| {
-                let req = &e.queue[i].req;
-                (
-                    req.priority,
-                    req.stage != Stage::Reduce,
-                    !active(req.group),
-                    req.arrival,
-                )
-            }),
-        }
-        order
-    }
-
-    /// Seeded contended traffic with ties on every rank-key component:
-    /// arrivals on forty instants 40 ms apart, three classes, singles, maps
-    /// and reduces over eight groups. Sizes are bimodal, so a large head
-    /// often sits blocked while small calls that outrank it keep arriving —
-    /// the case a stale blocked-head memo would get wrong.
-    fn contended(seed: u64, n: u64) -> Vec<LlmRequest> {
-        let mut x = seed;
-        let mut next = move || {
-            x = x
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            x >> 33
-        };
-        (0..n)
-            .map(|i| LlmRequest {
-                id: RequestId(i),
-                group: GroupId(next() % 8),
-                stage: match next() % 3 {
-                    0 => Stage::Single,
-                    1 => Stage::Map,
-                    _ => Stage::Reduce,
-                },
-                prompt_tokens: if next() % 2 == 0 {
-                    40 + next() % 200
-                } else {
-                    1_200 + next() % 1_800
-                },
-                output_tokens: 4 + next() % 40,
-                cached_prompt_tokens: 0,
-                arrival: (next() % 40) * 40_000_000,
-                priority: Priority::all()[(next() % 3) as usize],
-            })
-            .collect()
-    }
-
-    const POLICIES: [(SchedPolicy, PreemptMode); 4] = [
-        (SchedPolicy::Fcfs, PreemptMode::Recompute),
-        (SchedPolicy::GangByGroup, PreemptMode::Recompute),
-        (SchedPolicy::Preemptive, PreemptMode::Recompute),
-        (SchedPolicy::Preemptive, PreemptMode::Migrate),
-    ];
-
-    /// Drives `contended` traffic through a 4 096-token engine: two thirds
-    /// submitted up front (pending → absorbed), the rest late with a stale
-    /// arrival (straight into the queue); migrate victims alternate between
-    /// both re-entry points. `before_step` runs ahead of every step.
-    /// Returns everything observable, as text, and the deepest queue seen.
-    fn drive(
-        policy: SchedPolicy,
-        mode: PreemptMode,
-        seed: u64,
-        before_step: impl Fn(&mut Engine),
-    ) -> (String, usize) {
-        let mut e = capped_engine(policy, 4_096);
-        e.config.preempt_mode = mode;
-        let mut reqs = contended(seed, 150);
-        let late = reqs.split_off(100);
-        for r in reqs {
-            e.submit(r);
-        }
-        let mut late = late.into_iter();
-        let (mut done, mut deepest, mut flip) = (Vec::new(), 0, false);
-        while !e.is_idle() {
-            before_step(&mut e);
-            let before = e.now();
-            let batch = e.step();
-            e.assert_progressed(before, batch.len());
-            done.extend(batch);
-            for seq in e.take_evicted() {
-                flip = !flip;
-                if flip {
-                    let ready_at = seq.evicted_at + 5_000_000;
-                    e.record_migration(seq.kv_tokens);
-                    e.submit_in_transit(seq.migrate_req, ready_at);
-                } else {
-                    e.requeue_recompute(seq);
-                }
-            }
-            if e.stats().iterations.is_multiple_of(7) {
-                if let Some(r) = late.next() {
-                    e.submit(r);
-                }
-            }
-            deepest = deepest.max(e.queued_len());
-            if e.is_idle() {
-                late.by_ref().for_each(|r| e.submit(r));
-            }
-        }
-        assert_eq!(
-            done.len(),
-            150,
-            "{policy:?}/{mode:?}: every request completes"
-        );
-        (format!("{done:?} {:?}", e.stats()), deepest)
-    }
-
-    #[test]
-    fn one_pass_head_equals_the_stable_sort_head_at_every_attempt() {
-        // The comparison itself lives in `Engine::head` (under
-        // `cfg(test)`); this run makes sure it sees deep, tie-ridden queues
-        // under every policy.
-        for (policy, mode) in POLICIES {
-            for seed in [7, 11] {
-                let (_, deepest) = drive(policy, mode, seed, |_| {});
-                assert!(
-                    deepest >= 30,
-                    "{policy:?}/{mode:?}: queue peaked at {deepest}"
-                );
-            }
-        }
-        // And the oracle is not vacuous: it does rank.
-        let mut e = capped_engine(SchedPolicy::Preemptive, 4_096);
-        e.submit(preq(0, 4_000, 10, 0, Priority::Standard));
-        e.step();
-        e.submit(preq(1, 1_000, 10, 0, Priority::Batch));
-        e.submit(preq(2, 1_000, 10, 0, Priority::Standard));
-        e.submit(preq(3, 1_000, 10, 0, Priority::Standard));
-        assert_eq!(admission_order_oracle(&e), vec![1, 2, 0]);
-        assert_eq!(e.head(), Some(1), "ties keep queue order");
-    }
-
-    #[test]
-    fn a_spurious_stamp_bump_changes_nothing() {
-        // Change-stamp soundness: a twin that forgets, before every step,
-        // that its head was blocked must behave identically. Any admission
-        // input the stamp fails to observe — a mutation that does not go
-        // through `touch` — shows up as a diff between the two.
-        for (policy, mode) in POLICIES {
-            let (memo, _) = drive(policy, mode, 7, |_| {});
-            let (fresh, _) = drive(policy, mode, 7, Engine::touch);
-            assert_eq!(memo, fresh, "{policy:?}/{mode:?}");
-        }
-    }
-
-    #[test]
-    fn a_blocked_head_is_re_examined_only_after_a_change() {
-        // One running sequence fills the pool; the head behind it is blocked.
-        let blocked_engine = || {
-            let mut e = capped_engine(SchedPolicy::Preemptive, 4_096);
-            e.config.preempt_mode = PreemptMode::Migrate;
-            e.submit(req(1, 1, 3_000, 50, 0));
-            e.submit(req(2, 2, 3_000, 5, 0));
-            // Far future, and of a class that outranks the blocked head.
-            e.submit(preq(3, 100, 5, 60_000_000_000, Priority::Interactive));
-            e.step();
-            assert_eq!((e.running_len(), e.queued_len()), (1, 1));
-            assert_eq!(e.blocked_at, Some(e.stamp), "found blocked at this stamp");
-            e
-        };
-        // Decode-only steps change no admission input: the memo holds.
-        let mut e = blocked_engine();
-        let memo = e.blocked_at;
-        for _ in 0..10 {
-            assert!(e.step().is_empty());
-        }
-        assert_eq!(e.blocked_at, memo);
-        // Every way a request can enter the queue from outside is a change.
-        let victim = || EvictedSeq {
-            migrate_req: preq(9, 100, 5, 0, Priority::Interactive),
-            recompute_req: preq(9, 100, 5, 0, Priority::Interactive),
-            kv_tokens: 0,
-            lost_tokens: 0,
-            evicted_at: 0,
-        };
-        type Entry = fn(&mut Engine, EvictedSeq);
-        let entries: [(&str, Entry); 4] = [
-            ("submit", |e, v| e.submit(v.recompute_req)),
-            ("submit_in_transit", |e, v| {
-                e.submit_in_transit(v.migrate_req, 0)
-            }),
-            ("requeue_recompute", |e, v| e.requeue_recompute(v)),
-            ("absorb_arrivals", |e, _| e.advance_clock_to(60_000_000_000)),
-        ];
-        for (name, enter) in entries {
-            let mut e = blocked_engine();
-            enter(&mut e, victim());
-            assert_eq!(e.queued_len(), 2, "{name} queued a request");
-            assert_ne!(e.blocked_at, Some(e.stamp), "{name} went unobserved");
-            // The newcomer outranks the blocked head and fits.
-            e.step();
-            assert_eq!(e.running_len(), 2, "{name}: newcomer admitted");
-        }
-        // And so is a retirement: the blocked head gets in once KV frees.
-        let mut e = blocked_engine();
-        assert_eq!(e.run_until_idle().len(), 3);
-    }
-
-    #[test]
-    fn single_request_completes_with_plausible_latency() {
-        let mut e = engine(SchedPolicy::Fcfs);
-        e.submit(req(1, 1, 4_000, 20, 0));
-        let done = e.run_until_idle();
-        assert_eq!(done.len(), 1);
-        let secs = nanos_to_secs(done[0].finish);
-        // ~4k-token prefill plus 20 decode steps on an A40: O(1 s).
-        assert!(secs > 0.3 && secs < 6.0, "latency = {secs}s");
-    }
-
-    #[test]
-    fn kv_is_fully_released_after_drain() {
-        let mut e = engine(SchedPolicy::Fcfs);
-        let cap = e.free_kv_tokens();
-        for i in 0..10 {
-            e.submit(req(i, i, 1_000, 10, 0));
-        }
-        e.run_until_idle();
-        assert_eq!(e.free_kv_tokens(), cap);
-        assert!(e.is_idle());
-    }
-
-    #[test]
-    fn clock_is_monotone_and_completions_ordered() {
-        let mut e = engine(SchedPolicy::Fcfs);
-        for i in 0..5 {
-            e.submit(req(i, i, 2_000, 15, i * 100_000_000));
-        }
-        let mut last = 0;
-        let done = e.run_until_idle();
-        assert_eq!(done.len(), 5);
-        for c in &done {
-            assert!(c.finish >= last);
-            last = c.finish;
-            assert!(c.admitted >= c.arrival);
-            assert!(c.finish > c.admitted);
-        }
-    }
-
-    #[test]
-    fn batching_beats_serial_execution() {
-        // 8 identical requests batched should take far less than 8× one.
-        let mut single = engine(SchedPolicy::Fcfs);
-        single.submit(req(0, 0, 2_000, 30, 0));
-        let t1 = single.run_until_idle()[0].finish;
-
-        let mut batched = engine(SchedPolicy::Fcfs);
-        for i in 0..8 {
-            batched.submit(req(i, i, 2_000, 30, 0));
-        }
-        let done = batched.run_until_idle();
-        let makespan = done.iter().map(|c| c.finish).max().unwrap();
-        assert!(
-            makespan < t1 * 6,
-            "no batching benefit: 1×={t1}, 8×={makespan}"
-        );
-    }
-
-    #[test]
-    fn oversized_batch_queues_on_kv() {
-        let mut e = engine(SchedPolicy::Fcfs);
-        let cap = e.kv_capacity_tokens();
-        // Each request takes ~40% of KV: the third must wait.
-        let prompt = cap * 2 / 5;
-        for i in 0..3 {
-            e.submit(req(i, i, prompt, 5, 0));
-        }
-        e.step(); // First iteration admits only two.
-        assert_eq!(e.running_len(), 2);
-        assert_eq!(e.queued_len(), 1);
-        let done = e.run_until_idle();
-        assert_eq!(done.len(), 3);
-        // The third request's admission happened strictly after its arrival.
-        let third = done.iter().find(|c| c.id == RequestId(2)).unwrap();
-        assert!(third.admitted > third.arrival);
-    }
-
-    #[test]
-    fn late_arrival_keeps_its_original_stamp() {
-        // The intended late-arrival semantics, pinned: a request submitted
-        // with an arrival stamp already in the engine's past (the normal
-        // case once an iteration has run past the caller's event) is neither
-        // clamped to `now` nor rejected. Its completion carries the
-        // original arrival, so queue wait is measured from when the caller
-        // says it arrived, while admission can only happen at or after the
-        // submit-time clock.
-        let mut e = engine(SchedPolicy::Fcfs);
-        e.submit(req(1, 1, 2_000, 30, 0));
-        e.step();
-        let now = e.now();
-        assert!(now > 1_000, "first iteration advanced the clock");
-        let stamp = now - 1_000;
-        e.submit(req(2, 2, 500, 5, stamp)); // Already in the past.
-        let done = e.run_until_idle();
-        let late = done.iter().find(|c| c.id == RequestId(2)).unwrap();
-        assert_eq!(late.arrival, stamp, "original arrival survives");
-        assert!(late.admitted >= now, "admission cannot predate the submit");
-        assert!(
-            late.admitted - late.arrival >= 1_000,
-            "queue wait counts from the stamped arrival, not the submit"
-        );
-    }
-
     #[test]
     fn advance_clock_to_makes_a_warm_up_physical() {
         // How a warm-up is made physical: advancing the clock never
         // rewinds it, and arrivals that become due are absorbed into the
         // queue so `has_active_work` sees them.
-        let mut e = engine(SchedPolicy::Fcfs);
+        let mut e = engine();
         e.submit(req(1, 1, 500, 5, 3_000_000_000));
         assert!(
             !e.has_active_work(),
@@ -1230,293 +872,9 @@ mod tests {
     }
 
     #[test]
-    fn future_arrivals_advance_clock_when_idle() {
-        let mut e = engine(SchedPolicy::Fcfs);
-        e.submit(req(1, 1, 500, 5, 2_000_000_000));
-        let done = e.run_until_idle();
-        assert_eq!(done.len(), 1);
-        assert!(done[0].admitted >= 2_000_000_000);
-    }
-
-    #[test]
-    fn gang_policy_prioritizes_active_groups() {
-        // Group 1 has many map calls; a competing group-2 request arrives
-        // while group 1 runs. Under gang scheduling, queued group-1 calls cut
-        // ahead of group 2 (when admission is KV-limited).
-        let lat = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
-        let small = EngineConfig {
-            max_batch_seqs: 2,
-            policy: SchedPolicy::GangByGroup,
-            ..EngineConfig::default()
-        };
-        let mut e = Engine::new(lat, small);
-        e.submit(req(10, 1, 3_000, 40, 0));
-        e.submit(req(11, 1, 3_000, 40, 0));
-        e.submit(req(20, 2, 3_000, 40, 1)); // Other group, arrives early.
-        e.submit(req(12, 1, 3_000, 40, 2)); // Same group, arrives later.
-        let done = e.run_until_idle();
-        let pos = |id: u64| done.iter().position(|c| c.id == RequestId(id)).unwrap();
-        assert!(
-            pos(12) < pos(20),
-            "gang scheduling should finish group 1 first"
-        );
-    }
-
-    #[test]
-    fn gang_admits_same_group_before_earlier_foreign_arrivals() {
-        // The Parrot* property, observed directly at admission rather than
-        // through completion order: with group 1 already running, a queued
-        // group-1 call is *admitted* before a foreign call that arrived
-        // earlier.
-        let lat = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
-        let cfg = EngineConfig {
-            max_batch_seqs: 2, // One slot for the running gang, one contended.
-            policy: SchedPolicy::GangByGroup,
-            ..EngineConfig::default()
-        };
-        let mut e = Engine::new(lat, cfg);
-        // Fill both slots with group-1 work so later arrivals must queue;
-        // the second gang member outlives the first, keeping group 1 active
-        // when the contended slot frees.
-        e.submit(req(0, 1, 3_000, 30, 0));
-        e.submit(req(1, 1, 3_000, 90, 0));
-        e.step();
-        e.submit(req(20, 2, 1_000, 10, e.now())); // Foreign, arrives first.
-        e.submit(req(11, 1, 1_000, 10, e.now() + 1)); // Same group, later.
-        let done = e.run_until_idle();
-        let admitted = |id: u64| {
-            done.iter()
-                .find(|c| c.id == RequestId(id))
-                .expect("completed")
-                .admitted
-        };
-        assert!(
-            admitted(11) < admitted(20),
-            "same-group call admitted at {} after foreign at {}",
-            admitted(11),
-            admitted(20)
-        );
-        // FCFS on the identical workload admits in arrival order instead.
-        let lat = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
-        let mut f = Engine::new(
-            lat,
-            EngineConfig {
-                max_batch_seqs: 2,
-                policy: SchedPolicy::Fcfs,
-                ..EngineConfig::default()
-            },
-        );
-        f.submit(req(0, 1, 3_000, 30, 0));
-        f.submit(req(1, 1, 3_000, 90, 0));
-        f.step();
-        f.submit(req(20, 2, 1_000, 10, f.now()));
-        f.submit(req(11, 1, 1_000, 10, f.now() + 1));
-        let done = f.run_until_idle();
-        let admitted = |id: u64| {
-            done.iter()
-                .find(|c| c.id == RequestId(id))
-                .expect("completed")
-                .admitted
-        };
-        assert!(admitted(20) < admitted(11), "FCFS keeps arrival order");
-    }
-
-    #[test]
-    fn fcfs_respects_arrival_order_under_contention() {
-        let mut e = engine(SchedPolicy::Fcfs);
-        let cfg_cap = e.kv_capacity_tokens();
-        let prompt = cfg_cap / 2 + 1; // Only one fits at a time.
-        e.submit(req(1, 1, prompt, 5, 0));
-        e.submit(req(2, 2, prompt, 5, 1));
-        let done = e.run_until_idle();
-        assert_eq!(done[0].id, RequestId(1));
-        assert_eq!(done[1].id, RequestId(2));
-    }
-
-    #[test]
-    fn stats_account_tokens() {
-        let mut e = engine(SchedPolicy::Fcfs);
-        e.submit(req(1, 1, 1_000, 10, 0));
-        e.run_until_idle();
-        let s = e.stats();
-        assert_eq!(s.submitted, 1);
-        assert_eq!(s.completed, 1);
-        assert_eq!(s.prefill_tokens, 1_000);
-        assert_eq!(s.decode_tokens, 10);
-        assert!(s.peak_kv_tokens >= 1_000);
-    }
-
-    #[test]
-    fn cached_prefix_skips_prefill_compute() {
-        // Two identical requests, one with 90% of its prompt KV cached: the
-        // cached one finishes much sooner (only decode + residual prefill).
-        let mk = |cached: u64| {
-            let mut e = engine(SchedPolicy::Fcfs);
-            e.submit(LlmRequest {
-                id: RequestId(1),
-                group: GroupId(1),
-                stage: Stage::Single,
-                prompt_tokens: 10_000,
-                output_tokens: 10,
-                cached_prompt_tokens: cached,
-                arrival: 0,
-                priority: Priority::Standard,
-            });
-            e.run_until_idle()[0].finish
-        };
-        let cold = mk(0);
-        let warm = mk(9_000);
-        assert!(warm * 2 < cold, "no reuse benefit: cold={cold} warm={warm}");
-        // Fully cached prompts skip prefill entirely but still decode.
-        let hot = mk(10_000);
-        assert!(hot > 0 && hot <= warm);
-    }
-
-    #[test]
-    fn cached_tokens_are_clamped_to_prompt() {
-        let mut e = engine(SchedPolicy::Fcfs);
-        e.submit(LlmRequest {
-            id: RequestId(1),
-            group: GroupId(1),
-            stage: Stage::Single,
-            prompt_tokens: 100,
-            output_tokens: 5,
-            cached_prompt_tokens: 10_000, // Bogus caller value.
-            arrival: 0,
-            priority: Priority::Standard,
-        });
-        let done = e.run_until_idle();
-        assert_eq!(done.len(), 1);
-    }
-
-    #[test]
-    fn gang_policy_prioritizes_reduce_calls() {
-        // A reduce call submitted behind a pile of foreign maps should be
-        // admitted ahead of them under gang scheduling (Parrot's DAG
-        // awareness): it unblocks a whole query.
-        let lat = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
-        let cfg = EngineConfig {
-            max_batch_seqs: 1, // Serialize admissions to expose ordering.
-            policy: SchedPolicy::GangByGroup,
-            ..EngineConfig::default()
-        };
-        let mut e = Engine::new(lat, cfg);
-        // A running request occupies the single slot.
-        e.submit(req(0, 0, 2_000, 30, 0));
-        e.step();
-        // Foreign maps arrive first, then a reduce for group 9.
-        for i in 1..=3 {
-            e.submit(LlmRequest {
-                id: RequestId(i),
-                group: GroupId(100 + i),
-                stage: Stage::Map,
-                prompt_tokens: 1_000,
-                output_tokens: 10,
-                cached_prompt_tokens: 0,
-                arrival: e.now(),
-                priority: Priority::Standard,
-            });
-        }
-        e.submit(LlmRequest {
-            id: RequestId(9),
-            group: GroupId(9),
-            stage: Stage::Reduce,
-            prompt_tokens: 1_000,
-            output_tokens: 10,
-            cached_prompt_tokens: 0,
-            arrival: e.now(),
-            priority: Priority::Standard,
-        });
-        let done = e.run_until_idle();
-        let pos = |id: u64| done.iter().position(|c| c.id == RequestId(id)).unwrap();
-        assert!(pos(9) < pos(1), "reduce should finish before foreign maps");
-        assert!(pos(9) < pos(3));
-    }
-
-    #[test]
-    fn fcfs_does_not_reorder_reduce_calls() {
-        let lat = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
-        let cfg = EngineConfig {
-            max_batch_seqs: 1,
-            policy: SchedPolicy::Fcfs,
-            ..EngineConfig::default()
-        };
-        let mut e = Engine::new(lat, cfg);
-        e.submit(req(0, 0, 2_000, 30, 0));
-        e.step();
-        e.submit(LlmRequest {
-            id: RequestId(1),
-            group: GroupId(101),
-            stage: Stage::Map,
-            prompt_tokens: 1_000,
-            output_tokens: 10,
-            cached_prompt_tokens: 0,
-            arrival: e.now(),
-            priority: Priority::Standard,
-        });
-        e.submit(LlmRequest {
-            id: RequestId(9),
-            group: GroupId(9),
-            stage: Stage::Reduce,
-            prompt_tokens: 1_000,
-            output_tokens: 10,
-            cached_prompt_tokens: 0,
-            arrival: e.now(),
-            priority: Priority::Standard,
-        });
-        let done = e.run_until_idle();
-        let pos = |id: u64| done.iter().position(|c| c.id == RequestId(id)).unwrap();
-        assert!(pos(1) < pos(9), "FCFS keeps arrival order");
-    }
-
-    #[test]
-    fn completion_timestamps_decompose_the_lifetime() {
-        // arrival <= admitted <= prefill_done <= finish for every request,
-        // including preempted victims (last admission / last recomputed
-        // prefill) — the telescoping identity behind stage breakdowns.
-        let mut e = capped_engine(SchedPolicy::Preemptive, 4_096);
-        e.submit(preq(1, 3_000, 400, 0, Priority::Batch));
-        e.step();
-        e.submit(preq(2, 2_000, 20, e.now(), Priority::Interactive));
-        let done = e.run_until_idle();
-        assert_eq!(done.len(), 2);
-        assert!(e.stats().preemptions >= 1, "the batch victim was evicted");
-        for c in &done {
-            assert!(c.arrival <= c.admitted);
-            assert!(c.admitted <= c.prefill_done, "prefill ends after admission");
-            assert!(c.prefill_done < c.finish, "decode takes time");
-            let pieces = (c.admitted - c.arrival)
-                + (c.prefill_done - c.admitted)
-                + (c.finish - c.prefill_done);
-            assert_eq!(pieces, c.finish - c.arrival);
-        }
-    }
-
-    #[test]
-    fn fully_cached_prompt_has_zero_prefill_wall_time() {
-        let mut e = engine(SchedPolicy::Fcfs);
-        e.submit(LlmRequest {
-            id: RequestId(1),
-            group: GroupId(1),
-            stage: Stage::Single,
-            prompt_tokens: 2_000,
-            output_tokens: 10,
-            cached_prompt_tokens: 2_000,
-            arrival: 0,
-            priority: Priority::Standard,
-        });
-        let done = e.run_until_idle();
-        assert_eq!(done.len(), 1);
-        assert_eq!(
-            done[0].prefill_done, done[0].admitted,
-            "a fully cached prompt goes straight to decode"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "stuck: queued=1 running=0")]
+    #[should_panic(expected = "stuck: queued=1 running=0 evicted=0")]
     fn unadmittable_request_is_detected() {
-        let mut e = engine(SchedPolicy::Fcfs);
+        let mut e = engine();
         let cap = e.kv_capacity_tokens();
         e.submit(req(1, 1, cap * 2, 5, 0));
         let _ = e.run_until_idle();
@@ -1545,272 +903,5 @@ mod tests {
         assert_eq!(e.free_kv_tokens(), cap);
         // Unchunked prefill means each prompt lands in one iteration.
         assert_eq!(e.stats().prefill_tokens, 4 * 3_000);
-    }
-
-    #[test]
-    fn busy_time_accounts_every_iteration() {
-        // With all arrivals at t = 0 there are no idle clock jumps, so the
-        // virtual clock must equal accumulated busy time exactly — the
-        // invariant the zero-progress edge used to break by advancing the
-        // clock without counting the iteration.
-        let lat = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
-        let mut e = Engine::new(
-            lat,
-            EngineConfig {
-                prefill_chunk_tokens: 0,
-                ..EngineConfig::default()
-            },
-        );
-        for i in 0..6 {
-            e.submit(req(i, i, 2_000, 12, 0));
-        }
-        e.run_until_idle();
-        let s = e.stats();
-        assert!(s.iterations > 0);
-        assert_eq!(s.busy, e.now(), "every clock advance must be accounted");
-    }
-
-    #[test]
-    fn preemptive_admits_by_slo_class() {
-        // One contended slot: a later-arriving interactive request is
-        // admitted ahead of earlier standard/batch arrivals.
-        let lat = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
-        let mut e = Engine::new(
-            lat,
-            EngineConfig {
-                max_batch_seqs: 1,
-                policy: SchedPolicy::Preemptive,
-                ..EngineConfig::default()
-            },
-        );
-        e.submit(preq(0, 2_000, 30, 0, Priority::Interactive));
-        e.step(); // Occupies the slot; no lower-class victim to evict.
-        e.submit(preq(1, 1_000, 10, e.now(), Priority::Batch));
-        e.submit(preq(2, 1_000, 10, e.now() + 1, Priority::Standard));
-        e.submit(preq(3, 1_000, 10, e.now() + 2, Priority::Interactive));
-        let done = e.run_until_idle();
-        let admitted = |id: u64| {
-            done.iter()
-                .find(|c| c.id == RequestId(id))
-                .expect("completed")
-                .admitted
-        };
-        assert!(admitted(3) < admitted(2), "interactive before standard");
-        assert!(admitted(2) < admitted(1), "standard before batch");
-    }
-
-    #[test]
-    fn preemption_evicts_batch_for_interactive() {
-        // A batch request fills most of a small KV pool; an interactive
-        // request that no longer fits preempts it instead of queueing
-        // behind it. The victim re-queues, recomputes, and still finishes.
-        let mut e = capped_engine(SchedPolicy::Preemptive, 4_096);
-        e.submit(preq(1, 3_000, 400, 0, Priority::Batch));
-        e.step();
-        assert_eq!(e.running_len(), 1);
-        e.submit(preq(2, 2_000, 20, e.now(), Priority::Interactive));
-        let cap = e.kv_capacity_tokens();
-        let done = e.run_until_idle();
-        assert_eq!(done.len(), 2);
-        assert_eq!(e.stats().preemptions, 1);
-        assert!(
-            e.stats().preempted_tokens > 0,
-            "the victim had prefilled work to recompute"
-        );
-        assert_eq!(e.free_kv_tokens(), cap, "no KV leaked across preemption");
-        let by_id = |id: u64| done.iter().find(|c| c.id == RequestId(id)).unwrap();
-        // The interactive request was admitted promptly — before the batch
-        // request's (re-)completion — and finished first.
-        assert!(by_id(2).finish < by_id(1).finish);
-        // The victim's completion carries its last admission time.
-        assert!(by_id(1).admitted > by_id(1).arrival);
-    }
-
-    #[test]
-    fn slot_pressure_alone_never_preempts() {
-        // KV is plentiful; only the batch-seq slot is contended. Evicting
-        // sunk work for a slot costs more than the wait it saves, so the
-        // interactive request waits and the batch victim keeps its progress.
-        let lat = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
-        let mut e = Engine::new(
-            lat,
-            EngineConfig {
-                max_batch_seqs: 1,
-                policy: SchedPolicy::Preemptive,
-                ..EngineConfig::default()
-            },
-        );
-        e.submit(preq(1, 2_000, 30, 0, Priority::Batch));
-        e.step();
-        assert!(e.free_kv_tokens() > 10_000, "KV is not the bottleneck");
-        e.submit(preq(2, 1_000, 10, e.now(), Priority::Interactive));
-        let done = e.run_until_idle();
-        assert_eq!(done.len(), 2);
-        assert_eq!(e.stats().preemptions, 0);
-        let by_id = |id: u64| done.iter().find(|c| c.id == RequestId(id)).unwrap();
-        assert!(
-            by_id(2).admitted >= by_id(1).finish,
-            "interactive waits for the slot instead of evicting"
-        );
-    }
-
-    #[test]
-    fn preemption_requires_a_strictly_lower_class() {
-        // Same class: no eviction — the later request waits, FCFS-style.
-        let mut e = capped_engine(SchedPolicy::Preemptive, 4_096);
-        e.submit(preq(1, 3_000, 400, 0, Priority::Standard));
-        e.step();
-        e.submit(preq(2, 2_000, 20, e.now(), Priority::Standard));
-        let done = e.run_until_idle();
-        assert_eq!(done.len(), 2);
-        assert_eq!(e.stats().preemptions, 0);
-        let by_id = |id: u64| done.iter().find(|c| c.id == RequestId(id)).unwrap();
-        assert!(by_id(1).finish < by_id(2).finish, "arrival order kept");
-    }
-
-    #[test]
-    fn preemption_never_fires_when_it_cannot_help() {
-        // The interactive demand exceeds capacity even after evicting every
-        // batch victim: nothing is preempted (no wasted recompute) and the
-        // stuck detector still fires.
-        let mut e = capped_engine(SchedPolicy::Preemptive, 4_096);
-        e.submit(preq(1, 2_000, 20, 0, Priority::Batch));
-        e.step();
-        e.submit(preq(2, 8_000, 20, e.now(), Priority::Interactive));
-        // Drain what is drainable: the batch request completes untouched.
-        let mut done = Vec::new();
-        for _ in 0..10_000 {
-            done.extend(e.step());
-            if done.len() == 1 {
-                break;
-            }
-        }
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].id, RequestId(1));
-        assert_eq!(e.stats().preemptions, 0);
-    }
-
-    #[test]
-    fn preemptive_beats_fcfs_on_interactive_queueing_under_burst() {
-        // The acceptance experiment at engine scale: a synchronized burst
-        // of batch work arrives just before interactive requests (burst
-        // factor ≫ 4 relative to the drain rate). Under FCFS the
-        // interactive class queues behind the whole burst; preemptive
-        // scheduling admits it immediately. Identical workloads, identical
-        // capacity.
-        let workload = || {
-            let mut reqs = Vec::new();
-            for i in 0..6 {
-                reqs.push(preq(i, 1_500, 300, 0, Priority::Batch));
-            }
-            for i in 0..4 {
-                reqs.push(preq(
-                    100 + i,
-                    800,
-                    10,
-                    1_000_000 * (i + 1),
-                    Priority::Interactive,
-                ));
-            }
-            reqs
-        };
-        let queue_waits = |policy: SchedPolicy| -> Vec<Nanos> {
-            let mut e = capped_engine(policy, 6_000);
-            for r in workload() {
-                e.submit(r);
-            }
-            let done = e.run_until_idle();
-            assert_eq!(done.len(), 10, "every request completes under {policy:?}");
-            let mut waits: Vec<Nanos> = done
-                .iter()
-                .filter(|c| c.id.0 >= 100)
-                .map(|c| c.admitted - c.arrival)
-                .collect();
-            waits.sort_unstable();
-            waits
-        };
-        let fcfs = queue_waits(SchedPolicy::Fcfs);
-        let preemptive = queue_waits(SchedPolicy::Preemptive);
-        let p99 = |w: &[Nanos]| w[w.len() - 1];
-        let mean = |w: &[Nanos]| w.iter().sum::<Nanos>() / w.len() as Nanos;
-        assert!(
-            p99(&preemptive) < p99(&fcfs),
-            "preemptive p99 queue wait {} must beat FCFS {}",
-            p99(&preemptive),
-            p99(&fcfs)
-        );
-        assert!(mean(&preemptive) < mean(&fcfs));
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use std::collections::HashMap;
-
-    use proptest::prelude::*;
-
-    use super::*;
-    use metis_llm::{GpuCluster, ModelSpec};
-
-    fn priority_of(tag: u8) -> Priority {
-        match tag % 3 {
-            0 => Priority::Interactive,
-            1 => Priority::Standard,
-            _ => Priority::Batch,
-        }
-    }
-
-    proptest! {
-        /// Preemption invariants under random bursty load: KV allocation is
-        /// conserved across arbitrary preempt/resume cycles (no double
-        /// free, `used_tokens` returns to 0 at drain) and every submitted
-        /// request completes exactly once.
-        #[test]
-        fn preemption_conserves_kv_and_completes_every_request(
-            reqs in prop::collection::vec(
-                // (prompt, output, burst slot, priority tag, cached%)
-                (1u64..1_800, 1u64..80, 0u64..6, 0u8..6, 0u64..100),
-                1..24,
-            ),
-        ) {
-            let lat = LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40());
-            let bytes = 4_096 * lat.model().kv_bytes_per_token();
-            let mut e = Engine::new(
-                lat,
-                EngineConfig {
-                    policy: SchedPolicy::Preemptive,
-                    kv_pool_bytes_cap: Some(bytes),
-                    ..EngineConfig::default()
-                },
-            );
-            let capacity = e.kv_capacity_tokens();
-            for (i, &(prompt, out, slot, tag, cached)) in reqs.iter().enumerate() {
-                e.submit(LlmRequest {
-                    id: RequestId(i as u64),
-                    group: GroupId(i as u64 % 4),
-                    stage: Stage::Single,
-                    prompt_tokens: prompt,
-                    output_tokens: out,
-                    cached_prompt_tokens: prompt * cached / 100,
-                    // Bursty: arrivals pile onto a few discrete instants.
-                    arrival: slot * 50_000_000,
-                    priority: priority_of(tag),
-                });
-            }
-            let done = e.run_until_idle();
-            prop_assert_eq!(done.len(), reqs.len(), "every request completes");
-            let mut seen: HashMap<u64, u32> = HashMap::new();
-            for c in &done {
-                *seen.entry(c.id.0).or_default() += 1;
-            }
-            for (id, count) in seen {
-                prop_assert_eq!(count, 1, "request {} completed {} times", id, count);
-            }
-            prop_assert_eq!(e.free_kv_tokens(), capacity, "used_tokens back to 0");
-            prop_assert!(e.is_idle());
-            let s = e.stats();
-            prop_assert_eq!(s.completed, reqs.len() as u64);
-            prop_assert_eq!(s.submitted, reqs.len() as u64);
-        }
     }
 }

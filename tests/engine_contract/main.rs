@@ -1,9 +1,9 @@
 //! Bounded-exhaustive check of the serving engine against its contract.
 //!
 //! Every sequence of at most [`DEPTH`] operations — submit the next request
-//! from [`PALETTE`], or step one replica — runs through the real
-//! `Engine`/`Cluster` and through [`reference::RefEngine`] in lock-step, on
-//! a seven-block KV pool. After every operation both sides must agree on the
+//! from [`PALETTE`], or step a replica that was given one — runs through the
+//! real `Engine`/`Cluster` and through [`reference::RefEngine`] in
+//! lock-step, on a seven-block KV pool. After every operation both sides must agree on the
 //! completions it returned (id, replica, arrival, admitted, prefill_done,
 //! finish), each replica's clock, free KV, queue and running lengths, and
 //! every `EngineStats` counter, and the reference must hold every KV block
@@ -12,8 +12,8 @@
 //!
 //! The rows are the four of `tests/golden/engine_step_digest.txt` plus a
 //! standalone engine that migrates (whose victims `run_until_idle` requeues
-//! itself). Mutants of `engine.rs` that this check must kill are committed
-//! under `tests/mutants/engine/`; `tests/mutants/run.sh` replays them.
+//! itself). Hand-seeded mutants of `engine.rs` are committed under
+//! `tests/mutants/engine/`; `tests/mutants/run.sh` replays them.
 
 mod reference;
 
@@ -27,7 +27,7 @@ use reference::{blocks, place, RefEngine};
 /// Operations per sequence; every shorter sequence is checked too.
 const DEPTH: usize = 5;
 /// Requests per sequence, at most.
-const MAX_REQUESTS: u64 = 4;
+const MAX_REQUESTS: usize = 4;
 /// Seven 16-token blocks per replica.
 const POOL_TOKENS: u64 = 112;
 /// "In the future": a little over one iteration in.
@@ -35,16 +35,18 @@ const LATER: Nanos = 10_000_000;
 
 /// One palette entry: (prompt, output, cached, priority, group, stage,
 /// arrives later, target replica). Footprints are 4, 2, 3, 4, 5 and 1
-/// blocks, the first two exactly; the first, second and last fill the pool.
-/// The fourth claims more cached tokens than its prompt, and goes to the
-/// second replica when there is one.
+/// blocks, the first, second and fourth exactly; the first, second and last
+/// fill the pool. The fourth claims more cached tokens than its prompt and
+/// goes to the second replica when there is one, due 10 ms ahead: that
+/// replica's iterations then end out of phase with the first's, so a victim
+/// migrated to it can land before its clock.
 type Shape = (u64, u64, u64, Priority, u64, Stage, bool, usize);
 
 const PALETTE: [Shape; 6] = [
     (48, 16, 0, Priority::Batch, 0, Stage::Map, false, 0),
     (24, 8, 0, Priority::Interactive, 1, Stage::Single, false, 0),
     (33, 2, 0, Priority::Standard, 0, Stage::Reduce, false, 0),
-    (56, 8, 64, Priority::Standard, 1, Stage::Map, false, 1),
+    (56, 8, 64, Priority::Standard, 1, Stage::Map, true, 1),
     (70, 2, 16, Priority::Interactive, 0, Stage::Map, true, 0),
     (10, 2, 0, Priority::Batch, 1, Stage::Reduce, false, 0),
 ];
@@ -55,32 +57,20 @@ struct Row {
     replicas: usize,
 }
 
+const fn row(policy: SchedPolicy, mode: PreemptMode, replicas: usize) -> Row {
+    Row {
+        policy,
+        mode,
+        replicas,
+    }
+}
+
 const ROWS: [Row; 5] = [
-    Row {
-        policy: SchedPolicy::Fcfs,
-        mode: PreemptMode::Recompute,
-        replicas: 1,
-    },
-    Row {
-        policy: SchedPolicy::GangByGroup,
-        mode: PreemptMode::Recompute,
-        replicas: 1,
-    },
-    Row {
-        policy: SchedPolicy::Preemptive,
-        mode: PreemptMode::Recompute,
-        replicas: 1,
-    },
-    Row {
-        policy: SchedPolicy::Preemptive,
-        mode: PreemptMode::Migrate,
-        replicas: 2,
-    },
-    Row {
-        policy: SchedPolicy::Preemptive,
-        mode: PreemptMode::Migrate,
-        replicas: 1,
-    },
+    row(SchedPolicy::Fcfs, PreemptMode::Recompute, 1),
+    row(SchedPolicy::GangByGroup, PreemptMode::Recompute, 1),
+    row(SchedPolicy::Preemptive, PreemptMode::Recompute, 1),
+    row(SchedPolicy::Preemptive, PreemptMode::Migrate, 2),
+    row(SchedPolicy::Preemptive, PreemptMode::Migrate, 1),
 ];
 
 #[derive(Clone, Copy, Debug)]
@@ -93,12 +83,12 @@ fn latency() -> LatencyModel {
     LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40())
 }
 
-fn config(row: &Row, pool_tokens: u64) -> EngineConfig {
+fn config(row: &Row) -> EngineConfig {
     EngineConfig {
         max_batch_seqs: 3,
         prefill_chunk_tokens: 32,
         policy: row.policy,
-        kv_pool_bytes_cap: Some(pool_tokens * latency().model().kv_bytes_per_token()),
+        kv_pool_bytes_cap: Some(POOL_TOKENS * latency().model().kv_bytes_per_token()),
         preempt_mode: row.mode,
     }
 }
@@ -111,7 +101,7 @@ enum Sut {
 
 impl Sut {
     fn new(row: &Row) -> Self {
-        let engine = || Engine::new(latency(), config(row, POOL_TOKENS));
+        let engine = || Engine::new(latency(), config(row));
         match row.replicas {
             1 => Sut::One(Box::new(engine())),
             n => Sut::Many(Cluster::new(
@@ -157,28 +147,9 @@ fn request(id: u64, shape: Shape) -> LlmRequest {
     }
 }
 
-type Seen = (
-    RequestId,
-    GroupId,
-    Stage,
-    ReplicaId,
-    Nanos,
-    Nanos,
-    Nanos,
-    Nanos,
-);
-
-fn seen(c: &Completion) -> Seen {
-    (
-        c.id,
-        c.group,
-        c.stage,
-        c.replica,
-        c.arrival,
-        c.admitted,
-        c.prefill_done,
-        c.finish,
-    )
+/// Completions as text: every field, in return order.
+fn shown(completions: &[Completion]) -> String {
+    format!("{completions:?}")
 }
 
 fn counters(s: &EngineStats) -> [u64; 14] {
@@ -202,11 +173,9 @@ fn counters(s: &EngineStats) -> [u64; 14] {
 
 /// Both sides agree on everything observable after `ops`.
 fn agree(sut: &Sut, fleet: &[RefEngine], got: &[Completion], want: &[Completion], ops: &[Op]) {
-    let (got, want): (Vec<Seen>, Vec<Seen>) = (
-        got.iter().map(seen).collect(),
-        want.iter().map(seen).collect(),
-    );
-    assert_eq!(got, want, "completions after {ops:?}");
+    if !(got.is_empty() && want.is_empty()) {
+        assert_eq!(shown(got), shown(want), "completions after {ops:?}");
+    }
     for (r, reference) in fleet.iter().enumerate() {
         let e = sut.engine(r);
         let observed = (e.now(), e.free_kv_tokens(), e.queued_len(), e.running_len());
@@ -243,7 +212,7 @@ fn agree(sut: &Sut, fleet: &[RefEngine], got: &[Completion], want: &[Completion]
 fn check(row: &Row, ops: &[Op]) -> usize {
     let mut sut = Sut::new(row);
     let mut fleet: Vec<RefEngine> = (0..row.replicas)
-        .map(|r| RefEngine::new(latency(), config(row, POOL_TOKENS), ReplicaId(r as u32)))
+        .map(|r| RefEngine::new(latency(), config(row), ReplicaId(r as u32)))
         .collect();
     let (mut submitted, mut done) = (0, Vec::new());
     let mut apply =
@@ -278,7 +247,7 @@ fn check(row: &Row, ops: &[Op]) -> usize {
     let mut steps = 0;
     while !matches!((&sut, row.mode), (Sut::One(_), PreemptMode::Migrate)) {
         let next = (0..fleet.len())
-            .filter(|&r| fleet[r].runnable())
+            .filter(|&r| !fleet[r].is_idle())
             .min_by_key(|&r| (fleet[r].now, r));
         let Some(r) = next else { break };
         if let Sut::Many(c) = &sut {
@@ -316,19 +285,30 @@ fn check(row: &Row, ops: &[Op]) -> usize {
 }
 
 /// Checks every sequence extending `ops` up to [`DEPTH`]; returns how many
-/// sequences and operations it checked.
-fn exhaust(row: &Row, ops: &mut Vec<Op>, requests: u64) -> (u64, u64) {
+/// sequences and operations it checked. Stepping a replica that was never
+/// given a request changes nothing, so such sequences are left out: each
+/// equals the one without that step.
+fn exhaust(row: &Row, ops: &mut Vec<Op>) -> (u64, u64) {
     let mut checked = (1, check(row, ops) as u64);
     if ops.len() == DEPTH {
         return checked;
     }
+    let given: Vec<usize> = ops
+        .iter()
+        .filter_map(|op| match *op {
+            Op::Submit(p) => Some(PALETTE[p].7 % row.replicas),
+            Op::Step(_) => None,
+        })
+        .collect();
     let submits = (0..PALETTE.len())
-        .filter(|_| requests < MAX_REQUESTS)
+        .filter(|_| given.len() < MAX_REQUESTS)
         .map(Op::Submit);
-    for op in submits.chain((0..row.replicas).map(Op::Step)) {
+    let steps = (0..row.replicas)
+        .filter(|r| given.contains(r))
+        .map(Op::Step);
+    for op in submits.chain(steps) {
         ops.push(op);
-        let (sequences, operations) =
-            exhaust(row, ops, requests + u64::from(matches!(op, Op::Submit(_))));
+        let (sequences, operations) = exhaust(row, ops);
         ops.pop();
         checked = (checked.0 + sequences, checked.1 + operations);
     }
@@ -340,7 +320,7 @@ fn engine_equals_the_reference_on_every_short_operation_sequence() {
     for row in &ROWS {
         // `check_capacity` passes exactly the requests the reference admits
         // into an empty pool, on and around the pool's edge.
-        let engine = Engine::new(latency(), config(row, POOL_TOKENS));
+        let engine = Engine::new(latency(), config(row));
         for (i, &shape) in PALETTE.iter().enumerate() {
             for prompt in [shape.0, POOL_TOKENS - shape.1, POOL_TOKENS - shape.1 + 1] {
                 let req = LlmRequest {
@@ -350,7 +330,7 @@ fn engine_equals_the_reference_on_every_short_operation_sequence() {
                 let fits = engine
                     .check_capacity(req.prompt_tokens, req.output_tokens)
                     .is_ok();
-                let mut empty = RefEngine::new(latency(), config(row, POOL_TOKENS), ReplicaId(0));
+                let mut empty = RefEngine::new(latency(), config(row), ReplicaId(0));
                 empty.submit(req.clone());
                 empty.step();
                 assert_eq!(
@@ -362,7 +342,7 @@ fn engine_equals_the_reference_on_every_short_operation_sequence() {
                 );
             }
         }
-        let (sequences, operations) = exhaust(row, &mut Vec::new(), 0);
+        let (sequences, operations) = exhaust(row, &mut Vec::new());
         println!(
             "{:?}/{:?} x{}: {sequences} sequences, {operations} operations",
             row.policy, row.mode, row.replicas
@@ -403,10 +383,9 @@ fn a_standalone_migrating_engine_drains_like_a_one_replica_cluster() {
         alone.submit(req.clone());
         cluster.submit(ReplicaId(0), req);
     }
-    let done: Vec<Seen> = alone.run_until_idle().iter().map(seen).collect();
+    let done = alone.run_until_idle();
     assert_eq!(done.len(), 2);
     assert_eq!(alone.stats().preemptions, 1);
-    let expected: Vec<Seen> = cluster.run_until_idle().iter().map(seen).collect();
-    assert_eq!(done, expected);
+    assert_eq!(shown(&done), shown(&cluster.run_until_idle()));
     assert_eq!(counters(alone.stats()), counters(cluster.stats()[0]));
 }

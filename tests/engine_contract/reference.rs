@@ -2,7 +2,8 @@
 //! as it reads. No change stamp, no blocked-head memo, no scratch buffers,
 //! no allocator: every admission attempt stably sorts the whole queue, and
 //! KV is one counter of free blocks. It shares with `Engine` only the public
-//! request and stats types and the latency model's `iteration_time`.
+//! request, completion and stats types and the latency model's
+//! `iteration_time`.
 
 use std::cmp::Reverse;
 
@@ -41,7 +42,8 @@ pub struct RefEngine {
     pending: Vec<(Nanos, LlmRequest)>,
     /// Waiting for admission, with the instant each entered the queue.
     pub queue: Vec<(LlmRequest, Nanos)>,
-    /// Admitted; admission appends, retirement keeps the order.
+    /// Admitted; admission appends, retirement keeps the order, eviction
+    /// moves the last into the victim's slot.
     pub running: Vec<Seq>,
     pub free_blocks: u64,
     pub total_blocks: u64,
@@ -72,13 +74,9 @@ impl RefEngine {
         }
     }
 
-    /// Whether a step could do anything (an outbox it cannot place itself).
-    pub fn runnable(&self) -> bool {
-        !(self.pending.is_empty() && self.queue.is_empty() && self.running.is_empty())
-    }
-
     pub fn is_idle(&self) -> bool {
-        !self.runnable() && self.outbox.is_empty()
+        let waiting = self.pending.is_empty() && self.queue.is_empty();
+        waiting && self.running.is_empty() && self.outbox.is_empty()
     }
 
     pub fn submit(&mut self, req: LlmRequest) {
