@@ -655,7 +655,7 @@ impl Engine {
         }
 
         // Assemble the iteration: one decode token per decoding sequence,
-        // chunked prefill across prefilling sequences in admission order.
+        // chunked prefill across prefilling sequences in running order.
         let mut prefill_budget = self.prefill_budget();
         let mut prefill_tokens: u64 = 0;
         let mut prefill_ctx_weighted: f64 = 0.0;

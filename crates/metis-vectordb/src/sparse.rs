@@ -4,13 +4,15 @@
 //! The built-in feature-hash embeddings are sparse: 18–27 % of a chunk
 //! row's coordinates are non-zero, 5–8 % of a query's. The index keeps each
 //! row's non-zero coordinates and its squared norm, plus one posting list
-//! per dimension over blocks of four consecutive rows. A search scatters the
-//! query's non-zero coordinates over their posting lists, four rows per
-//! vector op, which yields every row's dot product with the query and from
-//! it a lower bound on the row's distance. It then scores the `k` rows of
-//! least bound; the largest of those distances, the cap, is at least the
-//! final worst `W` of a dense scan (among any `k` rows one is at least the
-//! `k`-th smallest), so a row whose bound is above the cap is above `W`.
+//! per dimension over blocks of four consecutive rows, which hold each row's
+//! values again as 16-bit codes under a per-row power-of-two scale. A search
+//! scatters the query's non-zero coordinates over their posting lists, four
+//! rows per vector op, which yields every row's dot product with the query
+//! to within the coding error and from it a lower bound on the row's
+//! distance. It then scores the `k` rows of least bound; the largest of
+//! those distances, the cap, is at least the final worst `W` of a dense scan
+//! (among any `k` rows one is at least the `k`-th smallest), so a row whose
+//! bound is above the cap is above `W`.
 //! The other rows, about `k` of them, are offered in row order to the top-`k`
 //! admission the dense scan uses, [`admit_top_k`], whose lemma says that
 //! dropping rows above `W` changes no hit. Each is scored by the one exact
@@ -36,9 +38,39 @@ const F32_UNIT: f64 = 1.0 / (1u64 << 24) as f64;
 /// operation in the subnormal range can lose.
 const F32_SUBNORMAL_HALF_STEP: f64 = f32::MIN_POSITIVE as f64 / (1u64 << 24) as f64;
 
-/// How far below `‖r‖² + ‖q‖² − 2 r·q`, with `r·q` the f32 lane sum of
-/// [`SparseFlatIndex::scatter`] and the rest in f64, [`squared_l2`] can land
-/// at dimension `dim`: `margin = slope · (‖r‖² + ‖q‖²) + floor`.
+/// The least code scale, the smallest positive subnormal f32 `2^-149`.
+const MIN_SCALE: f32 = f32::from_bits(1);
+
+/// The code scale of a row whose largest magnitude is `max`: the least power
+/// of two `s ≥ 2^-149` with `max ≤ 32 767 s`. Each value `x` of the row is
+/// coded as `round(x / s)`: the quotient is exact (a power-of-two scaling
+/// that stays in f32's normal range) or below `2^-126`, so the code is at
+/// most 32 767 in magnitude and within `s / 2` of `x / s`.
+fn code_scale(max: f32) -> f32 {
+    // `max / 32 767` in f64 is within `2^-53` relative of the exact
+    // quotient, which is a power of two or at least `2^-24` relative from
+    // one (a 24-bit over a 15-bit integer), so rounding its significand up
+    // gives the least power of two at or above it.
+    let significand = (1u64 << 52) - 1;
+    let t = f64::from(max) / f64::from(i16::MAX);
+    let s = f64::from_bits((t.to_bits() + significand) & !significand);
+    (s as f32).max(MIN_SCALE)
+}
+
+/// The largest magnitude in `values`, 0 if there are none.
+fn max_abs(values: &[f32]) -> f32 {
+    values.iter().fold(0.0, |m, x| x.abs().max(m))
+}
+
+/// `x`'s code under `scale`, see [`code_scale`].
+fn encode(x: f32, scale: f32) -> i16 {
+    (x / scale).round() as i16
+}
+
+/// How far below `‖r‖² + ‖q‖² − 2 s L`, with `L` the f32 lane sum of
+/// [`SparseFlatIndex::scatter`] over the row's codes, `s` its scale and the
+/// rest in f64, [`squared_l2`] can land at dimension `dim`:
+/// `margin = slope · (‖r‖² + ‖q‖²) + (1 + s) · floor + s · coding · ‖q‖₁`.
 ///
 /// Write `E = Σ (r_i − q_i)²` in exact arithmetic over the stored f32
 /// values, and `u = 2^-24`. The kernel rounds each `r_i − q_i` once (a
@@ -50,35 +82,48 @@ const F32_SUBNORMAL_HALF_STEP: f64 = f32::MIN_POSITIVE as f64 / (1u64 << 24) as 
 /// to a subnormal; with `E ≤ 2 (‖r‖² + ‖q‖²)`, at least
 /// `E − (2 dim + 36) u (‖r‖² + ‖q‖²) − dim · 2^-150`.
 ///
-/// A row's lane sums at most `dim` products `r_i q_i`, in ascending `i`,
-/// each product and each sum rounded once: it is within
-/// `γ Σ |r_i q_i| ≤ γ (‖r‖² + ‖q‖²) / 2` of `r·q`, `γ = dim u / (1 − dim u)`,
-/// plus `2^-150` per product that underflowed. Every `r_i²` and `q_i²` is
-/// exact in f64 (24 + 24 significant bits), so the f64 rest is within
-/// `(2 dim + 8) · 2^-53 · (‖r‖² + ‖q‖²)` of exact. So
+/// The row's codes `c_i` are within `s / 2` of `r_i / s` ([`code_scale`]),
+/// so `|r_i − s c_i| ≤ s / 2` and `s |c_i| ≤ |r_i| + s / 2`. Its lane sums
+/// at most `dim` products `c_i q_i`, in ascending `i`, each product and each
+/// sum rounded once: it is within `γ Σ |c_i q_i|` of `Σ c_i q_i`,
+/// `γ = dim u / (1 − dim u)`, plus `(1 + γ) 2^-150` per product that
+/// underflowed. So `|r·q − s L|` is at most
+/// `Σ |r_i − s c_i| |q_i| + γ s Σ |c_i q_i| + (1 + γ) s dim 2^-150`, which
+/// is at most `(s / 2) ‖q‖₁ + γ (Σ |r_i q_i| + (s / 2) ‖q‖₁)` plus that
+/// underflow term; with `Σ |r_i q_i| ≤ (‖r‖² + ‖q‖²) / 2`,
 ///
-/// `squared_l2 ≥ bound − ((2 dim + 36) u + γ) (‖r‖² + ‖q‖²) − (3 + 2γ) dim · 2^-150`,
+/// `2 r·q ≤ 2 s L + γ (‖r‖² + ‖q‖²) + (1 + γ) s ‖q‖₁ + 2 (1 + γ) s dim 2^-150`.
+///
+/// Every `r_i²` and `q_i²` is exact in f64 (24 + 24 significant bits), so the
+/// f64 rest is within `(2 dim + 8) · 2^-53 · (‖r‖² + ‖q‖²)` of exact, and
+/// `s L` is exact (a power-of-two multiple of an f32). So
+///
+/// `squared_l2 ≥ bound − ((2 dim + 36) u + γ) (‖r‖² + ‖q‖²) − (1 + γ) s ‖q‖₁
+///  − dim 2^-150 − 2 (1 + γ) s dim 2^-150`,
 ///
 /// to within the f64 rounding. The slope below takes `2 dim + 64` for
 /// `2 dim + 36`; the spare `28 u` dominates the f64 rounding of the bound
-/// and of this margin many times over. The floor, `8 dim · 2^-150`, is the
-/// underflow loss doubled and rounded up. A lane that overflows bounds
-/// nothing (`−∞`); an overflowing kernel returns `+∞`, above any finite
-/// bound.
-fn margin(dim: usize) -> (f64, f64) {
+/// and of this margin many times over (above the clamp,
+/// `s < max |r_i| / 16 383`, so `s ‖q‖₁ < √dim (‖r‖² + ‖q‖²) / 32 766`).
+/// The floor, `8 dim · 2^-150`, is each underflow loss doubled and rounded
+/// up, and `coding` is `1 + γ`. A lane that overflows bounds nothing
+/// (`−∞`); an overflowing kernel returns `+∞`, above any finite bound.
+fn margin(dim: usize) -> (f64, f64, f64) {
     let dim = dim as f64;
     let gamma = dim * F32_UNIT / (1.0 - dim * F32_UNIT);
     (
         (2.0 * dim + 64.0) * F32_UNIT + gamma,
         dim * 8.0 * F32_SUBNORMAL_HALF_STEP,
+        1.0 + gamma,
     )
 }
 
 /// Per-thread search memory, reused by the next search on the thread.
 #[derive(Default)]
 struct Scratch {
-    /// Row `r`'s dot product with the query at `lanes[r / 4][r % 4]`; once
-    /// the row is scored ahead of the admission, its squared distance.
+    /// The dot product of row `r`'s codes with the query at
+    /// `lanes[r / 4][r % 4]`; once the row is scored ahead of the admission,
+    /// its squared distance.
     lanes: Vec<[f32; 4]>,
     /// `bounds[row]`: a lower bound on the row's squared distance, never
     /// NaN; NaN once the row is scored ahead.
@@ -108,13 +153,15 @@ pub(crate) struct SparseFlatIndex {
     vals: Vec<f32>,
     /// `‖r‖²` in f64, per row.
     norms: Vec<f64>,
+    /// Row `r`'s code scale, [`code_scale`] of its largest magnitude.
+    scales: Vec<f32>,
     /// Dimension `j`'s posting list is
     /// `postings[list_starts[j]..list_starts[j + 1]]`: one entry
-    /// `(block, values)` per block of rows `4 block .. 4 block + 4` with a
-    /// non-zero in column `j`, in ascending block, `values[i]` being row
-    /// `4 block + i`'s (zero where it has none).
+    /// `(block, codes)` per block of rows `4 block .. 4 block + 4` with a
+    /// non-zero in column `j`, in ascending block, `codes[i]` being row
+    /// `4 block + i`'s value coded under its scale (zero where it has none).
     list_starts: Vec<usize>,
-    postings: Vec<(u32, [f32; 4])>,
+    postings: Vec<(u32, [i16; 4])>,
 }
 
 impl SparseFlatIndex {
@@ -165,11 +212,15 @@ impl SparseFlatIndex {
         for len in &list_lens {
             list_starts.push(list_starts.last().expect("starts at 0") + len);
         }
+        let scales: Vec<f32> = starts
+            .windows(2)
+            .map(|span| code_scale(max_abs(&vals[span[0]..span[1]])))
+            .collect();
         // Counting sort, each list's end advancing from its start: rows, and
         // so blocks, arrive in ascending order, so a value either joins the
         // list's newest entry or opens the next one.
         let mut ends = list_starts[..dim].to_vec();
-        let mut postings = vec![(0, [0.0f32; 4]); list_starts[dim]];
+        let mut postings = vec![(0, [0i16; 4]); list_starts[dim]];
         for (row, span) in starts.windows(2).enumerate() {
             let block = (row / 4) as u32;
             for (&c, &x) in cols[span[0]..span[1]].iter().zip(&vals[span[0]..span[1]]) {
@@ -178,7 +229,7 @@ impl SparseFlatIndex {
                     postings[ends[c]].0 = block;
                     ends[c] += 1;
                 }
-                postings[ends[c] - 1].1[row % 4] = x;
+                postings[ends[c] - 1].1[row % 4] = encode(x, scales[row]);
             }
         }
         Self {
@@ -188,14 +239,16 @@ impl SparseFlatIndex {
             cols,
             vals,
             norms,
+            scales,
             list_starts,
             postings,
         }
     }
 
     /// Sets `bounds[row]`, for every row, to a lower bound on
-    /// `squared_l2(row, query)`: `‖r‖² + ‖q‖² − 2 r·q − margin`, with `r·q`
-    /// summed into `lanes` by [`Self::scatter`] and the rest in f64.
+    /// `squared_l2(row, query)`: `‖r‖² + ‖q‖² − 2 s L − margin`, with the
+    /// codes' dot `L` summed into `lanes` by [`Self::scatter`], times the
+    /// row's scale `s`, and the rest in f64.
     fn lower_bounds(&self, query: &[f32], lanes: &mut Vec<[f32; 4]>, bounds: &mut Vec<f64>) {
         lanes.clear();
         lanes.resize(self.ids.len().div_ceil(4), [0.0; 4]);
@@ -208,23 +261,27 @@ impl SparseFlatIndex {
             bounds.resize(self.ids.len(), f64::NEG_INFINITY);
             return;
         }
+        let q_l1: f64 = query.iter().map(|&x| f64::from(x.abs())).sum();
         self.scatter(query, lanes);
-        let (slope, floor) = margin(self.dim);
-        let dots = lanes.as_flattened().iter().zip(&self.norms);
-        bounds.extend(dots.map(|(&dot, &r_norm)| {
-            let norms = r_norm + q_norm;
+        let (slope, floor, coding) = margin(self.dim);
+        let per_scale = floor + coding * q_l1;
+        let rows = self.norms.iter().zip(&self.scales);
+        let dots = lanes.as_flattened().iter().zip(rows);
+        bounds.extend(dots.map(|(&dot, (&r_norm, &scale))| {
+            let (norms, scale) = (r_norm + q_norm, f64::from(scale));
             if dot.is_finite() {
-                norms - 2.0 * f64::from(dot) - (slope * norms + floor)
+                norms - 2.0 * scale * f64::from(dot) - (slope * norms + floor + scale * per_scale)
             } else {
                 f64::NEG_INFINITY
             }
         }));
     }
 
-    /// Adds `r·q` into every row's lane: for each non-zero `q_j`, in
-    /// ascending `j`, each entry of list `j` adds its four values times
-    /// `q_j` to its block's four lanes in one vector op. Never inlined, so
-    /// that the loop compiles alike wherever it is called and
+    /// Adds `Σ c_j q_j` into every row's lane, `c` the row's codes: for each
+    /// non-zero `q_j`, in ascending `j`, each entry of list `j` widens its
+    /// four codes to f32 and adds them times `q_j` to its block's four lanes
+    /// in one vector multiply and add. Never inlined, so that the loop
+    /// compiles alike wherever it is called and
     /// `tests/codegen/kernel-width.sh` can read it.
     #[inline(never)]
     fn scatter(&self, query: &[f32], lanes: &mut [[f32; 4]]) {
@@ -232,9 +289,9 @@ impl SparseFlatIndex {
             if x == 0.0 {
                 continue;
             }
-            for &(block, values) in &self.postings[self.list_starts[j]..self.list_starts[j + 1]] {
-                for (lane, v) in lanes[block as usize].iter_mut().zip(values) {
-                    *lane += v * x;
+            for &(block, codes) in &self.postings[self.list_starts[j]..self.list_starts[j + 1]] {
+                for (lane, c) in lanes[block as usize].iter_mut().zip(codes) {
+                    *lane += f32::from(c) * x;
                 }
             }
         }
@@ -465,16 +522,20 @@ mod tests {
         differential_sweep(0xD1FF, 10_000);
     }
 
-    /// The row's bound and margin for one `(row, query)` pair, the row in
-    /// lane `at` of its block behind copies of the query.
+    /// The row's bound and whole margin, coding term included, for one
+    /// `(row, query)` pair, the row in lane `at` of its block behind copies
+    /// of the query.
     fn bound_and_margin(row: &[f32], query: &[f32], at: usize) -> (f64, f64) {
         let rows = (0..at).map(|_| query.to_vec()).chain([row.to_vec()]);
         let index = SparseFlatIndex::build(row.len(), rows.map(|v| (ChunkId(0), v)));
         let (mut lanes, mut bounds) = (Vec::new(), Vec::new());
         index.lower_bounds(query, &mut lanes, &mut bounds);
         let norms: f64 = row.iter().chain(query).map(|&x| f64::from(x).powi(2)).sum();
-        let (slope, floor) = margin(row.len());
-        (bounds[at], slope * norms + floor)
+        let q_l1: f64 = query.iter().map(|&x| f64::from(x).abs()).sum();
+        let (slope, floor, coding) = margin(row.len());
+        let s = f64::from(index.scales[at]);
+        let margin = slope * norms + (1.0 + s) * floor + s * coding * q_l1;
+        (bounds[at], margin)
     }
 
     /// Adversarial pairs: a row one ulp from the query in every component
@@ -482,7 +543,10 @@ mod tests {
     /// `f32::MAX` that overflow the kernel or cancel exactly, one large
     /// term beside many squares the kernel's lanes round away, and the
     /// lane dot at its longest: 1 024 non-zero query coordinates, and 1 024
-    /// same-sign products in one lane a few ulps from cancelling.
+    /// same-sign products in one lane a few ulps from cancelling. And rows
+    /// the codes fit worst: values over many binades, whose small ones code
+    /// to 0; rows within `32 767 · 2^-149`, at the clamp, coded exactly; and
+    /// rows near `f32::MAX`, at scale `2^113`.
     #[test]
     fn the_bound_never_exceeds_the_kernel() {
         let mut rng = Lcg(0xB0B);
@@ -494,9 +558,9 @@ mod tests {
                 f32::from_bits(x.to_bits().wrapping_add_signed(by))
             }
         };
-        for case in 0..4_000 {
+        for case in 0..5_500 {
             let dim = rng.pick(&[1, 2, 15, 16, 17, 64, 100, 1024]);
-            let (row, query): (Vec<f32>, Vec<f32>) = match case % 8 {
+            let (row, query): (Vec<f32>, Vec<f32>) = match case % 11 {
                 0 => {
                     let r = rng.vector(dim, 0.5);
                     let q = r.iter().map(|&x| ulp(x, rng.below(3) as i32 - 1)).collect();
@@ -510,7 +574,7 @@ mod tests {
                 }
                 2 => {
                     let r: Vec<f32> = (0..dim).map(|_| f32::MAX * rng.unit()).collect();
-                    let sign = if case % 16 == 2 { -1.0 } else { 1.0 };
+                    let sign = rng.pick(&[-1.0, 1.0]);
                     let q = r.iter().map(|&x| sign * ulp(x, 1)).collect();
                     (r, q)
                 }
@@ -533,16 +597,47 @@ mod tests {
                     let q = r.iter().map(|&x| ulp(x, rng.below(5) as i32 - 2)).collect();
                     (r, q)
                 }
+                8 => {
+                    let value = |rng: &mut Lcg| {
+                        let binade = 2f32.powi(rng.below(120) as i32 - 60);
+                        rng.pick(&[-1.0, 1.0]) * (1.0 + rng.unit()) * binade
+                    };
+                    let r: Vec<f32> = (0..dim).map(|_| value(&mut rng)).collect();
+                    let q = if rng.below(2) == 0 {
+                        r.iter().map(|&x| ulp(x, rng.below(3) as i32 - 1)).collect()
+                    } else {
+                        (0..dim).map(|_| value(&mut rng)).collect()
+                    };
+                    (r, q)
+                }
+                9 => {
+                    let sign = |rng: &mut Lcg| rng.pick(&[-1.0, 1.0]);
+                    let r: Vec<f32> = (0..dim)
+                        .map(|_| sign(&mut rng) * f32::from_bits(rng.below(32_768) as u32))
+                        .collect();
+                    assert_eq!(code_scale(max_abs(&r)), MIN_SCALE, "case {case}");
+                    (r, rng.vector(dim, 0.5))
+                }
+                10 => {
+                    let r: Vec<f32> = (0..dim)
+                        .map(|_| rng.component().signum() * f32::MAX * (0.5 + rng.unit() / 2.1))
+                        .collect();
+                    assert_eq!(code_scale(max_abs(&r)), 2f32.powi(113), "case {case}");
+                    (r, rng.vector(dim, 0.5))
+                }
                 _ => (rng.vector(dim, 0.3), rng.vector(dim, 0.3)),
             };
             let (bound, margin) = bound_and_margin(&row, &query, case % 4);
             let d2 = f64::from(squared_l2(&row, &query));
             assert!(bound <= d2, "case {case}: bound {bound:e} > {d2:e}");
-            // And the bound is tight: it prunes as it should. Except where an
-            // f32 product or the lane's sum overflows: that row has no bound
+            // And the bound is tight: it prunes as it should, within the
+            // coding term `(1 + γ) s ‖q‖₁` once more. Except where a product
+            // of a code or the lane's sum overflows: that row has no bound
             // (−∞) and is simply scored.
-            let dot = row.iter().zip(&query).fold(0.0, |s, (r, q)| s + r * q);
-            if dot.is_finite() {
+            let s = code_scale(max_abs(&row));
+            let lane = row.iter().zip(&query);
+            let lane = lane.fold(0.0, |l, (&r, q)| l + f32::from(encode(r, s)) * q);
+            if lane.is_finite() {
                 let tight = d2.is_infinite() || d2 - bound <= 2.0 * margin;
                 assert!(tight, "case {case}: bound {bound:e} loose under {d2:e}");
             } else {
@@ -578,16 +673,62 @@ mod tests {
         assert_eq!(index.cols, [1, 3, 0, 3, 1]);
         assert_eq!(index.vals, [2.0, -1.0, 3.0, 5.0, 7.0]);
         assert_eq!(index.norms, [5.0, 0.0, 9.0, 25.0, 49.0]);
+        // 2 and 3 fit 32 767 · 2^-13, not 32 767 · 2^-14; 5 and 7 need 2^-12.
+        let pow = |e| 2f32.powi(e);
+        let scales = [pow(-13), MIN_SCALE, pow(-13), pow(-12), pow(-12)];
+        assert_eq!(index.scales, scales);
         assert_eq!(index.list_starts, [0, 1, 3, 3, 4]);
         assert_eq!(
             index.postings,
             [
-                (0, [0.0, 0.0, 3.0, 0.0]),
-                (0, [2.0, 0.0, 0.0, 0.0]),
-                (1, [7.0, 0.0, 0.0, 0.0]),
-                (0, [-1.0, 0.0, 0.0, 5.0]),
+                (0, [0, 0, 24_576, 0]),
+                (0, [16_384, 0, 0, 0]),
+                (1, [28_672, 0, 0, 0]),
+                (0, [-8_192, 0, 0, 20_480]),
             ]
         );
+    }
+
+    /// Over seeded maxima, ordinary, subnormal and near `f32::MAX`, and each
+    /// power of two with its neighbours: the scale is a power of two, at
+    /// least `2^-149`, the least one with `max ≤ 32 767 s`, and codes every
+    /// value up to `max` within `s / 2`, at most 32 767 in magnitude.
+    #[test]
+    fn code_scale_is_the_least_power_of_two_that_fits() {
+        let mut rng = Lcg(0x5CA1E);
+        let powers = (-149..128).map(|e| 2f64.powi(e) as f32);
+        let neighbours = powers.flat_map(|p| [p.to_bits() - 1, p.to_bits(), p.to_bits() + 1]);
+        let seeded: Vec<u32> = (0..20_000)
+            .map(|_| rng.component().abs().to_bits())
+            .collect();
+        for max in neighbours.chain(seeded).map(f32::from_bits) {
+            let s = code_scale(max);
+            let (s64, max64) = (f64::from(s), f64::from(max));
+            assert_eq!(s64.log2().fract(), 0.0, "{max:e}: scale {s:e}");
+            assert!(
+                s >= MIN_SCALE && max64 <= 32_767.0 * s64,
+                "{max:e}: scale {s:e}"
+            );
+            assert!(
+                s == MIN_SCALE || max64 > 32_767.0 * s64 / 2.0,
+                "{max:e}: scale {s:e}"
+            );
+            for x in [
+                max,
+                -max,
+                max * rng.unit(),
+                max * 2f32.powi(-(rng.below(40) as i32)),
+            ] {
+                let code = encode(x, s);
+                let error = (f64::from(x) - s64 * f64::from(code)).abs();
+                assert!(code.unsigned_abs() <= 32_767, "{x:e}: code {code}");
+                assert!(error <= s64 / 2.0, "{x:e}: code {code} under {s:e}");
+            }
+        }
+        assert_eq!(code_scale(0.0), MIN_SCALE);
+        assert_eq!(code_scale(1.0), 2f32.powi(-14));
+        assert_eq!(code_scale(f32::MAX * 0.99), 2f32.powi(113));
+        assert_eq!(code_scale(f32::MAX), 2f32.powi(114));
     }
 
     #[test]

@@ -8,9 +8,12 @@
 #    one function again: no 4- or 8-byte loads, at most four subps per 16
 #    floats.
 # 2. The blocked scatter of the served flat index (SparseFlatIndex::scatter):
-#    its innermost multiplying loop takes each posting entry's four rows in
-#    one packed mulps and addps over 16-byte loads, with no scalar mulss or
-#    addss and no 4- or 8-byte loads; no enclosing loop multiplies in scalar.
+#    its innermost multiplying loop takes each posting entry's four i16 codes
+#    in one 8-byte load (movq or movsd), widens them with packed ops
+#    (cvtdq2ps, never a scalar cvtsi2ss), and adds them times the query value
+#    into the block's four lanes with one packed mulps and addps over a
+#    16-byte lane load and store, with no 4-byte loads; no loop of the
+#    function multiplies or adds in scalar (mulss, addss).
 set -eu
 cd "$(dirname "$0")/../.."
 if [ "$(uname -m)" != x86_64 ]; then
@@ -58,7 +61,7 @@ awk '
     function loop(first, last,    i, mul) {
         for (i = first; i <= last; i++) {
             if (line[i] ~ /^\tmul(ps|ss)\t/) mul++
-            if (line[i] ~ /^\t(mulss|addss)\t/) scalar++
+            if (line[i] ~ /^\t(mulss|addss|cvtsi2ss)\t/) scalar++
         }
         if (mul && (!inner_first || last - first < inner_last - inner_first)) {
             inner_first = first
@@ -77,13 +80,16 @@ awk '
         for (i = inner_first; i <= inner_last; i++) {
             if (line[i] ~ /^\tmulps\t/) mulps++
             if (line[i] ~ /^\taddps\t/) addps++
-            if (line[i] ~ /^\tmovups\t/) wide++
-            if (line[i] ~ /^\t(movss|movsd|movlps|movhps)\t/) narrow++
+            if (line[i] ~ /^\tcvtdq2ps\t/) widen++
+            if (line[i] ~ /^\t(movq|movsd)\t[^,]*\(.*%xmm[0-9]+$/) codes++
+            if (line[i] ~ /^\tmovups\t[^,]*\(.*%xmm[0-9]+$/) lane_load++
+            if (line[i] ~ /^\tmovups\t%xmm[0-9]+, .*\(/) lane_store++
+            if (line[i] ~ /^\t(movss|movd|movlps|movhps)\t/) narrow++
         }
-        if (scalar || mulps != 1 || addps != 1 || wide < 2 || narrow) {
-            printf "kernel-width: %s: %d mulps, %d addps, %d movups and %d narrow loads per posting entry, %d scalar mulss/addss in its loops:\n", name, mulps, addps, wide, narrow, scalar
+        if (scalar || mulps != 1 || addps != 1 || !widen || codes != 1 || lane_load != 1 || lane_store != 1 || narrow) {
+            printf "kernel-width: %s: per posting entry %d mulps, %d addps, %d cvtdq2ps, %d 8-byte code loads, %d 16-byte lane loads and %d stores, %d 4-byte loads; %d scalar mulss/addss/cvtsi2ss in its loops:\n", name, mulps, addps, widen, codes, lane_load, lane_store, narrow, scalar
             for (i = inner_first; i <= inner_last; i++) print line[i]
             exit 1
         }
-        print "kernel-width: the scatter loop takes four rows per mulps and addps"
+        print "kernel-width: the scatter loop widens four codes per movq and cvtdq2ps, and takes them in one mulps and addps"
     }' "$asm"
