@@ -519,13 +519,6 @@ mod tests {
         Engine::new(lat, config)
     }
 
-    fn tight_cluster(n: usize, mode: PreemptMode) -> Cluster {
-        Cluster::new(
-            (0..n).map(|_| tight_engine(mode)).collect(),
-            RouterPolicy::RoundRobin,
-        )
-    }
-
     fn req(id: u64, group: u64, prompt: u64, out: u64, arrival: Nanos) -> LlmRequest {
         LlmRequest {
             id: RequestId(id),
@@ -579,18 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn replicas_run_independent_clocks() {
-        let mut c = cluster(2, RouterPolicy::RoundRobin);
-        // Only replica 1 gets (late-arriving) work; replica 0 stays at 0.
-        c.submit(ReplicaId(1), req(1, 1, 2_000, 10, 5_000_000_000));
-        let done = c.run_until_idle();
-        assert_eq!(done.len(), 1);
-        assert!(done[0].finish > 5_000_000_000);
-        assert_eq!(c.replica(ReplicaId(0)).now(), 0);
-        assert!(c.replica(ReplicaId(1)).now() > 0);
-    }
-
-    #[test]
     fn steppable_before_picks_the_most_lagging_replica() {
         let mut c = cluster(2, RouterPolicy::RoundRobin);
         c.submit(ReplicaId(0), req(1, 1, 4_000, 20, 0));
@@ -611,35 +592,6 @@ mod tests {
     #[should_panic(expected = "at least one replica")]
     fn empty_cluster_is_rejected() {
         let _ = Cluster::new(Vec::new(), RouterPolicy::RoundRobin);
-    }
-
-    #[test]
-    fn per_replica_preemption_stats_roll_up() {
-        // Replica 0 is forced into one preemption (batch work evicted by an
-        // interactive arrival); replica 1 stays quiet.
-        let mut c = tight_cluster(2, PreemptMode::Recompute);
-        c.submit(
-            ReplicaId(0),
-            LlmRequest {
-                priority: Priority::Batch,
-                ..req(1, 1, 3_000, 400, 0)
-            },
-        );
-        c.step_replica(ReplicaId(0));
-        let t = c.replica(ReplicaId(0)).now();
-        c.submit(
-            ReplicaId(0),
-            LlmRequest {
-                priority: Priority::Interactive,
-                ..req(2, 2, 2_000, 20, t)
-            },
-        );
-        let done = c.run_until_idle();
-        assert_eq!(done.len(), 2);
-        let stats = c.stats();
-        assert_eq!(stats[0].preemptions, 1);
-        assert_eq!(stats[1].preemptions, 0);
-        assert!(stats[0].preemption_pressure() > 0.0);
     }
 
     #[test]
@@ -825,135 +777,6 @@ mod tests {
             let mut ids: Vec<u64> = done.iter().map(|d| d.id.0).collect();
             ids.sort_unstable();
             assert_eq!(ids, (0..submitted).collect::<Vec<_>>(), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn migration_moves_the_victim_instead_of_recomputing() {
-        let mut c = tight_cluster(2, PreemptMode::Migrate);
-        // A long batch decode occupies replica 0.
-        c.submit(
-            ReplicaId(0),
-            LlmRequest {
-                priority: Priority::Batch,
-                ..req(1, 1, 3_000, 400, 0)
-            },
-        );
-        c.step_replica(ReplicaId(0));
-        let t = c.replica(ReplicaId(0)).now();
-        // An interactive arrival forces an eviction; replica 1 has room.
-        c.submit(
-            ReplicaId(0),
-            LlmRequest {
-                priority: Priority::Interactive,
-                ..req(2, 2, 2_000, 20, t)
-            },
-        );
-        let done = c.run_until_idle();
-        assert_eq!(done.len(), 2, "both requests complete exactly once");
-        let stats = c.stats();
-        assert_eq!(stats[0].preemptions, 1);
-        assert_eq!(stats[0].migrations, 1);
-        assert!(stats[0].migrated_tokens > 0);
-        assert_eq!(stats[0].preempted_tokens, 0, "nothing recomputed");
-        // The victim finished on replica 1, with its original arrival.
-        let victim = done.iter().find(|d| d.id == RequestId(1)).unwrap();
-        assert_eq!(victim.replica, ReplicaId(1));
-        assert_eq!(victim.arrival, 0);
-        assert!(victim.admitted >= t, "re-admitted after the transfer");
-    }
-
-    #[test]
-    fn migration_with_zero_headroom_falls_back_to_recompute() {
-        // Single replica: there is never a migration destination.
-        let mut c = tight_cluster(1, PreemptMode::Migrate);
-        c.submit(
-            ReplicaId(0),
-            LlmRequest {
-                priority: Priority::Batch,
-                ..req(1, 1, 3_000, 400, 0)
-            },
-        );
-        c.step_replica(ReplicaId(0));
-        let t = c.replica(ReplicaId(0)).now();
-        c.submit(
-            ReplicaId(0),
-            LlmRequest {
-                priority: Priority::Interactive,
-                ..req(2, 2, 2_000, 20, t)
-            },
-        );
-        let done = c.run_until_idle();
-        assert_eq!(done.len(), 2, "fallback still completes everything");
-        let stats = c.stats();
-        assert_eq!(stats[0].preemptions, 1);
-        assert_eq!(stats[0].migrations, 0, "nowhere to migrate");
-        assert!(
-            stats[0].preempted_tokens > 0,
-            "zero headroom falls back to recompute losses"
-        );
-    }
-
-    /// Token conservation: across the cluster, prefill tokens computed
-    /// equal the uncached prompt demand plus recompute losses, and decode
-    /// tokens equal the output demand plus recompute losses — under both
-    /// preemption modes. No token is lost or double-counted by migration.
-    #[test]
-    fn preemption_conserves_tokens_under_both_modes() {
-        for mode in [PreemptMode::Recompute, PreemptMode::Migrate] {
-            let mut c = tight_cluster(2, mode);
-            let mut demand_prompt = 0u64;
-            let mut demand_output = 0u64;
-            // Fill replica 0 with batch work, then hit it with interactive
-            // arrivals so preemption fires repeatedly.
-            for i in 0..3u64 {
-                let r = LlmRequest {
-                    priority: Priority::Batch,
-                    ..req(i, i, 1_200, 300, 0)
-                };
-                demand_prompt += r.prompt_tokens;
-                demand_output += r.output_tokens;
-                c.submit(ReplicaId(0), r);
-            }
-            c.step_replica(ReplicaId(0));
-            c.step_replica(ReplicaId(0));
-            let t = c.replica(ReplicaId(0)).now();
-            for i in 10..13u64 {
-                let r = LlmRequest {
-                    priority: Priority::Interactive,
-                    ..req(i, i, 1_000, 20, t)
-                };
-                demand_prompt += r.prompt_tokens;
-                demand_output += r.output_tokens;
-                c.submit(ReplicaId(0), r);
-            }
-            let done = c.run_until_idle();
-            assert_eq!(done.len(), 6, "every request completes ({mode:?})");
-            // Each request completed exactly once.
-            let mut ids: Vec<u64> = done.iter().map(|d| d.id.0).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            assert_eq!(ids.len(), 6, "no double completions ({mode:?})");
-            let stats = c.stats();
-            let prefill: u64 = stats.iter().map(|s| s.prefill_tokens).sum();
-            let decode: u64 = stats.iter().map(|s| s.decode_tokens).sum();
-            let lost: u64 = stats.iter().map(|s| s.preempted_tokens).sum();
-            let preemptions: u64 = stats.iter().map(|s| s.preemptions).sum();
-            assert!(preemptions > 0, "the contention must trigger eviction");
-            assert_eq!(
-                prefill + decode,
-                demand_prompt + demand_output + lost,
-                "token conservation violated under {mode:?}: computed \
-                 prefill {prefill} + decode {decode} != demand \
-                 {demand_prompt}+{demand_output} + recompute losses {lost}"
-            );
-            if mode == PreemptMode::Migrate {
-                let migrations: u64 = stats.iter().map(|s| s.migrations).sum();
-                // With a roomy second replica every eviction migrates, so
-                // nothing is recomputed at all.
-                assert!(migrations > 0, "evictions must migrate");
-                assert_eq!(lost, 0, "migration loses no computed tokens");
-            }
         }
     }
 }

@@ -2,62 +2,20 @@
 //! hit vector it returns plus O(1), however deep it probes. IVF keeps its
 //! centroid ranking and list walk in per-index scratch, HNSW its visited
 //! stamps, frontier and scored pool in per-thread scratch, so effort
-//! (`nprobe`, `ef`) moves the work and not the allocation count. A
+//! (`nprobe`, `ef`) moves the work and not the allocation count. A warm
+//! retrieve over a built dataset allocates exactly four times. A
 //! `ChunkStore::get` allocates nothing, whether the modelled hot tier
 //! counts it a hit or a miss.
-//!
-//! Counted with this binary's own `#[global_allocator]` (which is why the
-//! tests live alone in their file), per thread, so the test harness's own
-//! threads cannot disturb the count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
 
-use metis_text::{AnnotatedText, ChunkId, FactId, TokenId};
-use metis_vectordb::{
+use metis::datasets::{build_dataset, DatasetKind};
+use metis::text::{AnnotatedText, ChunkId, FactId, TokenId};
+use metis::vectordb::{
     ChunkStore, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Quantization, VectorIndex,
 };
 
-thread_local! {
-    /// Allocations and reallocations made by this thread.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// [`System`] plus a per-thread allocation counter.
-struct CountingAlloc;
-
-fn count_one() {
-    // `try_with`: an allocation made while the thread is being torn down
-    // finds the slot gone, and is nobody's to count.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition bumps a
-// const-initialised, destructor-free thread-local `Cell`, which cannot
-// allocate, unwind, or touch the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's obligations are exactly `System::alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this type, same layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: `ptr` came from `System` through this type, same layout.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+use crate::counted;
 
 const DIM: usize = 16;
 const K: usize = 10;
@@ -83,11 +41,12 @@ fn allocs_per_search<T>(queries: &[(ChunkId, Vec<f32>)], search: impl Fn(&[f32])
     for (_, q) in queries {
         black_box(search(q));
     }
-    let before = ALLOCATIONS.with(Cell::get);
-    for (_, q) in queries {
-        black_box(search(q));
-    }
-    (ALLOCATIONS.with(Cell::get) - before) as f64 / queries.len() as f64
+    let (count, ()) = counted(|| {
+        for (_, q) in queries {
+            black_box(search(q));
+        }
+    });
+    count.allocs as f64 / queries.len() as f64
 }
 
 #[test]
@@ -120,6 +79,22 @@ fn hnsw_search_allocations_do_not_scale_with_ef() {
     assert!(at_192 <= 3.0, "an HNSW search made {at_192} allocations");
 }
 
+/// A warm `retrieve_counted` allocates four times on every dataset and
+/// every query: the embedder's sorted copy of the query tokens, the query
+/// embedding, the index's hits and the results. The first call on a thread
+/// also grows the flat index's scratch, so it is left out.
+#[test]
+fn a_warm_retrieve_allocates_exactly_four_times() {
+    for kind in DatasetKind::all() {
+        let d = build_dataset(kind, 24, 7);
+        black_box(d.db.retrieve_counted(&d.queries[0].tokens, 8));
+        for (i, query) in d.queries.iter().enumerate() {
+            let (count, _) = counted(|| d.db.retrieve_counted(&query.tokens, 8));
+            assert_eq!(count.allocs, 4, "{kind:?}: query {i}");
+        }
+    }
+}
+
 /// Every `get` hands out the stored text's shared buffers and allocates
 /// nothing: a modelled miss (promotion and eviction included) as much as a
 /// modelled hit, with or without fact spans.
@@ -131,11 +106,7 @@ fn every_chunk_get_hit_or_miss_allocates_nothing() {
     with_fact.push_fact(FactId(7), &[TokenId(4), TokenId(5)]);
     let mut store = ChunkStore::with_hot_capacity(1);
     let (p, f) = (store.push(&plain), store.push(&with_fact));
-    let allocs = |id| {
-        let before = ALLOCATIONS.with(Cell::get);
-        black_box(store.get(id));
-        ALLOCATIONS.with(Cell::get) - before
-    };
+    let allocs = |id| counted(|| black_box(store.get(id))).0.allocs;
     assert_eq!(allocs(f), 0, "miss, with a fact span");
     assert_eq!(allocs(f), 0, "hit");
     assert_eq!(allocs(p), 0, "miss, without spans, evicting the other");

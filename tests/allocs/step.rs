@@ -1,62 +1,13 @@
 //! Allocation pin for [`Engine::step`]: an iteration that completes nothing
 //! allocates nothing, and one that completes something allocates exactly
 //! the `Vec<Completion>` it returns.
-//!
-//! Counted with this binary's own `#[global_allocator]` (which is why the
-//! test lives alone in its file), per thread, so the test harness's own
-//! threads cannot disturb the count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-use metis_engine::{
+use metis::engine::{
     Engine, EngineConfig, GroupId, LlmRequest, Priority, RequestId, SchedPolicy, Stage,
 };
-use metis_llm::{GpuCluster, LatencyModel, ModelSpec};
+use metis::llm::{GpuCluster, LatencyModel, ModelSpec};
 
-thread_local! {
-    /// Allocations and reallocations made by this thread.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// [`System`] plus a per-thread allocation counter.
-struct CountingAlloc;
-
-fn count_one() {
-    // `try_with`: an allocation made while the thread is being torn down
-    // finds the slot gone, and is nobody's to count.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition bumps a
-// const-initialised, destructor-free thread-local `Cell`, which cannot
-// allocate, unwind, or touch the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's obligations are exactly `System::alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this type, same layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: `ptr` came from `System` through this type, same layout.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
+use crate::counted;
 
 fn request(id: u64, stage: Stage, prompt: u64, out: u64, priority: Priority) -> LlmRequest {
     LlmRequest {
@@ -117,9 +68,8 @@ fn a_step_allocates_only_the_completions_it_returns() {
         // and admit from it.
         let (mut quiet, mut completing) = (0, 0);
         while !e.is_idle() {
-            let before = allocations();
-            let done = e.step();
-            let made = allocations() - before;
+            let (count, done) = counted(|| e.step());
+            let made = count.allocs;
             if done.is_empty() {
                 quiet += 1;
                 assert_eq!(made, 0, "{policy:?}: a step that completed nothing");

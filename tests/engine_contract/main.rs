@@ -6,14 +6,15 @@
 //! lock-step, on a seven-block KV pool. After every operation both sides must agree on the
 //! completions it returned (id, replica, arrival, admitted, prefill_done,
 //! finish), each replica's clock, free KV, queue and running lengths, and
-//! every `EngineStats` counter, and the reference must hold every KV block
-//! exactly once. Each sequence then drains in lock-step, and every request
-//! must complete exactly once.
+//! every `EngineStats` counter (a cluster's as `Cluster::stats` lists them),
+//! and the reference must hold every KV block exactly once. Each sequence
+//! then drains in lock-step, and every request must complete exactly once.
 //!
 //! The rows are the four of `tests/golden/engine_step_digest.txt` plus a
 //! standalone engine that migrates (whose victims `run_until_idle` requeues
-//! itself). Hand-seeded mutants of `engine.rs` are committed under
-//! `tests/mutants/engine/`; `tests/mutants/run.sh` replays them.
+//! itself). Hand-seeded mutants of `engine.rs` and `cluster.rs` are committed
+//! under `tests/mutants/engine/` and `tests/mutants/cluster/`;
+//! `tests/mutants/run.sh` replays them.
 
 mod reference;
 
@@ -118,6 +119,14 @@ impl Sut {
         }
     }
 
+    /// Replica `r`'s counters, as the cluster rolls them up.
+    fn stats(&self, r: usize) -> &EngineStats {
+        match self {
+            Sut::One(e) => e.stats(),
+            Sut::Many(c) => c.stats()[r],
+        }
+    }
+
     fn submit(&mut self, r: usize, req: LlmRequest) {
         match self {
             Sut::One(e) => e.submit(req),
@@ -190,7 +199,7 @@ fn agree(sut: &Sut, fleet: &[RefEngine], got: &[Completion], want: &[Completion]
             "replica {r} (now, free KV, queued, running) after {ops:?}"
         );
         assert_eq!(
-            counters(e.stats()),
+            counters(sut.stats(r)),
             counters(&reference.stats),
             "replica {r} stats after {ops:?}"
         );
