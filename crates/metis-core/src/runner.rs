@@ -167,7 +167,9 @@ impl RunConfig {
 /// the iterations it shared with other sequences, and a preempted victim's
 /// queue time counts its re-queue wait — so the six fields sum *exactly* to
 /// `finish − arrival` (see [`Completion::prefill_done`]'s telescoping
-/// identity; an integration test pins this). In API-serving mode there is
+/// identity). The run's `fold` asserts this for every answered query under
+/// debug assertions, so every test that runs the runner checks it, the
+/// pinned figures in `tests/pins` among them. In API-serving mode there is
 /// no local queue or prefill accounting: the provider call time lands in
 /// `decode` and the engine stages are 0.
 ///

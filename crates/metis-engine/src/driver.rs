@@ -8,8 +8,9 @@
 //! reads about the replicas it reads from the [`Cluster`] itself
 //! ([`SimDriver::cluster`]). One implementation exists, [`SimDriver`]: it wraps a
 //! [`Cluster`] and advances it with most-lagging-replica discrete-event
-//! stepping, deterministic and bit-for-bit reproducible (a golden-report
-//! test in `metis-core` pins this).
+//! stepping, deterministic and bit-for-bit reproducible (the root pin test
+//! `sim_driver_reproduces_the_golden_report_byte_for_byte`, in
+//! `tests/pins/main.rs`, holds a two-replica run's report to a golden file).
 //!
 //! Realtime serving is the same driver paced by a scaled [`WallClock`]. The
 //! engines are analytic, so the wall adds no work, only waiting: before a

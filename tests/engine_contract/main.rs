@@ -3,16 +3,18 @@
 //! Every sequence of at most [`DEPTH`] operations — submit the next request
 //! from [`PALETTE`], or step a replica that was given one — runs through the
 //! real `Engine`/`Cluster` and through [`reference::RefEngine`] in
-//! lock-step, on a seven-block KV pool. After every operation both sides must agree on the
-//! completions it returned (id, replica, arrival, admitted, prefill_done,
-//! finish), each replica's clock, free KV, queue and running lengths, and
-//! every `EngineStats` counter (a cluster's as `Cluster::stats` lists them),
-//! and the reference must hold every KV block exactly once. Each sequence
-//! then drains in lock-step, and every request must complete exactly once.
+//! lock-step, on seven-block KV pools (four on one row's second replica).
+//! After every operation both sides must agree on the completions it
+//! returned (id, replica, arrival, admitted, prefill_done, finish), each
+//! replica's clock, free KV, queue and running lengths, and every
+//! `EngineStats` counter (a cluster's as `Cluster::stats` lists them), and
+//! the reference must hold every KV block exactly once. Each sequence then
+//! drains in lock-step, and every request must complete exactly once.
 //!
-//! The rows are the four of `tests/golden/engine_step_digest.txt` plus a
+//! The rows are the four of `tests/golden/engine_step_digest.txt`, a
 //! standalone engine that migrates (whose victims `run_until_idle` requeues
-//! itself). Hand-seeded mutants of `engine.rs` and `cluster.rs` are committed
+//! itself), and a migrating cluster whose second replica holds four blocks.
+//! Hand-seeded mutants of `engine.rs` and `cluster.rs` are committed
 //! under `tests/mutants/engine/` and `tests/mutants/cluster/`;
 //! `tests/mutants/run.sh` replays them.
 
@@ -29,7 +31,7 @@ use reference::{blocks, place, RefEngine};
 const DEPTH: usize = 5;
 /// Requests per sequence, at most.
 const MAX_REQUESTS: usize = 4;
-/// Seven 16-token blocks per replica.
+/// Seven 16-token blocks per replica (but see [`SMALL_SECOND`]).
 const POOL_TOKENS: u64 = 112;
 /// "In the future": a little over one iteration in.
 const LATER: Nanos = 10_000_000;
@@ -55,23 +57,33 @@ const PALETTE: [Shape; 6] = [
 struct Row {
     policy: SchedPolicy,
     mode: PreemptMode,
-    replicas: usize,
+    /// Each replica's KV pool in tokens; one entry is a standalone engine.
+    pools: &'static [u64],
 }
 
-const fn row(policy: SchedPolicy, mode: PreemptMode, replicas: usize) -> Row {
+const fn row(policy: SchedPolicy, mode: PreemptMode, pools: &'static [u64]) -> Row {
     Row {
         policy,
         mode,
-        replicas,
+        pools,
     }
 }
 
-const ROWS: [Row; 5] = [
-    row(SchedPolicy::Fcfs, PreemptMode::Recompute, 1),
-    row(SchedPolicy::GangByGroup, PreemptMode::Recompute, 1),
-    row(SchedPolicy::Preemptive, PreemptMode::Recompute, 1),
-    row(SchedPolicy::Preemptive, PreemptMode::Migrate, 2),
-    row(SchedPolicy::Preemptive, PreemptMode::Migrate, 1),
+const ONE: &[u64] = &[POOL_TOKENS];
+const TWO: &[u64] = &[POOL_TOKENS, POOL_TOKENS];
+/// Four blocks on the second replica: exactly the footprint of the first
+/// palette entry, a victim the first replica evicts for the fifth, and of
+/// the fourth, the one sent there. Once the fourth runs there, a victim
+/// fits nowhere but on its own source.
+const SMALL_SECOND: &[u64] = &[POOL_TOKENS, 64];
+
+const ROWS: [Row; 6] = [
+    row(SchedPolicy::Fcfs, PreemptMode::Recompute, ONE),
+    row(SchedPolicy::GangByGroup, PreemptMode::Recompute, ONE),
+    row(SchedPolicy::Preemptive, PreemptMode::Recompute, ONE),
+    row(SchedPolicy::Preemptive, PreemptMode::Migrate, TWO),
+    row(SchedPolicy::Preemptive, PreemptMode::Migrate, ONE),
+    row(SchedPolicy::Preemptive, PreemptMode::Migrate, SMALL_SECOND),
 ];
 
 #[derive(Clone, Copy, Debug)]
@@ -84,12 +96,13 @@ fn latency() -> LatencyModel {
     LatencyModel::new(ModelSpec::mistral_7b_awq(), GpuCluster::single_a40())
 }
 
-fn config(row: &Row) -> EngineConfig {
+/// Replica `r`'s configuration under `row`.
+fn config(row: &Row, r: usize) -> EngineConfig {
     EngineConfig {
         max_batch_seqs: 3,
         prefill_chunk_tokens: 32,
         policy: row.policy,
-        kv_pool_bytes_cap: Some(POOL_TOKENS * latency().model().kv_bytes_per_token()),
+        kv_pool_bytes_cap: Some(row.pools[r] * latency().model().kv_bytes_per_token()),
         preempt_mode: row.mode,
     }
 }
@@ -102,11 +115,11 @@ enum Sut {
 
 impl Sut {
     fn new(row: &Row) -> Self {
-        let engine = || Engine::new(latency(), config(row));
-        match row.replicas {
-            1 => Sut::One(Box::new(engine())),
+        let engine = |r| Engine::new(latency(), config(row, r));
+        match row.pools.len() {
+            1 => Sut::One(Box::new(engine(0))),
             n => Sut::Many(Cluster::new(
-                (0..n).map(|_| engine()).collect(),
+                (0..n).map(engine).collect(),
                 RouterPolicy::RoundRobin,
             )),
         }
@@ -220,15 +233,15 @@ fn agree(sut: &Sut, fleet: &[RefEngine], got: &[Completion], want: &[Completion]
 /// operations were compared.
 fn check(row: &Row, ops: &[Op]) -> usize {
     let mut sut = Sut::new(row);
-    let mut fleet: Vec<RefEngine> = (0..row.replicas)
-        .map(|r| RefEngine::new(latency(), config(row), ReplicaId(r as u32)))
+    let mut fleet: Vec<RefEngine> = (0..row.pools.len())
+        .map(|r| RefEngine::new(latency(), config(row, r), ReplicaId(r as u32)))
         .collect();
     let (mut submitted, mut done) = (0, Vec::new());
     let mut apply =
         |op: Op, sut: &mut Sut, fleet: &mut Vec<RefEngine>, done: &mut Vec<RequestId>| {
             let (got, want) = match op {
                 Op::Submit(p) => {
-                    let r = PALETTE[p].7 % row.replicas;
+                    let r = PALETTE[p].7 % row.pools.len();
                     sut.submit(r, request(submitted, PALETTE[p]));
                     fleet[r].submit(request(submitted, PALETTE[p]));
                     submitted += 1;
@@ -237,7 +250,7 @@ fn check(row: &Row, ops: &[Op]) -> usize {
                 Op::Step(r) => {
                     let got = sut.step(r);
                     let want = fleet[r].step();
-                    if row.replicas > 1 {
+                    if row.pools.len() > 1 {
                         place(fleet, r);
                     }
                     (got, want)
@@ -305,14 +318,14 @@ fn exhaust(row: &Row, ops: &mut Vec<Op>) -> (u64, u64) {
     let given: Vec<usize> = ops
         .iter()
         .filter_map(|op| match *op {
-            Op::Submit(p) => Some(PALETTE[p].7 % row.replicas),
+            Op::Submit(p) => Some(PALETTE[p].7 % row.pools.len()),
             Op::Step(_) => None,
         })
         .collect();
     let submits = (0..PALETTE.len())
         .filter(|_| given.len() < MAX_REQUESTS)
         .map(Op::Submit);
-    let steps = (0..row.replicas)
+    let steps = (0..row.pools.len())
         .filter(|r| given.contains(r))
         .map(Op::Step);
     for op in submits.chain(steps) {
@@ -329,7 +342,7 @@ fn engine_equals_the_reference_on_every_short_operation_sequence() {
     for row in &ROWS {
         // `check_capacity` passes exactly the requests the reference admits
         // into an empty pool, on and around the pool's edge.
-        let engine = Engine::new(latency(), config(row));
+        let engine = Engine::new(latency(), config(row, 0));
         for (i, &shape) in PALETTE.iter().enumerate() {
             for prompt in [shape.0, POOL_TOKENS - shape.1, POOL_TOKENS - shape.1 + 1] {
                 let req = LlmRequest {
@@ -339,7 +352,7 @@ fn engine_equals_the_reference_on_every_short_operation_sequence() {
                 let fits = engine
                     .check_capacity(req.prompt_tokens, req.output_tokens)
                     .is_ok();
-                let mut empty = RefEngine::new(latency(), config(row), ReplicaId(0));
+                let mut empty = RefEngine::new(latency(), config(row, 0), ReplicaId(0));
                 empty.submit(req.clone());
                 empty.step();
                 assert_eq!(
@@ -353,8 +366,8 @@ fn engine_equals_the_reference_on_every_short_operation_sequence() {
         }
         let (sequences, operations) = exhaust(row, &mut Vec::new());
         println!(
-            "{:?}/{:?} x{}: {sequences} sequences, {operations} operations",
-            row.policy, row.mode, row.replicas
+            "{:?}/{:?} pools {:?}: {sequences} sequences, {operations} operations",
+            row.policy, row.mode, row.pools
         );
     }
 }
