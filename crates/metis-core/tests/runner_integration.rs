@@ -6,8 +6,9 @@
 //! check that kills some mutant under `tests/mutants/runner/`
 //! (`tests/mutants/run.sh` replays them): a closed loop over an empty
 //! workload (09), a latency SLO that constrains the pick (25) on the routed
-//! replica's GPU (26), an autoscaler that ticks at all (27), and a prefix
-//! cache per replica (13).
+//! replica's GPU (26), and an autoscaler that ticks at all (27) and drains
+//! its newest slot (34). Prefix-aware routing (13, 29, 31, 32) is checked
+//! in the facade's `tests/end_to_end.rs`, which can build one-token chunks.
 
 use metis_core::{MetisOptions, RagConfig, RunConfig, Runner, SystemKind};
 use metis_datasets::{build_dataset, poisson_arrivals, DatasetKind};
@@ -131,6 +132,10 @@ fn autoscaler_grows_under_load_and_bills_fewer_replica_seconds_than_fixed() {
         r.peak_replicas
     );
     assert!(r.replica_seconds > 0.0);
+    // A scale-down drains the newest routable slot, never the first, so
+    // the day ends on replica 0.
+    let last = r.per_query.last().map(|q| q.replica);
+    assert_eq!(last, Some(0), "the last query left the first replica");
     // A fixed fleet at the cap bills cap × makespan.
     let fixed = Runner::new(
         &d,
@@ -166,33 +171,4 @@ fn autoscaler_grows_under_load_and_bills_fewer_replica_seconds_than_fixed() {
     let live = autoscaled(metis_core::DriverSpec::Realtime { time_scale: 500.0 });
     assert_eq!(live.per_query, r.per_query);
     assert_eq!(live.replica_seconds, r.replica_seconds);
-}
-
-#[test]
-fn prefix_aware_routing_beats_least_kv_on_cache_hits() {
-    // PrefixAware re-routes each query (after retrieval) to the replica
-    // whose chunk-KV cache overlaps its retrieved chunks; with repeated
-    // chunk access across queries this must not lose cache hits versus
-    // memory-only routing, and the run must stay correct.
-    let n = 36;
-    let d = build_dataset(DatasetKind::Squad, n, 2024);
-    let go = |router: RouterPolicy| {
-        let arrivals = poisson_arrivals(7, base_qps(DatasetKind::Squad), n);
-        let mut cfg = RunConfig::standard(SystemKind::Metis(MetisOptions::full()), arrivals, 99)
-            .replicated(3, router);
-        cfg.prefix_cache_bytes = Some(1 << 30);
-        Runner::new(&d, cfg).run()
-    };
-    let aware = go(RouterPolicy::PrefixAware);
-    let least = go(RouterPolicy::LeastKvLoad);
-    assert_eq!(aware.per_query.len(), n);
-    assert!(aware.prefix_hit_rate > 0.0, "repeats must hit the cache");
-    assert!(
-        aware.prefix_hit_rate >= least.prefix_hit_rate,
-        "prefix-aware hit rate {:.3} < least-kv {:.3}",
-        aware.prefix_hit_rate,
-        least.prefix_hit_rate
-    );
-    // Routing changes placement, never answers.
-    assert!((aware.mean_f1() - least.mean_f1()).abs() < 0.05);
 }

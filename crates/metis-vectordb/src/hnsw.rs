@@ -1509,90 +1509,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_on_small_corpus_with_generous_ef() {
-        let items = ring_items(60, 4);
-        let idx = HnswIndex::build(4, HnswConfig::default(), Quantization::F32, &items);
-        let flat = FlatIndex::over(4, &items);
-        for q in [[0.0; 4], [5.0, 5.0, 5.0, 5.0], [9.0, 1.0, 4.0, 2.0]] {
-            let want: Vec<_> = flat.search(&q, 5).iter().map(|h| h.chunk).collect();
-            let got: Vec<_> = idx
-                .search_with_ef(&q, 5, 64)
-                .hits
-                .iter()
-                .map(|h| h.chunk)
-                .collect();
-            assert_eq!(want, got, "query {q:?}");
-        }
-    }
-
-    #[test]
-    fn work_reports_hops_and_domain_separated_evals() {
-        let items = ring_items(200, 4);
-        let idx = HnswIndex::build(4, HnswConfig::default(), Quantization::F32, &items);
-        let out = idx.search_counted(&[1.0, 2.0, 3.0, 4.0], 3);
-        assert!(out.work.graph_hops > 0, "no hops recorded");
-        assert!(out.work.vectors_scored > 0);
-        assert_eq!(
-            out.work.quantized_scored, 0,
-            "f32 storage never scores codes"
-        );
-        assert!(
-            out.work.vectors_scored < items.len(),
-            "HNSW should not scan the corpus: {:?}",
-            out.work
-        );
-
-        let sq = HnswIndex::build(4, HnswConfig::default(), Quantization::sq8(), &items);
-        let out = sq.search_counted(&[1.0, 2.0, 3.0, 4.0], 3);
-        assert!(out.work.quantized_scored > 0, "sq8 storage scores codes");
-        assert_eq!(
-            out.work.vectors_scored, 12,
-            "exact evals are exactly the rerank * k repair: {:?}",
-            out.work
-        );
-    }
-
-    #[test]
-    fn visited_set_and_recall_grow_with_ef() {
-        let items = ring_items(400, 6);
-        let idx = HnswIndex::build(6, HnswConfig::default(), Quantization::F32, &items);
-        let flat = FlatIndex::over(6, &items);
-        let q = [4.0, 6.0, 2.0, 8.0, 1.0, 5.0];
-        let gold: std::collections::HashSet<_> =
-            flat.search(&q, 10).iter().map(|h| h.chunk).collect();
-        let mut prev_recall = 0.0f64;
-        let mut prev_evals = 0usize;
-        for ef in [1usize, 2, 4, 8, 16, 32, 64, 128] {
-            let out = idx.search_with_ef(&q, 10, ef);
-            let hit = out.hits.iter().filter(|h| gold.contains(&h.chunk)).count();
-            let recall = hit as f64 / 10.0;
-            assert!(
-                recall >= prev_recall,
-                "recall fell from {prev_recall} to {recall} at ef={ef}"
-            );
-            assert!(out.work.distances() >= prev_evals, "work shrank at ef={ef}");
-            prev_recall = recall;
-            prev_evals = out.work.distances();
-        }
-        assert!(prev_recall >= 0.9, "recall@10 stuck at {prev_recall}");
-    }
-
-    #[test]
-    fn sq8_rerank_zero_drops_exact_rows_and_still_answers() {
-        let items = ring_items(100, 4);
-        let idx = HnswIndex::build(
-            4,
-            HnswConfig::default(),
-            Quantization::Sq8 { rerank: 0 },
-            &items,
-        );
-        let out = idx.search_counted(&[5.0; 4], 5);
-        assert_eq!(out.hits.len(), 5);
-        assert_eq!(out.work.vectors_scored, 0, "no exact path remains");
-        assert!(out.work.quantized_scored > 0);
-    }
-
-    #[test]
     fn epoch_wrap_forgets_stale_stamps_and_changes_no_answer() {
         let mut scratch = SearchScratch::default();
         scratch.begin(4);
@@ -1626,16 +1542,6 @@ mod tests {
             assert_eq!(after.hits, before.hits);
             assert_eq!(after.work, before.work);
         }
-    }
-
-    #[test]
-    fn empty_and_k_zero_are_graceful() {
-        let idx = HnswIndex::build(3, HnswConfig::default(), Quantization::F32, &[]);
-        assert!(idx.is_empty());
-        assert!(idx.search(&[0.0; 3], 5).is_empty());
-        let items = ring_items(10, 3);
-        let idx = HnswIndex::build(3, HnswConfig::default(), Quantization::F32, &items);
-        assert!(idx.search(&[0.0; 3], 0).is_empty());
     }
 
     /// The graph and its cost are a function of the data alone: one, two

@@ -294,7 +294,6 @@ impl VectorIndex for IvfIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlatIndex;
 
     /// A 2-dimensional index over `items`.
     fn built(items: &[(ChunkId, Vec<f32>)], nlist: usize, nprobe: usize, iters: usize) -> IvfIndex {
@@ -325,29 +324,6 @@ mod tests {
         let mut items = clustered_data();
         items[3].1[0] = f32::INFINITY;
         IvfIndex::build(2, IvfConfig::default(), &items);
-    }
-
-    #[test]
-    fn finds_neighbours_in_probed_cluster() {
-        let idx = built(&clustered_data(), 2, 1, 10);
-        let hits = idx.search(&[10.0, 10.0], 5);
-        assert_eq!(hits.len(), 5);
-        for h in &hits {
-            assert!(h.chunk.0 >= 100, "wrong cluster: {:?}", h.chunk);
-        }
-    }
-
-    #[test]
-    fn full_probe_matches_flat_index() {
-        let items = clustered_data();
-        let ivf = built(&items, 4, 4, 5);
-        let flat = FlatIndex::over(2, &items);
-        let q = [5.0, 5.0];
-        let a = ivf.search(&q, 10);
-        let b = flat.search(&q, 10);
-        let ids_a: Vec<_> = a.iter().map(|h| h.chunk).collect();
-        let ids_b: Vec<_> = b.iter().map(|h| h.chunk).collect();
-        assert_eq!(ids_a, ids_b);
     }
 
     /// The kernel's summation order must not decide a ranking: centroid
@@ -393,21 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_index_returns_nothing() {
-        let idx = IvfIndex::build(3, IvfConfig::default(), &[]);
-        assert!(idx.search(&[0.0, 0.0, 0.0], 5).is_empty());
-        assert!(idx.is_empty());
-    }
-
-    #[test]
-    fn nlist_clamped_to_data_size() {
-        let items = vec![(ChunkId(0), vec![1.0])];
-        let idx = IvfIndex::build(1, IvfConfig::default(), &items);
-        assert_eq!(idx.config().nlist, 1);
-        assert_eq!(idx.search(&[1.0], 1).len(), 1);
-    }
-
-    #[test]
     fn duplicate_seeds_do_not_orphan_lists() {
         // The strided seeds (positions 0, 2, 4, 6 for nlist = 4 over 8
         // items) land on duplicate vectors: without de-duplication two
@@ -445,23 +406,5 @@ mod tests {
             );
             assert_eq!(sizes.iter().sum::<usize>(), items.len());
         }
-    }
-
-    #[test]
-    fn search_work_counts_probed_lists_only() {
-        let items = clustered_data();
-        let idx = built(&items, 4, 2, 5);
-        let out = idx.search_counted(&[0.0, 0.0], 5);
-        assert_eq!(out.work.lists_probed, 2);
-        assert_eq!(out.work.centroids_scored, 4);
-        let sizes = idx.list_sizes();
-        assert!(out.work.vectors_scored < items.len());
-        assert!(out.work.vectors_scored >= *sizes.iter().min().unwrap());
-        // Full probe scores exactly the whole corpus.
-        let full = built(&items, 4, 4, 5);
-        assert_eq!(
-            full.search_counted(&[0.0, 0.0], 5).work.vectors_scored,
-            items.len()
-        );
     }
 }

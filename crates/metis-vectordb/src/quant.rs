@@ -497,7 +497,6 @@ impl VectorIndex for SqIvfIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlatIndex;
 
     fn grid_items(n: u32, dim: usize) -> Vec<(ChunkId, Vec<f32>)> {
         (0..n)
@@ -521,22 +520,6 @@ mod tests {
         sort_hits(&mut hits);
         let order: Vec<_> = hits.iter().map(|h| h.chunk).collect();
         assert_eq!(order, vec![ChunkId(2), ChunkId(1), ChunkId(5), ChunkId(9)]);
-    }
-
-    #[test]
-    fn roundtrip_error_is_within_half_a_step() {
-        let items = grid_items(64, 6);
-        let sq = ScalarQuantizer::train(6, items.iter().map(|(_, v)| v.as_slice()));
-        for (_, v) in &items {
-            let back = sq.decode(&sq.encode(v));
-            for (d, (&x, y)) in v.iter().zip(&back).enumerate() {
-                assert!(
-                    (x - y).abs() <= sq.step(d) / 2.0 + 1e-6,
-                    "dim {d}: |{x} - {y}| > step/2 = {}",
-                    sq.step(d) / 2.0
-                );
-            }
-        }
     }
 
     #[test]
@@ -657,73 +640,5 @@ mod tests {
         let mut items = grid_items(16, 4);
         items[5].1[2] = f32::INFINITY;
         SqFlatIndex::build(4, 2, &items);
-    }
-
-    #[test]
-    fn lut_distance_matches_decoded_distance() {
-        let items = grid_items(32, 4);
-        let sq = ScalarQuantizer::train(4, items.iter().map(|(_, v)| v.as_slice()));
-        let q = [0.25, -1.5, 3.0, 0.0];
-        let lut = sq.lut(&q);
-        for (_, v) in &items {
-            let codes = sq.encode(v);
-            let via_lut = lut.dist2(&codes);
-            let via_decode = squared_l2(&sq.decode(&codes), &q);
-            assert!(
-                (via_lut - via_decode).abs() < 1e-3,
-                "{via_lut} vs {via_decode}"
-            );
-        }
-    }
-
-    #[test]
-    fn sq_flat_with_rerank_matches_exact_flat_ranking() {
-        let items = grid_items(128, 8);
-        let flat = FlatIndex::over(8, &items);
-        let idx = SqFlatIndex::build(8, 4, &items);
-        let q: Vec<f32> = vec![0.1, -0.2, 0.3, 0.0, 1.0, -1.0, 0.5, 0.25];
-        let exact: Vec<_> = flat.search(&q, 5).iter().map(|h| h.chunk).collect();
-        let approx: Vec<_> = idx.search(&q, 5).iter().map(|h| h.chunk).collect();
-        assert_eq!(exact, approx);
-    }
-
-    #[test]
-    fn sq_flat_work_reports_quantized_and_rerank_evals() {
-        let items = grid_items(100, 4);
-        let idx = SqFlatIndex::build(4, 3, &items);
-        let out = idx.search_counted(&[0.0; 4], 4);
-        assert_eq!(out.work.quantized_scored, 100);
-        assert_eq!(out.work.vectors_scored, 12, "rerank * k exact evals");
-        assert_eq!(out.work.graph_hops, 0);
-        assert_eq!(out.hits.len(), 4);
-        // Without re-rank no exact eval happens at all.
-        let cheap = SqFlatIndex::build(4, 0, &items);
-        let out = cheap.search_counted(&[0.0; 4], 4);
-        assert_eq!(out.work.vectors_scored, 0);
-        assert_eq!(out.work.quantized_scored, 100);
-    }
-
-    #[test]
-    fn sq_ivf_probes_and_reranks() {
-        let items = grid_items(120, 4);
-        let ivf = IvfIndex::build(
-            4,
-            IvfConfig {
-                nlist: 6,
-                nprobe: 3,
-                train_iters: 6,
-            },
-            &items,
-        );
-        let idx = SqIvfIndex::from_ivf(&ivf, 2);
-        let out = idx.search_counted(&[0.0; 4], 5);
-        assert_eq!(out.hits.len(), 5);
-        assert_eq!(out.work.centroids_scored, 6);
-        assert_eq!(out.work.lists_probed, 3);
-        assert!(out.work.quantized_scored > 0);
-        assert_eq!(out.work.vectors_scored, 10, "rerank * k exact evals");
-        // The top hit agrees with the plain IVF top hit on this corpus.
-        let exact_top = ivf.search(&[0.0; 4], 1)[0].chunk;
-        assert_eq!(out.hits[0].chunk, exact_top);
     }
 }

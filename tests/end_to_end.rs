@@ -218,6 +218,20 @@ fn a_query_no_kv_pool_can_hold_is_rejected_instead_of_panicking() {
     let cell = run.cell_report("finsec-median-1gib", 99);
     assert_eq!(cell.queries as usize, run.per_query.len());
     assert_eq!(cell.extra_metric("rejected"), Some(run.rejected as f64));
+
+    // The §5 golden feedback run, due at the 30th query: its reduce call
+    // needs 150 KV blocks of a 256 MiB pool's 128, so it is never submitted
+    // (submitted, it would stall its replica's queue for good).
+    let mut feedback = MetisOptions::full();
+    feedback.feedback = true;
+    let mut cfg = RunConfig::standard(
+        SystemKind::Metis(feedback),
+        poisson_arrivals(99, 0.2, 40),
+        99,
+    );
+    cfg.engine.kv_pool_bytes_cap = Some(1 << 28);
+    let run = Runner::new(&dataset, cfg).run();
+    assert_eq!(run.per_query.len() + run.rejected, 40);
 }
 
 /// Every system on every dataset under KV caps from 0.5 to 12 GiB, with all
@@ -271,4 +285,105 @@ fn every_system_answers_or_rejects_every_query_under_every_kv_cap() {
         }
     }
     assert!(rejected > 0, "the small caps must reject something");
+}
+
+/// Prefix-aware routing re-routes each query, once its chunks are
+/// retrieved, to the routable replica whose chunk-KV cache holds the most of
+/// the chunks it reads. With repeated chunk access across queries it must
+/// not lose cache hits against memory-only routing. Then an elastic fleet
+/// over one-token chunks, so that one cached token is a whole overlap: a
+/// burst that grows the fleet past one replica, then a trickle after it has
+/// shrunk back. While the replica a chunk was first served on takes routes,
+/// every repeat of that chunk goes there; once the fleet is its first
+/// replica again (a scale-down drains the newest slot), every query goes
+/// there, even one whose chunk only a drained replica's cache holds.
+#[test]
+fn prefix_aware_routing_beats_least_kv_on_cache_hits() {
+    use metis::engine::RouterPolicy;
+    let n = 36;
+    let d = build_dataset(DatasetKind::Squad, n, 2024);
+    let go = |router: RouterPolicy| {
+        let arrivals = poisson_arrivals(7, qps_for(DatasetKind::Squad), n);
+        let mut cfg = RunConfig::standard(SystemKind::Metis(MetisOptions::full()), arrivals, 99)
+            .replicated(3, router);
+        cfg.prefix_cache_bytes = Some(1 << 30);
+        Runner::new(&d, cfg).run()
+    };
+    let aware = go(RouterPolicy::PrefixAware);
+    let least = go(RouterPolicy::LeastKvLoad);
+    assert_eq!(aware.per_query.len(), n);
+    assert!(aware.prefix_hit_rate > 0.0, "repeats must hit the cache");
+    assert!(
+        aware.prefix_hit_rate >= least.prefix_hit_rate,
+        "prefix-aware hit rate {:.3} < least-kv {:.3}",
+        aware.prefix_hit_rate,
+        least.prefix_hit_rate
+    );
+    // Routing changes placement, never answers.
+    assert!((aware.mean_f1() - least.mean_f1()).abs() < 0.05);
+
+    // Eight one-token chunks. The burst reads chunks 0-3, then 4-7 once
+    // the fleet has grown; the trickle, two minutes on, reads all eight.
+    let (burst, trickle) = (96, 16);
+    let mut d = build_dataset(DatasetKind::Squad, burst + trickle, 2024);
+    let mut words: Vec<_> = d.queries.iter().flat_map(|q| q.tokens.clone()).collect();
+    words.sort_unstable();
+    words.dedup();
+    words.truncate(8);
+    let mut doc = metis::text::AnnotatedText::new();
+    doc.push_tokens(&words);
+    let chunks = metis::text::Chunker::new(metis::text::ChunkerConfig::with_size(1)).split(&doc);
+    let embedder = std::sync::Arc::new(metis::embed::HashEmbed::default());
+    d.db = metis::vectordb::VectorDb::build(&chunks, embedder, "one-token chunks", 1);
+    let chunk_of = |i: usize| match i {
+        _ if i < burst / 2 => i % 4,
+        _ if i < burst => 4 + i % 4,
+        _ => (i - burst) % 8,
+    };
+    for (i, q) in d.queries.iter_mut().enumerate() {
+        q.tokens = vec![words[chunk_of(i)]];
+    }
+    let mut arrivals: Vec<u64> = (0..burst as u64).map(|i| i * 10_000_000).collect();
+    arrivals.extend((0..trickle as u64).map(|i| 120_000_000_000 + i * 10_000_000_000));
+    let mut cfg = RunConfig::standard(
+        SystemKind::VllmFixed {
+            config: RagConfig::stuff(1),
+        },
+        arrivals,
+        99,
+    )
+    .with_autoscale(metis::core::Autoscaler {
+        max_replicas: 3,
+        scale_up_queue_depth: 2,
+        eval_interval_nanos: 250_000_000,
+        cooldown_nanos: 1_000_000_000,
+        warmup_nanos: 250_000_000,
+        ..metis::core::Autoscaler::default()
+    });
+    cfg.router = RouterPolicy::PrefixAware;
+    cfg.engine.max_batch_seqs = 1;
+    cfg.prefix_cache_bytes = Some(1 << 30);
+    let run = Runner::new(&d, cfg).run();
+    assert_eq!(run.per_query.len(), burst + trickle);
+    let mut home = [None; 8];
+    for q in &run.per_query[..burst] {
+        let chunk = chunk_of(q.query_index);
+        let first = *home[chunk].get_or_insert(q.replica);
+        assert_eq!(
+            q.replica, first,
+            "query {} left chunk {chunk}'s replica",
+            q.query_index
+        );
+    }
+    assert!(
+        home.iter().any(|&r| r > Some(0)),
+        "no chunk was first served off replica 0"
+    );
+    for q in &run.per_query[burst..] {
+        assert_eq!(
+            q.replica, 0,
+            "query {} after the fleet shrank",
+            q.query_index
+        );
+    }
 }

@@ -1,6 +1,8 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants.
 
+use std::collections::{BTreeMap, HashMap, HashSet};
+
 use proptest::prelude::*;
 
 use metis::core::{
@@ -13,10 +15,10 @@ use metis::engine::{
 };
 use metis::llm::{GenerationModel, GpuCluster, LatencyModel, ModelSpec};
 use metis::metrics::f1_score;
-use metis::text::{AnnotatedText, Chunker, ChunkerConfig, TokenId};
+use metis::text::{AnnotatedText, ChunkId, Chunker, ChunkerConfig, TokenId};
 use metis::vectordb::{
-    ChunkStore, FlatIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Quantization,
-    ScalarQuantizer, VectorIndex,
+    ChunkStore, FlatIndex, Hit, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Quantization,
+    ScalarQuantizer, SearchOutcome, SearchWork, SqFlatIndex, SqIvfIndex, VectorIndex,
 };
 
 fn tokens(ids: &[u32]) -> Vec<TokenId> {
@@ -74,87 +76,6 @@ proptest! {
             prop_assert!(alloc.free(RequestId(seq)).is_ok());
         }
         prop_assert_eq!(alloc.free_tokens(), capacity);
-    }
-
-    /// Flat index top-k equals brute force on arbitrary data.
-    #[test]
-    fn flat_index_matches_brute_force(
-        rows in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 4), 1..60),
-        q in prop::collection::vec(-10.0f32..10.0, 4),
-        k in 1usize..10,
-    ) {
-        let mut idx = FlatIndex::new(4);
-        for (i, r) in rows.iter().enumerate() {
-            idx.add(metis::text::ChunkId(i as u32), r);
-        }
-        let hits = idx.search(&q, k);
-        let mut brute: Vec<(f32, u32)> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let d: f32 = r.iter().zip(&q).map(|(x, y)| (x - y) * (x - y)).sum();
-                (d.sqrt(), i as u32)
-            })
-            .collect();
-        brute.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        prop_assert_eq!(hits.len(), k.min(rows.len()));
-        let brute_of = |id: u32| brute.iter().find(|b| b.1 == id).map(|b| b.0);
-        let mut ids: Vec<u32> = hits.iter().map(|h| h.chunk.0).collect();
-        for (h, (d, id)) in hits.iter().zip(&brute) {
-            prop_assert!((h.distance - d).abs() < 1e-4);
-            // The kernel sums in another order than `brute`, so two ids may
-            // only swap when their distances tie to within rounding.
-            let swapped_tie = brute_of(h.chunk.0).is_some_and(|b| (b - d).abs() < 1e-4);
-            prop_assert!(h.chunk.0 == *id || swapped_tie, "{:?} at {} vs {}", h.chunk, d, id);
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        prop_assert_eq!(ids.len(), hits.len());
-    }
-
-    /// IVF recall@k against the exact flat index is monotone non-decreasing
-    /// in `nprobe` (probing more lists only grows the candidate set),
-    /// reaches exactly 1.0 at `nprobe == nlist` (every list probed = the
-    /// full scan under the same tie-break order), and the probed search
-    /// work never exceeds the full-scan work of the same query.
-    #[test]
-    fn ivf_recall_monotone_in_nprobe(
-        rows in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 4), 8..64),
-        q in prop::collection::vec(-10.0f32..10.0, 4),
-    ) {
-        let k = 5usize;
-        let items: Vec<(metis::text::ChunkId, Vec<f32>)> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (metis::text::ChunkId(i as u32), r.clone()))
-            .collect();
-        let mut flat = FlatIndex::new(4);
-        for (id, v) in &items {
-            flat.add(*id, v);
-        }
-        let gold: std::collections::HashSet<_> =
-            flat.search(&q, k).into_iter().map(|h| h.chunk).collect();
-        let nlist = 4usize;
-        let mut prev = 0.0f64;
-        for nprobe in 1..=nlist {
-            // Same items and training schedule → identical centroids; only
-            // the probe depth differs between the builds.
-            let idx = IvfIndex::build(4, IvfConfig { nlist, nprobe, train_iters: 4 }, &items);
-            let out = idx.search_counted(&q, k);
-            let hit = out.hits.iter().filter(|h| gold.contains(&h.chunk)).count();
-            let recall = hit as f64 / gold.len() as f64;
-            prop_assert!(
-                recall >= prev - 1e-12,
-                "recall dropped from {prev:.3} to {recall:.3} at nprobe {nprobe}"
-            );
-            prev = recall;
-            prop_assert!(out.work.vectors_scored <= items.len());
-            prop_assert!(out.work.lists_probed == nprobe);
-            if nprobe == nlist {
-                prop_assert!((recall - 1.0).abs() < 1e-12, "full probe recall {recall}");
-                prop_assert_eq!(out.work.vectors_scored, items.len());
-            }
-        }
     }
 
     /// Best-fit never selects a non-fallback configuration whose scheduling
@@ -458,75 +379,6 @@ proptest! {
         prop_assert!(out.text.len() <= budget, "summary {} > budget {budget}", out.text.len());
     }
 
-    /// HNSW recall@k on the planted ANN corpus is monotone non-decreasing
-    /// in `ef_search` — layer-0 expansion order is `ef`-independent, so
-    /// the candidate pools at growing budgets nest, and since the gold set
-    /// is the exact global top-k no newcomer can displace a gold hit — and
-    /// at equal (or IVF-favoring) reported distance work, HNSW recall is
-    /// at least IVF's.
-    #[test]
-    fn hnsw_recall_monotone_in_ef_and_at_least_ivf_at_equal_work(
-        n in 240usize..600, seed in 0u64..10_000,
-    ) {
-        let corpus = AnnCorpus::generate(AnnConfig {
-            num_queries: 4,
-            ..AnnConfig::at_scale(n, seed)
-        });
-        let k = corpus.config.k;
-        let hnsw = HnswIndex::build(
-            corpus.config.dim,
-            HnswConfig::default(),
-            Quantization::F32,
-            &corpus.items,
-        );
-        let mut hnsw_work = 0usize;
-        let mut hnsw_recall = 0.0f64;
-        for q in &corpus.queries {
-            let mut prev = 0.0f64;
-            for ef in [4usize, 16, 64] {
-                let out = hnsw.search_with_ef(&q.vector, k, ef);
-                let ids: Vec<_> = out.hits.iter().map(|h| h.chunk).collect();
-                let recall = AnnCorpus::recall(&q.gold, &ids);
-                prop_assert!(
-                    recall >= prev - 1e-12,
-                    "recall fell {prev:.3} → {recall:.3} raising ef to {ef}"
-                );
-                prev = recall;
-                if ef == 64 {
-                    hnsw_work += out.work.distances();
-                    hnsw_recall += recall;
-                }
-            }
-        }
-        // Walk IVF's work curve up to the first probe depth whose reported
-        // distance work matches or exceeds HNSW's: same total budget (or
-        // more, favoring IVF), HNSW must not recall less.
-        let nlist = 16usize;
-        let mut ivf_recall = 0.0f64;
-        for nprobe in 1..=nlist {
-            let ivf = IvfIndex::build(
-                corpus.config.dim,
-                IvfConfig { nlist, nprobe, train_iters: 4 },
-                &corpus.items,
-            );
-            let mut work = 0usize;
-            ivf_recall = 0.0;
-            for q in &corpus.queries {
-                let out = ivf.search_counted(&q.vector, k);
-                let ids: Vec<_> = out.hits.iter().map(|h| h.chunk).collect();
-                ivf_recall += AnnCorpus::recall(&q.gold, &ids);
-                work += out.work.distances();
-            }
-            if work >= hnsw_work {
-                break;
-            }
-        }
-        prop_assert!(
-            hnsw_recall >= ivf_recall - 1e-9,
-            "HNSW recall {hnsw_recall:.3} below IVF {ivf_recall:.3} at equal work"
-        );
-    }
-
     /// sq8 round-trip: `decode(encode(x))` is within half a quantization
     /// step of `x` on every dimension, for any corpus the quantizer was
     /// trained on (degenerate constant dims reconstruct exactly).
@@ -634,5 +486,377 @@ proptest! {
         prop_assert!(space.num_chunks.1 <= 35);
         prop_assert!(space.num_chunks.0 == pieces.min(space.num_chunks.0));
         prop_assert!(!space.candidates().is_empty());
+    }
+}
+
+/// SplitMix64: the stream the index oracle draws its shapes from.
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+type Items = Vec<(ChunkId, Vec<f32>)>;
+
+/// `n` rows drawn from `seed` on the integer grid `{0, …, side - 1}^dim`,
+/// ids in row order. A small `side` leaves far more rows than grid points,
+/// so duplicate rows and tied distances are the common case; a side of 2²⁰
+/// is as good as continuous.
+fn grid_items(n: usize, dim: usize, side: u64, seed: u64) -> Items {
+    let mut state = seed;
+    let mut coordinate = || {
+        state = splitmix64(state);
+        (state % side) as f32
+    };
+    (0..n as u32)
+        .map(|i| (ChunkId(i), (0..dim).map(|_| coordinate()).collect()))
+        .collect()
+}
+
+/// A corpus, its queries and the index shapes drawn from `seed`: HNSW with
+/// m 2..=16 and ef_construction 3..=80, IVF with 1..=16 lists. One seed in
+/// eight holds 0–4 rows (an empty index, and k > n), the others 8..=`max_n`
+/// (skewed small). Four seeds in five put 1–8 dims on a grid 2–5 points a
+/// side, every fifth spreads 16–64 dims uniformly. The last query repeats a
+/// row, so one distance is zero.
+fn index_shape(seed: u64, max_n: usize) -> (usize, HnswConfig, usize, Items, Items) {
+    let mut state = seed;
+    let mut draw = |lo: usize, hi: usize| {
+        state = splitmix64(state);
+        lo + (state % (hi - lo + 1) as u64) as usize
+    };
+    let (m, ef_construction, nlist) = (draw(2, 16), draw(3, 80), draw(1, 16));
+    let hnsw = HnswConfig {
+        m,
+        ef_construction,
+        ..HnswConfig::default()
+    };
+    let n = if seed.is_multiple_of(8) {
+        (seed / 8 % 5) as usize
+    } else {
+        let u = draw(0, 999) as f64 / 1e3;
+        (8.0 * (max_n as f64 / 8.0).powf(u * u)) as usize
+    };
+    let (dim, side) = if seed.is_multiple_of(5) {
+        (draw(16, 64), 1 << 20)
+    } else {
+        (draw(1, 8), draw(2, 5) as u64)
+    };
+    let items = grid_items(n, dim, side, !seed);
+    let mut queries = grid_items(4, dim, side, seed ^ 0x5EED);
+    queries.extend(items.last().cloned());
+    (dim, hnsw, nlist, items, queries)
+}
+
+/// One effort level of one index family: the family, whether it scores
+/// every row (IVF probing every list, HNSW at `ef ≥ n`), its sq8 re-rank
+/// depth (`None` in f32), and its search.
+type Rung<'a> = (&'static str, bool, Option<usize>, Search<'a>);
+type Search<'a> = Box<dyn Fn(&[f32], usize) -> SearchOutcome + 'a>;
+
+fn scan(index: &dyn VectorIndex) -> Search<'_> {
+    Box::new(|q, k| index.search_counted(q, k))
+}
+
+fn beam(graph: &HnswIndex, ef: usize) -> Search<'_> {
+    Box::new(move |q, k| graph.search_with_ef(q, k, ef))
+}
+
+/// What the index sweep met; it refuses to pass without each, and without
+/// every family at full and at partial effort.
+#[derive(Debug, Default)]
+struct Met {
+    tied_distances: usize,
+    duplicate_rows: usize,
+    k_zero: usize,
+    k_above_n: usize,
+    empty: usize,
+    /// Shapes where some query's HNSW traversal could not reach every node.
+    unreachable_shapes: usize,
+    /// Per family: rungs checked at full effort, and below it.
+    efforts: BTreeMap<&'static str, [usize; 2]>,
+}
+
+/// `FlatIndex` against a brute-force f64 scan: each hit at its own row's
+/// distance, and the i-th hit at the i-th least distance (to rounding).
+fn assert_flat_is_brute_force(items: &Items, q: &[f32], k: usize, hits: &[Hit]) {
+    let d2 = |(_, v): &(ChunkId, Vec<f32>)| -> f64 {
+        let deltas = v.iter().zip(q).map(|(x, y)| f64::from(*x) - f64::from(*y));
+        deltas.map(|d| d * d).sum()
+    };
+    let mut brute: Vec<f64> = items.iter().map(d2).collect();
+    brute.sort_by(f64::total_cmp);
+    assert_eq!(hits.len(), k.min(items.len()));
+    for (h, least) in hits.iter().zip(brute) {
+        let (got, own) = (
+            f64::from(h.distance).powi(2),
+            d2(&items[h.chunk.0 as usize]),
+        );
+        let close = |d: f64| (got - d).abs() <= 1e-5 * d.max(1.0);
+        assert!(
+            close(own) && close(least),
+            "{h:?}: {got} against {own} and {least}"
+        );
+    }
+}
+
+/// The one contract of every vector index, checked against `FlatIndex` (and
+/// `FlatIndex` against brute force) over the shapes of `seeds`, every query
+/// at k = 0, 1, 3, 10 and n + 1:
+///
+/// - at most k distinct hits in ascending distance; k = 0 or an empty index
+///   returns nothing and reports no work;
+/// - every f32 or re-ranked hit carries `FlatIndex`'s distance bits for its
+///   id (`squared_l2` is the one exact kernel);
+/// - along each family's effort ladder, recall@k against `FlatIndex` and the
+///   reported distance work never fall: the candidate sets nest, because
+///   lists are probed in one centroid order, HNSW's layer-0 expansion order
+///   does not depend on `ef`, and a deeper re-rank re-scores a superset;
+/// - at full effort (IVF at `nprobe = nlist`, HNSW at `ef ≥ n`, sq8 at
+///   `rerank·k ≥ n`) the hits are `FlatIndex`'s ids and distance bits. Hits
+///   at one distance may come in any order: HNSW ranks them by squared
+///   distance, and `sqrt` can round two of those to one. An HNSW traversal
+///   that cannot reach every node (its own search at k = n returns fewer)
+///   is counted and held to the bits alone;
+/// - graph hops only in HNSW, quantized evals only in sq8, every centroid
+///   and `nprobe` lists only in IVF, exact re-rank evals between the hits
+///   and `rerank·k` (`min(rerank·k, n)` when every row is reached), every
+///   row once in a scan of them all, and `min(k, n)` hits from a family
+///   that reaches every row.
+fn sweep_indexes(seeds: std::ops::Range<u64>, max_n: usize) {
+    let mut met = Met::default();
+    for seed in seeds {
+        let (dim, hnsw, nlist, items, queries) = index_shape(seed, max_n);
+        let n = items.len();
+        let mut flat = FlatIndex::new(dim);
+        items.iter().for_each(|(id, v)| flat.add(*id, v));
+        let rows: HashSet<Vec<u32>> = items
+            .iter()
+            .map(|(_, v)| v.iter().map(|x| x.to_bits()).collect())
+            .collect();
+        met.duplicate_rows += usize::from(rows.len() < n);
+        met.empty += usize::from(n == 0);
+
+        let config = IvfConfig {
+            nlist,
+            nprobe: 1,
+            train_iters: 4,
+        };
+        let ivf_at = |nprobe| IvfIndex::build(dim, IvfConfig { nprobe, ..config }, &items);
+        let ivfs: Vec<IvfIndex> = (1..=nlist).map(ivf_at).collect();
+        for (nprobe, ivf) in (1..).zip(&ivfs) {
+            let (lists, config) = (nlist.min(n.max(1)), ivf.config());
+            let clamped = (config.nlist, config.nprobe) == (lists, nprobe.min(lists));
+            assert!(clamped, "seed {seed}: {config:?}");
+        }
+        let every = n.max(1);
+        let reranks = [0, 1, 2, every];
+        let sq8 = |rerank| Quantization::Sq8 { rerank };
+        let quants = std::iter::once(Quantization::F32).chain(reranks.map(sq8));
+        let graphs: Vec<HnswIndex> = quants
+            .map(|quant| HnswIndex::build(dim, hnsw, quant, &items))
+            .collect();
+        let sq_flats = reranks.map(|rerank| SqFlatIndex::build(dim, rerank, &items));
+        let sq_ivfs = reranks.map(|rerank| SqIvfIndex::from_ivf(&ivfs[nlist - 1], rerank));
+        let sq_probed: Vec<SqIvfIndex> = ivfs
+            .iter()
+            .map(|ivf| SqIvfIndex::from_ivf(ivf, every))
+            .collect();
+        // Ladders by probe depth, by ef, and by re-rank depth.
+        let mut ladders: [Vec<Rung>; 7] = Default::default();
+        for (ivf, sq) in ivfs.iter().zip(&sq_probed) {
+            let full = ivf.config().nprobe == ivf.config().nlist;
+            ladders[0].push(("ivf", full, None, scan(ivf)));
+            ladders[1].push(("sq-ivf", full, Some(every), scan(sq)));
+        }
+        for ef in (0..).map(|i| 1 << i).take_while(|&ef| ef < 2 * every) {
+            ladders[2].push(("hnsw", ef >= n, None, beam(&graphs[0], ef)));
+            ladders[3].push(("hnsw-sq8", ef >= n, Some(every), beam(&graphs[4], ef)));
+        }
+        for (i, &rerank) in reranks.iter().enumerate() {
+            ladders[4].push(("sq-flat", true, Some(rerank), scan(&sq_flats[i])));
+            ladders[5].push(("sq-ivf", true, Some(rerank), scan(&sq_ivfs[i])));
+            ladders[6].push(("hnsw-sq8", true, Some(rerank), beam(&graphs[1 + i], every)));
+        }
+
+        let mut unreachable = false;
+        for (qi, (_, q)) in queries.iter().enumerate() {
+            let bits = |hits: &[Hit]| -> Vec<(u32, ChunkId)> {
+                let mut bits: Vec<_> = hits
+                    .iter()
+                    .map(|h| (h.distance.to_bits(), h.chunk))
+                    .collect();
+                bits.sort_unstable();
+                bits
+            };
+            let all = flat.search(q, n);
+            let exact: HashMap<ChunkId, u32> = all
+                .iter()
+                .map(|h| (h.chunk, h.distance.to_bits()))
+                .collect();
+            met.tied_distances +=
+                usize::from(all.windows(2).any(|w| w[0].distance == w[1].distance));
+            for k in [0, 1, 3, 10, n + 1] {
+                let want = flat.search(q, k);
+                assert_flat_is_brute_force(&items, q, k, &want);
+                assert_eq!(want, all[..k.min(n)], "seed {seed}: k {k}");
+                let gold: HashSet<ChunkId> = want.iter().map(|h| h.chunk).collect();
+                met.k_zero += usize::from(k == 0);
+                met.k_above_n += usize::from(k > n);
+                let mut floor = (0, 0);
+                let rungs = ladders.iter().flat_map(|l| l.iter().enumerate());
+                for (step, &(family, scans_all, rerank, ref search)) in rungs {
+                    let at = format!("seed {seed}, {family} rung {step}, k {k}, query {qi}");
+                    let SearchOutcome { hits, work } = search(q, k);
+                    let ids: HashSet<ChunkId> = hits.iter().map(|h| h.chunk).collect();
+                    let ascending = hits.windows(2).all(|w| w[0].distance <= w[1].distance);
+                    assert!(
+                        ascending && ids.len() == hits.len() && ids.len() <= k,
+                        "{at}: {hits:?}"
+                    );
+                    if k == 0 || n == 0 {
+                        assert!(hits.is_empty() && work == SearchWork::default(), "{at}");
+                        continue;
+                    }
+                    if rerank != Some(0) {
+                        for h in &hits {
+                            assert_eq!(
+                                exact.get(&h.chunk),
+                                Some(&h.distance.to_bits()),
+                                "{at}: {h:?}"
+                            );
+                        }
+                    }
+                    let reached = scans_all && search(q, n).hits.len() == n;
+                    let (hnsw, quantized) = (family.starts_with("hnsw"), rerank.is_some());
+                    let domains = (work.graph_hops > 0, work.quantized_scored > 0);
+                    assert_eq!(domains, (hnsw, quantized), "{at}: {work:?}");
+                    if let Some(rerank) = rerank {
+                        let (evals, depth) = (work.vectors_scored, rerank.saturating_mul(k));
+                        let bounded = evals <= depth && (rerank == 0 || evals >= hits.len());
+                        let all = !reached || evals == depth.min(n);
+                        assert!(bounded && all, "{at}: {work:?}");
+                    }
+                    // IVF ranks every centroid and probes `nprobe` lists: step + 1
+                    // on a probe ladder, all of them in a scan of every row.
+                    let lists = if family.ends_with("ivf") {
+                        nlist.min(n)
+                    } else {
+                        0
+                    };
+                    let probed = if scans_all {
+                        lists
+                    } else {
+                        (step + 1).min(lists)
+                    };
+                    let coarse = (work.centroids_scored, work.lists_probed);
+                    assert_eq!(coarse, (lists, probed), "{at}: {work:?}");
+                    if scans_all && !hnsw {
+                        let scored = if quantized {
+                            work.quantized_scored
+                        } else {
+                            work.vectors_scored
+                        };
+                        assert_eq!(scored, n, "{at}: {work:?}");
+                    }
+                    // Recall and work never fall along a ladder; step 0 starts one.
+                    let now = (ids.intersection(&gold).count(), work.distances());
+                    if step == 0 {
+                        floor = (0, 0);
+                    }
+                    assert!(
+                        now.0 >= floor.0 && now.1 >= floor.1,
+                        "{at}: {now:?} after {floor:?}"
+                    );
+                    floor = now;
+                    assert!(reached || !scans_all || hnsw, "{at}: a row went unscored");
+                    unreachable |= scans_all && !reached;
+                    let deep = rerank.is_none_or(|x| x > 0 && x.saturating_mul(k) >= n);
+                    if reached {
+                        assert_eq!(hits.len(), k.min(n), "{at}");
+                    }
+                    let effort = met.efforts.entry(family).or_default();
+                    if reached && deep {
+                        assert_eq!(bits(&hits), bits(&want), "{at}");
+                        effort[0] += 1;
+                    } else if !(scans_all && deep) {
+                        effort[1] += 1;
+                    }
+                }
+            }
+        }
+        met.unreachable_shapes += usize::from(unreachable);
+    }
+    let efforts = met.efforts.len() == 5 && met.efforts.values().flatten().all(|&c| c > 0);
+    let cases = [
+        met.tied_distances,
+        met.duplicate_rows,
+        met.k_zero,
+        met.k_above_n,
+        met.empty,
+    ];
+    assert!(
+        efforts && !cases.contains(&0),
+        "the sweep skipped a case: {met:?}"
+    );
+}
+
+/// HNSW at its default ef recalls at least what IVF recalls at the first
+/// probe depth whose reported distance work matches or exceeds HNSW's, on a
+/// planted ANN corpus of `n` vectors.
+fn assert_hnsw_recalls_at_least_ivf_at_equal_work(n: usize, seed: u64) {
+    let corpus = AnnCorpus::generate(AnnConfig {
+        num_queries: 4,
+        ..AnnConfig::at_scale(n, seed)
+    });
+    let (dim, k) = (corpus.config.dim, corpus.config.k);
+    let recall_and_work = |index: &dyn VectorIndex| {
+        corpus.queries.iter().fold((0.0, 0), |(recall, work), q| {
+            let out = index.search_counted(&q.vector, k);
+            let ids: Vec<ChunkId> = out.hits.iter().map(|h| h.chunk).collect();
+            (
+                recall + AnnCorpus::recall(&q.gold, &ids),
+                work + out.work.distances(),
+            )
+        })
+    };
+    let hnsw = HnswIndex::build(dim, HnswConfig::default(), Quantization::F32, &corpus.items);
+    let (hnsw_recall, hnsw_work) = recall_and_work(&hnsw);
+    let config = IvfConfig {
+        nlist: 16,
+        nprobe: 1,
+        train_iters: 4,
+    };
+    let ivf_at = |nprobe| {
+        recall_and_work(&IvfIndex::build(
+            dim,
+            IvfConfig { nprobe, ..config },
+            &corpus.items,
+        ))
+    };
+    let ivf = (1..=16).map(ivf_at).find(|&(_, work)| work >= hnsw_work);
+    let (ivf_recall, _) = ivf.unwrap_or_else(|| ivf_at(16));
+    assert!(
+        hnsw_recall >= ivf_recall - 1e-9,
+        "n {n}, seed {seed}: HNSW recall {hnsw_recall:.3} below IVF {ivf_recall:.3} at equal work"
+    );
+}
+
+#[test]
+fn every_index_agrees_with_the_flat_scan() {
+    sweep_indexes(0..48, 400);
+    for seed in 0..6 {
+        assert_hnsw_recalls_at_least_ivf_at_equal_work(240 + 60 * seed as usize, seed);
+    }
+}
+
+/// The long sweep, for a release build (CI runs it with `--ignored`).
+#[test]
+#[ignore = "a minute in a debug build; CI runs it in release"]
+fn every_index_agrees_with_the_flat_scan_long_sweep() {
+    sweep_indexes(1_000..1_600, 2_000);
+    for seed in 100..148 {
+        assert_hnsw_recalls_at_least_ivf_at_equal_work(240 + 7 * seed as usize % 360, seed);
     }
 }
