@@ -603,7 +603,7 @@ fn assert_flat_is_brute_force(items: &Items, q: &[f32], k: usize, hits: &[Hit]) 
 
 /// The one contract of every vector index, checked against `FlatIndex` (and
 /// `FlatIndex` against brute force) over the shapes of `seeds`, every query
-/// at k = 0, 1, 3, 10 and n + 1:
+/// at k = 0, 1, 3, 10 and n + 1, for the `families` named in sorted order:
 ///
 /// - at most k distinct hits in ascending distance; k = 0 or an empty index
 ///   returns nothing and reports no work;
@@ -624,7 +624,7 @@ fn assert_flat_is_brute_force(items: &Items, q: &[f32], k: usize, hits: &[Hit]) 
 ///   and `rerank·k` (`min(rerank·k, n)` when every row is reached), every
 ///   row once in a scan of them all, and `min(k, n)` hits from a family
 ///   that reaches every row.
-fn sweep_indexes(seeds: std::ops::Range<u64>, max_n: usize) {
+fn sweep_indexes(seeds: std::ops::Range<u64>, max_n: usize, families: &[&str]) {
     let mut met = Met::default();
     for seed in seeds {
         let (dim, hnsw, nlist, items, queries) = index_shape(seed, max_n);
@@ -706,6 +706,7 @@ fn sweep_indexes(seeds: std::ops::Range<u64>, max_n: usize) {
                 met.k_above_n += usize::from(k > n);
                 let mut floor = (0, 0);
                 let rungs = ladders.iter().flat_map(|l| l.iter().enumerate());
+                let rungs = rungs.filter(|(_, rung)| families.contains(&rung.0));
                 for (step, &(family, scans_all, rerank, ref search)) in rungs {
                     let at = format!("seed {seed}, {family} rung {step}, k {k}, query {qi}");
                     let SearchOutcome { hits, work } = search(q, k);
@@ -740,11 +741,7 @@ fn sweep_indexes(seeds: std::ops::Range<u64>, max_n: usize) {
                     }
                     // IVF ranks every centroid and probes `nprobe` lists: step + 1
                     // on a probe ladder, all of them in a scan of every row.
-                    let lists = if family.ends_with("ivf") {
-                        nlist.min(n)
-                    } else {
-                        0
-                    };
+                    let lists = usize::from(family.ends_with("ivf")) * nlist.min(n);
                     let probed = if scans_all {
                         lists
                     } else {
@@ -788,7 +785,7 @@ fn sweep_indexes(seeds: std::ops::Range<u64>, max_n: usize) {
         }
         met.unreachable_shapes += usize::from(unreachable);
     }
-    let efforts = met.efforts.len() == 5 && met.efforts.values().flatten().all(|&c| c > 0);
+    let efforts = met.efforts.keys().eq(families) && met.efforts.values().flatten().all(|&c| c > 0);
     let cases = [
         met.tied_distances,
         met.duplicate_rows,
@@ -843,9 +840,20 @@ fn assert_hnsw_recalls_at_least_ivf_at_equal_work(n: usize, seed: u64) {
     );
 }
 
+/// The flat scans: `FlatIndex` against brute force, `SqFlatIndex` against it.
 #[test]
-fn every_index_agrees_with_the_flat_scan() {
-    sweep_indexes(0..48, 400);
+fn flat_index_matches_brute_force() {
+    sweep_indexes(0..48, 400, &["sq-flat"]);
+}
+
+#[test]
+fn ivf_recall_monotone_in_nprobe() {
+    sweep_indexes(0..48, 400, &["ivf", "sq-ivf"]);
+}
+
+#[test]
+fn hnsw_recall_monotone_in_ef_and_at_least_ivf_at_equal_work() {
+    sweep_indexes(0..48, 400, &["hnsw", "hnsw-sq8"]);
     for seed in 0..6 {
         assert_hnsw_recalls_at_least_ivf_at_equal_work(240 + 60 * seed as usize, seed);
     }
@@ -855,7 +863,8 @@ fn every_index_agrees_with_the_flat_scan() {
 #[test]
 #[ignore = "a minute in a debug build; CI runs it in release"]
 fn every_index_agrees_with_the_flat_scan_long_sweep() {
-    sweep_indexes(1_000..1_600, 2_000);
+    let families = ["hnsw", "hnsw-sq8", "ivf", "sq-flat", "sq-ivf"];
+    sweep_indexes(1_000..1_600, 2_000, &families);
     for seed in 100..148 {
         assert_hnsw_recalls_at_least_ivf_at_equal_work(240 + 7 * seed as usize % 360, seed);
     }
